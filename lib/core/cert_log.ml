@@ -96,6 +96,15 @@ let append t (entry : Types.entry) =
       | Some versions -> versions := tagged :: !versions
       | None -> Key.Tbl.replace t.writers key (ref [ tagged ]))
 
+(* The part of a newest-first writer list above [floor]; the list itself
+   when nothing falls at or below it. *)
+let rec above_floor floor = function
+  | (v, _) :: _ when v <= floor -> []
+  | w :: rest as versions ->
+      let kept = above_floor floor rest in
+      if kept == rest then versions else w :: kept
+  | [] -> []
+
 let truncate t ~upto =
   let upto = min upto (t.floor + t.size) in
   if upto > t.floor then begin
@@ -111,24 +120,28 @@ let truncate t ~upto =
       Writeset.iter_entries e.ws (fun key _ -> Key.Tbl.replace t.base_keys key ());
       Store.install t.base ~version:e.version e.ws
     done;
-    (* Flatten the base chains at the new floor; deleted rows read as
-       [None] via [base_keys]. *)
-    Store.gc t.base ~keep_after:upto;
+    (* Only the keys the dropped prefix wrote need work. Every other key's
+       base chain is already flat from an earlier truncation, which also
+       dropped its writers at or below that floor; it has none in the
+       dropped range, so none at or below the new floor. For each touched
+       key: flatten the base chain at the new floor
+       (deleted rows read as [None] via [base_keys]), and trim its writer
+       index so nothing at or below the floor is ever scanned again. *)
+    for i = 0 to k - 1 do
+      Writeset.iter_entries t.slots.(i).entry.ws (fun key _ ->
+          Store.gc_key t.base ~keep_after:upto key;
+          match Key.Tbl.find_opt t.writers key with
+          | None -> ()
+          | Some versions -> (
+              match above_floor upto !versions with
+              | [] -> Key.Tbl.remove t.writers key
+              | kept -> if kept != !versions then versions := kept))
+    done;
     let remaining = t.size - k in
     Array.blit t.slots k t.slots 0 remaining;
     Array.fill t.slots remaining k dummy_slot;
     t.size <- remaining;
-    t.floor <- upto;
-    (* Trim the per-key writer index: nothing at or below the floor may
-       ever be scanned again, so drop it (and empty lists with it). *)
-    let dead = ref [] in
-    Key.Tbl.iter
-      (fun key versions ->
-        match List.filter (fun (v, _) -> v > upto) !versions with
-        | [] -> dead := key :: !dead
-        | kept -> versions := kept)
-      t.writers;
-    List.iter (fun key -> Key.Tbl.remove t.writers key) !dead
+    t.floor <- upto
   end
 
 let base_rows t =
@@ -137,6 +150,7 @@ let base_rows t =
     t.base_keys []
 
 let base_version t = Store.current_version t.base
+let base_records t = Store.version_records t.base
 
 let truncated_for_origin t origin =
   Option.value ~default:0 (Hashtbl.find_opt t.truncated_by_origin origin)

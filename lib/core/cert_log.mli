@@ -47,7 +47,8 @@ val append : t -> Types.entry -> unit
 val truncate : t -> upto:int -> unit
 (** Drop every entry with version [<= upto] (clamped to [version t]):
     free the slot prefix, trim the writer index, and fold the dropped
-    writesets into the base state. Idempotent — a floor at or below the
+    writesets into the base state. Costs what the dropped entries wrote,
+    not the log's history. Idempotent — a floor at or below the
     current one is a no-op. Monotone: the floor never moves backwards. *)
 
 val get : t -> int -> Types.entry
@@ -66,6 +67,10 @@ val base_rows : t -> (Mvcc.Key.t * Mvcc.Value.t option) list
 val base_version : t -> int
 (** Version the base state is materialised at ([= floor] after a
     truncation; 0 when nothing was ever truncated). *)
+
+val base_records : t -> int
+(** Version-chain records held by the base state. Every base row is flat
+    at the floor, so this is one per row the truncated history left. *)
 
 val truncated_for_origin : t -> string -> int
 (** How many truncated entries carried this origin — keeps the

@@ -576,10 +576,15 @@ let spawn_applier t =
 (* ------------------------------------------------------------------ *)
 (* Client interface *)
 
+(* The certification window starts at the snapshot the transaction reads,
+   not at [rv]: [rv] counts remote writesets as soon as they are dispatched,
+   and while one is still being installed a start version taken from [rv]
+   would let certification skip a writeset this transaction never saw. *)
 let begin_tx t =
+  let db_tx = Mvcc.Db.begin_tx t.database in
   {
-    db_tx = Mvcc.Db.begin_tx t.database;
-    start_version = t.rv;
+    db_tx;
+    start_version = Mvcc.Db.snapshot_version db_tx;
     trace_id = Obs.Trace.fresh_id t.trace;
   }
 let read t w_tx key = ignore t; Mvcc.Db.read w_tx.db_tx key

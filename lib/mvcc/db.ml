@@ -366,7 +366,7 @@ let rec write tx key op =
         &&
         match op with
         | Writeset.Add _ ->
-            Store.latest_blind_writer tx.db.db_store key > tx.snapshot
+            Store.blind_write_after tx.db.db_store key ~after:tx.snapshot <> None
         | Writeset.Insert _ | Writeset.Update _ | Writeset.Delete ->
             Store.latest_writer tx.db.db_store key > tx.snapshot
       in

@@ -60,14 +60,17 @@ let latest_writer t key =
   | None | Some [] -> 0
   | Some ((v, _) :: _) -> v
 
-let latest_blind_writer t key =
+let blind_write_after t key ~after =
   match Key.Tbl.find_opt t.rows key with
-  | None -> 0
+  | None -> None
   | Some chain ->
+      (* Newest first, so the walk ends at the first version at or below
+         [after]: it costs the entries newer than [after], not the chain. *)
       let rec walk = function
-        | [] -> 0
-        | (v, Blind _) :: _ -> v
+        | (v, _) :: _ when v <= after -> None
+        | (v, Blind _) :: _ -> Some v
         | (_, Delta _) :: rest -> walk rest
+        | [] -> None
       in
       walk chain
 
@@ -153,42 +156,41 @@ let copy t =
     t.rows;
   fresh
 
+(* The one GC rule, for one chain: keep every version newer than
+   [keep_after] plus the newest one at or below it (still visible to
+   snapshots in (keep_after, now]). The kept boundary entry becomes the new
+   bottom of the chain: materialise it so delta runs above keep their base —
+   with the same tombstone-preserving fold as {!read}, so gc can never
+   resurrect a deleted key. A row whose entire surviving history is a
+   tombstone at or below the floor is dropped outright ([None]): every
+   visible snapshot already reads it as absent. An already-flat chain comes
+   back physically unchanged. *)
+let gc_chain t ~keep_after chain =
+  let rec split above = function
+    | ((v, _) :: _ as suffix) when v <= keep_after -> (List.rev above, suffix)
+    | entry :: rest -> split (entry :: above) rest
+    | [] -> (List.rev above, [])
+  in
+  match split [] chain with
+  | _, [] -> Some chain (* nothing at or below the floor *)
+  | [], suffix when Option.is_none (fold_value 0 false suffix) ->
+      t.pruned <- t.pruned + List.length suffix;
+      None
+  | _, [ (_, Blind _) ] -> Some chain
+  | above, ((v, _) :: below as suffix) ->
+      t.pruned <- t.pruned + List.length below;
+      Some (above @ [ (v, materialise suffix) ])
+
+let gc_key t ~keep_after key =
+  match Key.Tbl.find_opt t.rows key with
+  | None -> ()
+  | Some chain -> (
+      match gc_chain t ~keep_after chain with
+      | None -> Key.Tbl.remove t.rows key
+      | Some kept -> if kept != chain then Key.Tbl.replace t.rows key kept)
+
 let gc t ~keep_after =
-  (* Keep every version newer than [keep_after] plus the newest one at or
-     below it (still visible to snapshots in (keep_after, now]). The kept
-     boundary entry becomes the new bottom of the chain: materialise it so
-     delta runs above keep their base — with the same tombstone-preserving
-     fold as {!read}, so gc can never resurrect a deleted key. A row whose
-     entire surviving history is a tombstone at or below the floor is
-     dropped outright: every visible snapshot already reads it as absent. *)
-  let drops = ref [] and updates = ref [] in
-  Key.Tbl.iter
-    (fun key chain ->
-      let rec split above = function
-        | ((v, _) :: _ as suffix) when v <= keep_after -> (List.rev above, suffix)
-        | entry :: rest -> split (entry :: above) rest
-        | [] -> (List.rev above, [])
-      in
-      let above, suffix = split [] chain in
-      match suffix with
-      | [] -> () (* nothing at or below the floor *)
-      | (v, cell) :: below -> (
-          let boundary = materialise suffix in
-          match (above, boundary) with
-          | [], Blind None ->
-              drops := key :: !drops;
-              t.pruned <- t.pruned + List.length suffix
-          | _ ->
-              let already_flat =
-                below = [] && match cell with Blind _ -> true | Delta _ -> false
-              in
-              if not already_flat then begin
-                updates := (key, above @ [ (v, boundary) ]) :: !updates;
-                t.pruned <- t.pruned + List.length below
-              end))
-    t.rows;
-  List.iter (fun key -> Key.Tbl.remove t.rows key) !drops;
-  List.iter (fun (key, chain) -> Key.Tbl.replace t.rows key chain) !updates
+  Key.Tbl.filter_map_inplace (fun _ chain -> gc_chain t ~keep_after chain) t.rows
 
 let pp_chain fmt t key =
   match Key.Tbl.find_opt t.rows key with

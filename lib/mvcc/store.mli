@@ -31,12 +31,13 @@ val latest_writer : t -> Key.t -> int
     written. This is what the first-updater-wins check compares against a
     transaction's snapshot. *)
 
-val latest_blind_writer : t -> Key.t -> int
-(** Commit version of the newest committed {e final-image} write to this
-    key, skipping commutative delta entries; 0 if never written. A
-    delta-only transaction's first-updater-wins check compares against
-    this instead of {!latest_writer}: committed deltas commute with it and
-    must not abort it. *)
+val blind_write_after : t -> Key.t -> after:int -> int option
+(** Commit version of the newest {e final-image} write to this key that is
+    newer than [after], skipping commutative delta entries; [None] if there
+    is none. A delta write's first-updater-wins check asks this of its
+    snapshot instead of {!latest_writer}: committed deltas commute with it
+    and must not abort it. The walk stops at the first version [<= after],
+    so it costs the entries newer than the snapshot, not the chain. *)
 
 val install : t -> version:int -> Writeset.t -> unit
 (** Commit a writeset, creating snapshot [version]. [version] must exceed
@@ -85,7 +86,12 @@ val gc : t -> keep_after:int -> unit
     tombstone-preserving fold as {!read} — a deleted key stays deleted, and
     a delta run above a tombstone keeps folding from the deletion. A row
     whose whole remaining history is a tombstone at or below the floor is
-    removed outright. *)
+    removed outright. Visits every row: this is the replica vacuum. *)
+
+val gc_key : t -> keep_after:int -> Key.t -> unit
+(** {!gc}'s rule applied to one row only. A caller that knows which rows
+    changed since the last collection at or below [keep_after] (every other
+    row is already flat there) pays for those rows alone. *)
 
 val pruned : t -> int
 (** Cumulative version-chain records dropped by {!gc} over this store's

@@ -152,6 +152,202 @@ let test_cert_log_truncate_folds_deletes () =
   Cert_log.append log (entry 4 "r0" 4 (ws1 (k "t" "c") 4));
   check_int "append after clamped truncate" 4 (Cert_log.version log)
 
+(* The full-scan truncation the log used to run, kept as the oracle for the
+   touched-keys one: after folding the dropped prefix into the base, it
+   flattens every base row ever written and filters every writer list. The
+   rest restates the log's certification rules over a plain slot list, so
+   the two must give the same answers at every step. *)
+module Full_scan_log = struct
+  type slot = { entry : Types.entry; mutable certified_back_to : int }
+
+  type t = {
+    mutable slots : slot list;  (* live entries, oldest first *)
+    mutable floor : int;
+    mutable head : int;
+    writers : (int * bool) list ref Mvcc.Key.Tbl.t;
+    base : Mvcc.Store.t;
+    base_keys : unit Mvcc.Key.Tbl.t;
+    mutable live_bytes : int;
+    mutable pruned : int;
+  }
+
+  let create () =
+    {
+      slots = [];
+      floor = 0;
+      head = 0;
+      writers = Mvcc.Key.Tbl.create 16;
+      base = Mvcc.Store.create ();
+      base_keys = Mvcc.Key.Tbl.create 16;
+      live_bytes = 0;
+      pruned = 0;
+    }
+
+  let append t (entry : Types.entry) =
+    t.slots <- t.slots @ [ { entry; certified_back_to = entry.version - 1 } ];
+    t.head <- entry.version;
+    t.live_bytes <- t.live_bytes + Types.entry_bytes entry;
+    Mvcc.Writeset.iter_entries entry.ws (fun key op ->
+        let tagged = (entry.version, Mvcc.Writeset.op_is_delta op) in
+        match Mvcc.Key.Tbl.find_opt t.writers key with
+        | Some versions -> versions := tagged :: !versions
+        | None -> Mvcc.Key.Tbl.replace t.writers key (ref [ tagged ]))
+
+  let truncate t ~upto =
+    let upto = min upto t.head in
+    if upto > t.floor then begin
+      let dropped, kept = List.partition (fun s -> s.entry.Types.version <= upto) t.slots in
+      List.iter
+        (fun { entry = e; _ } ->
+          t.live_bytes <- t.live_bytes - Types.entry_bytes e;
+          t.pruned <- t.pruned + 1;
+          Mvcc.Writeset.iter_entries e.ws (fun key _ ->
+              Mvcc.Key.Tbl.replace t.base_keys key ());
+          Mvcc.Store.install t.base ~version:e.version e.ws)
+        dropped;
+      Mvcc.Store.gc t.base ~keep_after:upto;
+      t.slots <- kept;
+      t.floor <- upto;
+      let dead = ref [] in
+      Mvcc.Key.Tbl.iter
+        (fun key versions ->
+          match List.filter (fun (v, _) -> v > upto) !versions with
+          | [] -> dead := key :: !dead
+          | kept -> versions := kept)
+        t.writers;
+      List.iter (fun key -> Mvcc.Key.Tbl.remove t.writers key) !dead
+    end
+
+  let base_rows t =
+    Mvcc.Key.Tbl.fold
+      (fun key () acc -> (key, Mvcc.Store.read_latest t.base key) :: acc)
+      t.base_keys []
+
+  let conflict_in_window t ws ~lo ~hi =
+    let lo = max lo t.floor in
+    if hi <= lo then None
+    else begin
+      let best = ref None in
+      Mvcc.Writeset.iter_entries ws (fun key op ->
+          let mine_delta = Mvcc.Writeset.op_is_delta op in
+          match Mvcc.Key.Tbl.find_opt t.writers key with
+          | None -> ()
+          | Some versions ->
+              List.iter
+                (fun (v, writer_delta) ->
+                  if v <= hi && v > lo && not (mine_delta && writer_delta) then
+                    match !best with Some b when b >= v -> () | _ -> best := Some v)
+                !versions);
+      !best
+    end
+
+  let certify t ws ~start_version = conflict_in_window t ws ~lo:start_version ~hi:t.head
+
+  let back_certify t ~version ~down_to =
+    match List.find_opt (fun s -> s.entry.Types.version = version) t.slots with
+    | None -> None
+    | Some slot when down_to >= slot.certified_back_to -> None
+    | Some slot ->
+        let conflict =
+          conflict_in_window t slot.entry.ws ~lo:down_to ~hi:slot.certified_back_to
+        in
+        (match conflict with
+        | None -> slot.certified_back_to <- max down_to t.floor
+        | Some v -> slot.certified_back_to <- v);
+        conflict
+end
+
+(* Random writeset streams over a small key space (blind, delete and [Add]
+   ops), truncated at random floors — behind the current one, inside the
+   live window and past the head. After every step the touched-keys log and
+   the full-scan oracle agree on the folded base, the accounting, and every
+   certification and back-certification answer over a sweep of windows. *)
+let prop_truncate_matches_full_scan =
+  QCheck.Test.make ~name:"truncation matches the full-scan oracle" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_keys = 2 + Rng.int rng 10 in
+      let key () = k "t" (string_of_int (Rng.int rng n_keys)) in
+      let op () =
+        match Rng.int rng 4 with
+        | 0 -> Mvcc.Writeset.Insert (vi (Rng.int rng 100))
+        | 1 -> upd (Rng.int rng 100)
+        | 2 -> Mvcc.Writeset.Delete
+        | _ -> Mvcc.Writeset.Add (1 + Rng.int rng 9)
+      in
+      let writeset () = Mvcc.Writeset.of_list (List.init (1 + Rng.int rng 3) (fun _ -> (key (), op ()))) in
+      let log = Cert_log.create () and oracle = Full_scan_log.create () in
+      let sorted rows =
+        List.sort (fun (a, _) (b, _) -> Mvcc.Key.compare a b) rows
+      in
+      let agree () =
+        let version = Cert_log.version log and floor = Cert_log.floor log in
+        let probes = List.init 4 (fun _ -> writeset ()) in
+        sorted (Cert_log.base_rows log) = sorted (Full_scan_log.base_rows oracle)
+        && Cert_log.floor log = oracle.floor
+        && Cert_log.pruned log = oracle.pruned
+        && Cert_log.bytes_live log = oracle.live_bytes
+        && Cert_log.base_records log = Mvcc.Store.version_records oracle.base
+        && List.for_all
+             (fun start_version ->
+               List.for_all
+                 (fun ws ->
+                   Cert_log.certify log ws ~start_version
+                   = Full_scan_log.certify oracle ws ~start_version)
+                 probes)
+             (List.init (version - floor + 2) (fun i -> floor - 1 + i))
+        && List.for_all
+             (fun v ->
+               let down_to = Rng.int rng (v + 1) - 1 in
+               Cert_log.back_certify log ~version:v ~down_to
+               = Full_scan_log.back_certify oracle ~version:v ~down_to)
+             (List.init (version - floor) (fun i -> floor + 1 + i))
+      in
+      let ok = ref true in
+      for step = 1 to 60 do
+        if !ok then begin
+          let ws = writeset () in
+          let e = entry (Cert_log.version log + 1) "r0" step ws in
+          Cert_log.append log e;
+          Full_scan_log.append oracle e;
+          if Rng.chance rng 0.3 then begin
+            let upto = Rng.int rng (Cert_log.version log + 3) in
+            Cert_log.truncate log ~upto;
+            Full_scan_log.truncate oracle ~upto
+          end;
+          ok := agree ()
+        end
+      done;
+      !ok)
+
+(* Truncation costs what the dropped entries wrote: after 20 000 distinct
+   keys have been truncated, appending and truncating one 2-key entry
+   allocates exactly what it does over a 100-key history, and little. *)
+let test_cert_log_truncate_cost_independent_of_history () =
+  let words_for_one_step history =
+    let log = Cert_log.create () in
+    for v = 1 to history do
+      Cert_log.append log (entry v "r0" v (ws1 (k "t" (string_of_int v)) v))
+    done;
+    Cert_log.truncate log ~upto:history;
+    let v = history + 1 in
+    let e =
+      entry v "r0" v
+        (Mvcc.Writeset.of_list [ (k "t" "1", upd v); (k "t" "2", Mvcc.Writeset.Add 1) ])
+    in
+    let before = Gc.minor_words () in
+    Cert_log.append log e;
+    Cert_log.truncate log ~upto:v;
+    let words = Gc.minor_words () -. before in
+    check_int "floor" v (Cert_log.floor log);
+    check_int "one base record per key" history (Cert_log.base_records log);
+    words
+  in
+  let small = words_for_one_step 100 and large = words_for_one_step 20_000 in
+  Alcotest.(check (float 0.)) "same allocation at 100 and 20 000 truncated keys" small large;
+  check_bool (Printf.sprintf "a small constant (%.0f words)" large) true (large < 500.)
+
 let test_overlay_delta_fast_path () =
   let add key d = Mvcc.Writeset.singleton key (Mvcc.Writeset.Add d) in
   let o = Overlay.create () in
@@ -529,6 +725,45 @@ let test_local_certification_promotes_start () =
     ((Proxy.stats p0).Proxy.local_cert_promotions >= 1);
   check_consistent c
 
+(* A remote writeset counts toward the proxy's replica version as soon as it
+   is dispatched, but the database snapshot only moves once it is installed.
+   A transaction begun in between reads the older snapshot, so its
+   certification window must start there too: starting at the replica
+   version would skip the writeset it never saw, a lost update. *)
+let test_start_version_is_db_snapshot () =
+  let replica =
+    { (quick_replica Types.Tashkent_mw) with Replica.apply_cpu_per_ws = Time.of_ms 50. }
+  in
+  let c = make_cluster ~mode:Types.Tashkent_mw ~replica () in
+  let p0 = Replica.proxy (Cluster.replica c 0) in
+  let db0 = Proxy.db p0 in
+  let observed = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine c) ~name:"watcher" (fun () ->
+         let rec poll () =
+           if Proxy.replica_version p0 > Mvcc.Db.current_version db0 then begin
+             let tx = Proxy.begin_tx p0 in
+             observed :=
+               Some (Proxy.tx_start_version tx, Mvcc.Db.current_version db0,
+                     Proxy.replica_version p0);
+             Proxy.abort p0 tx
+           end
+           else begin
+             Engine.sleep (Cluster.engine c) (Time.of_ms 1.);
+             poll ()
+           end
+         in
+         poll ()));
+  let o = ref None in
+  submit_tx c 1 ~key:(k "t" "a") ~value:7 o;
+  run_for c (Time.sec 3);
+  expect_commit "remote writer" !o;
+  match !observed with
+  | None -> Alcotest.fail "replica 0 never had a remote writeset in flight"
+  | Some (start_version, snapshot, rv) ->
+      check_bool "a dispatched writeset was not yet installed" true (rv > snapshot);
+      check_int "start version is the db snapshot" snapshot start_version
+
 let test_consistency_checker_detects_corruption () =
   let c = make_cluster () in
   let o = ref None in
@@ -765,7 +1000,10 @@ let suites =
         Alcotest.test_case "truncation" `Quick test_cert_log_truncation;
         Alcotest.test_case "truncation folds deletes" `Quick
           test_cert_log_truncate_folds_deletes;
-      ] );
+        Alcotest.test_case "truncation cost independent of history" `Quick
+          test_cert_log_truncate_cost_independent_of_history;
+      ]
+      @ [ QCheck_alcotest.to_alcotest prop_truncate_matches_full_scan ] );
     ( "core.end_to_end",
       [
         Alcotest.test_case "base replicates" `Quick (test_mode_replicates Types.Base);
@@ -791,6 +1029,8 @@ let suites =
           test_partitioned_replica_retries_until_heal;
         Alcotest.test_case "local certification promotes start version" `Quick
           test_local_certification_promotes_start;
+        Alcotest.test_case "start version is the db snapshot" `Quick
+          test_start_version_is_db_snapshot;
       ] );
     ( "core.fault_tolerance",
       [

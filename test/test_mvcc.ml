@@ -253,15 +253,116 @@ let test_store_delta_reads () =
   Alcotest.check value_opt "one delta" (Some (vi 15)) (Store.read s ~at:1 (k "t" "a"));
   Alcotest.check value_opt "two deltas" (Some (vi 22)) (Store.read s ~at:2 (k "t" "a"));
   check_int "latest_writer sees deltas" 2 (Store.latest_writer s (k "t" "a"));
-  check_int "latest_blind_writer skips them" 0 (Store.latest_blind_writer s (k "t" "a"));
+  Alcotest.(check (option int)) "blind_write_after skips them" None
+    (Store.blind_write_after s (k "t" "a") ~after:0);
   Store.install s ~version:3 (Writeset.singleton (k "t" "a") (upd 100));
   Store.install s ~version:4 (Writeset.singleton (k "t" "a") (Writeset.Add 1));
   Alcotest.check value_opt "delta over the new image" (Some (vi 101))
     (Store.read s ~at:4 (k "t" "a"));
-  check_int "blind writer found" 3 (Store.latest_blind_writer s (k "t" "a"));
+  Alcotest.(check (option int)) "blind writer found under a delta" (Some 3)
+    (Store.blind_write_after s (k "t" "a") ~after:2);
+  Alcotest.(check (option int)) "a blind write at the snapshot is not after it" None
+    (Store.blind_write_after s (k "t" "a") ~after:3);
+  Alcotest.(check (option int)) "unknown key" None
+    (Store.blind_write_after s (k "t" "nope") ~after:0);
   (* a delta with no image below folds from a zero base *)
   Store.install s ~version:5 (Writeset.singleton (k "t" "fresh") (Writeset.Add 3));
   Alcotest.check value_opt "zero base" (Some (vi 3)) (Store.read s ~at:5 (k "t" "fresh"))
+
+(* [blind_write_after ~after] is "the newest blind version, if it is newer
+   than [after]", whatever order the chain was built in: in-order installs
+   followed by out-of-order [install_at]s, re-installs of a present version
+   (the first one stays) and a preloaded version 0. *)
+let prop_blind_write_after_is_newest_blind =
+  QCheck.Test.make ~name:"blind_write_after = newest blind version > after" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let key = k "t" "a" in
+      let s = Store.create () in
+      let installed : (int, bool) Hashtbl.t = Hashtbl.create 32 in
+      let op () =
+        if Rng.chance rng 0.3 then (Writeset.Update (vi 1), true)
+        else if Rng.chance rng 0.1 then (Writeset.Delete, true)
+        else (Writeset.Add 1, false)
+      in
+      if Rng.bool rng then begin
+        Store.preload s key (vi 0);
+        Hashtbl.replace installed 0 true
+      end;
+      let n = 1 + Rng.int rng 40 in
+      let versions = Array.init n (fun i -> i + 1) in
+      Rng.shuffle rng versions;
+      let in_order = Rng.int rng (n + 1) in
+      let ordered = Array.sub versions 0 in_order in
+      Array.sort compare ordered;
+      let put install v =
+        let o, blind = op () in
+        install s ~version:v (Writeset.singleton key o);
+        if not (Hashtbl.mem installed v) then Hashtbl.replace installed v blind
+      in
+      Array.iter (put (fun s ~version ws -> Store.install s ~version ws)) ordered;
+      for i = in_order to n - 1 do
+        put (fun s ~version ws -> Store.install_at s ~version ws) versions.(i)
+      done;
+      for _ = 1 to Rng.int rng 5 do
+        put (fun s ~version ws -> Store.install_at s ~version ws) (1 + Rng.int rng n)
+      done;
+      let newest_blind =
+        Hashtbl.fold (fun v blind acc -> if blind then max v acc else acc) installed (-1)
+      in
+      List.for_all
+        (fun after ->
+          let expected = if newest_blind > after then Some newest_blind else None in
+          Store.blind_write_after s key ~after = expected)
+        (List.init (n + 3) (fun i -> i - 1)))
+
+(* The first-updater check of a delta write must cost the transaction's
+   concurrency window, not the key's history: on a 10 000-delta hot chain, a
+   recent snapshot stops after a handful of entries. *)
+let test_store_blind_write_after_stops_at_snapshot () =
+  let key = k "t" "hot" in
+  let build n =
+    let s = Store.create () in
+    Store.preload s key (vi 0);
+    for v = 1 to n do
+      Store.install s ~version:v (Writeset.singleton key (Writeset.Add 1))
+    done;
+    s
+  in
+  let long = build 10_000 and short = build 10 in
+  let alloc f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let recent s = Store.blind_write_after s key ~after:(Store.current_version s - 5) in
+  Alcotest.(check (option int)) "no blind write in the window" None (recent long);
+  Alcotest.(check (float 0.)) "allocation independent of chain length"
+    (alloc (fun () -> recent short))
+    (alloc (fun () -> recent long));
+  (* CPU time per call, best of three: a recent snapshot must be far cheaper
+     than a walk of the whole chain (the two differ ~1000x in entries). *)
+  let per_call n f =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Sys.time () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      best := Float.min !best ((Sys.time () -. t0) /. float_of_int n)
+    done;
+    !best
+  in
+  let window = per_call 100_000 (fun () -> recent long) in
+  let whole = per_call 500 (fun () -> Store.blind_write_after long key ~after:(-1)) in
+  Alcotest.(check (option int)) "the full walk reaches the preload" (Some 0)
+    (Store.blind_write_after long key ~after:(-1));
+  check_bool
+    (Printf.sprintf "window walk (%.0f ns) < whole-chain walk (%.0f ns) / 10"
+       (window *. 1e9) (whole *. 1e9))
+    true
+    (window *. 10. < whole)
 
 let test_store_delta_out_of_order_install () =
   (* Parallel apply slots deltas into the chains in worker-finish order; the
@@ -1379,6 +1480,8 @@ let suites =
         Alcotest.test_case "copy flattens and isolates" `Quick test_store_copy_flattens;
         Alcotest.test_case "gc keeps visibility" `Quick test_store_gc;
         Alcotest.test_case "delta reads fold onto images" `Quick test_store_delta_reads;
+        Alcotest.test_case "blind_write_after stops at the snapshot" `Quick
+          test_store_blind_write_after_stops_at_snapshot;
         Alcotest.test_case "delta install is order-insensitive" `Quick
           test_store_delta_out_of_order_install;
         Alcotest.test_case "gc materializes a delta base" `Quick
@@ -1389,7 +1492,8 @@ let suites =
           test_store_gc_preserves_tombstones;
         Alcotest.test_case "copy preserves tombstones" `Quick
           test_store_copy_preserves_tombstones;
-      ] );
+      ]
+      @ qsuite [ prop_blind_write_after_is_newest_blind ] );
     ( "mvcc.locks",
       [
         Alcotest.test_case "grant and re-entry" `Quick test_locks_grant_and_reentry;
