@@ -19,6 +19,7 @@ type t = {
      key the truncated history deleted. *)
   base : Store.t;
   base_keys : unit Key.Tbl.t;
+  initial : Key.t -> Value.t option;  (* a row's image as first loaded *)
   truncated_by_origin : (string, int) Hashtbl.t;
   mutable bytes : int;  (* cumulative, survives truncation *)
   mutable live_bytes : int;  (* bytes held by live slots only *)
@@ -39,7 +40,7 @@ let dummy_entry =
 
 let dummy_slot = { entry = dummy_entry; certified_back_to = 0 }
 
-let create () =
+let create ?(initial = fun _ -> None) () =
   {
     slots = Array.make 256 dummy_slot;
     size = 0;
@@ -47,6 +48,7 @@ let create () =
     writers = Key.Tbl.create 1024;
     base = Store.create ();
     base_keys = Key.Tbl.create 64;
+    initial;
     truncated_by_origin = Hashtbl.create 8;
     bytes = 0;
     live_bytes = 0;
@@ -117,7 +119,14 @@ let truncate t ~upto =
       t.pruned <- t.pruned + 1;
       Hashtbl.replace t.truncated_by_origin e.origin
         (1 + Option.value ~default:0 (Hashtbl.find_opt t.truncated_by_origin e.origin));
-      Writeset.iter_entries e.ws (fun key _ -> Key.Tbl.replace t.base_keys key ());
+      Writeset.iter_entries e.ws (fun key op ->
+          if not (Key.Tbl.mem t.base_keys key) then begin
+            Key.Tbl.replace t.base_keys key ();
+            (* A key first folded by a delta starts from its loaded image,
+               so deltas never fold onto 0; a blind image needs no base. *)
+            if Writeset.op_is_delta op then
+              Option.iter (Store.preload t.base key) (t.initial key)
+          end);
       Store.install t.base ~version:e.version e.ws
     done;
     (* Only the keys the dropped prefix wrote need work. Every other key's

@@ -28,7 +28,11 @@
 
 type t
 
-val create : unit -> t
+val create : ?initial:(Mvcc.Key.t -> Mvcc.Value.t option) -> unit -> t
+(** [initial] looks up a row's image as loaded before any entry (default:
+    no rows). When truncation first folds a key through a commutative
+    delta, the key's base state starts from that image, so a truncated
+    prefix that wrote only deltas to a key keeps the key's initial value. *)
 
 val version : t -> int
 (** Version of the newest entry (0 when empty). Counts globally — it does

@@ -96,6 +96,8 @@ type t = {
   disk : Storage.Disk.t;
   paxos_node : Types.record Paxos.Node.t;
   mutable clog : Cert_log.t;
+  initial : Mvcc.Key.t -> Mvcc.Value.t option;
+      (* the loaded rows, which every rebuilt log folds its base onto *)
   (* Leader-side speculative overlay: certified entries proposed to Paxos
      but not yet delivered, key-indexed (see Overlay). *)
   overlay : Overlay.t;
@@ -1144,7 +1146,7 @@ let spawn_disk_watch t =
              loop ()))
 
 let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
-    ?(config = default_config) () =
+    ?(initial = fun _ -> None) ?(config = default_config) () =
   let engine = env.Env.engine and net = env.Env.net in
   let metrics = env.Env.metrics and trace = env.Env.trace in
   let events = env.Env.events in
@@ -1175,7 +1177,8 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
                 ~size:(Types.message_bytes wrapped) wrapped)
             ~on_deliver:(fun slot record -> on_deliver (Lazy.force t) slot record)
             ~config:config.paxos ();
-        clog = Cert_log.create ();
+        clog = Cert_log.create ~initial ();
+        initial;
         overlay = Overlay.create ();
         cert_work = Mailbox.create engine ~name:(node_id ^ ".certwork") ();
         pending_replies = Hashtbl.create 64;
@@ -1328,7 +1331,7 @@ let crash ?wal_fault t =
        the same stroke re-derives every cross-partition vote, pin and
        outcome, because those too are pure functions of the delivered
        prefix. *)
-    t.clog <- Cert_log.create ();
+    t.clog <- Cert_log.create ~initial:t.initial ();
     Overlay.clear t.overlay;
     Mailbox.clear t.cert_work;
     (* The WAL drops its durability waiters on crash, so the roundsync fiber

@@ -68,6 +68,7 @@ val create :
   peers:string list ->
   ?partition:int ->
   ?directory:(int * string list) list ->
+  ?initial:(Mvcc.Key.t -> Mvcc.Value.t option) ->
   ?config:config ->
   unit ->
   t
@@ -81,6 +82,9 @@ val create :
     certifier group (own group included) and is the static routing table
     for cross-partition vote gossip. A 1-partition cluster passes the
     defaults and behaves exactly like the legacy single-group certifier.
+    [initial] looks up the rows loaded into the replicas before any commit
+    (default: none); the log, and every log rebuilt after a crash, folds
+    its truncated base state onto it ({!Cert_log.create}).
 
     Observability: counters register under [certifier.<id>.*] in
     [env.metrics], with gauges over the WAL, Paxos batch

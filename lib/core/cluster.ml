@@ -102,13 +102,33 @@ let validate cfg =
   | [] -> ()
   | ps -> invalid_arg ("Cluster.create: " ^ String.concat "; " ps)
 
+(* The rows loaded at version 0, shared by every certifier of the cluster.
+   Their key index is built on first lookup: only log truncation of a delta
+   reads it, so most runs never pay for it. *)
+type initial = {
+  mutable rows : (Mvcc.Key.t * Mvcc.Value.t) list;
+  mutable index : Mvcc.Value.t Mvcc.Key.Tbl.t option;
+}
+
+let initial_value initial key =
+  let index =
+    match initial.index with
+    | Some index -> index
+    | None ->
+        let index = Mvcc.Key.Tbl.create (List.length initial.rows) in
+        List.iter (fun (key, value) -> Mvcc.Key.Tbl.replace index key value) initial.rows;
+        initial.index <- Some index;
+        index
+  in
+  Mvcc.Key.Tbl.find_opt index key
+
 type t = {
   the_env : Env.t;
   cfg : config;
   groups : (int * Certifier.t list) list; (* partition -> its group, ascending *)
   replica_nodes : Replica.t list;
   key_partitioner : Partitioner.t;
-  mutable initial_rows : (Mvcc.Key.t * Mvcc.Value.t) list;
+  initial : initial;
 }
 
 (* A 1-partition cluster keeps the historical names (cert0, replica0) so
@@ -138,6 +158,7 @@ let create ?engine ?metrics ?trace ?events cfg =
         (g, List.init cfg.n_certifiers (certifier_name ~n_partitions:cfg.n_partitions g)))
   in
   let directory = if cfg.n_partitions = 1 then [] else group_ids in
+  let initial = { rows = []; index = None } in
   let groups =
     List.map
       (fun (g, ids) ->
@@ -146,7 +167,8 @@ let create ?engine ?metrics ?trace ?events cfg =
             (fun id ->
               Certifier.create env ~id
                 ~peers:(List.filter (fun p -> p <> id) ids)
-                ~partition:g ~directory ~config:cfg.certifier ())
+                ~partition:g ~directory ~initial:(initial_value initial)
+                ~config:cfg.certifier ())
             ids ))
       group_ids
   in
@@ -174,7 +196,7 @@ let create ?engine ?metrics ?trace ?events cfg =
     groups;
     replica_nodes;
     key_partitioner = Partitioner.create ~parts:cfg.n_partitions;
-    initial_rows = [];
+    initial;
   }
 
 let env t = t.the_env
@@ -221,7 +243,8 @@ let settle t =
     failwith "Cluster.settle: some certifier group elected no leader"
 
 let load_all t rows =
-  t.initial_rows <- rows;
+  t.initial.rows <- rows;
+  t.initial.index <- None;
   List.iter (fun r -> Replica.load r rows) t.replica_nodes
 
 (* The per-partition slice of the initial rows — what a hosting replica
@@ -229,7 +252,7 @@ let load_all t rows =
 let initial_slice t ~part =
   List.filter
     (fun (key, _) -> Partitioner.of_key t.key_partitioner key = part)
-    t.initial_rows
+    t.initial.rows
 
 let check_consistency_group t ~part cert =
   let problems = ref [] in

@@ -125,7 +125,9 @@ val settle : t -> unit
 
 val load_all : t -> (Mvcc.Key.t * Mvcc.Value.t) list -> unit
 (** Install the initial rows (version 0) on every replica; each replica
-    keeps only the partitions it hosts. *)
+    keeps only the partitions it hosts. Every certifier gets a lookup of the
+    same rows, which its log folds its truncated base state onto
+    ({!Cert_log.create}). *)
 
 val check_consistency : t -> (unit, string) result
 (** Safety invariant (§7), per partition: every up replica hosting the

@@ -3,27 +3,15 @@ open Sim
 type config = {
   mode : Types.mode;
   apply_cpu_per_ws : Time.t;
-  apply_cpu_per_op : Time.t;
   staleness_bound : Time.t option;
-  soft_recovery : bool;
   group_remote_batches : bool;
-  local_certification : bool;
   apply_workers : int;
       (* > 1 routes every certified commit through the dependency-tracked
          Apply_pool instead of the per-mode serial/concurrent paths. *)
 }
 
-let default_config mode =
-  {
-    mode;
-    apply_cpu_per_ws = Time.us 65;
-    apply_cpu_per_op = Time.us 35;
-    staleness_bound = Some (Time.sec 1);
-    soft_recovery = true;
-    group_remote_batches = true;
-    local_certification = true;
-    apply_workers = 1;
-  }
+(* Apply CPU per row operation, on top of [apply_cpu_per_ws]. *)
+let apply_cpu_per_op = Time.us 35
 
 type tx = { db_tx : Mvcc.Db.tx; start_version : int; trace_id : int }
 
@@ -138,7 +126,6 @@ let journaled_commits t = List.rev t.journal
 let journaled_cross_commits t = List.rev t.journal_x
 let tx_writeset w_tx = Mvcc.Db.writeset w_tx.db_tx
 let tx_start_version w_tx = w_tx.start_version
-let tx_trace_id w_tx = w_tx.trace_id
 
 (* ------------------------------------------------------------------ *)
 (* Protocol-event emission (Obs.Monitor food).
@@ -167,25 +154,39 @@ let emit_advance t =
 
 let fresh_install t ~version = version > Mvcc.Db.current_version t.database
 
+(* Run the install [f] of the writeset certified at [version], then report
+   it if it extended the store. *)
+let installing t ~version f =
+  let fresh = Obs.Events.enabled t.events && fresh_install t ~version in
+  f ();
+  if fresh then begin
+    emit_install t ~version;
+    emit_advance t
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Remote writeset application *)
 
 (* Retry a certified writeset through local deadlocks: doom the local cycle
-   members (soft recovery, §8.1) and re-apply under the same order. *)
-let rec apply_certified t ~version ~order ws =
-  match Mvcc.Db.apply_writeset t.database ~version ~order ws with
+   members (soft recovery, §8.1) and re-apply under the same order. A
+   certified writeset can only fail through a deadlock; anything else is a
+   model invariant violation, after which [release] frees whatever the
+   failed install held in the commit order. *)
+let rec retry_deadlocks t ~release install =
+  match install () with
   | Ok () -> ()
-  | Error (Mvcc.Db.Deadlock cycle) when t.cfg.soft_recovery ->
+  | Error (Mvcc.Db.Deadlock cycle) ->
       List.iter (fun txid -> Mvcc.Db.doom t.database txid) cycle;
-      apply_certified t ~version ~order ws
+      retry_deadlocks t ~release install
   | Error reason ->
-      (* A certified writeset can only fail through a deadlock; anything
-         else is a model invariant violation. *)
       Stats.Counter.incr t.c_invariant;
-      Mvcc.Db.skip_order t.database order;
+      release ();
       failwith
         (Format.asprintf "proxy %s: certified writeset failed: %a" t.address
            Mvcc.Db.pp_abort_reason reason)
+
+(* [release] for the serial paths: announce the slot nobody will fill. *)
+let skip t order () = Mvcc.Db.skip_order t.database order
 
 let fresh_remotes t remotes =
   List.filter (fun (r : Types.remote_ws) -> r.version > t.rv) remotes
@@ -213,10 +214,18 @@ let charge_apply_cpu t remotes =
       (fun acc (r : Types.remote_ws) ->
         Time.add acc
           (Time.add t.cfg.apply_cpu_per_ws
-             (Time.mul t.cfg.apply_cpu_per_op (Mvcc.Writeset.cardinal r.ws))))
+             (Time.mul apply_cpu_per_op (Mvcc.Writeset.cardinal r.ws))))
       Time.zero remotes
   in
   if not (Time.is_zero cost) then Resource.use t.cpu cost
+
+(* One remote writeset as its own apply transaction, whichever engine runs
+   [install]. *)
+let apply_remote t (r : Types.remote_ws) install =
+  charge_apply_cpu t [ r ];
+  installing t ~version:r.version install;
+  Stats.Counter.incr t.c_applied;
+  Stats.Counter.incr t.c_batches
 
 (* Serial application (Base, Tashkent-MW, refreshes): batch every fresh
    remote writeset into one transaction (the T1_2_3 grouping of §3) and wait
@@ -225,33 +234,14 @@ let charge_apply_cpu t remotes =
    the log is synchronous) per remote writeset. *)
 let apply_one_serial t (r : Types.remote_ws) =
   t.rv <- max t.rv r.version;
-  charge_apply_cpu t [ r ];
-  let fresh = Obs.Events.enabled t.events && fresh_install t ~version:r.version in
-  let order = Mvcc.Db.next_order t.database in
-  apply_certified t ~version:r.version ~order r.ws;
-  if fresh then begin
-    emit_install t ~version:r.version;
-    emit_advance t
-  end;
-  Stats.Counter.incr t.c_applied;
-  Stats.Counter.incr t.c_batches
+  apply_remote t r (fun () ->
+      let order = Mvcc.Db.next_order t.database in
+      retry_deadlocks t ~release:(skip t order) (fun () ->
+          Mvcc.Db.apply_writeset t.database ~version:r.version ~order r.ws))
 
 (* Batched grouping keeps one transaction / one fsync for the whole run of
    fresh writesets, but installs each at its own certified version (see
    {!Mvcc.Db.apply_writeset_batch} for why renaming versions is unsound). *)
-let rec apply_batch_certified t ~batch ~order =
-  match Mvcc.Db.apply_writeset_batch t.database ~batch ~order with
-  | Ok () -> ()
-  | Error (Mvcc.Db.Deadlock cycle) when t.cfg.soft_recovery ->
-      List.iter (fun txid -> Mvcc.Db.doom t.database txid) cycle;
-      apply_batch_certified t ~batch ~order
-  | Error reason ->
-      Stats.Counter.incr t.c_invariant;
-      Mvcc.Db.skip_order t.database order;
-      failwith
-        (Format.asprintf "proxy %s: certified writeset failed: %a" t.address
-           Mvcc.Db.pp_abort_reason reason)
-
 let apply_serial t remotes =
   match fresh_remotes t remotes with
   | [] -> ()
@@ -267,11 +257,21 @@ let apply_serial t remotes =
         else []
       in
       let order = Mvcc.Db.next_order t.database in
-      apply_batch_certified t ~batch ~order;
+      retry_deadlocks t ~release:(skip t order) (fun () ->
+          Mvcc.Db.apply_writeset_batch t.database ~batch ~order);
       List.iter (fun (r : Types.remote_ws) -> emit_install t ~version:r.version) installs;
       if installs <> [] then emit_advance t;
       Stats.Counter.add t.c_applied (List.length fresh);
       Stats.Counter.incr t.c_batches
+
+(* Mark [version] applied for Tashkent-API's artificial-conflict waits: a
+   filled entry would mean "no wait" just as a missing one does, so it goes
+   at once — unless a later dispatch of the same version replaced it. *)
+let version_applied t version ivar =
+  Ivar.fill ivar ();
+  match Hashtbl.find_opt t.version_done version with
+  | Some v when v == ivar -> Hashtbl.remove t.version_done version
+  | Some _ | None -> ()
 
 (* Concurrent application (Tashkent-API): each remote writeset is its own
    transaction with its own commit sequence number, submitted without
@@ -282,35 +282,20 @@ let apply_concurrent t remotes =
     (fun (r : Types.remote_ws) ->
       let order = Mvcc.Db.next_order t.database in
       let ivar = Ivar.create t.engine () in
-      let dep =
-        match r.conflict_with with
-        | Some w when w > 0 -> (
-            match Hashtbl.find_opt t.version_done w with
-            | Some div when not (Ivar.is_filled div) ->
-                Stats.Counter.incr t.c_artificial;
-                Some div
-            | Some _ | None -> None)
-        | Some _ | None -> None
-      in
+      (* Entries leave [version_done] as they fill: a present one is in flight. *)
+      let dep = Option.bind r.conflict_with (Hashtbl.find_opt t.version_done) in
+      if Option.is_some dep then Stats.Counter.incr t.c_artificial;
       Hashtbl.replace t.version_done r.version ivar;
       t.rv <- max t.rv r.version;
       ignore
         (Engine.spawn t.engine ~name:(t.address ^ ".apply") (fun () ->
              let sp = Obs.Trace.span t.trace ~stage:"apply" ~actor:t.address () in
              (match dep with Some div -> Ivar.read div | None -> ());
-             charge_apply_cpu t [ r ];
-             let fresh =
-               Obs.Events.enabled t.events && fresh_install t ~version:r.version
-             in
-             apply_certified t ~version:r.version ~order r.ws;
-             if fresh then begin
-               emit_install t ~version:r.version;
-               emit_advance t
-             end;
-             Stats.Counter.incr t.c_applied;
-             Stats.Counter.incr t.c_batches;
+             apply_remote t r (fun () ->
+                 retry_deadlocks t ~release:(skip t order) (fun () ->
+                     Mvcc.Db.apply_writeset t.database ~version:r.version ~order r.ws));
              Obs.Trace.finish t.trace sp;
-             Ivar.fill ivar ())))
+             version_applied t r.version ivar)))
     (fresh_remotes t remotes)
 
 (* ------------------------------------------------------------------ *)
@@ -319,46 +304,37 @@ let apply_concurrent t remotes =
    dependency-tracked pool in version order, with its announce order drawn
    at dispatch. Workers may then finish out of order; the database's
    parallel path installs rows immediately but publishes the visible
-   version only through the contiguous-order barrier. *)
+   version only through the contiguous-order barrier. A failed parallel
+   install never announced its order, so there is nothing to release. *)
 
-let rec apply_certified_parallel t ~version ~order ws =
-  match Mvcc.Db.apply_writeset_parallel t.database ~version ~order ws with
-  | Ok () -> ()
-  | Error (Mvcc.Db.Deadlock cycle) when t.cfg.soft_recovery ->
-      List.iter (fun txid -> Mvcc.Db.doom t.database txid) cycle;
-      apply_certified_parallel t ~version ~order ws
-  | Error reason ->
-      Stats.Counter.incr t.c_invariant;
-      failwith
-        (Format.asprintf "proxy %s: certified writeset failed: %a" t.address
-           Mvcc.Db.pp_abort_reason reason)
+(* Dispatch every fresh remote in version order; [on_done] runs once the
+   last of them is published (at once when none is fresh). *)
+let pool_submit_remotes t pool ?trace_id remotes ~on_done =
+  let fresh = fresh_remotes t remotes in
+  let n = List.length fresh in
+  List.iteri
+    (fun i (r : Types.remote_ws) ->
+      let order = Mvcc.Db.next_order t.database in
+      t.rv <- max t.rv r.version;
+      let on_published = if i = n - 1 then Some on_done else None in
+      let h =
+        Apply_pool.submit pool ~version:r.version ~ws:r.ws ?trace_id ?on_published
+          ~exec:(fun () ->
+            (* The published prefix advances through the pool's contiguous
+               barrier, not at this worker's finish: the install event
+               reports whatever is visible now (monotone either way). *)
+            apply_remote t r (fun () ->
+                retry_deadlocks t ~release:ignore (fun () ->
+                    Mvcc.Db.apply_writeset_parallel t.database ~version:r.version
+                      ~order r.ws)))
+          ()
+      in
+      if Apply_pool.has_deps h then Stats.Counter.incr t.c_artificial)
+    fresh;
+  if n = 0 then on_done ()
 
-let pool_submit_remote t pool ?trace_id ?on_published (r : Types.remote_ws) =
-  let order = Mvcc.Db.next_order t.database in
-  t.rv <- max t.rv r.version;
-  let h =
-    Apply_pool.submit pool ~version:r.version ~ws:r.ws ?trace_id ?on_published
-      ~exec:(fun () ->
-        charge_apply_cpu t [ r ];
-        let fresh =
-          Obs.Events.enabled t.events && fresh_install t ~version:r.version
-        in
-        apply_certified_parallel t ~version:r.version ~order r.ws;
-        if fresh then begin
-          emit_install t ~version:r.version;
-          (* The published prefix advances through the pool's contiguous
-             barrier, not at this worker's finish — report whatever is
-             visible now (monotone either way). *)
-          emit_advance t
-        end;
-        Stats.Counter.incr t.c_applied;
-        Stats.Counter.incr t.c_batches)
-      ()
-  in
-  if Apply_pool.has_deps h then Stats.Counter.incr t.c_artificial;
-  h
-
-let pool_submit_local t pool reply w_tx done_ =
+let process_commit_pool t pool reply w_tx done_ =
+  pool_submit_remotes t pool ~trace_id:w_tx.trace_id reply.Types.remotes ~on_done:ignore;
   let version = reply.Types.commit_version in
   let order = Mvcc.Db.next_order t.database in
   t.rv <- max t.rv version;
@@ -370,42 +346,39 @@ let pool_submit_local t pool reply w_tx done_ =
          let sp =
            Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"durability" ~actor:t.address ()
          in
-         let fresh = Obs.Events.enabled t.events && fresh_install t ~version in
-         (match Mvcc.Db.commit_replicated_parallel w_tx.db_tx ~version ~order with
-         | Ok () -> ()
-         | Error _doomed ->
-             (* Same situation as in [finish_local_commit]: the global
-                decision wins, install the buffered writeset. The parallel
-                commit did not consume the order slot, so reuse it. *)
-             Stats.Counter.incr t.c_preempted;
-             apply_certified_parallel t ~version ~order ws);
-         if fresh then begin
-           emit_install t ~version;
-           emit_advance t
-         end;
+         installing t ~version (fun () ->
+             match Mvcc.Db.commit_replicated_parallel w_tx.db_tx ~version ~order with
+             | Ok () -> ()
+             | Error _doomed ->
+                 (* Same situation as in [finish_local_commit]: the global
+                    decision wins, install the buffered writeset. The parallel
+                    commit did not consume the order slot, so reuse it. *)
+                 Stats.Counter.incr t.c_preempted;
+                 retry_deadlocks t ~release:ignore (fun () ->
+                     Mvcc.Db.apply_writeset_parallel t.database ~version ~order ws));
          Obs.Trace.finish t.trace sp;
          Stats.Counter.incr t.c_commits)
        ())
 
-let process_commit_pool t pool reply w_tx done_ =
-  List.iter
-    (fun r -> ignore (pool_submit_remote t pool ~trace_id:w_tx.trace_id r))
-    (fresh_remotes t reply.Types.remotes);
-  pool_submit_local t pool reply w_tx done_
-
-let process_refresh_pool t pool ~trace_id remotes done_ =
-  let fresh = fresh_remotes t remotes in
-  let n = List.length fresh in
-  List.iteri
-    (fun i r ->
-      let on_published = if i = n - 1 then Some (fun () -> Ivar.fill done_ ()) else None in
-      ignore (pool_submit_remote t pool ~trace_id ?on_published r))
-    fresh;
-  if n = 0 then Ivar.fill done_ ();
-  Stats.Counter.incr t.c_refreshes
-
 (* ------------------------------------------------------------------ *)
-(* Commit-reply bridging *)
+(* Catching up *)
+
+(* Repeat [step] until [caught_up] or a pause; [counter] counts episodes. *)
+let catch_up t counter ~caught_up step =
+  if (not t.paused) && not (caught_up ()) then begin
+    Stats.Counter.incr counter;
+    let rec loop () =
+      if (not t.paused) && not (caught_up ()) then begin
+        step ();
+        loop ()
+      end
+    in
+    loop ()
+  end
+
+let fetch t =
+  Cert_client.fetch t.client ~replica:t.address ~from_version:t.rv
+    ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
 
 (* Turn a fetch reply into an applicable remote batch: absorb the
    certifier's floor, and when the asked-for prefix had been truncated,
@@ -430,16 +403,8 @@ let apply_fetched t remotes =
   match t.pool with
   | Some pool ->
       let done_ = Ivar.create t.engine () in
-      let fresh = fresh_remotes t remotes in
-      let n = List.length fresh in
-      List.iteri
-        (fun i r ->
-          let on_published =
-            if i = n - 1 then Some (fun () -> Ivar.fill done_ ()) else None
-          in
-          ignore (pool_submit_remote t pool ?on_published r))
-        fresh;
-      if n > 0 then Ivar.read done_
+      pool_submit_remotes t pool remotes ~on_done:(fun () -> Ivar.fill done_ ());
+      Ivar.read done_
   | None -> apply_serial t remotes
 
 (* A commit reply is only sound if it is self-contained: its composed
@@ -463,22 +428,13 @@ let bridged t (reply : Types.cert_reply) =
           reply.remotes)
      = reply.commit_version - t.rv - 1
 
-let ensure_bridge t (reply : Types.cert_reply) =
-  if not (bridged t reply) then begin
-    Stats.Counter.incr t.c_bridge_heals;
-    let rec loop () =
-      if (not t.paused) && not (bridged t reply) then begin
-        (match
-           Cert_client.fetch t.client ~replica:t.address ~from_version:t.rv
-             ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-         with
-        | Some fetch -> apply_fetched t (remotes_of_fetch t fetch)
-        | None -> Engine.sleep t.engine (Time.of_ms 5.));
-        loop ()
-      end
-    in
-    loop ()
-  end
+let ensure_bridge t reply =
+  catch_up t t.c_bridge_heals
+    ~caught_up:(fun () -> bridged t reply)
+    (fun () ->
+      match fetch t with
+      | Some f -> apply_fetched t (remotes_of_fetch t f)
+      | None -> Engine.sleep t.engine (Time.of_ms 5.))
 
 (* ------------------------------------------------------------------ *)
 (* The applier fiber: consumes certifier replies in version order. *)
@@ -487,38 +443,28 @@ let finish_local_commit t w_tx ~version ~order done_ =
   (* The durability stage: where Base pays its serialized commit fsync and
      MW commits in memory — the gap the paper's Figure 7 turns on. *)
   let sp = Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"durability" ~actor:t.address () in
-  let fresh = Obs.Events.enabled t.events && fresh_install t ~version in
-  match Mvcc.Db.commit_replicated w_tx.db_tx ~version ~order with
-  | Ok () ->
-      if fresh then begin
-        emit_install t ~version;
-        emit_advance t
-      end;
-      Obs.Trace.finish t.trace sp;
-      Stats.Counter.incr t.c_commits;
-      Ivar.fill done_ (Ok ())
-  | Error _doomed ->
-      (* The certifier committed this transaction, but it was doomed
-         locally while its commit reply was delayed (a remote writeset
-         preempted its locks — a soundness shortcut that assumes the local
-         transaction will fail certification, which this one did not; the
-         window only opens when certification outlasts the remote stream,
-         i.e. under certifier failover). The global decision is
-         authoritative: install the buffered writeset as if it arrived
-         remotely — the store slots it at [version], beneath any later
-         committed overwrites. [commit_replicated] already consumed the
-         caller's order slot via skip_order, so draw a fresh one. *)
-      Stats.Counter.incr t.c_preempted;
-      let ws = Mvcc.Db.writeset w_tx.db_tx in
-      let order = Mvcc.Db.next_order t.database in
-      apply_certified t ~version ~order ws;
-      if fresh then begin
-        emit_install t ~version;
-        emit_advance t
-      end;
-      Obs.Trace.finish t.trace sp;
-      Stats.Counter.incr t.c_commits;
-      Ivar.fill done_ (Ok ())
+  installing t ~version (fun () ->
+      match Mvcc.Db.commit_replicated w_tx.db_tx ~version ~order with
+      | Ok () -> ()
+      | Error _doomed ->
+          (* The certifier committed this transaction, but it was doomed
+             locally while its commit reply was delayed (a remote writeset
+             preempted its locks — a soundness shortcut that assumes the local
+             transaction will fail certification, which this one did not; the
+             window only opens when certification outlasts the remote stream,
+             i.e. under certifier failover). The global decision is
+             authoritative: install the buffered writeset as if it arrived
+             remotely — the store slots it at [version], beneath any later
+             committed overwrites. [commit_replicated] already consumed the
+             caller's order slot via skip_order, so draw a fresh one. *)
+          Stats.Counter.incr t.c_preempted;
+          let ws = Mvcc.Db.writeset w_tx.db_tx in
+          let order = Mvcc.Db.next_order t.database in
+          retry_deadlocks t ~release:(skip t order) (fun () ->
+              Mvcc.Db.apply_writeset t.database ~version ~order ws));
+  Obs.Trace.finish t.trace sp;
+  Stats.Counter.incr t.c_commits;
+  Ivar.fill done_ (Ok ())
 
 let process_commit_serial t reply w_tx done_ =
   (if reply.Types.remotes <> [] then begin
@@ -540,7 +486,7 @@ let process_commit_api t reply w_tx done_ =
   ignore
     (Engine.spawn t.engine ~name:(t.address ^ ".commit") (fun () ->
          finish_local_commit t w_tx ~version ~order done_;
-         Ivar.fill civar ()))
+         version_applied t version civar))
 
 let spawn_applier t =
   let fiber =
@@ -556,17 +502,19 @@ let spawn_applier t =
                   | Types.Base | Types.Tashkent_mw ->
                       process_commit_serial t reply w_tx done_
                   | Types.Tashkent_api -> process_commit_api t reply w_tx done_))
-          | Refresh_batch { remotes; trace_id; done_ } -> (
-              match t.pool with
-              | Some pool -> process_refresh_pool t pool ~trace_id remotes done_
+          | Refresh_batch { remotes; trace_id; done_ } ->
+              (match t.pool with
+              | Some pool ->
+                  pool_submit_remotes t pool ~trace_id remotes
+                    ~on_done:(fun () -> Ivar.fill done_ ())
               | None ->
                   let sp =
                     Obs.Trace.span t.trace ~id:trace_id ~stage:"apply" ~actor:t.address ()
                   in
                   apply_serial t remotes;
                   Obs.Trace.finish t.trace sp;
-                  Stats.Counter.incr t.c_refreshes;
-                  Ivar.fill done_ ()));
+                  Ivar.fill done_ ());
+              Stats.Counter.incr t.c_refreshes);
           loop ()
         in
         loop ())
@@ -620,12 +568,9 @@ let refresh t =
   if (not t.paused) && t.inflight = 0 && Mailbox.is_empty t.work then begin
     let trace_id = Obs.Trace.fresh_id t.trace in
     let sp = Obs.Trace.span t.trace ~id:trace_id ~stage:"backfill" ~actor:t.address () in
-    (match
-       Cert_client.fetch t.client ~replica:t.address ~from_version:t.rv
-         ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-     with
-    | Some fetch when t.inflight = 0 ->
-        let remotes = remotes_of_fetch t fetch in
+    (match fetch t with
+    | Some f when t.inflight = 0 ->
+        let remotes = remotes_of_fetch t f in
         let done_ = Ivar.create t.engine () in
         Mailbox.send t.work (Refresh_batch { remotes; trace_id; done_ });
         Ivar.read done_
@@ -643,19 +588,101 @@ let refresh t =
    pruned). An unreachable certifier group is paced by the fetch's own
    timeouts rather than a hot loop here. *)
 let heal_below_floor t ~floor =
-  if (not t.paused) && t.rv < floor then begin
-    Stats.Counter.incr t.c_floor_heals;
-    let rec loop () =
-      if (not t.paused) && t.rv < floor then begin
-        refresh t;
-        if t.rv < floor then begin
-          Engine.sleep t.engine (Time.of_ms 5.);
-          loop ()
-        end
-      end
-    in
-    loop ()
+  catch_up t t.c_floor_heals
+    ~caught_up:(fun () -> t.rv >= floor)
+    (fun () ->
+      refresh t;
+      if t.rv < floor then Engine.sleep t.engine (Time.of_ms 5.))
+
+(* Local certification (6.2): this transaction held write locks on all its
+   keys since it wrote them, and the first-updater check passed against
+   everything announced locally — so the writeset is already known
+   conflict-free up to [db_version], and the effective start version can be
+   raised, shrinking the certifier's intersection window. *)
+let promote t ~db_version start =
+  if db_version > start then begin
+    Stats.Counter.incr t.c_promotions;
+    db_version
   end
+  else start
+
+(* The one certified-commit pipeline behind {!commit} and {!commit_cross}:
+   [certify ~db_version] asks the certifier (blocking) and [journal] records
+   a commit acked durable. Everything after the reply — the remotes, the
+   local ordered commit, the floor heal — is shared. *)
+let certified_commit t w_tx ~certify ~journal =
+  match Mvcc.Db.is_doomed w_tx.db_tx with
+  | Some reason ->
+      Mvcc.Db.abort w_tx.db_tx;
+      record_local_abort t reason;
+      Error (Local_abort reason)
+  | None when t.paused ->
+      Mvcc.Db.abort w_tx.db_tx;
+      record_local_abort t Mvcc.Db.Preempted;
+      Error (Local_abort Mvcc.Db.Preempted)
+  | None ->
+      t.inflight <- t.inflight + 1;
+      t.last_activity <- Engine.now t.engine;
+      let incarnation = t.incarnation in
+      t.submit_seq <- t.submit_seq + 1;
+      let txid = t.submit_seq in
+      Obs.Events.emit t.events (Obs.Events.Tx_submitted { actor = t.address; tx = txid });
+      let sp_txn =
+        Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"txn.commit" ~actor:t.address ()
+      in
+      (* The paper (5.2.1): the version submitted to the certifier is the
+         current version of the database — i.e. what has actually been
+         announced, not the versions merely in flight — so that
+         back-certification covers every writeset this replica has not yet
+         committed. *)
+      let db_version = Mvcc.Db.current_version t.database in
+      let sp_cert =
+        Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"certify" ~actor:t.address ()
+      in
+      let reply : Types.cert_reply = certify ~db_version in
+      Obs.Trace.finish t.trace sp_cert;
+      if t.incarnation <> incarnation then begin
+        (* The replica crashed while this commit was parked in certification
+           and the reply outlived the outage: a client-side retry, or a
+           cross-partition session helper fiber, which is not registered
+           with the replica and so resumes after recovery. The reply belongs
+           to the dead incarnation: its db transaction is gone and [rv] was
+           rebased by {!resume}, so installing its remotes window would
+           advance [rv] past the unfetched prefix — silent data loss. Drop
+           it and report preemption; a committed decision still arrives
+           through refresh like any other remote. *)
+        Obs.Trace.finish t.trace sp_txn;
+        Obs.Events.emit t.events
+          (Obs.Events.Tx_resolved { actor = t.address; tx = txid; committed = false });
+        record_local_abort t Mvcc.Db.Preempted;
+        Error (Local_abort Mvcc.Db.Preempted)
+      end
+      else begin
+        Mvcc.Db.set_cluster_gc_floor t.database reply.gc_floor;
+        t.last_activity <- Engine.now t.engine;
+        let result =
+          match reply.decision with
+          | Types.Abort cause ->
+              Mvcc.Db.abort w_tx.db_tx;
+              record_cert_abort t cause;
+              Error (Cert_abort cause)
+          | Types.Commit ->
+              if t.journaling then journal reply;
+              let done_ = Ivar.create t.engine () in
+              Mailbox.send t.work (Commit_reply { reply; w_tx; done_ });
+              Ivar.read done_
+        in
+        Obs.Trace.finish t.trace sp_txn;
+        t.inflight <- t.inflight - 1;
+        Obs.Events.emit t.events
+          (Obs.Events.Tx_resolved
+             { actor = t.address; tx = txid; committed = Result.is_ok result });
+        (match result with
+        | Error (Cert_abort _) when reply.gc_floor > t.rv ->
+            heal_below_floor t ~floor:reply.gc_floor
+        | Ok _ | Error _ -> ());
+        result
+      end
 
 let commit t w_tx =
   let ws = Mvcc.Db.writeset w_tx.db_tx in
@@ -665,211 +692,50 @@ let commit t w_tx =
     Ok ()
   end
   else
-    match Mvcc.Db.is_doomed w_tx.db_tx with
-    | Some reason ->
-        Mvcc.Db.abort w_tx.db_tx;
-        record_local_abort t reason;
-        Error (Local_abort reason)
-    | None ->
-        if t.paused then begin
-          Mvcc.Db.abort w_tx.db_tx;
-          record_local_abort t Mvcc.Db.Preempted;
-          Error (Local_abort Mvcc.Db.Preempted)
-        end
-        else begin
-          t.inflight <- t.inflight + 1;
-          t.last_activity <- Engine.now t.engine;
-          let incarnation = t.incarnation in
-          t.submit_seq <- t.submit_seq + 1;
-          let txid = t.submit_seq in
-          Obs.Events.emit t.events
-            (Obs.Events.Tx_submitted { actor = t.address; tx = txid });
-          let sp_txn =
-            Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"txn.commit" ~actor:t.address ()
-          in
-          (* The paper (5.2.1): the version submitted to the certifier is
-             the current version of the database — i.e. what has actually
-             been announced, not the versions merely in flight — so that
-             back-certification covers every writeset this replica has not
-             yet committed. *)
-          let db_version = Mvcc.Db.current_version t.database in
-          (* Local certification (6.2): this transaction held write locks on
-             all its keys since it wrote them, and the first-updater check
-             passed against everything announced locally — so the writeset
-             is already known conflict-free up to [db_version], and the
-             effective start version can be raised, shrinking the
-             certifier's intersection window. *)
-          let start_version =
-            if t.cfg.local_certification && db_version > w_tx.start_version then begin
-              Stats.Counter.incr t.c_promotions;
-              db_version
-            end
-            else w_tx.start_version
-          in
-          let sp_cert =
-            Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"certify" ~actor:t.address ()
-          in
-          (* The watermark report is computed while this transaction is
-             still registered in [db.active], so the reported oldest
-             snapshot is <= start_version — the certifier's floor can never
-             climb past the window this reply composes against. *)
-          let reply =
-            Cert_client.certify t.client ~trace_id:w_tx.trace_id ~start_version
-              ~replica_version:db_version
-              ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-              ws
-          in
-          Obs.Trace.finish t.trace sp_cert;
-          if t.incarnation <> incarnation then begin
-            (* The replica crashed while this commit was parked inside
-               certification and the reply outlived the outage (client-side
-               retry or an unregistered caller fiber). Everything the reply
-               talks about belongs to the dead incarnation — the db
-               transaction is gone and [rv] was rebased by {!resume} — so
-               touching any state here would corrupt the revived proxy.
-               Drop the reply on the floor and report preemption. *)
-            Obs.Trace.finish t.trace sp_txn;
-            Obs.Events.emit t.events
-              (Obs.Events.Tx_resolved { actor = t.address; tx = txid; committed = false });
-            record_local_abort t Mvcc.Db.Preempted;
-            Error (Local_abort Mvcc.Db.Preempted)
-          end
-          else begin
-            Mvcc.Db.set_cluster_gc_floor t.database reply.gc_floor;
-            t.last_activity <- Engine.now t.engine;
-            let result =
-              match reply.decision with
-              | Types.Abort cause ->
-                  Mvcc.Db.abort w_tx.db_tx;
-                  record_cert_abort t cause;
-                  Error (Cert_abort cause)
-              | Types.Commit ->
-                  if t.journaling then
-                    t.journal <- (reply.req_id, reply.commit_version) :: t.journal;
-                  let done_ = Ivar.create t.engine () in
-                  Mailbox.send t.work (Commit_reply { reply; w_tx; done_ });
-                  Ivar.read done_
-            in
-            Obs.Trace.finish t.trace sp_txn;
-            t.inflight <- t.inflight - 1;
-            Obs.Events.emit t.events
-              (Obs.Events.Tx_resolved
-                 { actor = t.address; tx = txid; committed = Result.is_ok result });
-            (match result with
-            | Error (Cert_abort _) when reply.gc_floor > t.rv ->
-                heal_below_floor t ~floor:reply.gc_floor
-            | Ok _ | Error _ -> ());
-            result
-          end
-        end
+    certified_commit t w_tx
+      ~certify:(fun ~db_version ->
+        (* The watermark report is computed while this transaction is
+           still registered in [db.active], so the reported oldest
+           snapshot is <= start_version — the certifier's floor can never
+           climb past the window this reply composes against. *)
+        Cert_client.certify t.client ~trace_id:w_tx.trace_id
+          ~start_version:(promote t ~db_version w_tx.start_version)
+          ~replica_version:db_version
+          ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
+          ws)
+      ~journal:(fun reply ->
+        t.journal <- (reply.req_id, reply.commit_version) :: t.journal)
 
 (* Commit this proxy's fragment of a cross-partition transaction. The
    session has already split the writeset: [w_tx]'s own writeset IS the
    fragment for this proxy's partition (reads and writes were routed here
-   by key), so the commit path below is the ordinary one — the only
-   differences are that certification goes through {!Cert_client.certify_cross}
+   by key), so the commit path is the ordinary one — the only differences
+   are that certification goes through {!Cert_client.certify_cross}
    (prepare/vote/decide among the involved certifier groups instead of a
    single certify) and that the commit version arriving in the reply is a
-   decision-time version rather than a proposal-time one. Apply-side
-   machinery (remote batching, pool, artificial conflicts, floor healing)
-   is reused unchanged. *)
+   decision-time version rather than a proposal-time one. *)
 let commit_cross t w_tx ~gtx ~(fragments : Types.xfragment list) =
-  match Mvcc.Db.is_doomed w_tx.db_tx with
-  | Some reason ->
-      Mvcc.Db.abort w_tx.db_tx;
-      record_local_abort t reason;
-      Error (Local_abort reason)
-  | None ->
-      if t.paused then begin
-        Mvcc.Db.abort w_tx.db_tx;
-        record_local_abort t Mvcc.Db.Preempted;
-        Error (Local_abort Mvcc.Db.Preempted)
-      end
-      else begin
-        t.inflight <- t.inflight + 1;
-        t.last_activity <- Engine.now t.engine;
-        let incarnation = t.incarnation in
-        t.submit_seq <- t.submit_seq + 1;
-        let txid = t.submit_seq in
-        Obs.Events.emit t.events
-          (Obs.Events.Tx_submitted { actor = t.address; tx = txid });
-        let sp_txn =
-          Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"txn.commit" ~actor:t.address ()
-        in
-        let db_version = Mvcc.Db.current_version t.database in
-        (* Local certification promotion applies to OUR fragment only: the
-           sibling fragments' start versions live in other partitions'
-           version spaces and are promoted by their own proxies. *)
-        let part = ref 0 in
-        let fragments =
-          List.map
-            (fun (f : Types.xfragment) ->
-              if String.equal f.xf_origin t.address then begin
-                part := f.xf_part;
-                if t.cfg.local_certification && db_version > f.xf_start_version
-                then begin
-                  Stats.Counter.incr t.c_promotions;
-                  { f with xf_start_version = db_version }
-                end
-                else f
-              end
-              else f)
-            fragments
-        in
-        let sp_cert =
-          Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"certify" ~actor:t.address ()
-        in
-        let reply =
-          Cert_client.certify_cross t.client ~trace_id:w_tx.trace_id ~gtx ~part:!part
-            ~replica_version:db_version
-            ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-            ~fragments ()
-        in
-        Obs.Trace.finish t.trace sp_cert;
-        if t.incarnation <> incarnation then begin
-          (* Same stale-reply hazard as {!commit}, and here it is not
-             hypothetical: the session commits fragments from helper fibers
-             that are not registered with the replica, so they survive the
-             crash parked inside [certify_cross] and resume when the reply
-             (re)arrives after recovery. Applying that reply would install
-             its remotes window over the rebuilt store and advance [rv]
-             past the unfetched prefix — permanent silent data loss. The
-             decision itself is not lost: if the group committed the
-             fragment, refresh picks it up like any other remote. *)
-          Obs.Trace.finish t.trace sp_txn;
-          Obs.Events.emit t.events
-            (Obs.Events.Tx_resolved { actor = t.address; tx = txid; committed = false });
-          record_local_abort t Mvcc.Db.Preempted;
-          Error (Local_abort Mvcc.Db.Preempted)
-        end
-        else begin
-          Mvcc.Db.set_cluster_gc_floor t.database reply.gc_floor;
-          t.last_activity <- Engine.now t.engine;
-          let result =
-            match reply.decision with
-            | Types.Abort cause ->
-                Mvcc.Db.abort w_tx.db_tx;
-                record_cert_abort t cause;
-                Error (Cert_abort cause)
-            | Types.Commit ->
-                if t.journaling then
-                  t.journal_x <- (gtx, reply.commit_version) :: t.journal_x;
-                let done_ = Ivar.create t.engine () in
-                Mailbox.send t.work (Commit_reply { reply; w_tx; done_ });
-                Ivar.read done_
-          in
-          Obs.Trace.finish t.trace sp_txn;
-          t.inflight <- t.inflight - 1;
-          Obs.Events.emit t.events
-            (Obs.Events.Tx_resolved
-               { actor = t.address; tx = txid; committed = Result.is_ok result });
-          (match result with
-          | Error (Cert_abort _) when reply.gc_floor > t.rv ->
-              heal_below_floor t ~floor:reply.gc_floor
-          | Ok _ | Error _ -> ());
-          result
-        end
-      end
+  certified_commit t w_tx
+    ~certify:(fun ~db_version ->
+      (* Local certification promotion applies to OUR fragment only: the
+         sibling fragments' start versions live in other partitions'
+         version spaces and are promoted by their own proxies. *)
+      let part = ref 0 in
+      let fragments =
+        List.map
+          (fun (f : Types.xfragment) ->
+            if String.equal f.xf_origin t.address then begin
+              part := f.xf_part;
+              { f with xf_start_version = promote t ~db_version f.xf_start_version }
+            end
+            else f)
+          fragments
+      in
+      Cert_client.certify_cross t.client ~trace_id:w_tx.trace_id ~gtx ~part:!part
+        ~replica_version:db_version
+        ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
+        ~fragments ())
+    ~journal:(fun reply -> t.journal_x <- (gtx, reply.commit_version) :: t.journal_x)
 
 let spawn_refresher t bound =
   let fiber =
@@ -890,11 +756,10 @@ let spawn_refresher t bound =
 (* Lifecycle *)
 
 let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
-    ~req_id_base ?config () =
+    ~req_id_base ~config:cfg () =
   let engine = env.Env.engine and net = env.Env.net in
   let metrics = env.Env.metrics and trace = env.Env.trace in
   let events = env.Env.events in
-  let cfg = Option.value ~default:(default_config Types.Base) config in
   if cfg.apply_workers < 1 then
     invalid_arg "Proxy.create: apply_workers must be >= 1";
   let counter name = Obs.Registry.counter metrics ("proxy." ^ address ^ "." ^ name) in
@@ -1043,24 +908,3 @@ let apply_parallelism t =
 let snapshot_installs t = Stats.Counter.value t.c_snapshot_installs
 let floor_heals t = Stats.Counter.value t.c_floor_heals
 let bridge_heals t = Stats.Counter.value t.c_bridge_heals
-
-let reset_stats t =
-  Stats.Counter.reset t.c_commits;
-  Stats.Counter.reset t.c_cert_aborts;
-  Stats.Counter.reset t.c_local_aborts;
-  Stats.Counter.reset t.c_ab_cert_ww;
-  Stats.Counter.reset t.c_ab_cert_forced;
-  Stats.Counter.reset t.c_ab_local_ww;
-  Stats.Counter.reset t.c_ab_local_deadlock;
-  Stats.Counter.reset t.c_ab_local_preempted;
-  Stats.Counter.reset t.c_ro_commits;
-  Stats.Counter.reset t.c_applied;
-  Stats.Counter.reset t.c_batches;
-  Stats.Counter.reset t.c_artificial;
-  Stats.Counter.reset t.c_refreshes;
-  Stats.Counter.reset t.c_promotions;
-  Stats.Counter.reset t.c_preempted;
-  Stats.Counter.reset t.c_invariant;
-  Stats.Counter.reset t.c_snapshot_installs;
-  Stats.Counter.reset t.c_floor_heals;
-  Stats.Counter.reset t.c_bridge_heals

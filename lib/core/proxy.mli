@@ -18,28 +18,18 @@
 type config = {
   mode : Types.mode;
   apply_cpu_per_ws : Sim.Time.t;
-      (** fixed CPU to re-apply one remote writeset — together with
-          {!apply_cpu_per_op} roughly an order of magnitude below executing
+      (** fixed CPU to re-apply one remote writeset, plus a built-in 35 µs
+          per row operation — roughly an order of magnitude below executing
           the original transaction (§10.3) *)
-  apply_cpu_per_op : Sim.Time.t;  (** additional CPU per row operation *)
   staleness_bound : Sim.Time.t option;
       (** idle refresh interval (§6.2 "bounding staleness"); [None]
           disables the refresher *)
-  soft_recovery : bool;
-      (** resolve remote-vs-local deadlocks by aborting the local cycle
-          members and retrying the writeset (only relevant when the
-          database lacks priority writes) *)
   group_remote_batches : bool;
       (** merge a reply's remote writesets into one transaction (§3,
           "grouping remote writesets"). Disabling reproduces the paper's
           naive strawman: one commit per remote writeset. *)
-  local_certification : bool;
-      (** §6.2: raise a transaction's effective start version to the
-          locally-verified point before asking the certifier, reducing its
-          intersection work. Safe because the transaction's write locks
-          guarantee no announced conflict exists. *)
   apply_workers : int;
-      (** number of parallel applier fibers (default 1). With more than
+      (** number of parallel applier fibers. With more than
           one, every certified commit — remote writesets and this
           replica's own — is dispatched to a dependency-tracked
           {!Apply_pool}: non-conflicting writesets apply concurrently
@@ -48,8 +38,11 @@ type config = {
           contiguous-order publish barrier, so GSI snapshots are
           unchanged. Overrides the per-mode serial/concurrent paths. *)
 }
-
-val default_config : Types.mode -> config
+(** Soft recovery (a remote writeset that deadlocks against local
+    transactions dooms the local cycle members and retries) and local
+    certification (§6.2: a transaction's effective start version is raised
+    to the locally verified point before it asks the certifier, which its
+    write locks make safe) are always on. *)
 
 type t
 
@@ -61,7 +54,7 @@ val create :
   cpu:Sim.Resource.t ->
   certifiers:string list ->
   req_id_base:int ->
-  ?config:config ->
+  config:config ->
   unit ->
   t
 (** Registers endpoint [addr] on [env]'s network and spawns the reply
@@ -154,8 +147,6 @@ val tx_start_version : tx -> int
 (** The snapshot version this transaction started on, in this proxy's
     partition version space. *)
 
-val tx_trace_id : tx -> int
-
 (** {1 Maintenance} *)
 
 val refresh : t -> unit
@@ -239,7 +230,3 @@ val bridge_heals : t -> int
     replica over a permanent hole — silent divergence. Also exported as
     [proxy.<addr>.bridge_heals]. *)
 
-val reset_stats : t -> unit
-(** Zero this proxy's counters only. When the proxy shares a registry with
-    the rest of a cluster, prefer [Obs.Registry.reset] on that registry —
-    it resets the same counter objects plus everyone else's. *)

@@ -227,11 +227,8 @@ let create (env : Env.t) ~name:label ~n_partitions ~groups ~config:cfg () =
     {
       Proxy.mode = cfg.mode;
       apply_cpu_per_ws = cfg.apply_cpu_per_ws;
-      apply_cpu_per_op = Time.us 35;
       staleness_bound = cfg.staleness_bound;
-      soft_recovery = true;
       group_remote_batches = cfg.group_remote_batches;
-      local_certification = true;
       apply_workers = cfg.apply_workers;
     }
   in

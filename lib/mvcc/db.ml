@@ -462,28 +462,34 @@ let log_commit t ~version ?prev ws =
   | Synchronous -> ignore (Storage.Wal.append_and_sync t.db_wal ~bytes (version, prev, ws))
   | Asynchronous | Periodic _ -> ignore (Storage.Wal.append t.db_wal ~bytes (version, prev, ws))
 
+(* A commit whose global version trails the store happens when the reply
+   overtook the remote-writeset stream (a certifier failover re-answered a
+   retried request from its decided table after this replica already
+   applied later versions): slot the writes in at their version instead of
+   clobbering newer ones. *)
+let install_or_backfill t ~version ws =
+  if version > Store.current_version t.db_store then
+    Store.install t.db_store ~version ws
+  else begin
+    Stats.Counter.incr t.backfill_count;
+    Store.backfill t.db_store ~version ws
+  end
+
+let mark_committed tx =
+  tx.state <- Committed;
+  release_locks tx;
+  Hashtbl.remove tx.db.active tx.id;
+  Stats.Counter.incr tx.db.commit_count
+
 let finish_commit tx ~version ~order =
   let t = tx.db in
   let ws = tx.buffer in
   charge_commit_cpu t;
   log_commit t ~version ws;
   Commit_order.wait_turn t.order order;
-  (* A commit whose global version trails the store happens when the reply
-     overtook the remote-writeset stream (a certifier failover re-answered
-     a retried request from its decided table after this replica already
-     applied later versions): slot the writes in at their version instead
-     of clobbering newer ones. *)
-  if version > Store.current_version t.db_store then
-    Store.install t.db_store ~version ws
-  else begin
-    Stats.Counter.incr t.backfill_count;
-    Store.backfill t.db_store ~version ws
-  end;
+  install_or_backfill t ~version ws;
   Commit_order.announce t.order order;
-  tx.state <- Committed;
-  release_locks tx;
-  Hashtbl.remove t.active tx.id;
-  Stats.Counter.incr t.commit_count;
+  mark_committed tx;
   schedule_writebacks t ws
 
 let commit_replicated tx ~version ~order =
@@ -511,12 +517,14 @@ let commit_standalone tx =
       finish_commit tx ~version:order ~order;
       Ok order
 
-let apply_writeset t ~version ~order ws =
+(* Replay a certified writeset as a remote transaction: take every write
+   (and its lock) in turn, then hand the transaction to [finish]. *)
+let apply_remote t ws finish =
   let tx = begin_tx_internal t ~remote:true in
   let rec apply_entries = function
     | [] ->
         tx.state <- Committing;
-        finish_commit tx ~version ~order;
+        finish tx;
         Ok ()
     | { Writeset.key; op } :: rest -> (
         match write tx key op with
@@ -524,6 +532,9 @@ let apply_writeset t ~version ~order ws =
         | Error r -> Error r)
   in
   apply_entries (Writeset.entries ws)
+
+let apply_writeset t ~version ~order ws =
+  apply_remote t ws (fun tx -> finish_commit tx ~version ~order)
 
 let finish_commit_batch tx ~batch ~order =
   let t = tx.db in
@@ -545,20 +556,9 @@ let finish_commit_batch tx ~batch ~order =
   | Synchronous -> Storage.Wal.sync t.db_wal
   | Asynchronous | Periodic _ -> ());
   Commit_order.wait_turn t.order order;
-  List.iter
-    (fun (version, ws) ->
-      if version > Store.current_version t.db_store then
-        Store.install t.db_store ~version ws
-      else begin
-        Stats.Counter.incr t.backfill_count;
-        Store.backfill t.db_store ~version ws
-      end)
-    batch;
+  List.iter (fun (version, ws) -> install_or_backfill t ~version ws) batch;
   Commit_order.announce t.order order;
-  tx.state <- Committed;
-  release_locks tx;
-  Hashtbl.remove t.active tx.id;
-  Stats.Counter.incr t.commit_count;
+  mark_committed tx;
   schedule_writebacks t tx.buffer
 
 (* Apply a contiguous run of certified writesets as ONE local transaction —
@@ -579,18 +579,7 @@ let apply_writeset_batch t ~batch ~order =
       let merged =
         List.fold_left (fun acc (_, ws) -> Writeset.union acc ws) Writeset.empty batch
       in
-      let tx = begin_tx_internal t ~remote:true in
-      let rec apply_entries = function
-        | [] ->
-            tx.state <- Committing;
-            finish_commit_batch tx ~batch ~order;
-            Ok ()
-        | { Writeset.key; op } :: rest -> (
-            match write tx key op with
-            | Ok () -> apply_entries rest
-            | Error r -> Error r)
-      in
-      apply_entries (Writeset.entries merged)
+      apply_remote t merged (fun tx -> finish_commit_batch tx ~batch ~order)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel apply: out-of-order install, ordered publish.
@@ -625,28 +614,14 @@ let finish_commit_parallel tx ~version ~order =
      exactly [version - 1] regardless of what is published right now. *)
   log_commit t ~version ~prev:(version - 1) ws;
   Store.install_at t.db_store ~version ws;
-  tx.state <- Committed;
-  release_locks tx;
-  Hashtbl.remove t.active tx.id;
-  Stats.Counter.incr t.commit_count;
+  mark_committed tx;
   Hashtbl.replace t.parallel_versions order version;
   Commit_order.complete t.order order;
   publish_parallel t;
   schedule_writebacks t ws
 
 let apply_writeset_parallel t ~version ~order ws =
-  let tx = begin_tx_internal t ~remote:true in
-  let rec apply_entries = function
-    | [] ->
-        tx.state <- Committing;
-        finish_commit_parallel tx ~version ~order;
-        Ok ()
-    | { Writeset.key; op } :: rest -> (
-        match write tx key op with
-        | Ok () -> apply_entries rest
-        | Error r -> Error r)
-  in
-  apply_entries (Writeset.entries ws)
+  apply_remote t ws (fun tx -> finish_commit_parallel tx ~version ~order)
 
 let commit_replicated_parallel tx ~version ~order =
   match tx.state with

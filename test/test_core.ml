@@ -152,6 +152,29 @@ let test_cert_log_truncate_folds_deletes () =
   Cert_log.append log (entry 4 "r0" 4 (ws1 (k "t" "c") 4));
   check_int "append after clamped truncate" 4 (Cert_log.version log)
 
+(* Regression for the delta chaos smokes (plan seeds 7 and 13 under disk
+   faults): a truncated prefix that only added deltas to a key must fold
+   them onto the key's loaded image, not onto 0. *)
+let test_cert_log_truncate_keeps_initial_image () =
+  let acct = k "t" "acct" in
+  let initial key = if Mvcc.Key.equal key acct then Some (vi 1000) else None in
+  let log = Cert_log.create ~initial () in
+  List.iteri
+    (fun i d ->
+      Cert_log.append log
+        (entry (i + 1) "r0" (i + 1) (Mvcc.Writeset.singleton acct (Mvcc.Writeset.Add d))))
+    [ 5; -3; 7 ];
+  Cert_log.append log (entry 4 "r0" 4 (ws1 (k "t" "fresh") 1));
+  Cert_log.truncate log ~upto:4;
+  let base_of key =
+    List.assoc_opt key
+      (List.map (fun (key, v) -> (Mvcc.Key.to_string key, v)) (Cert_log.base_rows log))
+  in
+  check_bool "deltas fold onto the loaded image" true
+    (base_of (Mvcc.Key.to_string acct) = Some (Some (vi 1009)));
+  check_bool "a key loaded with nothing folds from its first write" true
+    (base_of (Mvcc.Key.to_string (k "t" "fresh")) = Some (Some (vi 1)))
+
 (* The full-scan truncation the log used to run, kept as the oracle for the
    touched-keys one: after folding the dropped prefix into the base, it
    flattens every base row ever written and filters every writer list. The
@@ -725,6 +748,61 @@ let test_local_certification_promotes_start () =
     ((Proxy.stats p0).Proxy.local_cert_promotions >= 1);
   check_consistent c
 
+(* Soft recovery without priority writes: a remote writeset that closes a
+   lock cycle with a local transaction gets the deadlock, so the proxy must
+   doom the local cycle member and retry the writeset, which then installs
+   at its certified version. The cycle on replica0: the remote takes [a]
+   and queues behind M on [b]; L, holding [c], queues behind the remote on
+   [a]; when M aborts, the remote reaches for [c] and finds L. *)
+let test_remote_deadlock_dooms_local () =
+  let replica = { (quick_replica Types.Tashkent_mw) with Replica.eager_precert = false } in
+  let c = make_cluster ~mode:Types.Tashkent_mw ~n_replicas:2 ~replica () in
+  let engine = Cluster.engine c in
+  let p0 = Replica.proxy (Cluster.replica c 0) in
+  let p1 = Replica.proxy (Cluster.replica c 1) in
+  let db0 = Replica.db (Cluster.replica c 0) in
+  let local_a = ref None in
+  ignore
+    (Engine.spawn engine ~name:"M" (fun () ->
+         let m = Proxy.begin_tx p0 in
+         ignore (Proxy.write p0 m (k "t" "b") (upd 20));
+         Engine.sleep engine (Time.of_ms 1500.);
+         Proxy.abort p0 m));
+  ignore
+    (Engine.spawn engine ~name:"L" (fun () ->
+         let l = Proxy.begin_tx p0 in
+         ignore (Proxy.write p0 l (k "t" "c") (upd 30));
+         Engine.sleep engine (Time.sec 1);
+         local_a := Some (Proxy.write p0 l (k "t" "a") (upd 30));
+         Proxy.abort p0 l));
+  let remote = ref None in
+  ignore
+    (Engine.spawn engine ~name:"remote" (fun () ->
+         let tx = Proxy.begin_tx p1 in
+         List.iter
+           (fun row -> ignore (Proxy.write p1 tx (k "t" row) (upd 7)))
+           [ "a"; "b"; "c" ];
+         remote := Some (Proxy.commit p1 tx)));
+  run_for c (Time.sec 3);
+  expect_commit "remote writer" !remote;
+  (match !local_a with
+  | Some (Error (Proxy.Local_abort Mvcc.Db.Preempted)) -> ()
+  | Some (Ok ()) -> Alcotest.fail "local transaction was not doomed"
+  | Some (Error f) -> Alcotest.fail (Format.asprintf "wrong failure: %a" Proxy.pp_failure f)
+  | None -> Alcotest.fail "local write never returned");
+  check_bool "the remote writeset hit the deadlock" true
+    (Mvcc.Db.deadlocks_detected db0 >= 1);
+  let certified = Proxy.replica_version p1 in
+  List.iter
+    (fun row ->
+      let key = k "t" row in
+      check_int ("installed at the certified version: " ^ row) certified
+        (Mvcc.Store.latest_writer (Mvcc.Db.store db0) key);
+      check_bool ("installed value: " ^ row) true
+        (Mvcc.Db.read_committed db0 key = Some (vi 7)))
+    [ "a"; "b"; "c" ];
+  check_consistent c
+
 (* A remote writeset counts toward the proxy's replica version as soon as it
    is dispatched, but the database snapshot only moves once it is installed.
    A transaction begun in between reads the older snapshot, so its
@@ -1000,6 +1078,8 @@ let suites =
         Alcotest.test_case "truncation" `Quick test_cert_log_truncation;
         Alcotest.test_case "truncation folds deletes" `Quick
           test_cert_log_truncate_folds_deletes;
+        Alcotest.test_case "truncation keeps initial images" `Quick
+          test_cert_log_truncate_keeps_initial_image;
         Alcotest.test_case "truncation cost independent of history" `Quick
           test_cert_log_truncate_cost_independent_of_history;
       ]
@@ -1031,6 +1111,8 @@ let suites =
           test_local_certification_promotes_start;
         Alcotest.test_case "start version is the db snapshot" `Quick
           test_start_version_is_db_snapshot;
+        Alcotest.test_case "remote deadlock dooms the local cycle" `Quick
+          test_remote_deadlock_dooms_local;
       ] );
     ( "core.fault_tolerance",
       [

@@ -244,6 +244,44 @@ let test_cross_partition_commit () =
   check_int "session counted one cross commit" 1 session_stats.Session.cross_commits;
   check_all_invariants c
 
+(* Local-certification promotion in a cross-partition commit is per
+   fragment: each proxy raises only its own fragment's start version (the
+   siblings' live in other partitions' version spaces). Replica1 moves both
+   partitions on while replica0's cross transaction is open, so each of
+   replica0's proxies promotes exactly one fragment — its own. *)
+let test_cross_commit_promotes_own_fragment () =
+  let c = make_cluster () in
+  let engine = Cluster.engine c in
+  let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
+  let ka2 = List.nth (keys_in ~parts:2 0 2) 1 and kb2 = List.nth (keys_in ~parts:2 1 2) 1 in
+  let r0 = Cluster.replica c 0 and r1 = Cluster.replica c 1 in
+  let s0 = Replica.session r0 in
+  let o = ref None in
+  ignore
+    (Engine.spawn engine ~name:"cross" (fun () ->
+         let tx = Session.begin_tx s0 in
+         ignore (Session.write s0 tx ka (upd 1));
+         ignore (Session.write s0 tx kb (upd 2));
+         Engine.sleep engine (Time.sec 1);
+         o := Some (Session.commit s0 tx)));
+  let oa = ref None and ob = ref None in
+  submit_session_tx c 1 ~writes:[ (ka2, 3) ] oa;
+  submit_session_tx c 1 ~writes:[ (kb2, 4) ] ob;
+  run_for c (Time.sec 3);
+  expect_commit "p0 local" !oa;
+  expect_commit "p1 local" !ob;
+  expect_commit "cross" !o;
+  let promotions r part =
+    match Replica.proxy_of r ~part with
+    | Some p -> (Proxy.stats p).Proxy.local_cert_promotions
+    | None -> Alcotest.fail "partition not hosted"
+  in
+  check_int "replica0/p0 promoted its own fragment" 1 (promotions r0 0);
+  check_int "replica0/p1 promoted its own fragment" 1 (promotions r0 1);
+  check_int "replica1/p0 promoted nothing" 0 (promotions r1 0);
+  check_int "replica1/p1 promoted nothing" 0 (promotions r1 1);
+  check_all_invariants c
+
 let test_cross_partition_atomic_abort () =
   let c = make_cluster () in
   let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
@@ -400,6 +438,8 @@ let suites =
         Alcotest.test_case "1 partition matches legacy path" `Quick
           test_one_partition_matches_legacy;
         Alcotest.test_case "cross-partition commit" `Quick test_cross_partition_commit;
+        Alcotest.test_case "cross commit promotes its own fragment" `Quick
+          test_cross_commit_promotes_own_fragment;
         Alcotest.test_case "cross-partition atomic abort" `Quick
           test_cross_partition_atomic_abort;
         Alcotest.test_case "cross vs local conflict" `Quick
