@@ -60,11 +60,15 @@ let abort_replicas () = if !quick then [ 2; 8; 15 ] else [ 1; 2; 4; 8; 12; 15 ]
 let measure () = Sim.Time.of_sec (if !quick then Float.min !seconds 6. else !seconds)
 let warmup () = Sim.Time.of_sec (if !quick then 3. else 4.)
 
-let base_cfg workload io =
+(* Experiment.default with [n] replicas on the [io] disk layout; [tune]
+   adjusts the rest of the cluster. *)
+let base_cfg ?(n = 3) ?(tune = Fun.id) workload io =
+  let d = Experiment.default in
+  let c = d.cluster in
   {
-    Experiment.default with
+    d with
     Experiment.workload;
-    io;
+    cluster = tune { c with n_replicas = n; replica = { c.replica with io } };
     warmup = warmup ();
     measure = measure ();
   }
@@ -99,7 +103,7 @@ let sweep workload io =
     (fun system ->
       List.iter
         (fun n ->
-          let cfg = { (base_cfg workload io) with Experiment.system; n_replicas = n } in
+          let cfg = { (base_cfg ~n workload io) with Experiment.system } in
           let r = Experiment.run cfg in
           Hashtbl.replace results (Experiment.system_name system, n) r)
         (replicas ()))
@@ -242,12 +246,13 @@ let fig14 () =
         (fun rate ->
           List.iter
             (fun n ->
+              let tune (c : Tashkent.Cluster.config) =
+                { c with certifier = { c.certifier with forced_abort_rate = rate } }
+              in
               let cfg =
                 {
-                  (base_cfg Experiment.All_updates io) with
+                  (base_cfg ~n ~tune Experiment.All_updates io) with
                   Experiment.system = system_of s;
-                  n_replicas = n;
-                  abort_rate = rate;
                 }
               in
               Hashtbl.replace results (s, rate, n) (Experiment.run cfg))
@@ -296,7 +301,7 @@ let standalone () =
   let t = Report.table ~columns:[ "config"; "io"; "req/sec"; "resp (ms)" ] in
   let do_one system io =
     let cfg =
-      { (base_cfg Experiment.All_updates io) with Experiment.system; n_replicas = 1 }
+      { (base_cfg ~n:1 Experiment.All_updates io) with Experiment.system }
     in
     let r = Experiment.run cfg in
     Report.row t
@@ -348,15 +353,15 @@ let ablation () =
   let run_with ?(system = Experiment.Replicated Tashkent.Types.Base)
       ?(workload = Experiment.All_updates) ?(n = 8) ?(certifiers = 3)
       ?(eager_precert = true) ?(grouping = true) () =
-    Experiment.run
+    let tune (c : Tashkent.Cluster.config) =
       {
-        (base_cfg workload Tashkent.Replica.Shared_io) with
-        Experiment.system;
-        n_replicas = n;
+        c with
         n_certifiers = certifiers;
-        eager_precert;
-        group_remote_batches = grouping;
+        replica = { c.replica with eager_precert; group_remote_batches = grouping };
       }
+    in
+    Experiment.run
+      { (base_cfg ~n ~tune workload Tashkent.Replica.Shared_io) with Experiment.system }
   in
   Report.subsection
     "a) grouping remote writesets (\xc2\xa73): Base with vs without the T1_2_3 batching";
@@ -499,9 +504,8 @@ let latency () =
       (fun (name, mode) ->
         let cfg =
           {
-            (base_cfg Experiment.Tpc_b Tashkent.Replica.Shared_io) with
+            (base_cfg ~n Experiment.Tpc_b Tashkent.Replica.Shared_io) with
             Experiment.system = Experiment.Replicated mode;
-            n_replicas = n;
             trace = true;
           }
         in
@@ -643,13 +647,16 @@ let storage_chaos () =
 let parallel_apply () =
   Report.section "Parallel apply: AllUpdates, 8 replicas, 1 vs 4 applier workers";
   let run workers =
+    let tune (c : Tashkent.Cluster.config) =
+      {
+        c with
+        replica = { c.replica with group_remote_batches = false; apply_workers = workers };
+      }
+    in
     Experiment.run
       {
-        (base_cfg Experiment.All_updates Tashkent.Replica.Shared_io) with
+        (base_cfg ~n:8 ~tune Experiment.All_updates Tashkent.Replica.Shared_io) with
         Experiment.system = Experiment.Replicated Tashkent.Types.Base;
-        n_replicas = 8;
-        group_remote_batches = false;
-        apply_workers = workers;
       }
   in
   let r1 = run 1 in
@@ -683,9 +690,8 @@ let hotkey () =
   let run ~n ~deltas =
     Experiment.run
       {
-        (base_cfg Experiment.Hotkey Tashkent.Replica.Shared_io) with
+        (base_cfg ~n Experiment.Hotkey Tashkent.Replica.Shared_io) with
         Experiment.system = Experiment.Replicated Tashkent.Types.Tashkent_mw;
-        n_replicas = n;
         deltas;
       }
   in
@@ -763,34 +769,17 @@ let soak () =
   in
   let r = Soak_exp.run ~config () in
   Format.printf "%a@." Soak_exp.pp_result r;
-  (* The same early-half vs late-half split the harness asserts on: a
-     bounded run keeps the late maxima level with the early ones and the
-     p99 median flat. *)
-  let measured =
-    List.filteri (fun i _ -> i >= config.Soak_exp.warmup_windows) r.Soak_exp.windows
-  in
-  let n = List.length measured in
-  let early = List.filteri (fun i _ -> i < n / 2) measured in
-  let late = List.filteri (fun i _ -> i >= n / 2) measured in
-  let maxi f ws = List.fold_left (fun acc w -> max acc (f w)) 0 ws in
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.
-    | sorted -> List.nth sorted (List.length sorted / 2)
-  in
+  (* The early-half vs late-half split the harness asserts on: a bounded
+     run keeps the late maxima level with the early ones and the p99
+     median flat. *)
+  let sp = r.Soak_exp.split in
   record_metric "soak/commits" (float_of_int r.Soak_exp.commits);
-  record_metric "soak/store_versions_early_max"
-    (float_of_int (maxi (fun (w : Soak_exp.window_sample) -> w.store_versions) early));
-  record_metric "soak/store_versions_late_max"
-    (float_of_int (maxi (fun (w : Soak_exp.window_sample) -> w.store_versions) late));
-  record_metric "soak/cert_bytes_early_max"
-    (float_of_int (maxi (fun (w : Soak_exp.window_sample) -> w.cert_bytes) early));
-  record_metric "soak/cert_bytes_late_max"
-    (float_of_int (maxi (fun (w : Soak_exp.window_sample) -> w.cert_bytes) late));
-  record_metric "soak/p99_ms_early_median"
-    (median (List.map (fun (w : Soak_exp.window_sample) -> w.p99_ms) early));
-  record_metric "soak/p99_ms_late_median"
-    (median (List.map (fun (w : Soak_exp.window_sample) -> w.p99_ms) late));
+  record_metric "soak/store_versions_early_max" (float_of_int sp.early_versions);
+  record_metric "soak/store_versions_late_max" (float_of_int sp.late_versions);
+  record_metric "soak/cert_bytes_early_max" (float_of_int sp.early_bytes);
+  record_metric "soak/cert_bytes_late_max" (float_of_int sp.late_bytes);
+  record_metric "soak/p99_ms_early_median" sp.early_p99_ms;
+  record_metric "soak/p99_ms_late_median" sp.late_p99_ms;
   record_metric "soak/store_pruned" (float_of_int r.Soak_exp.store_pruned);
   record_metric "soak/cert_pruned" (float_of_int r.Soak_exp.cert_pruned);
   record_metric "soak/snapshot_installs" (float_of_int r.Soak_exp.snapshot_installs);
@@ -814,10 +803,11 @@ let partition () =
   let run ~partitions ~cross_ratio =
     Experiment.run
       {
-        (base_cfg Experiment.Part_local Tashkent.Replica.Shared_io) with
+        (base_cfg ~n
+           ~tune:(fun c -> { c with n_partitions = partitions })
+           Experiment.Part_local Tashkent.Replica.Shared_io)
+        with
         Experiment.system = Experiment.Replicated Tashkent.Types.Tashkent_mw;
-        n_replicas = n;
-        n_partitions = partitions;
         cross_ratio;
       }
   in
@@ -830,13 +820,18 @@ let partition () =
   let run_scaling ~partitions =
     Experiment.run
       {
-        (base_cfg Experiment.Part_local Tashkent.Replica.Shared_io) with
+        (base_cfg ~n
+           ~tune:(fun c ->
+             {
+               c with
+               n_partitions = partitions;
+               hosting = Tashkent.Cluster.Host_modulo;
+               certifier = { c.certifier with certify_cpu = Sim.Time.us 300 };
+             })
+           Experiment.Part_local Tashkent.Replica.Shared_io)
+        with
         Experiment.system = Experiment.Replicated Tashkent.Types.Tashkent_mw;
-        n_replicas = n;
-        n_partitions = partitions;
-        hosting = Tashkent.Cluster.Host_modulo;
         clients_per_replica = Some 80;
-        certify_cpu = Some (Sim.Time.us 300);
         part_exec_cpu = Some (Sim.Time.us 150);
       }
   in
@@ -913,12 +908,9 @@ let partition () =
   Report.subsection "chaos smoke: one certifier group crashed mid-run";
   List.iter
     (fun seed ->
+      let d = Chaos_exp.default_config () in
       let config =
-        {
-          (Chaos_exp.default_config ()) with
-          Chaos_exp.n_partitions = 2;
-          seed;
-        }
+        { d with cluster = { d.cluster with n_partitions = 2; seed } }
       in
       let r = Chaos_exp.run ~config () in
       Report.kv
@@ -947,9 +939,10 @@ let monitor_overhead () =
   let run monitors =
     Experiment.run
       {
-        (base_cfg Experiment.Tpc_b Tashkent.Replica.Shared_io) with
+        (base_cfg ~n:(if !quick then 4 else 8) Experiment.Tpc_b
+           Tashkent.Replica.Shared_io)
+        with
         Experiment.system = Experiment.Replicated Tashkent.Types.Tashkent_mw;
-        n_replicas = (if !quick then 4 else 8);
         monitors;
       }
   in

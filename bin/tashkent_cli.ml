@@ -155,30 +155,25 @@ let no_monitors_t =
 let run_cmd =
   let run system workload io n certifiers partitions cross_ratio seconds
       abort_rate seed apply_workers deltas skew gc_interval monitors =
+    let d = Harness.Experiment.default in
     let cfg =
       {
-        Harness.Experiment.system;
-        io;
-        n_replicas = n;
-        n_certifiers = certifiers;
-        n_partitions = partitions;
-        hosting = Tashkent.Cluster.Host_all;
+        d with
+        system;
+        cluster =
+          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
+            ~n_partitions:partitions
+            ~certifier:
+              { d.cluster.certifier with forced_abort_rate = abort_rate }
+            ~replica:{ d.cluster.replica with io }
+            ~apply_workers ~gc_interval:(gc_interval_of_sec gc_interval) ~seed
+            d.cluster.mode;
         cross_ratio;
-        clients_per_replica = None;
-        certify_cpu = None;
-        part_exec_cpu = None;
         workload;
         deltas;
         hot_skew = skew;
-        abort_rate;
-        eager_precert = true;
-        group_remote_batches = true;
-        apply_workers;
-        gc_interval = gc_interval_of_sec gc_interval;
-        seed;
         warmup = Sim.Time.of_sec (Float.min 5. (seconds /. 2.));
         measure = Sim.Time.of_sec seconds;
-        trace = false;
         monitors;
       }
     in
@@ -246,22 +241,14 @@ let recovery_cmd =
 
 let consistency_cmd =
   let run n seconds seed =
-    let spec = Workload.Allupdates.profile () in
-    let cfg =
-      Tashkent.Cluster.config ~n_replicas:n ~seed Tashkent.Types.Tashkent_api
+    let sc =
+      Harness.Scenario.start
+        (Harness.Scenario.config
+           (Tashkent.Cluster.config ~n_replicas:n ~seed Tashkent.Types.Tashkent_api)
+           (Workload.Allupdates.profile ()))
     in
-    let cluster = Tashkent.Cluster.create cfg in
-    let engine = Tashkent.Cluster.engine cluster in
-    Tashkent.Cluster.load_all cluster (spec.Workload.Spec.initial_rows ~n_replicas:n);
-    Tashkent.Cluster.settle cluster;
-    let collector = Workload.Driver.Collector.create () in
-    let rng = Sim.Rng.create (seed + 1) in
-    List.iteri
-      (fun replica_ix replica ->
-        Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-          ~rng:(Sim.Rng.split rng) ~collector ~replica_ix ~n_replicas:n)
-      (Tashkent.Cluster.replicas cluster);
-    Sim.Engine.run ~until:(Sim.Time.of_sec seconds) engine;
+    let cluster = sc.cluster in
+    Sim.Engine.run ~until:(Sim.Time.of_sec seconds) sc.engine;
     match Tashkent.Cluster.check_consistency cluster with
     | Ok () ->
         Printf.printf "OK: %d commits, every replica is a consistent prefix\n"
@@ -284,20 +271,19 @@ let chaos_cmd =
           else Harness.Chaos_exp.Scripted
       | Some s -> Harness.Chaos_exp.Random s
     in
+    let d = Harness.Chaos_exp.default_config () in
     let config =
       {
-        (Harness.Chaos_exp.default_config ()) with
-        n_replicas = n;
-        n_certifiers = certifiers;
-        n_partitions = partitions;
+        d with
+        cluster =
+          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
+            ~n_partitions:partitions ~replica:d.cluster.replica ~apply_workers
+            ~gc_interval:(gc_interval_of_sec gc_interval) ~seed d.cluster.mode;
         duration = Sim.Time.of_sec seconds;
-        seed;
         plan;
         disk_faults;
         fsync_stall = Sim.Time.of_ms fsync_stall_ms;
-        apply_workers;
         deltas;
-        gc_interval = gc_interval_of_sec gc_interval;
         monitors = not no_monitors;
       }
     in
@@ -351,16 +337,16 @@ let chaos_cmd =
 let soak_cmd =
   let run n certifiers partitions seconds window seed gc_interval no_chaos
       chaos_period skew deltas no_monitors =
+    let d = Harness.Soak_exp.default_config () in
     let config =
       {
-        (Harness.Soak_exp.default_config ()) with
-        n_replicas = n;
-        n_certifiers = certifiers;
-        n_partitions = partitions;
+        d with
+        cluster =
+          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
+            ~n_partitions:partitions ~replica:d.cluster.replica
+            ~gc_interval:(gc_interval_of_sec gc_interval) ~seed d.cluster.mode;
         duration = Sim.Time.of_sec seconds;
         window = Sim.Time.of_sec window;
-        seed;
-        gc_interval = gc_interval_of_sec gc_interval;
         chaos = not no_chaos;
         chaos_period = Sim.Time.of_sec chaos_period;
         skew;
@@ -419,16 +405,17 @@ let soak_cmd =
 let explore_cmd =
   let run n certifiers partitions seconds seed first_seed n_seeds batch
       no_targeted no_shrink max_shrink_runs max_repros disk_faults =
+    let d = Harness.Chaos_exp.default_config () in
     let config =
       {
         Harness.Explore_exp.base =
           {
-            (Harness.Chaos_exp.default_config ()) with
-            n_replicas = n;
-            n_certifiers = certifiers;
-            n_partitions = partitions;
+            d with
+            cluster =
+              Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
+                ~n_partitions:partitions ~replica:d.cluster.replica ~seed
+                d.cluster.mode;
             duration = Sim.Time.of_sec seconds;
-            seed;
             disk_faults;
           };
         first_seed;
@@ -533,25 +520,14 @@ let trace_cmd =
     Arg.conv (parse, print)
   in
   let run mode n certifiers seconds seed output check =
-    let spec = Workload.Tpcb.profile () in
-    let engine = Sim.Engine.create () in
-    let trace = Obs.Trace.create engine in
-    let cluster =
-      Tashkent.Cluster.create ~engine ~trace
-        (Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers ~seed mode)
+    let sc =
+      Harness.Scenario.start
+        (Harness.Scenario.config ~trace:true
+           (Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers ~seed mode)
+           (Workload.Tpcb.profile ()))
     in
-    Tashkent.Cluster.load_all cluster (spec.Workload.Spec.initial_rows ~n_replicas:n);
-    Tashkent.Cluster.settle cluster;
-    let collector = Workload.Driver.Collector.create () in
-    let rng = Sim.Rng.create (seed + 1) in
-    List.iteri
-      (fun replica_ix replica ->
-        Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-          ~rng:(Sim.Rng.split rng) ~collector ~replica_ix ~n_replicas:n)
-      (Tashkent.Cluster.replicas cluster);
-    Sim.Engine.run
-      ~until:(Sim.Time.add (Sim.Engine.now engine) (Sim.Time.of_sec seconds))
-      engine;
+    Harness.Scenario.run_for sc (Sim.Time.of_sec seconds);
+    let trace = sc.trace in
     let json = Obs.Trace.to_chrome_json trace in
     let oc = open_out output in
     output_string oc json;

@@ -16,24 +16,16 @@ type plan_kind =
          message-tap schedules *)
 
 type config = {
-  mode : Tashkent.Types.mode;
-  n_replicas : int;
-  n_certifiers : int;
-  n_partitions : int;
-      (* certifier groups; > 1 routes clients through Session and adds the
-         cross-partition atomicity/durability invariants to every checkpoint *)
+  cluster : Tashkent.Cluster.config;
+      (* n_partitions > 1 routes clients through Session and adds the
+         cross-partition atomicity/durability invariants to every
+         checkpoint *)
   duration : Time.t;
-  seed : int;
   plan : plan_kind;
   collect_trace : bool;
   disk_faults : bool;
   fsync_stall : Time.t;
-  apply_workers : int;
   deltas : bool; (* TPC-B balance updates as commutative Add ops *)
-  gc_interval : Time.t option;
-      (* replica vacuum period; 5 s by default so log truncation and store
-         pruning are both exercised within a short chaos run *)
-  max_snapshot_age : Time.t option;
   monitors : bool;
       (* online protocol monitors (Obs.Monitor) checking every event as it
          is emitted; on by default — disabling is for overhead comparison
@@ -45,20 +37,17 @@ type config = {
 
 let default_config () =
   {
-    mode = Tashkent.Types.Tashkent_mw;
-    n_replicas = 3;
-    n_certifiers = 3;
-    n_partitions = 1;
+    (* GC every 5 s, so log truncation and store pruning are both
+       exercised within a short chaos run *)
+    cluster =
+      Tashkent.Cluster.config ~gc_interval:(Some (Time.sec 5)) ~seed:1966
+        Tashkent.Types.Tashkent_mw;
     duration = Time.sec 20;
-    seed = 1966;
     plan = Scripted;
     collect_trace = false;
     disk_faults = false;
     fsync_stall = Time.of_ms 600.;
-    apply_workers = 1;
     deltas = false;
-    gc_interval = Some (Time.sec 5);
-    max_snapshot_age = None;
     monitors = true;
     progress_bound = Time.sec 5;
   }
@@ -161,34 +150,19 @@ let checkpoints_of plan =
           None)
     plan
 
-let run_for engine span = Engine.run ~until:(Time.add (Engine.now engine) span) engine
-
-(* Every (up replica, hosted partition) pair, with that partition's
-   proxy and database. *)
-let hosted_pairs cluster ~part =
-  List.filter_map
-    (fun r ->
-      match
-        (Tashkent.Replica.proxy_of r ~part, Tashkent.Replica.db_of r ~part)
-      with
-      | Some proxy, Some db -> Some (r, proxy, db)
-      | _ -> None)
-    (Tashkent.Cluster.replicas cluster)
-
 (* A checkpoint is only meaningful once every certifier group has a
    leader and each group's rebuilt log has caught back up with every up
    replica hosting its partition (a freshly elected leader can briefly
    trail while state transfer / redelivery completes). *)
-let wait_checkable cluster engine =
-  let deadline = Time.add (Engine.now engine) (Time.sec 10) in
-  let parts = List.map fst (Tashkent.Cluster.certifier_groups cluster) in
+let wait_checkable (sc : Scenario.t) =
+  let parts = List.map fst (Tashkent.Cluster.certifier_groups sc.cluster) in
   (* Highest commit version of this partition acked durable to any of its
      proxies — local and cross-partition acks both count: a freshly
      elected group leader must have re-delivered at least this far before
      the durability invariant is meaningful. *)
   let max_acked part =
     List.fold_left
-      (fun acc (_r, proxy, _db) ->
+      (fun acc proxy ->
         let acc =
           List.fold_left
             (fun acc (_req, v) -> max acc v)
@@ -200,45 +174,38 @@ let wait_checkable cluster engine =
           acc
           (Tashkent.Proxy.journaled_cross_commits proxy))
       0
-      (hosted_pairs cluster ~part)
+      (Scenario.proxies ~part sc)
   in
   let group_ready part =
-    match Tashkent.Cluster.group_leader cluster ~part with
+    match Tashkent.Cluster.group_leader sc.cluster ~part with
     | None -> false
     | Some lead ->
         let lv = Tashkent.Certifier.system_version lead in
         lv >= max_acked part
         && List.for_all
-             (fun (r, _proxy, db) ->
-               (not (Tashkent.Replica.is_up r))
-               || Mvcc.Store.current_version (Mvcc.Db.store db) <= lv)
-             (hosted_pairs cluster ~part)
+             (fun db -> Mvcc.Store.current_version (Mvcc.Db.store db) <= lv)
+             (Scenario.dbs ~up:true ~part sc)
   in
-  let ready () = List.for_all group_ready parts in
-  let rec loop () =
-    if (not (ready ())) && Time.(Engine.now engine < deadline) then begin
-      run_for engine (Time.of_ms 100.);
-      loop ()
-    end
-  in
-  loop ()
+  (* at most 10 s *)
+  Scenario.wait_for sc ~step:(Time.of_ms 100.) ~limit:100 (fun () ->
+      List.for_all group_ready parts)
 
 (* The durability invariant (§4/§7 write-ahead discipline, end to end):
    every commit acked durable to some proxy before a crash must still be
    present — same origin, same request — at its acked version in the
    current leader's certified log after recovery. Torn/corrupt-tail
    truncation may only ever discard records that were never acked. *)
-let check_durability cluster violations stamp =
+let check_durability (sc : Scenario.t) violations stamp =
   List.iter
     (fun (part, _members) ->
-      match Tashkent.Cluster.group_leader cluster ~part with
+      match Tashkent.Cluster.group_leader sc.cluster ~part with
       | None -> ()
       | Some lead ->
           let log = Tashkent.Certifier.log lead in
           let top = Tashkent.Cert_log.version log in
           let floor = Tashkent.Cert_log.floor log in
           List.iter
-            (fun (_r, proxy, _db) ->
+            (fun proxy ->
               let origin = Tashkent.Proxy.addr proxy in
               List.iter
                 (fun (req_id, version) ->
@@ -292,156 +259,87 @@ let check_durability cluster violations stamp =
                              origin version what part)
                         :: !violations)
                 (Tashkent.Proxy.journaled_cross_commits proxy))
-            (hosted_pairs cluster ~part))
-    (Tashkent.Cluster.certifier_groups cluster)
+            (Scenario.proxies ~part sc))
+    (Tashkent.Cluster.certifier_groups sc.cluster)
 
-let check cluster engine violations =
-  wait_checkable cluster engine;
+let check (sc : Scenario.t) violations =
+  wait_checkable sc;
   let stamp msg =
-    Printf.sprintf "t=%s: %s" (Time.to_string (Engine.now engine)) msg
+    Printf.sprintf "t=%s: %s" (Time.to_string (Engine.now sc.engine)) msg
   in
-  (match Tashkent.Cluster.check_log_invariants cluster with
-  | Ok () -> ()
-  | Error msg -> violations := stamp msg :: !violations);
-  (match Tashkent.Cluster.check_consistency cluster with
-  | Ok () -> ()
-  | Error msg -> violations := stamp msg :: !violations);
-  (match Tashkent.Cluster.check_cross_atomicity cluster with
-  | Ok () -> ()
-  | Error msg -> violations := stamp msg :: !violations);
-  check_durability cluster violations stamp
+  List.iter
+    (fun msg -> violations := stamp msg :: !violations)
+    (Scenario.invariant_violations sc);
+  check_durability sc violations stamp
 
 let run ?(config = default_config ()) () =
+  let n_partitions = config.cluster.n_partitions in
   let spec =
     (* Partitioned runs drive the partition-aware profile through Session
        (a third of the transactions span two certifier groups), so the
        chaos plan exercises the cross-partition commit protocol;
        single-partition runs keep the seed TPC-B workload bit-for-bit. *)
-    if config.n_partitions > 1 then
-      Workload.Partlocal.profile ~partitions:config.n_partitions
-        ~cross_ratio:0.33 ()
+    if n_partitions > 1 then
+      Workload.Partlocal.profile ~partitions:n_partitions ~cross_ratio:0.33 ()
     else Workload.Tpcb.profile ~deltas:config.deltas ()
   in
-  let engine = Engine.create () in
-  let trace =
-    if config.collect_trace then Obs.Trace.create engine else Obs.Trace.disabled ()
+  let sc =
+    Scenario.start
+      (Scenario.config ~trace:config.collect_trace ~monitors:config.monitors
+         ~progress_bound:config.progress_bound config.cluster spec)
   in
-  let events =
-    if config.monitors then Obs.Events.create engine
-    else Obs.Events.disabled ()
-  in
-  let cluster =
-    Tashkent.Cluster.create ~engine ~trace ~events
-      (Tashkent.Cluster.config ~n_replicas:config.n_replicas
-         ~n_certifiers:config.n_certifiers
-         ~n_partitions:config.n_partitions
-         ~replica:
-           {
-             (Tashkent.Replica.default_config config.mode) with
-             Tashkent.Replica.staleness_bound = Some (Time.sec 1);
-             apply_workers = config.apply_workers;
-             gc_interval = config.gc_interval;
-             max_snapshot_age = config.max_snapshot_age;
-           }
-         ~seed:config.seed config.mode)
-  in
-  let monitor =
-    Obs.Monitor.attach ~progress_bound:config.progress_bound
-      ~metrics:(Tashkent.Cluster.metrics cluster) events
-  in
-  Tashkent.Cluster.load_all cluster
-    (spec.Workload.Spec.initial_rows ~n_replicas:config.n_replicas);
-  Tashkent.Cluster.settle cluster;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun part ->
-          match Tashkent.Replica.proxy_of r ~part with
-          | Some p -> Tashkent.Proxy.enable_commit_journal p
-          | None -> ())
-        (Tashkent.Replica.partitions r))
-    (Tashkent.Cluster.replicas cluster);
-  let collector = Workload.Driver.Collector.create () in
-  let rng = Rng.create (config.seed + 1) in
-  List.iteri
-    (fun replica_ix replica ->
-      if config.n_partitions > 1 then
-        Workload.Driver.spawn_session_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix
-          ~n_replicas:config.n_replicas
-      else
-        Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix
-          ~n_replicas:config.n_replicas)
-    (Tashkent.Cluster.replicas cluster);
+  let proxies = Scenario.proxies sc in
+  List.iter Tashkent.Proxy.enable_commit_journal proxies;
   let plan =
     match config.plan with
-    | Scripted when config.n_partitions > 1 -> scripted_partition_plan ()
-    | Scripted -> scripted_plan ~n_certifiers:config.n_certifiers
+    | Scripted when n_partitions > 1 -> scripted_partition_plan ()
+    | Scripted -> scripted_plan ~n_certifiers:config.cluster.n_certifiers
     | Scripted_disk -> scripted_disk_plan ()
     | Random seed ->
         Fault.random_plan ~seed ~duration:config.duration
-          ~n_certifiers:config.n_certifiers ~n_replicas:config.n_replicas
-          ~n_partitions:config.n_partitions ~disk_faults:config.disk_faults
-          ~fsync_stall:config.fsync_stall ()
+          ~n_certifiers:config.cluster.n_certifiers
+          ~n_replicas:config.cluster.n_replicas ~n_partitions
+          ~disk_faults:config.disk_faults ~fsync_stall:config.fsync_stall ()
     | Explicit plan -> plan
   in
-  let started = Engine.now engine in
-  let injector = Fault.inject cluster plan in
-  Fault.register_metrics injector (Tashkent.Cluster.metrics cluster);
+  let started = Engine.now sc.engine in
+  let injector = Fault.inject sc.cluster plan in
+  Fault.register_metrics injector (Tashkent.Cluster.metrics sc.cluster);
   let violations = ref [] in
   let checks = ref 0 in
   let checkpoints =
     List.sort_uniq Time.compare (checkpoints_of plan)
     |> List.filter (fun t -> Time.(t < config.duration))
   in
+  let run_until offset =
+    let due = Time.add started offset and now = Engine.now sc.engine in
+    if Time.(due > now) then Scenario.run_for sc (Time.diff due now)
+  in
   List.iter
     (fun offset ->
-      let due = Time.add started offset in
-      let now = Engine.now engine in
-      if Time.(due > now) then run_for engine (Time.diff due now);
+      run_until offset;
       incr checks;
-      check cluster engine violations)
+      check sc violations)
     checkpoints;
   (* Run out the clock, then a final end-to-end checkpoint once the
      injector is fully quiescent. *)
-  let due = Time.add started config.duration in
-  let now = Engine.now engine in
-  if Time.(due > now) then run_for engine (Time.diff due now);
-  let rec drain limit =
-    if (not (Fault.quiescent injector)) && limit > 0 then begin
-      run_for engine (Time.sec 1);
-      drain (limit - 1)
-    end
-  in
-  drain 30;
+  run_until config.duration;
+  Scenario.drain sc injector ~limit:30;
   incr checks;
-  check cluster engine violations;
-  Obs.Monitor.finalize monitor ~now:(Engine.now engine);
-  let hosted_proxies r =
-    List.filter_map
-      (fun part -> Tashkent.Replica.proxy_of r ~part)
-      (Tashkent.Replica.partitions r)
-  in
-  let over_proxies f =
-    List.fold_left
-      (fun acc r -> List.fold_left (fun acc p -> acc + f p) acc (hosted_proxies r))
-      0
-      (Tashkent.Cluster.replicas cluster)
-  in
+  check sc violations;
+  let monitor_violations = Scenario.monitor_violations sc in
+  let over_proxies f = Scenario.sum f proxies in
   let sum f = over_proxies (fun p -> f (Tashkent.Proxy.client p)) in
   let proxy_sum f = over_proxies (fun p -> f (Tashkent.Proxy.stats p)) in
   let session_sum f =
-    List.fold_left
-      (fun acc r -> acc + f (Tashkent.Session.stats (Tashkent.Replica.session r)))
-      0
-      (Tashkent.Cluster.replicas cluster)
+    Scenario.sum
+      (fun r -> f (Tashkent.Session.stats (Tashkent.Replica.session r)))
+      (Tashkent.Cluster.replicas sc.cluster)
   in
   let cert_sum f =
-    List.fold_left
-      (fun acc c -> acc + f (Tashkent.Certifier.stats c))
-      0
-      (Tashkent.Cluster.certifiers cluster)
+    Scenario.sum
+      (fun c -> f (Tashkent.Certifier.stats c))
+      (Tashkent.Cluster.certifiers sc.cluster)
   in
   {
     commits = proxy_sum (fun (s : Tashkent.Proxy.stats) -> s.commits);
@@ -458,14 +356,11 @@ let run ?(config = default_config ()) () =
     fault = Fault.stats injector;
     checks = !checks;
     violations = List.rev !violations;
-    monitor_violations =
-      List.map
-        (Format.asprintf "%a" Obs.Monitor.pp_violation)
-        (Obs.Monitor.violations monitor);
-    monitor_events = Obs.Monitor.events_seen monitor;
+    monitor_violations;
+    monitor_events = Obs.Monitor.events_seen sc.monitor;
     bridge_heals = over_proxies Tashkent.Proxy.bridge_heals;
-    ran_for = Time.diff (Engine.now engine) started;
-    trace;
+    ran_for = Time.diff (Engine.now sc.engine) started;
+    trace = sc.trace;
     durable_acked =
       over_proxies (fun p ->
           List.length (Tashkent.Proxy.journaled_commits p)

@@ -22,12 +22,8 @@ type plan_kind =
           message-tap schedules run through the same harness *)
 
 type config = {
-  mode : Tashkent.Types.mode;
-  n_replicas : int;
-  n_certifiers : int;
-  n_partitions : int;
-      (** certifier groups (default 1 — the single-group cluster,
-          bit-identical to pre-partitioning runs). With [> 1] the clients
+  cluster : Tashkent.Cluster.config;
+      (** the cluster under test. With [n_partitions > 1] the clients
           drive {!Workload.Partlocal} through each replica's
           {!Tashkent.Session} (a third of transactions span two groups),
           the [Scripted] plan becomes {!scripted_partition_plan}, random
@@ -35,10 +31,10 @@ type config = {
           asserts {!Tashkent.Cluster.check_cross_atomicity} plus the
           cross-commit durability witness
           ({!Tashkent.Proxy.journaled_cross_commits} against
-          {!Tashkent.Certifier.x_outcome}). *)
+          {!Tashkent.Certifier.x_outcome}). Replicas with
+          [apply_workers > 1] exercise crash/recovery mid-parallel-apply. *)
   duration : Sim.Time.t;
-  seed : int;  (** cluster/workload seed (the plan seed is separate) *)
-  plan : plan_kind;
+  plan : plan_kind;  (** its seed is separate from the cluster's *)
   collect_trace : bool;
       (** record lifecycle spans for the whole run (including fault
           windows); read them from [result.trace] *)
@@ -49,20 +45,10 @@ type config = {
       (** per-op stall used by random disk-fault plans; the default 600 ms
           is above the certifiers' fsync deadline, forcing a
           degraded-disk failover *)
-  apply_workers : int;
-      (** parallel applier fibers per replica (default 1) — chaos with
-          [> 1] exercises crash/recovery mid-parallel-apply *)
   deltas : bool;
       (** run TPC-B with commutative {!Mvcc.Writeset.Add} balance updates
           (default off) — chaos with deltas exercises the certification
           fast path and delta WAL replay through crashes and failovers *)
-  gc_interval : Sim.Time.t option;
-      (** replica vacuum period (default 5 s — short enough that log
-          truncation {e and} store pruning both fire within a 20 s chaos
-          run, so the invariants are asserted with GC active) *)
-  max_snapshot_age : Sim.Time.t option;
-      (** stale-snapshot escape hatch (default [None]); see
-          {!Mvcc.Db.config.max_snapshot_age} *)
   monitors : bool;
       (** attach the five online protocol monitors ({!Obs.Monitor}) to the
           cluster's event stream (default on). Monitors are pure
@@ -75,8 +61,10 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Tashkent-MW, 3 replicas, 3 certifiers, 20 simulated seconds, the
-    scripted plan. *)
+(** Tashkent-MW, 3 replicas, 3 certifiers, seed 1966, replica GC every
+    5 s (short enough that log truncation {e and} store pruning both fire
+    within the run, so the invariants are asserted with GC active), 20
+    simulated seconds, the scripted plan. *)
 
 type result = {
   commits : int;

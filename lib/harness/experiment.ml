@@ -21,20 +21,13 @@ let system_name = function
 
 type config = {
   system : system;
-  io : Tashkent.Replica.io_layout;
-  n_replicas : int;
-  n_certifiers : int;
-  n_partitions : int;
-      (* certifier groups; > 1 routes clients through Session so
-         transactions may span groups *)
-  hosting : Tashkent.Cluster.hosting;
+  cluster : Tashkent.Cluster.config;
+      (* its mode is replaced by the system's; see [scenario] for what
+         else a run derives *)
   cross_ratio : float;
       (* fraction of Part_local transactions spanning two partitions *)
   clients_per_replica : int option;
       (* None = the workload profile's default population *)
-  certify_cpu : Time.t option;
-      (* None = Certifier.default_config.certify_cpu; raise it to model a
-         certification-heavy workload (large writesets / saturated group) *)
   part_exec_cpu : Time.t option;
       (* Part_local only: per-transaction replica execution CPU (None =
          the profile's PostgreSQL-calibrated default) *)
@@ -43,12 +36,6 @@ type config = {
       (* ship commutative Add ops where the workload supports them
          (Hotkey's hot-row bump, TPC-B's balance updates) *)
   hot_skew : float; (* Zipf θ for the Hotkey workload *)
-  abort_rate : float;
-  eager_precert : bool;
-  group_remote_batches : bool;
-  apply_workers : int;
-  gc_interval : Time.t option;
-  seed : int;
   warmup : Time.t;
   measure : Time.t;
   trace : bool;
@@ -60,24 +47,13 @@ type config = {
 let default =
   {
     system = Replicated Tashkent.Types.Tashkent_mw;
-    io = Tashkent.Replica.Shared_io;
-    n_replicas = 3;
-    n_certifiers = 3;
-    n_partitions = 1;
-    hosting = Tashkent.Cluster.Host_all;
+    cluster = Tashkent.Cluster.config ~seed:20060418 Tashkent.Types.Tashkent_mw;
     cross_ratio = 0.;
     clients_per_replica = None;
-    certify_cpu = None;
     part_exec_cpu = None;
     workload = All_updates;
     deltas = false;
     hot_skew = 0.99;
-    abort_rate = 0.;
-    eager_precert = true;
-    group_remote_batches = true;
-    apply_workers = 1;
-    gc_interval = Some (Time.sec 30);
-    seed = 20060418;
     warmup = Time.sec 5;
     measure = Time.sec 20;
     trace = false;
@@ -96,8 +72,8 @@ let spec_of cfg =
   | Part_local ->
       Workload.Partlocal.profile ?clients_per_replica:clients
         ?exec_cpu:cfg.part_exec_cpu
-        ~modulo_hosting:(cfg.hosting = Tashkent.Cluster.Host_modulo)
-        ~partitions:cfg.n_partitions ~cross_ratio:cfg.cross_ratio ()
+        ~modulo_hosting:(cfg.cluster.hosting = Tashkent.Cluster.Host_modulo)
+        ~partitions:cfg.cluster.n_partitions ~cross_ratio:cfg.cross_ratio ()
 
 type result = {
   throughput : float;
@@ -126,145 +102,81 @@ type result = {
   monitor_events : int;
 }
 
-let replica_config_of cfg (spec : Workload.Spec.t) mode =
-  {
-    (Tashkent.Replica.default_config mode) with
-    Tashkent.Replica.io = cfg.io;
-    (* performance runs do not take periodic dumps; recovery experiments
-       configure them explicitly *)
-    mw_recovery = Tashkent.Replica.Dump_based { interval = Time.sec 1_000_000 };
-    eager_precert = cfg.eager_precert;
-    group_remote_batches = cfg.group_remote_batches;
-    page_read_miss = spec.Workload.Spec.page_read_miss;
-    page_writeback_per_op = spec.Workload.Spec.page_writeback_per_op;
-    bg_page_writes_per_sec = spec.Workload.Spec.bg_page_writes_per_sec;
-    db_size_bytes = spec.Workload.Spec.db_size_bytes;
-    staleness_bound = Some (Time.sec 1);
-    apply_workers = cfg.apply_workers;
-    gc_interval = cfg.gc_interval;
-  }
+let replicated cfg =
+  match cfg.system with
+  | Standalone -> invalid_arg "Experiment.scenario: Standalone has no cluster"
+  | Replicated mode -> (mode, true)
+  | Replicated_nocert mode -> (mode, false)
 
-let run_replicated cfg mode ~durable_cert =
+let scenario cfg =
+  let mode, durable_cert = replicated cfg in
   let spec = spec_of cfg in
-  let cluster_cfg =
+  let c = cfg.cluster in
+  let replica =
     {
-      Tashkent.Cluster.mode;
-      n_replicas = cfg.n_replicas;
-      n_certifiers = (if durable_cert then cfg.n_certifiers else 1);
-      n_partitions = cfg.n_partitions;
-      hosting = cfg.hosting;
-      certifier =
-        {
-          Tashkent.Certifier.default_config with
-          durable = durable_cert;
-          forced_abort_rate = cfg.abort_rate;
-          certify_cpu =
-            Option.value cfg.certify_cpu
-              ~default:Tashkent.Certifier.default_config.certify_cpu;
-        };
-      replica = replica_config_of cfg spec mode;
-      seed = cfg.seed;
+      (Scenario.storage_profile spec c.replica) with
+      Tashkent.Replica.mode;
+      (* performance runs do not take periodic dumps; recovery experiments
+         configure them explicitly *)
+      mw_recovery = Tashkent.Replica.Dump_based { interval = Time.sec 1_000_000 };
     }
   in
-  let engine = Engine.create () in
-  let trace =
-    if cfg.trace then Obs.Trace.create engine else Obs.Trace.disabled ()
+  let cluster =
+    {
+      c with
+      Tashkent.Cluster.mode;
+      n_certifiers = (if durable_cert then c.n_certifiers else 1);
+      certifier = { c.certifier with durable = durable_cert };
+      replica;
+    }
   in
-  let events =
-    if cfg.monitors then Obs.Events.create engine else Obs.Events.disabled ()
-  in
-  let cluster = Tashkent.Cluster.create ~engine ~trace ~events cluster_cfg in
-  let monitor =
-    Obs.Monitor.attach ~metrics:(Tashkent.Cluster.metrics cluster) events
-  in
-  Tashkent.Cluster.load_all cluster (spec.Workload.Spec.initial_rows ~n_replicas:cfg.n_replicas);
-  Tashkent.Cluster.settle cluster;
-  let collector = Workload.Driver.Collector.create () in
-  let rng = Rng.create (cfg.seed + 1) in
-  List.iteri
-    (fun replica_ix replica ->
-      if cfg.n_partitions > 1 then
-        Workload.Driver.spawn_session_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix ~n_replicas:cfg.n_replicas
+  Scenario.config ~trace:cfg.trace ~monitors:cfg.monitors cluster spec
+
+let mean f = function
+  | [] -> 0.
+  | xs -> List.fold_left (fun a x -> a +. f x) 0. xs /. float_of_int (List.length xs)
+
+(* A per-group mean over every group, weighted by each group's count (one
+   group reads its own mean unchanged). *)
+let weighted_mean f weight = function
+  | [ s ] -> f s
+  | ss ->
+      let w = Scenario.sum weight ss in
+      if w = 0 then 0.
       else
-        Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix ~n_replicas:cfg.n_replicas)
-    (Tashkent.Cluster.replicas cluster);
+        List.fold_left (fun a s -> a +. (f s *. float_of_int (weight s))) 0. ss
+        /. float_of_int w
+
+let measure cfg (sc : Scenario.t) =
+  let engine = sc.engine and cluster = sc.cluster and collector = sc.collector in
   (* Warm up, then measure. *)
-  Engine.run ~until:(Time.add (Engine.now engine) cfg.warmup) engine;
+  Scenario.run_for sc cfg.warmup;
   Workload.Driver.Collector.enable collector;
   Tashkent.Cluster.reset_stats cluster;
   let measure_start = Engine.now engine in
-  Engine.run ~until:(Time.add measure_start cfg.measure) engine;
+  Scenario.run_for sc cfg.measure;
   let window = Time.diff (Engine.now engine) measure_start in
-  let leader_stats =
-    match Tashkent.Cluster.leader cluster with
-    | Some leader -> Tashkent.Certifier.stats leader
-    | None -> failwith "experiment: certifier leader lost during measurement"
-  in
-  (* Utilization is averaged over every group's leader: with partitioned
-     certification the load splits across groups, and that split is the
+  (* Every group's leader: with partitioned certification the load and the
+     certified stream split across groups, and that split is the
      measurement. *)
-  let leaders = Tashkent.Cluster.leaders cluster in
-  let leader_avg f =
-    match leaders with
-    | [] -> 0.
-    | ls ->
-        List.fold_left (fun a l -> a +. f (Tashkent.Certifier.stats l)) 0. ls
-        /. float_of_int (List.length ls)
+  let leaders =
+    match List.map Tashkent.Certifier.stats (Tashkent.Cluster.leaders cluster) with
+    | [] -> failwith "experiment: certifier leader lost during measurement"
+    | ls -> ls
   in
   let replicas = Tashkent.Cluster.replicas cluster in
-  let nf = float_of_int (List.length replicas) in
-  let avg f = List.fold_left (fun a r -> a +. f r) 0. replicas /. nf in
-  (* Per-(replica, hosted partition) proxies and databases. *)
-  let hosted_proxies r =
-    List.filter_map
-      (fun part -> Tashkent.Replica.proxy_of r ~part)
-      (Tashkent.Replica.partitions r)
-  in
-  let hosted_dbs r =
-    List.filter_map
-      (fun part -> Tashkent.Replica.db_of r ~part)
-      (Tashkent.Replica.partitions r)
-  in
-  let proxy_sum f =
-    List.fold_left
-      (fun a r -> List.fold_left (fun a p -> a + f p) a (hosted_proxies r))
-      0 replicas
-  in
-  let proxy_avg f =
-    let n = ref 0 and total = ref 0. in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun p ->
-            incr n;
-            total := !total +. f p)
-          (hosted_proxies r))
-      replicas;
-    if !n = 0 then 0. else !total /. float_of_int !n
-  in
-  let db_avg f =
-    let n = ref 0 and total = ref 0. in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun db ->
-            incr n;
-            total := !total +. f db)
-          (hosted_dbs r))
-      replicas;
-    if !n = 0 then 0. else !total /. float_of_int !n
-  in
+  let proxies = Scenario.proxies sc in
+  let proxy_sum f = Scenario.sum (fun p -> f (Tashkent.Proxy.stats p)) proxies in
   let session_sum f =
-    List.fold_left
-      (fun a r -> a + f (Tashkent.Session.stats (Tashkent.Replica.session r)))
-      0 replicas
+    Scenario.sum
+      (fun r -> f (Tashkent.Session.stats (Tashkent.Replica.session r)))
+      replicas
   in
   let commits = Workload.Driver.Collector.committed collector in
   let aborts = Workload.Driver.Collector.aborted collector in
-  let remote_shipped =
-    proxy_sum (fun p -> (Tashkent.Proxy.stats p).remote_ws_applied)
+  let remote_shipped = proxy_sum (fun s -> s.remote_ws_applied) in
+  let artificial =
+    Scenario.sum (fun (s : Tashkent.Certifier.stats) -> s.artificial_conflicts) leaders
   in
   {
     throughput = Workload.Driver.Collector.throughput_all collector ~window;
@@ -281,42 +193,44 @@ let run_replicated cfg mode ~durable_cert =
       session_sum (fun (s : Tashkent.Session.stats) -> s.cross_commits);
     cross_aborts =
       session_sum (fun (s : Tashkent.Session.stats) -> s.cross_aborts);
-    cert_ws_per_fsync = leader_stats.mean_group_size;
-    cert_accept_broadcasts = leader_stats.accept_broadcasts;
-    cert_mean_accept_batch = leader_stats.mean_accept_batch;
+    cert_ws_per_fsync =
+      weighted_mean
+        (fun (s : Tashkent.Certifier.stats) -> s.mean_group_size)
+        (fun s -> s.log_fsyncs) leaders;
+    cert_accept_broadcasts =
+      Scenario.sum (fun (s : Tashkent.Certifier.stats) -> s.accept_broadcasts) leaders;
+    cert_mean_accept_batch =
+      weighted_mean
+        (fun (s : Tashkent.Certifier.stats) -> s.mean_accept_batch)
+        (fun s -> s.accept_broadcasts) leaders;
     db_ws_per_fsync =
-      db_avg (fun db -> Storage.Wal.mean_group_size (Mvcc.Db.wal db));
+      mean (fun db -> Storage.Wal.mean_group_size (Mvcc.Db.wal db)) (Scenario.dbs sc);
     artificial_conflict_pct =
       (if remote_shipped = 0 then 0.
-       else
-         float_of_int leader_stats.artificial_conflicts /. float_of_int remote_shipped);
+       else float_of_int artificial /. float_of_int remote_shipped);
     cert_cpu_util =
-      leader_avg (fun (s : Tashkent.Certifier.stats) -> s.cpu_utilization);
+      mean (fun (s : Tashkent.Certifier.stats) -> s.cpu_utilization) leaders;
     cert_disk_util =
-      leader_avg (fun (s : Tashkent.Certifier.stats) -> s.disk_utilization);
+      mean (fun (s : Tashkent.Certifier.stats) -> s.disk_utilization) leaders;
     replica_cpu_util =
-      avg (fun r -> Resource.utilization (Tashkent.Replica.cpu r));
+      mean (fun r -> Resource.utilization (Tashkent.Replica.cpu r)) replicas;
     replica_disk_util =
-      avg (fun r -> Storage.Disk.utilization (Tashkent.Replica.log_disk r));
-    apply_parallelism = proxy_avg Tashkent.Proxy.apply_parallelism;
-    apply_stalls = proxy_sum (fun p -> (Tashkent.Proxy.stats p).apply_stalls);
-    stage_latency = Obs.Trace.all_stage_stats trace;
-    monitor_violations =
-      (Obs.Monitor.finalize monitor ~now:(Engine.now engine);
-       List.map
-         (Format.asprintf "%a" Obs.Monitor.pp_violation)
-         (Obs.Monitor.violations monitor));
-    monitor_events = Obs.Monitor.events_seen monitor;
+      mean (fun r -> Storage.Disk.utilization (Tashkent.Replica.log_disk r)) replicas;
+    apply_parallelism = mean Tashkent.Proxy.apply_parallelism proxies;
+    apply_stalls = proxy_sum (fun s -> s.apply_stalls);
+    stage_latency = Obs.Trace.all_stage_stats sc.trace;
+    monitor_violations = Scenario.monitor_violations sc;
+    monitor_events = Obs.Monitor.events_seen sc.monitor;
   }
 
 let run_standalone cfg =
   let spec = spec_of cfg in
   let engine = Engine.create () in
-  let rng = Rng.create cfg.seed in
+  let rng = Rng.create cfg.cluster.seed in
   let cpu = Resource.create engine ~name:"standalone.cpu" ~capacity:1 () in
   let hdd = Storage.Disk.create engine ~rng:(Rng.split rng) ~name:"standalone.disk" () in
   let log_disk, data_disk =
-    match cfg.io with
+    match cfg.cluster.replica.io with
     | Tashkent.Replica.Shared_io -> (hdd, hdd)
     | Tashkent.Replica.Dedicated_io ->
         (hdd, Storage.Disk.create_ram engine ~rng:(Rng.split rng) ())
@@ -325,7 +239,7 @@ let run_standalone cfg =
     {
       Mvcc.Db.default_config with
       commit_record_bytes = 8192;
-      gc_interval = cfg.gc_interval;
+      gc_interval = cfg.cluster.replica.gc_interval;
       page_read_miss = spec.Workload.Spec.page_read_miss;
       page_writeback_per_op = spec.Workload.Spec.page_writeback_per_op;
       background_page_writes_per_sec = spec.Workload.Spec.bg_page_writes_per_sec;
@@ -377,5 +291,4 @@ let run_standalone cfg =
 let run cfg =
   match cfg.system with
   | Standalone -> run_standalone cfg
-  | Replicated mode -> run_replicated cfg mode ~durable_cert:true
-  | Replicated_nocert mode -> run_replicated cfg mode ~durable_cert:false
+  | Replicated _ | Replicated_nocert _ -> measure cfg (Scenario.start (scenario cfg))

@@ -24,30 +24,21 @@ val system_name : system -> string
 
 type config = {
   system : system;
-  io : Tashkent.Replica.io_layout;
-  n_replicas : int;
-  n_certifiers : int;  (** Paxos ring members {e per certifier group} *)
-  n_partitions : int;
-      (** certifier groups (default 1). With [> 1] the key space is
-          sharded by {!Tashkent.Partitioner}, each group certifies one
-          shard on its own ring/WAL/log, and clients run through
+  cluster : Tashkent.Cluster.config;
+      (** the cluster to build (default: {!Tashkent.Cluster.config} at
+          seed 20060418). A replicated run writes the system's mode into
+          it and its replica config, applies the workload's storage
+          profile ({!Scenario.storage_profile}), disables periodic dumps,
+          and for [Replicated_nocert] runs a single non-durable
+          certifier. With [n_partitions > 1] clients run through
           {!Tashkent.Session} so a transaction may atomically span
-          groups. [1] is bit-identical to the pre-partitioning system. *)
-  hosting : Tashkent.Cluster.hosting;
-      (** [Host_all] (default): every replica hosts every partition.
-          [Host_modulo]: replica [i] hosts only partition
-          [i mod n_partitions] — partial replication. *)
+          groups; [Host_modulo] hosting is partial replication. *)
   cross_ratio : float;
       (** fraction of {!Part_local} transactions that span two partitions
           (ignored by the other workloads; default 0) *)
   clients_per_replica : int option;
       (** closed-loop client population per replica; [None] (default)
           keeps each workload profile's own default *)
-  certify_cpu : Sim.Time.t option;
-      (** certifier CPU per certification request; [None] (default) keeps
-          {!Tashkent.Certifier.default_config}. Raising it models a
-          certification-heavy regime (large writesets, saturated group) —
-          the regime partitioned certification is built to relieve. *)
   part_exec_cpu : Sim.Time.t option;
       (** {!Part_local} only: per-transaction replica execution CPU;
           [None] (default) keeps the profile's PostgreSQL-calibrated
@@ -60,16 +51,6 @@ type config = {
           supports them (Hotkey's hot-row bump, TPC-B's balance updates);
           off = the blind read-modify-write baseline *)
   hot_skew : float;  (** Zipf θ for the {!Hotkey} workload (default 0.99) *)
-  abort_rate : float;  (** forced aborts at the certifier (§9.5) *)
-  eager_precert : bool;  (** §8.2 eager pre-certification (ablation knob) *)
-  group_remote_batches : bool;  (** §3 remote-writeset grouping (ablation knob) *)
-  apply_workers : int;
-      (** parallel applier fibers per replica (1 = the serial/concurrent
-          per-mode paths; see {!Tashkent.Proxy.config.apply_workers}) *)
-  gc_interval : Sim.Time.t option;
-      (** replica vacuum period driven by the cluster GC watermark
-          (default 30 s; [None] disables — the unbounded-growth baseline) *)
-  seed : int;
   warmup : Sim.Time.t;
   measure : Sim.Time.t;
   trace : bool;
@@ -100,16 +81,19 @@ type result = {
       (** multi-partition transactions committed atomically across
           certifier groups (0 when [n_partitions = 1]) *)
   cross_aborts : int;
-  cert_ws_per_fsync : float;  (** writesets grouped per certifier-log fsync *)
+  cert_ws_per_fsync : float;
+      (** writesets grouped per certifier-log fsync, over every group's
+          leader (weighted by fsyncs) *)
   cert_accept_broadcasts : int;
-      (** multi-entry Accept broadcasts sent by the leader *)
+      (** multi-entry Accept broadcasts sent by the group leaders *)
   cert_mean_accept_batch : float;
-      (** mean entries per Accept broadcast (> 1 under load) *)
+      (** mean entries per Accept broadcast (> 1 under load), weighted by
+          each leader's broadcasts *)
   db_ws_per_fsync : float;  (** commit records grouped per database-log fsync,
                                 averaged over replicas *)
   artificial_conflict_pct : float;
       (** fraction of shipped remote writesets flagged as artificially
-          conflicting (§5.2.1 / §9.3) *)
+          conflicting by any group's leader (§5.2.1 / §9.3) *)
   cert_cpu_util : float;
       (** averaged over every certifier group's leader — with partitioned
           certification this reads as per-group load *)
@@ -132,6 +116,15 @@ type result = {
           or with [monitors] off *)
   monitor_events : int;  (** protocol events the monitors consumed *)
 }
+
+val scenario : config -> Scenario.config
+(** The scenario a replicated run starts, with the derived settings
+    described at [config.cluster].
+    @raise Invalid_argument for [Standalone]. *)
+
+val measure : config -> Scenario.t -> result
+(** Warm a started scenario up for [warmup], reset every stat window,
+    measure for [measure], and read the results. *)
 
 val run : config -> result
 (** Blocking (runs the whole simulation): builds the system, warms it up

@@ -163,17 +163,17 @@ let targeted_plan ~seed ~duration ~n_certifiers ~n_replicas ?(n_partitions = 1)
 (* Running schedules *)
 
 let plan_of cfg { plan_seed; kind } =
-  let b = cfg.base in
+  let b = cfg.base and c = cfg.base.cluster in
   match kind with
   | Random_schedule ->
       Fault.random_plan ~seed:plan_seed ~duration:b.duration
-        ~n_certifiers:b.n_certifiers ~n_replicas:b.n_replicas
-        ~n_partitions:b.n_partitions ~disk_faults:b.disk_faults
+        ~n_certifiers:c.n_certifiers ~n_replicas:c.n_replicas
+        ~n_partitions:c.n_partitions ~disk_faults:b.disk_faults
         ~fsync_stall:b.fsync_stall ()
   | Targeted_schedule ->
       targeted_plan ~seed:plan_seed ~duration:b.duration
-        ~n_certifiers:b.n_certifiers ~n_replicas:b.n_replicas
-        ~n_partitions:b.n_partitions ()
+        ~n_certifiers:c.n_certifiers ~n_replicas:c.n_replicas
+        ~n_partitions:c.n_partitions ()
 
 (* A schedule that crashes the harness outright (an assertion or
    unexpected exception deep in the model) is itself a finding — explore

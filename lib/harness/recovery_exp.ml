@@ -17,46 +17,16 @@ type result = {
   update_rate : float;
 }
 
-let build_cluster ~mode ~n_replicas ~seed ~dump_interval =
+let start ~mode ~n_replicas ~seed ~dump_interval =
   let spec = Workload.Tpcw.profile () in
-  let replica_cfg =
+  let replica =
     {
-      (Tashkent.Replica.default_config mode) with
-      Tashkent.Replica.io = Tashkent.Replica.Shared_io;
+      (Scenario.storage_profile spec (Tashkent.Replica.default_config mode)) with
       mw_recovery = Tashkent.Replica.Dump_based { interval = dump_interval };
-      page_read_miss = spec.Workload.Spec.page_read_miss;
-      page_writeback_per_op = spec.Workload.Spec.page_writeback_per_op;
-      bg_page_writes_per_sec = spec.Workload.Spec.bg_page_writes_per_sec;
-      db_size_bytes = spec.Workload.Spec.db_size_bytes;
-      staleness_bound = Some (Time.sec 1);
     }
   in
-  let cluster =
-    Tashkent.Cluster.create
-      {
-        Tashkent.Cluster.mode;
-        n_replicas;
-        n_certifiers = 3;
-        n_partitions = 1;
-        hosting = Tashkent.Cluster.Host_all;
-        certifier = Tashkent.Certifier.default_config;
-        replica = replica_cfg;
-        seed;
-      }
-  in
-  let engine = Tashkent.Cluster.engine cluster in
-  Tashkent.Cluster.load_all cluster (spec.Workload.Spec.initial_rows ~n_replicas);
-  Tashkent.Cluster.settle cluster;
-  let collector = Workload.Driver.Collector.create () in
-  let rng = Rng.create (seed + 1) in
-  List.iteri
-    (fun replica_ix replica ->
-      Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-        ~rng:(Rng.split rng) ~collector ~replica_ix ~n_replicas)
-    (Tashkent.Cluster.replicas cluster);
-  (cluster, engine, collector)
-
-let run_for engine span = Engine.run ~until:(Time.add (Engine.now engine) span) engine
+  Scenario.start
+    (Scenario.config (Tashkent.Cluster.config ~n_replicas ~replica ~seed mode) spec)
 
 (* The dumper fiber sleeps its interval from replica creation (t ~ 0)
    before the dump proper begins, while the measurement clock starts
@@ -67,35 +37,31 @@ let net_dump_duration ~dump_began ~measured_from ~finished =
   Time.diff finished (Time.max dump_began measured_from)
 
 (* Goodput of one replica over a window. *)
-let replica_window_tput cluster engine i span =
-  let proxy = Tashkent.Replica.proxy (Tashkent.Cluster.replica cluster i) in
+let replica_window_tput (sc : Scenario.t) i span =
+  let proxy = Tashkent.Replica.proxy (Tashkent.Cluster.replica sc.cluster i) in
   let before = (Tashkent.Proxy.stats proxy).commits in
-  run_for engine span;
+  Scenario.run_for sc span;
   let after = (Tashkent.Proxy.stats proxy).commits in
   float_of_int (after - before) /. Time.to_sec span
 
 let run ?(n_replicas = 15) ?(seed = 1966) () =
   (* ---- Tashkent-MW cluster: dump, crash, restore, replay; certifier. ---- *)
   let dump_start = Time.sec 15 in
-  let cluster, engine, _collector =
-    build_cluster ~mode:Tashkent.Types.Tashkent_mw ~n_replicas ~seed
+  let sc =
+    start ~mode:Tashkent.Types.Tashkent_mw ~n_replicas ~seed
       ~dump_interval:dump_start
   in
+  let cluster = sc.cluster and engine = sc.engine in
   let r0 = Tashkent.Cluster.replica cluster 0 in
   (* warm up, then baseline window before the dump begins *)
-  run_for engine (Time.sec 5);
-  let baseline_tput = replica_window_tput cluster engine 0 (Time.sec 8) in
+  Scenario.run_for sc (Time.sec 5);
+  let baseline_tput = replica_window_tput sc 0 (Time.sec 8) in
   (* we are now inside the dump (it started at ~15 s); measure during-dump *)
   let dump_started_at = Engine.now engine in
-  let during_dump_tput = replica_window_tput cluster engine 0 (Time.sec 30) in
+  let during_dump_tput = replica_window_tput sc 0 (Time.sec 30) in
   (* run until the dump completes *)
-  let rec wait_dump limit =
-    if Tashkent.Replica.dumps_taken r0 = 0 && limit > 0 then begin
-      run_for engine (Time.sec 10);
-      wait_dump (limit - 1)
-    end
-  in
-  wait_dump 60;
+  Scenario.wait_for sc ~step:(Time.sec 10) ~limit:60 (fun () ->
+      Tashkent.Replica.dumps_taken r0 > 0);
   let dump_duration =
     net_dump_duration ~dump_began:dump_start ~measured_from:dump_started_at
       ~finished:(Engine.now engine)
@@ -109,7 +75,7 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
   let stats0 = Tashkent.Certifier.stats leader in
   let version0 = Tashkent.Certifier.system_version leader in
   let growth_window = Time.sec 30 in
-  run_for engine growth_window;
+  Scenario.run_for sc growth_window;
   let stats1 = Tashkent.Certifier.stats leader in
   let version1 = Tashkent.Certifier.system_version leader in
   let ws_in_window = version1 - version0 in
@@ -121,16 +87,10 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
   let cert_log_bytes_per_hour = float_of_int bytes_in_window /. Time.to_sec growth_window *. 3600. in
   (* crash replica 0, leave it down, recover from the dump *)
   Tashkent.Replica.crash r0;
-  run_for engine (Time.sec 60);
+  Scenario.run_for sc (Time.sec 60);
   let report = ref None in
   ignore (Engine.spawn engine (fun () -> report := Some (Tashkent.Replica.recover r0)));
-  let rec wait_recover limit =
-    if !report = None && limit > 0 then begin
-      run_for engine (Time.sec 20);
-      wait_recover (limit - 1)
-    end
-  in
-  wait_recover 60;
+  Scenario.wait_for sc ~step:(Time.sec 20) ~limit:60 (fun () -> !report <> None);
   let mw_report =
     match !report with
     | Some r -> r
@@ -143,39 +103,25 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
       (Tashkent.Cluster.certifiers cluster)
   in
   Tashkent.Certifier.crash victim;
-  run_for engine (Time.sec 60);
+  Scenario.run_for sc (Time.sec 60);
   Tashkent.Certifier.recover victim;
   let cert_recover_start = Engine.now engine in
-  let rec wait_cert limit =
-    let caught_up =
+  Scenario.wait_for sc ~step:(Time.of_ms 500.) ~limit:240 (fun () ->
       Tashkent.Certifier.system_version victim
-      >= Tashkent.Certifier.system_version leader - 5
-    in
-    if (not caught_up) && limit > 0 then begin
-      run_for engine (Time.of_ms 500.);
-      wait_cert (limit - 1)
-    end
-  in
-  wait_cert 240;
+      >= Tashkent.Certifier.system_version leader - 5);
   let cert_recovery_duration = Time.diff (Engine.now engine) cert_recover_start in
   (* ---- Base cluster: database-internal recovery (§7.2). ---- *)
-  let bcluster, bengine, _ =
-    build_cluster ~mode:Tashkent.Types.Base ~n_replicas:(min n_replicas 4) ~seed:(seed + 7)
+  let bsc =
+    start ~mode:Tashkent.Types.Base ~n_replicas:(min n_replicas 4) ~seed:(seed + 7)
       ~dump_interval:(Time.sec 1_000_000)
   in
-  run_for bengine (Time.sec 8);
-  let b0 = Tashkent.Cluster.replica bcluster 0 in
+  Scenario.run_for bsc (Time.sec 8);
+  let b0 = Tashkent.Cluster.replica bsc.cluster 0 in
   Tashkent.Replica.crash b0;
-  run_for bengine (Time.sec 30);
+  Scenario.run_for bsc (Time.sec 30);
   let breport = ref None in
-  ignore (Engine.spawn bengine (fun () -> breport := Some (Tashkent.Replica.recover b0)));
-  let rec wait_base limit =
-    if !breport = None && limit > 0 then begin
-      run_for bengine (Time.sec 5);
-      wait_base (limit - 1)
-    end
-  in
-  wait_base 60;
+  ignore (Engine.spawn bsc.engine (fun () -> breport := Some (Tashkent.Replica.recover b0)));
+  Scenario.wait_for bsc ~step:(Time.sec 5) ~limit:60 (fun () -> !breport <> None);
   let base_report =
     match !breport with
     | Some r -> r

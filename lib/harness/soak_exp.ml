@@ -13,19 +13,13 @@ open Sim
    recovery must heal via snapshot transfer. *)
 
 type config = {
-  mode : Tashkent.Types.mode;
-  n_replicas : int;
-  n_certifiers : int;
-  n_partitions : int;
-      (* certifier groups; > 1 routes the Zipfian clients through Session
-         (hot keys hash across every group) and spreads the periodic
-         chaos' certifier crashes over the groups *)
-  seed : int;
+  cluster : Tashkent.Cluster.config;
+      (* n_partitions > 1 routes the Zipfian clients through Session (hot
+         keys hash across every group) and spreads the periodic chaos'
+         certifier crashes over the groups *)
   duration : Time.t;
   window : Time.t;
   warmup_windows : int;
-  gc_interval : Time.t option;
-  max_snapshot_age : Time.t option;
   chaos : bool;
   chaos_period : Time.t;
   hot_keys : int;
@@ -40,16 +34,13 @@ type config = {
 
 let default_config () =
   {
-    mode = Tashkent.Types.Tashkent_mw;
-    n_replicas = 3;
-    n_certifiers = 3;
-    n_partitions = 1;
-    seed = 2006;
+    cluster =
+      Tashkent.Cluster.config ~gc_interval:(Some (Time.sec 5))
+        ~max_snapshot_age:(Some (Time.sec 30)) ~seed:2006
+        Tashkent.Types.Tashkent_mw;
     duration = Time.sec 600;
     window = Time.sec 30;
     warmup_windows = 1;
-    gc_interval = Some (Time.sec 5);
-    max_snapshot_age = Some (Time.sec 30);
     chaos = true;
     chaos_period = Time.sec 120;
     hot_keys = Workload.Hotkey.hot_keys_default;
@@ -71,8 +62,18 @@ type window_sample = {
   gc_floor : int;  (* the leader's truncation floor *)
 }
 
+type split = {
+  early_versions : int;
+  late_versions : int;
+  early_bytes : int;
+  late_bytes : int;
+  early_p99_ms : float;
+  late_p99_ms : float;
+}
+
 type result = {
   windows : window_sample list;  (* oldest first, warmup included *)
+  split : split;
   commits : int;
   store_pruned : int;
   cert_pruned : int;
@@ -123,78 +124,67 @@ let soak_plan ~duration ~period ~n_replicas ~n_partitions =
   in
   go 1 []
 
-let run_for engine span = Engine.run ~until:(Time.add (Engine.now engine) span) engine
-
 let median = function
   | [] -> 0.
   | xs ->
       let sorted = List.sort compare xs in
       List.nth sorted (List.length sorted / 2)
 
+(* Boundedness compares the post-warmup early half of the windows against
+   the late half: maxima for the growth gauges, medians for p99 (a chaos
+   window legitimately spikes it). *)
+let split_of measured =
+  let n = List.length measured in
+  let early = List.filteri (fun i _ -> i < n / 2) measured in
+  let late = List.filteri (fun i _ -> i >= n / 2) measured in
+  let maxi f ws = List.fold_left (fun acc w -> max acc (f w)) 0 ws in
+  let p99 ws = median (List.map (fun w -> w.p99_ms) ws) in
+  {
+    early_versions = maxi (fun w -> w.store_versions) early;
+    late_versions = maxi (fun w -> w.store_versions) late;
+    early_bytes = maxi (fun w -> w.cert_bytes) early;
+    late_bytes = maxi (fun w -> w.cert_bytes) late;
+    early_p99_ms = p99 early;
+    late_p99_ms = p99 late;
+  }
+
 let run ?(config = default_config ()) () =
+  let c = config.cluster in
   let spec =
     Workload.Hotkey.profile ~clients_per_replica:config.clients_per_replica
       ~hot_keys:config.hot_keys ~skew:config.skew ~deltas:config.deltas ()
   in
-  let engine = Engine.create () in
-  let events =
-    if config.monitors then Obs.Events.create engine
-    else Obs.Events.disabled ()
+  let sc =
+    Scenario.start
+      (Scenario.config ~monitors:config.monitors
+         ~progress_bound:config.progress_bound c spec)
   in
-  let cluster =
-    Tashkent.Cluster.create ~engine ~events
-      (Tashkent.Cluster.config ~n_replicas:config.n_replicas
-         ~n_certifiers:config.n_certifiers
-         ~n_partitions:config.n_partitions
-         ~gc_interval:config.gc_interval
-         ~max_snapshot_age:config.max_snapshot_age ~seed:config.seed
-         config.mode)
-  in
-  let monitor =
-    Obs.Monitor.attach ~progress_bound:config.progress_bound
-      ~metrics:(Tashkent.Cluster.metrics cluster) events
-  in
-  Tashkent.Cluster.load_all cluster
-    (spec.Workload.Spec.initial_rows ~n_replicas:config.n_replicas);
-  Tashkent.Cluster.settle cluster;
-  let collector = Workload.Driver.Collector.create () in
+  let collector = sc.collector in
   Workload.Driver.Collector.enable collector;
-  let rng = Rng.create (config.seed + 1) in
-  List.iteri
-    (fun replica_ix replica ->
-      if config.n_partitions > 1 then
-        Workload.Driver.spawn_session_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix
-          ~n_replicas:config.n_replicas
-      else
-        Workload.Driver.spawn_replicated_clients engine ~replica ~spec
-          ~rng:(Rng.split rng) ~collector ~replica_ix
-          ~n_replicas:config.n_replicas)
-    (Tashkent.Cluster.replicas cluster);
   let plan =
     if config.chaos then
       soak_plan ~duration:config.duration ~period:config.chaos_period
-        ~n_replicas:config.n_replicas ~n_partitions:config.n_partitions
+        ~n_replicas:c.n_replicas ~n_partitions:c.n_partitions
     else []
   in
   let replica_outages =
     List.exists (function _, Fault.Crash_replica _ -> true | _ -> false) plan
   in
-  let injector = if plan = [] then None else Some (Fault.inject cluster plan) in
-  let started = Engine.now engine in
+  let injector = if plan = [] then None else Some (Fault.inject sc.cluster plan) in
+  let started = Engine.now sc.engine in
   let commits = ref 0 in
   (* Leader gauges carry across an election gap, per certifier group: a
      window sampled while a group has no leader reuses that group's
      previous log shape instead of reporting a bogus zero. Live entries
      and bytes sum over groups (total retained state); the floor is the
      minimum across groups (the laggiest truncation). *)
-  let groups = List.map fst (Tashkent.Cluster.certifier_groups cluster) in
+  let groups = List.map fst (Tashkent.Cluster.certifier_groups sc.cluster) in
   let last_log = Hashtbl.create 8 in
   let sample_leader () =
     List.fold_left
       (fun (entries, bytes, floor) part ->
         let e, b, f =
-          match Tashkent.Cluster.group_leader cluster ~part with
+          match Tashkent.Cluster.group_leader sc.cluster ~part with
           | None ->
               Option.value (Hashtbl.find_opt last_log part) ~default:(0, 0, 0)
           | Some lead ->
@@ -210,39 +200,22 @@ let run ?(config = default_config ()) () =
         (entries + e, bytes + b, min floor f))
       (0, 0, max_int) groups
   in
-  let hosted_dbs r =
-    List.filter_map
-      (fun part -> Tashkent.Replica.db_of r ~part)
-      (Tashkent.Replica.partitions r)
-  in
-  let hosted_proxies r =
-    List.filter_map
-      (fun part -> Tashkent.Replica.proxy_of r ~part)
-      (Tashkent.Replica.partitions r)
-  in
   let store_versions_max () =
     List.fold_left
-      (fun acc r ->
-        if Tashkent.Replica.is_up r then
-          List.fold_left
-            (fun acc db ->
-              max acc (Mvcc.Store.version_records (Mvcc.Db.store db)))
-            acc (hosted_dbs r)
-        else acc)
-      0
-      (Tashkent.Cluster.replicas cluster)
+      (fun acc db -> max acc (Mvcc.Store.version_records (Mvcc.Db.store db)))
+      0 (Scenario.dbs ~up:true sc)
   in
   let n_windows =
     max 1 (int_of_float (Time.to_sec config.duration /. Time.to_sec config.window))
   in
   let windows = ref [] in
   for _ = 1 to n_windows do
-    run_for engine config.window;
+    Scenario.run_for sc config.window;
     let cert_entries, cert_bytes, gc_floor = sample_leader () in
     commits := !commits + Workload.Driver.Collector.committed collector;
     windows :=
       {
-        at = Time.diff (Engine.now engine) started;
+        at = Time.diff (Engine.now sc.engine) started;
         goodput = Workload.Driver.Collector.goodput collector ~window:config.window;
         p95_ms = Workload.Driver.Collector.p95_response_ms collector;
         p99_ms = Workload.Driver.Collector.p99_response_ms collector;
@@ -255,62 +228,25 @@ let run ?(config = default_config ()) () =
     Workload.Driver.Collector.reset collector
   done;
   (* Drain outstanding faults, then the end-to-end invariant checkpoint. *)
-  (match injector with
-  | None -> ()
-  | Some inj ->
-      let rec drain limit =
-        if (not (Fault.quiescent inj)) && limit > 0 then begin
-          run_for engine (Time.sec 1);
-          drain (limit - 1)
-        end
-      in
-      drain 60);
-  Obs.Monitor.finalize monitor ~now:(Engine.now engine);
-  let violations = ref [] in
+  Option.iter (fun inj -> Scenario.drain sc inj ~limit:60) injector;
+  let monitor_violations = Scenario.monitor_violations sc in
+  let violations = ref (List.rev (Scenario.invariant_violations sc)) in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  (match Tashkent.Cluster.check_consistency cluster with
-  | Ok () -> ()
-  | Error msg -> violate "consistency: %s" msg);
-  (match Tashkent.Cluster.check_log_invariants cluster with
-  | Ok () -> ()
-  | Error msg -> violate "log invariants: %s" msg);
-  (match Tashkent.Cluster.check_cross_atomicity cluster with
-  | Ok () -> ()
-  | Error msg -> violate "cross atomicity: %s" msg);
-  let over_dbs f =
-    List.fold_left
-      (fun acc r -> List.fold_left (fun acc db -> acc + f db) acc (hosted_dbs r))
-      0
-      (Tashkent.Cluster.replicas cluster)
-  in
-  let over_proxies f =
-    List.fold_left
-      (fun acc r -> List.fold_left (fun acc p -> acc + f p) acc (hosted_proxies r))
-      0
-      (Tashkent.Cluster.replicas cluster)
-  in
-  let store_pruned = over_dbs (fun db -> Mvcc.Store.pruned (Mvcc.Db.store db)) in
+  let dbs = Scenario.dbs sc and proxies = Scenario.proxies sc in
+  let store_pruned = Scenario.sum (fun db -> Mvcc.Store.pruned (Mvcc.Db.store db)) dbs in
   let cert_pruned =
-    List.fold_left
-      (fun acc part ->
-        match Tashkent.Cluster.group_leader cluster ~part with
-        | None -> acc
-        | Some lead -> acc + Tashkent.Cert_log.pruned (Tashkent.Certifier.log lead))
-      0 groups
+    Scenario.sum
+      (fun lead -> Tashkent.Cert_log.pruned (Tashkent.Certifier.log lead))
+      (Tashkent.Cluster.leaders sc.cluster)
   in
-  let snapshot_installs = over_proxies Tashkent.Proxy.snapshot_installs in
-  let floor_heals = over_proxies Tashkent.Proxy.floor_heals in
-  let stale_expired = over_dbs Mvcc.Db.stale_snapshots_expired in
-  (* Boundedness: compare the post-warmup early half against the late
-     half. A plateau passes with room to spare; linear growth (the
-     pre-watermark behaviour) makes the late-half max ~2x the early-half
-     max however long the run is, so the envelope must sit strictly below
-     2x — 1.5x plus an absolute slack for small fluctuating gauges. *)
+  let snapshot_installs = Scenario.sum Tashkent.Proxy.snapshot_installs proxies in
+  let floor_heals = Scenario.sum Tashkent.Proxy.floor_heals proxies in
+  let stale_expired = Scenario.sum Mvcc.Db.stale_snapshots_expired dbs in
   let all = List.rev !windows in
   let measured =
     List.filteri (fun i _ -> i >= config.warmup_windows) all
   in
-  (if config.gc_interval <> None then begin
+  (if c.replica.gc_interval <> None then begin
      if store_pruned = 0 then
        violate "store GC never pruned a version (store_pruned = 0)";
      if cert_pruned = 0 then
@@ -320,31 +256,25 @@ let run ?(config = default_config ()) () =
     violate
       "no snapshot transfer happened despite replica outages longer than \
        the watermark TTL";
-  (match measured with
-  | [] | [ _ ] -> ()
-  | _ ->
-      let n = List.length measured in
-      let early = List.filteri (fun i _ -> i < n / 2) measured in
-      let late = List.filteri (fun i _ -> i >= n / 2) measured in
-      let maxi f ws = List.fold_left (fun acc w -> max acc (f w)) 0 ws in
-      let early_versions = maxi (fun w -> w.store_versions) early in
-      let late_versions = maxi (fun w -> w.store_versions) late in
-      if late_versions > (3 * early_versions / 2) + 512 then
-        violate "store versions grew without bound: early max %d, late max %d"
-          early_versions late_versions;
-      let early_bytes = maxi (fun w -> w.cert_bytes) early in
-      let late_bytes = maxi (fun w -> w.cert_bytes) late in
-      if late_bytes > (3 * early_bytes / 2) + 65_536 then
-        violate "certified log bytes grew without bound: early max %d, late max %d"
-          early_bytes late_bytes;
-      (* Medians, not maxima: a chaos window legitimately spikes p99. *)
-      let early_p99 = median (List.map (fun w -> w.p99_ms) early) in
-      let late_p99 = median (List.map (fun w -> w.p99_ms) late) in
-      if late_p99 > (3. *. early_p99) +. 5. then
-        violate "p99 latency drifted: early median %.2f ms, late median %.2f ms"
-          early_p99 late_p99);
+  (* A plateau passes with room to spare; linear growth (the
+     pre-watermark behaviour) makes the late-half max ~2x the early-half
+     max however long the run is, so the envelope must sit strictly below
+     2x — 1.5x plus an absolute slack for small fluctuating gauges. *)
+  let split = split_of measured in
+  if List.length measured >= 2 then begin
+    if split.late_versions > (3 * split.early_versions / 2) + 512 then
+      violate "store versions grew without bound: early max %d, late max %d"
+        split.early_versions split.late_versions;
+    if split.late_bytes > (3 * split.early_bytes / 2) + 65_536 then
+      violate "certified log bytes grew without bound: early max %d, late max %d"
+        split.early_bytes split.late_bytes;
+    if split.late_p99_ms > (3. *. split.early_p99_ms) +. 5. then
+      violate "p99 latency drifted: early median %.2f ms, late median %.2f ms"
+        split.early_p99_ms split.late_p99_ms
+  end;
   {
     windows = all;
+    split;
     commits = !commits;
     store_pruned;
     cert_pruned;
@@ -353,12 +283,9 @@ let run ?(config = default_config ()) () =
     stale_expired;
     fault = Option.map Fault.stats injector;
     violations = List.rev !violations;
-    monitor_violations =
-      List.map
-        (Format.asprintf "%a" Obs.Monitor.pp_violation)
-        (Obs.Monitor.violations monitor);
-    monitor_events = Obs.Monitor.events_seen monitor;
-    ran_for = Time.diff (Engine.now engine) started;
+    monitor_violations;
+    monitor_events = Obs.Monitor.events_seen sc.monitor;
+    ran_for = Time.diff (Engine.now sc.engine) started;
   }
 
 let pp_result fmt r =

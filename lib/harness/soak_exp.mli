@@ -6,33 +6,27 @@
     percentiles stay flat after warmup, both GC paths actually fired
     ([store_pruned > 0], [cert_pruned > 0]), and a replica whose outage
     outlived the watermark TTL healed via snapshot transfer. Running with
-    [gc_interval = None] reproduces the unbounded-growth baseline (the
+    replica GC off reproduces the unbounded-growth baseline (the
     boundedness assertions then fail, by design). Deterministic in the
     seed. *)
 
 type config = {
-  mode : Tashkent.Types.mode;
-  n_replicas : int;
-  n_certifiers : int;  (** Paxos ring members per certifier group *)
-  n_partitions : int;
-      (** certifier groups (default 1). With [> 1] the Zipfian clients run
+  cluster : Tashkent.Cluster.config;
+      (** the cluster under soak (default: seed 2006, replica GC every
+          5 s, a 30 s stale-snapshot escape hatch;
+          [replica.gc_interval = None] disables GC — the unbounded
+          baseline). With [n_partitions > 1] the Zipfian clients run
           through {!Tashkent.Session} (hot keys hash across every group,
           so a multi-key transaction may commit cross-partition), the
           periodic chaos round-robins its certifier crashes over the
           groups, the sampled log gauges sum over groups (floor = the
           minimum), and the final checkpoint also asserts
           {!Tashkent.Cluster.check_cross_atomicity}. *)
-  seed : int;
   duration : Sim.Time.t;  (** total simulated run (default 600 s) *)
   window : Sim.Time.t;  (** sampling window (default 30 s) *)
   warmup_windows : int;
       (** leading windows excluded from the boundedness and latency
           assertions (default 1) *)
-  gc_interval : Sim.Time.t option;
-      (** replica vacuum period (default 5 s); [None] disables GC — the
-          unbounded baseline *)
-  max_snapshot_age : Sim.Time.t option;
-      (** stale-snapshot escape hatch (default 30 s) *)
   chaos : bool;  (** inject the periodic fault plan (default on) *)
   chaos_period : Sim.Time.t;
       (** one fault every this often (default 120 s), alternating a 5 s
@@ -68,8 +62,20 @@ type window_sample = {
   gc_floor : int;  (** the truncation floor (minimum across groups) *)
 }
 
+(** The post-warmup windows split into an early and a late half — what
+    the boundedness assertions compare. *)
+type split = {
+  early_versions : int;  (** max [store_versions] in the early half *)
+  late_versions : int;
+  early_bytes : int;  (** max [cert_bytes] in the early half *)
+  late_bytes : int;
+  early_p99_ms : float;  (** median window [p99_ms] in the early half *)
+  late_p99_ms : float;
+}
+
 type result = {
   windows : window_sample list;  (** oldest first, warmup included *)
+  split : split;
   commits : int;
   store_pruned : int;  (** row versions vacuumed, summed over replicas *)
   cert_pruned : int;  (** log entries truncated at the leader *)

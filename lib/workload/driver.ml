@@ -94,61 +94,36 @@ let client_loop engine ~spec ~rng ~collector ~replica_ix ~n_replicas ~client
   in
   loop ()
 
-let spawn_replicated_clients engine ~replica ~spec ~rng ~collector ~replica_ix
-    ~n_replicas =
-  let module R = Tashkent.Replica in
-  let module P = Tashkent.Proxy in
-  let proxy = R.proxy replica in
-  let spawn_one client =
-    let client_rng = Rng.split rng in
-    let fiber =
-      Engine.spawn engine ~name:(Printf.sprintf "%s.client%d" (R.name replica) client)
-        (fun () ->
-          client_loop engine ~spec ~rng:client_rng ~collector ~replica_ix ~n_replicas
-            ~client
-            ~begin_tx:(fun () -> P.begin_tx proxy)
-            ~read:(fun tx key -> P.read proxy tx key)
-            ~write:(fun tx key op -> P.write proxy tx key op)
-            ~commit:(fun tx ->
-              match P.commit proxy tx with Ok () -> Ok () | Error e -> Error e)
-            ~abort:(fun tx -> P.abort proxy tx)
-            ~use_cpu:(fun cpu -> R.use_cpu replica cpu))
-    in
-    R.register_client replica fiber
-  in
-  let spawn_all () =
-    for client = 0 to spec.Spec.clients_per_replica - 1 do
-      spawn_one client
-    done
-  in
-  spawn_all ();
-  R.set_respawn_clients replica spawn_all
+type target = Proxy | Session
 
-let spawn_session_clients engine ~replica ~spec ~rng ~collector ~replica_ix
-    ~n_replicas =
+let spawn_replica_clients engine ~target ~replica ~spec ~rng ~collector
+    ~replica_ix ~n_replicas =
   let module R = Tashkent.Replica in
-  let module S = Tashkent.Session in
-  let session = R.session replica in
-  let spawn_one client =
-    let client_rng = Rng.split rng in
-    let fiber =
-      Engine.spawn engine ~name:(Printf.sprintf "%s.client%d" (R.name replica) client)
-        (fun () ->
-          client_loop engine ~spec ~rng:client_rng ~collector ~replica_ix ~n_replicas
-            ~client
-            ~begin_tx:(fun () -> S.begin_tx session)
-            ~read:(fun tx key -> S.read session tx key)
-            ~write:(fun tx key op -> S.write session tx key op)
-            ~commit:(fun tx ->
-              match S.commit session tx with Ok () -> Ok () | Error e -> Error e)
-            ~abort:(fun tx -> S.abort session tx)
-            ~use_cpu:(fun cpu -> R.use_cpu replica cpu))
-    in
-    R.register_client replica fiber
+  let loop ~client ~rng ~begin_tx ~read ~write ~commit ~abort =
+    client_loop engine ~spec ~rng ~collector ~replica_ix ~n_replicas ~client
+      ~begin_tx ~read ~write ~commit ~abort ~use_cpu:(R.use_cpu replica)
+  in
+  let run =
+    match target with
+    | Proxy ->
+        let module P = Tashkent.Proxy in
+        let proxy = R.proxy replica in
+        loop ~begin_tx:(fun () -> P.begin_tx proxy) ~read:(P.read proxy)
+          ~write:(P.write proxy) ~commit:(P.commit proxy) ~abort:(P.abort proxy)
+    | Session ->
+        let module S = Tashkent.Session in
+        let session = R.session replica in
+        loop ~begin_tx:(fun () -> S.begin_tx session) ~read:(S.read session)
+          ~write:(S.write session) ~commit:(S.commit session)
+          ~abort:(S.abort session)
   in
   let spawn_all () =
     for client = 0 to spec.Spec.clients_per_replica - 1 do
-      spawn_one client
+      let rng = Rng.split rng in
+      R.register_client replica
+        (Engine.spawn engine
+           ~name:(Printf.sprintf "%s.client%d" (R.name replica) client)
+           (fun () -> run ~client ~rng))
     done
   in
   spawn_all ();

@@ -36,8 +36,17 @@ module Collector : sig
       — the paper's req/sec axis counts requests served. *)
 end
 
-val spawn_replicated_clients :
+(** Where a replica's clients send their transactions: its first
+    partition's proxy, or its {!Tashkent.Session} router, through which a
+    transaction may touch any hosted partition and commits atomically
+    across certifier groups when its writes span more than one. Use
+    [Session] (with a partition-aware spec such as {!Partlocal.profile})
+    whenever the cluster runs with [n_partitions > 1]. *)
+type target = Proxy | Session
+
+val spawn_replica_clients :
   Sim.Engine.t ->
+  target:target ->
   replica:Tashkent.Replica.t ->
   spec:Spec.t ->
   rng:Sim.Rng.t ->
@@ -46,24 +55,8 @@ val spawn_replicated_clients :
   n_replicas:int ->
   unit
 (** Spawn [spec.clients_per_replica] client fibers against the replica's
-    proxy; each runs until cancelled. Fibers are registered with the
+    [target]; each runs until cancelled. Fibers are registered with the
     replica (killed by a crash) and respawned after recovery. *)
-
-val spawn_session_clients :
-  Sim.Engine.t ->
-  replica:Tashkent.Replica.t ->
-  spec:Spec.t ->
-  rng:Sim.Rng.t ->
-  collector:Collector.t ->
-  replica_ix:int ->
-  n_replicas:int ->
-  unit
-(** Like {!spawn_replicated_clients}, but through the replica's
-    {!Tashkent.Session} router, so a transaction may touch any hosted
-    partition and commits atomically across certifier groups when its
-    writes span more than one. Use this (with a partition-aware spec such
-    as {!Partlocal.profile}) whenever the cluster runs with
-    [n_partitions > 1]. *)
 
 val spawn_standalone_clients :
   Sim.Engine.t ->

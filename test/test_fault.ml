@@ -392,12 +392,14 @@ let test_chaos_parallel_apply_disk () =
   (* Disk faults with four applier workers per replica: crashes land in the
      middle of parallel applies, so recovery must come back to a consistent
      prefix despite out-of-order WAL records (the chain-checked redo scan). *)
+  let d = Harness.Chaos_exp.default_config () in
   let config =
     {
-      (Harness.Chaos_exp.default_config ()) with
+      d with
+      cluster =
+        { d.cluster with replica = { d.cluster.replica with apply_workers = 4 } };
       plan = Harness.Chaos_exp.Random 7;
       disk_faults = true;
-      apply_workers = 4;
     }
   in
   let r = Harness.Chaos_exp.run ~config () in

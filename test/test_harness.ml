@@ -4,12 +4,14 @@
 
 let check_bool = Alcotest.(check bool)
 
-let quick_cfg system workload n =
+(* [tune] adjusts the default cluster once it has [n] replicas. *)
+let quick_cfg ?(tune = Fun.id) system workload n =
+  let d = Harness.Experiment.default in
   {
-    Harness.Experiment.default with
+    d with
     Harness.Experiment.system;
+    cluster = tune { d.cluster with n_replicas = n };
     workload;
-    n_replicas = n;
     warmup = Sim.Time.sec 2;
     measure = Sim.Time.sec 4;
   }
@@ -61,12 +63,11 @@ let test_base_serial_commit_ceiling () =
 
 let test_forced_abort_rate_respected () =
   let cfg =
-    {
-      (quick_cfg (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
-         Harness.Experiment.All_updates 3)
-      with
-      Harness.Experiment.abort_rate = 0.3;
-    }
+    quick_cfg
+      ~tune:(fun c ->
+        { c with certifier = { c.certifier with forced_abort_rate = 0.3 } })
+      (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
+      Harness.Experiment.All_updates 3
   in
   let r = Harness.Experiment.run cfg in
   check_bool
@@ -78,12 +79,11 @@ let test_forced_abort_rate_respected () =
 let test_grouping_ablation_direction () =
   let with_grouping grouping =
     Harness.Experiment.run
-      {
-        (quick_cfg (Harness.Experiment.Replicated Tashkent.Types.Base)
-           Harness.Experiment.All_updates 4)
-        with
-        Harness.Experiment.group_remote_batches = grouping;
-      }
+      (quick_cfg
+         ~tune:(fun c ->
+           { c with replica = { c.replica with group_remote_batches = grouping } })
+         (Harness.Experiment.Replicated Tashkent.Types.Base)
+         Harness.Experiment.All_updates 4)
   in
   let grouped = with_grouping true and naive = with_grouping false in
   check_bool
@@ -94,12 +94,10 @@ let test_grouping_ablation_direction () =
 let test_dedicated_io_not_worse () =
   let run io =
     Harness.Experiment.run
-      {
-        (quick_cfg (Harness.Experiment.Replicated Tashkent.Types.Tashkent_api)
-           Harness.Experiment.All_updates 4)
-        with
-        Harness.Experiment.io;
-      }
+      (quick_cfg
+         ~tune:(fun c -> { c with replica = { c.replica with io } })
+         (Harness.Experiment.Replicated Tashkent.Types.Tashkent_api)
+         Harness.Experiment.All_updates 4)
   in
   let shared = run Tashkent.Replica.Shared_io in
   let dedicated = run Tashkent.Replica.Dedicated_io in
@@ -110,18 +108,93 @@ let test_certifier_group_size_free () =
      throughput (fsyncs happen in parallel, majority = leader + 1). *)
   let run n_certifiers =
     Harness.Experiment.run
-      {
-        (quick_cfg (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
-           Harness.Experiment.All_updates 4)
-        with
-        Harness.Experiment.n_certifiers;
-      }
+      (quick_cfg
+         ~tune:(fun c -> { c with n_certifiers })
+         (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
+         Harness.Experiment.All_updates 4)
   in
   let one = run 1 and three = run 3 in
   check_bool
     (Printf.sprintf "3 certifiers within 15%% of 1 (%.0f vs %.0f)" three.goodput one.goodput)
     true
     (three.goodput > 0.85 *. one.goodput)
+
+(* ------------------------------------------------------------------ *)
+(* Scenarios *)
+
+let test_partitioned_artificial_conflicts () =
+  (* With two certifier groups every group's leader flags artificial
+     conflicts on the writesets it ships, and the reported rate divides by
+     the remote writesets shipped to every partition's proxies — so the
+     numerator must count every group's flags, not group 0's alone. *)
+  let cfg =
+    {
+      (quick_cfg
+         ~tune:(fun c -> { c with n_partitions = 2 })
+         (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
+         Harness.Experiment.Part_local 4)
+      with
+      cross_ratio = 0.3;
+    }
+  in
+  let sc = Harness.Scenario.start (Harness.Experiment.scenario cfg) in
+  let r = Harness.Experiment.measure cfg sc in
+  let flagged =
+    List.map
+      (fun l -> (Tashkent.Certifier.stats l).artificial_conflicts)
+      (Tashkent.Cluster.leaders sc.cluster)
+  in
+  let shipped =
+    Harness.Scenario.sum
+      (fun p -> (Tashkent.Proxy.stats p).remote_ws_applied)
+      (Harness.Scenario.proxies sc)
+  in
+  Alcotest.(check int) "one leader per group" 2 (List.length flagged);
+  check_bool "every group flagged some" true (List.for_all (fun n -> n > 0) flagged);
+  Alcotest.(check (float 1e-12))
+    "rate counts every group's flags"
+    (float_of_int (List.fold_left ( + ) 0 flagged) /. float_of_int shipped)
+    r.artificial_conflict_pct
+
+let test_session_clients_respawn () =
+  (* Session clients killed by a replica crash are respawned by its
+     recovery: the replica's proxies keep committing afterwards, and the
+     run stays invariant- and monitor-clean. *)
+  let sc =
+    Harness.Scenario.start
+      (Harness.Scenario.config ~monitors:true
+         (Tashkent.Cluster.config ~n_partitions:2 ~seed:7 Tashkent.Types.Tashkent_mw)
+         (Workload.Partlocal.profile ~partitions:2 ~cross_ratio:0.3 ()))
+  in
+  let injector =
+    Fault.inject sc.cluster
+      [
+        (Sim.Time.sec 1, Fault.Crash_replica 1);
+        (Sim.Time.sec 2, Fault.Recover_replica 1);
+      ]
+  in
+  Harness.Scenario.run_for sc (Sim.Time.sec 5);
+  check_bool "outage over" true (Fault.quiescent injector);
+  let r1 = Tashkent.Cluster.replica sc.cluster 1 in
+  let commits () =
+    Harness.Scenario.sum
+      (fun part ->
+        match Tashkent.Replica.proxy_of r1 ~part with
+        | Some p -> (Tashkent.Proxy.stats p).commits
+        | None -> 0)
+      (Tashkent.Replica.partitions r1)
+  in
+  let after_recovery = commits () in
+  Harness.Scenario.run_for sc (Sim.Time.sec 4);
+  let later = commits () in
+  check_bool
+    (Printf.sprintf "replica1 commits rise after recovery (%d -> %d)"
+       after_recovery later)
+    true (later > after_recovery);
+  Alcotest.(check (list string)) "invariants hold" []
+    (Harness.Scenario.invariant_violations sc);
+  Alcotest.(check (list string)) "monitors clean" []
+    (Harness.Scenario.monitor_violations sc)
 
 let test_net_dump_duration () =
   let ms = Sim.Time.of_ms in
@@ -189,12 +262,14 @@ let test_soak_no_gc_baseline_grows () =
   (* The control: with vacuuming off the version count must climb with
      wall-clock — this is the unbounded growth the watermark exists to
      fix, and it keeps the soak's boundedness assertions honest. *)
+  let d = Harness.Soak_exp.default_config () in
   let config =
     {
-      (Harness.Soak_exp.default_config ()) with
-      Harness.Soak_exp.duration = Sim.Time.sec 120;
+      d with
+      Harness.Soak_exp.cluster =
+        { d.cluster with replica = { d.cluster.replica with gc_interval = None } };
+      duration = Sim.Time.sec 120;
       window = Sim.Time.sec 30;
-      gc_interval = None;
       chaos = false;
     }
   in
@@ -267,14 +342,15 @@ let test_targeted_plan_deterministic () =
 let test_explore_smoke () =
   (* A small sweep over a healthy model: every schedule must come back
      clean (each run also exercises the five online monitors). *)
+  let d = Harness.Chaos_exp.default_config () in
   let cfg =
     {
       (Harness.Explore_exp.default_config ()) with
       Harness.Explore_exp.base =
         {
-          (Harness.Chaos_exp.default_config ()) with
+          d with
+          cluster = { d.cluster with seed = 20060418 };
           duration = Sim.Time.sec 10;
-          seed = 20060418;
         };
       first_seed = 1;
       n_seeds = 2;
@@ -303,10 +379,11 @@ let test_seed11_stale_reanswer_regression () =
      fetches (a snapshot transfer) before installing: the run must be
      clean AND the heal must actually fire, proving the schedule still
      reaches the pathological interleaving. *)
+  let d = Harness.Chaos_exp.default_config () in
   let config =
     {
-      (Harness.Chaos_exp.default_config ()) with
-      seed = 20060418;
+      d with
+      cluster = { d.cluster with seed = 20060418 };
       plan =
         Harness.Chaos_exp.Explicit
           [ (Sim.Time.of_ms 4131., Fault.Crash_leader) ];
@@ -337,6 +414,13 @@ let suites =
         Alcotest.test_case "dedicated io not worse" `Quick test_dedicated_io_not_worse;
         Alcotest.test_case "certifier replication is cheap" `Quick
           test_certifier_group_size_free;
+      ] );
+    ( "harness.scenario",
+      [
+        Alcotest.test_case "partitioned artificial-conflict rate" `Quick
+          test_partitioned_artificial_conflicts;
+        Alcotest.test_case "session clients respawn after a replica crash"
+          `Quick test_session_clients_respawn;
       ] );
     ( "harness.recovery",
       [

@@ -249,8 +249,8 @@ let test_experiment_stage_latency () =
       {
         Harness.Experiment.default with
         Harness.Experiment.system = Harness.Experiment.Replicated mode;
+        cluster = { Harness.Experiment.default.cluster with n_replicas = 2 };
         workload = Harness.Experiment.Tpc_b;
-        n_replicas = 2;
         warmup = Time.sec 1;
         measure = Time.sec 3;
         trace = true;
