@@ -1,12 +1,17 @@
 (* The COMMIT n database extension in isolation (paper §5.2, §8.3).
 
-   Demonstrates, against a single Mvcc.Db instance:
+   Demonstrates, against a single Mvcc.Db instance, through the in-order
+   certified-commit finish ([Mvcc.Db.apply_certified ~in_order:true]):
    1. concurrent ordered commits grouped into one disk write, announced in
-      the prescribed global order;
-   2. the paper's example (§3): remote batches T1_2_3, T4, T5_6_7_8, T9
-      committing with four transactions but one fsync;
-   3. an artificial conflict (§5.2.1): conflicting remote writesets must be
-      submitted serially, costing a second fsync.
+      the prescribed global order — the paper's example (§3): remote
+      batches T1_2_3, T4, T5_6_7_8, T9 committing with four transactions
+      but one fsync;
+   2. an artificial conflict (§5.2.1): conflicting remote writesets must be
+      submitted serially, costing a second fsync;
+   3. the abuse deadlock (§5.2): COMMIT 9 without COMMIT 1..8 never
+      announces.
+   A last part contrasts the publish-barrier finish ([~in_order:false])
+   that parallel apply uses.
 
    Run with: dune exec examples/api_ordering.exe *)
 
@@ -26,23 +31,26 @@ let make_db () =
 let () =
   (* --- The §3 example: versions 1..9 in four ordered transactions. --- *)
   let engine, db, disk = make_db () in
-  let submit name version order ws =
+  (* Each transaction installs a run of certified versions, chained after
+     the version the previous transaction ended at ([prev]). *)
+  let submit name ~prev order versions =
+    let batch =
+      List.map (fun v -> (v, Mvcc.Writeset.singleton (key (string_of_int v)) (upd v))) versions
+    in
     ignore
       (Engine.spawn engine (fun () ->
-           match Mvcc.Db.apply_writeset db ~version ~order ws with
+           match Mvcc.Db.apply_certified db ~batch ~prev ~order ~in_order:true with
            | Ok () ->
                Printf.printf "[%s] %-8s announced as version %d\n"
-                 (Time.to_string (Engine.now engine)) name version
+                 (Time.to_string (Engine.now engine)) name
+                 (List.fold_left max 0 versions)
            | Error e -> Format.printf "%s failed: %a@." name Mvcc.Db.pp_abort_reason e))
   in
   (* Submitted deliberately out of order; the announce sequence fixes it. *)
-  submit "T9" 9 4 (Mvcc.Writeset.singleton (key "9") (upd 9));
-  submit "T5_6_7_8" 8 3
-    (Mvcc.Writeset.of_list
-       [ (key "5", upd 5); (key "6", upd 6); (key "7", upd 7); (key "8", upd 8) ]);
-  submit "T4" 4 2 (Mvcc.Writeset.singleton (key "4") (upd 4));
-  submit "T1_2_3" 3 1
-    (Mvcc.Writeset.of_list [ (key "1", upd 1); (key "2", upd 2); (key "3", upd 3) ]);
+  submit "T9" ~prev:8 4 [ 9 ];
+  submit "T5_6_7_8" ~prev:4 3 [ 5; 6; 7; 8 ];
+  submit "T4" ~prev:3 2 [ 4 ];
+  submit "T1_2_3" ~prev:0 1 [ 1; 2; 3 ];
   Engine.run engine;
   Printf.printf "four ordered transactions -> %d fsync(s); database at version %d\n\n"
     (Storage.Disk.fsyncs disk)
@@ -55,7 +63,10 @@ let () =
   let done1 = Ivar.create engine () in
   ignore
     (Engine.spawn engine (fun () ->
-         (match Mvcc.Db.apply_writeset db ~version:1 ~order:1 (Mvcc.Writeset.singleton x (upd 17)) with
+         (match
+            Mvcc.Db.apply_certified db ~batch:[ (1, Mvcc.Writeset.singleton x (upd 17)) ]
+              ~prev:0 ~order:1 ~in_order:true
+          with
          | Ok () -> Printf.printf "[%s] W1 (x=17) committed\n" (Time.to_string (Engine.now engine))
          | Error _ -> ());
          Ivar.fill done1 ()));
@@ -64,7 +75,10 @@ let () =
          (* The proxy detected the conflict, so it waits for W1 before
             submitting W2 — the serialisation that costs a second fsync. *)
          Ivar.read done1;
-         match Mvcc.Db.apply_writeset db ~version:2 ~order:2 (Mvcc.Writeset.singleton x (upd 39)) with
+         match
+           Mvcc.Db.apply_certified db ~batch:[ (2, Mvcc.Writeset.singleton x (upd 39)) ]
+             ~prev:1 ~order:2 ~in_order:true
+         with
          | Ok () -> Printf.printf "[%s] W2 (x=39) committed after W1\n" (Time.to_string (Engine.now engine))
          | Error _ -> ()));
   Engine.run engine;
@@ -78,8 +92,8 @@ let () =
   ignore
     (Engine.spawn engine (fun () ->
          match
-           Mvcc.Db.apply_writeset db ~version:9 ~order:9
-             (Mvcc.Writeset.singleton (key "1") (upd 1))
+           Mvcc.Db.apply_certified db ~batch:[ (9, Mvcc.Writeset.singleton (key "1") (upd 1)) ]
+             ~prev:8 ~order:9 ~in_order:true
          with
          | Ok () | Error _ -> reached := true));
   Engine.run ~until:(Time.sec 60) engine;
@@ -87,7 +101,7 @@ let () =
     (if !reached then "committed (unexpected!)" else "blocked forever, as the paper warns");
 
   (* --- Parallel apply: out-of-order finish, in-order publish. ---
-     The parallel variants install each writeset as soon as its own locks
+     The publish-barrier finish installs each writeset as soon as its own locks
      and disk work allow (here: version 2 finishes before version 1, since
      they touch different keys), while the visible snapshot version only
      advances through the contiguous prefix of announce orders. *)
@@ -96,16 +110,20 @@ let () =
     (Engine.spawn engine (fun () ->
          (* Hold version 1 back a little so version 2's worker finishes first. *)
          Engine.sleep engine (Time.of_ms 30.);
-         match Mvcc.Db.apply_writeset_parallel db ~version:1 ~order:1
-                 (Mvcc.Writeset.singleton (key "1") (upd 1)) with
+         match
+           Mvcc.Db.apply_certified db ~batch:[ (1, Mvcc.Writeset.singleton (key "1") (upd 1)) ]
+             ~prev:0 ~order:1 ~in_order:false
+         with
          | Ok () ->
              Printf.printf "[%s] version 1 finished; visible version now %d\n"
                (Time.to_string (Engine.now engine)) (Mvcc.Db.current_version db)
          | Error _ -> ()));
   ignore
     (Engine.spawn engine (fun () ->
-         match Mvcc.Db.apply_writeset_parallel db ~version:2 ~order:2
-                 (Mvcc.Writeset.singleton (key "2") (upd 2)) with
+         match
+           Mvcc.Db.apply_certified db ~batch:[ (2, Mvcc.Writeset.singleton (key "2") (upd 2)) ]
+             ~prev:1 ~order:2 ~in_order:false
+         with
          | Ok () ->
              Printf.printf "[%s] version 2 finished first; visible version still %d\n"
                (Time.to_string (Engine.now engine)) (Mvcc.Db.current_version db)

@@ -1,23 +1,24 @@
 open Sim
 
-(* Dependency-tracked parallel applier (the worker half; the database half
-   is Mvcc.Db's parallel path). Items are submitted in version order; a
-   key-level index over in-flight writesets (the Overlay technique from the
-   certifier) links each item to the newest pending writer of any key it
-   touches, so non-conflicting writesets execute concurrently on a bounded
-   pool of worker fibers while conflicting ones wait on their predecessors.
-   A publisher fiber walks items in submission order and fires their
-   publication callbacks only when every earlier item has finished — the
-   ordered-publish barrier that keeps GSI snapshots gap-free. *)
+(* The one applier behind a replica's proxy (the worker half; the database
+   half is Mvcc.Db's certified-commit finish). Items are submitted in
+   version order and published in submission order; the ordering policy
+   decides how many execute at once and whether a key-level index over
+   in-flight writesets (the Overlay technique from the certifier) makes each
+   item wait for the newest pending writer of any key it touches. Whichever
+   item completes the head of the submission queue publishes the ready
+   prefix inline — the ordered-publish barrier that keeps GSI snapshots
+   gap-free. *)
+
+type policy = Serial | Commit_n | Parallel of int
 
 type handle = {
-  version : int;
-  ws : Mvcc.Writeset.t;
-  deps : handle list;  (* pending predecessors writing an overlapping key *)
+  batch : (int * Mvcc.Writeset.t) list;
+  mutable deps : handle list;  (* pending predecessors writing an overlapping key *)
   exec : unit -> unit;
   on_published : unit -> unit;
   exec_done : unit Ivar.t;
-  published : unit Ivar.t;
+  mutable fiber : Engine.fiber option;  (* the item's own fiber under Commit_n *)
   mutable wait_span : Obs.Trace.span option;
 }
 
@@ -32,12 +33,12 @@ type key_writers = { mutable blind : handle option; mutable deltas : handle list
 type t = {
   engine : Engine.t;
   name : string;
-  workers : int;
+  policy : policy;
   trace : Obs.Trace.t;
   queue : handle Mailbox.t;
-  publish_queue : handle Mailbox.t;
-  index : key_writers Mvcc.Key.Tbl.t;
-  mutable fibers : Engine.fiber list;
+  unpublished : handle Queue.t;  (* submitted, not yet published, in order *)
+  index : key_writers Mvcc.Key.Tbl.t;  (* empty under [Serial] *)
+  mutable workers : Engine.fiber list;
   (* Time-weighted exec concurrency: parallelism = ∫busy dt / ∫[busy>0] dt. *)
   mutable busy : int;
   mutable last_change : Time.t;
@@ -46,6 +47,10 @@ type t = {
   c_stalls : Stats.Counter.t;
   c_submitted : Stats.Counter.t;
 }
+
+(* One FIFO worker already runs items in version order, so an index would
+   only cost. *)
+let indexed t = match t.policy with Serial -> false | Commit_n | Parallel _ -> true
 
 let account t =
   let now = Engine.now t.engine in
@@ -69,74 +74,77 @@ let parallelism t =
   if t.busy_span > 0. then t.busy_area /. t.busy_span else 0.
 
 let stalls t = Stats.Counter.value t.c_stalls
-let pending t = Mailbox.length t.publish_queue
+let pending t = Queue.length t.unpublished
 
-let worker_loop t () =
-  let rec loop () =
-    let h = Mailbox.recv t.queue in
-    let unmet = List.filter (fun d -> not (Ivar.is_filled d.exec_done)) h.deps in
-    if unmet <> [] then Stats.Counter.incr t.c_stalls;
-    List.iter (fun d -> Ivar.read d.exec_done) unmet;
-    (match h.wait_span with
-    | Some sp ->
-        Obs.Trace.finish t.trace sp;
-        h.wait_span <- None
-    | None -> ());
-    let sp = Obs.Trace.span t.trace ~stage:"apply.exec" ~actor:t.name () in
-    enter_busy t;
-    h.exec ();
-    leave_busy t;
-    Obs.Trace.finish t.trace sp;
-    Ivar.fill h.exec_done ();
-    loop ()
-  in
-  loop ()
+(* Retire this item's key-index entries (unless a later submission already
+   took them over). *)
+let retire t h =
+  List.iter
+    (fun (_, ws) ->
+      Mvcc.Writeset.iter_keys ws (fun key ->
+          match Mvcc.Key.Tbl.find_opt t.index key with
+          | None -> ()
+          | Some w ->
+              (match w.blind with
+              | Some h' when h' == h -> w.blind <- None
+              | Some _ | None -> ());
+              w.deltas <- List.filter (fun h' -> not (h' == h)) w.deltas;
+              (match (w.blind, w.deltas) with
+              | None, [] -> Mvcc.Key.Tbl.remove t.index key
+              | _ -> ())))
+    h.batch
 
-let publisher_loop t () =
-  let rec loop () =
-    let h = Mailbox.recv t.publish_queue in
-    Ivar.read h.exec_done;
-    (* Retire this item's key-index entries (unless a later submission
-       already took them over). *)
-    Mvcc.Writeset.iter_keys h.ws (fun key ->
-        match Mvcc.Key.Tbl.find_opt t.index key with
-        | None -> ()
-        | Some w ->
-            (match w.blind with
-            | Some h' when h' == h -> w.blind <- None
-            | Some _ | None -> ());
-            w.deltas <- List.filter (fun h' -> not (h' == h)) w.deltas;
-            (match (w.blind, w.deltas) with
-            | None, [] -> Mvcc.Key.Tbl.remove t.index key
-            | _ -> ()));
-    h.on_published ();
-    Ivar.fill h.published ();
-    loop ()
-  in
-  loop ()
+let rec publish t =
+  match Queue.peek_opt t.unpublished with
+  | Some h when Ivar.is_filled h.exec_done ->
+      ignore (Queue.take t.unpublished);
+      if indexed t then retire t h;
+      h.on_published ();
+      publish t
+  | Some _ | None -> ()
 
-let spawn_fibers t =
-  let ws =
-    List.init t.workers (fun i ->
+let run t h =
+  let unmet = List.filter (fun d -> not (Ivar.is_filled d.exec_done)) h.deps in
+  if unmet <> [] then Stats.Counter.incr t.c_stalls;
+  List.iter (fun d -> Ivar.read d.exec_done) unmet;
+  (match h.wait_span with
+  | Some sp ->
+      Obs.Trace.finish t.trace sp;
+      h.wait_span <- None
+  | None -> ());
+  enter_busy t;
+  h.exec ();
+  leave_busy t;
+  Ivar.fill h.exec_done ();
+  publish t
+
+let spawn_workers t =
+  let n = match t.policy with Serial -> 1 | Commit_n -> 0 | Parallel n -> n in
+  t.workers <-
+    List.init n (fun i ->
         Engine.spawn t.engine
           ~name:(Printf.sprintf "%s.apply_worker%d" t.name i)
-          (worker_loop t))
-  in
-  let p = Engine.spawn t.engine ~name:(t.name ^ ".apply_publisher") (publisher_loop t) in
-  t.fibers <- p :: ws
+          (fun () ->
+            let rec loop () =
+              run t (Mailbox.recv t.queue);
+              loop ()
+            in
+            loop ()))
 
-let create engine ~name ~workers ~metrics ~trace () =
-  if workers < 1 then invalid_arg "Apply_pool.create: workers must be >= 1";
+let create engine ~name ~policy ~metrics ~trace () =
+  (match policy with
+  | Parallel n when n < 2 -> invalid_arg "Apply_pool.create: Parallel needs >= 2 workers"
+  | Serial | Commit_n | Parallel _ -> ());
   let t =
     {
       engine;
       name;
-      workers;
+      policy;
       trace;
       queue = Mailbox.create engine ~name:(name ^ ".apply_queue") ();
-      publish_queue = Mailbox.create engine ~name:(name ^ ".apply_publish") ();
+      unpublished = Queue.create ();
       index = Mvcc.Key.Tbl.create 1024;
-      fibers = [];
+      workers = [];
       busy = 0;
       last_change = Engine.now engine;
       busy_area = 0.;
@@ -155,68 +163,70 @@ let create engine ~name ~workers ~metrics ~trace () =
       account t;
       t.busy_area <- 0.;
       t.busy_span <- 0.);
-  spawn_fibers t;
+  spawn_workers t;
   t
 
-let submit t ~version ~ws ?trace_id ?(on_published = fun () -> ()) ~exec () =
-  let deps = ref [] in
-  let depend d = if not (List.memq d !deps) then deps := d :: !deps in
-  Mvcc.Writeset.iter_entries ws (fun key op ->
-      match Mvcc.Key.Tbl.find_opt t.index key with
-      | None -> ()
-      | Some w ->
-          (* A delta commutes with all pending deltas on the key and only
-             waits for the pending blind writer (its read base). A blind
-             write pins a final value, so it waits for everything. *)
-          (match w.blind with Some d -> depend d | None -> ());
-          if not (Mvcc.Writeset.op_is_delta op) then List.iter depend w.deltas);
+(* Link [h] to the pending writers of its keys, then make it the newest
+   writer. A delta commutes with all pending deltas on the key and only
+   waits for the pending blind writer (its read base); a blind write pins a
+   final value, so it waits for everything and supersedes every pending
+   writer as the dependency target for later submissions. *)
+let link t h =
+  let depend d = if d != h && not (List.memq d h.deps) then h.deps <- d :: h.deps in
+  List.iter
+    (fun (_, ws) ->
+      Mvcc.Writeset.iter_entries ws (fun key op ->
+          let w =
+            match Mvcc.Key.Tbl.find_opt t.index key with
+            | Some w -> w
+            | None ->
+                let w = { blind = None; deltas = [] } in
+                Mvcc.Key.Tbl.add t.index key w;
+                w
+          in
+          Option.iter depend w.blind;
+          if Mvcc.Writeset.op_is_delta op then w.deltas <- h :: w.deltas
+          else begin
+            List.iter depend w.deltas;
+            w.blind <- Some h;
+            w.deltas <- []
+          end))
+    h.batch
+
+let submit t ~batch ?trace_id ?(on_published = ignore) ~exec () =
   let h =
     {
-      version;
-      ws;
-      deps = !deps;
+      batch;
+      deps = [];
       exec;
       on_published;
       exec_done = Ivar.create t.engine ();
-      published = Ivar.create t.engine ();
+      fiber = None;
       wait_span =
         (if Obs.Trace.enabled t.trace then
            Some (Obs.Trace.span t.trace ?id:trace_id ~stage:"apply.wait" ~actor:t.name ())
          else None);
     }
   in
-  Mvcc.Writeset.iter_entries ws (fun key op ->
-      let w =
-        match Mvcc.Key.Tbl.find_opt t.index key with
-        | Some w -> w
-        | None ->
-            let w = { blind = None; deltas = [] } in
-            Mvcc.Key.Tbl.add t.index key w;
-            w
-      in
-      if Mvcc.Writeset.op_is_delta op then w.deltas <- h :: w.deltas
-      else begin
-        (* The new blind writer supersedes every pending writer as the
-           dependency target for later submissions. *)
-        w.blind <- Some h;
-        w.deltas <- []
-      end);
+  if indexed t then link t h;
   Stats.Counter.incr t.c_submitted;
-  Mailbox.send t.queue h;
-  Mailbox.send t.publish_queue h;
+  Queue.add h t.unpublished;
+  (match t.policy with
+  | Commit_n ->
+      h.fiber <- Some (Engine.spawn t.engine ~name:(t.name ^ ".apply") (fun () -> run t h))
+  | Serial | Parallel _ -> Mailbox.send t.queue h);
   h
 
 let has_deps h = h.deps <> []
-let version h = h.version
-let wait_published h = Ivar.read h.published
 
 let pause t =
-  List.iter (fun f -> Engine.cancel t.engine f) t.fibers;
-  t.fibers <- [];
+  List.iter (fun f -> Engine.cancel t.engine f) t.workers;
+  t.workers <- [];
+  Queue.iter (fun h -> Option.iter (Engine.cancel t.engine) h.fiber) t.unpublished;
+  Queue.clear t.unpublished;
   Mailbox.clear t.queue;
-  Mailbox.clear t.publish_queue;
   Mvcc.Key.Tbl.reset t.index;
   account t;
   t.busy <- 0
 
-let resume t = spawn_fibers t
+let resume t = spawn_workers t

@@ -1,14 +1,22 @@
-(** Dependency-tracked parallel writeset applier.
+(** The one writeset applier behind a replica's proxy.
 
-    A replica's proxy feeds every certified commit — remote writesets and
-    the replica's own commits alike — to this pool {e in version order}. A
-    key-level index over in-flight writesets gives each new item the set of
-    pending predecessors it conflicts with; a bounded pool of worker fibers
-    then executes items as soon as their dependencies have finished, so
-    non-conflicting writesets overlap their lock work, CPU charges and WAL
-    fsyncs (which group across workers), while conflicting ones serialise
-    exactly as the paper's commit-order rule requires (§5.2: order enforced
-    only where transactions conflict).
+    The proxy feeds every certified writeset — commit-reply remotes, the
+    replica's own commits, refresh and bridge-heal fetches — to this pool
+    {e in version order}, one {e item} (one or more writesets installed as
+    one local transaction) at a time. The {!policy} is the only thing the
+    paper's three systems differ in (who orders commits, §1, §5.2):
+
+    - [Serial] (Base, Tashkent-MW): one worker fiber runs items in
+      submission order; nothing else is tracked.
+    - [Commit_n] (Tashkent-API): every item runs in its own fiber, the
+      database announces them in order ([COMMIT n]), and a key-level index
+      over in-flight items makes each one wait for the newest pending writer
+      of any key it touches — the artificial-conflict serialisation of
+      §5.2.1, applied exactly where writesets conflict.
+    - [Parallel n] (any mode): [n] worker fibers pick items in submission
+      order and the same key index orders the conflicting ones;
+      non-conflicting items overlap their lock work, CPU charges and WAL
+      fsyncs (which group across workers).
 
     Commutative deltas ({!Mvcc.Writeset.Add}) relax the key-level
     dependencies: delta writers of the same key do not wait on each other
@@ -16,20 +24,21 @@
     writer of that key; a final-image write still waits on every pending
     writer of the key, blind or delta.
 
-    Publication is decoupled from execution: a publisher fiber fires each
-    item's [on_published] callback strictly in submission order, once every
-    earlier item has executed. Callers pair this with
-    [Mvcc.Db.apply_writeset_parallel] /
-    [Mvcc.Db.commit_replicated_parallel], whose store installs become
-    visible through the same contiguous-prefix barrier — GSI snapshots
-    never see a gap.
+    Publication is decoupled from execution: each item's [on_published]
+    callback fires strictly in submission order, run inline by whichever
+    item completes the head of the queue. The database half of the same
+    rule is {!Mvcc.Db.apply_certified}'s finish, whose visible version only
+    advances through the contiguous prefix of announce orders — GSI
+    snapshots never see a gap.
 
     Metrics (registered by {!create} under [replica.<name>.apply.*]):
     [stalls] (items that had to wait for a conflicting predecessor),
     [submitted], [parallelism] (time-weighted mean number of concurrently
     executing items, over time when at least one is executing) and
-    [pending] (submitted but not yet published). Trace stages: [apply.wait]
-    (submission to execution start) and [apply.exec]. *)
+    [pending] (submitted but not yet published). Trace stage: [apply.wait]
+    (submission to execution start, under the item's trace id). *)
+
+type policy = Serial | Commit_n | Parallel of int
 
 type t
 
@@ -39,41 +48,35 @@ type handle
 val create :
   Sim.Engine.t ->
   name:string ->
-  workers:int ->
+  policy:policy ->
   metrics:Obs.Registry.t ->
   trace:Obs.Trace.t ->
   unit ->
   t
-(** Spawn [workers] worker fibers and one publisher fiber. [name] is the
-    replica label used for fiber names, metric names and trace actors.
-    Create at most one pool per [name] per registry.
-    @raise Invalid_argument if [workers < 1]. *)
+(** Spawn the policy's worker fibers. [name] is the replica label used for
+    fiber names, metric names and trace actors. Create at most one pool per
+    [name] per registry.
+    @raise Invalid_argument on [Parallel n] with [n < 2]. *)
 
 val submit :
   t ->
-  version:int ->
-  ws:Mvcc.Writeset.t ->
+  batch:(int * Mvcc.Writeset.t) list ->
   ?trace_id:int ->
   ?on_published:(unit -> unit) ->
   exec:(unit -> unit) ->
   unit ->
   handle
-(** Enqueue one item. [exec] runs in a worker fiber once every in-flight
-    predecessor writing an overlapping key has executed; it may block (lock
-    waits, CPU, WAL flush). [on_published] runs in the publisher fiber once
-    every earlier-submitted item has executed. Items must be submitted in
-    version order. *)
+(** Enqueue one item installing [batch] ([(version, writeset)] pairs, the
+    key-index input). [exec] runs in a worker fiber (its own fiber under
+    [Commit_n]) once every in-flight predecessor writing an overlapping key
+    has executed; it may block (lock waits, CPU, WAL flush). [on_published]
+    runs once this item and every earlier-submitted one have executed.
+    Items must be submitted in version order. *)
 
 val has_deps : handle -> bool
 (** Whether the item conflicted with a pending predecessor at submission
     time (the pool-level analogue of the certifier's [conflict_with]
-    annotation). *)
-
-val version : handle -> int
-
-val wait_published : handle -> unit
-(** Block until the item (and every item before it) has executed and been
-    published. Must run in a fiber. *)
+    annotation); always false under [Serial]. *)
 
 val parallelism : t -> float
 (** Time-weighted mean number of concurrently executing items, measured
@@ -84,8 +87,9 @@ val stalls : t -> int
 val pending : t -> int
 
 val pause : t -> unit
-(** Crash support: cancel all fibers, drop queued and in-flight items,
-    clear the dependency index. Accounting is re-baselined. *)
+(** Crash support: cancel every worker and item fiber, drop queued and
+    in-flight items, clear the dependency index. Accounting is
+    re-baselined. *)
 
 val resume : t -> unit
-(** Respawn worker and publisher fibers after {!pause}. *)
+(** Respawn the worker fibers after {!pause}. *)

@@ -5,9 +5,7 @@ type config = {
   apply_cpu_per_ws : Time.t;
   staleness_bound : Time.t option;
   group_remote_batches : bool;
-  apply_workers : int;
-      (* > 1 routes every certified commit through the dependency-tracked
-         Apply_pool instead of the per-mode serial/concurrent paths. *)
+  apply_workers : int;  (* > 1 selects the [Parallel] ordering policy *)
 }
 
 (* Apply CPU per row operation, on top of [apply_cpu_per_ws]. *)
@@ -34,6 +32,8 @@ type work =
       done_ : unit Ivar.t;
     }
 
+type catch_up = Floor | Bridge | Snapshot
+
 type stats = {
   commits : int;
   cert_aborts : int;
@@ -59,8 +59,8 @@ type t = {
   cpu : Resource.t;
   client : Cert_client.t;
   work : work Mailbox.t;
-  pool : Apply_pool.t option;  (* Some iff [cfg.apply_workers > 1] *)
-  version_done : (int, unit Ivar.t) Hashtbl.t;
+  policy : Apply_pool.policy;
+  pool : Apply_pool.t;
   mutable rv : int;
   mutable inflight : int;
   mutable last_activity : Time.t;
@@ -110,9 +110,7 @@ type t = {
   c_ab_local_ww : Stats.Counter.t;
   c_ab_local_deadlock : Stats.Counter.t;
   c_ab_local_preempted : Stats.Counter.t;
-  c_snapshot_installs : Stats.Counter.t;
-  c_floor_heals : Stats.Counter.t;
-  c_bridge_heals : Stats.Counter.t;
+  c_catch_up : catch_up -> Stats.Counter.t;
 }
 
 let addr t = t.address
@@ -136,7 +134,7 @@ let tx_start_version w_tx = w_tx.start_version
    arrived through the remote stream), not a second install — the
    serial-order monitor must not see it twice. The fresh/backfill test is
    taken before the apply call, mirroring the branch the database itself
-   takes at announce time. *)
+   takes at install time. *)
 
 let emit_install t ~version =
   Obs.Events.emit t.events
@@ -152,50 +150,49 @@ let emit_advance t =
            version = Mvcc.Db.current_version t.database;
          })
 
-let fresh_install t ~version = version > Mvcc.Db.current_version t.database
-
-(* Run the install [f] of the writeset certified at [version], then report
-   it if it extended the store. *)
-let installing t ~version f =
-  let fresh = Obs.Events.enabled t.events && fresh_install t ~version in
+(* Run the install [f] of the certified [batch], then report the versions
+   that extended the store. Under the publish barrier the store may not
+   show them yet: the advance reports whatever is visible now (monotone
+   either way). *)
+let installing t batch f =
+  let fresh =
+    if Obs.Events.enabled t.events then
+      let current = Mvcc.Db.current_version t.database in
+      List.filter (fun (version, _) -> version > current) batch
+    else []
+  in
   f ();
-  if fresh then begin
-    emit_install t ~version;
+  if fresh <> [] then begin
+    List.iter (fun (version, _) -> emit_install t ~version) fresh;
     emit_advance t
   end
 
 (* ------------------------------------------------------------------ *)
-(* Remote writeset application *)
+(* The apply engine: every certified writeset reaches the database as an
+   Apply_pool item, in version order, under the mode's ordering policy. *)
 
-(* Retry a certified writeset through local deadlocks: doom the local cycle
-   members (soft recovery, §8.1) and re-apply under the same order. A
-   certified writeset can only fail through a deadlock; anything else is a
-   model invariant violation, after which [release] frees whatever the
-   failed install held in the commit order. *)
-let rec retry_deadlocks t ~release install =
-  match install () with
+let in_order t = match t.policy with Apply_pool.Parallel _ -> false | Serial | Commit_n -> true
+
+(* Install certified writesets, retrying through local deadlocks: doom the
+   local cycle members (soft recovery, §8.1) and re-apply under the same
+   order. A certified writeset can only fail through a deadlock; anything
+   else is a model invariant violation. *)
+let rec install_certified t ~batch ~prev ~order =
+  match Mvcc.Db.apply_certified t.database ~batch ~prev ~order ~in_order:(in_order t) with
   | Ok () -> ()
   | Error (Mvcc.Db.Deadlock cycle) ->
       List.iter (fun txid -> Mvcc.Db.doom t.database txid) cycle;
-      retry_deadlocks t ~release install
+      install_certified t ~batch ~prev ~order
   | Error reason ->
       Stats.Counter.incr t.c_invariant;
-      release ();
       failwith
         (Format.asprintf "proxy %s: certified writeset failed: %a" t.address
            Mvcc.Db.pp_abort_reason reason)
 
-(* [release] for the serial paths: announce the slot nobody will fill. *)
-let skip t order () = Mvcc.Db.skip_order t.database order
-
-let fresh_remotes t remotes =
-  List.filter (fun (r : Types.remote_ws) -> r.version > t.rv) remotes
-
 (* A full state transfer (the asked-for log prefix was truncated) is applied
    as one blind writeset at the snapshot's version: folded images for every
-   key the pruned history wrote, deletions included, so it rides the normal
-   apply paths (serial batch, concurrent, pool) in version order ahead of
-   the accompanying remotes. *)
+   key the pruned history wrote, deletions included, so it rides the apply
+   engine in version order ahead of the accompanying remotes. *)
 let snapshot_remote (snap : Types.snapshot) : Types.remote_ws =
   let ws =
     Mvcc.Writeset.of_list
@@ -208,165 +205,104 @@ let snapshot_remote (snap : Types.snapshot) : Types.remote_ws =
   in
   { Types.version = snap.snap_version; ws; conflict_with = None }
 
-let charge_apply_cpu t remotes =
+let charge_apply_cpu t batch =
   let cost =
     List.fold_left
-      (fun acc (r : Types.remote_ws) ->
+      (fun acc (_, ws) ->
         Time.add acc
           (Time.add t.cfg.apply_cpu_per_ws
-             (Time.mul apply_cpu_per_op (Mvcc.Writeset.cardinal r.ws))))
-      Time.zero remotes
+             (Time.mul apply_cpu_per_op (Mvcc.Writeset.cardinal ws))))
+      Time.zero batch
   in
   if not (Time.is_zero cost) then Resource.use t.cpu cost
 
-(* One remote writeset as its own apply transaction, whichever engine runs
-   [install]. *)
-let apply_remote t (r : Types.remote_ws) install =
-  charge_apply_cpu t [ r ];
-  installing t ~version:r.version install;
-  Stats.Counter.incr t.c_applied;
+(* Hand the pool one item installing [batch] (ascending versions) under the
+   next announce order. Its chain predecessor is what this replica had
+   dispatched before it — [rv] is only advanced here — clamped below the
+   batch for a reply that trails the stream. *)
+let dispatch t ?trace_id ?on_published ~batch exec =
+  let prev = min t.rv (fst (List.hd batch) - 1) in
+  let order = Mvcc.Db.next_order t.database in
+  List.iter (fun (v, _) -> t.rv <- max t.rv v) batch;
+  let h =
+    Apply_pool.submit t.pool ~batch ?trace_id ?on_published
+      ~exec:(fun () -> exec ~prev ~order)
+      ()
+  in
+  if Apply_pool.has_deps h then Stats.Counter.incr t.c_artificial
+
+(* Remote writesets as one apply transaction (the T1_2_3 grouping of §3):
+   the rows land at their own versions, then every one that extended the
+   store is reported. *)
+let exec_remotes t ?trace_id batch ~prev ~order =
+  let sp = Obs.Trace.span t.trace ?id:trace_id ~stage:"apply" ~actor:t.address () in
+  charge_apply_cpu t batch;
+  installing t batch (fun () -> install_certified t ~batch ~prev ~order);
+  Obs.Trace.finish t.trace sp;
+  Stats.Counter.add t.c_applied (List.length batch);
   Stats.Counter.incr t.c_batches
 
-(* Serial application (Base, Tashkent-MW, refreshes): batch every fresh
-   remote writeset into one transaction (the T1_2_3 grouping of §3) and wait
-   for it to commit. With [group_remote_batches = false] this degenerates to
-   the paper's naive implementation — one transaction (and one fsync, when
-   the log is synchronous) per remote writeset. *)
-let apply_one_serial t (r : Types.remote_ws) =
-  t.rv <- max t.rv r.version;
-  apply_remote t r (fun () ->
-      let order = Mvcc.Db.next_order t.database in
-      retry_deadlocks t ~release:(skip t order) (fun () ->
-          Mvcc.Db.apply_writeset t.database ~version:r.version ~order r.ws))
+(* Dispatch every remote above [rv]. [Serial] groups them into one item
+   (with [group_remote_batches]; without it, the paper's naive strawman:
+   one transaction, and one fsync, per writeset); [Commit_n] groups only a
+   fetched batch, submitting a reply's remotes one by one so they can
+   commit concurrently; [Parallel] always goes one by one. [on_done] runs
+   once the last item is published (at once when none is fresh). *)
+let dispatch_remotes t ~fetched ?trace_id remotes ~on_done =
+  let fresh =
+    List.filter_map
+      (fun (r : Types.remote_ws) -> if r.version > t.rv then Some (r.version, r.ws) else None)
+      remotes
+  in
+  let grouped =
+    t.cfg.group_remote_batches
+    &&
+    match t.policy with
+    | Apply_pool.Serial -> true
+    | Commit_n -> fetched
+    | Parallel _ -> false
+  in
+  let rec go = function
+    | [] -> on_done ()
+    | [ batch ] -> dispatch t ?trace_id ~batch ~on_published:on_done (exec_remotes t ?trace_id batch)
+    | batch :: rest ->
+        dispatch t ?trace_id ~batch (exec_remotes t ?trace_id batch);
+        go rest
+  in
+  go (if grouped && fresh <> [] then [ fresh ] else List.map (fun r -> [ r ]) fresh)
 
-(* Batched grouping keeps one transaction / one fsync for the whole run of
-   fresh writesets, but installs each at its own certified version (see
-   {!Mvcc.Db.apply_writeset_batch} for why renaming versions is unsound). *)
-let apply_serial t remotes =
-  match fresh_remotes t remotes with
-  | [] -> ()
-  | fresh when not t.cfg.group_remote_batches -> List.iter (apply_one_serial t) fresh
-  | fresh ->
-      let vmax = List.fold_left (fun a (r : Types.remote_ws) -> max a r.version) 0 fresh in
-      let batch = List.map (fun (r : Types.remote_ws) -> (r.version, r.ws)) fresh in
-      t.rv <- vmax;
-      charge_apply_cpu t fresh;
-      let installs =
-        if Obs.Events.enabled t.events then
-          List.filter (fun (r : Types.remote_ws) -> fresh_install t ~version:r.version) fresh
-        else []
-      in
-      let order = Mvcc.Db.next_order t.database in
-      retry_deadlocks t ~release:(skip t order) (fun () ->
-          Mvcc.Db.apply_writeset_batch t.database ~batch ~order);
-      List.iter (fun (r : Types.remote_ws) -> emit_install t ~version:r.version) installs;
-      if installs <> [] then emit_advance t;
-      Stats.Counter.add t.c_applied (List.length fresh);
-      Stats.Counter.incr t.c_batches
-
-(* Mark [version] applied for Tashkent-API's artificial-conflict waits: a
-   filled entry would mean "no wait" just as a missing one does, so it goes
-   at once — unless a later dispatch of the same version replaced it. *)
-let version_applied t version ivar =
-  Ivar.fill ivar ();
-  match Hashtbl.find_opt t.version_done version with
-  | Some v when v == ivar -> Hashtbl.remove t.version_done version
-  | Some _ | None -> ()
-
-(* Concurrent application (Tashkent-API): each remote writeset is its own
-   transaction with its own commit sequence number, submitted without
-   waiting — except when the certifier flagged an artificial conflict with
-   a version still in flight, which must commit first (§5.2.1). *)
-let apply_concurrent t remotes =
-  List.iter
-    (fun (r : Types.remote_ws) ->
-      let order = Mvcc.Db.next_order t.database in
-      let ivar = Ivar.create t.engine () in
-      (* Entries leave [version_done] as they fill: a present one is in flight. *)
-      let dep = Option.bind r.conflict_with (Hashtbl.find_opt t.version_done) in
-      if Option.is_some dep then Stats.Counter.incr t.c_artificial;
-      Hashtbl.replace t.version_done r.version ivar;
-      t.rv <- max t.rv r.version;
-      ignore
-        (Engine.spawn t.engine ~name:(t.address ^ ".apply") (fun () ->
-             let sp = Obs.Trace.span t.trace ~stage:"apply" ~actor:t.address () in
-             (match dep with Some div -> Ivar.read div | None -> ());
-             apply_remote t r (fun () ->
-                 retry_deadlocks t ~release:(skip t order) (fun () ->
-                     Mvcc.Db.apply_writeset t.database ~version:r.version ~order r.ws));
-             Obs.Trace.finish t.trace sp;
-             version_applied t r.version ivar)))
-    (fresh_remotes t remotes)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel application (apply_workers > 1): every certified commit —
-   remote writesets and this replica's own — is dispatched to the
-   dependency-tracked pool in version order, with its announce order drawn
-   at dispatch. Workers may then finish out of order; the database's
-   parallel path installs rows immediately but publishes the visible
-   version only through the contiguous-order barrier. A failed parallel
-   install never announced its order, so there is nothing to release. *)
-
-(* Dispatch every fresh remote in version order; [on_done] runs once the
-   last of them is published (at once when none is fresh). *)
-let pool_submit_remotes t pool ?trace_id remotes ~on_done =
-  let fresh = fresh_remotes t remotes in
-  let n = List.length fresh in
-  List.iteri
-    (fun i (r : Types.remote_ws) ->
-      let order = Mvcc.Db.next_order t.database in
-      t.rv <- max t.rv r.version;
-      let on_published = if i = n - 1 then Some on_done else None in
-      let h =
-        Apply_pool.submit pool ~version:r.version ~ws:r.ws ?trace_id ?on_published
-          ~exec:(fun () ->
-            (* The published prefix advances through the pool's contiguous
-               barrier, not at this worker's finish: the install event
-               reports whatever is visible now (monotone either way). *)
-            apply_remote t r (fun () ->
-                retry_deadlocks t ~release:ignore (fun () ->
-                    Mvcc.Db.apply_writeset_parallel t.database ~version:r.version
-                      ~order r.ws)))
-          ()
-      in
-      if Apply_pool.has_deps h then Stats.Counter.incr t.c_artificial)
-    fresh;
-  if n = 0 then on_done ()
-
-let process_commit_pool t pool reply w_tx done_ =
-  pool_submit_remotes t pool ~trace_id:w_tx.trace_id reply.Types.remotes ~on_done:ignore;
-  let version = reply.Types.commit_version in
-  let order = Mvcc.Db.next_order t.database in
-  t.rv <- max t.rv version;
+(* The replica's own certified commit. The durability stage is where Base
+   pays its serialized commit fsync and MW commits in memory — the gap the
+   paper's Figure 7 turns on. *)
+let exec_commit t w_tx ~version ~prev ~order =
+  let sp = Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"durability" ~actor:t.address () in
   let ws = Mvcc.Db.writeset w_tx.db_tx in
-  ignore
-    (Apply_pool.submit pool ~version ~ws ~trace_id:w_tx.trace_id
-       ~on_published:(fun () -> Ivar.fill done_ (Ok ()))
-       ~exec:(fun () ->
-         let sp =
-           Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"durability" ~actor:t.address ()
-         in
-         installing t ~version (fun () ->
-             match Mvcc.Db.commit_replicated_parallel w_tx.db_tx ~version ~order with
-             | Ok () -> ()
-             | Error _doomed ->
-                 (* Same situation as in [finish_local_commit]: the global
-                    decision wins, install the buffered writeset. The parallel
-                    commit did not consume the order slot, so reuse it. *)
-                 Stats.Counter.incr t.c_preempted;
-                 retry_deadlocks t ~release:ignore (fun () ->
-                     Mvcc.Db.apply_writeset_parallel t.database ~version ~order ws));
-         Obs.Trace.finish t.trace sp;
-         Stats.Counter.incr t.c_commits)
-       ())
+  installing t [ (version, ws) ] (fun () ->
+      match Mvcc.Db.commit_certified w_tx.db_tx ~version ~prev ~order ~in_order:(in_order t) with
+      | Ok () -> ()
+      | Error _doomed ->
+          (* The certifier committed this transaction, but it was doomed
+             locally while its commit reply was delayed (a remote writeset
+             preempted its locks — a soundness shortcut that assumes the
+             local transaction will fail certification, which this one did
+             not; the window only opens when certification outlasts the
+             remote stream, i.e. under certifier failover). The global
+             decision is authoritative: install the buffered writeset as if
+             it arrived remotely, under the order it already holds — the
+             store slots it at [version], beneath any later committed
+             overwrites. *)
+          Stats.Counter.incr t.c_preempted;
+          install_certified t ~batch:[ (version, ws) ] ~prev ~order);
+  Obs.Trace.finish t.trace sp;
+  Stats.Counter.incr t.c_commits
 
 (* ------------------------------------------------------------------ *)
 (* Catching up *)
 
-(* Repeat [step] until [caught_up] or a pause; [counter] counts episodes. *)
-let catch_up t counter ~caught_up step =
+(* Repeat [step] until [caught_up] or a pause, counting episodes. *)
+let catch_up t cause ~caught_up step =
   if (not t.paused) && not (caught_up ()) then begin
-    Stats.Counter.incr counter;
+    Stats.Counter.incr (t.c_catch_up cause);
     let rec loop () =
       if (not t.paused) && not (caught_up ()) then begin
         step ();
@@ -388,7 +324,7 @@ let remotes_of_fetch t (fetch : Types.fetch_reply) =
   Mvcc.Db.set_cluster_gc_floor t.database fetch.fetch_gc_floor;
   match fetch.fetch_snapshot with
   | Some snap when snap.snap_version > t.rv ->
-      Stats.Counter.incr t.c_snapshot_installs;
+      Stats.Counter.incr (t.c_catch_up Snapshot);
       (* A state transfer is a legal version jump: tell the serial-order
          monitor the prefix below it is settled. The snapshot itself still
          rides the apply path as a writeset at [snap_version], hence the
@@ -398,14 +334,6 @@ let remotes_of_fetch t (fetch : Types.fetch_reply) =
            { actor = t.address; part = t.part; version = snap.snap_version - 1 });
       snapshot_remote snap :: fetch.fetch_remotes
   | Some _ | None -> fetch.fetch_remotes
-
-let apply_fetched t remotes =
-  match t.pool with
-  | Some pool ->
-      let done_ = Ivar.create t.engine () in
-      pool_submit_remotes t pool remotes ~on_done:(fun () -> Ivar.fill done_ ());
-      Ivar.read done_
-  | None -> apply_serial t remotes
 
 (* A commit reply is only sound if it is self-contained: its composed
    remotes must bridge every version between this replica's applied prefix
@@ -429,91 +357,34 @@ let bridged t (reply : Types.cert_reply) =
      = reply.commit_version - t.rv - 1
 
 let ensure_bridge t reply =
-  catch_up t t.c_bridge_heals
+  catch_up t Bridge
     ~caught_up:(fun () -> bridged t reply)
     (fun () ->
       match fetch t with
-      | Some f -> apply_fetched t (remotes_of_fetch t f)
+      | Some f -> dispatch_remotes t ~fetched:true (remotes_of_fetch t f) ~on_done:ignore
       | None -> Engine.sleep t.engine (Time.of_ms 5.))
 
 (* ------------------------------------------------------------------ *)
-(* The applier fiber: consumes certifier replies in version order. *)
-
-let finish_local_commit t w_tx ~version ~order done_ =
-  (* The durability stage: where Base pays its serialized commit fsync and
-     MW commits in memory — the gap the paper's Figure 7 turns on. *)
-  let sp = Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"durability" ~actor:t.address () in
-  installing t ~version (fun () ->
-      match Mvcc.Db.commit_replicated w_tx.db_tx ~version ~order with
-      | Ok () -> ()
-      | Error _doomed ->
-          (* The certifier committed this transaction, but it was doomed
-             locally while its commit reply was delayed (a remote writeset
-             preempted its locks — a soundness shortcut that assumes the local
-             transaction will fail certification, which this one did not; the
-             window only opens when certification outlasts the remote stream,
-             i.e. under certifier failover). The global decision is
-             authoritative: install the buffered writeset as if it arrived
-             remotely — the store slots it at [version], beneath any later
-             committed overwrites. [commit_replicated] already consumed the
-             caller's order slot via skip_order, so draw a fresh one. *)
-          Stats.Counter.incr t.c_preempted;
-          let ws = Mvcc.Db.writeset w_tx.db_tx in
-          let order = Mvcc.Db.next_order t.database in
-          retry_deadlocks t ~release:(skip t order) (fun () ->
-              Mvcc.Db.apply_writeset t.database ~version ~order ws));
-  Obs.Trace.finish t.trace sp;
-  Stats.Counter.incr t.c_commits;
-  Ivar.fill done_ (Ok ())
-
-let process_commit_serial t reply w_tx done_ =
-  (if reply.Types.remotes <> [] then begin
-     let sp = Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"apply" ~actor:t.address () in
-     apply_serial t reply.Types.remotes;
-     Obs.Trace.finish t.trace sp
-   end);
-  let order = Mvcc.Db.next_order t.database in
-  t.rv <- max t.rv reply.commit_version;
-  finish_local_commit t w_tx ~version:reply.commit_version ~order done_
-
-let process_commit_api t reply w_tx done_ =
-  apply_concurrent t reply.Types.remotes;
-  let version = reply.commit_version in
-  let order = Mvcc.Db.next_order t.database in
-  let civar = Ivar.create t.engine () in
-  Hashtbl.replace t.version_done version civar;
-  t.rv <- max t.rv version;
-  ignore
-    (Engine.spawn t.engine ~name:(t.address ^ ".commit") (fun () ->
-         finish_local_commit t w_tx ~version ~order done_;
-         version_applied t version civar))
+(* The applier fiber: consumes certifier replies in version order and
+   dispatches them, so items reach the pool in version order. *)
 
 let spawn_applier t =
   let fiber =
     Engine.spawn t.engine ~name:(t.address ^ ".applier") (fun () ->
         let rec loop () =
           (match Mailbox.recv t.work with
-          | Commit_reply { reply; w_tx; done_ } -> (
+          | Commit_reply { reply; w_tx; done_ } ->
               ensure_bridge t reply;
-              match t.pool with
-              | Some pool -> process_commit_pool t pool reply w_tx done_
-              | None -> (
-                  match t.cfg.mode with
-                  | Types.Base | Types.Tashkent_mw ->
-                      process_commit_serial t reply w_tx done_
-                  | Types.Tashkent_api -> process_commit_api t reply w_tx done_))
+              let trace_id = w_tx.trace_id in
+              dispatch_remotes t ~fetched:false ~trace_id reply.remotes ~on_done:ignore;
+              let version = reply.commit_version in
+              dispatch t ~trace_id
+                ~batch:[ (version, Mvcc.Db.writeset w_tx.db_tx) ]
+                ~on_published:(fun () -> Ivar.fill done_ (Ok ()))
+                (exec_commit t w_tx ~version)
           | Refresh_batch { remotes; trace_id; done_ } ->
-              (match t.pool with
-              | Some pool ->
-                  pool_submit_remotes t pool ~trace_id remotes
-                    ~on_done:(fun () -> Ivar.fill done_ ())
-              | None ->
-                  let sp =
-                    Obs.Trace.span t.trace ~id:trace_id ~stage:"apply" ~actor:t.address ()
-                  in
-                  apply_serial t remotes;
-                  Obs.Trace.finish t.trace sp;
-                  Ivar.fill done_ ());
+              dispatch_remotes t ~fetched:true ~trace_id remotes
+                ~on_done:(fun () -> Ivar.fill done_ ());
               Stats.Counter.incr t.c_refreshes);
           loop ()
         in
@@ -588,7 +459,7 @@ let refresh t =
    pruned). An unreachable certifier group is paced by the fetch's own
    timeouts rather than a hot loop here. *)
 let heal_below_floor t ~floor =
-  catch_up t t.c_floor_heals
+  catch_up t Floor
     ~caught_up:(fun () -> t.rv >= floor)
     (fun () ->
       refresh t;
@@ -762,6 +633,13 @@ let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
   let events = env.Env.events in
   if cfg.apply_workers < 1 then
     invalid_arg "Proxy.create: apply_workers must be >= 1";
+  let policy =
+    if cfg.apply_workers > 1 then Apply_pool.Parallel cfg.apply_workers
+    else
+      match cfg.mode with
+      | Types.Base | Types.Tashkent_mw -> Apply_pool.Serial
+      | Types.Tashkent_api -> Apply_pool.Commit_n
+  in
   let counter name = Obs.Registry.counter metrics ("proxy." ^ address ^ "." ^ name) in
   let mailbox = Net.Network.register net address in
   let client =
@@ -793,13 +671,8 @@ let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
       cpu;
       client;
       work = Mailbox.create engine ~name:(address ^ ".work") ();
-      pool =
-        (if cfg.apply_workers > 1 then
-           Some
-             (Apply_pool.create engine ~name:address ~workers:cfg.apply_workers
-                ~metrics ~trace ())
-         else None);
-      version_done = Hashtbl.create 256;
+      policy;
+      pool = Apply_pool.create engine ~name:address ~policy ~metrics ~trace ();
       rv = 0;
       inflight = 0;
       last_activity = Engine.now engine;
@@ -829,9 +702,10 @@ let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
       c_ab_local_ww = counter "abort.local_ww";
       c_ab_local_deadlock = counter "abort.local_deadlock";
       c_ab_local_preempted = counter "abort.local_preempted";
-      c_snapshot_installs = counter "snapshot_installs";
-      c_floor_heals = counter "floor_heals";
-      c_bridge_heals = counter "bridge_heals";
+      c_catch_up =
+        (let floor = counter "catch_up.floor" and bridge = counter "catch_up.bridge" in
+         let snapshot = counter "catch_up.snapshot" in
+         function Floor -> floor | Bridge -> bridge | Snapshot -> snapshot);
     }
   in
   (* Reply dispatcher: long-lived, routes certifier messages to waiters. *)
@@ -862,8 +736,7 @@ let pause t =
   t.applier <- None;
   t.refresher <- None;
   Mailbox.clear t.work;
-  Hashtbl.reset t.version_done;
-  (match t.pool with Some pool -> Apply_pool.pause pool | None -> ())
+  Apply_pool.pause t.pool
 
 let disconnect t =
   (* The host replica crashed: its address must vanish from the network so
@@ -880,7 +753,7 @@ let resume t =
   t.paused <- false;
   t.rv <- Mvcc.Db.current_version t.database;
   t.last_activity <- Engine.now t.engine;
-  (match t.pool with Some pool -> Apply_pool.resume pool | None -> ());
+  Apply_pool.resume t.pool;
   spawn_applier t;
   (match t.cfg.staleness_bound with Some bound -> spawn_refresher t bound | None -> ())
 
@@ -899,12 +772,8 @@ let stats t =
     refreshes = Stats.Counter.value t.c_refreshes;
     local_cert_promotions = Stats.Counter.value t.c_promotions;
     preempted_commits = Stats.Counter.value t.c_preempted;
-    apply_stalls = (match t.pool with Some p -> Apply_pool.stalls p | None -> 0);
+    apply_stalls = Apply_pool.stalls t.pool;
   }
 
-let apply_parallelism t =
-  match t.pool with Some p -> Apply_pool.parallelism p | None -> 1.0
-
-let snapshot_installs t = Stats.Counter.value t.c_snapshot_installs
-let floor_heals t = Stats.Counter.value t.c_floor_heals
-let bridge_heals t = Stats.Counter.value t.c_bridge_heals
+let apply_parallelism t = Apply_pool.parallelism t.pool
+let catch_ups t cause = Stats.Counter.value (t.c_catch_up cause)

@@ -2,18 +2,32 @@
 
     Sits in front of one database replica: clients open transactions through
     it, it tracks [replica_version], invokes certification on commit, and
-    applies remote writesets — serially in Base and Tashkent-MW, or
-    concurrently with commit-order sequence numbers in Tashkent-API, where
-    it also detects artificial conflicts between remote writesets (§5.2.1)
-    and serialises exactly the conflicting ones.
+    applies every certified writeset — a commit reply's remotes, the
+    replica's own commit, refresh and bridge-heal fetches — through one
+    {!Apply_pool}, under the ordering policy its mode implies (the paper's
+    three systems differ only in who orders commits, §1, §5.2):
+
+    - Base and Tashkent-MW ([Serial]): one applier commits the items in
+      order; a reply's fresh remotes form one item when
+      [group_remote_batches] is set.
+    - Tashkent-API ([Commit_n]): every reply remote and own commit is its
+      own item, committed concurrently and announced in order ([COMMIT n]);
+      the pool's key index serialises exactly the items that conflict —
+      the artificial conflicts of §5.2.1. A fetched batch stays one item.
+    - [apply_workers > 1], any mode ([Parallel]): a bounded worker pool
+      with the same key index, each writeset its own item, published
+      through the database's contiguous-prefix barrier.
 
     Ordering discipline: commit replies from the certifier arrive in global
     version order (the certifier answers at log-apply time, links are FIFO);
-    a single {e applier} fiber consumes them in that order, so versions are
-    installed monotonically. Abort replies are handled directly by the
-    client's fiber — they touch no versioned state and must not queue behind
-    a blocked application (that is what lets a lock held by a
-    doomed-to-abort local transaction drain, §8.2). *)
+    a single {e applier} fiber consumes them in that order and dispatches
+    their items, so the pool sees versions in order. Each item carries its
+    redo chain predecessor — what this replica had dispatched before it —
+    so recovery can verify the chain however the items finish. Abort
+    replies are handled directly by the client's fiber — they touch no
+    versioned state and must not queue behind a blocked application (that
+    is what lets a lock held by a doomed-to-abort local transaction drain,
+    §8.2). *)
 
 type config = {
   mode : Types.mode;
@@ -29,14 +43,13 @@ type config = {
           "grouping remote writesets"). Disabling reproduces the paper's
           naive strawman: one commit per remote writeset. *)
   apply_workers : int;
-      (** number of parallel applier fibers. With more than
-          one, every certified commit — remote writesets and this
-          replica's own — is dispatched to a dependency-tracked
-          {!Apply_pool}: non-conflicting writesets apply concurrently
-          (their WAL fsyncs group), conflicting ones wait for their
-          predecessors, and version visibility advances only through the
-          contiguous-order publish barrier, so GSI snapshots are
-          unchanged. Overrides the per-mode serial/concurrent paths. *)
+      (** number of parallel applier fibers. With more than one, the
+          pool runs the [Parallel] policy whatever the mode: every
+          certified writeset is its own item, non-conflicting ones apply
+          concurrently (their WAL fsyncs group), conflicting ones wait for
+          their predecessors, and version visibility advances only through
+          the contiguous-order publish barrier, so GSI snapshots are
+          unchanged. With one, the mode's own policy applies. *)
 }
 (** Soft recovery (a remote writeset that deadlocks against local
     transactions dooms the local cycle members and retries) and local
@@ -58,18 +71,19 @@ val create :
   unit ->
   t
 (** Registers endpoint [addr] on [env]'s network and spawns the reply
-    dispatcher, the applier (an {!Apply_pool} when
-    [config.apply_workers > 1]), and (if configured) the staleness
-    refresher.
+    dispatcher, the applier fiber with its {!Apply_pool}, and (if
+    configured) the staleness refresher.
 
     Observability: counters register under [proxy.<addr>.*] in
     [env.metrics], the cumulative [Cert_client] robustness counters are
-    exported as [cert_client.<addr>.*] gauges, and a parallel applier adds
+    exported as [cert_client.<addr>.*] gauges, and the pool adds
     [replica.<addr>.apply.*]. With a live [env.trace], every update
     transaction gets a trace id at {!begin_tx} and the proxy records
-    [txn.commit], [certify], [durability], [apply] (or
-    [apply.wait]/[apply.exec] under a parallel applier) and [backfill]
-    spans on the sim clock (taxonomy in DESIGN.md §10). With a live
+    [txn.commit], [certify], [apply.wait] (an item queued in the pool),
+    [apply] (remote writesets installing), [durability] (the own commit)
+    and [backfill] spans on the sim clock, every apply-side span under the
+    trace id of the commit or refresh that dispatched it (taxonomy in
+    DESIGN.md §10). With a live
     [env.events], the proxy feeds the protocol-event stream —
     [Tx_submitted]/[Tx_resolved] around every certified commit,
     [Ws_install]/[Snapshot_advance] at each store-extending install,
@@ -178,8 +192,9 @@ type stats = {
   remote_ws_applied : int;
   apply_batches : int;
   artificial_serializations : int;
-      (** remote-writeset chunks that had to wait for a conflicting
-          predecessor (Tashkent-API) *)
+      (** pool items that conflicted with a pending predecessor at
+          dispatch, so had to wait for it (the pool's key index; always 0
+          under the [Serial] policy) *)
   refreshes : int;
   local_cert_promotions : int;
       (** commits whose effective start version was raised by local
@@ -190,8 +205,8 @@ type stats = {
           was delayed by a certifier failover; their writesets were
           installed from the buffer under the certifier's decision *)
   apply_stalls : int;
-      (** parallel-applier items that had to wait for a conflicting
-          predecessor before executing; always 0 with [apply_workers = 1] *)
+      (** pool items still waiting for a conflicting predecessor when
+          they reached execution *)
 }
 
 val stats : t -> stats
@@ -201,32 +216,33 @@ val stats : t -> stats
 
 val apply_parallelism : t -> float
 (** Time-weighted mean number of concurrently executing apply items (see
-    {!Apply_pool.parallelism}); 1.0 when running without a parallel
-    applier. *)
+    {!Apply_pool.parallelism}). *)
 
-val snapshot_installs : t -> int
-(** Refreshes whose asked-for log prefix had been truncated at the
-    certifier and were answered with (and installed from) a full state
-    transfer instead. Also exported as [proxy.<addr>.snapshot_installs]. *)
+(** Why this replica had to catch up on history it was missing. *)
+type catch_up =
+  | Floor
+      (** a certification abort revealed the applied version had fallen
+          below the certifier's truncation floor (its watermark report
+          went stale — e.g. across a leader election — and the floor passed
+          it), triggering an eager refresh from the commit path. Without
+          the eager heal the replica livelocks: every request re-aborts as
+          snapshot-too-old, the abort traffic keeps the idle refresher from
+          ever firing, and its frozen report pins the cluster floor
+          forever. *)
+  | Bridge
+      (** a commit reply arrived whose composed remotes did not bridge
+          every version between the applied prefix and the commit version,
+          forcing a fetch (usually answered with a state transfer) before
+          the install. The schedule that produces such a reply: the
+          certifier re-answers a retried, already-decided request after the
+          GC floor passed the replica's stale watermark, so the bridging
+          log entries are gone. Installing without the heal would advance
+          the replica over a permanent hole — silent divergence. *)
+  | Snapshot
+      (** a fetch whose asked-for log prefix had been truncated at the
+          certifier was answered with (and installed from) a full state
+          transfer *)
 
-val floor_heals : t -> int
-(** Times a certification abort revealed this replica's applied version had
-    fallen below the certifier's truncation floor (its watermark report
-    went stale — e.g. across a leader election — and the floor passed it),
-    triggering an eager refresh from the commit path. Without the eager
-    heal the replica livelocks: every request re-aborts as
-    snapshot-too-old, the abort traffic keeps the idle refresher from ever
-    firing, and its frozen report pins the cluster floor forever. Also
-    exported as [proxy.<addr>.floor_heals]. *)
-
-val bridge_heals : t -> int
-(** Times a commit reply arrived whose composed remotes did not bridge
-    every version between this replica's applied prefix and the commit
-    version, forcing a fetch (usually answered with a state transfer)
-    before the install. The schedule that produces such a reply: the
-    certifier re-answers a retried, already-decided request after the GC
-    floor passed the replica's stale watermark, so the bridging log
-    entries are gone. Installing without the heal would advance the
-    replica over a permanent hole — silent divergence. Also exported as
-    [proxy.<addr>.bridge_heals]. *)
-
+val catch_ups : t -> catch_up -> int
+(** Catch-up episodes of each cause, also exported as
+    [proxy.<addr>.catch_up.floor], [.bridge] and [.snapshot]. *)

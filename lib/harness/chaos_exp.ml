@@ -358,7 +358,7 @@ let run ?(config = default_config ()) () =
     violations = List.rev !violations;
     monitor_violations;
     monitor_events = Obs.Monitor.events_seen sc.monitor;
-    bridge_heals = over_proxies Tashkent.Proxy.bridge_heals;
+    bridge_heals = over_proxies (fun p -> Tashkent.Proxy.catch_ups p Bridge);
     ran_for = Time.diff (Engine.now sc.engine) started;
     trace = sc.trace;
     durable_acked =

@@ -91,7 +91,7 @@ type result = {
   bridge_heals : int;
       (** commit replies whose composed remotes failed to bridge the
           replica's applied prefix, forcing a fetch before the install
-          ({!Tashkent.Proxy.bridge_heals}, summed over proxies). The
+          ({!Tashkent.Proxy.catch_ups} [Bridge], summed over proxies). The
           stale-re-answer regression schedules assert this stayed > 0 —
           i.e. the pathological interleaving still occurs and is healed. *)
   ran_for : Sim.Time.t;

@@ -239,8 +239,8 @@ let run ?(config = default_config ()) () =
       (fun lead -> Tashkent.Cert_log.pruned (Tashkent.Certifier.log lead))
       (Tashkent.Cluster.leaders sc.cluster)
   in
-  let snapshot_installs = Scenario.sum Tashkent.Proxy.snapshot_installs proxies in
-  let floor_heals = Scenario.sum Tashkent.Proxy.floor_heals proxies in
+  let snapshot_installs = Scenario.sum (fun p -> Tashkent.Proxy.catch_ups p Snapshot) proxies in
+  let floor_heals = Scenario.sum (fun p -> Tashkent.Proxy.catch_ups p Floor) proxies in
   let stale_expired = Scenario.sum Mvcc.Db.stale_snapshots_expired dbs in
   let all = List.rev !windows in
   let measured =

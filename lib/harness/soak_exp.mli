@@ -83,7 +83,7 @@ type result = {
       (** pruned-prefix recoveries healed by snapshot transfer *)
   floor_heals : int;
       (** below-floor livelocks broken by an eager refresh from the commit
-          path (see {!Tashkent.Proxy.floor_heals}), summed over replicas *)
+          path ({!Tashkent.Proxy.catch_ups} [Floor]), summed over replicas *)
   stale_expired : int;  (** transactions doomed by [max_snapshot_age] *)
   fault : Fault.stats option;  (** [None] when chaos was off *)
   violations : string list;  (** empty on a passing run *)

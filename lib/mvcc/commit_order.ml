@@ -5,8 +5,8 @@ type t = {
   mutable allocated : int;
   mutable announced_upto : int;
   mutable turnstile : Waitq.t;
-  (* Sequence numbers finished out of order (parallel apply) that are still
-     waiting for every lower number to finish before they can publish. *)
+  (* Sequence numbers finished out of order that are still waiting for
+     every lower number to finish before they can publish. *)
   completed : (int, unit) Hashtbl.t;
 }
 
@@ -30,17 +30,9 @@ let rec wait_turn t n =
     wait_turn t n
   end
 
-let announce t n =
-  if n <> t.announced_upto + 1 then
-    invalid_arg
-      (Printf.sprintf "Commit_order.announce: got %d, expected %d" n
-         (t.announced_upto + 1));
-  t.announced_upto <- n;
-  Waitq.broadcast t.turnstile
-
-(* Out-of-order completion with ordered publish: mark [n] finished in any
-   order; the announced prefix only advances through a contiguous run of
-   completed numbers, so observers never see [n] published before [n-1]. *)
+(* Mark [n] finished in any order; the announced prefix only advances
+   through a contiguous run of completed numbers, so observers never see
+   [n] published before [n-1]. *)
 let complete t n =
   if n <= 0 then invalid_arg "Commit_order.complete: sequence numbers are 1-based";
   if n > t.announced_upto && not (Hashtbl.mem t.completed n) then begin

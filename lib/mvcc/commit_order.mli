@@ -21,19 +21,15 @@ val next_seq : t -> int
 val wait_turn : t -> int -> unit
 (** Block until all sequence numbers below [n] have been announced. *)
 
-val announce : t -> int -> unit
-(** Mark [n] announced. Must be called with the exact next number —
-    i.e. after [wait_turn t n] — otherwise raises. *)
-
 val complete : t -> int -> unit
-(** Out-of-order completion with ordered publish (parallel apply): mark [n]
-    finished without waiting for a turn. The announced prefix advances only
-    through a contiguous run of completed numbers — [n] stays pending until
-    every lower number has completed — and the turnstile is broadcast when
-    the prefix moves, so {!wait_turn} and {!announced} observers still see a
-    strictly ordered publication. Idempotent; numbers at or below the
-    published prefix are ignored. Do not mix with {!announce} on the same
-    instance. *)
+(** Mark [n] finished. An in-order committer calls it after
+    [wait_turn t n] (the announcement of [COMMIT n]); an out-of-order one
+    (parallel apply) calls it without waiting. The announced prefix advances
+    only through a contiguous run of completed numbers — [n] stays pending
+    until every lower number has completed — and the turnstile is broadcast
+    when the prefix moves, so {!wait_turn} and {!announced} observers always
+    see a strictly ordered publication. Idempotent; numbers at or below the
+    published prefix are ignored. *)
 
 val announced : t -> int
 val waiting : t -> int

@@ -69,13 +69,13 @@ and t = {
   mutable order : Commit_order.t;
   (* Commit records carry (version, prev, writeset): [prev] is the version
      this replica had applied immediately before [version], so recovery can
-     verify the redo chain and truncate at the first gap — essential once
-     parallel apply lets records reach the log out of version order. *)
+     verify the redo chain and truncate at the first gap — essential because
+     concurrent commits let records reach the log out of version order. *)
   db_wal : (int * int * Writeset.t) Storage.Wal.t;
-  (* Parallel-apply publish frontier: completed-but-unpublished commits,
-     keyed by announce order, whose store visibility is still waiting for a
-     lower order to finish. *)
-  parallel_versions : (int, int) Hashtbl.t;
+  (* Publish frontier: finished-but-unpublished commits, keyed by announce
+     order, whose top version is still waiting for a lower order to
+     finish. *)
+  unpublished : (int, int) Hashtbl.t;
   mutable published_order : int;
   active : (txid, tx) Hashtbl.t;
   mutable initial_rows : (Key.t * Value.t) list;
@@ -192,7 +192,7 @@ let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
       locks = Locks.create ();
       order = Commit_order.create engine ();
       db_wal = Storage.Wal.create engine ~disk:log_disk ~name:(name ^ ".wal") ();
-      parallel_versions = Hashtbl.create 64;
+      unpublished = Hashtbl.create 64;
       published_order = 0;
       active = Hashtbl.create 32;
       initial_rows = [];
@@ -421,12 +421,6 @@ let writeset tx = tx.buffer
 
 let next_order t = Commit_order.next_seq t.order
 
-let skip_order t order =
-  ignore
-    (Engine.spawn t.engine ~name:(t.label ^ ".skip") (fun () ->
-         Commit_order.wait_turn t.order order;
-         Commit_order.announce t.order order))
-
 let charge_commit_cpu t =
   match t.cpu with
   | Some cpu when not (Time.is_zero t.cfg.commit_cpu) -> Resource.use cpu t.cfg.commit_cpu
@@ -446,34 +440,48 @@ let schedule_writebacks t ws =
                done))
   | Some _ | None -> ()
 
-let log_commit t ~version ?prev ws =
-  (* [prev] defaults to the store's version at log time, clamped below
-     [version]: exact for the serial apply paths (one commit in flight at a
-     time) and for backfilled commits (whose true predecessor in the chain
-     is version - 1). Parallel apply passes [version - 1] explicitly, since
-     at log time the store still sits at the published prefix. *)
-  let prev =
-    match prev with
-    | Some p -> p
-    | None -> min (Store.current_version t.db_store) (version - 1)
+(* One durable group for the whole batch: a redo record per version,
+   chained from [prev] through the batch, one sync. *)
+let log_batch t ~prev batch =
+  let prev = ref prev in
+  let records =
+    List.map
+      (fun (version, ws) ->
+        let r = (version, !prev, ws) in
+        prev := version;
+        r)
+      batch
   in
-  let bytes = max (Writeset.encoded_bytes ws) t.cfg.commit_record_bytes in
+  let bytes_of (_, _, ws) = max (Writeset.encoded_bytes ws) t.cfg.commit_record_bytes in
+  ignore (Storage.Wal.append_batch t.db_wal ~bytes_of records);
   match t.cfg.durability with
-  | Synchronous -> ignore (Storage.Wal.append_and_sync t.db_wal ~bytes (version, prev, ws))
-  | Asynchronous | Periodic _ -> ignore (Storage.Wal.append t.db_wal ~bytes (version, prev, ws))
+  | Synchronous -> Storage.Wal.sync t.db_wal
+  | Asynchronous | Periodic _ -> ()
 
-(* A commit whose global version trails the store happens when the reply
-   overtook the remote-writeset stream (a certifier failover re-answered a
-   retried request from its decided table after this replica already
-   applied later versions): slot the writes in at their version instead of
-   clobbering newer ones. *)
-let install_or_backfill t ~version ws =
-  if version > Store.current_version t.db_store then
-    Store.install t.db_store ~version ws
-  else begin
-    Stats.Counter.incr t.backfill_count;
-    Store.backfill t.db_store ~version ws
-  end
+(* Slot the rows in at their certified version. One at or below the
+   visible version is a backfill: the reply overtook the remote-writeset
+   stream (a certifier failover re-answered a retried request from its
+   decided table after this replica already applied later versions). *)
+let install t ~version ws =
+  if version <= Store.current_version t.db_store then Stats.Counter.incr t.backfill_count;
+  Store.install_at t.db_store ~version ws
+
+(* Mark [order] finished and advance the visible version through the
+   contiguous run of finished orders ({!Commit_order.complete}), so
+   snapshot reads and [check_consistency] always see a gap-free prefix of
+   the global history. *)
+let publish t ~order ~version =
+  Hashtbl.replace t.unpublished order version;
+  Commit_order.complete t.order order;
+  while t.published_order < Commit_order.announced t.order do
+    let next = t.published_order + 1 in
+    (match Hashtbl.find_opt t.unpublished next with
+    | Some v ->
+        Hashtbl.remove t.unpublished next;
+        if v > Store.current_version t.db_store then Store.force_version t.db_store v
+    | None -> ());
+    t.published_order <- next
+  done
 
 let mark_committed tx =
   tx.state <- Committed;
@@ -481,27 +489,31 @@ let mark_committed tx =
   Hashtbl.remove tx.db.active tx.id;
   Stats.Counter.incr tx.db.commit_count
 
-let finish_commit tx ~version ~order =
+(* The one certified-commit finish. The redo records hit the log at once
+   (grouping fsyncs with every concurrent committer); [in_order] then
+   waits for [order]'s turn ([COMMIT n]) before installing, while the
+   publish barrier alone installs rows immediately and lets visibility
+   catch up through the contiguous prefix. *)
+let finish_certified tx ~batch ~prev ~order ~in_order =
   let t = tx.db in
-  let ws = tx.buffer in
   charge_commit_cpu t;
-  log_commit t ~version ws;
-  Commit_order.wait_turn t.order order;
-  install_or_backfill t ~version ws;
-  Commit_order.announce t.order order;
+  log_batch t ~prev batch;
+  if in_order then Commit_order.wait_turn t.order order;
+  List.iter (fun (version, ws) -> install t ~version ws) batch;
+  publish t ~order ~version:(List.fold_left (fun a (v, _) -> max a v) 0 batch);
   mark_committed tx;
-  schedule_writebacks t ws
+  schedule_writebacks t tx.buffer
 
-let commit_replicated tx ~version ~order =
+let commit_certified tx ~version ~prev ~order ~in_order =
   match tx.state with
-  | Doomed r ->
-      skip_order tx.db order;
-      fail tx r
+  (* [order] is not consumed: the caller re-installs the buffered writeset
+     under it with {!apply_certified}. *)
+  | Doomed r -> fail tx r
   | Aborted | Committed | Committing ->
-      invalid_arg "Db.commit_replicated: transaction is finished"
+      invalid_arg "Db.commit_certified: transaction is finished"
   | Active ->
       tx.state <- Committing;
-      finish_commit tx ~version ~order;
+      finish_certified tx ~batch:[ (version, tx.buffer) ] ~prev ~order ~in_order;
       Ok ()
 
 let commit_standalone tx =
@@ -514,17 +526,32 @@ let commit_standalone tx =
       let order = next_order tx.db in
       (* In a centralised database the announce sequence *is* the version
          sequence. *)
-      finish_commit tx ~version:order ~order;
+      finish_certified tx ~batch:[ (order, tx.buffer) ] ~prev:(order - 1) ~order
+        ~in_order:true;
       Ok order
 
-(* Replay a certified writeset as a remote transaction: take every write
-   (and its lock) in turn, then hand the transaction to [finish]. *)
-let apply_remote t ws finish =
+(* Replay a run of certified writesets as ONE remote transaction: take
+   every write of their union (and its lock) in turn, then finish. Each
+   writeset still lands at its own certified version: installing the
+   merged union at the batch's top version would read the same at the
+   head, but it renames history — a delayed commit reply for one of the
+   batched versions (a certifier failover re-answering from its decided
+   table) would then backfill the same writeset beside its renamed copy
+   instead of landing on it idempotently, a harmless shadow for blind
+   images but a double count for commutative deltas. *)
+let apply_certified t ~batch ~prev ~order ~in_order =
+  let batch = List.sort (fun (a, _) (b, _) -> Int.compare a b) batch in
+  let ws =
+    match batch with
+    | [] -> invalid_arg "Db.apply_certified: empty batch"
+    | [ (_, ws) ] -> ws
+    | batch -> List.fold_left (fun acc (_, ws) -> Writeset.union acc ws) Writeset.empty batch
+  in
   let tx = begin_tx_internal t ~remote:true in
   let rec apply_entries = function
     | [] ->
         tx.state <- Committing;
-        finish tx;
+        finish_certified tx ~batch ~prev ~order ~in_order;
         Ok ()
     | { Writeset.key; op } :: rest -> (
         match write tx key op with
@@ -532,111 +559,6 @@ let apply_remote t ws finish =
         | Error r -> Error r)
   in
   apply_entries (Writeset.entries ws)
-
-let apply_writeset t ~version ~order ws =
-  apply_remote t ws (fun tx -> finish_commit tx ~version ~order)
-
-let finish_commit_batch tx ~batch ~order =
-  let t = tx.db in
-  charge_commit_cpu t;
-  (* One durable group for the whole batch: a redo record per version,
-     chained through the batch, one sync. *)
-  let records =
-    let prev = ref (min (Store.current_version t.db_store) (fst (List.hd batch) - 1)) in
-    List.map
-      (fun (version, ws) ->
-        let r = (version, !prev, ws) in
-        prev := version;
-        r)
-      batch
-  in
-  let bytes_of (_, _, ws) = max (Writeset.encoded_bytes ws) t.cfg.commit_record_bytes in
-  ignore (Storage.Wal.append_batch t.db_wal ~bytes_of records);
-  (match t.cfg.durability with
-  | Synchronous -> Storage.Wal.sync t.db_wal
-  | Asynchronous | Periodic _ -> ());
-  Commit_order.wait_turn t.order order;
-  List.iter (fun (version, ws) -> install_or_backfill t ~version ws) batch;
-  Commit_order.announce t.order order;
-  mark_committed tx;
-  schedule_writebacks t tx.buffer
-
-(* Apply a contiguous run of certified writesets as ONE local transaction —
-   the proxy's remote-batch grouping — while still slotting every
-   writeset's rows in at its own certified version. Installing the merged
-   union at the batch's top version would read the same at the head, but
-   it renames history: a delayed commit reply for one of the batched
-   versions (a certifier failover re-answering from its decided table)
-   would then backfill the same writeset beside its renamed copy instead
-   of landing on it idempotently — a harmless shadow for blind images, a
-   double count for commutative deltas. *)
-let apply_writeset_batch t ~batch ~order =
-  match List.sort (fun (a, _) (b, _) -> Int.compare a b) batch with
-  | [] ->
-      skip_order t order;
-      Ok ()
-  | batch ->
-      let merged =
-        List.fold_left (fun acc (_, ws) -> Writeset.union acc ws) Writeset.empty batch
-      in
-      apply_remote t merged (fun tx -> finish_commit_batch tx ~batch ~order)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel apply: out-of-order install, ordered publish.
-
-   Workers finish commits in whatever order their locks, CPU and WAL
-   flushes allow: rows are slotted into the version chains immediately
-   ({!Store.install_at}) and the commit record hits the log right away
-   (grouping fsyncs across workers), but the store's visible version only
-   advances once every lower announce order has finished
-   ({!Commit_order.complete}) — so snapshot reads and [check_consistency]
-   still always see a gap-free prefix of the global history. *)
-
-let publish_parallel t =
-  let upto = Commit_order.announced t.order in
-  let continue_ = ref true in
-  while !continue_ && t.published_order < upto do
-    match Hashtbl.find_opt t.parallel_versions (t.published_order + 1) with
-    | None -> continue_ := false
-    | Some version ->
-        Hashtbl.remove t.parallel_versions (t.published_order + 1);
-        t.published_order <- t.published_order + 1;
-        if version > Store.current_version t.db_store then
-          Store.force_version t.db_store version
-  done
-
-let finish_commit_parallel tx ~version ~order =
-  let t = tx.db in
-  let ws = tx.buffer in
-  charge_commit_cpu t;
-  (* Parallel streams are dense in version: every certified version passes
-     through the pool individually, so this record's chain predecessor is
-     exactly [version - 1] regardless of what is published right now. *)
-  log_commit t ~version ~prev:(version - 1) ws;
-  Store.install_at t.db_store ~version ws;
-  mark_committed tx;
-  Hashtbl.replace t.parallel_versions order version;
-  Commit_order.complete t.order order;
-  publish_parallel t;
-  schedule_writebacks t ws
-
-let apply_writeset_parallel t ~version ~order ws =
-  apply_remote t ws (fun tx -> finish_commit_parallel tx ~version ~order)
-
-let commit_replicated_parallel tx ~version ~order =
-  match tx.state with
-  | Doomed r ->
-      (* Unlike {!commit_replicated}, the order is NOT consumed: the caller
-         re-installs the buffered writeset under the same order via
-         {!apply_writeset_parallel}, keeping the publish chain dense. *)
-      ignore order;
-      fail tx r
-  | Aborted | Committed | Committing ->
-      invalid_arg "Db.commit_replicated_parallel: transaction is finished"
-  | Active ->
-      tx.state <- Committing;
-      finish_commit_parallel tx ~version ~order;
-      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)
@@ -652,8 +574,8 @@ let lock_holder t key = Locks.holder t.locks key
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery *)
 
-let reset_parallel t =
-  Hashtbl.reset t.parallel_versions;
+let reset_publish t =
+  Hashtbl.reset t.unpublished;
   t.published_order <- 0
 
 let crash t =
@@ -664,7 +586,7 @@ let crash t =
   t.locks <- Locks.create ();
   Commit_order.reset t.order;
   t.order <- Commit_order.create t.engine ();
-  reset_parallel t;
+  reset_publish t;
   Hashtbl.reset t.active
 
 exception Redo_gap
@@ -674,8 +596,8 @@ let recover t =
      or corrupt tail record is truncated rather than installed. Anything
      discarded was never acked durable (redo acks follow the sync). Each
      record names its chain predecessor; replay stops at the first record
-     whose predecessor never made it to disk — under parallel apply the
-     records can be logged out of version order, so a lost middle record
+     whose predecessor never made it to disk — concurrent commits can log
+     records out of version order, so a lost middle record
      must truncate everything above it or recovery would expose a snapshot
      with a hole in the history. *)
   let records, _scan = Storage.Wal.recover t.db_wal in
@@ -695,7 +617,7 @@ let recover t =
   t.db_store <- fresh;
   (* Announce sequence restarts after recovery. *)
   t.order <- Commit_order.create t.engine ();
-  reset_parallel t;
+  reset_publish t;
   Store.current_version fresh
 
 let restore_from_dump t ~version dump =
@@ -703,7 +625,7 @@ let restore_from_dump t ~version dump =
   Store.force_version copy version;
   t.db_store <- copy;
   t.order <- Commit_order.create t.engine ();
-  reset_parallel t
+  reset_publish t
 
 let dump t = (Store.current_version t.db_store, Store.copy t.db_store)
 

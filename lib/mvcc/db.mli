@@ -45,7 +45,7 @@ type config = {
           has committed something. *)
   commit_cpu : Sim.Time.t;  (** CPU bookkeeping cost of a commit *)
   remote_priority : bool;
-      (** If true, writes made through {!apply_writeset} preempt
+      (** If true, writes made through {!apply_certified} preempt
           conflicting local lock holders (the "priority tagging" some
           databases offer, §8.2); if false, conflicts queue and can
           deadlock, to be resolved by the middleware's soft recovery. *)
@@ -127,75 +127,55 @@ val is_doomed : tx -> abort_reason option
 (** A transaction force-aborted while its owner fiber was elsewhere learns
     about it here (or via the [Error] of its next operation). *)
 
-(** {1 Committing} *)
+(** {1 Committing}
+
+    Every commit ends in one finish. Its redo records are appended (and
+    grouped with every concurrent committer's fsync) at once; each
+    writeset's rows land at their own version; and the visible version
+    advances only through the contiguous prefix of finished announce orders
+    ({!Commit_order.complete}), so snapshot reads always see a gap-free
+    prefix of the global history. An {e in-order} finish additionally waits
+    for its order's turn before installing — Tashkent-API's [COMMIT n] —
+    while the publish barrier alone lets parallel workers install out of
+    order. Each redo record names its chain predecessor (the version applied
+    just before it), which recovery verifies. *)
 
 val commit_standalone : tx -> (int, abort_reason) result
 (** Centralised-database commit: assigns the next version itself, makes
     the commit durable per the configured {!durability}, announces, and
     returns the new version. *)
 
-val commit_replicated : tx -> version:int -> order:int -> (unit, abort_reason) result
-(** Replicated commit: the certifier chose the global [version]; [order]
-    is this database's dense announce sequence (from {!next_order}). The
-    commit record is written (and grouped) immediately; the announcement
-    waits for its turn. *)
-
 val next_order : t -> int
 (** Allocate the next announce sequence number ([COMMIT n]'s [n]). The
-    caller must eventually commit (or {!skip_order}) every allocated
-    number, in any submission order — gaps block later announcements
-    (the abuse deadlock of §5.2). *)
+    caller must eventually finish every allocated number, in any submission
+    order — gaps block later announcements (the abuse deadlock of §5.2). *)
 
-val skip_order : t -> int -> unit
-(** Release an allocated-but-unused sequence number (the transaction it
-    was meant for aborted after allocation). *)
+val commit_certified :
+  tx -> version:int -> prev:int -> order:int -> in_order:bool ->
+  (unit, abort_reason) result
+(** Commit a local transaction the certifier committed at the global
+    [version]; [prev] is its chain predecessor and [order] its announce
+    sequence number (from {!next_order}). On a doomed transaction the
+    transaction is rolled back and [order] is {e not} consumed: the caller
+    re-installs the buffered writeset under the same order with
+    {!apply_certified}. *)
 
-val apply_writeset :
-  t -> version:int -> order:int -> Writeset.t -> (unit, abort_reason) result
-(** Apply a remote transaction's writeset as a local transaction ([C4] of
-    the proxy pseudo-code). Takes locks like any writer; with
-    [remote_priority] it preempts conflicting holders, otherwise a
-    detected deadlock aborts the application (no effects) and the caller
-    must resolve the cycle and retry — with the {e same} [order], which is
-    not consumed on failure (call {!skip_order} when giving up). *)
-
-val apply_writeset_batch :
-  t -> batch:(int * Writeset.t) list -> order:int -> (unit, abort_reason) result
-(** Apply a run of certified writesets — [(version, writeset)] pairs — as
-    one local transaction: locks are taken once over the union, the redo
+val apply_certified :
+  t -> batch:(int * Writeset.t) list -> prev:int -> order:int -> in_order:bool ->
+  (unit, abort_reason) result
+(** Apply a run of certified writesets — [(version, writeset)] pairs, the
+    first chained after [prev] — as one local transaction ([C4] of the
+    proxy pseudo-code): locks are taken once over the union, the redo
     records share one sync, but each writeset's rows are installed at its
     own certified version. Keeping the versions faithful is what makes a
-    later duplicate delivery of any batched writeset (e.g. a delayed
-    commit reply backfilling after a certifier failover) land idempotently
-    instead of double-applying — which blind images shrug off but
-    commutative deltas would double count. Locking and failure behave like
-    {!apply_writeset}; an empty batch consumes [order] and succeeds. *)
-
-(** {1 Parallel apply: out-of-order install, ordered publish}
-
-    The dependency-tracked parallel applier lets workers finish commits in
-    whatever order their locks, CPU and WAL flushes allow. These variants
-    install rows into the version chains immediately ({!Store.install_at})
-    and log the commit record right away (so fsyncs group across workers),
-    but the store's visible version advances only once every lower announce
-    order has completed ({!Commit_order.complete}) — snapshot reads always
-    see a gap-free prefix of the global history. Orders must be allocated
-    with {!next_order} in version order; versions submitted through these
-    functions must be dense (every certified version individually), which
-    is what lets recovery chain-check the redo records. Do not mix with the
-    serial {!commit_replicated}/{!apply_writeset} on the same instance. *)
-
-val apply_writeset_parallel :
-  t -> version:int -> order:int -> Writeset.t -> (unit, abort_reason) result
-(** {!apply_writeset}, finishing through the parallel path. Deadlock
-    failures leave [order] unconsumed, exactly like the serial variant. *)
-
-val commit_replicated_parallel :
-  tx -> version:int -> order:int -> (unit, abort_reason) result
-(** {!commit_replicated}, finishing through the parallel path. On a doomed
-    transaction the [order] is {e not} consumed: the caller must re-install
-    the buffered writeset under the same order with
-    {!apply_writeset_parallel}, keeping the publish chain dense. *)
+    later duplicate delivery of any batched writeset (e.g. a delayed commit
+    reply backfilling after a certifier failover) land idempotently instead
+    of double-applying — which blind images shrug off but commutative deltas
+    would double count. Takes locks like any writer; with [remote_priority]
+    it preempts conflicting holders, otherwise a detected deadlock aborts
+    the application (no effects) and the caller must resolve the cycle and
+    retry with the {e same} [order], which is not consumed on failure.
+    @raise Invalid_argument on an empty batch. *)
 
 val doom : t -> txid -> unit
 (** Force-abort an active transaction (soft recovery / eager
@@ -220,7 +200,7 @@ val crash : t -> unit
 val recover : t -> int
 (** Standard recovery (paper §7.2): rebuild the store by redoing the
     durable WAL, in version order, stopping at the first record whose
-    chain predecessor is missing — parallel apply logs records out of
+    chain predecessor is missing — concurrent commits log records out of
     version order, so a lost middle record truncates everything above it
     and recovery always yields a consistent prefix. Returns the recovered
     version. With [Asynchronous] durability this recovers an {e empty}
@@ -260,9 +240,9 @@ val aborts : t -> int
 val deadlocks_detected : t -> int
 
 val backfills : t -> int
-(** Commits installed below the store's current version: the reply
+(** Commits installed at or below the store's current version: the reply
     overtook the remote-writeset stream after a certifier failover; see
-    {!Store.backfill}. *)
+    {!Store.install_at}. *)
 
 val wal : t -> (int * int * Writeset.t) Storage.Wal.t
 (** Exposed for fsync/group statistics. The record is

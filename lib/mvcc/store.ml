@@ -88,8 +88,8 @@ let install t ~version ws =
 (* Slot each write into its key's chain at the right version position,
    without touching the store's visible version. Writes already overtaken
    by a newer committed version do not clobber it; an entry already at
-   [version] wins (idempotent re-apply). This is the out-of-order install
-   half of parallel apply: rows land as workers finish, visibility advances
+   [version] wins (idempotent re-apply). This is the install half of every
+   certified commit: rows land as apply items finish, visibility advances
    separately via {!force_version} once every lower version is in. Deltas
    stay symbolic, so the chain (and every read) is independent of the
    order in which concurrent delta installs arrive. *)
@@ -107,14 +107,6 @@ let install_at t ~version ws =
       in
       Key.Tbl.replace t.rows key (ins chain))
     (Writeset.entries ws)
-
-(* Install a writeset whose global version is at or below the store's
-   current version. Used when a commit reply arrives behind the
-   remote-writeset stream (certifier failover re-answering a retried
-   request from its decided table). *)
-let backfill t ~version ws =
-  install_at t ~version ws;
-  t.version <- max t.version version
 
 let preload t key value = Key.Tbl.replace t.rows key [ (0, Blind (Some value)) ]
 let force_version t v = t.version <- v

@@ -45,22 +45,15 @@ val install : t -> version:int -> Writeset.t -> unit
 
 val install_at : t -> version:int -> Writeset.t -> unit
 (** Slot a writeset's rows into their version chains at [version] without
-    touching {!current_version} — the out-of-order install half of parallel
-    apply. Rows land as apply workers finish (in any order); visibility is
+    touching {!current_version} — the install half of every certified
+    commit. Rows land as apply items finish (in any order); visibility is
     published separately with {!force_version} once every lower version has
     been installed, so snapshot reads never observe a gap. Idempotent for a
     version already present in a chain; keys already overwritten by a newer
-    committed version keep the newer value. *)
-
-val backfill : t -> version:int -> Writeset.t -> unit
-(** Install a writeset at a version at or below {!current_version}: each
-    write slots into its key's chain at the correct version position, and
-    keys already overwritten by a newer committed version keep the newer
-    value (which is the globally-correct state — any later committed write
-    to the same key was certified against a log containing [version]).
-    Needed when a commit reply overtakes the remote-writeset stream, e.g.
-    a certifier failover re-answering a retried request from its decided
-    table after the replica has already applied later versions. *)
+    committed version keep the newer value (the globally-correct state —
+    any later committed write to the same key was certified against a log
+    containing [version]), which is what lets a commit reply that overtook
+    the remote-writeset stream backfill below {!current_version}. *)
 
 val preload : t -> Key.t -> Value.t -> unit
 (** Insert a row as part of version 0 (initial database population). *)

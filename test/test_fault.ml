@@ -351,11 +351,19 @@ let chaos_ok name (r : Harness.Chaos_exp.result) =
 
 let test_chaos_scripted () = chaos_ok "scripted" (Harness.Chaos_exp.run ())
 
-let test_chaos_random () =
-  let config =
-    { (Harness.Chaos_exp.default_config ()) with plan = Harness.Chaos_exp.Random 1 }
+(* A random plan on the default chaos config, run under [mode]: each mode
+   orders commits through its own apply policy (Serial for Base/MW,
+   Commit_n for Tashkent-API), so each needs its own fault net. *)
+let test_chaos_random ~mode seed () =
+  let d = Harness.Chaos_exp.default_config () in
+  let cluster =
+    Tashkent.Cluster.config ~gc_interval:d.cluster.replica.gc_interval ~seed:d.cluster.seed
+      mode
   in
-  chaos_ok "random-1" (Harness.Chaos_exp.run ~config ())
+  let config = { d with cluster; plan = Harness.Chaos_exp.Random seed } in
+  chaos_ok
+    (Printf.sprintf "random-%d-%s" seed (Types.mode_name mode))
+    (Harness.Chaos_exp.run ~config ())
 
 let test_chaos_scripted_disk () =
   let config =
@@ -571,7 +579,14 @@ let suites =
     ( "fault.chaos",
       [
         Alcotest.test_case "scripted plan" `Quick test_chaos_scripted;
-        Alcotest.test_case "random plan (seed 1)" `Quick test_chaos_random;
+        Alcotest.test_case "random plan (seed 1)" `Quick
+          (test_chaos_random ~mode:Types.Tashkent_mw 1);
+        Alcotest.test_case "random plan (seed 1, Tashkent-API)" `Quick
+          (test_chaos_random ~mode:Types.Tashkent_api 1);
+        Alcotest.test_case "random plan (seed 2, Tashkent-API)" `Quick
+          (test_chaos_random ~mode:Types.Tashkent_api 2);
+        Alcotest.test_case "random plan (seed 2, Base)" `Quick
+          (test_chaos_random ~mode:Types.Base 2);
         Alcotest.test_case "scripted disk-fault plan" `Quick test_chaos_scripted_disk;
         Alcotest.test_case "random disk-fault plan (seed 7)" `Quick
           test_chaos_random_disk;

@@ -546,7 +546,7 @@ let test_commit_order_sequencing () =
       (Engine.spawn e (fun () ->
            Engine.sleep e (Time.us delay);
            Commit_order.wait_turn co seq;
-           Commit_order.announce co seq;
+           Commit_order.complete co seq;
            log := seq :: !log))
   in
   (* seq 2 is ready long before seq 1; announcement must still be 1, 2 *)
@@ -569,13 +569,6 @@ let test_commit_order_abuse_blocks () =
   Engine.run ~until:(Time.sec 10) e;
   check_bool "still blocked" false !reached;
   check_int "waiting" 1 (Commit_order.waiting co)
-
-let test_commit_order_wrong_announce () =
-  let e = Engine.create () in
-  let co = Commit_order.create e () in
-  match Commit_order.announce co 3 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected rejection of out-of-order announce"
 
 let test_commit_order_complete_out_of_order () =
   let e = Engine.create () in
@@ -629,6 +622,14 @@ let make_db ?(config = Db.default_config) ?(seed = 1) () =
   let disk = fixed_disk e in
   let db = Db.create e ~rng:(Rng.create seed) ~log_disk:disk ~config () in
   (e, db, disk)
+
+(* One certified writeset through the in-order ([COMMIT n]) or the
+   publish-barrier finish, chained after the version below it. *)
+let apply_in_order db ~version ~order ws =
+  Db.apply_certified db ~batch:[ (version, ws) ] ~prev:(version - 1) ~order ~in_order:true
+
+let apply_parallel db ~version ~order ws =
+  Db.apply_certified db ~batch:[ (version, ws) ] ~prev:(version - 1) ~order ~in_order:false
 
 let in_fiber e f =
   let failure = ref None in
@@ -810,7 +811,7 @@ let test_db_ordered_announce () =
   let submit version order ws =
     ignore
       (Engine.spawn e (fun () ->
-           match Db.apply_writeset db ~version ~order ws with
+           match apply_in_order db ~version ~order ws with
            | Ok () -> announced := (version, Time.to_us (Engine.now e)) :: !announced
            | Error _ -> Alcotest.fail "apply failed"))
   in
@@ -845,30 +846,13 @@ let test_db_no_intermediate_snapshot_exposed () =
         done)
   in
   let submit version order ws =
-    ignore (Engine.spawn e (fun () -> ignore (Db.apply_writeset db ~version ~order ws)))
+    ignore (Engine.spawn e (fun () -> ignore (apply_in_order db ~version ~order ws)))
   in
   submit 9 2 (Writeset.singleton (k "t" "b") (upd 9));
   Engine.schedule e ~at:(Time.of_ms 5.) (fun () ->
       submit 4 1 (Writeset.singleton (k "t" "a") (upd 4)));
   Engine.run e;
   check_int "no inconsistent snapshot" 0 !violations
-
-let test_db_skip_order_unblocks () =
-  let e, db, _ = make_db () in
-  Db.load db [ (k "t" "a", vi 0) ];
-  let committed = ref false in
-  let o1 = Db.next_order db in
-  let o2 = Db.next_order db in
-  let _ =
-    Engine.spawn e (fun () ->
-        match Db.apply_writeset db ~version:2 ~order:o2 (Writeset.singleton (k "t" "a") (upd 2)) with
-        | Ok () -> committed := true
-        | Error _ -> ())
-  in
-  (* order 1's transaction aborted: release its slot *)
-  Db.skip_order db o1;
-  Engine.run e;
-  check_bool "later order proceeded" true !committed
 
 let test_db_remote_priority_preempts () =
   let config = { Db.default_config with remote_priority = true } in
@@ -887,7 +871,7 @@ let test_db_remote_priority_preempts () =
     Engine.spawn e (fun () ->
         Engine.sleep e (Time.of_ms 1.);
         let order = Db.next_order db in
-        match Db.apply_writeset db ~version:50 ~order (Writeset.singleton (k "t" "a") (upd 9)) with
+        match apply_in_order db ~version:50 ~order (Writeset.singleton (k "t" "a") (upd 9)) with
         | Ok () -> applied := true
         | Error _ -> ())
   in
@@ -918,7 +902,7 @@ let test_db_remote_no_priority_waits () =
     Engine.spawn e (fun () ->
         Engine.sleep e (Time.of_ms 1.);
         let order = Db.next_order db in
-        match Db.apply_writeset db ~version:50 ~order (Writeset.singleton (k "t" "a") (upd 9)) with
+        match apply_in_order db ~version:50 ~order (Writeset.singleton (k "t" "a") (upd 9)) with
         | Ok () -> applied_at := Engine.now e
         | Error _ -> Alcotest.fail "apply failed")
   in
@@ -936,7 +920,7 @@ let test_db_artificial_conflict_stalls_concurrent_submission () =
     ignore
       (Engine.spawn e (fun () ->
            match
-             Db.apply_writeset db ~version ~order
+             apply_in_order db ~version ~order
                (Writeset.singleton (k "t" "a") (upd version))
            with
            | Ok () | Error _ -> incr finished))
@@ -1149,7 +1133,7 @@ let test_db_batch_apply_version_faithful () =
           (3, Writeset.singleton (k "t" "b") (Writeset.Add 4));
         ]
       in
-      (match Db.apply_writeset_batch db ~batch ~order:(Db.next_order db) with
+      (match Db.apply_certified db ~batch ~prev:0 ~order:(Db.next_order db) ~in_order:true with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "batch apply should succeed");
       check_int "store at the batch top" 3 (Db.current_version db);
@@ -1159,7 +1143,7 @@ let test_db_batch_apply_version_faithful () =
         (Db.read_committed db ~at:1 (k "t" "a"));
       Alcotest.check value_opt "blind then delta" (Some (vi 7))
         (Db.read_committed db (k "t" "b"));
-      (match Db.apply_writeset db ~version:2 ~order:(Db.next_order db) dup with
+      (match apply_in_order db ~version:2 ~order:(Db.next_order db) dup with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "duplicate delivery should succeed");
       check_int "duplicate went through backfill" 1 (Db.backfills db);
@@ -1181,12 +1165,12 @@ let test_db_parallel_out_of_order_publish () =
          (* Hold version 1 back so version 2's worker finishes first. *)
          Engine.sleep e (Time.of_ms 30.);
          ignore
-           (Db.apply_writeset_parallel db ~version:1 ~order:1
+           (apply_parallel db ~version:1 ~order:1
               (Writeset.singleton (k "t" "a") (upd 1)))));
   ignore
     (Engine.spawn e (fun () ->
          ignore
-           (Db.apply_writeset_parallel db ~version:2 ~order:2
+           (apply_parallel db ~version:2 ~order:2
               (Writeset.singleton (k "t" "b") (upd 2)));
          seen_at_2 := Db.current_version db));
   Engine.run e;
@@ -1210,12 +1194,12 @@ let test_db_parallel_recover_out_of_order_log () =
     (Engine.spawn e (fun () ->
          Engine.sleep e (Time.of_ms 30.);
          ignore
-           (Db.apply_writeset_parallel db ~version:1 ~order:1
+           (apply_parallel db ~version:1 ~order:1
               (Writeset.singleton (k "t" "a") (upd 1)))));
   ignore
     (Engine.spawn e (fun () ->
          ignore
-           (Db.apply_writeset_parallel db ~version:2 ~order:2
+           (apply_parallel db ~version:2 ~order:2
               (Writeset.singleton (k "t" "b") (upd 2)))));
   Engine.run e;
   Db.crash db;
@@ -1234,12 +1218,12 @@ let test_db_parallel_delta_apply_and_recover () =
     (Engine.spawn e (fun () ->
          Engine.sleep e (Time.of_ms 30.);
          ignore
-           (Db.apply_writeset_parallel db ~version:1 ~order:1
+           (apply_parallel db ~version:1 ~order:1
               (Writeset.singleton (k "t" "a") (upd 10)))));
   ignore
     (Engine.spawn e (fun () ->
          ignore
-           (Db.apply_writeset_parallel db ~version:2 ~order:2
+           (apply_parallel db ~version:2 ~order:2
               (Writeset.singleton (k "t" "a") (Writeset.Add 3)))));
   Engine.run e;
   check_int "both published" 2 (Db.current_version db);
@@ -1261,13 +1245,13 @@ let test_db_parallel_recover_truncates_at_gap () =
   ignore
     (Engine.spawn e (fun () ->
          ignore
-           (Db.apply_writeset_parallel db ~version:2 ~order:2
+           (apply_parallel db ~version:2 ~order:2
               (Writeset.singleton (k "t" "b") (upd 2)))));
   ignore
     (Engine.spawn e (fun () ->
          Engine.sleep e (Time.sec 5);
          ignore
-           (Db.apply_writeset_parallel db ~version:1 ~order:1
+           (apply_parallel db ~version:1 ~order:1
               (Writeset.singleton (k "t" "a") (upd 1)))));
   Engine.run ~until:(Time.sec 1) e;
   Db.crash db;
@@ -1276,6 +1260,33 @@ let test_db_parallel_recover_truncates_at_gap () =
   Alcotest.check value_opt "b rolled back to the prefix" (Some (vi 0))
     (Db.read_committed db (k "t" "b"));
   Alcotest.check value_opt "a untouched" (Some (vi 0)) (Db.read_committed db (k "t" "a"))
+
+let test_db_recover_across_version_jump () =
+  (* A snapshot transfer jumps the applied prefix from 2 to 10: version 10
+     chains after 2, not after 9, which this replica never saw. Every
+     record is durable but they finish out of order; recovery must follow
+     the supplied chain across the jump to the top. *)
+  let e, db, _ = make_db () in
+  Db.load db [ (k "t" "a", vi 0); (k "t" "b", vi 0) ];
+  let apply ~delay ~version ~prev ~order key =
+    ignore
+      (Engine.spawn e (fun () ->
+           Engine.sleep e (Time.of_ms delay);
+           ignore
+             (Db.apply_certified db
+                ~batch:[ (version, Writeset.singleton (k "t" key) (upd version)) ]
+                ~prev ~order ~in_order:false)))
+  in
+  apply ~delay:40. ~version:1 ~prev:0 ~order:1 "a";
+  apply ~delay:30. ~version:2 ~prev:1 ~order:2 "b";
+  apply ~delay:20. ~version:10 ~prev:2 ~order:3 "a";
+  apply ~delay:0. ~version:11 ~prev:10 ~order:4 "b";
+  Engine.run e;
+  check_int "all published" 11 (Db.current_version db);
+  Db.crash db;
+  check_int "recovered across the jump" 11 (Db.recover db);
+  Alcotest.check value_opt "a at 10" (Some (vi 10)) (Db.read_committed db (k "t" "a"));
+  Alcotest.check value_opt "b at 11" (Some (vi 11)) (Db.read_committed db (k "t" "b"))
 
 let test_db_restore_from_dump () =
   let e, db, _ = make_db () in
@@ -1507,7 +1518,6 @@ let suites =
       [
         Alcotest.test_case "sequencing" `Quick test_commit_order_sequencing;
         Alcotest.test_case "abuse blocks forever" `Quick test_commit_order_abuse_blocks;
-        Alcotest.test_case "wrong announce rejected" `Quick test_commit_order_wrong_announce;
         Alcotest.test_case "complete publishes contiguous runs" `Quick
           test_commit_order_complete_out_of_order;
         Alcotest.test_case "complete releases waiters" `Quick
@@ -1529,8 +1539,6 @@ let suites =
         Alcotest.test_case "ordered announce (COMMIT n)" `Quick test_db_ordered_announce;
         Alcotest.test_case "no intermediate snapshot exposed" `Quick
           test_db_no_intermediate_snapshot_exposed;
-        Alcotest.test_case "skip_order unblocks successors" `Quick
-          test_db_skip_order_unblocks;
         Alcotest.test_case "remote priority preempts local" `Quick
           test_db_remote_priority_preempts;
         Alcotest.test_case "remote without priority waits" `Quick
@@ -1551,6 +1559,8 @@ let suites =
           test_db_parallel_recover_out_of_order_log;
         Alcotest.test_case "parallel recovery truncates at a gap" `Quick
           test_db_parallel_recover_truncates_at_gap;
+        Alcotest.test_case "recovery follows the chain across a version jump" `Quick
+          test_db_recover_across_version_jump;
         Alcotest.test_case "delta read-your-writes" `Quick test_db_delta_read_your_writes;
         Alcotest.test_case "delta first-updater relaxation" `Quick
           test_db_delta_first_updater_relaxed;
