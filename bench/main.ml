@@ -4,7 +4,9 @@
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- --quick      -- fewer points, shorter runs
      dune exec bench/main.exe -- --only fig4,fig14,recovery
-     dune exec bench/main.exe -- --list       -- available sections *)
+     dune exec bench/main.exe -- --list       -- available sections
+     dune exec bench/main.exe -- --only soak --profile
+                                              -- per-module host profile *)
 
 open Harness
 
@@ -12,6 +14,7 @@ let quick = ref false
 let only : string list ref = ref []
 let seconds = ref 10.
 let list_only = ref false
+let profile = ref false
 
 let all_sections =
   [
@@ -48,6 +51,7 @@ let () =
       ("--only", Arg.String set_only, "SECTIONS comma-separated subset to run");
       ("--seconds", Arg.Set_float seconds, "S measurement window per point (default 10)");
       ("--list", Arg.Set list_only, " list section names and exit");
+      ("--profile", Arg.Set profile, " sampled per-module host profile of each section");
     ]
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
     "tashkent benchmark harness"
@@ -967,6 +971,9 @@ let monitor_overhead () =
   Report.paper_vs ~what:"monitor goodput overhead" ~paper:"< 5% (pure observers)"
     ~measured:(Printf.sprintf "%.1f%%" overhead_pct)
 
+let section name run =
+  if wants name then if !profile then Profile.section name run else run ()
+
 let () =
   if !list_only then begin
     List.iter print_endline all_sections;
@@ -983,27 +990,27 @@ let () =
     "Tashkent reproduction benchmark harness (%s mode, %.0fs windows)\n"
     (if !quick then "quick" else "full")
     (Sim.Time.to_sec (measure ()));
-  if wants "fig4" then
-    fig_allupdates ~io:Tashkent.Replica.Shared_io ~figt:"4" ~figr:"5"
-      ~paper_factors:("5.0x", "3.0x") ();
-  if wants "fig6" then
-    fig_allupdates ~io:Tashkent.Replica.Dedicated_io ~figt:"6" ~figr:"7"
-      ~paper_factors:("5.0x", "3.2x") ();
-  if wants "fig8" then fig_tpcb ~io:Tashkent.Replica.Shared_io ~figt:"8" ~figr:"9" ();
-  if wants "fig10" then fig_tpcb ~io:Tashkent.Replica.Dedicated_io ~figt:"10" ~figr:"11" ();
-  if wants "fig12" then fig_tpcw ();
-  if wants "fig14" then fig14 ();
-  if wants "standalone" then standalone ();
-  if wants "recovery" then recovery ();
-  if wants "ablation" then ablation ();
-  if wants "micro" then micro ();
-  if wants "chaos" then chaos ();
-  if wants "storage_chaos" then storage_chaos ();
-  if wants "latency" then latency ();
-  if wants "parallel_apply" then parallel_apply ();
-  if wants "hotkey" then hotkey ();
-  if wants "soak" then soak ();
-  if wants "partition" then partition ();
-  if wants "monitor" then monitor_overhead ();
+  section "fig4"
+    (fig_allupdates ~io:Tashkent.Replica.Shared_io ~figt:"4" ~figr:"5"
+       ~paper_factors:("5.0x", "3.0x"));
+  section "fig6"
+    (fig_allupdates ~io:Tashkent.Replica.Dedicated_io ~figt:"6" ~figr:"7"
+       ~paper_factors:("5.0x", "3.2x"));
+  section "fig8" (fig_tpcb ~io:Tashkent.Replica.Shared_io ~figt:"8" ~figr:"9");
+  section "fig10" (fig_tpcb ~io:Tashkent.Replica.Dedicated_io ~figt:"10" ~figr:"11");
+  section "fig12" fig_tpcw;
+  section "fig14" fig14;
+  section "standalone" standalone;
+  section "recovery" recovery;
+  section "ablation" ablation;
+  section "micro" micro;
+  section "chaos" chaos;
+  section "storage_chaos" storage_chaos;
+  section "latency" latency;
+  section "parallel_apply" parallel_apply;
+  section "hotkey" hotkey;
+  section "soak" soak;
+  section "partition" partition;
+  section "monitor" monitor_overhead;
   if !json_metrics <> [] then write_json ();
   print_newline ()

@@ -100,7 +100,7 @@ let append t (entry : Types.entry) =
 
 (* The part of a newest-first writer list above [floor]; the list itself
    when nothing falls at or below it. *)
-let rec above_floor floor = function
+let rec above_floor (floor : int) = function
   | (v, _) :: _ when v <= floor -> []
   | w :: rest as versions ->
       let kept = above_floor floor rest in

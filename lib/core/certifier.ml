@@ -470,8 +470,8 @@ let maybe_decide t xs =
           if p = t.partition then Some own else List.assoc_opt p xs.xs_votes
         in
         let votes = List.map vote_of xs.xs_parts in
-        let any_no = List.exists (fun v -> v = Some false) votes in
-        let all_yes = List.for_all (fun v -> v = Some true) votes in
+        let any_no = List.exists (function Some false -> true | _ -> false) votes in
+        let all_yes = List.for_all (function Some true -> true | _ -> false) votes in
         if any_no || all_yes then
           if
             Paxos.Node.propose_batch t.paxos_node

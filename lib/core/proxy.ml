@@ -470,7 +470,7 @@ let heal_below_floor t ~floor =
    everything announced locally — so the writeset is already known
    conflict-free up to [db_version], and the effective start version can be
    raised, shrinking the certifier's intersection window. *)
-let promote t ~db_version start =
+let promote t ~(db_version : int) start =
   if db_version > start then begin
     Stats.Counter.incr t.c_promotions;
     db_version

@@ -409,8 +409,9 @@ let rec write tx key op =
                  already in its commit phase cannot be evicted — it will
                  release the lock when it announces, so queue behind it. *)
               doom tx.db holder;
-              if Locks.holder tx.db.locks key = Some holder then park_and_retry ()
-              else write tx key op
+              match Locks.holder tx.db.locks key with
+              | Some h when h = holder -> park_and_retry ()
+              | _ -> write tx key op
             end
             else park_and_retry ())
 

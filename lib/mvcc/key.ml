@@ -8,7 +8,9 @@ let compare a b =
   | 0 -> String.compare a.row b.row
   | c -> c
 
-let hash t = Hashtbl.hash (t.table, t.row)
+(* The record has the block shape of the pair [(table, row)], so this is
+   that pair's hash without allocating the pair. *)
+let hash (t : t) = Hashtbl.hash t
 let encoded_bytes t = String.length t.table + String.length t.row + 2
 let pp fmt t = Format.fprintf fmt "%s/%s" t.table t.row
 let to_string t = t.table ^ "/" ^ t.row

@@ -157,7 +157,7 @@ let copy t =
    tombstone at or below the floor is dropped outright ([None]): every
    visible snapshot already reads it as absent. An already-flat chain comes
    back physically unchanged. *)
-let gc_chain t ~keep_after chain =
+let gc_chain t ~(keep_after : int) chain =
   let rec split above = function
     | ((v, _) :: _ as suffix) when v <= keep_after -> (List.rev above, suffix)
     | entry :: rest -> split (entry :: above) rest

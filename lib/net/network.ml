@@ -74,7 +74,7 @@ let unregister t addr =
   in
   List.iter (Hashtbl.remove t.last_delivery) stale
 
-let link_key a b = if a <= b then (a, b) else (b, a)
+let link_key a b = if String.compare a b <= 0 then (a, b) else (b, a)
 let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
 let heal t a b = Hashtbl.remove t.partitions (link_key a b)
 let is_partitioned t a b = Hashtbl.mem t.partitions (link_key a b)

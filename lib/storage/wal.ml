@@ -40,7 +40,8 @@ let create engine ~disk ?(synchronous = true) ?(name = "wal") () =
     disk;
     label = name;
     sync_writes = synchronous;
-    (* slots beyond [size] are never read; see Sim.Heap for the idiom *)
+    (* slots beyond [size] are never read; the dummy is an immediate, so
+       the array is never specialised as a float array *)
     records = Array.make 64 (Obj.magic 0);
     size = 0;
     durable = 0;

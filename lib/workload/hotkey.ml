@@ -33,7 +33,7 @@ let zipf_cdf ~n ~theta =
   cdf.(n - 1) <- 1.;
   cdf
 
-let zipf_sample cdf u =
+let zipf_sample (cdf : float array) u =
   let n = Array.length cdf in
   let rec search lo hi =
     if lo >= hi then lo

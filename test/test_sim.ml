@@ -83,26 +83,6 @@ let test_rng_chance () =
   check_bool "p=0.3" true (abs (!hits - 3_000) < 200)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_sorts () =
-  let h = Heap.create ~leq:( <= ) () in
-  let rng = Rng.create 11 in
-  let input = List.init 500 (fun _ -> Rng.int rng 10_000) in
-  List.iter (Heap.push h) input;
-  check_int "length" 500 (Heap.length h);
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  let out = drain [] in
-  Alcotest.(check (list int)) "sorted" (List.sort compare input) out;
-  check_bool "empty after drain" true (Heap.is_empty h)
-
-let test_heap_pop_empty () =
-  let h : int Heap.t = Heap.create ~leq:( <= ) () in
-  check_bool "pop empty" true (Heap.pop h = None);
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-(* ------------------------------------------------------------------ *)
 (* Engine basics *)
 
 let test_engine_event_order () =
@@ -125,17 +105,37 @@ let test_engine_fifo_ties () =
   Alcotest.(check (list int)) "fifo among ties" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.rev !log)
 
+(* [pending_events] and the clock across several [~until] limits: an event
+   exactly at the limit runs, later ones stay queued, events scheduled from
+   outside between runs join the queue, and a limit behind the clock never
+   moves it back. *)
 let test_engine_until () =
   let e = Engine.create () in
-  let fired = ref [] in
-  Engine.schedule e ~at:(us 10) (fun () -> fired := 10 :: !fired);
-  Engine.schedule e ~at:(us 50) (fun () -> fired := 50 :: !fired);
-  Engine.run ~until:(us 20) e;
-  Alcotest.(check (list int)) "only first" [ 10 ] !fired;
-  check_time "clock advanced to limit" (us 20) (Engine.now e);
-  check_int "one pending" 1 (Engine.pending_events e);
   Engine.run e;
-  Alcotest.(check (list int)) "second fires on resume" [ 50; 10 ] !fired
+  Engine.run ~stop_when_idle:false e;
+  check_int "empty engine: nothing pending" 0 (Engine.pending_events e);
+  check_int "empty engine: nothing processed" 0 (Engine.events_processed e);
+  let fired = ref [] in
+  let at t = Engine.schedule e ~at:(us t) (fun () -> fired := t :: !fired) in
+  List.iter at [ 40; 10; 30; 30; 50; 20 ];
+  check_int "six pending" 6 (Engine.pending_events e);
+  Engine.run ~until:(us 30) e;
+  Alcotest.(check (list int)) "through the limit" [ 10; 20; 30; 30 ] (List.rev !fired);
+  check_int "two pending past the limit" 2 (Engine.pending_events e);
+  check_time "clock at the limit" (us 30) (Engine.now e);
+  at 35;
+  check_int "scheduled between runs" 3 (Engine.pending_events e);
+  Engine.run ~until:(us 5) e;
+  check_time "limit behind the clock keeps it" (us 30) (Engine.now e);
+  check_int "nothing ran" 3 (Engine.pending_events e);
+  Engine.run ~until:(us 45) e;
+  Alcotest.(check (list int)) "second window" [ 10; 20; 30; 30; 35; 40 ] (List.rev !fired);
+  check_int "one pending" 1 (Engine.pending_events e);
+  check_time "clock at the second limit" (us 45) (Engine.now e);
+  Engine.run e;
+  check_int "drained" 0 (Engine.pending_events e);
+  check_int "all processed" 7 (Engine.events_processed e);
+  check_time "clock at the last event" (us 50) (Engine.now e)
 
 let test_engine_schedule_past_rejected () =
   let e = Engine.create () in
@@ -569,16 +569,36 @@ let test_rng_copy_same_stream () =
     check_int "copies advance identically" (Rng.int a 1_000) (Rng.int b 1_000)
   done
 
-let prop_heap_matches_sorted_list =
-  QCheck.Test.make ~name:"heap pops in sorted order for any input" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~leq:( <= ) () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+(* The event queue against its specification: events run in the stable
+   sort by time of their scheduling order. Over 10k events on few distinct
+   instants (so most ties are broken by scheduling order), a third of them
+   scheduling a follow-up (possibly at the same instant) from inside their
+   callback, growing the queue far past its initial capacity. *)
+let prop_engine_runs_stable_sort_by_time =
+  QCheck.Test.make ~name:"events run in stable time order of scheduling" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let e = Engine.create () in
+      let scheduled = ref [] and ran = ref [] and next_id = ref 0 in
+      let rec add time =
+        let id = !next_id in
+        incr next_id;
+        scheduled := (id, time) :: !scheduled;
+        Engine.schedule e ~at:(us time) (fun () ->
+            ran := id :: !ran;
+            if Rng.chance rng 0.33 then add (time + Rng.int rng 3))
       in
-      drain [] = List.sort compare xs)
+      for _ = 1 to 10_000 do
+        add (Rng.int rng 200)
+      done;
+      Engine.run e;
+      let expected =
+        List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) (List.rev !scheduled)
+      in
+      Engine.pending_events e = 0
+      && Engine.events_processed e = !next_id
+      && List.rev !ran = List.map fst expected)
 
 let suites =
   [
@@ -596,17 +616,12 @@ let suites =
         Alcotest.test_case "chance" `Quick test_rng_chance;
         Alcotest.test_case "copy preserves stream" `Quick test_rng_copy_same_stream;
       ] );
-    ( "sim.heap",
-      [
-        Alcotest.test_case "heap sort" `Quick test_heap_sorts;
-        Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
-        QCheck_alcotest.to_alcotest prop_heap_matches_sorted_list;
-      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "event order" `Quick test_engine_event_order;
         Alcotest.test_case "fifo among ties" `Quick test_engine_fifo_ties;
         Alcotest.test_case "run until" `Quick test_engine_until;
+        QCheck_alcotest.to_alcotest prop_engine_runs_stable_sort_by_time;
         Alcotest.test_case "no scheduling in the past" `Quick
           test_engine_schedule_past_rejected;
         Alcotest.test_case "fiber sleep" `Quick test_fiber_sleep;
