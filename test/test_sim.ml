@@ -83,6 +83,47 @@ let test_rng_chance () =
   check_bool "p=0.3" true (abs (!hits - 3_000) < 200)
 
 (* ------------------------------------------------------------------ *)
+(* Event heap, driven through the engine: pushing is [schedule], popping
+   is [run] handing each event's time to its callback. *)
+
+(* Schedule one event per time, run the engine, and return the times in
+   the order the events ran. *)
+let drain_times times =
+  let e = Engine.create () in
+  let out = ref [] in
+  List.iter (fun t -> Engine.schedule e ~at:(us t) (fun () -> out := t :: !out)) times;
+  let pending = Engine.pending_events e in
+  Engine.run e;
+  (pending, Engine.pending_events e, List.rev !out)
+
+let test_heap_sorts () =
+  let rng = Rng.create 11 in
+  let input = List.init 500 (fun _ -> Rng.int rng 10_000) in
+  let pending, left, out = drain_times input in
+  check_int "length" 500 pending;
+  Alcotest.(check (list int)) "sorted" (List.sort compare input) out;
+  check_int "empty after drain" 0 left
+
+let test_heap_pop_empty () =
+  let e = Engine.create () in
+  Engine.run e;
+  check_int "pop empty: nothing ran" 0 (Engine.events_processed e);
+  check_int "pop empty: nothing pending" 0 (Engine.pending_events e);
+  check_time "pop empty: clock unmoved" Time.zero (Engine.now e);
+  Engine.schedule e ~at:(us 7) ignore;
+  Engine.run e;
+  Engine.run e;
+  check_int "pop after drain: one event in all" 1 (Engine.events_processed e);
+  check_time "pop after drain: clock at the last event" (us 7) (Engine.now e)
+
+let prop_heap_matches_sorted_list =
+  QCheck.Test.make ~name:"heap pops in sorted order for any input" ~count:200
+    QCheck.(list (int_bound 1_000_000))
+    (fun xs ->
+      let _, left, out = drain_times xs in
+      left = 0 && out = List.sort compare xs)
+
+(* ------------------------------------------------------------------ *)
 (* Engine basics *)
 
 let test_engine_event_order () =
@@ -615,6 +656,12 @@ let suites =
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "chance" `Quick test_rng_chance;
         Alcotest.test_case "copy preserves stream" `Quick test_rng_copy_same_stream;
+      ] );
+    ( "sim.heap",
+      [
+        Alcotest.test_case "heap sort" `Quick test_heap_sorts;
+        Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
+        QCheck_alcotest.to_alcotest prop_heap_matches_sorted_list;
       ] );
     ( "sim.engine",
       [
