@@ -55,6 +55,9 @@ type tx = {
   mutable state : tx_state;
   mutable parked : ((unit, abort_reason) result -> unit) option;
   mutable parked_key : Key.t option;
+  (* LSN of the transaction's first redo record; 0 until it logs. Logged
+     but still active means its rows have not landed yet. *)
+  mutable logged_lsn : int;
 }
 
 and t = {
@@ -84,6 +87,22 @@ and t = {
      [None] until the first gossip arrives — a standalone database
      vacuums on its local watermark alone. *)
   mutable cluster_floor : int option;
+  (* Vacuum cursor into [db_wal]: the rows of every record at or below it
+     are already collected at the last pass's floor, and no record at or
+     below it can still land. *)
+  mutable vacuumed_lsn : int;
+  (* The floor of the last vacuum pass. *)
+  mutable vacuum_floor : int;
+  (* A dump restore's rows carry versions up to [restored_version] (its
+     newest row, which may lie above the dump's published version), and no
+     record in this log wrote them. Until the floor reaches that version an
+     install below one of them can unflatten it, so the cursor may not pass
+     [restored_lsn], the end of the log at the restore (0 and 0 when the
+     store is not a restored dump). The bare tombstones among those rows
+     are visited by name until the floor reaches each. *)
+  mutable restored_lsn : int;
+  mutable restored_version : int;
+  mutable dump_tombstones : (Key.t * int) list;
   commit_count : Stats.Counter.t;
   abort_count : Stats.Counter.t;
   deadlock_count : Stats.Counter.t;
@@ -149,10 +168,22 @@ let set_cluster_gc_floor t floor =
 
 let cluster_gc_floor t = Option.value ~default:0 t.cluster_floor
 
+(* The furthest the vacuum cursor may stand: just before the first record
+   of any commit that is logged but not installed, whose rows can still
+   land at or below a floor. *)
+let unlanded_lsn t =
+  Hashtbl.fold
+    (fun _ tx acc -> if tx.logged_lsn > 0 then Int.min acc (tx.logged_lsn - 1) else acc)
+    t.active
+    (Storage.Wal.last_lsn t.db_wal)
+
 (* One vacuum pass: expire over-age local snapshots (the escape hatch that
    keeps GC making progress past a stalled or leaked transaction), then
    prune the version chains up to the cluster floor capped by the local
-   watermark. *)
+   watermark. Only rows written by the redo records after the cursor are
+   visited: every other row already has at most one entry at or below the
+   floor (DESIGN.md §14). Records above the floor are left for a later
+   pass, and the cursor stops before the first of them. *)
 let vacuum t =
   (match t.cfg.max_snapshot_age with
   | Some max_age ->
@@ -176,7 +207,27 @@ let vacuum t =
     let local = oldest_active_snapshot t in
     match t.cluster_floor with Some floor -> min floor local | None -> local
   in
-  Store.gc t.db_store ~keep_after
+  (* The floor drops only when the first cluster floor arrives below the
+     local watermark. Rows between the two floors were settled by records
+     the cursor has passed, so walk the log again from its start. *)
+  if keep_after < t.vacuum_floor then t.vacuumed_lsn <- 0;
+  t.vacuum_floor <- keep_after;
+  let collect key = Store.gc_key t.db_store ~keep_after key in
+  let cursor = ref (unlanded_lsn t) in
+  if keep_after < t.restored_version then cursor := Int.min !cursor t.restored_lsn;
+  for lsn = t.vacuumed_lsn + 1 to Storage.Wal.last_lsn t.db_wal do
+    let version, _, ws = Storage.Wal.appended t.db_wal lsn in
+    if version <= keep_after then Writeset.iter_keys ws collect
+    else if lsn <= !cursor then cursor := lsn - 1
+  done;
+  t.vacuumed_lsn <- !cursor;
+  t.dump_tombstones <-
+    List.filter
+      (fun (key, version) ->
+        if version <= keep_after then collect key;
+        version > keep_after)
+      t.dump_tombstones;
+  keep_after
 
 let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
     ?(name = "db") () =
@@ -198,6 +249,11 @@ let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
       initial_rows = [];
       next_txid = 0;
       cluster_floor = None;
+      vacuumed_lsn = 0;
+      vacuum_floor = 0;
+      restored_lsn = 0;
+      restored_version = 0;
+      dump_tombstones = [];
       commit_count = Stats.Counter.create ();
       abort_count = Stats.Counter.create ();
       deadlock_count = Stats.Counter.create ();
@@ -240,7 +296,7 @@ let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
         (Engine.spawn engine ~name:(name ^ ".vacuum") (fun () ->
              let rec loop () =
                Engine.sleep engine interval;
-               vacuum db;
+               ignore (vacuum db);
                loop ()
              in
              loop ()))
@@ -274,6 +330,7 @@ let begin_tx_internal t ~remote =
       state = Active;
       parked = None;
       parked_key = None;
+      logged_lsn = 0;
     }
   in
   Hashtbl.replace t.active tx.id tx;
@@ -498,6 +555,7 @@ let mark_committed tx =
 let finish_certified tx ~batch ~prev ~order ~in_order =
   let t = tx.db in
   charge_commit_cpu t;
+  tx.logged_lsn <- Storage.Wal.last_lsn t.db_wal + 1;
   log_batch t ~prev batch;
   if in_order then Commit_order.wait_turn t.order order;
   List.iter (fun (version, ws) -> install t ~version ws) batch;
@@ -549,17 +607,15 @@ let apply_certified t ~batch ~prev ~order ~in_order =
     | batch -> List.fold_left (fun acc (_, ws) -> Writeset.union acc ws) Writeset.empty batch
   in
   let tx = begin_tx_internal t ~remote:true in
-  let rec apply_entries = function
-    | [] ->
-        tx.state <- Committing;
-        finish_certified tx ~batch ~prev ~order ~in_order;
-        Ok ()
-    | { Writeset.key; op } :: rest -> (
-        match write tx key op with
-        | Ok () -> apply_entries rest
-        | Error r -> Error r)
-  in
-  apply_entries (Writeset.entries ws)
+  let written = ref (Ok ()) in
+  Writeset.iter_entries ws (fun key op ->
+      match !written with Ok () -> written := write tx key op | Error _ -> ());
+  match !written with
+  | Ok () ->
+      tx.state <- Committing;
+      finish_certified tx ~batch ~prev ~order ~in_order;
+      Ok ()
+  | Error _ as failed -> failed
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)
@@ -575,9 +631,18 @@ let lock_holder t key = Locks.holder t.locks key
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery *)
 
-let reset_publish t =
+(* Every path that replaces the store restarts the publish frontier and the
+   vacuum. A store rebuilt from the data files and the redo log holds only
+   rows some record in the log wrote, so the vacuum starts over at the
+   log's first record. *)
+let reset_for_new_store t =
   Hashtbl.reset t.unpublished;
-  t.published_order <- 0
+  t.published_order <- 0;
+  t.vacuumed_lsn <- 0;
+  t.vacuum_floor <- 0;
+  t.restored_lsn <- 0;
+  t.restored_version <- 0;
+  t.dump_tombstones <- []
 
 let crash t =
   ignore (Storage.Wal.crash t.db_wal);
@@ -587,7 +652,7 @@ let crash t =
   t.locks <- Locks.create ();
   Commit_order.reset t.order;
   t.order <- Commit_order.create t.engine ();
-  reset_publish t;
+  reset_for_new_store t;
   Hashtbl.reset t.active
 
 exception Redo_gap
@@ -618,7 +683,7 @@ let recover t =
   t.db_store <- fresh;
   (* Announce sequence restarts after recovery. *)
   t.order <- Commit_order.create t.engine ();
-  reset_publish t;
+  reset_for_new_store t;
   Store.current_version fresh
 
 let restore_from_dump t ~version dump =
@@ -626,7 +691,12 @@ let restore_from_dump t ~version dump =
   Store.force_version copy version;
   t.db_store <- copy;
   t.order <- Commit_order.create t.engine ();
-  reset_publish t
+  reset_for_new_store t;
+  (* A flat copy, which no record logged so far can unflatten. *)
+  t.vacuumed_lsn <- unlanded_lsn t;
+  t.restored_lsn <- t.vacuumed_lsn;
+  t.restored_version <- Store.newest_version copy;
+  t.dump_tombstones <- Store.tombstones copy
 
 let dump t = (Store.current_version t.db_store, Store.copy t.db_store)
 

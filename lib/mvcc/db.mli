@@ -230,6 +230,20 @@ val set_cluster_gc_floor : t -> int -> unit
 val cluster_gc_floor : t -> int
 (** The recorded floor (0 until {!set_cluster_gc_floor} is first called). *)
 
+val vacuum : t -> int
+(** One vacuum pass now — what the [gc_interval] fiber runs — returning the
+    floor it pruned to: [min] of the cluster floor and
+    {!oldest_active_snapshot}, after dooming over-age snapshots. The result
+    equals {!Store.gc} at that floor, but the pass visits only the rows
+    written by the redo records after its cursor, so it costs the records
+    logged since the floor last passed them, not the size of the store. The
+    cursor stops before the first record above the floor and before the
+    first record of a commit that is logged but not yet installed. Crash,
+    {!recover} and a floor below the last pass's restart it at the log's
+    first record; after {!restore_from_dump} it starts at the log's end but
+    stays there until the floor reaches the dump's newest row (DESIGN.md
+    §14). *)
+
 val stale_snapshots_expired : t -> int
 (** Transactions doomed by the [max_snapshot_age] escape hatch. *)
 

@@ -78,11 +78,9 @@ let install t ~version ws =
   if version <= t.version then
     invalid_arg
       (Printf.sprintf "Store.install: version %d not beyond current %d" version t.version);
-  List.iter
-    (fun { Writeset.key; op } ->
+  Writeset.iter_entries ws (fun key op ->
       let chain = Option.value ~default:[] (Key.Tbl.find_opt t.rows key) in
-      Key.Tbl.replace t.rows key ((version, cell_of_op op) :: chain))
-    (Writeset.entries ws);
+      Key.Tbl.replace t.rows key ((version, cell_of_op op) :: chain));
   t.version <- version
 
 (* Slot each write into its key's chain at the right version position,
@@ -94,8 +92,7 @@ let install t ~version ws =
    stay symbolic, so the chain (and every read) is independent of the
    order in which concurrent delta installs arrive. *)
 let install_at t ~version ws =
-  List.iter
-    (fun { Writeset.key; op } ->
+  Writeset.iter_entries ws (fun key op ->
       let cell = cell_of_op op in
       let chain = Option.value ~default:[] (Key.Tbl.find_opt t.rows key) in
       (* Chains are newest-first: insert in descending position. *)
@@ -106,7 +103,6 @@ let install_at t ~version ws =
         | [] -> [ (version, cell) ]
       in
       Key.Tbl.replace t.rows key (ins chain))
-    (Writeset.entries ws)
 
 let preload t key value = Key.Tbl.replace t.rows key [ (0, Blind (Some value)) ]
 let force_version t v = t.version <- v
@@ -156,22 +152,31 @@ let copy t =
    resurrect a deleted key. A row whose entire surviving history is a
    tombstone at or below the floor is dropped outright ([None]): every
    visible snapshot already reads it as absent. An already-flat chain comes
-   back physically unchanged. *)
+   back physically unchanged, and finding that allocates nothing: a row
+   the vacuum visits again while its newest entries are above the floor
+   costs a walk over them. *)
 let gc_chain t ~(keep_after : int) chain =
-  let rec split above = function
-    | ((v, _) :: _ as suffix) when v <= keep_after -> (List.rev above, suffix)
-    | entry :: rest -> split (entry :: above) rest
-    | [] -> (List.rev above, [])
+  let rec at_or_below = function
+    | (v, _) :: _ as suffix when v <= keep_after -> suffix
+    | _ :: rest -> at_or_below rest
+    | [] -> []
   in
-  match split [] chain with
-  | _, [] -> Some chain (* nothing at or below the floor *)
-  | [], suffix when Option.is_none (fold_value 0 false suffix) ->
+  match at_or_below chain with
+  | [] -> Some chain (* nothing at or below the floor *)
+  | suffix when suffix == chain && Option.is_none (fold_value 0 false suffix) ->
       t.pruned <- t.pruned + List.length suffix;
       None
-  | _, [ (_, Blind _) ] -> Some chain
-  | above, ((v, _) :: below as suffix) ->
+  | [ (_, Blind _) ] -> Some chain
+  | (v, _) :: below as suffix ->
       t.pruned <- t.pruned + List.length below;
-      Some (above @ [ (v, materialise suffix) ])
+      let boundary = (v, materialise suffix) in
+      (* The entries above the floor, then the materialised boundary. *)
+      let rec rebuild = function
+        | entries when entries == suffix -> [ boundary ]
+        | entry :: rest -> entry :: rebuild rest
+        | [] -> [ boundary ]
+      in
+      Some (rebuild chain)
 
 let gc_key t ~keep_after key =
   match Key.Tbl.find_opt t.rows key with
@@ -183,6 +188,17 @@ let gc_key t ~keep_after key =
 
 let gc t ~keep_after =
   Key.Tbl.filter_map_inplace (fun _ chain -> gc_chain t ~keep_after chain) t.rows
+
+let newest_version t =
+  Key.Tbl.fold
+    (fun _ chain acc -> match chain with (v, _) :: _ -> Int.max acc v | [] -> acc)
+    t.rows t.version
+
+let tombstones t =
+  Key.Tbl.fold
+    (fun key chain acc ->
+      match chain with (v, Blind None) :: _ -> (key, v) :: acc | _ -> acc)
+    t.rows []
 
 let pp_chain fmt t key =
   match Key.Tbl.find_opt t.rows key with

@@ -66,8 +66,6 @@ val row_count : t -> int
 val version_records : t -> int
 (** Total version-chain entries, across all rows. *)
 
-val estimated_bytes : t -> int
-
 val copy : t -> t
 (** Deep copy of the latest snapshot only — the "DUMP DATA" operation. The
     copy's chains are flattened to single versions. *)
@@ -79,12 +77,27 @@ val gc : t -> keep_after:int -> unit
     tombstone-preserving fold as {!read} — a deleted key stays deleted, and
     a delta run above a tombstone keeps folding from the deletion. A row
     whose whole remaining history is a tombstone at or below the floor is
-    removed outright. Visits every row: this is the replica vacuum. *)
+    removed outright. Visits every row: the reference full scan that the
+    tests hold the incremental collectors to. The certifier's log
+    truncation and the replica vacuum ([Db.vacuum]) both apply {!gc_key}
+    to the rows written since their last collection instead. *)
 
 val gc_key : t -> keep_after:int -> Key.t -> unit
 (** {!gc}'s rule applied to one row only. A caller that knows which rows
     changed since the last collection at or below [keep_after] (every other
     row is already flat there) pays for those rows alone. *)
+
+val newest_version : t -> int
+(** The newest version any chain holds, at least {!current_version}: rows
+    installed at versions not yet published lie above it. Visits every
+    row. *)
+
+val tombstones : t -> (Key.t * int) list
+(** Rows whose newest entry is a deletion, with its version. In a flat
+    {!copy} these are the only rows {!gc} can still change (it removes
+    each once [keep_after] reaches its version), which is how a restored
+    replica finds the rows its own redo log never wrote. Visits every
+    row. *)
 
 val pruned : t -> int
 (** Cumulative version-chain records dropped by {!gc} over this store's

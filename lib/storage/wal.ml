@@ -29,7 +29,6 @@ type 'r t = {
   synced_records : Stats.Counter.t;
   group_sizes : Stats.Summary.t;
   batch_appends : Stats.Counter.t;
-  append_batch_sizes : Stats.Summary.t;
   torn_drops : Stats.Counter.t;
   corrupt_drops : Stats.Counter.t;
 }
@@ -54,14 +53,12 @@ let create engine ~disk ?(synchronous = true) ?(name = "wal") () =
     synced_records = Stats.Counter.create ();
     group_sizes = Stats.Summary.create ();
     batch_appends = Stats.Counter.create ();
-    append_batch_sizes = Stats.Summary.create ();
     torn_drops = Stats.Counter.create ();
     corrupt_drops = Stats.Counter.create ();
   }
 
 let name t = t.label
 let synchronous t = t.sync_writes
-let set_synchronous t flag = t.sync_writes <- flag
 let last_lsn t = t.size
 let durable_lsn t = t.durable
 
@@ -82,12 +79,7 @@ let append t ~bytes r =
    [group_sizes] tracks. *)
 let append_batch t ~bytes_of records =
   List.iter (fun r -> ignore (append t ~bytes:(bytes_of r) r)) records;
-  (match records with
-  | [] -> ()
-  | _ ->
-      Stats.Counter.incr t.batch_appends;
-      Stats.Summary.observe t.append_batch_sizes
-        (float_of_int (List.length records)));
+  (match records with [] -> () | _ :: _ -> Stats.Counter.incr t.batch_appends);
   t.size
 
 (* Flush loop: one in-flight fsync at a time; each flush covers everything
@@ -143,6 +135,11 @@ let append_and_sync t ~bytes r =
 let sync t = if t.sync_writes then wait_durable t t.size
 
 let flushing_since t = t.flush_started
+
+let appended t lsn =
+  if lsn < 1 || lsn > t.size then
+    invalid_arg (Printf.sprintf "Wal.appended: lsn %d outside 1..%d" lsn t.size);
+  t.records.(lsn - 1).payload
 
 (* The redo stream stops at the first unreadable slot: a torn or corrupt
    record — and everything behind it — must never be replayed. *)
@@ -218,11 +215,9 @@ let sync_count t = Stats.Counter.value t.syncs
 let records_synced t = Stats.Counter.value t.synced_records
 let mean_group_size t = Stats.Summary.mean t.group_sizes
 let batch_appends t = Stats.Counter.value t.batch_appends
-let mean_append_batch t = Stats.Summary.mean t.append_batch_sizes
 
 let reset_stats t =
   Stats.Counter.reset t.syncs;
   Stats.Counter.reset t.synced_records;
   Stats.Summary.reset t.group_sizes;
-  Stats.Counter.reset t.batch_appends;
-  Stats.Summary.reset t.append_batch_sizes
+  Stats.Counter.reset t.batch_appends

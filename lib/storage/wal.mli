@@ -37,7 +37,6 @@ val create :
 
 val name : 'r t -> string
 val synchronous : 'r t -> bool
-val set_synchronous : 'r t -> bool -> unit
 
 (** {1 Appending} *)
 
@@ -51,9 +50,9 @@ val append_and_sync : 'r t -> bytes:int -> 'r -> int
 val append_batch : 'r t -> bytes_of:('r -> int) -> 'r list -> int
 (** Buffer a producer-side batch of records in order, returning the last
     LSN. Equivalent to [append] per record, but additionally counted as
-    one batch in the append-batch statistics, so grouping decided by the
-    producer (a multi-entry Paxos Accept) is visible separately from the
-    fsync-side grouping of {!mean_group_size}. Non-blocking. *)
+    one batch by {!batch_appends}, so grouping decided by the producer (a
+    multi-entry Paxos Accept) is visible separately from the fsync-side
+    grouping of {!mean_group_size}. Non-blocking. *)
 
 val sync : 'r t -> unit
 (** Block until everything appended so far is durable. No-op in
@@ -74,6 +73,14 @@ val records_from : 'r t -> int -> 'r list
     append order — the redo stream. Stops at the first torn or corrupt
     record: an unreadable record (and everything behind it) is never
     replayed. *)
+
+val appended : 'r t -> int -> 'r
+(** [appended t lsn] is the payload of appended record [lsn]
+    ([1 <= lsn <= last_lsn t]), durable or not — the log owner's own read
+    of what it wrote, where {!records_from} is the redo stream and stops
+    at {!durable_lsn} (an asynchronous log has no durable record). The
+    replica vacuum walks its redo log with it. Allocates nothing.
+    @raise Invalid_argument outside that range. *)
 
 (** {1 Crash and recovery} *)
 
@@ -116,8 +123,5 @@ val mean_group_size : 'r t -> float
 
 val batch_appends : 'r t -> int
 (** Number of {!append_batch} calls with at least one record. *)
-
-val mean_append_batch : 'r t -> float
-(** Mean records per {!append_batch} call. *)
 
 val reset_stats : 'r t -> unit

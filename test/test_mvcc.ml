@@ -1478,6 +1478,248 @@ let test_db_vacuum_capped_by_cluster_floor () =
   Alcotest.check value_opt "latest value intact" (Some (vi 10))
     (Db.read_committed db (k "t" "a"))
 
+(* The vacuum walks the redo log from a cursor instead of scanning the
+   store. It is exact iff, right after each pass, the reference full scan
+   ({!Store.gc}) at that pass's floor finds nothing left to do: no record
+   to prune, no boundary left to materialise, no bare tombstone left at or
+   below the floor. *)
+let vacuum_is_exact db keys =
+  let floor = Db.vacuum db in
+  let store = Db.store db in
+  let chains () =
+    List.map
+      (fun key -> Format.asprintf "%a" (fun fmt () -> Store.pp_chain fmt store key) ())
+      keys
+  in
+  let pruned = Store.pruned store and before = chains () in
+  Store.gc store ~keep_after:floor;
+  Store.pruned store = pruned && List.equal String.equal before (chains ())
+
+(* One in-order certified update of [key] at [version], under the next
+   announce order. *)
+let put_at db ~version key n =
+  ignore
+    (apply_in_order db ~version ~order:(Db.next_order db) (Writeset.singleton key (upd n)))
+
+let test_db_vacuum_revisits_parked_commit () =
+  (* A backfill at version 2 is logged while version 3 is already visible,
+     then parks in [wait_turn] behind an unfinished order across a pass at
+     floor 3. Its rows land only after that pass, so the next pass must
+     still visit its record and flatten the key. *)
+  let e, db, _ = make_db () in
+  let a = k "t" "a" and b = k "t" "b" in
+  Db.load db [ (a, vi 0); (b, vi 0) ];
+  let keys = [ a; b ] in
+  in_fiber e (fun () ->
+      put_at db ~version:1 a 10;
+      put_at db ~version:3 a 30);
+  check_bool "first pass exact" true (vacuum_is_exact db keys);
+  check_int "a flattened to one version" 1 (Store.version_records (Db.store db) - 1);
+  let gap = Db.next_order db in
+  let backfill = Db.next_order db in
+  ignore
+    (Engine.spawn e (fun () ->
+         ignore
+           (Db.apply_certified db ~batch:[ (2, Writeset.singleton a (upd 20)) ] ~prev:1
+              ~order:backfill ~in_order:true)));
+  Engine.run ~until:(Time.of_ms 50.) e;
+  check_int "backfill logged" 3 (Storage.Wal.last_lsn (Db.wal db));
+  check_int "backfill parked in its turn" 1 (List.length (Db.active_txids db));
+  check_bool "pass while it is parked exact" true (vacuum_is_exact db keys);
+  in_fiber e (fun () ->
+      ignore (apply_in_order db ~version:4 ~order:gap (Writeset.singleton b (upd 40))));
+  check_int "backfill landed" 0 (List.length (Db.active_txids db));
+  check_bool "next pass flattens the backfilled key" true (vacuum_is_exact db keys);
+  Alcotest.check value_opt "a reads its newest version" (Some (vi 30))
+    (Db.read_committed db a)
+
+let test_db_vacuum_revisits_under_dropped_floor () =
+  (* The local watermark settles the log at floor 3; the first cluster
+     floor then arrives at 2, and a backfill lands at version 1 under the
+     row's version-3 entry. When the floor climbs back to 3 the row holds
+     two entries at or below it, and the record that wrote the upper one
+     lies behind the cursor: the drop must send the walk back to the log's
+     start. *)
+  let e, db, _ = make_db () in
+  let a = k "t" "a" in
+  Db.load db [ (a, vi 0) ];
+  in_fiber e (fun () ->
+      put_at db ~version:2 a 20;
+      put_at db ~version:3 a 30);
+  check_bool "pass at the local watermark exact" true (vacuum_is_exact db [ a ]);
+  Db.set_cluster_gc_floor db 2;
+  in_fiber e (fun () ->
+      put_at db ~version:1 a 10);
+  check_bool "pass at the dropped floor exact" true (vacuum_is_exact db [ a ]);
+  Db.set_cluster_gc_floor db 3;
+  check_bool "pass back at floor 3 exact" true (vacuum_is_exact db [ a ]);
+  check_int "a flat" 1 (Store.version_records (Db.store db))
+
+let test_db_vacuum_holds_at_restored_dump () =
+  (* A restored dump's row at version 4 was written by no record in this
+     log. A backfill at version 1 lands under it while the floor is 2;
+     once the floor reaches 4 that row must be flattened, so the cursor may
+     not pass the restore point before then. *)
+  let e, db, _ = make_db () in
+  let a = k "t" "a" in
+  Db.load db [ (a, vi 0) ];
+  in_fiber e (fun () ->
+      put_at db ~version:4 a 40);
+  let version, copy = Db.dump db in
+  Db.crash db;
+  Db.restore_from_dump db ~version copy;
+  Db.set_cluster_gc_floor db 2;
+  check_bool "pass after the restore exact" true (vacuum_is_exact db [ a ]);
+  in_fiber e (fun () ->
+      put_at db ~version:1 a 10);
+  check_bool "pass below the dump version exact" true (vacuum_is_exact db [ a ]);
+  Db.set_cluster_gc_floor db 4;
+  check_bool "pass at the dump version exact" true (vacuum_is_exact db [ a ]);
+  check_int "a flat" 1 (Store.version_records (Db.store db))
+
+(* Random Db histories against the reference full scan. A history runs in
+   rounds. Each round spawns, at random instants, local writers that commit
+   standalone or certified (in order or not), readers that pin the floor
+   for a while, and one applier fiber replaying certified batches in turn
+   (multi-version batches, in order or not, with backfills into skipped
+   versions and duplicate deliveries), while a checker fiber vacuums at
+   random instants. Writes mix updates, inserts, deletes and deltas. The
+   checker also takes a dump now and then, which may hold rows installed
+   but not yet published. Between rounds, at a quiescent point, the
+   history may raise the cluster floor, take a dump, crash and recover,
+   recover without a crash, or crash and restore an earlier dump. Local
+   writers and the applier write disjoint keys, so an in-order commit
+   never waits on a lock an earlier order holds. *)
+let prop_incremental_vacuum_equals_full_scan =
+  QCheck.Test.make ~name:"incremental vacuum equals full scan" ~count:120
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let durability =
+        Rng.pick rng [| Db.Synchronous; Db.Asynchronous; Db.Periodic (Time.of_ms 20.) |]
+      in
+      let e, db, _ = make_db ~config:{ Db.default_config with durability } ~seed () in
+      let local_keys = List.init 4 (fun i -> k "l" (string_of_int i)) in
+      let remote_keys = List.init 4 (fun i -> k "r" (string_of_int i)) in
+      let keys = local_keys @ remote_keys in
+      Db.load db (List.map (fun key -> (key, vi 0)) keys);
+      let standalone = Rng.chance rng 0.3 in
+      let exact = ref true in
+      let check () = if not (vacuum_is_exact db keys) then exact := false in
+      let random_ws pool =
+        let pool = Array.of_list pool in
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            let op =
+              match Rng.int rng 10 with
+              | 0 | 1 -> Writeset.Delete
+              | 2 -> Writeset.Insert (vi (Rng.int rng 100))
+              | 3 | 4 | 5 -> Writeset.Add (1 + Rng.int rng 5)
+              | _ -> upd (Rng.int rng 100)
+            in
+            (Rng.pick rng pool, op))
+      in
+      (* Certified versions: fresh ones from a counter; some are skipped
+         and delivered later as backfills below the visible version. *)
+      let top = ref 0 and skipped = ref [] and delivered = ref [] in
+      let fresh () =
+        if Rng.chance rng 0.15 then begin
+          incr top;
+          skipped := !top :: !skipped
+        end;
+        incr top;
+        !top
+      in
+      let local_writer () =
+        Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:0. ~hi:150.));
+        let tx = Db.begin_tx db in
+        Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:0. ~hi:30.));
+        let rec write_all = function
+          | [] -> true
+          | (key, op) :: rest -> (
+              match Db.write tx key op with Ok () -> write_all rest | Error _ -> false)
+        in
+        if write_all (random_ws local_keys) then
+          if standalone then ignore (Db.commit_standalone tx)
+          else
+            let version = fresh () in
+            ignore
+              (Db.commit_certified tx ~version ~prev:(version - 1)
+                 ~order:(Db.next_order db) ~in_order:(Rng.bool rng))
+      in
+      let reader () =
+        Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:0. ~hi:150.));
+        let tx = Db.begin_tx db in
+        Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:0. ~hi:120.));
+        List.iter (fun key -> ignore (Db.read tx key)) keys;
+        Db.commit_readonly tx
+      in
+      let applier () =
+        for _ = 1 to Rng.int rng 5 do
+          Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:0. ~hi:40.));
+          let batch =
+            match (!skipped, !delivered) with
+            | v :: rest, _ when Rng.chance rng 0.4 ->
+                skipped := rest;
+                [ (v, Writeset.of_list (random_ws remote_keys)) ]
+            | _, (_ :: _ as old) when Rng.chance rng 0.2 ->
+                [ Rng.pick rng (Array.of_list old) ]
+            | _ ->
+                List.init (1 + Rng.int rng 3) (fun _ ->
+                    (fresh (), Writeset.of_list (random_ws remote_keys)))
+          in
+          delivered := batch @ !delivered;
+          let prev = List.fold_left (fun acc (v, _) -> min acc v) max_int batch - 1 in
+          let order = Db.next_order db and in_order = Rng.bool rng in
+          let rec apply () =
+            match Db.apply_certified db ~batch ~prev ~order ~in_order with
+            | Ok () -> ()
+            | Error _ ->
+                Engine.sleep e (Time.of_ms 1.);
+                apply ()
+          in
+          apply ()
+        done
+      in
+      let dumps = ref [] in
+      for _ = 1 to 6 do
+        for _ = 1 to Rng.int rng 8 do
+          ignore (Engine.spawn e local_writer)
+        done;
+        for _ = 1 to Rng.int rng 3 do
+          ignore (Engine.spawn e reader)
+        done;
+        if not standalone then ignore (Engine.spawn e applier);
+        let until = Time.add (Engine.now e) (Time.sec 1) in
+        ignore
+          (Engine.spawn e (fun () ->
+               while Time.(Engine.now e < until) do
+                 Engine.sleep e (Time.of_ms (Rng.uniform rng ~lo:1. ~hi:40.));
+                 check ();
+                 if Rng.chance rng 0.05 then dumps := Db.dump db :: !dumps
+               done));
+        Engine.run ~until e;
+        if Db.active_txids db <> [] then exact := false;
+        check ();
+        if Rng.bool rng then
+          Db.set_cluster_gc_floor db (Rng.int rng (Db.current_version db + 1));
+        (match Rng.int rng 5 with
+        | 0 -> dumps := Db.dump db :: !dumps
+        | 1 ->
+            Db.crash db;
+            ignore (Db.recover db)
+        | 2 -> ignore (Db.recover db)
+        | 3 -> (
+            match !dumps with
+            | [] -> ()
+            | dumps ->
+                let version, copy = Rng.pick rng (Array.of_list dumps) in
+                Db.crash db;
+                Db.restore_from_dump db ~version copy)
+        | _ -> ());
+        check ()
+      done;
+      !exact)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -1594,6 +1836,12 @@ let suites =
           test_db_stale_snapshot_expiry;
         Alcotest.test_case "vacuum capped by the cluster floor" `Quick
           test_db_vacuum_capped_by_cluster_floor;
+        Alcotest.test_case "vacuum revisits a commit logged before the pass" `Quick
+          test_db_vacuum_revisits_parked_commit;
+        Alcotest.test_case "vacuum revisits rows under a dropped floor" `Quick
+          test_db_vacuum_revisits_under_dropped_floor;
+        Alcotest.test_case "vacuum holds at a restored dump" `Quick
+          test_db_vacuum_holds_at_restored_dump;
       ]
-      @ qsuite [ prop_no_lost_updates ] );
+      @ qsuite [ prop_no_lost_updates; prop_incremental_vacuum_equals_full_scan ] );
   ]
