@@ -87,10 +87,18 @@ let backoff_delay t n =
   let capped = Time.min t.backoff_cap raw in
   Time.scale capped (Rng.uniform t.rng ~lo:0.5 ~hi:1.5)
 
-(* The certify retry loop, shared by the single-partition and the
-   cross-partition paths: same request id across attempts (idempotent
-   retries), redirect following, capped backoff, late-reply waiters. *)
-let retry_certify t ~req_id request =
+(* One blocking certification: same request id across attempts
+   (idempotent retries), redirect following, capped backoff, late-reply
+   waiters. A request with no [gtx] is its own transaction,
+   [(my_addr, req_id)]. *)
+let certify t ?(trace_id = 0) ?gtx ~replica_version ~oldest_snapshot fragments =
+  t.next_req <- t.next_req + 1;
+  let req_id = t.next_req in
+  let gtx = match gtx with Some g -> g | None -> Types.single_gtx ~origin:t.my_addr ~req_id in
+  let request =
+    Types.Cert_request
+      { req_id; trace_id; replica = t.my_addr; replica_version; oldest_snapshot; gtx; fragments }
+  in
   let rec attempt n =
     if n > 0 then Stats.Counter.incr t.retry_count;
     let ivar = Ivar.create t.engine () in
@@ -134,38 +142,6 @@ let retry_certify t ~req_id request =
         | Some (Fetched _) | Some Timed_out | None -> attempt (n + 1))
   in
   attempt 0
-
-let certify t ?(trace_id = 0) ~start_version ~replica_version ~oldest_snapshot ws =
-  t.next_req <- t.next_req + 1;
-  let req_id = t.next_req in
-  retry_certify t ~req_id
-    (Types.Cert_request
-       {
-         req_id;
-         trace_id;
-         replica = t.my_addr;
-         start_version;
-         replica_version;
-         oldest_snapshot;
-         writeset = ws;
-       })
-
-let certify_cross t ?(trace_id = 0) ~gtx ~part ~replica_version ~oldest_snapshot
-    ~fragments () =
-  t.next_req <- t.next_req + 1;
-  let req_id = t.next_req in
-  retry_certify t ~req_id
-    (Types.Xcert_request
-       {
-         x_req_id = req_id;
-         x_trace_id = trace_id;
-         x_replica = t.my_addr;
-         x_part = part;
-         x_gtx = gtx;
-         x_replica_version = replica_version;
-         x_oldest_snapshot = oldest_snapshot;
-         x_fragments = fragments;
-       })
 
 let fetch_attempts = 3
 
@@ -224,8 +200,7 @@ let handle t msg =
       match Hashtbl.find_opt t.pending reply.fetch_req_id with
       | Some ivar -> ignore (Ivar.try_fill ivar (Fetched reply))
       | None -> ())
-  | Types.Cert_request _ | Types.Xcert_request _ | Types.Xvote _
-  | Types.Fetch_request _ | Types.Paxos _ ->
+  | Types.Cert_request _ | Types.Xvote _ | Types.Fetch_request _ | Types.Paxos _ ->
       ()
 
 let requests_sent t = Stats.Counter.value t.sent

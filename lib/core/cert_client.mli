@@ -28,40 +28,33 @@ val create :
 val certify :
   t ->
   ?trace_id:int ->
-  start_version:int ->
+  ?gtx:Types.gtx_id ->
   replica_version:int ->
   oldest_snapshot:int ->
-  Mvcc.Writeset.t ->
+  Types.xfragment list ->
   Types.cert_reply
-(** [oldest_snapshot] is the replica's GC-watermark report (oldest snapshot
-    any of its live transactions still reads), piggybacked on the request.
-    Blocking: sends the certification request to the presumed leader and
-    keeps retrying (same request id, so retries are idempotent) across
-    redirects, timeouts and certifier failovers until a reply arrives.
-    Redirect hints naming an unknown certifier fall back to round-robin;
-    repeated timeouts or redirect bounces back off exponentially (with
-    jitter) up to [backoff_cap], so a fully partitioned client probes the
-    group at a decaying rate instead of spinning at a fixed interval. *)
+(** Certify one transaction at this client's certifier group: the one
+    {!Types.cert_request}, carrying [fragments] — exactly one for a
+    single-partition commit, or EVERY fragment of a cross-partition
+    transaction (the receiving group re-gossips them so any surviving
+    leader can finish the commit). [gtx] names a cross-partition
+    transaction; without it the request is its own transaction,
+    [(my_addr, req_id)], minted here with the request id.
+    [replica_version] is in this group's version space, and
+    [oldest_snapshot] is the replica's GC-watermark report (oldest
+    snapshot any of its live transactions still reads), piggybacked on
+    the request. The reply's [commit_version] and [remotes] are for this
+    group's partition only.
 
-val certify_cross :
-  t ->
-  ?trace_id:int ->
-  gtx:Types.gtx_id ->
-  part:int ->
-  replica_version:int ->
-  oldest_snapshot:int ->
-  fragments:Types.xfragment list ->
-  unit ->
-  Types.cert_reply
-(** Submit one partition's fragment of a cross-partition transaction to
-    the certifier group of partition [part]. [fragments] carries EVERY
-    fragment of the transaction (the receiving group re-gossips them so
-    any surviving leader can finish the commit); [replica_version] is in
-    the receiving partition's version space. Same blocking retry
-    discipline as {!certify} — the request id is stable across attempts
-    and the certifier answers retries of decided transactions from its
-    never-pruned outcome table. The reply's [commit_version] and
-    [remotes] are for partition [part] only. *)
+    Blocking: sends the request to the presumed leader and keeps retrying
+    (same request id and transaction id, so retries are idempotent — the
+    certifier answers a decided transaction from its outcome table)
+    across redirects, timeouts and certifier failovers until a reply
+    arrives. Redirect hints naming an unknown certifier fall back to
+    round-robin; repeated timeouts or redirect bounces back off
+    exponentially (with jitter) up to [backoff_cap], so a fully
+    partitioned client probes the group at a decaying rate instead of
+    spinning at a fixed interval. *)
 
 val fetch :
   t ->

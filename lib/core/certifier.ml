@@ -52,14 +52,22 @@ type stats = {
   xaborts : int;
 }
 
-(* Work queued for the certify fiber. [Creq] is the classic single-
-   partition request; [Xreq] a cross-partition request from a proxy (a
-   reply is owed); [Xprep] an internally solicited prepare for a
+(* Work queued for the certify fiber: a request from a proxy (a reply is
+   owed), or a prepare solicited internally for a cross-partition
    transaction learned about through vote gossip (no reply owed). *)
-type task =
-  | Creq of Types.cert_request
-  | Xreq of Types.xcert_request
-  | Xprep of Types.gtx_id * Types.xfragment list
+type task = Req of Types.cert_request | Prep of Types.gtx_id * Types.xfragment list
+
+module Outcomes = Hashtbl.Make (struct
+  type t = Types.gtx_id
+
+  let equal = Types.gtx_equal
+  let hash (g : t) = Hashtbl.hash g
+end)
+
+(* The outcome-table value of an aborted transaction (versions are
+   1-based). Only cross-partition aborts are recorded: a single-partition
+   abort is never replicated, and its retry is certified afresh. *)
+let aborted = 0
 
 (* Per cross-partition transaction state. Everything here is volatile and
    rebuilt by Paxos redelivery after a crash; the only durable facts are
@@ -74,7 +82,7 @@ type xstate = {
   mutable xs_prepared : bool;  (* our Prepared record delivered *)
   mutable xs_vote : bool option;  (* our vote, computed at delivery *)
   mutable xs_votes : (int * bool) list;  (* sibling votes received via gossip *)
-  mutable xs_reply : Types.xcert_request option;  (* freshest request awaiting a reply *)
+  mutable xs_reply : Types.cert_request option;  (* freshest request awaiting a reply *)
   mutable xs_decided : bool;  (* a Decision record proposed or delivered *)
   mutable xs_prepared_at : Time.t;  (* for the re-solicitation sweep *)
   mutable xs_decided_at : Time.t;  (* when the Decision was last proposed *)
@@ -91,7 +99,6 @@ type t = {
   net : Types.message Net.Network.t;
   mailbox : Types.message Mailbox.t;
   cfg : config;
-  mutable forced_abort_rate : float;
   cpu : Resource.t;
   disk : Storage.Disk.t;
   paxos_node : Types.record Paxos.Node.t;
@@ -103,17 +110,18 @@ type t = {
   overlay : Overlay.t;
   cert_work : task Mailbox.t;
   pending_replies : (int, Types.cert_request) Hashtbl.t; (* version -> request *)
-  decided : (int, int) Hashtbl.t; (* req_id -> version, for retry idempotency *)
+  (* Transaction id -> version committed here, or [aborted]: the retry-
+     idempotency witness for every kind of request. Deliberately never
+     pruned by log truncation and rebuilt by Paxos redelivery after a
+     crash, so it remains the durability witness for commits whose log
+     slots were truncated behind the GC watermark. *)
+  outcomes : int Outcomes.t;
   (* Cross-partition machinery. [xstates] holds in-flight transactions
-     (pruned at decision); [x_outcomes] maps gtx key -> Some version
-     (committed here) / None (aborted) and, like [decided], is never
-     pruned — it is the retry-idempotency and durability witness for
-     cross-partition commits. [pins] holds keys locked by delivered
+     (pruned at decision). [pins] holds keys locked by delivered
      yes-voted Prepared records (deterministic, delivery-driven,
      identical on every ring member); [pins_spec] is the leader's
      volatile twin for proposed-but-undelivered prepares. *)
   xstates : (string, xstate) Hashtbl.t;
-  x_outcomes : (string, int option) Hashtbl.t;
   pins : string Mvcc.Key.Tbl.t;
   pins_spec : string Mvcc.Key.Tbl.t;
   (* True once any Prepared/Decision record has been delivered: only then
@@ -121,7 +129,7 @@ type t = {
   mutable x_seen : bool;
   (* Deliveries accumulated within one instant, flushed as one reply batch
      sharing a single log scan. *)
-  mutable delivered : (Types.cert_request * int) list; (* newest first *)
+  mutable delivered : (Types.cert_request * Types.decision * int) list; (* newest first *)
   mutable flush_scheduled : bool;
   (* Round pacing: the certify fiber blocks here until the current batch
      is locally durable (or the node crashes), so the next batch forms
@@ -169,32 +177,24 @@ type t = {
 }
 
 let id t = t.node_id
-let partition t = t.partition
 let is_leader t = Paxos.Node.is_leader t.paxos_node
 let leader_hint t = Paxos.Node.leader_hint t.paxos_node
 let system_version t = Cert_log.version t.clog
 let log t = t.clog
 
-(* The decided table ([req_id -> version] for retry idempotency) is
-   deliberately never pruned by log truncation and is rebuilt by Paxos
-   redelivery after a crash — so it remains the durability witness for
-   commits whose log slots were truncated behind the GC watermark. *)
-let decided_version t ~req_id = Hashtbl.find_opt t.decided req_id
+let outcome t gtx =
+  match Outcomes.find_opt t.outcomes gtx with
+  | None -> None
+  | Some v -> Some (if v = aborted then None else Some v)
 
 let xkey (g : Types.gtx_id) = g.gtx_origin ^ "/" ^ string_of_int g.gtx_seq
 
-(* Same contract as [decided_version] for cross-partition transactions:
-   [Some (Some v)] = fragment committed here at [v], [Some None] =
-   transaction aborted, [None] = unknown/undecided. *)
-let x_outcome t ~gtx = Hashtbl.find_opt t.x_outcomes (xkey gtx)
-
 let x_debug t ~gtx =
-  let gk = xkey gtx in
-  match Hashtbl.find_opt t.x_outcomes gk with
+  match outcome t gtx with
   | Some (Some v) -> Printf.sprintf "%s:committed@%d" t.node_id v
   | Some None -> Printf.sprintf "%s:aborted" t.node_id
   | None -> (
-      match Hashtbl.find_opt t.xstates gk with
+      match Hashtbl.find_opt t.xstates (xkey gtx) with
       | None -> Printf.sprintf "%s@v%d:no-state(leader=%b,up=%b)" t.node_id
                   (Cert_log.version t.clog) (is_leader t) t.up
       | Some xs ->
@@ -216,7 +216,6 @@ let x_debug t ~gtx =
 let is_up t = t.up
 let disk t = t.disk
 let disk_failovers t = Stats.Counter.value t.c_disk_failovers
-let set_forced_abort_rate t rate = t.forced_abort_rate <- rate
 
 let send t ~dst msg =
   Net.Network.send t.net ~src:t.node_id ~dst ~size:(Types.message_bytes msg) msg
@@ -255,22 +254,12 @@ let advance_watermark t =
       t.snapshot_reports max_int
   in
   if !fresh then begin
+    let low acc (req : Types.cert_request) = min acc req.replica_version in
+    let candidate = Hashtbl.fold (fun _ req acc -> low acc req) t.pending_replies candidate in
+    let candidate = List.fold_left (fun acc (req, _, _) -> low acc req) candidate t.delivered in
     let candidate =
       Hashtbl.fold
-        (fun _ (req : Types.cert_request) acc -> min acc req.replica_version)
-        t.pending_replies candidate
-    in
-    let candidate =
-      List.fold_left
-        (fun acc ((req : Types.cert_request), _) -> min acc req.replica_version)
-        candidate t.delivered
-    in
-    let candidate =
-      Hashtbl.fold
-        (fun _ xs acc ->
-          match xs.xs_reply with
-          | Some (x : Types.xcert_request) -> min acc x.x_replica_version
-          | None -> acc)
+        (fun _ xs acc -> match xs.xs_reply with Some req -> low acc req | None -> acc)
         t.xstates candidate
     in
     if candidate > base then t.gc_floor <- candidate else t.gc_floor <- base
@@ -278,106 +267,110 @@ let advance_watermark t =
   else t.gc_floor <- base;
   t.gc_floor
 
-(* Compose the remote writesets for a reply: everything the replica has not
-   seen between its reported version and the commit version, each annotated
-   with artificial-conflict info. The replica's own entries are included
-   too: under failover a retried commit reply can overtake the reply for an
-   earlier own transaction, and a reply that skipped own-origin versions
-   would advance the replica past a hole it can never fill (its own pending
-   commit's reply is the only other carrier). Self-contained replies keep
-   every applied prefix gap-free; the proxy's staleness filter discards the
-   own entries it has already installed. *)
-let compose_remotes t ~replica_version ~upto =
-  let entries = Cert_log.entries_between t.clog ~lo:replica_version ~hi:upto in
-  List.map
-    (fun (entry : Types.entry) ->
-      let conflict_with =
-        Cert_log.back_certify t.clog ~version:entry.version ~down_to:replica_version
-      in
-      (match conflict_with with
-      | Some _ -> Stats.Counter.incr t.c_artificial
-      | None -> ());
-      { Types.version = entry.version; ws = entry.ws; conflict_with })
-    entries
-
-(* Protocol decision points announce themselves on the typed event stream
-   (one branch when disabled); the identities match the log entry fields so
-   the online monitors can join verdicts, acks and appends. *)
-let emit_verdict t ~origin ~req_id ~committed ~version =
+(* Every log append is announced, so the online monitors can join it with
+   the verdicts and acks below. *)
+let append t (entry : Types.entry) =
+  Cert_log.append t.clog entry;
   Obs.Events.emit t.events
-    (Obs.Events.Verdict
-       { actor = t.node_id; part = t.partition; origin; req_id; committed; version })
-
-let emit_ack t ~origin ~req_id ~version =
-  Obs.Events.emit t.events
-    (Obs.Events.Durable_ack
-       { actor = t.node_id; part = t.partition; origin; req_id; version })
-
-let reply_commit t ~(req : Types.cert_request) ~version =
-  let remotes = compose_remotes t ~replica_version:req.replica_version ~upto:(version - 1) in
-  emit_verdict t ~origin:req.replica ~req_id:req.req_id ~committed:true ~version;
-  emit_ack t ~origin:req.replica ~req_id:req.req_id ~version;
-  send t ~dst:req.replica
-    (Types.Cert_reply
+    (Obs.Events.Log_append
        {
-         req_id = req.req_id;
-         decision = Types.Commit;
-         commit_version = version;
-         gc_floor = Cert_log.floor t.clog;
-         remotes;
+         actor = t.node_id;
+         part = t.partition;
+         version = entry.version;
+         origin = entry.origin;
+         req_id = entry.req_id;
+         cross = Option.is_some entry.xa;
        })
 
-let reply_abort t ~(req : Types.cert_request) ~cause =
+(* A log entry shipped as a remote writeset, annotated with the newest
+   earlier entry it conflicts with back to [down_to] (§5.2.1). *)
+let remote t ~down_to (entry : Types.entry) =
+  let conflict_with = Cert_log.back_certify t.clog ~version:entry.version ~down_to in
+  { Types.version = entry.version; ws = entry.ws; conflict_with }
+
+(* The one reply path, for a batch of [(request, decision, version)]
+   (version 0 for an abort). A commit reply carries everything the
+   replica has not seen between its reported version and the commit
+   version, each annotated with artificial-conflict info: ONE
+   entries_between scan covers the union of the batch's windows, each
+   reply then indexes into it, and back-certification stays memoised per
+   log slot, so overlapping windows don't re-scan. The replica's own
+   entries are included too: under failover a retried commit reply can
+   overtake the reply for an earlier own transaction, and a reply that
+   skipped own-origin versions would advance the replica past a hole it
+   can never fill (its own pending commit's reply is the only other
+   carrier). Self-contained replies keep every applied prefix gap-free;
+   the proxy's staleness filter discards the own entries it has already
+   installed. A window reaching below the truncation floor (a retry
+   re-answered after the floor passed the replica's stale report) starts
+   at the floor; the proxy bridges the gap with a fetch.
+
+   Verdicts and acks go on the typed event stream (one branch when
+   disabled) under the log entry's identity — the asking proxy as origin,
+   the transaction's sequence number as req_id — so the online monitors
+   can join them with the appends. Counts nothing: a fresh decision is
+   counted where it is made, an answer from the outcome table not at
+   all. *)
+let send_replies t (batch : (Types.cert_request * Types.decision * int) list) =
+  let lo =
+    List.fold_left
+      (fun acc ((req : Types.cert_request), _, _) -> min acc req.replica_version)
+      max_int batch
+    |> max (Cert_log.floor t.clog)
+  in
+  let hi = List.fold_left (fun acc (_, _, version) -> max acc (version - 1)) 0 batch in
+  let entries = Array.of_list (Cert_log.entries_between t.clog ~lo ~hi) in
+  (* entries.(i) holds version lo + 1 + i *)
+  List.iter
+    (fun ((req : Types.cert_request), decision, version) ->
+      let remotes = ref [] in
+      for v = min (version - 1) (lo + Array.length entries) downto max lo req.replica_version + 1
+      do
+        let r = remote t ~down_to:req.replica_version entries.(v - lo - 1) in
+        if Option.is_some r.conflict_with then Stats.Counter.incr t.c_artificial;
+        remotes := r :: !remotes
+      done;
+      let origin = req.replica and req_id = req.gtx.gtx_seq in
+      let committed = match decision with Types.Commit -> true | Types.Abort _ -> false in
+      Obs.Events.emit t.events
+        (Obs.Events.Verdict
+           { actor = t.node_id; part = t.partition; origin; req_id; committed; version });
+      if committed then
+        Obs.Events.emit t.events
+          (Obs.Events.Durable_ack
+             { actor = t.node_id; part = t.partition; origin; req_id; version });
+      send t ~dst:req.replica
+        (Types.Cert_reply
+           {
+             req_id = req.req_id;
+             decision;
+             commit_version = version;
+             gc_floor = Cert_log.floor t.clog;
+             remotes = !remotes;
+           }))
+    batch
+
+(* A fresh certification abort: counted, then answered. *)
+let reject t req cause =
   (match cause with
   | Types.Ww_conflict ->
       Stats.Counter.incr t.c_aborts_ww;
       Stats.Counter.incr t.c_cert_conflicts
   | Types.Forced -> Stats.Counter.incr t.c_aborts_forced);
-  emit_verdict t ~origin:req.replica ~req_id:req.req_id ~committed:false ~version:0;
-  send t ~dst:req.replica
-    (Types.Cert_reply
-       {
-         req_id = req.req_id;
-         decision = Types.Abort cause;
-         commit_version = 0;
-         gc_floor = Cert_log.floor t.clog;
-         remotes = [];
-       })
+  send_replies t [ (req, Types.Abort cause, 0) ]
 
-let reply_xcommit t ~(xreq : Types.xcert_request) ~version =
-  Stats.Counter.incr t.c_commits;
-  let remotes =
-    compose_remotes t ~replica_version:xreq.x_replica_version ~upto:(version - 1)
-  in
-  (* The fragment entry's identity is (xf_origin, gtx_seq); the asking
-     sub-proxy IS the fragment's origin for this partition. *)
-  emit_verdict t ~origin:xreq.x_replica ~req_id:xreq.x_gtx.Types.gtx_seq
-    ~committed:true ~version;
-  emit_ack t ~origin:xreq.x_replica ~req_id:xreq.x_gtx.Types.gtx_seq ~version;
-  send t ~dst:xreq.x_replica
-    (Types.Cert_reply
-       {
-         req_id = xreq.x_req_id;
-         decision = Types.Commit;
-         commit_version = version;
-         gc_floor = Cert_log.floor t.clog;
-         remotes;
-       })
+(* A request whose transaction this node already decided (a retry) is
+   answered from the outcome table. *)
+let answer_decided t (req : Types.cert_request) =
+  match Outcomes.find_opt t.outcomes req.gtx with
+  | None -> false
+  | Some v ->
+      send_replies t
+        [ (req, (if v = aborted then Types.Abort Types.Ww_conflict else Types.Commit), v) ];
+      true
 
-let reply_xabort t ~(xreq : Types.xcert_request) =
-  Stats.Counter.incr t.c_aborts_ww;
-  Stats.Counter.incr t.c_cert_conflicts;
-  emit_verdict t ~origin:xreq.x_replica ~req_id:xreq.x_gtx.Types.gtx_seq
-    ~committed:false ~version:0;
-  send t ~dst:xreq.x_replica
-    (Types.Cert_reply
-       {
-         req_id = xreq.x_req_id;
-         decision = Types.Abort Types.Ww_conflict;
-         commit_version = 0;
-         gc_floor = Cert_log.floor t.clog;
-         remotes = [];
-       })
+let redirect t (req : Types.cert_request) =
+  send t ~dst:req.replica (Types.Cert_redirect { req_id = req.req_id; leader = leader_hint t })
 
 (* ------------------------------------------------------------------ *)
 (* Cross-partition commit: prepare / vote / decide *)
@@ -423,6 +416,14 @@ let pinned t ws =
       if Mvcc.Key.Tbl.mem t.pins key || Mvcc.Key.Tbl.mem t.pins_spec key then
         hit := true);
   !hit
+
+(* Lock the keys of our fragment of [xs] in [tbl] under its gtx key. *)
+let pin t tbl xs =
+  match own_fragment t xs with
+  | Some frag ->
+      let gk = xkey xs.xs_gtx in
+      Mvcc.Writeset.iter_keys frag.Types.xf_ws (fun key -> Mvcc.Key.Tbl.replace tbl key gk)
+  | None -> ()
 
 let unpin tbl gk =
   let dead = ref [] in
@@ -495,31 +496,24 @@ let propose_prepare t xs =
         ]
     then begin
       xs.xs_proposed <- true;
-      match own_fragment t xs with
-      | Some frag ->
-          Mvcc.Writeset.iter_keys frag.Types.xf_ws (fun key ->
-              Mvcc.Key.Tbl.replace t.pins_spec key (xkey xs.xs_gtx))
-      | None -> ()
+      pin t t.pins_spec xs
     end
 
 (* A cross-partition request reaching the leader: answer immediately from
    the outcome witness if already decided, otherwise (re)prepare, adopt
    the reply route, and push the vote exchange along. *)
-let handle_xreq t (xreq : Types.xcert_request) =
-  match Hashtbl.find_opt t.x_outcomes (xkey xreq.x_gtx) with
-  | Some (Some version) -> reply_xcommit t ~xreq ~version
-  | Some None -> reply_xabort t ~xreq
-  | None ->
-      let xs = xstate t xreq.x_gtx in
-      if xs.xs_reply = None && not xs.xs_proposed then
-        Stats.Counter.incr t.c_requests;
-      xs.xs_reply <- Some xreq;
-      set_fragments xs xreq.x_fragments;
-      propose_prepare t xs;
-      if xs.xs_prepared then begin
-        broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
-        maybe_decide t xs
-      end
+let handle_xreq t (req : Types.cert_request) =
+  if not (answer_decided t req) then begin
+    let xs = xstate t req.gtx in
+    if xs.xs_reply = None && not xs.xs_proposed then Stats.Counter.incr t.c_requests;
+    xs.xs_reply <- Some req;
+    set_fragments xs req.fragments;
+    propose_prepare t xs;
+    if xs.xs_prepared then begin
+      broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
+      maybe_decide t xs
+    end
+  end
 
 (* Vote gossip from a sibling partition's certifier. Votes are stashed on
    every member (not just the leader) so a failed-over leader inherits
@@ -537,12 +531,12 @@ let handle_xvote t (v : Types.xvote) =
          gtx = xkey v.xv_gtx;
          vote = v.xv_vote;
        });
-  match Hashtbl.find_opt t.x_outcomes (xkey v.xv_gtx) with
-  | Some outcome ->
+  match Outcomes.find_opt t.outcomes v.xv_gtx with
+  | Some version ->
       (* Already decided here: answer with a vote consistent with the
          global decision so the asking group converges too. *)
       if is_leader t && not v.xv_echo then
-        send_xvote t ~gtx:v.xv_gtx ~vote:(outcome <> None) ~echo:true ~fragments:[]
+        send_xvote t ~gtx:v.xv_gtx ~vote:(version <> aborted) ~echo:true ~fragments:[]
           ~to_parts:[ v.xv_part ]
   | None ->
       let xs = xstate t v.xv_gtx in
@@ -552,7 +546,7 @@ let handle_xvote t (v : Types.xvote) =
       if is_leader t then begin
         if (not xs.xs_prepared) && not xs.xs_proposed then begin
           if xs.xs_fragments <> [] then
-            Mailbox.send t.cert_work (Xprep (xs.xs_gtx, xs.xs_fragments))
+            Mailbox.send t.cert_work (Prep (xs.xs_gtx, xs.xs_fragments))
         end
         else if xs.xs_prepared && not v.xv_echo then
           broadcast_vote t xs ~echo:true ~to_parts:[ v.xv_part ];
@@ -560,20 +554,15 @@ let handle_xvote t (v : Types.xvote) =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Single-partition certification rounds *)
+(* Single-partition (one-fragment) certification rounds *)
 
 (* One scheduling round of the certify fiber: the batch is certified in
    arrival order against the log plus the overlay (which accumulates the
    batch's own accepted entries, so intra-batch ww-conflicts abort the
    later request), then the whole accepted set goes to Paxos as ONE
    multi-entry proposal: one Accept broadcast, one WAL batch per acceptor. *)
-let process_cert_batch t (reqs : Types.cert_request list) =
-  if not (is_leader t) then
-    List.iter
-      (fun (req : Types.cert_request) ->
-        send t ~dst:req.replica
-          (Types.Cert_redirect { req_id = req.req_id; leader = leader_hint t }))
-      reqs
+let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
+  if not (is_leader t) then List.iter (fun (req, _) -> redirect t req) reqs
   else begin
     Stats.Counter.incr t.c_cert_batches;
     Stats.Summary.observe t.cert_batch_sizes (float_of_int (List.length reqs));
@@ -583,109 +572,100 @@ let process_cert_batch t (reqs : Types.cert_request list) =
     let floor_stamp = advance_watermark t in
     let accepted = ref [] in
     List.iter
-      (fun (req : Types.cert_request) ->
-        match Hashtbl.find_opt t.decided req.req_id with
-        | Some version ->
-            (* Retried request whose transaction already committed. *)
-            reply_commit t ~req ~version
-        | None when Overlay.holds_request t.overlay ~origin:req.replica ~req_id:req.req_id
-          ->
-            (* Retried request whose first attempt is proposed but not
-               yet delivered (the client timed out faster than this
-               round's fsync + quorum). Certifying it again would abort
-               it against its own in-flight twin; dropping it is safe —
-               the reply goes out at delivery. *)
-            ()
-        | None when req.start_version < Cert_log.floor t.clog ->
-            (* Snapshot too old: the conflict window reaches below the
-               truncation floor, where the writer index no longer exists,
-               so absence of a conflict can't be proven. GSI must refuse;
-               the replica refreshes (snapshot transfer if needed) and
-               the client retries on a current snapshot. *)
-            Stats.Counter.incr t.c_requests;
-            Stats.Counter.incr t.c_too_old;
-            reply_abort t ~req ~cause:Types.Ww_conflict
-        | None -> (
-            Stats.Counter.incr t.c_requests;
-            let skips_before =
-              Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
-            in
-            let conflict =
-              match
-                Cert_log.certify t.clog req.writeset ~start_version:req.start_version
-              with
-              | Some v -> Some v
-              | None ->
-                  Overlay.conflict t.overlay req.writeset
-                    ~start_version:req.start_version
-            in
-            (* A key pinned by an in-flight prepared cross-partition
-               fragment conflicts with everything: the fragment may
-               commit at any later version, so a certification window
-               closing now cannot be proven conflict-free. First-
-               prepared-wins; the single-partition request retries. *)
-            let conflict =
-              match conflict with
-              | Some _ -> conflict
-              | None -> if pinned t req.writeset then Some (next_version t) else None
-            in
-            match conflict with
-            | Some _ -> reply_abort t ~req ~cause:Types.Ww_conflict
+      (fun ((req : Types.cert_request), (frag : Types.xfragment)) ->
+        if answer_decided t req then
+          (* Retried request whose transaction already committed. *)
+          ()
+        else if Overlay.holds_request t.overlay ~origin:req.replica ~req_id:req.req_id
+        then
+          (* Retried request whose first attempt is proposed but not
+             yet delivered (the client timed out faster than this
+             round's fsync + quorum). Certifying it again would abort
+             it against its own in-flight twin; dropping it is safe —
+             the reply goes out at delivery. *)
+          ()
+        else if frag.xf_start_version < Cert_log.floor t.clog then begin
+          (* Snapshot too old: the conflict window reaches below the
+             truncation floor, where the writer index no longer exists,
+             so absence of a conflict can't be proven. GSI must refuse;
+             the replica refreshes (snapshot transfer if needed) and
+             the client retries on a current snapshot. *)
+          Stats.Counter.incr t.c_requests;
+          Stats.Counter.incr t.c_too_old;
+          reject t req Types.Ww_conflict
+        end
+        else begin
+          Stats.Counter.incr t.c_requests;
+          let skips_before =
+            Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
+          in
+          let conflict =
+            match
+              Cert_log.certify t.clog frag.xf_ws ~start_version:frag.xf_start_version
+            with
+            | Some v -> Some v
             | None ->
-                if
-                  Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
-                  > skips_before
-                then Stats.Counter.incr t.c_delta_fastpath;
-                if t.forced_abort_rate > 0. && Rng.chance t.rng t.forced_abort_rate
-                then reply_abort t ~req ~cause:Types.Forced
+                Overlay.conflict t.overlay frag.xf_ws
+                  ~start_version:frag.xf_start_version
+          in
+          (* A key pinned by an in-flight prepared cross-partition
+             fragment conflicts with everything: the fragment may
+             commit at any later version, so a certification window
+             closing now cannot be proven conflict-free. First-
+             prepared-wins; the single-partition request retries. *)
+          let conflict =
+            match conflict with
+            | Some _ -> conflict
+            | None -> if pinned t frag.xf_ws then Some (next_version t) else None
+          in
+          match conflict with
+          | Some _ -> reject t req Types.Ww_conflict
+          | None ->
+              if
+                Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
+                > skips_before
+              then Stats.Counter.incr t.c_delta_fastpath;
+              if t.cfg.forced_abort_rate > 0. && Rng.chance t.rng t.cfg.forced_abort_rate
+              then reject t req Types.Forced
+              else begin
+                let version = next_version t in
+                let entry =
+                  {
+                    Types.version;
+                    origin = req.replica;
+                    req_id = req.req_id;
+                    ws = frag.xf_ws;
+                    gc_floor = floor_stamp;
+                    xa = None;
+                  }
+                in
+                if t.cfg.durable then begin
+                  Obs.Events.emit t.events
+                    (Obs.Events.Request_admitted
+                       {
+                         actor = t.node_id;
+                         part = t.partition;
+                         origin = req.replica;
+                         req_id = req.req_id;
+                         replica_version = req.replica_version;
+                       });
+                  Overlay.add t.overlay entry;
+                  Hashtbl.replace t.pending_replies version req;
+                  Hashtbl.replace t.dur_spans version
+                    (Obs.Trace.span t.trace ~id:req.trace_id
+                       ~stage:"cert.durability" ~actor:t.node_id ());
+                  accepted := entry :: !accepted
+                end
                 else begin
-                  let version = next_version t in
-                  let entry =
-                    {
-                      Types.version;
-                      origin = req.replica;
-                      req_id = req.req_id;
-                      ws = req.writeset;
-                      gc_floor = floor_stamp;
-                      xa = None;
-                    }
-                  in
-                  if t.cfg.durable then begin
-                    Obs.Events.emit t.events
-                      (Obs.Events.Request_admitted
-                         {
-                           actor = t.node_id;
-                           part = t.partition;
-                           origin = req.replica;
-                           req_id = req.req_id;
-                           replica_version = req.replica_version;
-                         });
-                    Overlay.add t.overlay entry;
-                    Hashtbl.replace t.pending_replies version req;
-                    Hashtbl.replace t.dur_spans version
-                      (Obs.Trace.span t.trace ~id:req.trace_id
-                         ~stage:"cert.durability" ~actor:t.node_id ());
-                    accepted := entry :: !accepted
-                  end
-                  else begin
-                    (* tashAPInoCERT: no disk write, apply and answer. *)
-                    Cert_log.append t.clog entry;
-                    Obs.Events.emit t.events
-                      (Obs.Events.Log_append
-                         {
-                           actor = t.node_id;
-                           part = t.partition;
-                           version;
-                           origin = entry.origin;
-                           req_id = entry.req_id;
-                           cross = false;
-                         });
-                    Hashtbl.replace t.decided entry.req_id version;
-                    Stats.Counter.incr t.c_commits;
-                    reply_commit t ~req ~version;
-                    Cert_log.truncate t.clog ~upto:entry.gc_floor
-                  end
-                end))
+                  (* tashAPInoCERT: no disk write, apply and answer. *)
+                  append t entry;
+                  Outcomes.replace t.outcomes req.gtx version;
+                  Stats.Counter.incr t.c_commits;
+                  send_replies t [ (req, Types.Commit, version) ];
+                  Cert_log.truncate t.clog ~upto:entry.gc_floor
+                end
+              end
+        end)
       reqs;
     (match List.rev !accepted with
     | [] -> ()
@@ -737,23 +717,25 @@ let process_tasks t (tasks : task list) =
     Engine.sleep t.engine (Time.of_ms 1.)
   done;
   if t.up then begin
-    let creqs = List.filter_map (function Creq r -> Some r | _ -> None) tasks in
-    if creqs <> [] then process_cert_batch t creqs;
+    (* One-fragment requests form this round's certification batch; the
+       rest follow in arrival order. *)
+    let singles =
+      List.filter_map
+        (function
+          | Req ({ fragments = [ frag ]; _ } as req) -> Some (req, frag) | Req _ | Prep _ -> None)
+        tasks
+    in
+    if singles <> [] then process_cert_batch t singles;
     List.iter
       (function
-        | Creq _ -> ()
-        | Xreq xreq ->
-            if t.up then
-              if not (is_leader t) then
-                send t ~dst:xreq.Types.x_replica
-                  (Types.Cert_redirect
-                     { req_id = xreq.Types.x_req_id; leader = leader_hint t })
-              else handle_xreq t xreq
-        | Xprep (gtx, fragments) ->
+        | Req { fragments = [ _ ]; _ } -> ()
+        | Req req ->
+            if t.up then if not (is_leader t) then redirect t req else handle_xreq t req
+        | Prep (gtx, fragments) ->
             if t.up && is_leader t then begin
               let xs = xstate t gtx in
               set_fragments xs fragments;
-              if not (Hashtbl.mem t.x_outcomes (xkey gtx)) then propose_prepare t xs
+              if not (Outcomes.mem t.outcomes gtx) then propose_prepare t xs
             end)
       tasks
   end
@@ -780,27 +762,18 @@ let handle_fetch t (freq : Types.fetch_request) =
            let entries =
              Cert_log.entries_between t.clog ~lo ~hi:(Cert_log.version t.clog)
            in
-           (* Unlike commit replies, fetches do NOT exclude the asking
-              replica's own entries: a replica rebuilding after a crash
-              (dump restore, or a redo that lost the un-synced WAL tail)
-              replays from a version below its own committed writes and
-              must get them back from the global log. The steady-state
-              refresher is unaffected — it fetches from its replica
-              version, which its own commits can never exceed. *)
-           let remotes =
-             List.map
-               (fun (entry : Types.entry) ->
-                 let conflict_with =
-                   Cert_log.back_certify t.clog ~version:entry.version ~down_to:lo
-                 in
-                 { Types.version = entry.version; ws = entry.ws; conflict_with })
-               entries
-           in
+           (* Like commit replies, fetches include the asking replica's
+              own entries: a replica rebuilding after a crash (dump
+              restore, or a redo that lost the un-synced WAL tail) replays
+              from a version below its own committed writes and must get
+              them back from the global log. The steady-state refresher is
+              unaffected — it fetches from its replica version, which its
+              own commits can never exceed. *)
            send t ~dst:freq.fetch_replica
              (Types.Fetch_reply
                 {
                   fetch_req_id = freq.fetch_req_id;
-                  fetch_remotes = remotes;
+                  fetch_remotes = List.map (remote t ~down_to:lo) entries;
                   certifier_version = Cert_log.version t.clog;
                   fetch_gc_floor = floor;
                   fetch_snapshot = snapshot;
@@ -810,54 +783,11 @@ let handle_fetch t (freq : Types.fetch_request) =
 (* ------------------------------------------------------------------ *)
 (* Delivery from Paxos: the replicated state machine *)
 
-(* Commit replies for a contiguous delivered run, composed incrementally:
-   ONE entries_between scan covers the union of all reply windows, each
-   reply then indexes into it. Back-certification stays memoised per log
-   slot, so overlapping windows don't re-scan. *)
-let send_commit_replies t (pending : (Types.cert_request * int) list) =
-  let lo =
-    List.fold_left
-      (fun acc ((req : Types.cert_request), _) -> min acc req.replica_version)
-      max_int pending
-  in
-  let hi = List.fold_left (fun acc (_, version) -> max acc (version - 1)) 0 pending in
-  let entries = Array.of_list (Cert_log.entries_between t.clog ~lo ~hi) in
-  (* entries.(i) holds version lo + 1 + i *)
-  List.iter
-    (fun ((req : Types.cert_request), version) ->
-      let remotes = ref [] in
-      (* Own-origin entries are deliberately included — see
-         [compose_remotes]. *)
-      for v = min (version - 1) (lo + Array.length entries) downto req.replica_version + 1
-      do
-        let entry = entries.(v - lo - 1) in
-        let conflict_with =
-          Cert_log.back_certify t.clog ~version:v ~down_to:req.replica_version
-        in
-        (match conflict_with with
-        | Some _ -> Stats.Counter.incr t.c_artificial
-        | None -> ());
-        remotes := { Types.version = v; ws = entry.ws; conflict_with } :: !remotes
-      done;
-      emit_verdict t ~origin:req.replica ~req_id:req.req_id ~committed:true
-        ~version;
-      emit_ack t ~origin:req.replica ~req_id:req.req_id ~version;
-      send t ~dst:req.replica
-        (Types.Cert_reply
-           {
-             req_id = req.req_id;
-             decision = Types.Commit;
-             commit_version = version;
-             gc_floor = Cert_log.floor t.clog;
-             remotes = !remotes;
-           }))
-    pending
-
 let flush_replies t =
-  let pending = List.rev t.delivered in
+  let batch = List.rev t.delivered in
   t.delivered <- [];
   t.flush_scheduled <- false;
-  if t.up && pending <> [] then send_commit_replies t pending
+  if t.up && batch <> [] then send_replies t batch
 
 let on_deliver_entry t (entry : Types.entry) =
   (* A leader taking over from a crash may find gap slots whose entries
@@ -879,18 +809,8 @@ let on_deliver_entry t (entry : Types.entry) =
       { entry with Types.version = expected }
     else entry
   in
-  Cert_log.append t.clog entry;
-  Obs.Events.emit t.events
-    (Obs.Events.Log_append
-       {
-         actor = t.node_id;
-         part = t.partition;
-         version = entry.version;
-         origin = entry.origin;
-         req_id = entry.req_id;
-         cross = false;
-       });
-  Hashtbl.replace t.decided entry.req_id entry.version;
+  append t entry;
+  Outcomes.replace t.outcomes (Types.entry_id entry) entry.version;
   (* Replicated truncation: every certifier prunes from the stamp the
      leader folded at proposal time, in slot order — so the live window
      (and the base state behind it) is identical everywhere, including
@@ -912,7 +832,7 @@ let on_deliver_entry t (entry : Types.entry) =
   | Some req when is_leader t ->
       Hashtbl.remove t.pending_replies proposed;
       Stats.Counter.incr t.c_commits;
-      t.delivered <- (req, entry.version) :: t.delivered;
+      t.delivered <- (req, Types.Commit, entry.version) :: t.delivered;
       if not t.flush_scheduled then begin
         t.flush_scheduled <- true;
         (* Zero delay: runs after the delivering fiber finishes this
@@ -949,14 +869,8 @@ let on_prepared t (gtx : Types.gtx_id) (fragments : Types.xfragment list) =
     Obs.Events.emit t.events
       (Obs.Events.Prepared
          { actor = t.node_id; part = t.partition; gtx = xkey gtx; vote });
-    let gk = xkey gtx in
-    (if vote then
-       match own_fragment t xs with
-       | Some frag ->
-           Mvcc.Writeset.iter_keys frag.Types.xf_ws (fun key ->
-               Mvcc.Key.Tbl.replace t.pins key gk)
-       | None -> ());
-    unpin t.pins_spec gk;
+    if vote then pin t t.pins xs;
+    unpin t.pins_spec (xkey gtx);
     if is_leader t then begin
       broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
       maybe_decide t xs
@@ -965,11 +879,11 @@ let on_prepared t (gtx : Types.gtx_id) (fragments : Types.xfragment list) =
 
 (* Decision delivery: commit appends the local fragment at the next log
    version (stamped with the atomicity witness), abort just releases the
-   pins. Either way the outcome is recorded in the never-pruned
-   [x_outcomes] table and the in-flight state is dropped. *)
+   pins. Either way the outcome is recorded in the never-pruned outcome
+   table and the in-flight state is dropped. *)
 let on_decision t (gtx : Types.gtx_id) ~commit =
-  let gk = xkey gtx in
-  if not (Hashtbl.mem t.x_outcomes gk) then begin
+  if not (Outcomes.mem t.outcomes gtx) then begin
+    let gk = xkey gtx in
     let xs = xstate t gtx in
     unpin t.pins gk;
     unpin t.pins_spec gk;
@@ -977,56 +891,43 @@ let on_decision t (gtx : Types.gtx_id) ~commit =
     Obs.Events.emit t.events
       (Obs.Events.Decision
          { actor = t.node_id; part = t.partition; gtx = gk; committed = commit });
-    (if commit then begin
-       let frag =
-         match own_fragment t xs with
-         | Some frag -> frag
-         | None ->
-             invalid_arg
-               (Printf.sprintf "%s: Decision(commit) for %s without fragments"
-                  t.node_id gk)
-       in
-       let version = Cert_log.version t.clog + 1 in
-       let entry =
-         {
-           Types.version;
-           origin = frag.Types.xf_origin;
-           req_id = gtx.Types.gtx_seq;
-           ws = frag.Types.xf_ws;
-           gc_floor = Cert_log.floor t.clog;
-           xa = Some { Types.gtx; parts = xs.xs_parts };
-         }
-       in
-       Cert_log.append t.clog entry;
-       Obs.Events.emit t.events
-         (Obs.Events.Log_append
-            {
-              actor = t.node_id;
-              part = t.partition;
-              version;
-              origin = entry.origin;
-              req_id = entry.req_id;
-              cross = true;
-            });
-       Hashtbl.replace t.x_outcomes gk (Some version);
-       Stats.Counter.incr t.c_xcommits;
-       if is_leader t then
-         match xs.xs_reply with
-         | Some xreq ->
-             xs.xs_reply <- None;
-             reply_xcommit t ~xreq ~version
-         | None -> ()
-     end
-     else begin
-       Hashtbl.replace t.x_outcomes gk None;
-       Stats.Counter.incr t.c_xaborts;
-       if is_leader t then
-         match xs.xs_reply with
-         | Some xreq ->
-             xs.xs_reply <- None;
-             reply_xabort t ~xreq
-         | None -> ()
-     end);
+    let version =
+      if commit then begin
+        let frag =
+          match own_fragment t xs with
+          | Some frag -> frag
+          | None ->
+              invalid_arg
+                (Printf.sprintf "%s: Decision(commit) for %s without fragments" t.node_id gk)
+        in
+        let version = Cert_log.version t.clog + 1 in
+        let entry =
+          {
+            Types.version;
+            origin = frag.Types.xf_origin;
+            req_id = gtx.Types.gtx_seq;
+            ws = frag.Types.xf_ws;
+            gc_floor = Cert_log.floor t.clog;
+            xa = Some { Types.gtx; parts = xs.xs_parts };
+          }
+        in
+        append t entry;
+        version
+      end
+      else aborted
+    in
+    Outcomes.replace t.outcomes gtx version;
+    Stats.Counter.incr (if commit then t.c_xcommits else t.c_xaborts);
+    (if is_leader t then
+       match xs.xs_reply with
+       | Some req ->
+           xs.xs_reply <- None;
+           if commit then begin
+             Stats.Counter.incr t.c_commits;
+             send_replies t [ (req, Types.Commit, version) ]
+           end
+           else reject t req Types.Ww_conflict
+       | None -> ());
     Hashtbl.remove t.xstates gk
   end
 
@@ -1064,8 +965,8 @@ let spawn_role_watch t =
              Hashtbl.reset t.dur_spans;
              Mvcc.Key.Tbl.reset t.pins_spec;
              Hashtbl.iter
-               (fun gk xs ->
-                 if not (Hashtbl.mem t.x_outcomes gk) then begin
+               (fun _ xs ->
+                 if not (Outcomes.mem t.outcomes xs.xs_gtx) then begin
                    xs.xs_reply <- None;
                    xs.xs_decided <- false;
                    if not xs.xs_prepared then xs.xs_proposed <- false
@@ -1091,8 +992,8 @@ let spawn_xsweep t =
            (if t.up && is_leader t then
               let now = Engine.now t.engine in
               Hashtbl.iter
-                (fun gk xs ->
-                  if not (Hashtbl.mem t.x_outcomes gk) then begin
+                (fun _ xs ->
+                  if not (Outcomes.mem t.outcomes xs.xs_gtx) then begin
                     (* A proposed Decision can die without a leadership
                        change (its Accept lost to the network, its slot
                        no-oped by a leadership blip between rolewatch
@@ -1112,7 +1013,7 @@ let spawn_xsweep t =
                         end
                       end
                       else if (not xs.xs_proposed) && xs.xs_fragments <> [] then
-                        Mailbox.send t.cert_work (Xprep (xs.xs_gtx, xs.xs_fragments))
+                        Mailbox.send t.cert_work (Prep (xs.xs_gtx, xs.xs_fragments))
                   end)
                 t.xstates);
            loop ()
@@ -1145,6 +1046,15 @@ let spawn_disk_watch t =
              in
              loop ()))
 
+(* Restart the measurement windows of the state that survives a reset:
+   re-baseline the cumulative log stats (windowed by baseline instead of
+   clearing) and restart the WAL / Paxos batch windows. *)
+let rebaseline t =
+  t.base_log_bytes <- Cert_log.bytes_total t.clog;
+  t.base_back_certs <- Cert_log.back_certifications t.clog;
+  Paxos.Node.reset_batch_stats t.paxos_node;
+  Storage.Wal.reset_stats (Paxos.Node.wal t.paxos_node)
+
 let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
     ?(initial = fun _ -> None) ?(config = default_config) () =
   let engine = env.Env.engine and net = env.Env.net in
@@ -1166,7 +1076,6 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         net;
         mailbox;
         cfg = config;
-        forced_abort_rate = config.forced_abort_rate;
         cpu = Resource.create engine ~name:(node_id ^ ".cpu") ~capacity:1 ();
         disk;
         paxos_node =
@@ -1182,9 +1091,8 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         overlay = Overlay.create ();
         cert_work = Mailbox.create engine ~name:(node_id ^ ".certwork") ();
         pending_replies = Hashtbl.create 64;
-        decided = Hashtbl.create 1024;
+        outcomes = Outcomes.create 1024;
         xstates = Hashtbl.create 64;
-        x_outcomes = Hashtbl.create 256;
         pins = Mvcc.Key.Tbl.create 64;
         pins_spec = Mvcc.Key.Tbl.create 64;
         x_seen = false;
@@ -1261,13 +1169,8 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
       float_of_int (Storage.Wal.torn_discarded (wal ())));
   g "wal.corrupt_discarded" (fun () ->
       float_of_int (Storage.Wal.corrupt_discarded (wal ())));
-  (* Registry reset = the certifier's own window reset: re-baseline the
-     cumulative log stats and restart the WAL / Paxos batch windows. *)
-  Obs.Registry.on_reset metrics (fun () ->
-      t.base_log_bytes <- Cert_log.bytes_total t.clog;
-      t.base_back_certs <- Cert_log.back_certifications t.clog;
-      Paxos.Node.reset_batch_stats t.paxos_node;
-      Storage.Wal.reset_stats (Paxos.Node.wal t.paxos_node));
+  (* Registry reset = the certifier's own window reset. *)
+  Obs.Registry.on_reset metrics (fun () -> rebaseline t);
   ignore
     (Engine.spawn engine ~name:(node_id ^ ".pump") (fun () ->
          let rec loop () =
@@ -1277,13 +1180,7 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
                if t.up then begin
                  record_snapshot_report t ~replica:req.replica
                    ~oldest:req.oldest_snapshot;
-                 Mailbox.send t.cert_work (Creq req)
-               end
-           | Types.Xcert_request xreq ->
-               if t.up then begin
-                 record_snapshot_report t ~replica:xreq.x_replica
-                   ~oldest:xreq.x_oldest_snapshot;
-                 Mailbox.send t.cert_work (Xreq xreq)
+                 Mailbox.send t.cert_work (Req req)
                end
            | Types.Xvote v -> if t.up then handle_xvote t v
            | Types.Fetch_request freq ->
@@ -1341,9 +1238,8 @@ let crash ?wal_fault t =
     t.delivered <- [];
     Hashtbl.reset t.pending_replies;
     Hashtbl.reset t.dur_spans;
-    Hashtbl.reset t.decided;
+    Outcomes.reset t.outcomes;
     Hashtbl.reset t.xstates;
-    Hashtbl.reset t.x_outcomes;
     Mvcc.Key.Tbl.reset t.pins;
     Mvcc.Key.Tbl.reset t.pins_spec;
     t.x_seen <- false;
@@ -1400,8 +1296,4 @@ let reset_stats t =
   Stats.Counter.reset t.c_artificial;
   Stats.Counter.reset t.c_cert_batches;
   Stats.Summary.reset t.cert_batch_sizes;
-  (* Cumulative log state: window it by baseline instead of clearing. *)
-  t.base_log_bytes <- Cert_log.bytes_total t.clog;
-  t.base_back_certs <- Cert_log.back_certifications t.clog;
-  Paxos.Node.reset_batch_stats t.paxos_node;
-  Storage.Wal.reset_stats (Paxos.Node.wal t.paxos_node)
+  rebaseline t

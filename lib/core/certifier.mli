@@ -1,7 +1,10 @@
 (** The certifier: certification service + ordered durable log (§6.1, §7.3).
 
     A group of certifier nodes replicates the log of certified writesets
-    with {!Paxos}. The elected leader serves certification requests:
+    with {!Paxos}. The elected leader serves certification requests — one
+    {!Types.cert_request} type, naming one transaction and carrying its
+    fragments. A one-fragment request is certified in the leader's
+    batched rounds, where its log position is both vote and decision:
 
     + intersect the incoming writeset against every writeset committed
       after the transaction's start version (fast, via {!Cert_log});
@@ -14,8 +17,8 @@
 
     Under partitioned certification each group owns one keyspace
     partition and the ring replicates {!Types.record}s, not bare entries.
-    A cross-partition transaction runs a coordinator-less two-round
-    commit among the involved groups:
+    A request with several fragments is a cross-partition transaction; it
+    runs a coordinator-less two-round commit among the involved groups:
 
     + {e prepare}: each group's leader replicates a [Prepared] record
       carrying ALL the transaction's fragments. The group's {e vote} is
@@ -33,6 +36,11 @@
       independently and identically, so no coordinator death can block
       the transaction; a periodic sweep re-gossips votes (with
       fragments) for anything left hanging.
+
+    Every decided transaction — either kind — is recorded in one
+    never-pruned outcome table keyed by its {!Types.gtx_id}; a retried
+    request is answered from it through the same reply path as a fresh
+    decision, but is not counted again.
 
     Durability can be disabled ([durable = false]) to reproduce the paper's
     [tashAPInoCERT] configuration: certification happens as usual but
@@ -97,28 +105,22 @@ val create :
 
 val id : t -> string
 
-val partition : t -> int
-(** The keyspace partition this certifier's group owns. *)
-
 val is_leader : t -> bool
-val leader_hint : t -> string option
 val system_version : t -> int
 (** Version of the newest {e delivered} (majority-committed) entry on this
     node, in this group's version space. *)
 
 val log : t -> Cert_log.t
 
-val decided_version : t -> req_id:int -> int option
-(** The commit version certified for [req_id], if this node ever delivered
-    it. Unlike the log's slots this mapping survives {!Cert_log.truncate}
-    (and is rebuilt by redelivery after a crash), so harnesses can verify
-    acked commits whose log prefix was pruned behind the GC watermark. *)
-
-val x_outcome : t -> gtx:Types.gtx_id -> int option option
-(** Cross-partition outcome witness, same contract as {!decided_version}:
-    [Some (Some v)] — this group's fragment committed at version [v];
-    [Some None] — the transaction aborted; [None] — unknown or still in
-    flight. Never pruned, rebuilt by redelivery after a crash. *)
+val outcome : t -> Types.gtx_id -> int option option
+(** This node's outcome table, one for every kind of transaction:
+    [Some (Some v)] — the transaction (or this group's fragment of it)
+    committed at version [v]; [Some None] — a cross-partition transaction
+    aborted; [None] — unknown or still in flight (a single-partition
+    abort is never recorded). The table answers retried requests, and
+    unlike the log's slots it survives {!Cert_log.truncate} (and is
+    rebuilt by redelivery after a crash), so harnesses can verify acked
+    commits whose log prefix was pruned behind the GC watermark. *)
 
 val x_debug : t -> gtx:Types.gtx_id -> string
 (** One-line dump of this node's state for a cross-partition transaction
@@ -142,8 +144,6 @@ val disk : t -> Storage.Disk.t
 val disk_failovers : t -> int
 (** Times the disk watchdog made this node abdicate leadership because a
     WAL flush exceeded [fsync_deadline]. Cumulative. *)
-
-val set_forced_abort_rate : t -> float -> unit
 
 (** {1 Statistics (meaningful on the leader)} *)
 

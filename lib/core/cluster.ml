@@ -371,22 +371,24 @@ let check_log_invariants_group t ~part lead =
              e.version;
          e.version + 1)
        (lfloor + 1) entries);
-  (* 2. Each (origin, req_id) appears at most once: a duplicate means a
-     retried request was certified twice (e.g. by a leader that exposed
-     state before finishing recovery). Cross-partition fragments take part
-     here too — their req_id is the per-session gtx_seq, disjoint from the
-     >= 100 M client req_id space. *)
+  (* 2. Each transaction ({!Types.entry_id}) appears at most once: a
+     duplicate means a retried request was certified twice (e.g. by a
+     leader that exposed state before finishing recovery). Cross-partition
+     fragments take part here too, under their session's transaction id. *)
   let seen = Hashtbl.create 1024 in
   let by_version = Hashtbl.create 1024 in
   List.iter
     (fun (e : Types.entry) ->
+      let id = Types.entry_id e in
+      let key = (id.gtx_origin, id.gtx_seq) in
       Hashtbl.replace by_version e.version (e.origin, e.req_id);
-      (match Hashtbl.find_opt seen (e.origin, e.req_id) with
+      (match Hashtbl.find_opt seen key with
       | Some v ->
-          add "p%d duplicate certification: (%s, req %d) at versions %d and %d"
-            part e.origin e.req_id v e.version
+          add "p%d duplicate certification: %s at versions %d and %d" part
+            (Format.asprintf "%a" Types.pp_gtx id)
+            v e.version
       | None -> ());
-      Hashtbl.replace seen (e.origin, e.req_id) e.version)
+      Hashtbl.replace seen key e.version)
     entries;
   (* 3. No lost certified writeset: every commit a replica acknowledged
      to its clients must be backed by a log entry with that origin —
@@ -483,7 +485,7 @@ let cross_atomicity_problems t =
                         match witness sibling with
                         | None -> ()
                         | Some w -> (
-                            match Certifier.x_outcome w ~gtx with
+                            match Certifier.outcome w gtx with
                             | Some (Some _) -> ()
                             | Some None ->
                                 problems := (gtx, part, sibling, `Aborted) :: !problems
@@ -528,13 +530,6 @@ let all_proxies t =
 
 let total_commits t =
   List.fold_left (fun acc p -> acc + (Proxy.stats p).commits) 0 (all_proxies t)
-
-let total_aborts t =
-  List.fold_left
-    (fun acc p ->
-      let s = Proxy.stats p in
-      acc + s.cert_aborts + s.local_aborts)
-    0 (all_proxies t)
 
 (* One registry reset restarts everyone's window (counters zeroed, each
    component's on_reset hook re-baselines its own cumulative state), and the

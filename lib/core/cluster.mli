@@ -166,8 +166,6 @@ val total_commits : t -> int
     once {e per fragment}; per-transaction counts live in
     {!Session.stats}. *)
 
-val total_aborts : t -> int
-
 val reset_stats : t -> unit
 (** Start a fresh measurement window for the whole cluster: one
     [Obs.Registry.reset] (zeroing every registered counter and running each

@@ -81,10 +81,8 @@ type t = {
      pause/crash paths — so a harness can assert that each acked commit is
      still present in the certified log after recovery. *)
   mutable journaling : bool;
-  mutable journal : (int * int) list; (* (req_id, commit_version), newest first *)
-  mutable journal_x : (Types.gtx_id * int) list;
-      (* cross-partition commits acked to this proxy: (gtx, local fragment
-         version), newest first; same never-cleared contract as [journal] *)
+  mutable journal : (Types.gtx_id * int) list;
+      (* (transaction, commit version in this partition), newest first *)
   mutable submit_seq : int;
       (* client-transaction ids for the protocol-event stream: trace ids
          are only fresh when tracing is on, so the progress monitor gets
@@ -121,7 +119,6 @@ let db t = t.database
 let client t = t.client
 let enable_commit_journal t = t.journaling <- true
 let journaled_commits t = List.rev t.journal
-let journaled_cross_commits t = List.rev t.journal_x
 let tx_writeset w_tx = Mvcc.Db.writeset w_tx.db_tx
 let tx_start_version w_tx = w_tx.start_version
 
@@ -339,11 +336,11 @@ let remotes_of_fetch t (fetch : Types.fetch_reply) =
    remotes must bridge every version between this replica's applied prefix
    and the commit version, because installing the commit advances [rv]
    over that whole range. One schedule breaks the bridge: the certifier
-   re-answers a retried request from its decided table, but the log
+   re-answers a retried request from its outcome table, but the log
    entries between the replica's version and the decided version were
    truncated while the replica was partitioned (its watermark report went
-   stale and the GC floor passed it), so [compose_remotes] silently comes
-   up short. Installing anyway would advance [rv] over a hole no later
+   stale and the GC floor passed it), so the composed remotes silently
+   come up short. Installing anyway would advance [rv] over a hole no later
    refresh can fill ([fetch] only asks from [rv] up) — permanent silent
    divergence. Heal before installing: fetch from [rv], which answers a
    truncated prefix with a snapshot transfer — exactly the missing state. *)
@@ -477,11 +474,13 @@ let promote t ~(db_version : int) start =
   end
   else start
 
-(* The one certified-commit pipeline behind {!commit} and {!commit_cross}:
-   [certify ~db_version] asks the certifier (blocking) and [journal] records
-   a commit acked durable. Everything after the reply — the remotes, the
-   local ordered commit, the floor heal — is shared. *)
-let certified_commit t w_tx ~certify ~journal =
+(* The certified-commit pipeline. [cross] names a cross-partition
+   transaction and all its fragments: the session has already split the
+   writeset, so [w_tx]'s own writeset IS this proxy's fragment (reads and
+   writes were routed here by key), and the pipeline is the ordinary one —
+   only the certifier groups' settlement (prepare/vote/decide instead of a
+   single certify) and the reply's decision-time version differ. *)
+let certified_commit t w_tx ws ~cross =
   match Mvcc.Db.is_doomed w_tx.db_tx with
   | Some reason ->
       Mvcc.Db.abort w_tx.db_tx;
@@ -510,7 +509,35 @@ let certified_commit t w_tx ~certify ~journal =
       let sp_cert =
         Obs.Trace.span t.trace ~id:w_tx.trace_id ~stage:"certify" ~actor:t.address ()
       in
-      let reply : Types.cert_reply = certify ~db_version in
+      (* Local certification promotion applies to OUR fragment only: the
+         sibling fragments' start versions live in other partitions'
+         version spaces and are promoted by their own proxies. *)
+      let own =
+        {
+          Types.xf_part = t.part;
+          xf_origin = t.address;
+          xf_start_version = promote t ~db_version w_tx.start_version;
+          xf_ws = ws;
+        }
+      in
+      let gtx, fragments =
+        match cross with
+        | None -> (None, [ own ])
+        | Some (gtx, fragments) ->
+            ( Some gtx,
+              List.map
+                (fun (f : Types.xfragment) -> if String.equal f.xf_origin t.address then own else f)
+                fragments )
+      in
+      (* The watermark report is computed while this transaction is still
+         registered in [db.active], so the reported oldest snapshot is <=
+         start_version — the certifier's floor can never climb past the
+         window this reply composes against. *)
+      let reply =
+        Cert_client.certify t.client ~trace_id:w_tx.trace_id ?gtx ~replica_version:db_version
+          ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
+          fragments
+      in
       Obs.Trace.finish t.trace sp_cert;
       if t.incarnation <> incarnation then begin
         (* The replica crashed while this commit was parked in certification
@@ -538,7 +565,14 @@ let certified_commit t w_tx ~certify ~journal =
               record_cert_abort t cause;
               Error (Cert_abort cause)
           | Types.Commit ->
-              if t.journaling then journal reply;
+              if t.journaling then begin
+                let gtx =
+                  match gtx with
+                  | Some g -> g
+                  | None -> Types.single_gtx ~origin:t.address ~req_id:reply.req_id
+                in
+                t.journal <- (gtx, reply.commit_version) :: t.journal
+              end;
               let done_ = Ivar.create t.engine () in
               Mailbox.send t.work (Commit_reply { reply; w_tx; done_ });
               Ivar.read done_
@@ -555,58 +589,14 @@ let certified_commit t w_tx ~certify ~journal =
         result
       end
 
-let commit t w_tx =
+let commit ?cross t w_tx =
   let ws = Mvcc.Db.writeset w_tx.db_tx in
   if Mvcc.Writeset.is_empty ws then begin
     Mvcc.Db.commit_readonly w_tx.db_tx;
     Stats.Counter.incr t.c_ro_commits;
     Ok ()
   end
-  else
-    certified_commit t w_tx
-      ~certify:(fun ~db_version ->
-        (* The watermark report is computed while this transaction is
-           still registered in [db.active], so the reported oldest
-           snapshot is <= start_version — the certifier's floor can never
-           climb past the window this reply composes against. *)
-        Cert_client.certify t.client ~trace_id:w_tx.trace_id
-          ~start_version:(promote t ~db_version w_tx.start_version)
-          ~replica_version:db_version
-          ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-          ws)
-      ~journal:(fun reply ->
-        t.journal <- (reply.req_id, reply.commit_version) :: t.journal)
-
-(* Commit this proxy's fragment of a cross-partition transaction. The
-   session has already split the writeset: [w_tx]'s own writeset IS the
-   fragment for this proxy's partition (reads and writes were routed here
-   by key), so the commit path is the ordinary one — the only differences
-   are that certification goes through {!Cert_client.certify_cross}
-   (prepare/vote/decide among the involved certifier groups instead of a
-   single certify) and that the commit version arriving in the reply is a
-   decision-time version rather than a proposal-time one. *)
-let commit_cross t w_tx ~gtx ~(fragments : Types.xfragment list) =
-  certified_commit t w_tx
-    ~certify:(fun ~db_version ->
-      (* Local certification promotion applies to OUR fragment only: the
-         sibling fragments' start versions live in other partitions'
-         version spaces and are promoted by their own proxies. *)
-      let part = ref 0 in
-      let fragments =
-        List.map
-          (fun (f : Types.xfragment) ->
-            if String.equal f.xf_origin t.address then begin
-              part := f.xf_part;
-              { f with xf_start_version = promote t ~db_version f.xf_start_version }
-            end
-            else f)
-          fragments
-      in
-      Cert_client.certify_cross t.client ~trace_id:w_tx.trace_id ~gtx ~part:!part
-        ~replica_version:db_version
-        ~oldest_snapshot:(Mvcc.Db.oldest_active_snapshot t.database)
-        ~fragments ())
-    ~journal:(fun reply -> t.journal_x <- (gtx, reply.commit_version) :: t.journal_x)
+  else certified_commit t w_tx ws ~cross
 
 let spawn_refresher t bound =
   let fiber =
@@ -682,7 +672,6 @@ let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
       refresher = None;
       journaling = false;
       journal = [];
-      journal_x = [];
       submit_seq = 0;
       trace;
       events;

@@ -109,16 +109,11 @@ val enable_commit_journal : t -> unit
     by crash/pause paths, so a chaos experiment can assert each acked
     commit is still present in the certified log after recovery. *)
 
-val journaled_commits : t -> (int * int) list
-(** The journal, oldest first, as [(req_id, commit_version)] pairs. Empty
-    unless {!enable_commit_journal} was called. *)
-
-val journaled_cross_commits : t -> (Types.gtx_id * int) list
-(** Cross-partition commits acked durable to this proxy, oldest first, as
-    [(gtx, local fragment version)] pairs — the cross-partition half of
-    {!journaled_commits}, verified against the certifier groups'
-    {!Certifier.x_outcome} witnesses. Empty unless
-    {!enable_commit_journal} was called. *)
+val journaled_commits : t -> (Types.gtx_id * int) list
+(** The journal, oldest first, as [(transaction, commit_version)] pairs:
+    [(address, req_id)] for a single-partition commit, the session's
+    transaction for a cross-partition fragment (whose version is this
+    partition's). Empty unless {!enable_commit_journal} was called. *)
 
 (** {1 Client interface (the "JDBC" face)} *)
 
@@ -136,22 +131,19 @@ val read : t -> tx -> Mvcc.Key.t -> Mvcc.Value.t option
 val write : t -> tx -> Mvcc.Key.t -> Mvcc.Writeset.op -> (unit, failure) result
 val abort : t -> tx -> unit
 
-val commit : t -> tx -> (unit, failure) result
+val commit :
+  ?cross:Types.gtx_id * Types.xfragment list -> t -> tx -> (unit, failure) result
 (** Blocking. Read-only transactions commit immediately; update
     transactions go through certification, remote-writeset application and
-    the local ordered commit. *)
+    the local ordered commit.
 
-val commit_cross :
-  t -> tx -> gtx:Types.gtx_id -> fragments:Types.xfragment list ->
-  (unit, failure) result
-(** Blocking. Commit this proxy's fragment of a cross-partition
-    transaction: [tx]'s writeset must be the fragment owned by this
-    proxy's partition (the {!Session} routes writes by key, so this holds
-    by construction), and [fragments] lists every fragment of [gtx] with
-    this proxy's own among them (matched by origin address). Runs the
-    same commit pipeline as {!commit} but certifies through
-    {!Cert_client.certify_cross}; the reply's version and remotes are in
-    this partition's version space. *)
+    [cross] makes this the commit of one fragment of the cross-partition
+    transaction it names: [tx]'s writeset must be the fragment owned by
+    this proxy's partition (the {!Session} routes writes by key, so this
+    holds by construction), and the list holds every fragment, this
+    proxy's own among them (matched by origin address). The pipeline is
+    the same; the reply's version and remotes are in this partition's
+    version space. *)
 
 val tx_writeset : tx -> Mvcc.Writeset.t
 (** The transaction's accumulated writeset (used by the {!Session} to

@@ -3,7 +3,7 @@ open Sim
 (* One sub-transaction per partition the client transaction has touched.
    Opened lazily on the first read/write routed to that partition, so a
    transaction that stays inside one partition costs exactly one proxy
-   transaction — the legacy path. *)
+   transaction; with a single partition it is opened at [begin_tx]. *)
 type sub = { part : int; proxy : Proxy.t; ptx : Proxy.tx }
 
 type tx = {
@@ -43,7 +43,6 @@ let create engine ~addr ~parts ~proxies =
 
 let addr t = t.addr
 let partitions t = List.map fst t.proxies
-let proxy_for t ~part = List.assoc_opt part t.proxies
 
 let proxy_exn t part =
   match List.assoc_opt part t.proxies with
@@ -52,17 +51,25 @@ let proxy_exn t part =
       invalid_arg
         (Printf.sprintf "Session %s: partition %d not hosted here" t.addr part)
 
-let begin_tx t = { subs = []; born_epoch = t.epoch }
+let open_sub tx part proxy =
+  let s = { part; proxy; ptx = Proxy.begin_tx proxy } in
+  tx.subs <- s :: tx.subs;
+  s
+
+(* With one partition every transaction touches it, so its snapshot is
+   taken here, before the client executes — where a plain proxy client
+   would take it. *)
+let begin_tx t =
+  let tx = { subs = []; born_epoch = t.epoch } in
+  (if Partitioner.parts t.partitioner = 1 then
+     match t.proxies with [ (part, proxy) ] -> ignore (open_sub tx part proxy) | _ -> ());
+  tx
 
 let sub_for t tx key =
   let part = Partitioner.of_key t.partitioner key in
   match List.find_opt (fun s -> s.part = part) tx.subs with
   | Some s -> s
-  | None ->
-      let proxy = proxy_exn t part in
-      let s = { part; proxy; ptx = Proxy.begin_tx proxy } in
-      tx.subs <- s :: tx.subs;
-      s
+  | None -> open_sub tx part (proxy_exn t part)
 
 let read t tx key =
   let s = sub_for t tx key in
@@ -81,7 +88,7 @@ let fresh_gtx t =
   t.next_gtx <- t.next_gtx + 1;
   { Types.gtx_origin = t.addr; gtx_seq = t.next_gtx }
 
-(* Commit the fragments in parallel: each sub's [commit_cross] blocks on
+(* Commit the fragments in parallel: each sub's commit blocks on
    its own partition's certifier group, and the groups settle the shared
    outcome among themselves (deterministic votes + independent decisions),
    so the fragment results agree — all [Ok] or all [Cert_abort] — unless a
@@ -107,7 +114,7 @@ let commit_fragments t subs gtx =
           Engine.spawn t.engine
             ~name:(Printf.sprintf "xcommit.%s.p%d" t.addr s.part)
             (fun () ->
-              Ivar.fill ivar (Proxy.commit_cross s.proxy s.ptx ~gtx ~fragments))
+              Ivar.fill ivar (Proxy.commit ~cross:(gtx, fragments) s.proxy s.ptx))
         in
         ivar)
       subs
@@ -146,8 +153,8 @@ let commit t tx =
         t.c_read_only <- t.c_read_only + 1;
         Ok ()
     | [ s ] ->
-        (* Single-partition update: the legacy certification path,
-           byte-identical to a partition-unaware cluster when parts = 1. *)
+        (* Single-partition update: a one-fragment request through that
+           partition's certifier group, no cross-partition coordination. *)
         let r = Proxy.commit s.proxy s.ptx in
         (match r with Ok () -> t.c_local <- t.c_local + 1 | Error _ -> ());
         r

@@ -1,26 +1,29 @@
-(** Per-replica partition router.
+(** Per-replica partition router: every workload client's way into the
+    replica.
 
     A session sits between the workload driver and a replica's proxies —
     one {!Proxy} per partition the replica hosts (partial replication).
     Reads and writes are routed to the owning partition through the
-    cluster's shared {!Partitioner}; a sub-transaction is opened lazily on
-    the first access to each partition, so a transaction that stays inside
-    one partition runs the legacy single-proxy path unchanged.
+    cluster's shared {!Partitioner}. A sub-transaction is opened on the
+    first access to each partition; in a 1-partition cluster the one
+    sub-transaction is opened eagerly at {!begin_tx}, so its snapshot is
+    taken before the client executes, as with a plain proxy client.
 
     Commit dispatches on how many partitions accumulated writes:
 
     - none — read-only; every sub-transaction releases its snapshot and
       the commit succeeds locally;
-    - one — the classic path: {!Proxy.commit} through that partition's
-      certifier group, with zero cross-partition coordination (in a
-      1-partition cluster this makes the session a transparent shim and
-      keeps histories byte-identical to the pre-partitioning code);
+    - one — {!Proxy.commit} through that partition's certifier group: a
+      one-fragment certification request, with zero cross-partition
+      coordination;
     - several — a cross-partition transaction: the session mints a
       {!Types.gtx_id}, builds one {!Types.xfragment} per updating
-      partition, and drives every fragment's {!Proxy.commit_cross}
-      concurrently. The involved certifier groups settle the outcome with
-      the coordinator-less prepare/vote/decide protocol (see
-      {!Certifier}); the fragments commit atomically — all or none. *)
+      partition, and drives every fragment's [Proxy.commit ~cross]
+      concurrently, each sending the same request (every fragment, one
+      transaction id) to its own partition's group. The involved
+      certifier groups settle the outcome with the coordinator-less
+      prepare/vote/decide protocol (see {!Certifier}); the fragments
+      commit atomically — all or none. *)
 
 type t
 
@@ -40,8 +43,6 @@ val addr : t -> string
 val partitions : t -> int list
 (** Hosted partitions, ascending. *)
 
-val proxy_for : t -> part:int -> Proxy.t option
-
 (** {1 Client interface} *)
 
 type tx
@@ -50,7 +51,7 @@ val begin_tx : t -> tx
 
 val read : t -> tx -> Mvcc.Key.t -> Mvcc.Value.t option
 (** Routed to the owning partition's sub-transaction (opened on first
-    use).
+    use, or at {!begin_tx} with one partition).
 
     @raise Invalid_argument if the key's partition is not hosted here. *)
 

@@ -7,14 +7,17 @@ let mode_name = function
 
 let pp_mode fmt mode = Format.pp_print_string fmt (mode_name mode)
 
-(* Cross-partition transaction identity: minted once by the originating
-   session (origin = the session's replica name, seq = a session-local
-   counter), and carried unchanged through prepare, vote and decision so
-   every involved certifier group agrees on which transaction it is
-   resolving. *)
+(* Transaction identity, carried by every certification request and
+   keying the certifiers' outcome tables. A single-partition transaction
+   is (proxy address, req_id), minted by its Cert_client; a cross-partition
+   one is minted once by the originating session (origin = the session's
+   replica name, seq = a session-local counter) and carried unchanged
+   through prepare, vote and decision so every involved certifier group
+   agrees on which transaction it is resolving. *)
 type gtx_id = { gtx_origin : string; gtx_seq : int }
 
 let gtx_equal a b = a.gtx_seq = b.gtx_seq && String.equal a.gtx_origin b.gtx_origin
+let single_gtx ~origin ~req_id = { gtx_origin = origin; gtx_seq = req_id }
 let pp_gtx fmt g = Format.fprintf fmt "%s/x%d" g.gtx_origin g.gtx_seq
 
 (* Atomicity witness stamped into a committed fragment's log entry: which
@@ -32,6 +35,11 @@ type entry = {
   xa : xatom option;
 }
 
+let entry_id e =
+  match e.xa with
+  | Some x -> x.gtx
+  | None -> single_gtx ~origin:e.origin ~req_id:e.req_id
+
 let entry_bytes e =
   28 + Mvcc.Writeset.encoded_bytes e.ws
   + match e.xa with None -> 0 | Some x -> 20 + (4 * List.length x.parts)
@@ -48,14 +56,33 @@ type remote_ws = { version : int; ws : Mvcc.Writeset.t; conflict_with : int opti
 
 let remote_ws_bytes r = 12 + Mvcc.Writeset.encoded_bytes r.ws
 
+(* One partition's slice of a transaction's writeset: a single-partition
+   request carries exactly one. Every certifier a cross-partition
+   transaction involves receives ALL fragments (its own plus the siblings'): a group
+   whose own copy of the request was lost can be brought into the vote by
+   any sibling leader re-gossiping the fragments, which is what makes the
+   two-round commit coordinator-less — no single node's survival is needed
+   to finish the transaction. *)
+type xfragment = {
+  xf_part : int;
+  xf_origin : string; (* proxy address hosting this fragment at the session's replica *)
+  xf_start_version : int; (* snapshot version in partition [xf_part]'s version space *)
+  xf_ws : Mvcc.Writeset.t;
+}
+
+let xfragment_bytes f = 20 + Mvcc.Writeset.encoded_bytes f.xf_ws
+
+(* One request type for every commit. A one-fragment request takes the
+   batched certification path, where its cert-log position is both vote
+   and decision; several fragments take prepare/vote/decide. *)
 type cert_request = {
   req_id : int;
   trace_id : int;
   replica : string;
-  start_version : int;
   replica_version : int;
   oldest_snapshot : int;
-  writeset : Mvcc.Writeset.t;
+  gtx : gtx_id;
+  fragments : xfragment list;
 }
 
 type cert_reply = {
@@ -94,32 +121,6 @@ type fetch_reply = {
   fetch_snapshot : snapshot option;
 }
 
-(* One partition's slice of a cross-partition transaction. Every involved
-   certifier receives ALL fragments (its own plus the siblings'): a group
-   whose own copy of the request was lost can be brought into the vote by
-   any sibling leader re-gossiping the fragments, which is what makes the
-   two-round commit coordinator-less — no single node's survival is needed
-   to finish the transaction. *)
-type xfragment = {
-  xf_part : int;
-  xf_origin : string; (* proxy address hosting this fragment at the session's replica *)
-  xf_start_version : int; (* snapshot version in partition [xf_part]'s version space *)
-  xf_ws : Mvcc.Writeset.t;
-}
-
-let xfragment_bytes f = 20 + Mvcc.Writeset.encoded_bytes f.xf_ws
-
-type xcert_request = {
-  x_req_id : int;
-  x_trace_id : int;
-  x_replica : string; (* home proxy address — where the reply goes *)
-  x_part : int; (* partition of the receiving certifier group *)
-  x_gtx : gtx_id;
-  x_replica_version : int;
-  x_oldest_snapshot : int;
-  x_fragments : xfragment list;
-}
-
 (* Leader-to-leader vote gossip. [xv_fragments] rides along so a group
    that never saw the original request can still prepare and vote;
    [xv_echo] marks a response to a received vote (and is not echoed again,
@@ -156,19 +157,17 @@ type message =
   | Cert_redirect of { req_id : int; leader : string option }
   | Fetch_request of fetch_request
   | Fetch_reply of fetch_reply
-  | Xcert_request of xcert_request
   | Xvote of xvote
   | Paxos of record Paxos.Node.message
 
 let message_bytes = function
-  | Cert_request r -> 52 + Mvcc.Writeset.encoded_bytes r.writeset
+  | Cert_request { fragments = [ f ]; _ } -> 52 + Mvcc.Writeset.encoded_bytes f.xf_ws
+  | Cert_request r -> List.fold_left (fun a f -> a + xfragment_bytes f) 64 r.fragments
   | Cert_reply r -> List.fold_left (fun a rw -> a + remote_ws_bytes rw) 36 r.remotes
   | Cert_redirect _ -> 24
   | Fetch_request _ -> 32
   | Fetch_reply r ->
       List.fold_left (fun a rw -> a + remote_ws_bytes rw) 32 r.fetch_remotes
       + (match r.fetch_snapshot with Some s -> snapshot_bytes s | None -> 0)
-  | Xcert_request r ->
-      List.fold_left (fun a f -> a + xfragment_bytes f) 64 r.x_fragments
   | Xvote v -> List.fold_left (fun a f -> a + xfragment_bytes f) 40 v.xv_fragments
   | Paxos m -> Paxos.Node.message_bytes record_bytes m

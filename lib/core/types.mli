@@ -9,14 +9,22 @@ type mode =
 val pp_mode : Format.formatter -> mode -> unit
 val mode_name : mode -> string
 
-(** Identity of a cross-partition transaction, minted once by the
-    originating {!Session} ([gtx_origin] = the session's replica name,
-    [gtx_seq] = a session-local counter) and carried unchanged through
-    prepare, vote and decision, so every involved certifier group agrees
-    on which transaction it is resolving. *)
+(** Identity of a transaction, carried by every {!cert_request} and
+    keying the certifiers' outcome tables. A single-partition transaction
+    is [(proxy address, req_id)], minted by its {!Cert_client}. A
+    cross-partition one is minted once by the originating {!Session}
+    ([gtx_origin] = the session's replica name, [gtx_seq] = a
+    session-local counter) and carried unchanged through prepare, vote and
+    decision, so every involved certifier group agrees on which
+    transaction it is resolving. *)
 type gtx_id = { gtx_origin : string; gtx_seq : int }
 
 val gtx_equal : gtx_id -> gtx_id -> bool
+
+val single_gtx : origin:string -> req_id:int -> gtx_id
+(** The id of a single-partition transaction: its proxy's address and
+    the request id of its certification request. *)
+
 val pp_gtx : Format.formatter -> gtx_id -> unit
 
 (** Atomicity witness stamped into a committed fragment's log entry:
@@ -32,7 +40,7 @@ type entry = {
   origin : string;  (** proxy that executed the transaction *)
   req_id : int;  (** idempotency token for request retries; for a
                      cross-partition fragment this is the [gtx_seq] (the
-                     [origin] disambiguates sessions) *)
+                     [xa] transaction disambiguates sessions) *)
   ws : Mvcc.Writeset.t;
   gc_floor : int;
       (** group GC watermark the leader stamped when proposing this
@@ -43,6 +51,10 @@ type entry = {
       (** [Some _] iff this entry is one fragment of a cross-partition
           transaction *)
 }
+
+val entry_id : entry -> gtx_id
+(** The transaction an entry commits: its [xa] transaction if present,
+    otherwise [(origin, req_id)]. *)
 
 val entry_bytes : entry -> int
 
@@ -59,22 +71,43 @@ val pp_decision : Format.formatter -> decision -> unit
     proxy must commit that version before submitting this writeset). *)
 type remote_ws = { version : int; ws : Mvcc.Writeset.t; conflict_with : int option }
 
-val remote_ws_bytes : remote_ws -> int
+(** One partition's slice of a transaction's writeset; a
+    single-partition request carries exactly one. Every certifier a
+    cross-partition transaction involves receives ALL fragments (its own
+    plus the siblings'): a group whose own copy of the request was lost
+    can be brought into the vote by any sibling leader re-gossiping the
+    fragments, which is what makes the two-round commit coordinator-less
+    — no single node's survival is needed to finish the transaction. *)
+type xfragment = {
+  xf_part : int;  (** the partition this fragment writes *)
+  xf_origin : string;
+      (** proxy address hosting this fragment at the session's replica *)
+  xf_start_version : int;
+      (** snapshot version in partition [xf_part]'s version space *)
+  xf_ws : Mvcc.Writeset.t;
+}
 
+(** The one certification request, sent by {!Cert_client} to the
+    certifier group of each partition the transaction writes. A
+    one-fragment request takes the batched certification path, where its
+    cert-log position is both the vote and the decision; a request with
+    several fragments takes prepare/vote/decide (see {!Certifier}). *)
 type cert_request = {
   req_id : int;
+      (** per-proxy reply-routing token, stable across certify retries *)
   trace_id : int;
       (** lifecycle trace id minted at [Proxy.begin_tx]; 0 when tracing is
           disabled. Stable across certify retries (same transaction). *)
-  replica : string;  (** requesting replica (= message reply address) *)
-  start_version : int;  (** [tx_start_version] *)
-  replica_version : int;  (** replica state at request time, for trimming
-                              and back-certification (§5.2.1) *)
+  replica : string;  (** requesting proxy (= message reply address) *)
+  replica_version : int;
+      (** replica state at request time, in the receiving partition's
+          version space, for trimming and back-certification (§5.2.1) *)
   oldest_snapshot : int;
       (** oldest snapshot any transaction on the sending replica still
           reads (= [replica_version] when idle): the replica's GC
           watermark report, piggybacked on its normal traffic *)
-  writeset : Mvcc.Writeset.t;
+  gtx : gtx_id;  (** the transaction; retries carry the same id *)
+  fragments : xfragment list;  (** every fragment, the receiver's included *)
 }
 
 type cert_reply = {
@@ -104,8 +137,6 @@ type fetch_request = {
     [fetch_remotes] (which then cover [(snap_version, certifier_version]]). *)
 type snapshot = { snap_version : int; rows : (Mvcc.Key.t * Mvcc.Value.t option) list }
 
-val snapshot_bytes : snapshot -> int
-
 type fetch_reply = {
   fetch_req_id : int;
   fetch_remotes : remote_ws list;
@@ -114,36 +145,6 @@ type fetch_reply = {
   fetch_snapshot : snapshot option;
       (** present iff the requested prefix was truncated — the explicit
           "too old, take a snapshot" answer *)
-}
-
-(** One partition's slice of a cross-partition transaction. Every
-    involved certifier receives ALL fragments (its own plus the
-    siblings'): a group whose own copy of the request was lost can be
-    brought into the vote by any sibling leader re-gossiping the
-    fragments, which is what makes the two-round commit coordinator-less
-    — no single node's survival is needed to finish the transaction. *)
-type xfragment = {
-  xf_part : int;  (** the partition this fragment writes *)
-  xf_origin : string;
-      (** proxy address hosting this fragment at the session's replica *)
-  xf_start_version : int;
-      (** snapshot version in partition [xf_part]'s version space *)
-  xf_ws : Mvcc.Writeset.t;
-}
-
-val xfragment_bytes : xfragment -> int
-
-(** Cross-partition certification request, sent by {!Cert_client} to the
-    certifier group of each involved partition. *)
-type xcert_request = {
-  x_req_id : int;  (** per-proxy retry-idempotency token, like {!cert_request} *)
-  x_trace_id : int;
-  x_replica : string;  (** home proxy address — where the reply goes *)
-  x_part : int;  (** partition of the receiving certifier group *)
-  x_gtx : gtx_id;
-  x_replica_version : int;  (** in the receiving partition's version space *)
-  x_oldest_snapshot : int;
-  x_fragments : xfragment list;  (** every fragment, home one included *)
 }
 
 (** Leader-to-leader vote gossip for a cross-partition transaction.
@@ -170,8 +171,6 @@ type record =
   | Prepared of { p_gtx : gtx_id; p_part : int; p_fragments : xfragment list }
   | Decision of { d_gtx : gtx_id; d_commit : bool }
 
-val record_bytes : record -> int
-
 (** Everything that travels on the wire. *)
 type message =
   | Cert_request of cert_request
@@ -179,7 +178,6 @@ type message =
   | Cert_redirect of { req_id : int; leader : string option }
   | Fetch_request of fetch_request
   | Fetch_reply of fetch_reply
-  | Xcert_request of xcert_request
   | Xvote of xvote
   | Paxos of record Paxos.Node.message
 

@@ -17,7 +17,6 @@ type msg_class =
   | M_cert_request
   | M_cert_reply
   | M_fetch_reply
-  | M_xcert_request
   | M_xvote
   | M_paxos_prepare
   | M_paxos_accept
@@ -29,7 +28,6 @@ let msg_class_name = function
   | M_cert_request -> "cert-request"
   | M_cert_reply -> "cert-reply"
   | M_fetch_reply -> "fetch-reply"
-  | M_xcert_request -> "xcert-request"
   | M_xvote -> "xvote"
   | M_paxos_prepare -> "paxos-prepare"
   | M_paxos_accept -> "paxos-accept"
@@ -44,7 +42,6 @@ let msg_class_matches cls (msg : Tashkent.Types.message) =
   | M_cert_request, Tashkent.Types.Cert_request _
   | M_cert_reply, Tashkent.Types.Cert_reply _
   | M_fetch_reply, Tashkent.Types.Fetch_reply _
-  | M_xcert_request, Tashkent.Types.Xcert_request _
   | M_xvote, Tashkent.Types.Xvote _
   | M_paxos_prepare, Tashkent.Types.Paxos (Paxos.Node.Prepare _)
   | M_paxos_accept, Tashkent.Types.Paxos (Paxos.Node.Accept _)

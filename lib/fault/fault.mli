@@ -33,10 +33,9 @@ val pp_node : Format.formatter -> node -> unit
 (** Protocol-message classes a targeted tap rule ({!Delay_msg},
     {!Drop_msg}, {!Crash_on_msg}) can match at the network layer. *)
 type msg_class =
-  | M_cert_request  (** proxy → certifier single-partition certification *)
+  | M_cert_request  (** proxy → certifier certification, any fragment count *)
   | M_cert_reply  (** certifier → proxy verdict (the durable ack) *)
   | M_fetch_reply  (** certifier → proxy refresh/backfill answer *)
-  | M_xcert_request  (** proxy → certifier cross-partition fragment *)
   | M_xvote  (** leader → leader cross-partition vote gossip *)
   | M_paxos_prepare
   | M_paxos_accept

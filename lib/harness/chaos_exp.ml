@@ -17,9 +17,8 @@ type plan_kind =
 
 type config = {
   cluster : Tashkent.Cluster.config;
-      (* n_partitions > 1 routes clients through Session and adds the
-         cross-partition atomicity/durability invariants to every
-         checkpoint *)
+      (* n_partitions > 1 drives the partition-aware workload and adds
+         the cross-partition atomicity invariant to every checkpoint *)
   duration : Time.t;
   plan : plan_kind;
   collect_trace : bool;
@@ -157,22 +156,12 @@ let checkpoints_of plan =
 let wait_checkable (sc : Scenario.t) =
   let parts = List.map fst (Tashkent.Cluster.certifier_groups sc.cluster) in
   (* Highest commit version of this partition acked durable to any of its
-     proxies — local and cross-partition acks both count: a freshly
-     elected group leader must have re-delivered at least this far before
-     the durability invariant is meaningful. *)
+     proxies: a freshly elected group leader must have re-delivered at
+     least this far before the durability invariant is meaningful. *)
   let max_acked part =
     List.fold_left
       (fun acc proxy ->
-        let acc =
-          List.fold_left
-            (fun acc (_req, v) -> max acc v)
-            acc
-            (Tashkent.Proxy.journaled_commits proxy)
-        in
-        List.fold_left
-          (fun acc (_gtx, v) -> max acc v)
-          acc
-          (Tashkent.Proxy.journaled_cross_commits proxy))
+        List.fold_left (fun acc (_, v) -> max acc v) acc (Tashkent.Proxy.journaled_commits proxy))
       0
       (Scenario.proxies ~part sc)
   in
@@ -191,10 +180,13 @@ let wait_checkable (sc : Scenario.t) =
       List.for_all group_ready parts)
 
 (* The durability invariant (§4/§7 write-ahead discipline, end to end):
-   every commit acked durable to some proxy before a crash must still be
-   present — same origin, same request — at its acked version in the
-   current leader's certified log after recovery. Torn/corrupt-tail
-   truncation may only ever discard records that were never acked. *)
+   every commit acked durable to some proxy before a crash — single- or
+   cross-partition — must still be recorded at its acked version in the
+   current leader's outcome table (never pruned, rebuilt by redelivery)
+   after recovery, and, unless the slot was truncated behind the GC
+   watermark, the certified log entry at that version must be the same
+   transaction. Torn/corrupt-tail truncation may only ever discard
+   records that were never acked. *)
 let check_durability (sc : Scenario.t) violations stamp =
   List.iter
     (fun (part, _members) ->
@@ -206,59 +198,35 @@ let check_durability (sc : Scenario.t) violations stamp =
           let floor = Tashkent.Cert_log.floor log in
           List.iter
             (fun proxy ->
-              let origin = Tashkent.Proxy.addr proxy in
-              List.iter
-                (fun (req_id, version) ->
-                  let present =
-                    version >= 1 && version <= top
-                    &&
-                    if version <= floor then
-                      (* The slot was truncated behind the GC watermark;
-                         the certifier's decided table (never pruned,
-                         rebuilt by redelivery) is the durability witness
-                         instead. *)
-                      Tashkent.Certifier.decided_version lead ~req_id
-                      = Some version
-                    else
-                      let e = Tashkent.Cert_log.get log version in
-                      String.equal e.Tashkent.Types.origin origin
-                      && e.Tashkent.Types.req_id = req_id
-                  in
-                  if not present then
-                    violations :=
-                      stamp
-                        (Printf.sprintf
-                           "durability: commit acked to %s (req %d, \
-                            version %d) missing from p%d's certified log \
-                            after recovery"
-                           origin req_id version part)
-                      :: !violations)
-                (Tashkent.Proxy.journaled_commits proxy);
-              (* Cross-partition acks: the group's outcome witness (never
-                 pruned, re-derived by redelivery after a crash) must
-                 record the fragment committed at its acked version. *)
               List.iter
                 (fun (gtx, version) ->
-                  match Tashkent.Certifier.x_outcome lead ~gtx with
-                  | Some (Some v) when v = version -> ()
-                  | outcome ->
-                      let what =
-                        match outcome with
-                        | None -> "unknown to"
-                        | Some None -> "recorded aborted by"
-                        | Some (Some v) ->
-                            Printf.sprintf "recorded at version %d by" v
-                      in
+                  let problem =
+                    match Tashkent.Certifier.outcome lead gtx with
+                    | Some (Some v) when v = version ->
+                        if version < 1 || version > top then Some "beyond the log of"
+                        else if
+                          version > floor
+                          && not
+                               (Tashkent.Types.gtx_equal gtx
+                                  (Tashkent.Types.entry_id (Tashkent.Cert_log.get log version)))
+                        then Some "another transaction's log slot at"
+                        else None
+                    | None -> Some "unknown to"
+                    | Some None -> Some "recorded aborted by"
+                    | Some (Some v) -> Some (Printf.sprintf "recorded at version %d by" v)
+                  in
+                  match problem with
+                  | None -> ()
+                  | Some what ->
                       violations :=
                         stamp
                           (Printf.sprintf
-                             "durability: cross-commit %s acked to %s at \
-                              version %d is %s p%d's certifier after \
-                              recovery"
+                             "durability: commit %s acked to %s at version %d is %s \
+                              p%d's certifier after recovery"
                              (Format.asprintf "%a" Tashkent.Types.pp_gtx gtx)
-                             origin version what part)
+                             (Tashkent.Proxy.addr proxy) version what part)
                         :: !violations)
-                (Tashkent.Proxy.journaled_cross_commits proxy))
+                (Tashkent.Proxy.journaled_commits proxy))
             (Scenario.proxies ~part sc))
     (Tashkent.Cluster.certifier_groups sc.cluster)
 
@@ -275,8 +243,8 @@ let check (sc : Scenario.t) violations =
 let run ?(config = default_config ()) () =
   let n_partitions = config.cluster.n_partitions in
   let spec =
-    (* Partitioned runs drive the partition-aware profile through Session
-       (a third of the transactions span two certifier groups), so the
+    (* Partitioned runs drive the partition-aware profile (a third of
+       the transactions span two certifier groups), so the
        chaos plan exercises the cross-partition commit protocol;
        single-partition runs keep the seed TPC-B workload bit-for-bit. *)
     if n_partitions > 1 then
@@ -362,9 +330,7 @@ let run ?(config = default_config ()) () =
     ran_for = Time.diff (Engine.now sc.engine) started;
     trace = sc.trace;
     durable_acked =
-      over_proxies (fun p ->
-          List.length (Tashkent.Proxy.journaled_commits p)
-          + List.length (Tashkent.Proxy.journaled_cross_commits p));
+      over_proxies (fun p -> List.length (Tashkent.Proxy.journaled_commits p));
     torn_discarded =
       cert_sum (fun (s : Tashkent.Certifier.stats) -> s.wal_torn_discarded);
     corrupt_discarded =

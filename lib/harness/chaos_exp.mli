@@ -6,11 +6,12 @@
     versions, certifier prefix agreement, and replica state equal to the
     log prefix ({!Tashkent.Cluster.check_log_invariants} and
     [check_consistency]) — plus the {e durability} invariant: every commit
-    acked durable to a proxy before a crash is still present, at its acked
-    version and with its origin and request id, in the current leader's
-    certified log after recovery (proxies record acks in a harness-side
-    journal, {!Tashkent.Proxy.enable_commit_journal}). Deterministic: the
-    same seed and plan replay bit-identically. *)
+    acked durable to a proxy before a crash is still recorded at its acked
+    version in the current leader's outcome table, and still the same
+    transaction in its certified log above the GC floor, after recovery
+    (proxies record acks in a harness-side journal,
+    {!Tashkent.Proxy.enable_commit_journal}). Deterministic: the same seed
+    and plan replay bit-identically. *)
 
 type plan_kind =
   | Scripted  (** the fixed acceptance scenario, see {!scripted_plan} *)
@@ -28,11 +29,13 @@ type config = {
           {!Tashkent.Session} (a third of transactions span two groups),
           the [Scripted] plan becomes {!scripted_partition_plan}, random
           plans gain a group-leader crash, and every checkpoint also
-          asserts {!Tashkent.Cluster.check_cross_atomicity} plus the
-          cross-commit durability witness
-          ({!Tashkent.Proxy.journaled_cross_commits} against
-          {!Tashkent.Certifier.x_outcome}). Replicas with
-          [apply_workers > 1] exercise crash/recovery mid-parallel-apply. *)
+          asserts {!Tashkent.Cluster.check_cross_atomicity}. The
+          durability check walks each proxy's one journal
+          ({!Tashkent.Proxy.journaled_commits}, both kinds of commit)
+          against the group leader's {!Tashkent.Certifier.outcome} table
+          and, above the GC floor, the log entry's
+          {!Tashkent.Types.entry_id}. Replicas with [apply_workers > 1]
+          exercise crash/recovery mid-parallel-apply. *)
   duration : Sim.Time.t;
   plan : plan_kind;  (** its seed is separate from the cluster's *)
   collect_trace : bool;

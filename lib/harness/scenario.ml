@@ -38,12 +38,9 @@ let start (config : config) =
   Tashkent.Cluster.settle cluster;
   let collector = Workload.Driver.Collector.create () in
   let rng = Rng.create (c.seed + 1) in
-  let target =
-    if c.n_partitions > 1 then Workload.Driver.Session else Workload.Driver.Proxy
-  in
   List.iteri
     (fun replica_ix replica ->
-      Workload.Driver.spawn_replica_clients engine ~target ~replica ~spec
+      Workload.Driver.spawn_replica_clients engine ~replica ~spec
         ~rng:(Rng.split rng) ~collector ~replica_ix ~n_replicas:c.n_replicas)
     (Tashkent.Cluster.replicas cluster);
   { engine; cluster; trace; monitor; collector }

@@ -36,9 +36,8 @@ val start : config -> t
 (** Create the engine, then the trace, the event stream, the cluster and
     the monitor; load the spec's initial rows, {!Tashkent.Cluster.settle},
     and spawn [spec.clients_per_replica] clients per replica from the
-    stream [Rng.create (seed + 1)] — through each replica's
-    {!Tashkent.Session} when the cluster has more than one partition,
-    through its proxy otherwise. The order is fixed, so a seed replays
+    stream [Rng.create (seed + 1)], each through its replica's
+    {!Tashkent.Session}. The order is fixed, so a seed replays
     bit-identically. *)
 
 val storage_profile :

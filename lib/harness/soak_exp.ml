@@ -14,9 +14,9 @@ open Sim
 
 type config = {
   cluster : Tashkent.Cluster.config;
-      (* n_partitions > 1 routes the Zipfian clients through Session (hot
-         keys hash across every group) and spreads the periodic chaos'
-         certifier crashes over the groups *)
+      (* n_partitions > 1 spreads the Zipfian clients' hot keys across
+         every group and the periodic chaos' certifier crashes over the
+         groups *)
   duration : Time.t;
   window : Time.t;
   warmup_windows : int;

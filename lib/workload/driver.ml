@@ -94,28 +94,15 @@ let client_loop engine ~spec ~rng ~collector ~replica_ix ~n_replicas ~client
   in
   loop ()
 
-type target = Proxy | Session
-
-let spawn_replica_clients engine ~target ~replica ~spec ~rng ~collector
-    ~replica_ix ~n_replicas =
+let spawn_replica_clients engine ~replica ~spec ~rng ~collector ~replica_ix ~n_replicas =
   let module R = Tashkent.Replica in
-  let loop ~client ~rng ~begin_tx ~read ~write ~commit ~abort =
+  let module S = Tashkent.Session in
+  let session = R.session replica in
+  let run ~client ~rng =
     client_loop engine ~spec ~rng ~collector ~replica_ix ~n_replicas ~client
-      ~begin_tx ~read ~write ~commit ~abort ~use_cpu:(R.use_cpu replica)
-  in
-  let run =
-    match target with
-    | Proxy ->
-        let module P = Tashkent.Proxy in
-        let proxy = R.proxy replica in
-        loop ~begin_tx:(fun () -> P.begin_tx proxy) ~read:(P.read proxy)
-          ~write:(P.write proxy) ~commit:(P.commit proxy) ~abort:(P.abort proxy)
-    | Session ->
-        let module S = Tashkent.Session in
-        let session = R.session replica in
-        loop ~begin_tx:(fun () -> S.begin_tx session) ~read:(S.read session)
-          ~write:(S.write session) ~commit:(S.commit session)
-          ~abort:(S.abort session)
+      ~begin_tx:(fun () -> S.begin_tx session)
+      ~read:(S.read session) ~write:(S.write session) ~commit:(S.commit session)
+      ~abort:(S.abort session) ~use_cpu:(R.use_cpu replica)
   in
   let spawn_all () =
     for client = 0 to spec.Spec.clients_per_replica - 1 do

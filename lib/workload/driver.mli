@@ -42,11 +42,8 @@ end
     across certifier groups when its writes span more than one. Use
     [Session] (with a partition-aware spec such as {!Partlocal.profile})
     whenever the cluster runs with [n_partitions > 1]. *)
-type target = Proxy | Session
-
 val spawn_replica_clients :
   Sim.Engine.t ->
-  target:target ->
   replica:Tashkent.Replica.t ->
   spec:Spec.t ->
   rng:Sim.Rng.t ->
@@ -55,8 +52,8 @@ val spawn_replica_clients :
   n_replicas:int ->
   unit
 (** Spawn [spec.clients_per_replica] client fibers against the replica's
-    [target]; each runs until cancelled. Fibers are registered with the
-    replica (killed by a crash) and respawned after recovery. *)
+    {!Tashkent.Session}; each runs until cancelled. Fibers are registered
+    with the replica (killed by a crash) and respawned after recovery. *)
 
 val spawn_standalone_clients :
   Sim.Engine.t ->

@@ -60,10 +60,18 @@ let request c ~dst ~req_id ~row ~value ~at_version =
         req_id;
         trace_id = 0;
         replica = "client";
-        start_version = at_version;
         replica_version = at_version;
         oldest_snapshot = at_version;
-        writeset = ws1 row value;
+        gtx = Types.single_gtx ~origin:"client" ~req_id;
+        fragments =
+          [
+            {
+              xf_part = 0;
+              xf_origin = "client";
+              xf_start_version = at_version;
+              xf_ws = ws1 row value;
+            };
+          ];
       }
   in
   Net.Network.send c.net ~src:"client" ~dst ~size:(Types.message_bytes msg) msg

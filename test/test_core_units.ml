@@ -10,6 +10,23 @@ let ws row n = Mvcc.Writeset.singleton (k row) (Mvcc.Writeset.Update (Mvcc.Value
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let fragment ?(origin = "proxy") ?(start_version = 0) w =
+  { Types.xf_part = 0; xf_origin = origin; xf_start_version = start_version; xf_ws = w }
+
+(* A one-fragment certification request: its own transaction,
+   [(replica, req_id)], unless [gtx] names another. *)
+let request ?gtx ?(oldest_snapshot = 0) ~req_id ~replica ~start_version ~replica_version w =
+  Types.Cert_request
+    {
+      req_id;
+      trace_id = 0;
+      replica;
+      replica_version;
+      oldest_snapshot;
+      gtx = Option.value gtx ~default:(Types.single_gtx ~origin:replica ~req_id);
+      fragments = [ fragment ~origin:replica ~start_version w ];
+    }
+
 let fast_net engine =
   Net.Network.create engine ~rng:(Rng.create 3)
     ~config:
@@ -62,7 +79,7 @@ let test_cert_client_happy_path () =
   ignore
     (Engine.spawn engine (fun () ->
          let reply =
-           Cert_client.certify client ~start_version:0 ~replica_version:0 ~oldest_snapshot:0 (ws "a" 1)
+           Cert_client.certify client ~replica_version:0 ~oldest_snapshot:0 [ fragment (ws "a" 1) ]
          in
          got := reply.commit_version));
   Engine.run ~until:(Time.sec 2) engine;
@@ -97,7 +114,7 @@ let test_cert_client_redirect () =
   ignore
     (Engine.spawn engine (fun () ->
          got :=
-           (Cert_client.certify client ~start_version:0 ~replica_version:0 ~oldest_snapshot:0 (ws "a" 1))
+           (Cert_client.certify client ~replica_version:0 ~oldest_snapshot:0 [ fragment (ws "a" 1) ])
              .commit_version));
   Engine.run ~until:(Time.sec 2) engine;
   check_int "answer came from the leader" 9 !got;
@@ -129,7 +146,7 @@ let test_cert_client_timeout_failover () =
   ignore
     (Engine.spawn engine (fun () ->
          got :=
-           (Cert_client.certify client ~start_version:0 ~replica_version:0 ~oldest_snapshot:0 (ws "a" 1))
+           (Cert_client.certify client ~replica_version:0 ~oldest_snapshot:0 [ fragment (ws "a" 1) ])
              .commit_version));
   Engine.run ~until:(Time.sec 5) engine;
   check_int "eventually answered" 3 !got;
@@ -154,16 +171,8 @@ let certify_via engine net cert ~req_id ~start_version ~replica_version w =
          Net.Network.send net
            ~src:(Printf.sprintf "r%d" req_id)
            ~dst:(Certifier.id cert)
-           (Types.Cert_request
-              {
-                req_id;
-                trace_id = 0;
-                replica = Printf.sprintf "r%d" req_id;
-                start_version;
-                replica_version;
-                oldest_snapshot = 0;
-                writeset = w;
-              });
+           (request ~req_id ~replica:(Printf.sprintf "r%d" req_id) ~start_version
+              ~replica_version w);
          match Mailbox.recv mb with
          | Types.Cert_reply r -> reply := Some r
          | _ -> ()));
@@ -206,10 +215,8 @@ let test_certifier_retry_idempotent () =
   ignore
     (Engine.spawn engine (fun () ->
          Net.Network.send net ~src:"r42b" ~dst:"cert0"
-           (Types.Cert_request
-              { req_id = 42; trace_id = 0; replica = "r42b"; start_version = 0; replica_version = 0;
-                oldest_snapshot = 0;
-                writeset = ws "a" 1 });
+           (request ~gtx:{ gtx_origin = "r42"; gtx_seq = 42 } ~req_id:42 ~replica:"r42b"
+              ~start_version:0 ~replica_version:0 (ws "a" 1));
          match Mailbox.recv mb with
          | Types.Cert_reply r -> second := Some r
          | _ -> ()));
@@ -259,10 +266,7 @@ let test_certifier_nocert_mode_no_disk () =
     (Engine.spawn engine (fun () ->
          let sent = Engine.now engine in
          Net.Network.send net ~src:"rq" ~dst:"cert0"
-           (Types.Cert_request
-              { req_id = 1; trace_id = 0; replica = "rq"; start_version = 0; replica_version = 0;
-                oldest_snapshot = 0;
-                writeset = ws "a" 1 });
+           (request ~req_id:1 ~replica:"rq" ~start_version:0 ~replica_version:0 (ws "a" 1));
          (match Mailbox.recv mb with Types.Cert_reply _ -> () | _ -> ());
          replied_at := Time.diff (Engine.now engine) sent));
   Engine.run ~until:(Time.sec 3) engine;
@@ -303,16 +307,8 @@ let test_certifier_watermark_truncates () =
     (Engine.spawn engine (fun () ->
          for i = 1 to 5 do
            Net.Network.send net ~src:"rA" ~dst:"cert0"
-             (Types.Cert_request
-                {
-                  req_id = i;
-                  trace_id = 0;
-                  replica = "rA";
-                  start_version = i - 1;
-                  replica_version = i - 1;
-                  oldest_snapshot = i - 1;
-                  writeset = ws "a" i;
-                });
+             (request ~req_id:i ~replica:"rA" ~start_version:(i - 1) ~replica_version:(i - 1)
+                ~oldest_snapshot:(i - 1) (ws "a" i));
            match Mailbox.recv mb with
            | Types.Cert_reply r -> floors := r.gc_floor :: !floors
            | _ -> ()
@@ -325,11 +321,11 @@ let test_certifier_watermark_truncates () =
   check_int "prefix pruned" 4 (Cert_log.pruned log);
   check_bool "floor gossiped in commit replies" true
     (List.exists (fun f -> f > 0) !floors);
-  (* the decided table survives truncation: still the durability witness
+  (* the outcome table survives truncation: still the durability witness
      for every pruned slot *)
   for i = 1 to 5 do
     check_bool "decided survives truncation" true
-      (Certifier.decided_version cert ~req_id:i = Some i)
+      (Certifier.outcome cert { gtx_origin = "rA"; gtx_seq = i } = Some (Some i))
   done
 
 (* A fetch whose start lies below the truncation floor is answered with a
@@ -345,16 +341,9 @@ let test_certifier_fetch_below_floor_snapshot () =
     (Engine.spawn engine (fun () ->
          for i = 1 to 5 do
            Net.Network.send net ~src:"rA" ~dst:"cert0"
-             (Types.Cert_request
-                {
-                  req_id = i;
-                  trace_id = 0;
-                  replica = "rA";
-                  start_version = i - 1;
-                  replica_version = i - 1;
-                  oldest_snapshot = i - 1;
-                  writeset = ws (string_of_int i) i;
-                });
+             (request ~req_id:i ~replica:"rA" ~start_version:(i - 1) ~replica_version:(i - 1)
+                ~oldest_snapshot:(i - 1)
+                (ws (string_of_int i) i));
            match Mailbox.recv mb with Types.Cert_reply _ -> () | _ -> ()
          done));
   Engine.run ~until:(Time.sec 5) engine;
@@ -472,10 +461,7 @@ let test_types_message_bytes_monotone () =
     Mvcc.Writeset.of_list
       (List.init 20 (fun i -> (k (string_of_int i), Mvcc.Writeset.Update (Mvcc.Value.int i))))
   in
-  let req w =
-    Types.Cert_request
-      { req_id = 1; trace_id = 0; replica = "r"; start_version = 0; replica_version = 0; oldest_snapshot = 0; writeset = w }
-  in
+  let req w = request ~req_id:1 ~replica:"r" ~start_version:0 ~replica_version:0 w in
   check_bool "bigger writeset, bigger message" true
     (Types.message_bytes (req big) > Types.message_bytes (req small));
   let reply remotes =
@@ -486,6 +472,48 @@ let test_types_message_bytes_monotone () =
      > Types.message_bytes (reply []));
   check_bool "redirects are small" true
     (Types.message_bytes (Types.Cert_redirect { req_id = 1; leader = None }) < 64)
+
+(* Request sizes drive network timing, so every fixed-seed result depends
+   on them: a one-fragment request is 52 bytes + the writeset, a
+   multi-fragment one 64 bytes plus 20 + the writeset per fragment. *)
+let test_types_request_sizes () =
+  let fragments n =
+    List.init n (fun part ->
+        {
+          Types.xf_part = part;
+          xf_origin = Printf.sprintf "r#p%d" part;
+          xf_start_version = 0;
+          xf_ws =
+            Mvcc.Writeset.of_list
+              (List.init (part + 1) (fun i ->
+                   (k (Printf.sprintf "%d.%d" part i), Mvcc.Writeset.Update (Mvcc.Value.int i))));
+        })
+  in
+  let bytes fragments =
+    Types.message_bytes
+      (Types.Cert_request
+         {
+           req_id = 1;
+           trace_id = 0;
+           replica = "r#p0";
+           replica_version = 0;
+           oldest_snapshot = 0;
+           gtx = { gtx_origin = "r"; gtx_seq = 1 };
+           fragments;
+         })
+  in
+  let ws_bytes (f : Types.xfragment) = Mvcc.Writeset.encoded_bytes f.xf_ws in
+  (match fragments 1 with
+  | [ f ] as one -> check_int "one fragment" (52 + ws_bytes f) (bytes one)
+  | _ -> assert false);
+  List.iter
+    (fun n ->
+      let fs = fragments n in
+      check_int
+        (Printf.sprintf "%d fragments" n)
+        (List.fold_left (fun acc f -> acc + 20 + ws_bytes f) 64 fs)
+        (bytes fs))
+    [ 2; 3 ]
 
 let test_types_pp () =
   let str pp v = Format.asprintf "%a" pp v in
@@ -553,6 +581,7 @@ let suites =
     ( "core.vocabulary",
       [
         Alcotest.test_case "message bytes monotone" `Quick test_types_message_bytes_monotone;
+        Alcotest.test_case "request sizes by fragment count" `Quick test_types_request_sizes;
         Alcotest.test_case "pretty printers" `Quick test_types_pp;
         Alcotest.test_case "value module" `Quick test_value_module;
         Alcotest.test_case "key module" `Quick test_key_module;

@@ -166,7 +166,8 @@ let test_redirect_to_unknown_leader_falls_back () =
     (Engine.spawn e (fun () ->
          let ws = Mvcc.Writeset.singleton (Mvcc.Key.make ~table:"t" ~row:"a")
              (Mvcc.Writeset.Update (Mvcc.Value.int 1)) in
-         reply := Some (Cert_client.certify client ~start_version:0 ~replica_version:0 ~oldest_snapshot:0 ws)));
+         let frag = { Types.xf_part = 0; xf_origin = "r0"; xf_start_version = 0; xf_ws = ws } in
+         reply := Some (Cert_client.certify client ~replica_version:0 ~oldest_snapshot:0 [ frag ])));
   Engine.run e;
   (match !reply with
   | Some r ->
@@ -519,7 +520,6 @@ let test_pp_action_golden () =
       Fault.M_cert_request;
       Fault.M_cert_reply;
       Fault.M_fetch_reply;
-      Fault.M_xcert_request;
       Fault.M_xvote;
       Fault.M_paxos_prepare;
       Fault.M_paxos_accept;

@@ -216,6 +216,30 @@ let test_one_partition_matches_legacy () =
     (fun n (a, b) -> check_int (Printf.sprintf "same final value %d" n) a b)
     (List.combine p_final s_final)
 
+(* With one partition the session opens its sub-transaction at begin_tx,
+   so the snapshot predates whatever commits while the client executes —
+   as it would for a client of the plain proxy. *)
+let test_one_partition_snapshot_at_begin () =
+  let c = make_cluster ~n_partitions:1 () in
+  let engine = Cluster.engine c in
+  let s = Replica.session (Cluster.replica c 0) in
+  let key = k "item" "1" in
+  let seen = ref None in
+  ignore
+    (Engine.spawn engine ~name:"reader" (fun () ->
+         let tx = Session.begin_tx s in
+         Engine.sleep engine (Time.sec 1);
+         seen := Some (Session.read s tx key);
+         Session.abort s tx));
+  let o = ref None in
+  submit_session_tx c 1 ~writes:[ (key, 5) ] o;
+  run_for c (Time.sec 2);
+  expect_commit "concurrent writer" !o;
+  check_int "the write reached replica0" 5 (committed_value c 0 key);
+  Alcotest.(check (option (option int)))
+    "read from the begin_tx snapshot" (Some (Some 0))
+    (Option.map (Option.map Mvcc.Value.as_int) !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-partition commit and abort *)
 
@@ -342,6 +366,136 @@ let test_cross_partition_vs_local_conflict () =
   end;
   check_all_invariants c
 
+(* A retried cross-partition request is answered from the outcome table
+   and counted nowhere: drop the first commit reply of a two-partition
+   transaction, so its proxy retries after the Decision, and each group
+   still counts the commit exactly once. *)
+let test_cross_retry_counted_once () =
+  let c = make_cluster () in
+  let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
+  let target =
+    match Replica.proxy_of (Cluster.replica c 0) ~part:0 with
+    | Some p -> Proxy.addr p
+    | None -> Alcotest.fail "replica0 hosts partition 0"
+  in
+  let dropped = ref false in
+  Net.Network.set_tap (Cluster.network c)
+    (Some
+       (fun ~src:_ ~dst msg ->
+         match msg with
+         | Types.Cert_reply { decision = Types.Commit; _ }
+           when (not !dropped) && String.equal dst target ->
+             dropped := true;
+             Net.Network.Drop
+         | _ -> Net.Network.Pass));
+  let o = ref None in
+  submit_session_tx c 0 ~writes:[ (ka, 7); (kb, 8) ] o;
+  run_for c (Time.sec 4);
+  expect_commit "cross tx" !o;
+  check_bool "first commit reply dropped" true !dropped;
+  let p0 = Option.get (Replica.proxy_of (Cluster.replica c 0) ~part:0) in
+  check_bool "the proxy retried" true (Cert_client.retries (Proxy.client p0) > 0);
+  List.iter
+    (fun (part, group) ->
+      check_int
+        (Printf.sprintf "p%d counts the commit once" part)
+        1
+        (List.fold_left (fun acc cert -> acc + (Certifier.stats cert).commits) 0 group))
+    (Cluster.certifier_groups c);
+  check_all_invariants c
+
+(* A fake proxy [addr] for partition [part]: a Cert_client at the group
+   with its reply pump. *)
+let fake_proxy c ~addr ~part =
+  let engine = Cluster.engine c and net = Cluster.network c in
+  let mb = Net.Network.register net addr in
+  let client =
+    Cert_client.create engine ~net ~my_addr:addr
+      ~certifiers:(List.map Certifier.id (Cluster.group c ~part))
+      ~req_id_base:0 ()
+  in
+  ignore
+    (Engine.spawn engine ~name:(addr ^ ".pump") (fun () ->
+         let rec pump () =
+           Cert_client.handle client (Mailbox.recv mb);
+           pump ()
+         in
+         pump ()));
+  client
+
+let certify_in c client ?gtx fragments =
+  let reply = ref None in
+  ignore
+    (Engine.spawn (Cluster.engine c) ~name:"certify" (fun () ->
+         reply :=
+           Some (Cert_client.certify client ?gtx ~replica_version:0 ~oldest_snapshot:0 fragments)));
+  run_for c (Time.sec 2);
+  match !reply with
+  | Some { Types.decision = Types.Commit; commit_version; _ } -> commit_version
+  | Some _ -> Alcotest.fail "expected a commit"
+  | None -> Alcotest.fail "certify never returned"
+
+(* One outcome table keyed by transaction id: a single-partition and a
+   cross-partition transaction from the same replica with equal sequence
+   numbers — whose log entries share (origin, req_id) — are both recorded
+   and neither shadows the other, and a crash that loses every member's
+   table rebuilds it by redelivery, so retries of both are answered with
+   their original versions. *)
+let test_outcome_table_ids_and_rebuild () =
+  let c = make_cluster () in
+  let p0 = fake_proxy c ~addr:"x#p0" ~part:0 and p1 = fake_proxy c ~addr:"x#p1" ~part:1 in
+  let frag ~part ~origin key =
+    {
+      Types.xf_part = part;
+      xf_origin = origin;
+      xf_start_version = 0;
+      xf_ws = Mvcc.Writeset.singleton key (upd part);
+    }
+  in
+  let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
+  let ka2 = List.nth (keys_in ~parts:2 0 2) 1 in
+  let single_frag = frag ~part:0 ~origin:"x#p0" ka in
+  let single = { Types.gtx_origin = "x#p0"; gtx_seq = 1 } in
+  let v_single = certify_in c p0 [ single_frag ] in
+  let cross = { Types.gtx_origin = "x"; gtx_seq = 1 } in
+  let fragments = [ frag ~part:0 ~origin:"x#p0" ka2; frag ~part:1 ~origin:"x#p1" kb ] in
+  ignore
+    (Engine.spawn (Cluster.engine c) ~name:"p1 fragment" (fun () ->
+         ignore
+           (Cert_client.certify p1 ~gtx:cross ~replica_version:0 ~oldest_snapshot:0 fragments)));
+  let v_cross = certify_in c p0 ~gtx:cross fragments in
+  check_bool "distinct versions" true (v_single <> v_cross);
+  let leader () =
+    match Cluster.group_leader c ~part:0 with
+    | Some l -> l
+    | None -> Alcotest.fail "no p0 leader"
+  in
+  let check_recorded what =
+    let lead = leader () in
+    Alcotest.(check (option (option int)))
+      (what ^ ": single recorded") (Some (Some v_single)) (Certifier.outcome lead single);
+    Alcotest.(check (option (option int)))
+      (what ^ ": cross recorded") (Some (Some v_cross)) (Certifier.outcome lead cross);
+    let log = Certifier.log lead in
+    let entry_id_at v = Types.entry_id (Cert_log.get log v) in
+    check_bool (what ^ ": single entry id") true (Types.gtx_equal single (entry_id_at v_single));
+    check_bool (what ^ ": cross entry id") true (Types.gtx_equal cross (entry_id_at v_cross))
+  in
+  check_recorded "before the crash";
+  (* Every member of group 0 loses its volatile table. *)
+  let group0 = Cluster.group c ~part:0 in
+  List.iter Certifier.crash group0;
+  run_for c (Time.of_ms 200.);
+  List.iter Certifier.recover group0;
+  run_for c (Time.sec 2);
+  check_recorded "after recovery";
+  let top = Certifier.system_version (leader ()) in
+  check_int "single retry answered with its version" v_single
+    (certify_in c p0 ~gtx:single [ single_frag ]);
+  check_int "cross retry answered with its version" v_cross (certify_in c p0 ~gtx:cross fragments);
+  check_int "retries appended nothing" top (Certifier.system_version (leader ()));
+  check_all_invariants c
+
 (* ------------------------------------------------------------------ *)
 (* Crash-tolerance of the cross-partition protocol *)
 
@@ -437,6 +591,8 @@ let suites =
       [
         Alcotest.test_case "1 partition matches legacy path" `Quick
           test_one_partition_matches_legacy;
+        Alcotest.test_case "1 partition snapshots at begin" `Quick
+          test_one_partition_snapshot_at_begin;
         Alcotest.test_case "cross-partition commit" `Quick test_cross_partition_commit;
         Alcotest.test_case "cross commit promotes its own fragment" `Quick
           test_cross_commit_promotes_own_fragment;
@@ -444,6 +600,9 @@ let suites =
           test_cross_partition_atomic_abort;
         Alcotest.test_case "cross vs local conflict" `Quick
           test_cross_partition_vs_local_conflict;
+        Alcotest.test_case "cross retry counted once" `Quick test_cross_retry_counted_once;
+        Alcotest.test_case "outcome table ids and rebuild" `Quick
+          test_outcome_table_ids_and_rebuild;
         Alcotest.test_case "atomicity under group crash" `Quick
           test_cross_atomicity_under_group_crash;
         Alcotest.test_case "Host_modulo partial replication" `Quick
