@@ -52,11 +52,6 @@ type stats = {
   xaborts : int;
 }
 
-(* Work queued for the certify fiber: a request from a proxy (a reply is
-   owed), or a prepare solicited internally for a cross-partition
-   transaction learned about through vote gossip (no reply owed). *)
-type task = Req of Types.cert_request | Prep of Types.gtx_id * Types.xfragment list
-
 module Outcomes = Hashtbl.Make (struct
   type t = Types.gtx_id
 
@@ -87,6 +82,11 @@ type xstate = {
   mutable xs_prepared_at : Time.t;  (* for the re-solicitation sweep *)
   mutable xs_decided_at : Time.t;  (* when the Decision was last proposed *)
 }
+
+(* Work queued for the certify fiber: a request from a proxy (a reply is
+   owed), or a prepare solicited internally for a cross-partition
+   transaction learned about through vote gossip (no reply owed). *)
+type task = Req of Types.cert_request | Prep of xstate
 
 type t = {
   engine : Engine.t;
@@ -546,7 +546,7 @@ let handle_xvote t (v : Types.xvote) =
       if is_leader t then begin
         if (not xs.xs_prepared) && not xs.xs_proposed then begin
           if xs.xs_fragments <> [] then
-            Mailbox.send t.cert_work (Prep (xs.xs_gtx, xs.xs_fragments))
+            Mailbox.send t.cert_work (Prep xs)
         end
         else if xs.xs_prepared && not v.xv_echo then
           broadcast_vote t xs ~echo:true ~to_parts:[ v.xv_part ];
@@ -731,12 +731,9 @@ let process_tasks t (tasks : task list) =
         | Req { fragments = [ _ ]; _ } -> ()
         | Req req ->
             if t.up then if not (is_leader t) then redirect t req else handle_xreq t req
-        | Prep (gtx, fragments) ->
-            if t.up && is_leader t then begin
-              let xs = xstate t gtx in
-              set_fragments xs fragments;
-              if not (Outcomes.mem t.outcomes gtx) then propose_prepare t xs
-            end)
+        | Prep xs ->
+            if t.up && is_leader t && not (Outcomes.mem t.outcomes xs.xs_gtx) then
+              propose_prepare t xs)
       tasks
   end
 
@@ -1013,7 +1010,7 @@ let spawn_xsweep t =
                         end
                       end
                       else if (not xs.xs_proposed) && xs.xs_fragments <> [] then
-                        Mailbox.send t.cert_work (Prep (xs.xs_gtx, xs.xs_fragments))
+                        Mailbox.send t.cert_work (Prep xs)
                   end)
                 t.xstates);
            loop ()
