@@ -22,12 +22,16 @@ let fold_delta earlier d =
    [keys] and [entries] of every certification sits on top of this module).
    The write side is a plain prepend log — [add] is O(1) even when it
    supersedes an earlier op on the same key, because duplicates are kept
-   and resolved at seal time. The read side is a lazily computed [sealed]
-   form: a first-write-ordered array of final entries plus a key-sorted
-   array of the same entries, so intersection is a linear merge walk and
-   key iteration is allocation-free. The seal is forced at most once per
-   writeset value: writesets are immutable once the transaction ships
-   them. *)
+   and resolved at seal time. The read side is a [sealed] form computed on
+   first use: a first-write-ordered array of final entries plus a
+   key-sorted array of the same entries, so intersection is a linear merge
+   walk and key iteration is allocation-free.
+
+   The sealed form is memoised in a mutable field rather than a lazy value,
+   so [add] allocates no closure. The memo is safe because a writeset is
+   immutable once built (every [add] returns a fresh record with the memo
+   unset, and the memo only caches a function of [rev_writes]) and the
+   engine is single-threaded, so no two readers race to fill it. *)
 type sealed = {
   ordered : entry array; (* first-write order, final op per key *)
   sorted : entry array; (* same entries, ascending by Key.compare *)
@@ -37,12 +41,16 @@ type t = {
   rev_writes : entry list; (* newest first; may contain superseded ops *)
   count : int; (* distinct keys *)
   keyset : Key.Set.t;
-  sealed : sealed Lazy.t;
+  mutable memo : sealed; (* [unsealed] until first read *)
 }
+
+(* Sentinel of an unfilled memo, told apart by physical equality. It is
+   also the sealed form of the empty writeset. *)
+let unsealed = { ordered = [||]; sorted = [||] }
 
 let seal rev_writes count =
   match rev_writes with
-  | [] -> { ordered = [||]; sorted = [||] }
+  | [] -> unsealed
   | e0 :: _ ->
       let ordered = Array.make count e0 in
       let slot = Key.Tbl.create (2 * count) in
@@ -68,13 +76,15 @@ let seal rev_writes count =
       Array.sort (fun a b -> Key.compare a.key b.key) sorted;
       { ordered; sorted }
 
-let empty =
-  {
-    rev_writes = [];
-    count = 0;
-    keyset = Key.Set.empty;
-    sealed = lazy { ordered = [||]; sorted = [||] };
-  }
+let sealed t =
+  if t.memo != unsealed || t.count = 0 then t.memo
+  else begin
+    let s = seal t.rev_writes t.count in
+    t.memo <- s;
+    s
+  end
+
+let empty = { rev_writes = []; count = 0; keyset = Key.Set.empty; memo = unsealed }
 
 let is_empty t = t.count = 0
 
@@ -84,27 +94,27 @@ let add t key op =
     if Key.Set.mem key t.keyset then (t.count, t.keyset)
     else (t.count + 1, Key.Set.add key t.keyset)
   in
-  { rev_writes; count; keyset; sealed = lazy (seal rev_writes count) }
+  { rev_writes; count; keyset; memo = unsealed }
 
 let singleton key op = add empty key op
 let of_list l = List.fold_left (fun t (key, op) -> add t key op) empty l
-let entries t = Array.to_list (Lazy.force t.sealed).ordered
+let entries t = Array.to_list (sealed t).ordered
 let cardinal t = t.count
 
 let keys t =
-  Array.fold_right (fun e acc -> e.key :: acc) (Lazy.force t.sealed).ordered []
+  Array.fold_right (fun e acc -> e.key :: acc) (sealed t).ordered []
 
-let iter_keys t f = Array.iter (fun e -> f e.key) (Lazy.force t.sealed).ordered
+let iter_keys t f = Array.iter (fun e -> f e.key) (sealed t).ordered
 
 let iter_entries t f =
-  Array.iter (fun e -> f e.key e.op) (Lazy.force t.sealed).ordered
+  Array.iter (fun e -> f e.key e.op) (sealed t).ordered
 
 let mem t key = Key.Set.mem key t.keyset
 
 let find_op t key =
   if not (Key.Set.mem key t.keyset) then None
   else begin
-    let sorted = (Lazy.force t.sealed).sorted in
+    let sorted = (sealed t).sorted in
     let rec search lo hi =
       if lo > hi then None
       else
@@ -118,13 +128,13 @@ let find_op t key =
   end
 
 let all_deltas t =
-  Array.for_all (fun e -> op_is_delta e.op) (Lazy.force t.sealed).ordered
+  Array.for_all (fun e -> op_is_delta e.op) (sealed t).ordered
 
 let intersects a b =
   if a.count = 0 || b.count = 0 then false
   else begin
-    let ka = (Lazy.force a.sealed).sorted in
-    let kb = (Lazy.force b.sealed).sorted in
+    let ka = (sealed a).sorted in
+    let kb = (sealed b).sorted in
     let la = Array.length ka and lb = Array.length kb in
     let rec walk i j =
       if i >= la || j >= lb then false
@@ -138,8 +148,8 @@ let intersects a b =
 let inter_keys a b =
   if a.count = 0 || b.count = 0 then []
   else begin
-    let ka = (Lazy.force a.sealed).sorted in
-    let kb = (Lazy.force b.sealed).sorted in
+    let ka = (sealed a).sorted in
+    let kb = (sealed b).sorted in
     let la = Array.length ka and lb = Array.length kb in
     let rec walk i j acc =
       if i >= la || j >= lb then List.rev acc
@@ -152,10 +162,18 @@ let inter_keys a b =
     walk 0 0 []
   end
 
+(* The same raw log as folding [add] over [later]'s final entries: they
+   go on top of [earlier]'s writes, oldest first, and the seal resolves
+   shared keys exactly as it would have for the fold. *)
 let union earlier later =
-  Array.fold_left
-    (fun acc e -> add acc e.key e.op)
-    earlier (Lazy.force later.sealed).ordered
+  if earlier.count = 0 then later
+  else if later.count = 0 then earlier
+  else
+    let rev_writes =
+      Array.fold_left (fun acc e -> e :: acc) earlier.rev_writes (sealed later).ordered
+    in
+    let keyset = Key.Set.union earlier.keyset later.keyset in
+    { rev_writes; count = Key.Set.cardinal keyset; keyset; memo = unsealed }
 
 let op_bytes = function
   | Insert v | Update v -> 1 + Value.encoded_bytes v
@@ -166,7 +184,7 @@ let encoded_bytes t =
   Array.fold_left
     (fun acc e -> acc + Key.encoded_bytes e.key + op_bytes e.op)
     8 (* header: version + count *)
-    (Lazy.force t.sealed).ordered
+    (sealed t).ordered
 
 let pp_op fmt = function
   | Insert v -> Format.fprintf fmt "ins %a" Value.pp v

@@ -20,7 +20,8 @@ type 'a t = {
   rng : Rng.t;
   config : config;
   endpoints : (string, 'a Mailbox.t) Hashtbl.t;
-  last_delivery : (string * string, Time.t) Hashtbl.t;
+  last_delivery : (string * string, Time.t ref) Hashtbl.t;
+      (* FIFO floor per directed link, updated in place *)
   partitions : (string * string, unit) Hashtbl.t;
   link_extra : (string * string, Time.t) Hashtbl.t;
   mutable drop_rate : float;
@@ -98,16 +99,19 @@ let send t ~src ~dst ?(size = 256) msg =
     match t.tap with None -> Pass | Some f -> f ~src ~dst msg
   in
   if tap_verdict = Drop then drop ()
-  else if Hashtbl.mem t.partitions (link_key src dst) then drop ()
+  else if Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (link_key src dst)
+  then drop ()
   else if t.drop_rate > 0. && Rng.chance t.rng t.drop_rate then drop ()
   else begin
     let latency =
       Rng.time_uniform t.rng ~lo:t.config.latency_lo ~hi:t.config.latency_hi
     in
     let latency =
-      match Hashtbl.find_opt t.link_extra (link_key src dst) with
-      | Some extra -> Time.add latency extra
-      | None -> latency
+      if Hashtbl.length t.link_extra = 0 then latency
+      else
+        match Hashtbl.find_opt t.link_extra (link_key src dst) with
+        | Some extra -> Time.add latency extra
+        | None -> latency
     in
     let latency =
       match tap_verdict with Delay extra -> Time.add latency extra | _ -> latency
@@ -115,13 +119,17 @@ let send t ~src ~dst ?(size = 256) msg =
     let arrival =
       Time.add (Engine.now t.engine) (Time.add latency (transfer_time t size))
     in
-    (* FIFO per directed link: never deliver before an earlier message. *)
+    (* FIFO per directed link: never deliver before an earlier message.
+       The link's floor is found once and moved in place. *)
     let arrival =
       match Hashtbl.find_opt t.last_delivery (src, dst) with
-      | Some prev when Time.( < ) arrival prev -> prev
-      | _ -> arrival
+      | Some floor ->
+          if Time.( < ) !floor arrival then floor := arrival;
+          !floor
+      | None ->
+          Hashtbl.add t.last_delivery (src, dst) (ref arrival);
+          arrival
     in
-    Hashtbl.replace t.last_delivery (src, dst) arrival;
     Engine.schedule t.engine ~at:arrival (fun () ->
         match Hashtbl.find_opt t.endpoints dst with
         | Some mb ->

@@ -101,7 +101,8 @@ let majority t = (t.cluster_size / 2) + 1
 let id t = t.node_id
 let is_up t = t.up
 let commit_index t = t.commit
-let applied_index t = t.applied
+let pending_ack_slots t =
+  match t.role with Leader l -> Hashtbl.length l.acks | Follower | Candidate _ -> 0
 let current_ballot t = t.promised
 let wal t = t.node_wal
 
@@ -183,9 +184,13 @@ let advance_commit t =
       end
   | Follower | Candidate _ -> ()
 
+(* An ack for a slot already committed (a late or retransmitted
+   Accept_ok) is ignored: recording it would re-create a per-slot table
+   that [advance_commit], which only removes the slot it commits, never
+   drops again. *)
 let leader_ack t ballot slot ~from =
   match t.role with
-  | Leader l when Ballot.equal l.ballot ballot ->
+  | Leader l when Ballot.equal l.ballot ballot && slot > t.commit ->
       let acks =
         match Hashtbl.find_opt l.acks slot with
         | Some acks -> acks

@@ -38,13 +38,10 @@ type config = {
   bandwidth_bytes_per_sec : float;
 }
 
-val default_hdd : config
-(** The paper's 120 GB 7200 rpm drive: fsync 6–12 ms, page IO 4–9 ms,
-    ~55 MB/s sequential. *)
-
-val ram_config : config
-
 val create : Sim.Engine.t -> rng:Sim.Rng.t -> ?config:config -> ?name:string -> unit -> t
+(** The default [config] is the paper's 120 GB 7200 rpm drive: fsync
+    6–12 ms, page IO 4–9 ms, ~55 MB/s sequential. *)
+
 val create_ram : Sim.Engine.t -> rng:Sim.Rng.t -> ?name:string -> unit -> t
 
 val name : t -> string

@@ -2,13 +2,14 @@ open Sim
 
 (* Each log slot models one physical record: the typed payload plus the
    on-disk framing that recovery validates — a length ([bytes] expected,
-   [written] actually on disk) and a checksum over the payload. A slot is
-   readable iff it is fully written and its checksum verifies. *)
-type 'r slot = { payload : 'r; bytes : int; written : int; crc : int }
+   [written] actually on disk) and whether its checksum still verifies.
+   Payloads are immutable, so a checksum over one could only fail after
+   media corruption: [corrupt] records that fact directly instead of
+   hashing every payload on append and again on recovery. A slot is
+   readable iff it is fully written and not corrupt. *)
+type 'r slot = { payload : 'r; bytes : int; written : int; corrupt : bool }
 
-let checksum payload = Hashtbl.hash payload
-
-let intact s = s.written = s.bytes && s.crc = checksum s.payload
+let intact s = s.written = s.bytes && not s.corrupt
 
 type scan = { verified : int; torn : int; corrupt : int }
 
@@ -68,7 +69,7 @@ let append t ~bytes r =
     Array.blit t.records 0 bigger 0 t.size;
     t.records <- bigger
   end;
-  t.records.(t.size) <- { payload = r; bytes; written = bytes; crc = checksum r };
+  t.records.(t.size) <- { payload = r; bytes; written = bytes; corrupt = false };
   t.size <- t.size + 1;
   t.unsynced_bytes <- t.unsynced_bytes + bytes;
   t.size
@@ -179,9 +180,10 @@ let corrupt_tail t =
   if t.durable = 0 then false
   else begin
     (* Media corruption of the newest durable record: the payload bits no
-       longer match the stored checksum. Modelled by perturbing the crc. *)
+       longer match the stored checksum. Corrupting it again keeps it
+       corrupt. *)
     let s = t.records.(t.durable - 1) in
-    t.records.(t.durable - 1) <- { s with crc = s.crc lxor 0x5A5A5A };
+    t.records.(t.durable - 1) <- { s with corrupt = true };
     true
   end
 

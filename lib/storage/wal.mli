@@ -95,7 +95,8 @@ val crash : ?torn:bool -> ?torn_bytes:int -> 'r t -> int
 
 val corrupt_tail : 'r t -> bool
 (** Corrupt the newest durable record so its checksum no longer verifies.
-    Returns [false] when the log has no durable record to corrupt. *)
+    Corrupting it again leaves it corrupt. Returns [false] when the log has
+    no durable record to corrupt. *)
 
 val recover : 'r t -> 'r list * scan
 (** Checksum scan: verify records front to back, truncate the log at the

@@ -144,9 +144,9 @@ let test_writeset_delta_encoded_bytes () =
        (Writeset.of_list
           [ (k "accounts" "42", upd 1); (k "accounts" "42", Writeset.Add 6) ]))
 
-let writeset_gen =
+let writeset_gen_over ~keys =
   let open QCheck in
-  let key_gen = Gen.map (fun i -> k "t" (string_of_int i)) (Gen.int_bound 20) in
+  let key_gen = Gen.map (fun i -> k "t" (string_of_int i)) (Gen.int_bound keys) in
   let op_gen =
     Gen.oneof
       [
@@ -159,6 +159,8 @@ let writeset_gen =
   make
     ~print:(fun ws -> Format.asprintf "%a" Writeset.pp ws)
     Gen.(map Writeset.of_list (small_list (pair key_gen op_gen)))
+
+let writeset_gen = writeset_gen_over ~keys:20
 
 let prop_intersects_symmetric =
   QCheck.Test.make ~name:"writeset intersection is symmetric" ~count:200
@@ -177,18 +179,79 @@ let prop_union_keys =
       List.for_all (Writeset.mem u) (Writeset.keys a)
       && List.for_all (Writeset.mem u) (Writeset.keys b))
 
-(* [Key.hash] hashes the record, which has the block shape of the
-   [(table, row)] pair it used to hash: the value must stay the pair's, as
-   it fixes every [Key.Tbl]'s bucket and iteration order and so the
-   fixed-seed results that iterate one. Workload-shaped keys plus arbitrary
-   strings. *)
+let key_strings_gen =
+  QCheck.(
+    pair
+      (oneof [ oneofl [ "accounts"; "item"; "orders"; "hot"; "t" ]; string ])
+      (oneof [ map string_of_int (int_range 0 1_000_000); string ]))
+
+(* [Key.make] caches the [(table, row)] pair's hash, the value [Key.hash]
+   had when it hashed the two-field record: it must stay the pair's, as it
+   fixes every [Key.Tbl]'s bucket and iteration order and so the
+   fixed-seed results that iterate one. Workload-shaped keys plus
+   arbitrary strings. *)
 let prop_key_hash_is_pair_hash =
   QCheck.Test.make ~name:"Key.hash equals the (table, row) pair hash" ~count:1000
-    QCheck.(
-      pair
-        (oneof [ oneofl [ "accounts"; "item"; "orders"; "hot"; "t" ]; string ])
-        (oneof [ map string_of_int (int_range 0 1_000_000); string ]))
-    (fun (table, row) -> Key.hash (k table row) = Hashtbl.hash (table, row))
+    key_strings_gen (fun (table, row) -> Key.hash (k table row) = Hashtbl.hash (table, row))
+
+(* Keys built separately (from physically distinct copies of the strings)
+   agree on every comparison the tables and sets use. *)
+let prop_key_separately_made_equal =
+  QCheck.Test.make ~name:"separately made keys are equal" ~count:1000 key_strings_gen
+    (fun (table, row) ->
+      let copy str = Bytes.to_string (Bytes.of_string str) in
+      let a = k table row and b = k (copy table) (copy row) in
+      Key.equal a b && Key.compare a b = 0 && Key.hash a = Key.hash b)
+
+(* Two tables holding the same keys iterate in the same order: the
+   [Key.Tbl] with the cached hash and a polymorphic [Hashtbl] keyed by the
+   [(table, row)] pair. *)
+let prop_key_tbl_order_is_pair_order =
+  QCheck.Test.make ~name:"Key.Tbl iterates in (table, row) Hashtbl order" ~count:200
+    QCheck.(small_list key_strings_gen)
+    (fun pairs ->
+      let tbl = Key.Tbl.create 16 and poly = Hashtbl.create 16 in
+      List.iteri
+        (fun i (table, row) ->
+          Key.Tbl.replace tbl (k table row) i;
+          Hashtbl.replace poly (table, row) i)
+        pairs;
+      let via_key =
+        Key.Tbl.fold (fun key i acc -> (key.Key.table, key.Key.row, i) :: acc) tbl []
+      in
+      let via_pair = Hashtbl.fold (fun (table, row) i acc -> (table, row, i) :: acc) poly [] in
+      via_key = via_pair)
+
+(* [union a b] against the fold of [add] over [b]'s entries that it
+   replaced. Few keys, so shared keys (and deltas over final images) are
+   common; the third writeset checks a chain, as a batched remote apply
+   folds one. *)
+let union_by_add a b =
+  List.fold_left
+    (fun acc (e : Writeset.entry) -> Writeset.add acc e.key e.op)
+    a (Writeset.entries b)
+
+let prop_union_matches_add_fold =
+  let ws_gen = writeset_gen_over ~keys:8 in
+  QCheck.Test.make ~name:"union equals the fold of add" ~count:500
+    (QCheck.triple ws_gen ws_gen ws_gen) (fun (a, b, c) ->
+      let same u v =
+        Writeset.cardinal u = Writeset.cardinal v
+        && List.equal
+             (fun (x : Writeset.entry) (y : Writeset.entry) ->
+               Key.equal x.key y.key && x.op = y.op)
+             (Writeset.entries u) (Writeset.entries v)
+        && List.for_all
+             (fun i ->
+               let key = k "t" (string_of_int i) in
+               Writeset.find_op u key = Writeset.find_op v key
+               && Writeset.mem u key = Writeset.mem v key)
+             (List.init 10 Fun.id)
+      in
+      same (Writeset.union a b) (union_by_add a b)
+      && same
+           (Writeset.union (Writeset.union a b) c)
+           (union_by_add (union_by_add a b) c))
 
 (* ------------------------------------------------------------------ *)
 (* Store *)
@@ -1735,9 +1798,21 @@ let suites =
         Alcotest.test_case "delta union" `Quick test_writeset_delta_union;
         Alcotest.test_case "delta encoded bytes" `Quick test_writeset_delta_encoded_bytes;
       ]
-      @ qsuite [ prop_intersects_symmetric; prop_intersects_iff_inter_keys; prop_union_keys ]
+      @ qsuite
+          [
+            prop_intersects_symmetric;
+            prop_intersects_iff_inter_keys;
+            prop_union_keys;
+            prop_union_matches_add_fold;
+          ]
     );
-    ("mvcc.key", qsuite [ prop_key_hash_is_pair_hash ]);
+    ( "mvcc.key",
+      qsuite
+        [
+          prop_key_hash_is_pair_hash;
+          prop_key_separately_made_equal;
+          prop_key_tbl_order_is_pair_order;
+        ] );
     ( "mvcc.store",
       [
         Alcotest.test_case "snapshot reads" `Quick test_store_snapshot_reads;

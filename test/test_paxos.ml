@@ -252,6 +252,26 @@ let test_duplicate_accept_ok_not_double_counted () =
   Alcotest.(check int) "a distinct third ack commits" slot
     (Paxos.Node.commit_index leader)
 
+(* With three nodes the self-ack and the first follower's ack commit a
+   slot; the second follower's Accept_ok always arrives late. It must not
+   leave an ack table behind for the committed slot. *)
+let test_late_acks_leave_no_tables () =
+  let c = make_cluster () in
+  run_for c (Time.sec 2);
+  let start = Paxos.Node.commit_index (snd (the_leader c)) in
+  for i = 1 to 200 do
+    propose_ok c (string_of_int i);
+    run_for c (Time.of_ms 2.)
+  done;
+  run_for c (Time.sec 1);
+  let _, leader = the_leader c in
+  Alcotest.(check int) "all 200 committed" (start + 200) (Paxos.Node.commit_index leader);
+  List.iter
+    (fun (id, node) ->
+      Alcotest.(check int) (id ^ " holds no ack tables once idle") 0
+        (Paxos.Node.pending_ack_slots node))
+    c.nodes
+
 let test_abdicate_moves_leadership () =
   let c = make_cluster () in
   run_for c (Time.sec 2);
@@ -407,6 +427,8 @@ let suites =
           test_propose_batch_one_broadcast;
         Alcotest.test_case "duplicate Accept_ok cannot reach majority" `Quick
           test_duplicate_accept_ok_not_double_counted;
+        Alcotest.test_case "late Accept_ok leaves no ack table" `Quick
+          test_late_acks_leave_no_tables;
         Alcotest.test_case "abdicate moves leadership" `Quick
           test_abdicate_moves_leadership;
         Alcotest.test_case "torn Accepted never replayed" `Quick

@@ -299,6 +299,23 @@ let test_wal_corrupt_tail () =
   Alcotest.(check bool) "empty log has nothing to corrupt" false
     (Storage.Wal.corrupt_tail (fst (make_wal (Engine.create ()))))
 
+(* Two rounds of corruption of the same record must not cancel out. *)
+let test_wal_corrupt_tail_twice () =
+  let e = Engine.create () in
+  let wal, _ = make_wal e in
+  let _ =
+    Engine.spawn e (fun () ->
+        ignore (Storage.Wal.append_and_sync wal ~bytes:10 "a");
+        ignore (Storage.Wal.append_and_sync wal ~bytes:10 "b"))
+  in
+  Engine.run e;
+  Alcotest.(check bool) "first corruption" true (Storage.Wal.corrupt_tail wal);
+  Alcotest.(check bool) "second corruption" true (Storage.Wal.corrupt_tail wal);
+  let records, scan = Storage.Wal.recover wal in
+  Alcotest.(check (list string)) "record still discarded" [ "a" ] records;
+  Alcotest.(check int) "one corrupt discarded" 1 scan.Storage.Wal.corrupt;
+  Alcotest.(check int) "none torn" 0 scan.Storage.Wal.torn
+
 let test_wal_crash_races_inflight_fsync () =
   (* A crash while an fsync is in flight invalidates that flush: when the
      writer fiber completes it must NOT mark its captured target durable —
@@ -413,6 +430,8 @@ let suites =
         Alcotest.test_case "torn crash truncates" `Quick test_wal_torn_crash_truncates;
         Alcotest.test_case "torn position sweep" `Quick test_wal_torn_position_sweep;
         Alcotest.test_case "corrupt tail" `Quick test_wal_corrupt_tail;
+        Alcotest.test_case "corrupt tail twice stays corrupt" `Quick
+          test_wal_corrupt_tail_twice;
         Alcotest.test_case "crash races in-flight fsync" `Quick
           test_wal_crash_races_inflight_fsync;
         QCheck_alcotest.to_alcotest prop_wal_durable_prefix;
