@@ -19,13 +19,13 @@ let profile = ref false
 let all_sections =
   [
     "fig4"; "fig6"; "fig8"; "fig10"; "fig12"; "fig14"; "standalone"; "recovery";
-    "ablation"; "micro"; "chaos"; "storage_chaos"; "latency"; "parallel_apply";
+    "ablation"; "chaos"; "storage_chaos"; "latency"; "parallel_apply";
     "hotkey"; "soak"; "partition"; "monitor";
   ]
 
 (* Machine-readable metrics for regression tracking, written to
-   BENCH_micro.json after all requested sections ran: micro-benchmark
-   ns/op plus the chaos fault/recovery counters. *)
+   BENCH_micro.json after all requested sections ran: the sections'
+   headline figures and the chaos fault/recovery counters. *)
 let json_metrics : (string * float) list ref = ref []
 let record_metric name v = json_metrics := (name, v) :: !json_metrics
 
@@ -407,87 +407,6 @@ let ablation () =
           Report.f1 r.cert_ws_per_fsync ])
     [ 1; 3; 5 ];
   Report.print t
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the hot certification paths. *)
-
-let micro () =
-  Report.section "Microbenchmarks (Bechamel): certification hot paths";
-  let open Bechamel in
-  let key i = Mvcc.Key.make ~table:"t" ~row:(string_of_int i) in
-  let ws_of n base =
-    Mvcc.Writeset.of_list
-      (List.init n (fun i -> (key (base + i), Mvcc.Writeset.Update (Mvcc.Value.int i))))
-  in
-  let ws_a = ws_of 4 0 and ws_b = ws_of 4 2 and ws_c = ws_of 4 100 in
-  let loaded_log =
-    let log = Tashkent.Cert_log.create () in
-    for v = 1 to 10_000 do
-      Tashkent.Cert_log.append log
-        { Tashkent.Types.version = v; origin = "r"; req_id = v;
-          ws = ws_of 4 (v mod 997); gc_floor = 0; xa = None }
-    done;
-    log
-  in
-  let store =
-    let s = Mvcc.Store.create () in
-    for v = 1 to 10_000 do
-      Mvcc.Store.install s ~version:v (ws_of 2 (v mod 997))
-    done;
-    s
-  in
-  let loaded_overlay =
-    let o = Tashkent.Overlay.create () in
-    for v = 1 to 1_000 do
-      Tashkent.Overlay.add o
-        { Tashkent.Types.version = v; origin = "r"; req_id = v;
-          ws = ws_of 4 (v mod 997); gc_floor = 0; xa = None }
-    done;
-    o
-  in
-  let tests =
-    [
-      Test.make ~name:"writeset-intersect-hit"
-        (Staged.stage (fun () -> Sys.opaque_identity (Mvcc.Writeset.intersects ws_a ws_b)));
-      Test.make ~name:"writeset-intersect-miss"
-        (Staged.stage (fun () -> Sys.opaque_identity (Mvcc.Writeset.intersects ws_a ws_c)));
-      Test.make ~name:"writeset-add-supersede"
-        (Staged.stage (fun () ->
-             Sys.opaque_identity
-               (Mvcc.Writeset.add ws_a (key 1) (Mvcc.Writeset.Update (Mvcc.Value.int 9)))));
-      Test.make ~name:"certify-vs-10k-log"
-        (Staged.stage (fun () ->
-             Sys.opaque_identity (Tashkent.Cert_log.certify loaded_log ws_a ~start_version:9_000)));
-      Test.make ~name:"overlay-conflict-1k"
-        (Staged.stage (fun () ->
-             Sys.opaque_identity
-               (Tashkent.Overlay.conflict loaded_overlay ws_a ~start_version:900)));
-      Test.make ~name:"store-snapshot-read"
-        (Staged.stage (fun () -> Sys.opaque_identity (Mvcc.Store.read store ~at:5_000 (key 10))));
-      Test.make ~name:"writeset-union-4+4"
-        (Staged.stage (fun () -> Sys.opaque_identity (Mvcc.Writeset.union ws_a ws_b)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let measured = ref [] in
-  List.iter
-    (fun test ->
-      let raws = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let result = Analyze.one ols instance raw in
-          let ns =
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> est
-            | Some _ | None -> nan
-          in
-          measured := (name, ns) :: !measured;
-          Report.kv name (Printf.sprintf "%.1f ns/op" ns))
-        raws)
-    tests;
-  List.iter (fun (name, ns) -> record_metric name ns) (List.rev !measured)
 
 (* ------------------------------------------------------------------ *)
 (* Latency breakdown: per-stage lifecycle percentiles from the tracer. *)
@@ -1003,7 +922,6 @@ let () =
   section "standalone" standalone;
   section "recovery" recovery;
   section "ablation" ablation;
-  section "micro" micro;
   section "chaos" chaos;
   section "storage_chaos" storage_chaos;
   section "latency" latency;

@@ -158,7 +158,6 @@ let base_rows t =
     (fun key () acc -> (key, Store.read_latest t.base key) :: acc)
     t.base_keys []
 
-let base_version t = Store.current_version t.base
 let base_records t = Store.version_records t.base
 
 let truncated_for_origin t origin =

@@ -68,10 +68,6 @@ val base_rows : t -> (Mvcc.Key.t * Mvcc.Value.t option) list
     touched below the floor are absent: they still hold their initial
     value at the floor. This is the payload of a full snapshot transfer. *)
 
-val base_version : t -> int
-(** Version the base state is materialised at ([= floor] after a
-    truncation; 0 when nothing was ever truncated). *)
-
 val base_records : t -> int
 (** Version-chain records held by the base state. Every base row is flat
     at the floor, so this is one per row the truncated history left. *)

@@ -4,20 +4,18 @@ type config = {
   durable : bool;
   forced_abort_rate : float;
   certify_cpu : Time.t;
-  paxos : Paxos.Node.config;
-  fsync_deadline : Time.t option;
   watermark_ttl : Time.t;
 }
+
+(* A healthy log fsync is 6–12 ms; a flush still in flight after this
+   long means the disk has stalled and the leader should hand off. *)
+let fsync_deadline = Time.of_ms 250.
 
 let default_config =
   {
     durable = true;
     forced_abort_rate = 0.;
     certify_cpu = Time.us 40;
-    paxos = Paxos.Node.default_config;
-    (* A healthy log fsync is 6–12 ms; a flush still in flight after this
-       long means the disk has stalled and the leader should hand off. *)
-    fsync_deadline = Some (Time.of_ms 250.);
     (* A replica's snapshot report older than this no longer pins the GC
        floor: a partitioned or dead replica must not stop the cluster from
        truncating, it heals later via a full snapshot transfer. *)
@@ -169,8 +167,8 @@ type t = {
   c_xcommits : Stats.Counter.t;
   c_xaborts : Stats.Counter.t;
   cert_batch_sizes : Stats.Summary.t;
-  (* The log and its back-certification scan counter survive reset_stats
-     (they are state, not statistics), so windowed stats subtract a
+  (* The log and its back-certification scan counter survive a registry
+     reset (they are state, not statistics), so windowed stats subtract a
      baseline captured at the last reset. *)
   mutable base_log_bytes : int;
   mutable base_back_certs : int;
@@ -1024,24 +1022,21 @@ let spawn_xsweep t =
    election backoff, so a healthy-disk acceptor wins) rather than making the
    group wait out the stall; proxies retry at the new leader. *)
 let spawn_disk_watch t =
-  match t.cfg.fsync_deadline with
-  | None -> ()
-  | Some deadline ->
-      let backoff = Time.scale t.cfg.paxos.Paxos.Node.election_timeout_hi 8. in
-      ignore
-        (Engine.spawn t.engine ~name:(t.node_id ^ ".diskwatch") (fun () ->
-             let rec loop () =
-               Engine.sleep t.engine (Time.div deadline 4);
-               (if t.up && is_leader t then
-                  match Storage.Wal.flushing_since (Paxos.Node.wal t.paxos_node) with
-                  | Some started
-                    when Time.(Time.diff (Engine.now t.engine) started > deadline) ->
-                      Stats.Counter.incr t.c_disk_failovers;
-                      Paxos.Node.abdicate t.paxos_node ~backoff
-                  | Some _ | None -> ());
-               loop ()
-             in
-             loop ()))
+  let backoff = Time.scale Paxos.Node.election_timeout_hi 8. in
+  ignore
+    (Engine.spawn t.engine ~name:(t.node_id ^ ".diskwatch") (fun () ->
+         let rec loop () =
+           Engine.sleep t.engine (Time.div fsync_deadline 4);
+           (if t.up && is_leader t then
+              match Storage.Wal.flushing_since (Paxos.Node.wal t.paxos_node) with
+              | Some started
+                when Time.(Time.diff (Engine.now t.engine) started > fsync_deadline) ->
+                  Stats.Counter.incr t.c_disk_failovers;
+                  Paxos.Node.abdicate t.paxos_node ~backoff
+              | Some _ | None -> ());
+           loop ()
+         in
+         loop ()))
 
 (* Restart the measurement windows of the state that survives a reset:
    re-baseline the cumulative log stats (windowed by baseline instead of
@@ -1082,7 +1077,7 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
               Net.Network.send net ~src:node_id ~dst
                 ~size:(Types.message_bytes wrapped) wrapped)
             ~on_deliver:(fun slot record -> on_deliver (Lazy.force t) slot record)
-            ~config:config.paxos ();
+            ();
         clog = Cert_log.create ~initial ();
         initial;
         overlay = Overlay.create ();
@@ -1283,14 +1278,3 @@ let stats t =
     xcommits = Stats.Counter.value t.c_xcommits;
     xaborts = Stats.Counter.value t.c_xaborts;
   }
-
-let reset_stats t =
-  Stats.Counter.reset t.c_requests;
-  Stats.Counter.reset t.c_commits;
-  Stats.Counter.reset t.c_aborts_ww;
-  Stats.Counter.reset t.c_aborts_forced;
-  Stats.Counter.reset t.c_fetches;
-  Stats.Counter.reset t.c_artificial;
-  Stats.Counter.reset t.c_cert_batches;
-  Stats.Summary.reset t.cert_batch_sizes;
-  rebaseline t

@@ -53,12 +53,6 @@ type config = {
   durable : bool;
   forced_abort_rate : float;
   certify_cpu : Sim.Time.t;  (** CPU per certification request *)
-  paxos : Paxos.Node.config;
-  fsync_deadline : Sim.Time.t option;
-      (** degraded-disk failover: while leading, a WAL flush still in
-          flight past this deadline makes the leader abdicate so a
-          healthy-disk acceptor can lead. [None] disables the watchdog.
-          Default 250 ms — far above a healthy 6–12 ms fsync. *)
   watermark_ttl : Sim.Time.t;
       (** GC-watermark report aging: a replica's oldest-snapshot report
           older than this no longer pins the group floor, so one
@@ -97,8 +91,9 @@ val create :
     Observability: counters register under [certifier.<id>.*] in
     [env.metrics], with gauges over the WAL, Paxos batch
     stats, the log and CPU/disk utilization; an [on_reset] hook re-baselines
-    the cumulative log stats and restarts the WAL/Paxos windows, mirroring
-    {!reset_stats}. With a live [trace], the leader records [cert.batch]
+    the cumulative log stats and restarts the WAL/Paxos windows, so one
+    [Obs.Registry.reset] restarts this node's whole measurement window.
+    With a live [trace], the leader records [cert.batch]
     (one certification round, including the group-commit gate wait),
     [cert.durability] (per accepted entry, propose → majority delivery,
     carrying the requester's trace id) and [wal.fsync] spans. *)
@@ -143,7 +138,8 @@ val disk : t -> Storage.Disk.t
 
 val disk_failovers : t -> int
 (** Times the disk watchdog made this node abdicate leadership because a
-    WAL flush exceeded [fsync_deadline]. Cumulative. *)
+    WAL flush was still in flight after 250 ms (a healthy fsync takes
+    6–12 ms). Cumulative. *)
 
 (** {1 Statistics (meaningful on the leader)} *)
 
@@ -185,8 +181,3 @@ val stats : t -> stats
     windowed against the baseline captured at the last reset (the log itself
     is state and survives resets). *)
 
-val reset_stats : t -> unit
-(** Restart this certifier's measurement window: zero the counters,
-    re-baseline the cumulative log stats, reset the WAL and Paxos batch
-    windows. Equivalent to what an [Obs.Registry.reset] on the shared
-    registry does for this node. *)

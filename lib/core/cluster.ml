@@ -94,9 +94,6 @@ let validate cfg =
   | Some age -> non_negative "replica.max_snapshot_age" age
   | None -> ());
   non_negative "certifier.certify_cpu" cfg.certifier.Certifier.certify_cpu;
-  (match cfg.certifier.Certifier.fsync_deadline with
-  | Some deadline -> non_negative "certifier.fsync_deadline" deadline
-  | None -> ());
   non_negative "certifier.watermark_ttl" cfg.certifier.Certifier.watermark_ttl;
   match List.rev !problems with
   | [] -> ()

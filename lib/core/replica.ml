@@ -13,7 +13,6 @@ type config = {
   eager_precert : bool;
   exec_cpu : Time.t;
   apply_cpu_per_ws : Time.t;
-  commit_record_bytes : int;
   page_read_miss : float;
   page_writeback_per_op : float;
   bg_page_writes_per_sec : float;
@@ -21,11 +20,14 @@ type config = {
   group_remote_batches : bool;
   apply_workers : int;
   db_size_bytes : int;
-  dump_bandwidth : float;
-  restore_bandwidth : float;
   gc_interval : Time.t option;
   max_snapshot_age : Time.t option;
 }
+
+(* Dump and restore throughput, bytes/s (paper §9.6: ~3 MB/s dumping,
+   ~5 MB/s restoring). *)
+let dump_bandwidth = 3_000_000.
+let restore_bandwidth = 5_000_000.
 
 let default_config mode =
   {
@@ -35,7 +37,6 @@ let default_config mode =
     eager_precert = true;
     exec_cpu = Time.of_ms 1.5;
     apply_cpu_per_ws = Time.us 65;
-    commit_record_bytes = 8192;
     page_read_miss = 0.;
     page_writeback_per_op = 0.;
     bg_page_writes_per_sec = 0.;
@@ -43,8 +44,6 @@ let default_config mode =
     group_remote_batches = true;
     apply_workers = 1;
     db_size_bytes = 50_000_000;
-    dump_bandwidth = 3_000_000.;
-    restore_bandwidth = 5_000_000.;
     gc_interval = Some (Time.sec 30);
     max_snapshot_age = None;
   }
@@ -153,7 +152,7 @@ let spawn_dumper t interval =
              t.dump_in_progress <- true;
              let chunk = 1_000_000 in
              let chunks = max 1 (t.cfg.db_size_bytes / chunk) in
-             let per_chunk = Time.of_sec (float_of_int chunk /. t.cfg.dump_bandwidth) in
+             let per_chunk = Time.of_sec (float_of_int chunk /. dump_bandwidth) in
              for _ = 1 to chunks do
                if t.up then begin
                  let started = Engine.now t.engine in
@@ -212,12 +211,9 @@ let create (env : Env.t) ~name:label ~n_partitions ~groups ~config:cfg () =
   let db_config =
     {
       Mvcc.Db.durability = durability_of cfg;
-      commit_record_bytes = cfg.commit_record_bytes;
-      page_bytes = 8192;
       page_read_miss = cfg.page_read_miss;
       page_writeback_per_op = cfg.page_writeback_per_op;
       background_page_writes_per_sec = cfg.bg_page_writes_per_sec;
-      commit_cpu = Time.zero;
       remote_priority = cfg.eager_precert;
       gc_interval = cfg.gc_interval;
       max_snapshot_age = cfg.max_snapshot_age;
@@ -238,7 +234,7 @@ let create (env : Env.t) ~name:label ~n_partitions ~groups ~config:cfg () =
         let plabel = part_label ~label ~n_partitions part_id in
         let database =
           Mvcc.Db.create engine ~rng:(Rng.split rng) ~log_disk:log_device
-            ~data_disk:data_device ~cpu:cpu_resource ~config:db_config
+            ~data_disk:data_device ~config:db_config
             ~name:(plabel ^ ".db") ()
         in
         let part_proxy =
@@ -367,7 +363,7 @@ let recover t =
           (fun acc p ->
             match Storage.Dump_store.latest p.dumps with
             | Some (version, bytes, copy) ->
-                stream_through_disk t ~bytes ~bandwidth:t.cfg.restore_bandwidth;
+                stream_through_disk t ~bytes ~bandwidth:restore_bandwidth;
                 Mvcc.Db.restore_from_dump p.database ~version copy;
                 if p.part_id = (first_part t).part_id then version else acc
             | None ->

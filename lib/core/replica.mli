@@ -34,7 +34,6 @@ type config = {
   exec_cpu : Sim.Time.t;  (** CPU to execute one transaction (charged by
                               {!use_cpu} from the workload driver) *)
   apply_cpu_per_ws : Sim.Time.t;
-  commit_record_bytes : int;
   page_read_miss : float;
   page_writeback_per_op : float;
   bg_page_writes_per_sec : float;
@@ -43,9 +42,9 @@ type config = {
   apply_workers : int;
       (** parallel applier fibers for certified commits (default 1; see
           {!Proxy.config.apply_workers}) *)
-  db_size_bytes : int;  (** logical database size, for dump/restore time *)
-  dump_bandwidth : float;  (** bytes/s while dumping (paper: ~3 MB/s) *)
-  restore_bandwidth : float;  (** bytes/s while restoring (paper: ~5 MB/s) *)
+  db_size_bytes : int;
+      (** logical database size, for dump/restore time (dumps stream at
+          3 MB/s and restores at 5 MB/s, the paper's §9.6 rates) *)
   gc_interval : Sim.Time.t option;
       (** database vacuum period (default 30 s): prune row versions below
           both the local oldest active snapshot and the cluster GC floor

@@ -59,8 +59,6 @@ type action =
   | Latency_spike of { a : node; b : node; extra : Time.t; duration : Time.t }
   | Crash_certifier of int
   | Recover_certifier of int
-  | Crash_leader
-  | Recover_crashed
   | Crash_group_leader of int
   | Recover_group_crashed of int
   | Crash_replica of int
@@ -109,8 +107,6 @@ let pp_action fmt = function
         extra Time.pp duration
   | Crash_certifier i -> Format.fprintf fmt "crash cert%d" i
   | Recover_certifier i -> Format.fprintf fmt "recover cert%d" i
-  | Crash_leader -> Format.pp_print_string fmt "crash leader"
-  | Recover_crashed -> Format.pp_print_string fmt "recover crashed leader"
   | Crash_group_leader g -> Format.fprintf fmt "crash p%d leader" g
   | Recover_group_crashed g -> Format.fprintf fmt "recover crashed p%d leader" g
   | Crash_replica i -> Format.fprintf fmt "crash replica%d" i
@@ -176,10 +172,8 @@ type t = {
      Heal / Heal_all can undo exactly what was done. *)
   mutable cut : (string * string) list;
   mutable spiked : (string * string) list;
-  (* Crash_leader victims, newest first, for Recover_crashed. *)
-  mutable crashed_leaders : int list;
-  (* Crash_group_leader victims, newest first per group, for
-     Recover_group_crashed. *)
+  (* Leader victims (Crash_group_leader, leader-targeted Torn_crash and
+     Corrupt_tail), newest first per group, for Recover_group_crashed. *)
   mutable crashed_group_leaders : (int * int) list; (* (group, flat index) *)
   mutable crashed_nodes : int; (* crashes minus recoveries, any kind *)
   (* Disks with an outstanding injected stall / degrade, so Heal_all can
@@ -231,8 +225,7 @@ let cross t g1 g2 f =
 let certifier_at t i = List.nth (Tashkent.Cluster.certifiers t.cluster) i
 
 (* Flat index (into the group-major certifier list) of a group's current
-   leader. [leader_index] is the group-0 special case — the only group of
-   a legacy 1-partition cluster. *)
+   leader. *)
 let group_leader_index t g =
   match Tashkent.Cluster.group_leader t.cluster ~part:g with
   | None -> None
@@ -246,30 +239,74 @@ let group_leader_index t g =
       in
       find 0 (Tashkent.Cluster.certifiers t.cluster)
 
-let leader_index t = group_leader_index t 0
-
-(* [None] targets whichever certifier leads when the action fires (like
-   Crash_leader); skipped when an election is in progress. *)
-let resolve_cert t = function Some i -> Some i | None -> leader_index t
+(* [None] targets whichever certifier leads group 0 when the action fires;
+   skipped when an election is in progress. *)
+let resolve_cert t = function Some i -> Some i | None -> group_leader_index t 0
 
 let cert_disk t i = Tashkent.Certifier.disk (certifier_at t i)
 
-(* A disk-fault crash: like Crash_certifier but leaves the WAL with a torn
-   or corrupt tail. Guarded on [is_up] so a plan that races another crash
-   window cannot wedge the crashed_nodes accounting. Leader-targeted
-   victims go onto [crashed_leaders] so Recover_crashed pairs with them. *)
-let crash_with_wal_fault t ~counter ~wal_fault ~was_leader_target i =
-  let c = certifier_at t i in
-  if Tashkent.Certifier.is_up c then begin
-    incr counter;
+(* The one crash path: count it, mark it crashed, crash it. Guarded on
+   [is_up] because a plan edited by the explore shrinker, or one whose
+   crash windows race, may crash a node that is already down; a double
+   crash must be a no-op, not a crashed_nodes miscount. [wal_fault]
+   leaves a certifier's WAL with a torn or corrupt tail. Returns whether
+   the node went down. *)
+let crash_node ?wal_fault t node =
+  let up, crash =
+    match node with
+    | Cert i ->
+        let c = certifier_at t i in
+        (Tashkent.Certifier.is_up c, fun () -> Tashkent.Certifier.crash ?wal_fault c)
+    | Rep i ->
+        let r = Tashkent.Cluster.replica t.cluster i in
+        (Tashkent.Replica.is_up r, fun () -> Tashkent.Replica.crash r)
+  in
+  if up then begin
     incr t.c_crashes;
     t.crashed_nodes <- t.crashed_nodes + 1;
-    if was_leader_target then t.crashed_leaders <- i :: t.crashed_leaders;
-    Tashkent.Certifier.crash ~wal_fault c
+    crash ()
+  end;
+  up
+
+(* The one certifier recovery. Guarded so a recover whose paired crash
+   no-oped (the victim was already down, or recovered by another action)
+   cannot drive crashed_nodes negative and wedge [quiescent]. *)
+let recover_certifier t i =
+  let c = certifier_at t i in
+  if not (Tashkent.Certifier.is_up c) then begin
+    incr t.c_recoveries;
+    t.crashed_nodes <- t.crashed_nodes - 1;
+    Tashkent.Certifier.recover c
   end
 
+(* Crash group [g]'s current leader (nothing during its election) and push
+   it onto the group's victim stack for Recover_group_crashed. *)
+let crash_group_leader ?wal_fault t g =
+  match group_leader_index t g with
+  | Some i when crash_node ?wal_fault t (Cert i) ->
+      t.crashed_group_leaders <- (g, i) :: t.crashed_group_leaders;
+      true
+  | Some _ | None -> false
+
+let recover_group_crashed t g =
+  match List.assoc_opt g t.crashed_group_leaders with
+  | None -> ()
+  | Some i ->
+      t.crashed_group_leaders <- List.remove_assoc g t.crashed_group_leaders;
+      recover_certifier t i
+
+(* A disk-fault crash: a leader-targeted one ([cert = None]) goes onto
+   group 0's victim stack, like Crash_group_leader 0. *)
+let crash_with_wal_fault t ~counter ~wal_fault cert =
+  let crashed =
+    match cert with
+    | None -> crash_group_leader ~wal_fault t 0
+    | Some i -> crash_node ~wal_fault t (Cert i)
+  in
+  if crashed then incr counter
+
 let is_quiescent t =
-  t.outstanding = 0 && t.cut = [] && t.spiked = [] && t.crashed_leaders = []
+  t.outstanding = 0 && t.cut = [] && t.spiked = []
   && t.crashed_group_leaders = [] && t.crashed_nodes = 0
   && t.stalled_disks = [] && t.degraded_disks = [] && t.rules = []
   && Net.Network.drop_rate t.net = 0.
@@ -290,22 +327,6 @@ let note_health t =
    once on the nth match. The injector owns the network's single tap
    while any rule is armed; with no rules the tap is uninstalled, so an
    idle injector leaves [send] on its zero-cost path. *)
-
-let crash_victim t = function
-  | Cert i ->
-      let c = certifier_at t i in
-      if Tashkent.Certifier.is_up c then begin
-        incr t.c_crashes;
-        t.crashed_nodes <- t.crashed_nodes + 1;
-        Tashkent.Certifier.crash c
-      end
-  | Rep i ->
-      let r = Tashkent.Cluster.replica t.cluster i in
-      if Tashkent.Replica.is_up r then begin
-        incr t.c_crashes;
-        t.crashed_nodes <- t.crashed_nodes + 1;
-        Tashkent.Replica.crash r
-      end
 
 let tap_callback t ~src ~dst msg =
   let drop = ref false and delay = ref Time.zero in
@@ -333,7 +354,7 @@ let tap_callback t ~src ~dst msg =
               Engine.schedule_after t.engine Time.zero (fun () ->
                   ignore
                     (Engine.spawn t.engine ~name:"fault.tap-crash" (fun () ->
-                         crash_victim t victim;
+                         ignore (crash_node t victim);
                          note_health t)))
         end
       end)
@@ -405,78 +426,15 @@ let apply t action =
       Engine.sleep t.engine duration;
       Net.Network.restore_link t.net a b;
       t.spiked <- List.filter (fun p -> not (pair_eq (a, b) p)) t.spiked
-  | Crash_certifier i ->
-      (* Guarded for the same reason as the recover below: a plan edited
-         by the explore shrinker may crash a node that is already down. *)
-      let c = certifier_at t i in
-      if Tashkent.Certifier.is_up c then begin
-        incr t.c_crashes;
-        t.crashed_nodes <- t.crashed_nodes + 1;
-        Tashkent.Certifier.crash c
-      end
-  | Recover_certifier i ->
-      (* Guarded so a recover whose paired crash no-oped (the victim was
-         already down) cannot drive crashed_nodes negative and wedge
-         [quiescent]. *)
-      let c = certifier_at t i in
-      if not (Tashkent.Certifier.is_up c) then begin
-        incr t.c_recoveries;
-        t.crashed_nodes <- t.crashed_nodes - 1;
-        Tashkent.Certifier.recover c
-      end
-  | Crash_leader -> (
-      match leader_index t with
-      | None -> () (* election in progress: nothing to kill *)
-      | Some i ->
-          incr t.c_crashes;
-          t.crashed_nodes <- t.crashed_nodes + 1;
-          t.crashed_leaders <- i :: t.crashed_leaders;
-          Tashkent.Certifier.crash (certifier_at t i))
-  | Recover_crashed -> (
-      match t.crashed_leaders with
-      | [] -> ()
-      | i :: rest ->
-          t.crashed_leaders <- rest;
-          incr t.c_recoveries;
-          t.crashed_nodes <- t.crashed_nodes - 1;
-          Tashkent.Certifier.recover (certifier_at t i))
-  | Crash_group_leader g -> (
-      match group_leader_index t g with
-      | None -> () (* election in progress: nothing to kill *)
-      | Some i ->
-          incr t.c_crashes;
-          t.crashed_nodes <- t.crashed_nodes + 1;
-          t.crashed_group_leaders <- (g, i) :: t.crashed_group_leaders;
-          Tashkent.Certifier.crash (certifier_at t i))
-  | Recover_group_crashed g -> (
-      match List.assoc_opt g t.crashed_group_leaders with
-      | None -> ()
-      | Some i ->
-          t.crashed_group_leaders <-
-            (let dropped = ref false in
-             List.filter
-               (fun (g', i') ->
-                 if (not !dropped) && g' = g && i' = i then begin
-                   dropped := true;
-                   false
-                 end
-                 else true)
-               t.crashed_group_leaders);
-          incr t.c_recoveries;
-          t.crashed_nodes <- t.crashed_nodes - 1;
-          Tashkent.Certifier.recover (certifier_at t i))
-  | Crash_replica i ->
-      (* Guarded like the certifier pair: shrunk/hand-written plans may
-         carry a crash or recover whose partner was edited out, and a
-         double crash (or a recover of an up replica) must be a no-op, not
-         a crashed_nodes miscount or a network reattach error. *)
-      let r = Tashkent.Cluster.replica t.cluster i in
-      if Tashkent.Replica.is_up r then begin
-        incr t.c_crashes;
-        t.crashed_nodes <- t.crashed_nodes + 1;
-        Tashkent.Replica.crash r
-      end
+  | Crash_certifier i -> ignore (crash_node t (Cert i))
+  | Recover_certifier i -> recover_certifier t i
+  | Crash_group_leader g -> ignore (crash_group_leader t g)
+  | Recover_group_crashed g -> recover_group_crashed t g
+  | Crash_replica i -> ignore (crash_node t (Rep i))
   | Recover_replica i ->
+      (* Guarded like the certifier pair: a recover of an up replica must
+         be a no-op, not a crashed_nodes miscount or a network reattach
+         error. *)
       let r = Tashkent.Cluster.replica t.cluster i in
       if not (Tashkent.Replica.is_up r) then begin
         incr t.c_recoveries;
@@ -505,18 +463,10 @@ let apply t action =
           Engine.sleep t.engine duration;
           Storage.Disk.clear_degrade disk;
           t.degraded_disks <- List.filter (fun d -> d != disk) t.degraded_disks)
-  | Torn_crash { cert } -> (
-      match resolve_cert t cert with
-      | None -> ()
-      | Some i ->
-          crash_with_wal_fault t ~counter:t.c_torn ~wal_fault:Paxos.Node.Torn_tail
-            ~was_leader_target:(cert = None) i)
-  | Corrupt_tail { cert } -> (
-      match resolve_cert t cert with
-      | None -> ()
-      | Some i ->
-          crash_with_wal_fault t ~counter:t.c_corrupt
-            ~wal_fault:Paxos.Node.Corrupt_tail ~was_leader_target:(cert = None) i)
+  | Torn_crash { cert } ->
+      crash_with_wal_fault t ~counter:t.c_torn ~wal_fault:Paxos.Node.Torn_tail cert
+  | Corrupt_tail { cert } ->
+      crash_with_wal_fault t ~counter:t.c_corrupt ~wal_fault:Paxos.Node.Corrupt_tail cert
   | Delay_msg { cls; src; dst; nth; extra } ->
       arm_rule t ~cls ~src ~dst ~nth (Tap_delay extra)
   | Drop_msg { cls; src; dst; nth } -> arm_rule t ~cls ~src ~dst ~nth Tap_drop
@@ -538,7 +488,6 @@ let inject cluster plan =
       last_healthy = true;
       cut = [];
       spiked = [];
-      crashed_leaders = [];
       crashed_group_leaders = [];
       crashed_nodes = 0;
       stalled_disks = [];
@@ -629,8 +578,8 @@ let random_plan ~seed ~duration ~n_certifiers ~n_replicas
      remaining nodes keep a quorum (and n_certifiers = 1 setups simply get
      an outage window). *)
   let t_crash = frac 0.12 0.22 in
-  add t_crash Crash_leader;
-  add (Time.add t_crash (frac 0.08 0.15)) Recover_crashed;
+  add t_crash (Crash_group_leader 0);
+  add (Time.add t_crash (frac 0.08 0.15)) (Recover_group_crashed 0);
   (* A replica partitioned away from every certifier, then healed. *)
   if n_replicas > 0 && n_certifiers > 0 then begin
     let victim = Rep (Rng.int rng n_replicas) in
@@ -686,7 +635,7 @@ let random_plan ~seed ~duration ~n_certifiers ~n_replicas
        recovery scan to truncate. *)
     let t_torn = frac 0.4 0.46 in
     add t_torn (Torn_crash { cert = None });
-    add (Time.add t_torn (frac 0.08 0.12)) Recover_crashed;
+    add (Time.add t_torn (frac 0.08 0.12)) (Recover_group_crashed 0);
     (* Media corruption of the newest durable record on a random
        certifier, discovered at recovery. *)
     let victim = Rng.int rng n_certifiers in

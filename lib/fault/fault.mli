@@ -19,16 +19,14 @@
     ({!Storage.Wal.recover}) that truncates at the first torn/corrupt
     record; this is safe because every durability ack follows the sync
     (write-ahead discipline), so a truncated record was never acked. A
-    certifier leader whose fsyncs exceed its configured deadline abdicates
-    so a healthy-disk acceptor can lead
-    ({!Tashkent.Certifier.config}[.fsync_deadline]). *)
+    certifier leader whose WAL flush is still in flight after 250 ms
+    abdicates so a healthy-disk acceptor can lead
+    ({!Tashkent.Certifier.disk_failovers}). *)
 
 (** A node of the cluster, by role and index (as in
     {!Tashkent.Cluster.create}: certifiers [cert0..], replicas
     [replica0..]). *)
 type node = Cert of int | Rep of int
-
-val pp_node : Format.formatter -> node -> unit
 
 (** Protocol-message classes a targeted tap rule ({!Delay_msg},
     {!Drop_msg}, {!Crash_on_msg}) can match at the network layer. *)
@@ -43,12 +41,7 @@ type msg_class =
   | M_paxos_commit
   | M_paxos_heartbeat
 
-val pp_msg_class : Format.formatter -> msg_class -> unit
 val msg_class_name : msg_class -> string
-
-val msg_class_matches : msg_class -> Tashkent.Types.message -> bool
-(** Whether a concrete wire message belongs to the class (exposed for
-    tests). *)
 
 type action =
   | Partition of node list * node list
@@ -68,18 +61,14 @@ type action =
     }  (** Extra one-way latency on the [a]–[b] link for [duration]. *)
   | Crash_certifier of int
   | Recover_certifier of int
-  | Crash_leader
-      (** Crash whichever certifier currently leads (no-op when no leader
-          is up — e.g. during an election). *)
-  | Recover_crashed
-      (** Recover the most recent {!Crash_leader} victim. *)
   | Crash_group_leader of int
-      (** Partitioned certification: crash whichever certifier currently
-          leads the given partition's group (no-op during its election).
-          [Crash_group_leader 0] on a 1-partition cluster is
-          {!Crash_leader} with its own recovery stack. *)
+      (** Crash whichever certifier currently leads the given partition's
+          group (no-op during its election); group 0 is the only group of
+          a 1-partition cluster. *)
   | Recover_group_crashed of int
-      (** Recover that group's most recent {!Crash_group_leader} victim. *)
+      (** Recover that group's most recent leader victim: of a
+          {!Crash_group_leader}, or for group 0 also of a leader-targeted
+          {!Torn_crash} or {!Corrupt_tail}. *)
   | Crash_replica of int
   | Recover_replica of int
   | Disk_stall of { cert : int option; extra : Sim.Time.t; duration : Sim.Time.t }
@@ -93,8 +82,8 @@ type action =
   | Torn_crash of { cert : int option }
       (** Crash the target certifier mid-write: its WAL keeps a
           partially-written final record for the recovery scan to truncate.
-          With [cert = None] the victim goes onto the {!Recover_crashed}
-          stack, like {!Crash_leader}. *)
+          With [cert = None] the victim is group 0's leader and goes onto
+          its {!Recover_group_crashed} stack, like [Crash_group_leader 0]. *)
   | Corrupt_tail of { cert : int option }
       (** Crash the target certifier and corrupt the newest durable WAL
           record, so its checksum fails at recovery. Victim handling as in
@@ -189,7 +178,7 @@ val random_plan :
 
     With [disk_faults] (default false) the plan additionally stalls the
     leader's log disk by [fsync_stall] per op (default 600 ms — above the
-    default fsync deadline, so the leader abdicates), degrades a random
+    certifier's 250 ms fsync deadline, so the leader abdicates), degrades a random
     certifier's disk, torn-crashes the leader, and corrupt-tail-crashes a
     random certifier, each recovered before the backstop. Plans with
     [disk_faults = false] are bit-identical to pre-storage-fault plans for

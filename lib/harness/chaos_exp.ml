@@ -88,8 +88,8 @@ type result = {
 let scripted_plan ~n_certifiers =
   let certs = List.init n_certifiers (fun i -> Fault.Cert i) in
   [
-    (Time.sec 2, Fault.Crash_leader);
-    (Time.sec 5, Fault.Recover_crashed);
+    (Time.sec 2, Fault.Crash_group_leader 0);
+    (Time.sec 5, Fault.Recover_group_crashed 0);
     (Time.sec 8, Fault.Partition ([ Fault.Rep 0 ], certs));
     (Time.sec 10, Fault.Heal ([ Fault.Rep 0 ], certs));
     (Time.sec 12, Fault.Drop_burst { rate = 0.1; duration = Time.sec 1 });
@@ -107,7 +107,7 @@ let scripted_disk_plan () =
       Fault.Disk_stall
         { cert = None; extra = Time.of_ms 600.; duration = Time.sec 2 } );
     (Time.sec 6, Fault.Torn_crash { cert = None });
-    (Time.sec 8, Fault.Recover_crashed);
+    (Time.sec 8, Fault.Recover_group_crashed 0);
     (Time.sec 11, Fault.Corrupt_tail { cert = Some 0 });
     (Time.sec 13, Fault.Recover_certifier 0);
     (Time.of_sec 15.5, Fault.Heal_all);
@@ -137,12 +137,12 @@ let checkpoints_of plan =
     (fun (time, action) ->
       match action with
       | Fault.Heal _ | Fault.Heal_all | Fault.Recover_certifier _
-      | Fault.Recover_crashed | Fault.Recover_group_crashed _
+      | Fault.Recover_group_crashed _
       | Fault.Recover_replica _ ->
           Some (Time.add time (Time.sec 2))
       | Fault.Partition _ | Fault.Drop_burst _ | Fault.Latency_spike _
-      | Fault.Crash_certifier _ | Fault.Crash_leader
-      | Fault.Crash_group_leader _ | Fault.Crash_replica _
+      | Fault.Crash_certifier _ | Fault.Crash_group_leader _
+      | Fault.Crash_replica _
       | Fault.Disk_stall _ | Fault.Disk_degrade _ | Fault.Torn_crash _
       | Fault.Corrupt_tail _ | Fault.Delay_msg _ | Fault.Drop_msg _
       | Fault.Crash_on_msg _ ->

@@ -14,9 +14,22 @@
     and plan replay bit-identically. *)
 
 type plan_kind =
-  | Scripted  (** the fixed acceptance scenario, see {!scripted_plan} *)
+  | Scripted
+      (** the fixed acceptance scenario: a leader crash at 2 s (recovered
+          at 5 s), replica0 partitioned from all certifiers at 8 s (healed
+          at 10 s), a 10% drop burst at 12 s, and a final heal-all. With
+          [n_partitions > 1]: group 1's leader crashed at 2 s (recovered at
+          5 s), group 0's at 8 s (recovered at 10 s), the drop burst and
+          the heal-all — one group down at a time, so every group keeps a
+          Paxos majority and cross-partition transactions keep committing
+          through both failovers. *)
   | Scripted_disk
-      (** the storage-fault acceptance scenario, see {!scripted_disk_plan} *)
+      (** the storage-fault acceptance scenario: a 600 ms fsync stall on
+          the leader's disk at 2 s for 2 s (above the 250 ms fsync
+          deadline, so the disk watchdog forces an abdication), a
+          torn-tail leader crash at 6 s (recovered at 8 s), a corrupt-tail
+          crash of certifier 0 at 11 s (recovered at 13 s), and a final
+          heal-all. *)
   | Random of int  (** seeded {!Fault.random_plan} *)
   | Explicit of Fault.plan
       (** a fully spelled-out plan — shrunk explore repros and targeted
@@ -27,7 +40,7 @@ type config = {
       (** the cluster under test. With [n_partitions > 1] the clients
           drive {!Workload.Partlocal} through each replica's
           {!Tashkent.Session} (a third of transactions span two groups),
-          the [Scripted] plan becomes {!scripted_partition_plan}, random
+          the [Scripted] plan crashes group leaders instead, random
           plans gain a group-leader crash, and every checkpoint also
           asserts {!Tashkent.Cluster.check_cross_atomicity}. The
           durability check walks each proxy's one journal
@@ -110,25 +123,6 @@ type result = {
       (** checksum-failed WAL records truncated by recovery scans *)
   disk_failovers : int;  (** leader abdications forced by the disk watchdog *)
 }
-
-val scripted_plan : n_certifiers:int -> Fault.plan
-(** Leader crash at 2 s (recovered at 5 s), replica0 partitioned from all
-    certifiers at 8 s (healed at 10 s), a 10% drop burst at 12 s, and a
-    final heal-all. *)
-
-val scripted_partition_plan : unit -> Fault.plan
-(** The partitioned acceptance scenario (used for [Scripted] runs with
-    [n_partitions > 1]): group 1's leader crashed at 2 s (recovered at
-    5 s), group 0's at 8 s (recovered at 10 s), a 10% drop burst at 12 s,
-    and a final heal-all. One group down at a time, so every group keeps
-    a Paxos majority and cross-partition transactions keep committing
-    through both failovers. *)
-
-val scripted_disk_plan : unit -> Fault.plan
-(** A 600 ms fsync stall on the leader's disk at 2 s for 2 s (above the
-    default fsync deadline, so the disk watchdog forces an abdication), a
-    torn-tail leader crash at 6 s (recovered at 8 s), a corrupt-tail crash
-    of certifier 0 at 11 s (recovered at 13 s), and a final heal-all. *)
 
 val run : ?config:config -> unit -> result
 

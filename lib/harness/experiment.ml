@@ -238,7 +238,6 @@ let run_standalone cfg =
   let db_config =
     {
       Mvcc.Db.default_config with
-      commit_record_bytes = 8192;
       gc_interval = cfg.cluster.replica.gc_interval;
       page_read_miss = spec.Workload.Spec.page_read_miss;
       page_writeback_per_op = spec.Workload.Spec.page_writeback_per_op;
@@ -246,7 +245,7 @@ let run_standalone cfg =
     }
   in
   let db =
-    Mvcc.Db.create engine ~rng:(Rng.split rng) ~log_disk ~data_disk ~cpu
+    Mvcc.Db.create engine ~rng:(Rng.split rng) ~log_disk ~data_disk
       ~config:db_config ()
   in
   Mvcc.Db.load db (spec.Workload.Spec.initial_rows ~n_replicas:1);

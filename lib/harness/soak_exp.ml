@@ -101,19 +101,13 @@ let soak_plan ~duration ~period ~n_replicas ~n_partitions =
     else
       let events =
         if k mod 2 = 1 || n_replicas < 2 then
-          if n_partitions > 1 then
-            (* round-robin the certifier crash over the groups so every
-               partition's ring fails over during a long soak *)
-            let g = k / 2 mod n_partitions in
-            [
-              (Time.of_sec t, Fault.Crash_group_leader g);
-              (Time.of_sec (t +. 5.), Fault.Recover_group_crashed g);
-            ]
-          else
-            [
-              (Time.of_sec t, Fault.Crash_leader);
-              (Time.of_sec (t +. 5.), Fault.Recover_crashed);
-            ]
+          (* round-robin the certifier crash over the groups so every
+             partition's ring fails over during a long soak *)
+          let g = k / 2 mod n_partitions in
+          [
+            (Time.of_sec t, Fault.Crash_group_leader g);
+            (Time.of_sec (t +. 5.), Fault.Recover_group_crashed g);
+          ]
         else
           [
             (Time.of_sec t, Fault.Crash_replica victim);

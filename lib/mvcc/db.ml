@@ -6,26 +6,28 @@ type durability = Synchronous | Asynchronous | Periodic of Time.t
 
 type config = {
   durability : durability;
-  commit_record_bytes : int;
-  page_bytes : int;
   page_read_miss : float;
   page_writeback_per_op : float;
   background_page_writes_per_sec : float;
-  commit_cpu : Time.t;
   remote_priority : bool;
   gc_interval : Time.t option;
   max_snapshot_age : Time.t option;
 }
 
+(* WAL bytes per commit. PostgreSQL logs before/after page images (paper
+   §9.2 credits part of the Tashkent-MW vs Tashkent-API gap to this), so a
+   commit record is at least one 8 KB page. *)
+let commit_record_bytes = 8192
+
+(* One data page, the unit of a page-in read or a dirty-page writeback. *)
+let page_bytes = 8192
+
 let default_config =
   {
     durability = Synchronous;
-    commit_record_bytes = 8192;
-    page_bytes = 8192;
     page_read_miss = 0.;
     page_writeback_per_op = 0.;
     background_page_writes_per_sec = 0.;
-    commit_cpu = Time.zero;
     remote_priority = false;
     gc_interval = None;
     max_snapshot_age = None;
@@ -65,7 +67,6 @@ and t = {
   rng : Rng.t;
   label : string;
   cfg : config;
-  cpu : Resource.t option;
   data_disk : Storage.Disk.t option;
   mutable db_store : Store.t;
   mutable locks : Locks.t;
@@ -229,7 +230,7 @@ let vacuum t =
       t.dump_tombstones;
   keep_after
 
-let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
+let create engine ~rng ~log_disk ?data_disk ?(config = default_config)
     ?(name = "db") () =
   let db =
     {
@@ -237,7 +238,6 @@ let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
       rng;
       label = name;
       cfg = config;
-      cpu;
       data_disk;
       db_store = Store.create ();
       locks = Locks.create ();
@@ -272,7 +272,7 @@ let create engine ~rng ~log_disk ?data_disk ?cpu ?(config = default_config)
              let rec loop () =
                Engine.sleep engine interval;
                if Stats.Counter.value db.commit_count > 0 then
-                 Storage.Disk.write disk ~bytes:config.page_bytes;
+                 Storage.Disk.write disk ~bytes:page_bytes;
                loop ()
              in
              loop ()))
@@ -380,7 +380,7 @@ let fail tx reason =
 let maybe_page_in t =
   match t.data_disk with
   | Some disk when t.cfg.page_read_miss > 0. && Rng.chance t.rng t.cfg.page_read_miss ->
-      Storage.Disk.read disk ~bytes:t.cfg.page_bytes
+      Storage.Disk.read disk ~bytes:page_bytes
   | Some _ | None -> ()
 
 let read tx key =
@@ -479,11 +479,6 @@ let writeset tx = tx.buffer
 
 let next_order t = Commit_order.next_seq t.order
 
-let charge_commit_cpu t =
-  match t.cpu with
-  | Some cpu when not (Time.is_zero t.cfg.commit_cpu) -> Resource.use cpu t.cfg.commit_cpu
-  | Some _ | None -> ()
-
 let schedule_writebacks t ws =
   match t.data_disk with
   | Some disk when t.cfg.page_writeback_per_op > 0. ->
@@ -494,7 +489,7 @@ let schedule_writebacks t ws =
         ignore
           (Engine.spawn t.engine ~name:(t.label ^ ".bgwriter") (fun () ->
                for _ = 1 to pages do
-                 Storage.Disk.write disk ~bytes:t.cfg.page_bytes
+                 Storage.Disk.write disk ~bytes:page_bytes
                done))
   | Some _ | None -> ()
 
@@ -510,7 +505,7 @@ let log_batch t ~prev batch =
         r)
       batch
   in
-  let bytes_of (_, _, ws) = max (Writeset.encoded_bytes ws) t.cfg.commit_record_bytes in
+  let bytes_of (_, _, ws) = max (Writeset.encoded_bytes ws) commit_record_bytes in
   ignore (Storage.Wal.append_batch t.db_wal ~bytes_of records);
   match t.cfg.durability with
   | Synchronous -> Storage.Wal.sync t.db_wal
@@ -554,7 +549,6 @@ let mark_committed tx =
    catch up through the contiguous prefix. *)
 let finish_certified tx ~batch ~prev ~order ~in_order =
   let t = tx.db in
-  charge_commit_cpu t;
   tx.logged_lsn <- Storage.Wal.last_lsn t.db_wal + 1;
   log_batch t ~prev batch;
   if in_order then Commit_order.wait_turn t.order order;
@@ -626,7 +620,6 @@ let read_committed t ?at key =
 
 let store t = t.db_store
 let active_txids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.active []
-let lock_holder t key = Locks.holder t.locks key
 
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery *)

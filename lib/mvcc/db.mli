@@ -27,11 +27,6 @@ type durability =
 
 type config = {
   durability : durability;
-  commit_record_bytes : int;
-      (** WAL bytes per commit. PostgreSQL logs before/after page images
-          (paper §9.2 credits part of the Tashkent-MW vs Tashkent-API gap
-          to this), so the default is a page-sized 8192. *)
-  page_bytes : int;
   page_read_miss : float;
       (** Probability that a logical row read must fetch a page from the
           data disk (0 for a database that fits in RAM). *)
@@ -43,7 +38,6 @@ type config = {
       (** Constant-rate background page flushing — the right model when a
           small hot page set absorbs all writes. Active once the database
           has committed something. *)
-  commit_cpu : Sim.Time.t;  (** CPU bookkeeping cost of a commit *)
   remote_priority : bool;
       (** If true, writes made through {!apply_certified} preempt
           conflicting local lock holders (the "priority tagging" some
@@ -69,7 +63,6 @@ val create :
   rng:Sim.Rng.t ->
   log_disk:Storage.Disk.t ->
   ?data_disk:Storage.Disk.t ->
-  ?cpu:Sim.Resource.t ->
   ?config:config ->
   ?name:string ->
   unit ->
@@ -184,7 +177,6 @@ val doom : t -> txid -> unit
     ignored. *)
 
 val active_txids : t -> txid list
-val lock_holder : t -> Key.t -> txid option
 
 (** {1 Snapshot reads for the store} *)
 

@@ -39,7 +39,5 @@ val release_all : t -> txid -> (Key.t * txid) list
     {!cancel_wait} are skipped. *)
 
 val held_by : t -> txid -> Key.t list
-val waiting_for : t -> txid -> txid option
-(** Which transaction [txid] is currently queued behind, if any. *)
 
 val lock_count : t -> int

@@ -111,23 +111,6 @@ let row_count t = Key.Tbl.length t.rows
 let version_records t =
   Key.Tbl.fold (fun _ chain acc -> acc + List.length chain) t.rows 0
 
-let estimated_bytes t =
-  Key.Tbl.fold
-    (fun key chain acc ->
-      let per_version =
-        List.fold_left
-          (fun a (_, cell) ->
-            a + 16
-            +
-            match cell with
-            | Blind (Some v) -> Value.encoded_bytes v
-            | Blind None -> 0
-            | Delta _ -> 8)
-          0 chain
-      in
-      acc + Key.encoded_bytes key + per_version)
-    t.rows 0
-
 let copy t =
   let fresh =
     { rows = Key.Tbl.create (Key.Tbl.length t.rows); version = t.version; pruned = 0 }
@@ -211,7 +194,3 @@ let pp_chain fmt t key =
           | Blind None -> Format.fprintf fmt "(%d,Bdel)" v
           | Delta d -> Format.fprintf fmt "(%d,D%+d)" v d)
         chain
-
-let pp_stats fmt t =
-  Format.fprintf fmt "store{version=%d rows=%d records=%d ~%dB}" t.version (row_count t)
-    (version_records t) (estimated_bytes t)

@@ -103,8 +103,6 @@ val pruned : t -> int
 (** Cumulative version-chain records dropped by {!gc} over this store's
     lifetime (including rows removed whole). *)
 
-val pp_stats : Format.formatter -> t -> unit
-
 val pp_chain : Format.formatter -> t -> Key.t -> unit
 (** Debug view of one key's raw version chain, newest first: [(v,B<img>)]
     for blind images, [(v,D<+d>)] for symbolic deltas. *)

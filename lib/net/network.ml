@@ -78,7 +78,6 @@ let unregister t addr =
 let link_key a b = if String.compare a b <= 0 then (a, b) else (b, a)
 let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
 let heal t a b = Hashtbl.remove t.partitions (link_key a b)
-let is_partitioned t a b = Hashtbl.mem t.partitions (link_key a b)
 let set_drop_rate t rate = t.drop_rate <- rate
 let drop_rate t = t.drop_rate
 let slow_link t a b ~extra = Hashtbl.replace t.link_extra (link_key a b) extra

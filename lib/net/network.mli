@@ -41,7 +41,6 @@ val partition : 'a t -> string -> string -> unit
 (** Cut both directions between two addresses. *)
 
 val heal : 'a t -> string -> string -> unit
-val is_partitioned : 'a t -> string -> string -> bool
 
 val set_drop_rate : 'a t -> float -> unit
 (** Uniform message loss probability applied to every link (burst faults). *)

@@ -51,49 +51,6 @@ type event =
   | Actor_reset of { actor : string }
   | Fault_health of { healthy : bool }
 
-let pp_event ppf = function
-  | Request_admitted { actor; part; origin; req_id; replica_version } ->
-      Format.fprintf ppf "admitted p%d %s (%s,%d) rv=%d" part actor origin
-        req_id replica_version
-  | Verdict { actor; part; origin; req_id; committed; version } ->
-      Format.fprintf ppf "verdict p%d %s (%s,%d) %s v=%d" part actor origin
-        req_id
-        (if committed then "commit" else "abort")
-        version
-  | Durable_ack { actor; part; origin; req_id; version } ->
-      Format.fprintf ppf "durable-ack p%d %s (%s,%d) v=%d" part actor origin
-        req_id version
-  | Log_append { actor; part; version; origin; req_id; cross } ->
-      Format.fprintf ppf "append p%d %s v=%d (%s,%d)%s" part actor version
-        origin req_id
-        (if cross then " cross" else "")
-  | Gc_floor { actor; part; floor } ->
-      Format.fprintf ppf "gc-floor p%d %s floor=%d" part actor floor
-  | Prepared { actor; part; gtx; vote } ->
-      Format.fprintf ppf "prepared p%d %s %s vote=%b" part actor gtx vote
-  | Xvote { actor; part; from_part; gtx; vote } ->
-      Format.fprintf ppf "xvote p%d %s from p%d %s vote=%b" part actor
-        from_part gtx vote
-  | Decision { actor; part; gtx; committed } ->
-      Format.fprintf ppf "decision p%d %s %s %s" part actor gtx
-        (if committed then "commit" else "abort")
-  | Ws_install { actor; part; version } ->
-      Format.fprintf ppf "install p%d %s v=%d" part actor version
-  | Snapshot_advance { actor; part; version } ->
-      Format.fprintf ppf "snapshot-advance p%d %s v=%d" part actor version
-  | Snapshot_load { actor; part; version } ->
-      Format.fprintf ppf "snapshot-load p%d %s v=%d" part actor version
-  | Tx_submitted { actor; tx } -> Format.fprintf ppf "submit %s #%d" actor tx
-  | Tx_resolved { actor; tx; committed } ->
-      Format.fprintf ppf "resolve %s #%d %s" actor tx
-        (if committed then "commit" else "abort")
-  | Node_crash { actor } -> Format.fprintf ppf "crash %s" actor
-  | Node_recover { actor } -> Format.fprintf ppf "recover %s" actor
-  | Actor_reset { actor } -> Format.fprintf ppf "reset %s" actor
-  | Fault_health { healthy } ->
-      Format.fprintf ppf "fault-health %s"
-        (if healthy then "healthy" else "faulted")
-
 type handler = Time.t -> event -> unit
 
 type t = {

@@ -95,8 +95,6 @@ type event =
       (** The fault injector's quiescence changed: [healthy = true] means
           every injected fault has been reverted. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 type handler = Sim.Time.t -> event -> unit
 
 type t

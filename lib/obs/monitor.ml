@@ -290,6 +290,15 @@ let on_node_crash t actor =
   Hashtbl.remove t.stores actor;
   drop_actor_pending t actor
 
+(* A certifier that lost leadership abandons its admitted requests
+   without crashing (it stops answering them), so their snapshots no
+   longer pin its floor once it truncates as a follower. *)
+let on_actor_reset t actor =
+  (match Hashtbl.find_opt t.certs actor with
+  | Some cs -> Hashtbl.reset cs.outstanding
+  | None -> ());
+  drop_actor_pending t actor
+
 let handle t at ev =
   t.n_events <- t.n_events + 1;
   (match ev with
@@ -317,7 +326,7 @@ let handle t at ev =
   | Events.Tx_resolved { actor; tx; _ } -> Hashtbl.remove t.pending (actor, tx)
   | Events.Node_crash { actor } -> on_node_crash t actor
   | Events.Node_recover _ -> ()
-  | Events.Actor_reset { actor } -> drop_actor_pending t actor
+  | Events.Actor_reset { actor } -> on_actor_reset t actor
   | Events.Fault_health { healthy } ->
       if healthy && not t.healthy then t.last_heal <- at;
       t.healthy <- healthy);

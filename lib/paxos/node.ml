@@ -33,29 +33,12 @@ let message_bytes value_bytes = function
       List.fold_left (fun a (_, v) -> a + 12 + entry_value_bytes value_bytes v) 32 entries
   | Ask_transfer _ -> 16
 
-let pp_message_kind fmt = function
-  | Prepare _ -> Format.pp_print_string fmt "prepare"
-  | Promise _ -> Format.pp_print_string fmt "promise"
-  | Prepare_reject _ -> Format.pp_print_string fmt "prepare-reject"
-  | Accept _ -> Format.pp_print_string fmt "accept"
-  | Accept_ok _ -> Format.pp_print_string fmt "accept-ok"
-  | Accept_reject _ -> Format.pp_print_string fmt "accept-reject"
-  | Commit _ -> Format.pp_print_string fmt "commit"
-  | Heartbeat _ -> Format.pp_print_string fmt "heartbeat"
-  | Ask_transfer _ -> Format.pp_print_string fmt "ask-transfer"
-
-type config = {
-  heartbeat_interval : Time.t;
-  election_timeout_lo : Time.t;
-  election_timeout_hi : Time.t;
-}
-
-let default_config =
-  {
-    heartbeat_interval = Time.of_ms 20.;
-    election_timeout_lo = Time.of_ms 80.;
-    election_timeout_hi = Time.of_ms 160.;
-  }
+(* Timer constants: a leader heartbeats every [heartbeat_interval]; a
+   follower that hears nothing for a timeout drawn uniformly from
+   [election_timeout_lo, election_timeout_hi] starts an election. *)
+let heartbeat_interval = Time.of_ms 20.
+let election_timeout_lo = Time.of_ms 80.
+let election_timeout_hi = Time.of_ms 160.
 
 type 'v role =
   | Follower
@@ -74,7 +57,6 @@ type 'v t = {
   node_id : string;
   peers : string list;
   cluster_size : int;
-  cfg : config;
   send : dst:string -> 'v message -> unit;
   on_deliver : int -> 'v -> unit;
   node_wal : 'v Wal_record.t Storage.Wal.t;
@@ -120,7 +102,7 @@ let broadcast t msg = List.iter (fun peer -> t.send ~dst:peer msg) t.peers
 
 let fresh_deadline t =
   Time.add (Engine.now t.engine)
-    (Rng.time_uniform t.rng ~lo:t.cfg.election_timeout_lo ~hi:t.cfg.election_timeout_hi)
+    (Rng.time_uniform t.rng ~lo:election_timeout_lo ~hi:election_timeout_hi)
 
 let record_bytes t r = Wal_record.bytes (fun _ -> t.value_bytes_hint) r
 
@@ -456,14 +438,20 @@ let spawn_timers t =
             interval with slots in flight means their Accepts are lost. *)
          let last_commit = ref (-1) in
          let rec loop () =
-           Engine.sleep t.engine t.cfg.heartbeat_interval;
+           Engine.sleep t.engine heartbeat_interval;
            if t.up then begin
              (match t.role with
              | Leader l ->
                  broadcast t
                    (Heartbeat { ballot = l.ballot; from = t.node_id; commit_index = t.commit });
                  if t.commit = !last_commit && l.next_slot > t.commit + 1 then
-                   resend_pending t ~ballot:l.ballot ~next_slot:l.next_slot
+                   resend_pending t ~ballot:l.ballot ~next_slot:l.next_slot;
+                 (* A follower that learned the commit index without the
+                    chosen values and then won an election never gets a
+                    Commit to trigger the gap fetch in [handle_commit]:
+                    ask the peers for the missing values instead. *)
+                 if t.applied < t.commit && not (Hashtbl.mem t.chosen (t.applied + 1))
+                 then broadcast t (Ask_transfer { from = t.node_id; applied = t.applied })
              | Follower | Candidate _ ->
                  if Time.(Engine.now t.engine >= t.election_deadline) then start_election t);
              last_commit := t.commit
@@ -472,8 +460,7 @@ let spawn_timers t =
          in
          loop ()))
 
-let create engine ~rng ~id:node_id ~peers ~disk ~send ~on_deliver
-    ?(config = default_config) () =
+let create engine ~rng ~id:node_id ~peers ~disk ~send ~on_deliver () =
   let t =
     {
       engine;
@@ -481,7 +468,6 @@ let create engine ~rng ~id:node_id ~peers ~disk ~send ~on_deliver
       node_id;
       peers;
       cluster_size = 1 + List.length peers;
-      cfg = config;
       send;
       on_deliver;
       node_wal = Storage.Wal.create engine ~disk ~name:(node_id ^ ".wal") ();

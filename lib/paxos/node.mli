@@ -44,17 +44,11 @@ type 'v message =
 val message_bytes : ('v -> int) -> 'v message -> int
 (** Wire size estimate, given a value sizer. *)
 
-val pp_message_kind : Format.formatter -> 'v message -> unit
-
 type 'v t
 
-type config = {
-  heartbeat_interval : Sim.Time.t;
-  election_timeout_lo : Sim.Time.t;  (** randomised per election attempt *)
-  election_timeout_hi : Sim.Time.t;
-}
-
-val default_config : config
+val election_timeout_hi : Sim.Time.t
+(** Upper bound of a follower's randomised election timeout (160 ms; the
+    lower bound is 80 ms and a leader heartbeats every 20 ms). *)
 
 val create :
   Sim.Engine.t ->
@@ -64,7 +58,6 @@ val create :
   disk:Storage.Disk.t ->
   send:(dst:string -> 'v message -> unit) ->
   on_deliver:(int -> 'v -> unit) ->
-  ?config:config ->
   unit ->
   'v t
 (** [peers] excludes [id]. The node starts as a follower; the node with the

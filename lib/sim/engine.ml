@@ -5,7 +5,6 @@ exception Cancelled
 exception Stalled of string
 
 type fiber = {
-  fid : int;
   name : string;
   mutable cancelled : bool;
   mutable finished : bool;
@@ -22,7 +21,6 @@ type fiber = {
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
-  mutable next_fid : int;
   mutable processed : int;
   mutable blocked_fibers : int;
   mutable times : int array;
@@ -42,7 +40,6 @@ let create () =
   {
     clock = Time.zero;
     seq = 0;
-    next_fid = 0;
     processed = 0;
     blocked_fibers = 0;
     times = Array.make initial_capacity 0;
@@ -140,10 +137,7 @@ let finish_fiber t fiber =
   List.iter (fun w -> schedule t ~at:t.clock w) waiters
 
 let spawn t ?(name = "fiber") body =
-  t.next_fid <- t.next_fid + 1;
-  let fiber =
-    { fid = t.next_fid; name; cancelled = false; finished = false; join_waiters = [] }
-  in
+  let fiber = { name; cancelled = false; finished = false; join_waiters = [] } in
   let handler : (unit, unit) handler =
     {
       retc = (fun () -> finish_fiber t fiber);
@@ -179,7 +173,6 @@ let spawn t ?(name = "fiber") body =
 
 let cancel _t fiber = if not fiber.finished then fiber.cancelled <- true
 let fiber_alive fiber = not (fiber.finished || fiber.cancelled)
-let fiber_name fiber = Printf.sprintf "%s#%d" fiber.name fiber.fid
 let suspend2 (_ : t) register = perform (Suspend register)
 let suspend t register = suspend2 t (fun _fiber resume -> register resume)
 

@@ -51,7 +51,6 @@ val cancel : t -> fiber -> unit
 (** [fiber_alive f] is false once the fiber has finished or has been asked
     to cancel. *)
 val fiber_alive : fiber -> bool
-val fiber_name : fiber -> string
 
 (** {1 Blocking operations (must be called from inside a fiber)} *)
 

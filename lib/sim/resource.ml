@@ -68,7 +68,6 @@ let with_held t f =
   acquire t;
   Fun.protect ~finally:(fun () -> release t) f
 
-let in_use t = t.busy
 let queue_length t = Queue.length t.waiters
 
 let busy_time t =

@@ -24,7 +24,6 @@ val with_held : t -> (unit -> 'a) -> 'a
 (** Acquire, run the thunk (which may itself block), release — even if the
     thunk raises. *)
 
-val in_use : t -> int
 val queue_length : t -> int
 
 val utilization : t -> float

@@ -16,8 +16,6 @@ val copy : t -> t
 
 (** {1 Draws} *)
 
-val bits64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound); [bound] must be > 0. *)
 

@@ -85,7 +85,6 @@ let degrade_factor t = t.degrade_factor
 let set_write_error_rate t rate =
   t.write_error_rate <- Float.min 1.0 (Float.max 0. rate)
 
-let write_error_rate t = t.write_error_rate
 let fsync_stalls t = Stats.Counter.value t.fsync_stall_count
 let io_errors t = Stats.Counter.value t.io_error_count
 

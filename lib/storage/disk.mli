@@ -74,8 +74,6 @@ val set_write_error_rate : t -> float -> unit
 (** Probability (clamped to [0,1]) that an op first burns a full extra
     op-time on a failed attempt before succeeding. *)
 
-val write_error_rate : t -> float
-
 val fsync_stalls : t -> int
 (** Cumulative count of fsyncs served while a stall was active. *)
 

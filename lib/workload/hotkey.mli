@@ -19,7 +19,4 @@ val profile :
   unit ->
   Spec.t
 
-val hot_key : int -> Mvcc.Key.t
-(** The hot row for a Zipf rank, for tests that read back final sums. *)
-
 val hot_keys_default : int

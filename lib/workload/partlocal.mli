@@ -1,6 +1,6 @@
 (** AllUpdates restructured for partitioned certification: every
     transaction writes two rows, and each client owns a private pool of
-    [rows_per_bucket] rows {e per key partition} (pools are carved out of
+    64 rows {e per key partition} (pools are carved out of
     the client's keyspace with the same FNV partitioner the cluster
     routes by, so a pool's rows certify entirely within one certifier
     group).
@@ -40,6 +40,3 @@ val profile :
     [[0, 1]], or [modulo_hosting] is combined with [cross_ratio > 0].
     [partitions] must equal the cluster's [n_partitions], or routing and
     pooling disagree. *)
-
-val rows_per_bucket : int
-(** Rows in each (client, partition) pool. *)

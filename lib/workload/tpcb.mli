@@ -5,8 +5,7 @@
     writesets) occur.
 
     Scale: [branches_per_replica] branches per replica (the TPC-B scaling
-    rule sizes branches to the offered load), [tellers_per_branch] tellers
-    and [accounts_per_branch] accounts per branch. A configurable fraction
+    rule sizes branches to the offered load), 10 tellers and [accounts_per_branch] accounts per branch. A configurable fraction
     of transactions touches a random non-home branch (the spec says 15%).
 
     With [deltas] (default off), the account/teller/branch balance bumps
@@ -23,5 +22,3 @@ val profile :
   ?deltas:bool ->
   unit ->
   Spec.t
-
-val tellers_per_branch : int

@@ -10,5 +10,3 @@
     conflict rate. *)
 
 val profile : ?clients_per_replica:int -> ?items:int -> unit -> Spec.t
-
-val update_fraction : float

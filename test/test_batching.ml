@@ -15,6 +15,7 @@ type cluster = {
   engine : Engine.t;
   net : Types.message Net.Network.t;
   certs : (string * Certifier.t) list;
+  metrics : Obs.Registry.t;
   client_mb : Types.message Mailbox.t;
 }
 
@@ -29,10 +30,8 @@ let make_certs ?(n = 3) ?(seed = 11) () =
     { Net.Network.default_lan with latency_lo = Time.us 50; latency_hi = Time.us 50 }
   in
   let net = Net.Network.create engine ~rng:(Rng.split rng) ~config () in
-  let env =
-    Env.make ~engine ~rng ~net ~metrics:(Obs.Registry.create ())
-      ~trace:(Obs.Trace.disabled ()) ()
-  in
+  let metrics = Obs.Registry.create () in
+  let env = Env.make ~engine ~rng ~net ~metrics ~trace:(Obs.Trace.disabled ()) () in
   let ids = List.init n (fun i -> Printf.sprintf "c%d" i) in
   let certs =
     List.map
@@ -41,7 +40,7 @@ let make_certs ?(n = 3) ?(seed = 11) () =
       ids
   in
   let client_mb = Net.Network.register net "client" in
-  { engine; net; certs; client_mb }
+  { engine; net; certs; metrics; client_mb }
 
 let run_for c span = Engine.run ~until:(Time.add (Engine.now c.engine) span) c.engine
 
@@ -92,7 +91,7 @@ let test_one_broadcast_per_batch () =
   let c = make_certs () in
   run_for c (Time.sec 2);
   let leader_id, leader = the_leader c in
-  Certifier.reset_stats leader;
+  Obs.Registry.reset c.metrics;
   let kreq = 8 in
   for i = 1 to kreq do
     request c ~dst:leader_id ~req_id:i ~row:(Printf.sprintf "a%d" i) ~value:i
@@ -125,7 +124,7 @@ let test_intra_batch_conflict_aborts_later () =
   let c = make_certs () in
   run_for c (Time.sec 2);
   let leader_id, leader = the_leader c in
-  Certifier.reset_stats leader;
+  Obs.Registry.reset c.metrics;
   request c ~dst:leader_id ~req_id:1 ~row:"x" ~value:1 ~at_version:0;
   request c ~dst:leader_id ~req_id:2 ~row:"x" ~value:2 ~at_version:0;
   request c ~dst:leader_id ~req_id:3 ~row:"y" ~value:3 ~at_version:0;

@@ -156,10 +156,10 @@ let test_cert_client_timeout_failover () =
 (* ------------------------------------------------------------------ *)
 (* Certifier unit behaviour through a real (1-node) instance *)
 
-let one_node_certifier ?(config = Certifier.default_config) engine net =
+let one_node_certifier ?(config = Certifier.default_config)
+    ?(metrics = Obs.Registry.create ()) engine net =
   let env =
-    Env.make ~engine ~rng:(Rng.create 9) ~net ~metrics:(Obs.Registry.create ())
-      ~trace:(Obs.Trace.disabled ()) ()
+    Env.make ~engine ~rng:(Rng.create 9) ~net ~metrics ~trace:(Obs.Trace.disabled ()) ()
   in
   Certifier.create env ~id:"cert0" ~peers:[] ~config ()
 
@@ -254,12 +254,14 @@ let test_certifier_remotes_annotated () =
 let test_certifier_nocert_mode_no_disk () =
   let engine = Engine.create () in
   let net = fast_net engine in
+  let metrics = Obs.Registry.create () in
   let cert =
-    one_node_certifier ~config:{ Certifier.default_config with durable = false } engine net
+    one_node_certifier ~config:{ Certifier.default_config with durable = false } ~metrics
+      engine net
   in
   Engine.run ~until:(Time.sec 2) engine;
   (* discard the election's promise fsync; certification must add none *)
-  Certifier.reset_stats cert;
+  Obs.Registry.reset metrics;
   let replied_at = ref Time.zero in
   let mb = Net.Network.register net "rq" in
   ignore

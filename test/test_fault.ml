@@ -471,8 +471,6 @@ let test_pp_action_golden () =
         "latency-spike cert0-replica1 +5.000ms for 1.000s" );
       (Fault.Crash_certifier 2, "crash cert2");
       (Fault.Recover_certifier 2, "recover cert2");
-      (Fault.Crash_leader, "crash leader");
-      (Fault.Recover_crashed, "recover crashed leader");
       (Fault.Crash_group_leader 1, "crash p1 leader");
       (Fault.Recover_group_crashed 1, "recover crashed p1 leader");
       (Fault.Crash_replica 0, "crash replica0");

@@ -386,7 +386,7 @@ let test_seed11_stale_reanswer_regression () =
       cluster = { d.cluster with seed = 20060418 };
       plan =
         Harness.Chaos_exp.Explicit
-          [ (Sim.Time.of_ms 4131., Fault.Crash_leader) ];
+          [ (Sim.Time.of_ms 4131., Fault.Crash_group_leader 0) ];
     }
   in
   let r = Harness.Chaos_exp.run ~config () in

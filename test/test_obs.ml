@@ -524,6 +524,22 @@ let test_monitor_gc_floor () =
   check_bool "floor went backwards" true
     (List.mem "gc-floor" (monitor_names m))
 
+(* A deposed certifier leader emits Actor_reset and abandons its admitted
+   requests; their snapshots must not pin the floor it later truncates to
+   as a follower. *)
+let test_monitor_gc_floor_after_reset () =
+  let admit_then_truncate ~reset =
+    let _e, ev, m = make_monitor () in
+    emit ev (Obs.Events.Request_admitted
+         { actor = "cert1"; part = 0; origin = "replica2"; req_id = 9; replica_version = 5 });
+    if reset then emit ev (Obs.Events.Actor_reset { actor = "cert1" });
+    emit ev (Obs.Events.Gc_floor { actor = "cert1"; part = 0; floor = 10 });
+    Obs.Monitor.violation_count m
+  in
+  check_int "reset drops the abandoned admission" 0 (admit_then_truncate ~reset:true);
+  check_int "without the reset the admission still pins" 1
+    (admit_then_truncate ~reset:false)
+
 let test_monitor_progress () =
   let _e, ev, m = make_monitor ~progress_bound:(Time.sec 5) () in
   emit ev (Obs.Events.Tx_submitted { actor = "r0#p0"; tx = 1 });
@@ -608,6 +624,8 @@ let suites =
           test_monitor_cross_atomicity;
         Alcotest.test_case "gc-floor: live snapshot and monotonicity" `Quick
           test_monitor_gc_floor;
+        Alcotest.test_case "gc-floor: leadership loss drops admissions" `Quick
+          test_monitor_gc_floor_after_reset;
         Alcotest.test_case "progress: overdue and reset" `Quick
           test_monitor_progress;
         Alcotest.test_case "registry gauges exported" `Quick

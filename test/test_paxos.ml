@@ -348,6 +348,44 @@ let test_corrupt_tail_cannot_unpromise () =
           (List.filter (fun (_, v) -> v = "a") (log_of c id)))
     c.nodes
 
+(* A follower that learned the commit index without the chosen values
+   (their Commit lost, its gap fetch lost) wins the next election. Its
+   Prepare only recovers slots above its commit index, and a leader never
+   receives a Commit, so it must fetch the gap itself or stay unready. *)
+let test_leader_fetches_commit_gap () =
+  let c = make_cluster () in
+  run_for c (Time.sec 2);
+  let leader_id, leader = the_leader c in
+  let others = List.filter (fun (id, _) -> id <> leader_id) c.nodes in
+  let fid, follower = List.hd others and other_id = fst (List.nth others 1) in
+  Net.Network.set_tap c.net
+    (Some
+       (fun ~src ~dst msg ->
+         match msg with
+         | Paxos.Node.Commit _ when dst = fid -> Net.Network.Drop
+         | Paxos.Node.Ask_transfer _ when src = fid -> Net.Network.Drop
+         | _ -> Net.Network.Pass));
+  List.iter (propose_ok c) [ "a"; "b"; "c" ];
+  run_for c (Time.sec 1);
+  Paxos.Node.handle follower
+    (Paxos.Node.Commit { from = leader_id; entries = []; commit_index = 3 });
+  Alcotest.(check int) "follower knows the commit index" 3 (Paxos.Node.commit_index follower);
+  Alcotest.(check (list (pair int string))) "but delivered nothing" [] (log_of c fid);
+  (* The old leader dies; the other survivor's elections are dropped so the
+     gapped follower wins. *)
+  Paxos.Node.crash leader;
+  Net.Network.set_tap c.net
+    (Some
+       (fun ~src ~dst:_ msg ->
+         match msg with
+         | Paxos.Node.Prepare _ when src = other_id -> Net.Network.Drop
+         | _ -> Net.Network.Pass));
+  run_for c (Time.sec 3);
+  Alcotest.(check string) "the gapped follower leads" fid (fst (the_leader c));
+  Alcotest.(check bool) "it delivered its inherited slots" true (Paxos.Node.leader_ready follower);
+  Alcotest.(check (list (pair int string)))
+    "gap filled in order" [ (1, "a"); (2, "b"); (3, "c") ] (log_of c fid)
+
 (* Property: under random crash/recover churn of followers, delivered logs
    on live nodes are always prefix-consistent. *)
 let prop_prefix_consistency =
@@ -431,6 +469,8 @@ let suites =
           test_late_acks_leave_no_tables;
         Alcotest.test_case "abdicate moves leadership" `Quick
           test_abdicate_moves_leadership;
+        Alcotest.test_case "new leader fetches its commit gap" `Quick
+          test_leader_fetches_commit_gap;
         Alcotest.test_case "torn Accepted never replayed" `Quick
           test_torn_accepted_never_replayed;
         Alcotest.test_case "corrupt tail cannot un-promise" `Quick

@@ -197,7 +197,7 @@ let test_standalone_driver_runs () =
   let rng = Rng.create 5 in
   let disk = Storage.Disk.create e ~rng:(Rng.split rng) () in
   let cpu = Resource.create e ~capacity:1 () in
-  let db = Mvcc.Db.create e ~rng:(Rng.split rng) ~log_disk:disk ~cpu () in
+  let db = Mvcc.Db.create e ~rng:(Rng.split rng) ~log_disk:disk () in
   let spec = Workload.Allupdates.profile ~clients_per_replica:4 () in
   Mvcc.Db.load db (spec.initial_rows ~n_replicas:1);
   let collector = Workload.Driver.Collector.create () in
