@@ -29,7 +29,7 @@ let () =
       let proxy = Replica.proxy replica in
       let rng = Rng.create (100 + ix) in
       ignore
-        (Engine.spawn engine ~name:(Printf.sprintf "teller%d" ix) (fun () ->
+        (Engine.spawn engine (fun () ->
              for _ = 1 to 40 do
                let from_acct = Rng.int rng n_accounts in
                let to_acct = (from_acct + 1 + Rng.int rng (n_accounts - 1)) mod n_accounts in

@@ -31,7 +31,7 @@ let () =
 
   (* Replica 0: bump the ticker every 100 ms. *)
   ignore
-    (Engine.spawn engine ~name:"writer" (fun () ->
+    (Engine.spawn engine (fun () ->
          for i = 1 to 100 do
            let tx = Proxy.begin_tx writer in
            ignore (Proxy.write writer tx (key "ticker") (Mvcc.Writeset.Update (Mvcc.Value.int i)));
@@ -42,7 +42,7 @@ let () =
   (* Replica 1: pure reader. Its snapshots lag but are never inconsistent,
      and reads never block — the core GSI property. *)
   ignore
-    (Engine.spawn engine ~name:"reader" (fun () ->
+    (Engine.spawn engine (fun () ->
          for _ = 1 to 10 do
            Engine.sleep engine (Time.sec 1);
            let started = Engine.now engine in

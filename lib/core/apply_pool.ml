@@ -30,6 +30,9 @@ type handle = {
    writer and the whole delta set. *)
 type key_writers = { mutable blind : handle option; mutable deltas : handle list }
 
+(* The absent slot of the key index: never handed out, never mutated. *)
+let no_writers = { blind = None; deltas = [] }
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -37,7 +40,7 @@ type t = {
   trace : Obs.Trace.t;
   queue : handle Mailbox.t;
   unpublished : handle Queue.t;  (* submitted, not yet published, in order *)
-  index : key_writers Mvcc.Key.Tbl.t;  (* empty under [Serial] *)
+  index : key_writers Mvcc.Key.Dense.t;  (* empty under [Serial] *)
   mutable workers : Engine.fiber list;
   (* Time-weighted exec concurrency: parallelism = ∫busy dt / ∫[busy>0] dt. *)
   mutable busy : int;
@@ -82,16 +85,16 @@ let retire t h =
   List.iter
     (fun (_, ws) ->
       Mvcc.Writeset.iter_keys ws (fun key ->
-          match Mvcc.Key.Tbl.find_opt t.index key with
-          | None -> ()
-          | Some w ->
-              (match w.blind with
-              | Some h' when h' == h -> w.blind <- None
-              | Some _ | None -> ());
-              w.deltas <- List.filter (fun h' -> not (h' == h)) w.deltas;
-              (match (w.blind, w.deltas) with
-              | None, [] -> Mvcc.Key.Tbl.remove t.index key
-              | _ -> ())))
+          let w = Mvcc.Key.Dense.find t.index key in
+          if w != no_writers then begin
+            (match w.blind with
+            | Some h' when h' == h -> w.blind <- None
+            | Some _ | None -> ());
+            w.deltas <- List.filter (fun h' -> not (h' == h)) w.deltas;
+            match (w.blind, w.deltas) with
+            | None, [] -> Mvcc.Key.Dense.remove t.index key
+            | _ -> ()
+          end))
     h.batch
 
 let rec publish t =
@@ -121,9 +124,8 @@ let run t h =
 let spawn_workers t =
   let n = match t.policy with Serial -> 1 | Commit_n -> 0 | Parallel n -> n in
   t.workers <-
-    List.init n (fun i ->
+    List.init n (fun _ ->
         Engine.spawn t.engine
-          ~name:(Printf.sprintf "%s.apply_worker%d" t.name i)
           (fun () ->
             let rec loop () =
               run t (Mailbox.recv t.queue);
@@ -143,7 +145,7 @@ let create engine ~name ~policy ~metrics ~trace () =
       trace;
       queue = Mailbox.create engine ~name:(name ^ ".apply_queue") ();
       unpublished = Queue.create ();
-      index = Mvcc.Key.Tbl.create 1024;
+      index = Mvcc.Key.Dense.create ~absent:no_writers;
       workers = [];
       busy = 0;
       last_change = Engine.now engine;
@@ -177,11 +179,11 @@ let link t h =
     (fun (_, ws) ->
       Mvcc.Writeset.iter_entries ws (fun key op ->
           let w =
-            match Mvcc.Key.Tbl.find_opt t.index key with
-            | Some w -> w
-            | None ->
+            match Mvcc.Key.Dense.find t.index key with
+            | w when w != no_writers -> w
+            | _ ->
                 let w = { blind = None; deltas = [] } in
-                Mvcc.Key.Tbl.add t.index key w;
+                Mvcc.Key.Dense.replace t.index key w;
                 w
           in
           Option.iter depend w.blind;
@@ -213,7 +215,7 @@ let submit t ~batch ?trace_id ?(on_published = ignore) ~exec () =
   Queue.add h t.unpublished;
   (match t.policy with
   | Commit_n ->
-      h.fiber <- Some (Engine.spawn t.engine ~name:(t.name ^ ".apply") (fun () -> run t h))
+      h.fiber <- Some (Engine.spawn t.engine (fun () -> run t h))
   | Serial | Parallel _ -> Mailbox.send t.queue h);
   h
 
@@ -225,7 +227,7 @@ let pause t =
   Queue.iter (fun h -> Option.iter (Engine.cancel t.engine) h.fiber) t.unpublished;
   Queue.clear t.unpublished;
   Mailbox.clear t.queue;
-  Mvcc.Key.Tbl.reset t.index;
+  Mvcc.Key.Dense.reset t.index;
   account t;
   t.busy <- 0
 

@@ -11,7 +11,7 @@ type t = {
      fetching the logged writeset. Truncation trims every list to
      versions above the floor, so no scan can ever observe pruned
      history. *)
-  writers : (int * bool) list ref Key.Tbl.t;
+  writers : (int * bool) list Key.Dense.t;
   (* Database state at [floor], folded from the truncated prefix: the
      base every snapshot transfer and consistency check starts from.
      [base_keys] remembers every key a truncated entry ever touched —
@@ -45,7 +45,7 @@ let create ?(initial = fun _ -> None) () =
     slots = Array.make 256 dummy_slot;
     size = 0;
     floor = 0;
-    writers = Key.Tbl.create 1024;
+    writers = Key.Dense.create ~absent:[];
     base = Store.create ();
     base_keys = Key.Tbl.create 64;
     initial;
@@ -94,9 +94,7 @@ let append t (entry : Types.entry) =
   t.live_bytes <- t.live_bytes + Types.entry_bytes entry;
   Writeset.iter_entries entry.ws (fun key op ->
       let tagged = (entry.version, Writeset.op_is_delta op) in
-      match Key.Tbl.find_opt t.writers key with
-      | Some versions -> versions := tagged :: !versions
-      | None -> Key.Tbl.replace t.writers key (ref [ tagged ]))
+      Key.Dense.replace t.writers key (tagged :: Key.Dense.find t.writers key))
 
 (* The part of a newest-first writer list above [floor]; the list itself
    when nothing falls at or below it. *)
@@ -139,12 +137,9 @@ let truncate t ~upto =
     for i = 0 to k - 1 do
       Writeset.iter_entries t.slots.(i).entry.ws (fun key _ ->
           Store.gc_key t.base ~keep_after:upto key;
-          match Key.Tbl.find_opt t.writers key with
-          | None -> ()
-          | Some versions -> (
-              match above_floor upto !versions with
-              | [] -> Key.Tbl.remove t.writers key
-              | kept -> if kept != !versions then versions := kept))
+          let versions = Key.Dense.find t.writers key in
+          let kept = above_floor upto versions in
+          if kept != versions then Key.Dense.replace t.writers key kept)
     done;
     let remaining = t.size - k in
     Array.blit t.slots k t.slots 0 remaining;
@@ -174,27 +169,24 @@ let conflict_in_window t ws ~lo ~hi =
     let best = ref None in
     Writeset.iter_entries ws (fun key op ->
         let mine_delta = Writeset.op_is_delta op in
-        match Key.Tbl.find_opt t.writers key with
-        | None -> ()
-        | Some versions ->
-            let rec scan = function
-              | [] -> ()
-              | (v, writer_delta) :: rest ->
-                  if v > hi then scan rest
-                  else if v > lo then
-                    if mine_delta && writer_delta then begin
-                      (* Commutative delta–delta overlap: not a conflict.
-                         Keep scanning — an older in-window blind write to
-                         the same key would still conflict. *)
-                      t.delta_skips <- t.delta_skips + 1;
-                      scan rest
-                    end
-                    else
-                      match !best with
-                      | Some b when b >= v -> ()
-                      | _ -> best := Some v
-            in
-            scan !versions);
+        let rec scan = function
+          | [] -> ()
+          | (v, writer_delta) :: rest ->
+              if v > hi then scan rest
+              else if v > lo then
+                if mine_delta && writer_delta then begin
+                  (* Commutative delta–delta overlap: not a conflict.
+                     Keep scanning — an older in-window blind write to
+                     the same key would still conflict. *)
+                  t.delta_skips <- t.delta_skips + 1;
+                  scan rest
+                end
+                else
+                  match !best with
+                  | Some b when b >= v -> ()
+                  | _ -> best := Some v
+        in
+        scan (Key.Dense.find t.writers key));
     !best
   end
 

@@ -679,7 +679,7 @@ let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
              whole pile, not one request. *)
           let wal = Paxos.Node.wal t.paxos_node in
           ignore
-            (Engine.spawn t.engine ~name:(t.node_id ^ ".roundsync") (fun () ->
+            (Engine.spawn t.engine (fun () ->
                  let sp =
                    Obs.Trace.span t.trace ~stage:"wal.fsync" ~actor:t.node_id ()
                  in
@@ -737,7 +737,7 @@ let process_tasks t (tasks : task list) =
 
 let handle_fetch t (freq : Types.fetch_request) =
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".fetch") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          Resource.use t.cpu t.cfg.certify_cpu;
          if t.up then begin
            Stats.Counter.incr t.c_fetches;
@@ -947,7 +947,7 @@ let spawn_role_watch t =
      and the reply route re-arms from the proxy's retry. Delivered
      prepares, votes and pins are replicated state and stay. *)
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".rolewatch") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          let rec loop () =
            Engine.sleep t.engine (Time.of_ms 5.);
            let now_leader = is_leader t in
@@ -981,7 +981,7 @@ let spawn_role_watch t =
    transaction whose Prepared record made it into at least one ring. *)
 let spawn_xsweep t =
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".xsweep") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          let rec loop () =
            Engine.sleep t.engine (Time.of_ms 100.);
            (if t.up && is_leader t then
@@ -1024,7 +1024,7 @@ let spawn_xsweep t =
 let spawn_disk_watch t =
   let backoff = Time.scale Paxos.Node.election_timeout_hi 8. in
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".diskwatch") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          let rec loop () =
            Engine.sleep t.engine (Time.div fsync_deadline 4);
            (if t.up && is_leader t then
@@ -1164,7 +1164,7 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
   (* Registry reset = the certifier's own window reset. *)
   Obs.Registry.on_reset metrics (fun () -> rebaseline t);
   ignore
-    (Engine.spawn engine ~name:(node_id ^ ".pump") (fun () ->
+    (Engine.spawn engine (fun () ->
          let rec loop () =
            (match Mailbox.recv mailbox with
            | Types.Paxos msg -> if t.up then Paxos.Node.handle t.paxos_node msg
@@ -1186,7 +1186,7 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
          in
          loop ()));
   ignore
-    (Engine.spawn engine ~name:(node_id ^ ".certify") (fun () ->
+    (Engine.spawn engine (fun () ->
          let rec loop () =
            (* Blocks for the first request, then drains everything queued
               behind it: the batch formation rule. Under load the queue

@@ -367,7 +367,7 @@ let ensure_bridge t reply =
 
 let spawn_applier t =
   let fiber =
-    Engine.spawn t.engine ~name:(t.address ^ ".applier") (fun () ->
+    Engine.spawn t.engine (fun () ->
         let rec loop () =
           (match Mailbox.recv t.work with
           | Commit_reply { reply; w_tx; done_ } ->
@@ -600,7 +600,7 @@ let commit ?cross t w_tx =
 
 let spawn_refresher t bound =
   let fiber =
-    Engine.spawn t.engine ~name:(t.address ^ ".refresher") (fun () ->
+    Engine.spawn t.engine (fun () ->
         let rec loop () =
           Engine.sleep t.engine bound;
           if
@@ -699,7 +699,7 @@ let create (env : Env.t) ~addr:address ?(part = 0) ~db:database ~cpu ~certifiers
   in
   (* Reply dispatcher: long-lived, routes certifier messages to waiters. *)
   ignore
-    (Engine.spawn engine ~name:(address ^ ".dispatch") (fun () ->
+    (Engine.spawn engine (fun () ->
          let rec loop () =
            Cert_client.handle client (Mailbox.recv mailbox);
            loop ()

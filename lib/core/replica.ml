@@ -145,7 +145,7 @@ let durability_of cfg =
    whole database); each partition's copy enters that partition's store. *)
 let spawn_dumper t interval =
   ignore
-    (Engine.spawn t.engine ~name:(t.label ^ ".dumper") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          let rec loop () =
            Engine.sleep t.engine interval;
            if t.up then begin

@@ -112,7 +112,6 @@ let commit_fragments t subs gtx =
         let ivar = Ivar.create t.engine () in
         let _fib =
           Engine.spawn t.engine
-            ~name:(Printf.sprintf "xcommit.%s.p%d" t.addr s.part)
             (fun () ->
               Ivar.fill ivar (Proxy.commit ~cross:(gtx, fragments) s.proxy s.ptx))
         in

@@ -353,7 +353,7 @@ let tap_callback t ~src ~dst msg =
               crash_scheduled := true;
               Engine.schedule_after t.engine Time.zero (fun () ->
                   ignore
-                    (Engine.spawn t.engine ~name:"fault.tap-crash" (fun () ->
+                    (Engine.spawn t.engine (fun () ->
                          ignore (crash_node t victim);
                          note_health t)))
         end
@@ -513,7 +513,7 @@ let inject cluster plan =
   let plan = List.sort (fun (a, _) (b, _) -> Time.compare a b) plan in
   let start = Engine.now engine in
   ignore
-    (Engine.spawn engine ~name:"fault.injector" (fun () ->
+    (Engine.spawn engine (fun () ->
          List.iter
            (fun (offset, action) ->
              let due = Time.add start offset in
@@ -522,7 +522,7 @@ let inject cluster plan =
              (* Each action gets its own fiber so a timed fault's revert
                 sleep or a blocking replica recovery never delays the next
                 scheduled action. *)
-             ignore (Engine.spawn engine ~name:"fault.action" (fun () -> apply t action)))
+             ignore (Engine.spawn engine (fun () -> apply t action)))
            plan));
   t
 

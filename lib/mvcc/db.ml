@@ -268,7 +268,7 @@ let create engine ~rng ~log_disk ?data_disk ?(config = default_config)
          transaction rate. *)
       let interval = Time.of_sec (1. /. rate) in
       ignore
-        (Engine.spawn engine ~name:(name ^ ".bgwriter") (fun () ->
+        (Engine.spawn engine (fun () ->
              let rec loop () =
                Engine.sleep engine interval;
                if Stats.Counter.value db.commit_count > 0 then
@@ -280,7 +280,7 @@ let create engine ~rng ~log_disk ?data_disk ?(config = default_config)
   (match config.durability with
   | Periodic interval ->
       ignore
-        (Engine.spawn engine ~name:(name ^ ".walsync") (fun () ->
+        (Engine.spawn engine (fun () ->
              let rec loop () =
                Engine.sleep engine interval;
                Storage.Wal.sync db.db_wal;
@@ -293,7 +293,7 @@ let create engine ~rng ~log_disk ?data_disk ?(config = default_config)
       (* Vacuum: drop row versions no active snapshot (and no replica
          behind the cluster GC floor) can still see. *)
       ignore
-        (Engine.spawn engine ~name:(name ^ ".vacuum") (fun () ->
+        (Engine.spawn engine (fun () ->
              let rec loop () =
                Engine.sleep engine interval;
                ignore (vacuum db);
@@ -487,7 +487,7 @@ let schedule_writebacks t ws =
       let pages = whole + if Rng.chance t.rng (expected -. float_of_int whole) then 1 else 0 in
       if pages > 0 then
         ignore
-          (Engine.spawn t.engine ~name:(t.label ^ ".bgwriter") (fun () ->
+          (Engine.spawn t.engine (fun () ->
                for _ = 1 to pages do
                  Storage.Disk.write disk ~bytes:page_bytes
                done))

@@ -2,18 +2,22 @@ type txid = int
 
 type lock = { mutable owner : txid; mutable queue : txid list (* oldest first *) }
 
+(* The absent slot of the lock table: never handed out, never mutated. *)
+let free = { owner = -1; queue = [] }
+
 type t = {
-  locks : lock Key.Tbl.t;
+  locks : lock Key.Dense.t;  (* [free] where no one holds the key *)
   held : (txid, Key.Set.t) Hashtbl.t;
   (* wait-for edge: waiter -> (key it waits on). The holder is looked up
      through the lock so the edge stays correct as ownership changes. *)
   waits : (txid, Key.t) Hashtbl.t;
 }
 
-let create () = { locks = Key.Tbl.create 256; held = Hashtbl.create 64; waits = Hashtbl.create 16 }
+let create () = { locks = Key.Dense.create ~absent:free; held = Hashtbl.create 64; waits = Hashtbl.create 16 }
 
 let holder t key =
-  match Key.Tbl.find_opt t.locks key with Some l -> Some l.owner | None -> None
+  let l = Key.Dense.find t.locks key in
+  if l == free then None else Some l.owner
 
 type acquire_result = Granted | Would_block of txid | Deadlock of txid list
 
@@ -40,52 +44,50 @@ let find_cycle t ~me ~start =
   walk start [ start ] 0
 
 let acquire t txid key =
-  match Key.Tbl.find_opt t.locks key with
-  | None ->
-      Key.Tbl.replace t.locks key { owner = txid; queue = [] };
-      note_held t txid key;
-      Granted
-  | Some lock when lock.owner = txid -> Granted
-  | Some lock -> (
-      match find_cycle t ~me:txid ~start:lock.owner with
-      | Some cycle -> Deadlock (txid :: cycle)
-      | None -> Would_block lock.owner)
+  let lock = Key.Dense.find t.locks key in
+  if lock == free then begin
+    Key.Dense.replace t.locks key { owner = txid; queue = [] };
+    note_held t txid key;
+    Granted
+  end
+  else if lock.owner = txid then Granted
+  else
+    match find_cycle t ~me:txid ~start:lock.owner with
+    | Some cycle -> Deadlock (txid :: cycle)
+    | None -> Would_block lock.owner
 
 let enqueue t txid key =
-  match Key.Tbl.find_opt t.locks key with
-  | None -> invalid_arg "Locks.enqueue: lock not held by anyone"
-  | Some lock ->
-      lock.queue <- lock.queue @ [ txid ];
-      Hashtbl.replace t.waits txid key
+  let lock = Key.Dense.find t.locks key in
+  if lock == free then invalid_arg "Locks.enqueue: lock not held by anyone";
+  lock.queue <- lock.queue @ [ txid ];
+  Hashtbl.replace t.waits txid key
 
 let cancel_wait t txid key =
   Hashtbl.remove t.waits txid;
-  match Key.Tbl.find_opt t.locks key with
-  | None -> ()
-  | Some lock -> lock.queue <- List.filter (fun w -> w <> txid) lock.queue
+  let lock = Key.Dense.find t.locks key in
+  if lock != free then lock.queue <- List.filter (fun w -> w <> txid) lock.queue
 
 let release_all t txid =
   let keys = Option.value ~default:Key.Set.empty (Hashtbl.find_opt t.held txid) in
   Hashtbl.remove t.held txid;
   Key.Set.fold
     (fun key grants ->
-      match Key.Tbl.find_opt t.locks key with
-      | None -> grants
-      | Some lock when lock.owner <> txid -> grants
-      | Some lock -> (
-          match lock.queue with
-          | [] ->
-              Key.Tbl.remove t.locks key;
-              grants
-          | next :: rest ->
-              lock.owner <- next;
-              lock.queue <- rest;
-              Hashtbl.remove t.waits next;
-              note_held t next key;
-              (key, next) :: grants))
+      let lock = Key.Dense.find t.locks key in
+      if lock == free || lock.owner <> txid then grants
+      else
+        match lock.queue with
+        | [] ->
+            Key.Dense.remove t.locks key;
+            grants
+        | next :: rest ->
+            lock.owner <- next;
+            lock.queue <- rest;
+            Hashtbl.remove t.waits next;
+            note_held t next key;
+            (key, next) :: grants)
     keys []
 
 let held_by t txid =
   Key.Set.elements (Option.value ~default:Key.Set.empty (Hashtbl.find_opt t.held txid))
 
-let lock_count t = Key.Tbl.length t.locks
+let lock_count t = Key.Dense.length t.locks

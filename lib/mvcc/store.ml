@@ -12,9 +12,10 @@ type cell = Blind of Value.t option | Delta of int
 
 type chain = (int * cell) list
 
-type t = { rows : chain Key.Tbl.t; mutable version : int; mutable pruned : int }
+(* Rows by key id; an empty chain is an absent row. *)
+type t = { rows : chain Key.Dense.t; mutable version : int; mutable pruned : int }
 
-let create () = { rows = Key.Tbl.create 1024; version = 0; pruned = 0 }
+let create () = { rows = Key.Dense.create ~absent:[]; version = 0; pruned = 0 }
 let current_version t = t.version
 let pruned t = t.pruned
 
@@ -44,43 +45,34 @@ let rec fold_value acc saw_delta = function
 let materialise suffix = Blind (fold_value 0 false suffix)
 
 let read t ~at key =
-  match Key.Tbl.find_opt t.rows key with
-  | None -> None
-  | Some chain ->
-      let rec visible = function
-        | (v, _) :: rest when v > at -> visible rest
-        | suffix -> fold_value 0 false suffix
-      in
-      visible chain
+  let rec visible = function
+    | (v, _) :: rest when v > at -> visible rest
+    | suffix -> fold_value 0 false suffix
+  in
+  visible (Key.Dense.find t.rows key)
 
 let read_latest t key = read t ~at:max_int key
 
 let latest_writer t key =
-  match Key.Tbl.find_opt t.rows key with
-  | None | Some [] -> 0
-  | Some ((v, _) :: _) -> v
+  match Key.Dense.find t.rows key with [] -> 0 | (v, _) :: _ -> v
 
 let blind_write_after t key ~after =
-  match Key.Tbl.find_opt t.rows key with
-  | None -> None
-  | Some chain ->
-      (* Newest first, so the walk ends at the first version at or below
-         [after]: it costs the entries newer than [after], not the chain. *)
-      let rec walk = function
-        | (v, _) :: _ when v <= after -> None
-        | (v, Blind _) :: _ -> Some v
-        | (_, Delta _) :: rest -> walk rest
-        | [] -> None
-      in
-      walk chain
+  (* Newest first, so the walk ends at the first version at or below
+     [after]: it costs the entries newer than [after], not the chain. *)
+  let rec walk = function
+    | (v, _) :: _ when v <= after -> None
+    | (v, Blind _) :: _ -> Some v
+    | (_, Delta _) :: rest -> walk rest
+    | [] -> None
+  in
+  walk (Key.Dense.find t.rows key)
 
 let install t ~version ws =
   if version <= t.version then
     invalid_arg
       (Printf.sprintf "Store.install: version %d not beyond current %d" version t.version);
   Writeset.iter_entries ws (fun key op ->
-      let chain = Option.value ~default:[] (Key.Tbl.find_opt t.rows key) in
-      Key.Tbl.replace t.rows key ((version, cell_of_op op) :: chain));
+      Key.Dense.replace t.rows key ((version, cell_of_op op) :: Key.Dense.find t.rows key));
   t.version <- version
 
 (* Slot each write into its key's chain at the right version position,
@@ -94,7 +86,7 @@ let install t ~version ws =
 let install_at t ~version ws =
   Writeset.iter_entries ws (fun key op ->
       let cell = cell_of_op op in
-      let chain = Option.value ~default:[] (Key.Tbl.find_opt t.rows key) in
+      let chain = Key.Dense.find t.rows key in
       (* Chains are newest-first: insert in descending position. *)
       let rec ins = function
         | (v, _) :: _ as rest when v < version -> (version, cell) :: rest
@@ -102,20 +94,19 @@ let install_at t ~version ws =
         | entry :: rest -> entry :: ins rest
         | [] -> [ (version, cell) ]
       in
-      Key.Tbl.replace t.rows key (ins chain))
+      Key.Dense.replace t.rows key (ins chain))
 
-let preload t key value = Key.Tbl.replace t.rows key [ (0, Blind (Some value)) ]
+let preload t key value = Key.Dense.replace t.rows key [ (0, Blind (Some value)) ]
 let force_version t v = t.version <- v
-let row_count t = Key.Tbl.length t.rows
+let row_count t = Key.Dense.length t.rows
 
 let version_records t =
-  Key.Tbl.fold (fun _ chain acc -> acc + List.length chain) t.rows 0
+  Key.Dense.fold (fun chain acc -> acc + List.length chain) t.rows 0
 
 let copy t =
-  let fresh =
-    { rows = Key.Tbl.create (Key.Tbl.length t.rows); version = t.version; pruned = 0 }
-  in
-  Key.Tbl.iter
+  let fresh = create () in
+  fresh.version <- t.version;
+  Key.Dense.iter
     (fun key chain ->
       match chain with
       | [] -> ()
@@ -123,7 +114,7 @@ let copy t =
           (* Flattening cuts the chain below the newest entry, so the head
              must be materialised ({!materialise} keeps a tombstone a
              tombstone and folds delta runs exactly like a read would). *)
-          Key.Tbl.replace fresh.rows key [ (v, materialise chain) ])
+          Key.Dense.replace fresh.rows key [ (v, materialise chain) ])
     t.rows;
   fresh
 
@@ -161,32 +152,38 @@ let gc_chain t ~(keep_after : int) chain =
       in
       Some (rebuild chain)
 
-let gc_key t ~keep_after key =
-  match Key.Tbl.find_opt t.rows key with
-  | None -> ()
-  | Some chain -> (
-      match gc_chain t ~keep_after chain with
-      | None -> Key.Tbl.remove t.rows key
-      | Some kept -> if kept != chain then Key.Tbl.replace t.rows key kept)
+(* An absent row ([[]]) stays absent; a dropped one becomes absent. *)
+let gc_chain_or_drop t ~keep_after chain =
+  match chain with
+  | [] -> []
+  | _ -> ( match gc_chain t ~keep_after chain with None -> [] | Some kept -> kept)
 
-let gc t ~keep_after =
-  Key.Tbl.filter_map_inplace (fun _ chain -> gc_chain t ~keep_after chain) t.rows
+let gc_key t ~keep_after key =
+  let chain = Key.Dense.find t.rows key in
+  let kept = gc_chain_or_drop t ~keep_after chain in
+  if kept != chain then Key.Dense.replace t.rows key kept
+
+(* Rows are visited in key-id order; each row's collection is independent
+   of the others, so the order shows nowhere. *)
+let gc t ~keep_after = Key.Dense.map_inplace (gc_chain_or_drop t ~keep_after) t.rows
 
 let newest_version t =
-  Key.Tbl.fold
-    (fun _ chain acc -> match chain with (v, _) :: _ -> Int.max acc v | [] -> acc)
+  Key.Dense.fold
+    (fun chain acc -> match chain with (v, _) :: _ -> Int.max acc v | [] -> acc)
     t.rows t.version
 
 let tombstones t =
-  Key.Tbl.fold
-    (fun key chain acc ->
-      match chain with (v, Blind None) :: _ -> (key, v) :: acc | _ -> acc)
-    t.rows []
+  let found = ref [] in
+  Key.Dense.iter
+    (fun key chain ->
+      match chain with (v, Blind None) :: _ -> found := (key, v) :: !found | _ -> ())
+    t.rows;
+  !found
 
 let pp_chain fmt t key =
-  match Key.Tbl.find_opt t.rows key with
-  | None -> Format.fprintf fmt "<no chain>"
-  | Some chain ->
+  match Key.Dense.find t.rows key with
+  | [] -> Format.fprintf fmt "<no chain>"
+  | chain ->
       List.iter
         (fun (v, cell) ->
           match cell with

@@ -25,7 +25,8 @@ let fold_delta earlier d =
    and resolved at seal time. The read side is a [sealed] form computed on
    first use: a first-write-ordered array of final entries plus a
    key-sorted array of the same entries, so intersection is a linear merge
-   walk and key iteration is allocation-free.
+   walk and key iteration is allocation-free, plus the encoded size that
+   every message and log record carrying the writeset charges.
 
    The sealed form is memoised in a mutable field rather than a lazy value,
    so [add] allocates no closure. The memo is safe because a writeset is
@@ -35,6 +36,7 @@ let fold_delta earlier d =
 type sealed = {
   ordered : entry array; (* first-write order, final op per key *)
   sorted : entry array; (* same entries, ascending by Key.compare *)
+  bytes : int; (* encoded size *)
 }
 
 type t = {
@@ -46,35 +48,60 @@ type t = {
 
 (* Sentinel of an unfilled memo, told apart by physical equality. It is
    also the sealed form of the empty writeset. *)
-let unsealed = { ordered = [||]; sorted = [||] }
+let header_bytes = 8 (* version + count *)
+let unsealed = { ordered = [||]; sorted = [||]; bytes = header_bytes }
+
+let op_bytes = function
+  | Insert v | Update v -> 1 + Value.encoded_bytes v
+  | Delete -> 1
+  | Add _ -> 1 + 8
+
+(* Each key's position in the [ordered] array being sealed, by key id: one
+   table per domain, shared by every seal. A seal claims the stamps
+   [base, base + count) and stores [base + position], so every entry an
+   earlier seal left behind reads as unset without any clearing. *)
+type positions = { slots : int Key.Dense.t; mutable next_base : int }
+
+let positions =
+  Domain.DLS.new_key (fun () -> { slots = Key.Dense.create ~absent:(-1); next_base = 0 })
 
 let seal rev_writes count =
   match rev_writes with
   | [] -> unsealed
   | e0 :: _ ->
       let ordered = Array.make count e0 in
-      let slot = Key.Tbl.create (2 * count) in
+      let pos = Domain.DLS.get positions in
+      let base = pos.next_base in
+      pos.next_base <- base + count;
       let next = ref 0 in
       (* Oldest first: the first write of a key fixes its position. A later
          final-image op overwrites the op in place; a later delta folds
          onto whatever is already there. *)
       List.iter
         (fun e ->
-          match Key.Tbl.find_opt slot e.key with
-          | Some i ->
-              ordered.(i) <-
-                (match e.op with
-                | Add d -> { key = e.key; op = fold_delta ordered.(i).op d }
-                | _ -> e)
-          | None ->
-              let i = !next in
-              incr next;
-              Key.Tbl.replace slot e.key i;
-              ordered.(i) <- e)
+          let stamp = Key.Dense.find pos.slots e.key in
+          if stamp >= base then begin
+            let i = stamp - base in
+            ordered.(i) <-
+              (match e.op with
+              | Add d -> { key = e.key; op = fold_delta ordered.(i).op d }
+              | _ -> e)
+          end
+          else begin
+            let i = !next in
+            incr next;
+            Key.Dense.replace pos.slots e.key (base + i);
+            ordered.(i) <- e
+          end)
         (List.rev rev_writes);
       let sorted = Array.copy ordered in
       Array.sort (fun a b -> Key.compare a.key b.key) sorted;
-      { ordered; sorted }
+      let bytes =
+        Array.fold_left
+          (fun acc e -> acc + Key.encoded_bytes e.key + op_bytes e.op)
+          header_bytes ordered
+      in
+      { ordered; sorted; bytes }
 
 let sealed t =
   if t.memo != unsealed || t.count = 0 then t.memo
@@ -175,16 +202,7 @@ let union earlier later =
     let keyset = Key.Set.union earlier.keyset later.keyset in
     { rev_writes; count = Key.Set.cardinal keyset; keyset; memo = unsealed }
 
-let op_bytes = function
-  | Insert v | Update v -> 1 + Value.encoded_bytes v
-  | Delete -> 1
-  | Add _ -> 1 + 8
-
-let encoded_bytes t =
-  Array.fold_left
-    (fun acc e -> acc + Key.encoded_bytes e.key + op_bytes e.op)
-    8 (* header: version + count *)
-    (sealed t).ordered
+let encoded_bytes t = (sealed t).bytes
 
 let pp_op fmt = function
   | Insert v -> Format.fprintf fmt "ins %a" Value.pp v

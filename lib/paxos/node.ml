@@ -199,7 +199,7 @@ let send_accepts t ballot entries =
   Stats.Summary.observe t.accept_batch_sizes (float_of_int (List.length entries));
   broadcast t (Accept { ballot; from = t.node_id; entries });
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".selfaccept") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          List.iter (fun sv -> Hashtbl.replace t.accepted sv.slot sv) entries;
          ignore
            (Storage.Wal.append_batch t.node_wal ~bytes_of:(record_bytes t)
@@ -266,7 +266,7 @@ let start_election t =
   let own_accepted = Hashtbl.fold (fun _ sv acc -> sv :: acc) t.accepted [] in
   t.role <- Candidate { ballot; promises = [ (t.node_id, own_accepted) ] };
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".election") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          persist_promise t (Wal_record.Promised ballot);
          if t.up then begin
            match t.role with
@@ -306,7 +306,7 @@ let handle_prepare t ~ballot ~from ~commit_index =
     (match t.role with Leader _ | Candidate _ -> t.role <- Follower | Follower -> ());
     t.election_deadline <- fresh_deadline t;
     ignore
-      (Engine.spawn t.engine ~name:(t.node_id ^ ".promise") (fun () ->
+      (Engine.spawn t.engine (fun () ->
            persist_promise t (Wal_record.Promised ballot);
            if t.up then begin
              let accepted =
@@ -338,7 +338,7 @@ let handle_accept t ~ballot ~from ~entries =
     t.leader_seen <- Some from;
     t.election_deadline <- fresh_deadline t;
     ignore
-      (Engine.spawn t.engine ~name:(t.node_id ^ ".accept") (fun () ->
+      (Engine.spawn t.engine (fun () ->
            List.iter (fun sv -> Hashtbl.replace t.accepted sv.slot sv) entries;
            ignore
              (Storage.Wal.append_batch t.node_wal ~bytes_of:(record_bytes t)
@@ -433,7 +433,7 @@ let resend_pending t ~ballot ~next_slot =
 
 let spawn_timers t =
   ignore
-    (Engine.spawn t.engine ~name:(t.node_id ^ ".timers") (fun () ->
+    (Engine.spawn t.engine (fun () ->
          (* Commit index at the previous tick: no movement across a full
             interval with slots in flight means their Accepts are lost. *)
          let last_commit = ref (-1) in

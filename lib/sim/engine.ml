@@ -5,7 +5,6 @@ exception Cancelled
 exception Stalled of string
 
 type fiber = {
-  name : string;
   mutable cancelled : bool;
   mutable finished : bool;
   mutable join_waiters : (unit -> unit) list;
@@ -136,8 +135,8 @@ let finish_fiber t fiber =
   fiber.join_waiters <- [];
   List.iter (fun w -> schedule t ~at:t.clock w) waiters
 
-let spawn t ?(name = "fiber") body =
-  let fiber = { name; cancelled = false; finished = false; join_waiters = [] } in
+let spawn t ?name:_ body =
+  let fiber = { cancelled = false; finished = false; join_waiters = [] } in
   let handler : (unit, unit) handler =
     {
       retc = (fun () -> finish_fiber t fiber);

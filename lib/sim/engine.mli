@@ -41,7 +41,9 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 
 val spawn : t -> ?name:string -> (unit -> unit) -> fiber
 (** Create a fiber; it starts when the engine next reaches the current
-    instant in its event loop. *)
+    instant in its event loop. [name] is ignored: fibers are anonymous,
+    and the argument stays only for callers built against the older
+    signature. *)
 
 val cancel : t -> fiber -> unit
 (** Request cancellation. A running fiber is unaffected until it next

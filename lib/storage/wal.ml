@@ -93,7 +93,7 @@ let rec start_flush t =
   if (not t.syncing) && t.durable < t.size then begin
     t.syncing <- true;
     ignore
-      (Engine.spawn t.engine ~name:(t.label ^ ".writer") (fun () ->
+      (Engine.spawn t.engine (fun () ->
            (* Capture the batch when the writer actually runs, so appends
               made at the same instant share this fsync. *)
            let epoch = t.epoch in

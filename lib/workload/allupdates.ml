@@ -6,6 +6,15 @@ let key ~replica_ix ~client ~row =
   Mvcc.Key.make ~table:"au" ~row:(Printf.sprintf "%d.%d.%d" replica_ix client row)
 
 let profile ?(clients_per_replica = 10) () =
+  (* Row [row] of a client at
+     [((replica_ix * clients_per_replica) + client) * rows_per_client + row]. *)
+  let keys =
+    Spec.keys_per_cluster (fun ~n_replicas ->
+        Array.init (n_replicas * clients_per_replica * rows_per_client) (fun i ->
+            let c = i / rows_per_client in
+            key ~replica_ix:(c / clients_per_replica) ~client:(c mod clients_per_replica)
+              ~row:(i mod rows_per_client)))
+  in
   {
     Spec.name = "allupdates";
     clients_per_replica;
@@ -18,24 +27,21 @@ let profile ?(clients_per_replica = 10) () =
     db_size_bytes = 30_000_000;
     initial_rows =
       (fun ~n_replicas ->
-        List.concat
-          (List.init n_replicas (fun replica_ix ->
-               List.concat
-                 (List.init clients_per_replica (fun client ->
-                      List.init rows_per_client (fun row ->
-                          (key ~replica_ix ~client ~row, Mvcc.Value.int 0)))))));
+        Array.to_list (Array.map (fun key -> (key, Mvcc.Value.int 0)) (keys ~n_replicas)));
     new_tx =
-      (fun ~rng ~client ~replica_ix ~n_replicas:_ ->
+      (fun ~rng ~client ~replica_ix ~n_replicas ->
         let row1 = Rng.int rng rows_per_client in
         let row2 = (row1 + 1 + Rng.int rng (rows_per_client - 1)) mod rows_per_client in
         let value = Rng.int rng 1_000_000 in
+        let keys = keys ~n_replicas in
+        let first = ((replica_ix * clients_per_replica) + client) * rows_per_client in
         {
           Spec.kind = Spec.Update;
           run =
             (fun ctx ->
-              ctx.Spec.write (key ~replica_ix ~client ~row:row1)
+              ctx.Spec.write keys.(first + row1)
                 (Mvcc.Writeset.Update (Mvcc.Value.int value));
-              ctx.Spec.write (key ~replica_ix ~client ~row:row2)
+              ctx.Spec.write keys.(first + row2)
                 (Mvcc.Writeset.Update (Mvcc.Value.int (value + 1))));
         });
   }

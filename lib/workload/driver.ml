@@ -109,7 +109,6 @@ let spawn_replica_clients engine ~replica ~spec ~rng ~collector ~replica_ix ~n_r
       let rng = Rng.split rng in
       R.register_client replica
         (Engine.spawn engine
-           ~name:(Printf.sprintf "%s.client%d" (R.name replica) client)
            (fun () -> run ~client ~rng))
     done
   in
@@ -120,7 +119,7 @@ let spawn_standalone_clients engine ~db ~cpu ~spec ~rng ~collector =
   for client = 0 to spec.Spec.clients_per_replica - 1 do
     let client_rng = Rng.split rng in
     ignore
-      (Engine.spawn engine ~name:(Printf.sprintf "standalone.client%d" client) (fun () ->
+      (Engine.spawn engine (fun () ->
            client_loop engine ~spec ~rng:client_rng ~collector ~replica_ix:0
              ~n_replicas:1 ~client
              ~begin_tx:(fun () -> Mvcc.Db.begin_tx db)

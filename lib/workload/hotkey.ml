@@ -48,6 +48,16 @@ let profile ?(clients_per_replica = 10) ?(hot_keys = hot_keys_default)
   if hot_keys < 1 then invalid_arg "Hotkey.profile: hot_keys must be >= 1";
   if skew < 0. then invalid_arg "Hotkey.profile: skew must be >= 0";
   let cdf = zipf_cdf ~n:hot_keys ~theta:skew in
+  (* Hot rows by rank; private row [row] of a client at
+     [((replica_ix * clients_per_replica) + client) * private_rows_per_client + row]. *)
+  let keys =
+    Spec.keys_per_cluster (fun ~n_replicas ->
+        ( Array.init hot_keys hot_key,
+          Array.init (n_replicas * clients_per_replica * private_rows_per_client) (fun i ->
+              let c = i / private_rows_per_client in
+              private_key ~replica_ix:(c / clients_per_replica)
+                ~client:(c mod clients_per_replica) (i mod private_rows_per_client)) ))
+  in
   {
     Spec.name = (if deltas then "hotkey" else "hotkey-blind");
     clients_per_replica;
@@ -60,22 +70,17 @@ let profile ?(clients_per_replica = 10) ?(hot_keys = hot_keys_default)
     db_size_bytes = 30_000_000;
     initial_rows =
       (fun ~n_replicas ->
-        let hot = List.init hot_keys (fun row -> (hot_key row, Mvcc.Value.int 0)) in
-        let privates =
-          List.concat
-            (List.init n_replicas (fun replica_ix ->
-                 List.concat
-                   (List.init clients_per_replica (fun client ->
-                        List.init private_rows_per_client (fun row ->
-                            (private_key ~replica_ix ~client row, Mvcc.Value.int 0))))))
-        in
-        hot @ privates);
+        let hot_keys, private_keys = keys ~n_replicas in
+        let rows keys = Array.to_list (Array.map (fun key -> (key, Mvcc.Value.int 0)) keys) in
+        rows hot_keys @ rows private_keys);
     new_tx =
-      (fun ~rng ~client ~replica_ix ~n_replicas:_ ->
-        let hot = hot_key (zipf_sample cdf (Rng.float rng)) in
+      (fun ~rng ~client ~replica_ix ~n_replicas ->
+        let hot_keys, private_keys = keys ~n_replicas in
+        let hot = hot_keys.(zipf_sample cdf (Rng.float rng)) in
         let bump = 1 + Rng.int rng 100 in
         let priv =
-          private_key ~replica_ix ~client (Rng.int rng private_rows_per_client)
+          private_keys.((((replica_ix * clients_per_replica) + client) * private_rows_per_client)
+                        + Rng.int rng private_rows_per_client)
         in
         let priv_value = Rng.int rng 1_000_000 in
         {

@@ -30,8 +30,11 @@ let profile ?(clients_per_replica = 10) ?(exec_cpu = Time.of_ms 1.65)
       "Partlocal.profile: cross_ratio must be 0 under modulo hosting (a \
        replica hosting one partition cannot span two)";
   let pt = Tashkent.Partitioner.create ~parts:partitions in
-  let cache = Hashtbl.create 64 in
-  let pool ~replica_ix ~client ~part =
+  (* Pools are filled as they are first used, and belong to the domain
+     that filled them, like every key they hold. *)
+  let caches = Spec.keys_per_cluster (fun ~n_replicas:_ -> Hashtbl.create 64) in
+  let pool ~n_replicas ~replica_ix ~client ~part =
+    let cache = caches ~n_replicas in
     match Hashtbl.find_opt cache (replica_ix, client, part) with
     | Some p -> p
     | None ->
@@ -59,10 +62,10 @@ let profile ?(clients_per_replica = 10) ?(exec_cpu = Time.of_ms 1.65)
                  (List.init clients_per_replica (fun client ->
                       List.concat
                         (List.init partitions (fun part ->
-                             Array.to_list (pool ~replica_ix ~client ~part)
+                             Array.to_list (pool ~n_replicas ~replica_ix ~client ~part)
                              |> List.map (fun k -> (k, Mvcc.Value.int 0)))))))));
     new_tx =
-      (fun ~rng ~client ~replica_ix ~n_replicas:_ ->
+      (fun ~rng ~client ~replica_ix ~n_replicas ->
         (* Under modulo hosting the replica subscribes to exactly one
            partition, so every transaction's home is pinned to it (matching
            Cluster.Host_modulo's replica_ix mod n_partitions). *)
@@ -73,13 +76,13 @@ let profile ?(clients_per_replica = 10) ?(exec_cpu = Time.of_ms 1.65)
         let cross =
           (not modulo_hosting) && partitions > 1 && Rng.chance rng cross_ratio
         in
-        let home_pool = pool ~replica_ix ~client ~part:home in
+        let home_pool = pool ~n_replicas ~replica_ix ~client ~part:home in
         let row1 = Rng.int rng rows_per_bucket in
         let k1 = home_pool.(row1) in
         let k2 =
           if cross then
             let other = (home + 1 + Rng.int rng (partitions - 1)) mod partitions in
-            (pool ~replica_ix ~client ~part:other).(Rng.int rng rows_per_bucket)
+            (pool ~n_replicas ~replica_ix ~client ~part:other).(Rng.int rng rows_per_bucket)
           else
             home_pool.((row1 + 1 + Rng.int rng (rows_per_bucket - 1))
                        mod rows_per_bucket)

@@ -24,3 +24,14 @@ type t = {
   new_tx :
     rng:Sim.Rng.t -> client:int -> replica_ix:int -> n_replicas:int -> tx_body;
 }
+
+let keys_per_cluster build =
+  let cache = ref None in
+  fun ~n_replicas ->
+    let self = Domain.self () in
+    match !cache with
+    | Some (domain, n, keys) when domain = self && n = n_replicas -> keys
+    | _ ->
+        let keys = build ~n_replicas in
+        cache := Some (self, n_replicas, keys);
+        keys

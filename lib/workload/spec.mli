@@ -35,3 +35,9 @@ type t = {
   new_tx :
     rng:Sim.Rng.t -> client:int -> replica_ix:int -> n_replicas:int -> tx_body;
 }
+
+val keys_per_cluster : (n_replicas:int -> 'a) -> n_replicas:int -> 'a
+(** Memoise a profile's fixed-row keys, so that a transaction looks its
+    rows up instead of formatting and interning their names. The keys are
+    built again only for another replica count or in another domain: a
+    {!Mvcc.Key.t} belongs to the domain that made it. *)

@@ -13,9 +13,27 @@ let history_key ~replica_ix ~client n =
 
 let history_payload = String.make 64 'h'
 
+type keys = { branches : Mvcc.Key.t array; tellers : Mvcc.Key.t array; accounts : Mvcc.Key.t array }
+
 let profile ?(clients_per_replica = 10) ?(branches_per_replica = 10)
     ?(accounts_per_branch = 1_000) ?(remote_branch_fraction = 0.15)
     ?(deltas = false) () =
+  (* Tellers and accounts are numbered branch-major: teller [t] of branch
+     [b] is [tellers.(b * tellers_per_branch + t)]. *)
+  let keys =
+    Spec.keys_per_cluster (fun ~n_replicas ->
+        let n_branches = n_replicas * branches_per_replica in
+        let branches = Array.init n_branches branch_key in
+        let tellers =
+          Array.init (n_branches * tellers_per_branch) (fun i ->
+              teller_key (i / tellers_per_branch) (i mod tellers_per_branch))
+        in
+        let accounts =
+          Array.init (n_branches * accounts_per_branch) (fun i ->
+              account_key (i / accounts_per_branch) (i mod accounts_per_branch))
+        in
+        { branches; tellers; accounts })
+  in
   let history_counters = Hashtbl.create 64 in
   let next_history ~replica_ix ~client =
     let key = (replica_ix, client) in
@@ -35,23 +53,11 @@ let profile ?(clients_per_replica = 10) ?(branches_per_replica = 10)
     db_size_bytes = 100_000_000;
     initial_rows =
       (fun ~n_replicas ->
-        let n_branches = n_replicas * branches_per_replica in
-        let branches =
-          List.init n_branches (fun b -> (branch_key b, Mvcc.Value.int 0))
-        in
-        let tellers =
-          List.concat
-            (List.init n_branches (fun b ->
-                 List.init tellers_per_branch (fun t ->
-                     (teller_key b t, Mvcc.Value.int 0))))
-        in
-        let accounts =
-          List.concat
-            (List.init n_branches (fun b ->
-                 List.init accounts_per_branch (fun a ->
-                     (account_key b a, Mvcc.Value.int 1_000))))
-        in
-        branches @ tellers @ accounts);
+        let k = keys ~n_replicas in
+        let rows keys value = Array.to_list (Array.map (fun key -> (key, value)) keys) in
+        rows k.branches (Mvcc.Value.int 0)
+        @ rows k.tellers (Mvcc.Value.int 0)
+        @ rows k.accounts (Mvcc.Value.int 1_000));
     new_tx =
       (fun ~rng ~client ~replica_ix ~n_replicas ->
         (* Clients are spread over their replica's branches; a fraction of
@@ -65,6 +71,7 @@ let profile ?(clients_per_replica = 10) ?(branches_per_replica = 10)
         let account = Rng.int rng accounts_per_branch in
         let delta = Rng.int_in_range rng ~lo:(-99_999) ~hi:99_999 in
         let history = next_history ~replica_ix ~client in
+        let k = keys ~n_replicas in
         {
           Spec.kind = Spec.Update;
           run =
@@ -84,9 +91,9 @@ let profile ?(clients_per_replica = 10) ?(branches_per_replica = 10)
                   ctx.Spec.write key
                     (Mvcc.Writeset.Update (Mvcc.Value.int (current + delta)))
               in
-              bump (account_key branch account);
-              bump (teller_key branch teller);
-              bump (branch_key branch);
+              bump k.accounts.((branch * accounts_per_branch) + account);
+              bump k.tellers.((branch * tellers_per_branch) + teller);
+              bump k.branches.(branch);
               ctx.Spec.write
                 (history_key ~replica_ix ~client history)
                 (Mvcc.Writeset.Insert (Mvcc.Value.text history_payload)));

@@ -21,6 +21,14 @@ let profile ?(clients_per_replica = 5) ?(items = 10_000) () =
     Hashtbl.replace order_counters key (n + 1);
     n
   in
+  (* Items by number, carts by [replica_ix * clients_per_replica + client]. *)
+  let keys =
+    Spec.keys_per_cluster (fun ~n_replicas ->
+        ( Array.init items item_key,
+          Array.init (n_replicas * clients_per_replica) (fun i ->
+              cart_key ~replica_ix:(i / clients_per_replica) ~client:(i mod clients_per_replica))
+        ))
+  in
   let pick_item rng =
     if Rng.chance rng bestseller_bias then Rng.int rng bestseller_count
     else Rng.int rng items
@@ -39,10 +47,13 @@ let profile ?(clients_per_replica = 5) ?(items = 10_000) () =
     bg_page_writes_per_sec = 0.;
     db_size_bytes = 700_000_000;
     initial_rows =
-      (fun ~n_replicas:_ ->
-        List.init items (fun i -> (item_key i, Mvcc.Value.int 500)));
+      (fun ~n_replicas ->
+        let item_keys, _ = keys ~n_replicas in
+        List.init items (fun i -> (item_keys.(i), Mvcc.Value.int 500)));
     new_tx =
-      (fun ~rng ~client ~replica_ix ~n_replicas:_ ->
+      (fun ~rng ~client ~replica_ix ~n_replicas ->
+        let item_keys, cart_keys = keys ~n_replicas in
+        let item_key i = item_keys.(i) in
         if not (Rng.chance rng update_fraction) then
           (* Browsing: read a handful of items. *)
           let n_reads = Rng.int_in_range rng ~lo:3 ~hi:8 in
@@ -60,7 +71,7 @@ let profile ?(clients_per_replica = 5) ?(items = 10_000) () =
               (fun ctx ->
                 List.iter (fun i -> ignore (ctx.Spec.read (item_key i))) reads;
                 ctx.Spec.write
-                  (cart_key ~replica_ix ~client)
+                  cart_keys.((replica_ix * clients_per_replica) + client)
                   (Mvcc.Writeset.Update (Mvcc.Value.text cart_payload)));
           }
         else begin

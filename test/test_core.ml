@@ -416,7 +416,7 @@ let submit_tx c i ~key ~value outcome =
   let r = Cluster.replica c i in
   let p = Replica.proxy r in
   ignore
-    (Engine.spawn (Cluster.engine c) ~name:"client" (fun () ->
+    (Engine.spawn (Cluster.engine c) (fun () ->
          let tx = Proxy.begin_tx p in
          Replica.use_cpu r (Replica.config r).Replica.exec_cpu;
          match Proxy.write p tx key (upd value) with
@@ -763,13 +763,13 @@ let test_remote_deadlock_dooms_local () =
   let db0 = Replica.db (Cluster.replica c 0) in
   let local_a = ref None in
   ignore
-    (Engine.spawn engine ~name:"M" (fun () ->
+    (Engine.spawn engine (fun () ->
          let m = Proxy.begin_tx p0 in
          ignore (Proxy.write p0 m (k "t" "b") (upd 20));
          Engine.sleep engine (Time.of_ms 1500.);
          Proxy.abort p0 m));
   ignore
-    (Engine.spawn engine ~name:"L" (fun () ->
+    (Engine.spawn engine (fun () ->
          let l = Proxy.begin_tx p0 in
          ignore (Proxy.write p0 l (k "t" "c") (upd 30));
          Engine.sleep engine (Time.sec 1);
@@ -777,7 +777,7 @@ let test_remote_deadlock_dooms_local () =
          Proxy.abort p0 l));
   let remote = ref None in
   ignore
-    (Engine.spawn engine ~name:"remote" (fun () ->
+    (Engine.spawn engine (fun () ->
          let tx = Proxy.begin_tx p1 in
          List.iter
            (fun row -> ignore (Proxy.write p1 tx (k "t" row) (upd 7)))
@@ -817,7 +817,7 @@ let test_start_version_is_db_snapshot () =
   let db0 = Proxy.db p0 in
   let observed = ref None in
   ignore
-    (Engine.spawn (Cluster.engine c) ~name:"watcher" (fun () ->
+    (Engine.spawn (Cluster.engine c) (fun () ->
          let rec poll () =
            if Proxy.replica_version p0 > Mvcc.Db.current_version db0 then begin
              let tx = Proxy.begin_tx p0 in
@@ -924,7 +924,7 @@ let parallel_equiv_run ~seed ~apply_workers =
       for j = 0 to n_clients - 1 do
         let key = k "t" (key_name i j) in
         ignore
-          (Engine.spawn engine ~name:"client" (fun () ->
+          (Engine.spawn engine (fun () ->
                for t = 1 to n_txs do
                  let tx = Proxy.begin_tx p in
                  Replica.use_cpu r (Replica.config r).Replica.exec_cpu;
@@ -994,7 +994,7 @@ let hotkey_equiv_run ~seed ~apply_workers =
       List.iteri
         (fun j key ->
           ignore
-            (Engine.spawn engine ~name:"client" (fun () ->
+            (Engine.spawn engine (fun () ->
                  for t = 1 to n_txs do
                    let tx = Proxy.begin_tx p in
                    Replica.use_cpu r (Replica.config r).Replica.exec_cpu;

@@ -41,7 +41,7 @@ let fast_net engine =
 let fake_certifier engine net name behaviour =
   let mb = Net.Network.register net name in
   ignore
-    (Engine.spawn engine ~name (fun () ->
+    (Engine.spawn engine (fun () ->
          let rec loop () =
            (match Mailbox.recv mb with
            | Types.Cert_request req -> behaviour req

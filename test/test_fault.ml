@@ -32,7 +32,7 @@ let make_client e net ~certifiers =
       ~backoff_base:(Time.of_ms 1.) ~backoff_cap:(Time.of_ms 4.) ~req_id_base:100 ()
   in
   ignore
-    (Engine.spawn e ~name:"dispatcher" (fun () ->
+    (Engine.spawn e (fun () ->
          while true do
            Cert_client.handle client (Mailbox.recv mbox)
          done));
@@ -49,7 +49,7 @@ let test_stale_fetch_reply_discarded () =
   let client = make_client e net ~certifiers:[ "cert0" ] in
   let seen = ref 0 in
   ignore
-    (Engine.spawn e ~name:"fake-cert" (fun () ->
+    (Engine.spawn e (fun () ->
          while true do
            match Mailbox.recv cert with
            | Types.Fetch_request freq ->
@@ -74,7 +74,7 @@ let test_stale_fetch_reply_discarded () =
          done));
   let result = ref None in
   ignore
-    (Engine.spawn e ~name:"fetcher" (fun () ->
+    (Engine.spawn e (fun () ->
          result := Cert_client.fetch client ~replica:"r0" ~from_version:0 ~oldest_snapshot:0));
   Engine.run e;
   (match !result with
@@ -91,7 +91,7 @@ let test_concurrent_fetches_routed_independently () =
   let client = make_client e net ~certifiers:[ "cert0" ] in
   let held = ref [] in
   ignore
-    (Engine.spawn e ~name:"fake-cert" (fun () ->
+    (Engine.spawn e (fun () ->
          while true do
            (match Mailbox.recv cert with
            | Types.Fetch_request freq -> held := freq :: !held
@@ -137,7 +137,7 @@ let test_redirect_to_unknown_leader_falls_back () =
   let c1 = Net.Network.register net "cert1" in
   let client = make_client e net ~certifiers:[ "cert0"; "cert1" ] in
   ignore
-    (Engine.spawn e ~name:"cert0" (fun () ->
+    (Engine.spawn e (fun () ->
          while true do
            match Mailbox.recv c0 with
            | Types.Cert_request req ->
@@ -146,7 +146,7 @@ let test_redirect_to_unknown_leader_falls_back () =
            | _ -> ()
          done));
   ignore
-    (Engine.spawn e ~name:"cert1" (fun () ->
+    (Engine.spawn e (fun () ->
          while true do
            match Mailbox.recv c1 with
            | Types.Cert_request req ->
@@ -205,7 +205,7 @@ let test_bounded_backoff_under_full_partition () =
     (Cluster.certifier_ids c);
   let outcome = ref None in
   ignore
-    (Engine.spawn e ~name:"client" (fun () ->
+    (Engine.spawn e (fun () ->
          let tx = Proxy.begin_tx p in
          match Proxy.write p tx key (Mvcc.Writeset.Update (Mvcc.Value.int 9)) with
          | Error _ -> Alcotest.fail "local write failed"
@@ -287,7 +287,7 @@ let test_fsync_stall_forces_abdication () =
   Cluster.settle c;
   let p = Replica.proxy (Cluster.replica c 0) in
   ignore
-    (Engine.spawn e ~name:"committer" (fun () ->
+    (Engine.spawn e (fun () ->
          let n = ref 0 in
          while true do
            incr n;

@@ -32,6 +32,33 @@ let test_each_system_runs () =
       Harness.Experiment.Replicated_nocert Tashkent.Types.Tashkent_api;
     ]
 
+(* Key ids come from a per-domain interner, so clusters running at once on
+   parallel domains each number their rows from scratch, while the main
+   domain's ids depend on every test that ran before. An id must decide
+   nothing: the parallel runs match the same runs done one after the
+   other. *)
+let test_parallel_domains_match_sequential () =
+  let open Harness.Experiment in
+  let cfgs =
+    [
+      quick_cfg (Replicated Tashkent.Types.Tashkent_mw) Tpc_b 2;
+      quick_cfg (Replicated Tashkent.Types.Tashkent_api) Tpc_w 2;
+    ]
+  in
+  let summary c =
+    let r = run c in
+    (r.goodput, r.resp_ms, r.p99_ms, r.ro_resp_ms, r.commits, r.aborts)
+  in
+  let sequential = List.map summary cfgs in
+  let parallel =
+    List.map Domain.join (List.map (fun c -> Domain.spawn (fun () -> summary c)) cfgs)
+  in
+  List.iter2
+    (fun (g, _, _, _, commits, _) (g', _, _, _, commits', _) ->
+      Printf.printf "goodput %.3f / %.3f, commits %d / %d\n" g g' commits commits')
+    sequential parallel;
+  check_bool "parallel runs match sequential ones" true (sequential = parallel)
+
 let test_headline_ordering () =
   (* The paper's core claim at any non-trivial replica count: both Tashkent
      systems clearly beat Base on AllUpdates. *)
@@ -403,6 +430,8 @@ let suites =
     ( "harness.experiment",
       [
         Alcotest.test_case "every system runs" `Quick test_each_system_runs;
+        Alcotest.test_case "parallel domains match sequential runs" `Quick
+          test_parallel_domains_match_sequential;
         Alcotest.test_case "headline ordering (mw > api > base)" `Quick
           test_headline_ordering;
         Alcotest.test_case "base serial-commit ceiling" `Quick

@@ -195,13 +195,24 @@ let prop_key_hash_is_pair_hash =
     key_strings_gen (fun (table, row) -> Key.hash (k table row) = Hashtbl.hash (table, row))
 
 (* Keys built separately (from physically distinct copies of the strings)
-   agree on every comparison the tables and sets use. *)
+   are the same interned key, and agree on every comparison the tables and
+   sets use. *)
 let prop_key_separately_made_equal =
   QCheck.Test.make ~name:"separately made keys are equal" ~count:1000 key_strings_gen
     (fun (table, row) ->
       let copy str = Bytes.to_string (Bytes.of_string str) in
       let a = k table row and b = k (copy table) (copy row) in
-      Key.equal a b && Key.compare a b = 0 && Key.hash a = Key.hash b)
+      a == b && Key.equal a b && Key.compare a b = 0 && Key.hash a = Key.hash b)
+
+(* [Key.make] interns: the same row gives back the very same key, and
+   another row another id. *)
+let test_key_make_interns () =
+  let copy str = Bytes.to_string (Bytes.of_string str) in
+  let a = k "intern" "row1" in
+  check_bool "same key twice" true (a == Key.make ~table:(copy "intern") ~row:(copy "row1"));
+  check_bool "another row, another id" true (a.Key.id <> (k "intern" "row2").Key.id);
+  check_bool "a key made on another domain has a domain-local id" true
+    (Domain.join (Domain.spawn (fun () -> (k "intern" "row2").Key.id = 0)))
 
 (* Two tables holding the same keys iterate in the same order: the
    [Key.Tbl] with the cached hash and a polymorphic [Hashtbl] keyed by the
@@ -392,6 +403,176 @@ let prop_blind_write_after_is_newest_blind =
           let expected = if newest_blind > after then Some newest_blind else None in
           Store.blind_write_after s key ~after = expected)
         (List.init (n + 3) (fun i -> i - 1)))
+
+(* A reference store kept here, over a [Key.Tbl]: the same version-chain
+   rules as [Store], written with list functions, so the id-indexed row
+   table can be checked against a hash table of the same chains. *)
+module Model_store = struct
+  type cell = Blind of Value.t option | Delta of int
+
+  type t = {
+    rows : (int * cell) list Key.Tbl.t;
+    mutable version : int;
+    mutable pruned : int;
+  }
+
+  let create () = { rows = Key.Tbl.create 16; version = 0; pruned = 0 }
+  let chain t key = Option.value ~default:[] (Key.Tbl.find_opt t.rows key)
+
+  let cell_of_op = function
+    | Writeset.Insert v | Writeset.Update v -> Blind (Some v)
+    | Writeset.Delete -> Blind None
+    | Writeset.Add d -> Delta d
+
+  (* The value a chain suffix denotes: deltas summed onto the first image
+     below them, a missing or non-integer base counting as zero. *)
+  let value suffix =
+    let rec fold sum saw = function
+      | (_, Delta d) :: rest -> fold (sum + d) true rest
+      | (_, Blind (Some (Value.Int n))) :: _ when saw -> Some (Value.int (sum + n))
+      | (_, Blind _) :: _ when saw -> Some (Value.int sum)
+      | (_, Blind v) :: _ -> v
+      | [] -> if saw then Some (Value.int sum) else None
+    in
+    fold 0 false suffix
+
+  let read t ~at key = value (List.filter (fun (v, _) -> v <= at) (chain t key))
+
+  let install t ~version ws =
+    Writeset.iter_entries ws (fun key op ->
+        Key.Tbl.replace t.rows key ((version, cell_of_op op) :: chain t key));
+    t.version <- version
+
+  let install_at t ~version ws =
+    Writeset.iter_entries ws (fun key op ->
+        let c = chain t key in
+        if not (List.exists (fun (v, _) -> v = version) c) then
+          Key.Tbl.replace t.rows key
+            (List.stable_sort
+               (fun (a, _) (b, _) -> compare b a)
+               ((version, cell_of_op op) :: c)))
+
+  let gc_key t ~keep_after key =
+    match Key.Tbl.find_opt t.rows key with
+    | None -> ()
+    | Some c -> (
+        let above, suffix = List.partition (fun (v, _) -> v > keep_after) c in
+        match (above, suffix) with
+        | _, [] -> ()
+        | [], _ when value suffix = None ->
+            t.pruned <- t.pruned + List.length suffix;
+            Key.Tbl.remove t.rows key
+        | _, [ (_, Blind _) ] -> ()
+        | _, (v, _) :: below ->
+            t.pruned <- t.pruned + List.length below;
+            Key.Tbl.replace t.rows key (above @ [ (v, Blind (value suffix)) ]))
+
+  let gc t ~keep_after =
+    List.iter (gc_key t ~keep_after) (Key.Tbl.fold (fun key _ acc -> key :: acc) t.rows [])
+
+  let copy t =
+    let fresh = { (create ()) with version = t.version } in
+    Key.Tbl.iter
+      (fun key c ->
+        match c with
+        | (v, _) :: _ -> Key.Tbl.replace fresh.rows key [ (v, Blind (value c)) ]
+        | [] -> ())
+      t.rows;
+    fresh
+
+  let tombstones t =
+    Key.Tbl.fold
+      (fun key c acc -> match c with (v, Blind None) :: _ -> (key, v) :: acc | _ -> acc)
+      t.rows []
+
+  let pp_chain t key =
+    match Key.Tbl.find_opt t.rows key with
+    | None -> "<no chain>"
+    | Some c ->
+        String.concat ""
+          (List.map
+             (fun (v, cell) ->
+               match cell with
+               | Blind (Some value) -> Format.asprintf "(%d,B%a)" v Value.pp value
+               | Blind None -> Format.asprintf "(%d,Bdel)" v
+               | Delta d -> Format.asprintf "(%d,D%+d)" v d)
+             c)
+end
+
+(* Random install / install_at / gc / gc_key / copy sequences over a few
+   keys: after every step the id-indexed store and the reference agree on
+   every chain, every snapshot read, the row and record counts, the pruned
+   count and the tombstones. *)
+let prop_store_matches_tbl_model =
+  QCheck.Test.make ~name:"Store agrees with a Key.Tbl reference model" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let keys = Array.init 6 (fun i -> k (if i < 3 then "m" else "n") (string_of_int i)) in
+      let s = ref (Store.create ()) and m = ref (Model_store.create ()) in
+      Array.iter
+        (fun key ->
+          if Rng.bool rng then begin
+            Store.preload !s key (vi 5);
+            Key.Tbl.replace !m.rows key [ (0, Model_store.Blind (Some (vi 5))) ]
+          end)
+        keys;
+      let random_ws () =
+        let op () =
+          match Rng.int rng 4 with
+          | 0 -> Writeset.Insert (vi (Rng.int rng 100))
+          | 1 -> upd (Rng.int rng 100)
+          | 2 -> Writeset.Delete
+          | _ -> Writeset.Add (1 + Rng.int rng 9)
+        in
+        Writeset.of_list
+          (List.init (1 + Rng.int rng 4) (fun _ -> (keys.(Rng.int rng 6), op ())))
+      in
+      let agree () =
+        let top = Store.newest_version !s + 4 in
+        Store.current_version !s = !m.version
+        && Store.row_count !s = Key.Tbl.length !m.rows
+        && Store.version_records !s
+           = Key.Tbl.fold (fun _ c acc -> acc + List.length c) !m.rows 0
+        && Store.pruned !s = !m.pruned
+        && List.sort compare (Store.tombstones !s) = List.sort compare (Model_store.tombstones !m)
+        && Array.for_all
+             (fun key ->
+               Format.asprintf "%a" (fun fmt () -> Store.pp_chain fmt !s key) ()
+               = Model_store.pp_chain !m key
+               && List.for_all
+                    (fun at ->
+                      Option.equal Value.equal (Store.read !s ~at key)
+                        (Model_store.read !m ~at key))
+                    (List.init (top + 1) Fun.id))
+             keys
+      in
+      let step () =
+        let v = Store.current_version !s in
+        match Rng.int rng 6 with
+        | 0 | 1 ->
+            (* Above every chain, as a commit in version order installs. *)
+            let version = Store.newest_version !s + 1 + Rng.int rng 3 and ws = random_ws () in
+            Store.install !s ~version ws;
+            Model_store.install !m ~version ws
+        | 2 ->
+            let version = 1 + Rng.int rng (v + 4) and ws = random_ws () in
+            Store.install_at !s ~version ws;
+            Model_store.install_at !m ~version ws
+        | 3 ->
+            let keep_after = Rng.int rng (v + 1) in
+            Store.gc !s ~keep_after;
+            Model_store.gc !m ~keep_after
+        | 4 ->
+            let keep_after = Rng.int rng (v + 1) and key = keys.(Rng.int rng 6) in
+            Store.gc_key !s ~keep_after key;
+            Model_store.gc_key !m ~keep_after key
+        | _ ->
+            s := Store.copy !s;
+            m := Model_store.copy !m
+      in
+      let rec go n = n = 0 || (step (); agree () && go (n - 1)) in
+      go (1 + Rng.int rng 30))
 
 (* The first-updater check of a delta write must cost the transaction's
    concurrency window, not the key's history: on a 10 000-delta hot chain, a
@@ -911,7 +1092,7 @@ let test_db_no_intermediate_snapshot_exposed () =
   Db.load db [ (k "t" "a", vi 0); (k "t" "b", vi 0) ];
   let violations = ref 0 in
   let _ =
-    Engine.spawn e ~name:"observer" (fun () ->
+    Engine.spawn e (fun () ->
         for _ = 1 to 200 do
           let b = Db.read_committed db (k "t" "b") in
           let a = Db.read_committed db (k "t" "a") in
@@ -1807,7 +1988,8 @@ let suites =
           ]
     );
     ( "mvcc.key",
-      qsuite
+      Alcotest.test_case "make interns" `Quick test_key_make_interns
+      :: qsuite
         [
           prop_key_hash_is_pair_hash;
           prop_key_separately_made_equal;
@@ -1835,7 +2017,7 @@ let suites =
         Alcotest.test_case "copy preserves tombstones" `Quick
           test_store_copy_preserves_tombstones;
       ]
-      @ qsuite [ prop_blind_write_after_is_newest_blind ] );
+      @ qsuite [ prop_blind_write_after_is_newest_blind; prop_store_matches_tbl_model ] );
     ( "mvcc.locks",
       [
         Alcotest.test_case "grant and re-entry" `Quick test_locks_grant_and_reentry;

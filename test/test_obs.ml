@@ -102,7 +102,7 @@ let test_trace_span_ordering () =
   let e = Engine.create () in
   let trace = Obs.Trace.create e in
   ignore
-    (Engine.spawn e ~name:"tx" (fun () ->
+    (Engine.spawn e (fun () ->
          let outer =
            Obs.Trace.span trace ~id:(Obs.Trace.fresh_id trace) ~stage:"txn.commit"
              ~actor:"replica0" ()
@@ -187,7 +187,7 @@ let test_trace_chrome_json_golden () =
   let e = Engine.create () in
   let trace = Obs.Trace.create ~capacity:8 e in
   ignore
-    (Engine.spawn e ~name:"tx" (fun () ->
+    (Engine.spawn e (fun () ->
          let a =
            Obs.Trace.span trace ~id:(Obs.Trace.fresh_id trace) ~stage:"certify"
              ~actor:"replica0" ()
@@ -353,7 +353,7 @@ let test_backfill_trace_ids () =
   Tashkent.Cluster.settle cluster;
   let p = Tashkent.Replica.proxy (Tashkent.Cluster.replica cluster 0) in
   ignore
-    (Engine.spawn e ~name:"client" (fun () ->
+    (Engine.spawn e (fun () ->
          let tx = Tashkent.Proxy.begin_tx p in
          (match Tashkent.Proxy.write p tx key (Mvcc.Writeset.Update (Mvcc.Value.int 1)) with
          | Ok () -> ()

@@ -122,7 +122,7 @@ let submit_session_tx c i ~writes outcome =
   let r = Cluster.replica c i in
   let s = Replica.session r in
   ignore
-    (Engine.spawn (Cluster.engine c) ~name:"client" (fun () ->
+    (Engine.spawn (Cluster.engine c) (fun () ->
          let tx = Session.begin_tx s in
          Replica.use_cpu r (Replica.config r).Replica.exec_cpu;
          let rec go = function
@@ -190,7 +190,7 @@ let test_one_partition_matches_legacy () =
             let r = Cluster.replica c i in
             let p = Replica.proxy r in
             ignore
-              (Engine.spawn (Cluster.engine c) ~name:"client" (fun () ->
+              (Engine.spawn (Cluster.engine c) (fun () ->
                    let tx = Proxy.begin_tx p in
                    Replica.use_cpu r (Replica.config r).Replica.exec_cpu;
                    match Proxy.write p tx key (upd (100 + n)) with
@@ -226,7 +226,7 @@ let test_one_partition_snapshot_at_begin () =
   let key = k "item" "1" in
   let seen = ref None in
   ignore
-    (Engine.spawn engine ~name:"reader" (fun () ->
+    (Engine.spawn engine (fun () ->
          let tx = Session.begin_tx s in
          Engine.sleep engine (Time.sec 1);
          seen := Some (Session.read s tx key);
@@ -282,7 +282,7 @@ let test_cross_commit_promotes_own_fragment () =
   let s0 = Replica.session r0 in
   let o = ref None in
   ignore
-    (Engine.spawn engine ~name:"cross" (fun () ->
+    (Engine.spawn engine (fun () ->
          let tx = Session.begin_tx s0 in
          ignore (Session.write s0 tx ka (upd 1));
          ignore (Session.write s0 tx kb (upd 2));
@@ -415,7 +415,7 @@ let fake_proxy c ~addr ~part =
       ~req_id_base:0 ()
   in
   ignore
-    (Engine.spawn engine ~name:(addr ^ ".pump") (fun () ->
+    (Engine.spawn engine (fun () ->
          let rec pump () =
            Cert_client.handle client (Mailbox.recv mb);
            pump ()
@@ -426,7 +426,7 @@ let fake_proxy c ~addr ~part =
 let certify_in c client ?gtx fragments =
   let reply = ref None in
   ignore
-    (Engine.spawn (Cluster.engine c) ~name:"certify" (fun () ->
+    (Engine.spawn (Cluster.engine c) (fun () ->
          reply :=
            Some (Cert_client.certify client ?gtx ~replica_version:0 ~oldest_snapshot:0 fragments)));
   run_for c (Time.sec 2);
@@ -460,7 +460,7 @@ let test_outcome_table_ids_and_rebuild () =
   let cross = { Types.gtx_origin = "x"; gtx_seq = 1 } in
   let fragments = [ frag ~part:0 ~origin:"x#p0" ka2; frag ~part:1 ~origin:"x#p1" kb ] in
   ignore
-    (Engine.spawn (Cluster.engine c) ~name:"p1 fragment" (fun () ->
+    (Engine.spawn (Cluster.engine c) (fun () ->
          ignore
            (Cert_client.certify p1 ~gtx:cross ~replica_version:0 ~oldest_snapshot:0 fragments)));
   let v_cross = certify_in c p0 ~gtx:cross fragments in
@@ -511,7 +511,7 @@ let test_cross_atomicity_under_group_crash () =
     let r = Cluster.replica c i in
     let s = Replica.session r in
     ignore
-      (Engine.spawn engine ~name:(Printf.sprintf "xclient%d" i) (fun () ->
+      (Engine.spawn engine (fun () ->
            for n = 0 to 39 do
              let o = ref None in
              outcomes := o :: !outcomes;

@@ -37,7 +37,7 @@ let make_cluster ?(n = 3) ?(seed = 1) () =
             ()
         in
         ignore
-          (Engine.spawn engine ~name:(id ^ ".pump") (fun () ->
+          (Engine.spawn engine (fun () ->
                let rec loop () =
                  Paxos.Node.handle node (Mailbox.recv mb);
                  loop ()

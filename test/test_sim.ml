@@ -285,14 +285,14 @@ let test_determinism_trace () =
     let mb = Mailbox.create e () in
     for i = 1 to 3 do
       ignore
-        (Engine.spawn e ~name:"producer" (fun () ->
+        (Engine.spawn e (fun () ->
              for j = 1 to 5 do
                Engine.sleep e (us (Rng.int_in_range rng ~lo:1 ~hi:50));
                Mailbox.send mb (i * 100 + j)
              done))
     done;
     ignore
-      (Engine.spawn e ~name:"consumer" (fun () ->
+      (Engine.spawn e (fun () ->
            for _ = 1 to 15 do
              let v = Mailbox.recv mb in
              Buffer.add_string trace
@@ -344,13 +344,13 @@ let test_mailbox_recv_batch () =
   let mb = Mailbox.create e () in
   let batches = ref [] in
   let _ =
-    Engine.spawn e ~name:"batcher" (fun () ->
+    Engine.spawn e (fun () ->
         for _ = 1 to 2 do
           batches := Mailbox.recv_batch mb :: !batches
         done)
   in
   let _ =
-    Engine.spawn e ~name:"sender" (fun () ->
+    Engine.spawn e (fun () ->
         Engine.sleep e (us 10);
         (* all three sent at the same instant: batch together *)
         Mailbox.send mb 1;
@@ -371,8 +371,8 @@ let test_mailbox_cancelled_receiver_skipped () =
   let e = Engine.create () in
   let mb = Mailbox.create e () in
   let got = ref [] in
-  let victim = Engine.spawn e ~name:"victim" (fun () -> got := Mailbox.recv mb :: !got) in
-  let _ = Engine.spawn e ~name:"survivor" (fun () -> got := Mailbox.recv mb :: !got) in
+  let victim = Engine.spawn e (fun () -> got := Mailbox.recv mb :: !got) in
+  let _ = Engine.spawn e (fun () -> got := Mailbox.recv mb :: !got) in
   Engine.schedule e ~at:(us 5) (fun () -> Engine.cancel e victim);
   Engine.schedule e ~at:(us 10) (fun () -> Mailbox.send mb 42);
   Engine.run e;
