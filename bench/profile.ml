@@ -13,7 +13,13 @@
    [Stdlib.List.rev <- Mvcc.Store.gc_chain.split] stays apart from every
    other [List.rev]. A stack walk stops at the boundary of the running
    fiber, so a fiber's frames do not include the engine loop that resumed
-   it. Nothing is installed unless a section is profiled. *)
+   it. Nothing is installed unless a section is profiled.
+
+   Attribution is skewed toward allocation: OCaml 5 runs a signal handler
+   at the next poll point, not where the signal landed, so time spent in
+   allocation-free code is charged to the next frame that allocates (or
+   polls). Self shares of a frame that runs next to allocation-free code
+   are unreliable; compare inclusive shares, or time the code directly. *)
 
 let interval = 0.001
 let depth = 256

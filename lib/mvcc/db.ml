@@ -546,8 +546,11 @@ let mark_committed tx =
    (grouping fsyncs with every concurrent committer); [in_order] then
    waits for [order]'s turn ([COMMIT n]) before installing, while the
    publish barrier alone installs rows immediately and lets visibility
-   catch up through the contiguous prefix. *)
-let finish_certified tx ~batch ~prev ~order ~in_order =
+   catch up through the contiguous prefix. [written] is the writeset whose
+   rows the data pages write back: the committer's own buffer, or for a
+   remote apply the sealed union it replayed, which holds the same keys
+   and spares sealing the replay's buffer. *)
+let finish_certified tx ~batch ~prev ~order ~in_order ~written =
   let t = tx.db in
   tx.logged_lsn <- Storage.Wal.last_lsn t.db_wal + 1;
   log_batch t ~prev batch;
@@ -555,7 +558,7 @@ let finish_certified tx ~batch ~prev ~order ~in_order =
   List.iter (fun (version, ws) -> install t ~version ws) batch;
   publish t ~order ~version:(List.fold_left (fun a (v, _) -> max a v) 0 batch);
   mark_committed tx;
-  schedule_writebacks t tx.buffer
+  schedule_writebacks t written
 
 let commit_certified tx ~version ~prev ~order ~in_order =
   match tx.state with
@@ -566,7 +569,8 @@ let commit_certified tx ~version ~prev ~order ~in_order =
       invalid_arg "Db.commit_certified: transaction is finished"
   | Active ->
       tx.state <- Committing;
-      finish_certified tx ~batch:[ (version, tx.buffer) ] ~prev ~order ~in_order;
+      finish_certified tx ~batch:[ (version, tx.buffer) ] ~prev ~order ~in_order
+        ~written:tx.buffer;
       Ok ()
 
 let commit_standalone tx =
@@ -580,7 +584,7 @@ let commit_standalone tx =
       (* In a centralised database the announce sequence *is* the version
          sequence. *)
       finish_certified tx ~batch:[ (order, tx.buffer) ] ~prev:(order - 1) ~order
-        ~in_order:true;
+        ~in_order:true ~written:tx.buffer;
       Ok order
 
 (* Replay a run of certified writesets as ONE remote transaction: take
@@ -607,7 +611,7 @@ let apply_certified t ~batch ~prev ~order ~in_order =
   match !written with
   | Ok () ->
       tx.state <- Committing;
-      finish_certified tx ~batch ~prev ~order ~in_order;
+      finish_certified tx ~batch ~prev ~order ~in_order ~written:ws;
       Ok ()
   | Error _ as failed -> failed
 

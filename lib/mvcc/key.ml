@@ -24,12 +24,10 @@ module Key_ops = struct
   type nonrec t = t
 
   let equal = equal
-  let compare = compare
   let hash = hash
 end
 
 module Tbl = Hashtbl.Make (Key_ops)
-module Set = Set.Make (Key_ops)
 
 (* A table indexed by a dense int, held in pages of [page_size] slots so
    that growing it never copies more than the small page directory, and

@@ -34,7 +34,6 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Tbl : Hashtbl.S with type key = t
-module Set : Set.S with type elt = t
 
 (** A mutable map from keys to values, indexed by key id: a lookup is two
     array reads, with no hashing and no bucket walk. Pages of 256 slots

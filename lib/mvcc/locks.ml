@@ -7,7 +7,9 @@ let free = { owner = -1; queue = [] }
 
 type t = {
   locks : lock Key.Dense.t;  (* [free] where no one holds the key *)
-  held : (txid, Key.Set.t) Hashtbl.t;
+  (* Keys each transaction was granted, newest first: a grant is one
+     cons, and a release sorts them by [Key.compare] (see [held_by]). *)
+  held : (txid, Key.t list) Hashtbl.t;
   (* wait-for edge: waiter -> (key it waits on). The holder is looked up
      through the lock so the edge stays correct as ownership changes. *)
   waits : (txid, Key.t) Hashtbl.t;
@@ -22,8 +24,13 @@ let holder t key =
 type acquire_result = Granted | Would_block of txid | Deadlock of txid list
 
 let note_held t txid key =
-  let set = Option.value ~default:Key.Set.empty (Hashtbl.find_opt t.held txid) in
-  Hashtbl.replace t.held txid (Key.Set.add key set)
+  let keys = Option.value ~default:[] (Hashtbl.find_opt t.held txid) in
+  Hashtbl.replace t.held txid (key :: keys)
+
+(* The distinct keys [txid] holds, ascending by [Key.compare]: ids never
+   decide the order in which waiters are granted. *)
+let held_by t txid =
+  List.sort_uniq Key.compare (Option.value ~default:[] (Hashtbl.find_opt t.held txid))
 
 let waiting_for t txid =
   match Hashtbl.find_opt t.waits txid with
@@ -68,10 +75,10 @@ let cancel_wait t txid key =
   if lock != free then lock.queue <- List.filter (fun w -> w <> txid) lock.queue
 
 let release_all t txid =
-  let keys = Option.value ~default:Key.Set.empty (Hashtbl.find_opt t.held txid) in
+  let keys = held_by t txid in
   Hashtbl.remove t.held txid;
-  Key.Set.fold
-    (fun key grants ->
+  List.fold_left
+    (fun grants key ->
       let lock = Key.Dense.find t.locks key in
       if lock == free || lock.owner <> txid then grants
       else
@@ -85,9 +92,6 @@ let release_all t txid =
             Hashtbl.remove t.waits next;
             note_held t next key;
             (key, next) :: grants)
-    keys []
-
-let held_by t txid =
-  Key.Set.elements (Option.value ~default:Key.Set.empty (Hashtbl.find_opt t.held txid))
+    [] keys
 
 let lock_count t = Key.Dense.length t.locks

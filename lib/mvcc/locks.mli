@@ -36,8 +36,10 @@ val release_all : t -> txid -> (Key.t * txid) list
 (** Release every lock held by [txid], granting each freed lock to its
     longest-waiting live waiter. Returns the (key, new holder) grants so
     the caller can wake the corresponding fibers. Waiters cancelled via
-    {!cancel_wait} are skipped. *)
+    {!cancel_wait} are skipped. Keys are released in {!Key.compare} order,
+    so the grants come back in descending key order. *)
 
 val held_by : t -> txid -> Key.t list
+(** Ascending by {!Key.compare}. *)
 
 val lock_count : t -> int

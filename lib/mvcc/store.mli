@@ -103,6 +103,14 @@ val pruned : t -> int
 (** Cumulative version-chain records dropped by {!gc} over this store's
     lifetime (including rows removed whole). *)
 
+type chain
+(** One row's version chain: immutable blocks, one per version, newest
+    first. *)
+
+val chain : t -> Key.t -> chain
+(** The row's chain as it stands. A store operation that leaves a row
+    unchanged leaves this physically equal ([==]) to what it was. *)
+
 val pp_chain : Format.formatter -> t -> Key.t -> unit
 (** Debug view of one key's raw version chain, newest first: [(v,B<img>)]
     for blind images, [(v,D<+d>)] for symbolic deltas. *)

@@ -22,11 +22,14 @@ let fold_delta earlier d =
    [keys] and [entries] of every certification sits on top of this module).
    The write side is a plain prepend log — [add] is O(1) even when it
    supersedes an earlier op on the same key, because duplicates are kept
-   and resolved at seal time. The read side is a [sealed] form computed on
-   first use: a first-write-ordered array of final entries plus a
-   key-sorted array of the same entries, so intersection is a linear merge
-   walk and key iteration is allocation-free, plus the encoded size that
-   every message and log record carrying the writeset charges.
+   and resolved at seal time; it keeps no key set, so a write costs one
+   cons and one record. The read side is a [sealed] form computed on first
+   use: a first-write-ordered array of final entries plus a key-sorted
+   array of the same entries, so intersection is a linear merge walk and
+   key iteration is allocation-free, plus the encoded size that every
+   message and log record carrying the writeset charges. The one read the
+   running transaction makes of its own buffer, {!find_op}, walks the log
+   instead, so a buffer that is still growing is never sealed.
 
    The sealed form is memoised in a mutable field rather than a lazy value,
    so [add] allocates no closure. The memo is safe because a writeset is
@@ -41,8 +44,6 @@ type sealed = {
 
 type t = {
   rev_writes : entry list; (* newest first; may contain superseded ops *)
-  count : int; (* distinct keys *)
-  keyset : Key.Set.t;
   mutable memo : sealed; (* [unsealed] until first read *)
 }
 
@@ -58,42 +59,55 @@ let op_bytes = function
 
 (* Each key's position in the [ordered] array being sealed, by key id: one
    table per domain, shared by every seal. A seal claims the stamps
-   [base, base + count) and stores [base + position], so every entry an
-   earlier seal left behind reads as unset without any clearing. *)
+   [base, base + n) for its [n] writes and stores [base + position], so
+   every entry an earlier seal left behind reads as unset without any
+   clearing. *)
 type positions = { slots : int Key.Dense.t; mutable next_base : int }
 
 let positions =
   Domain.DLS.new_key (fun () -> { slots = Key.Dense.create ~absent:(-1); next_base = 0 })
 
-let seal rev_writes count =
+(* [l] into [a] from index [i] down, so a newest-first log lands oldest
+   first. *)
+let rec fill_reversed a i = function
+  | [] -> ()
+  | e :: rest ->
+      Array.unsafe_set a i e;
+      fill_reversed a (i - 1) rest
+
+let seal rev_writes =
   match rev_writes with
   | [] -> unsealed
   | e0 :: _ ->
-      let ordered = Array.make count e0 in
+      (* The raw log, oldest first, then compacted in place: the first write
+         of a key fixes its position. A later final-image op overwrites the
+         op in place; a later delta folds onto whatever is already there.
+         Slot [next] never runs ahead of the raw entry being read. *)
+      let n = List.length rev_writes in
+      let ordered = Array.make n e0 in
+      fill_reversed ordered (n - 1) rev_writes;
       let pos = Domain.DLS.get positions in
       let base = pos.next_base in
-      pos.next_base <- base + count;
+      pos.next_base <- base + n;
       let next = ref 0 in
-      (* Oldest first: the first write of a key fixes its position. A later
-         final-image op overwrites the op in place; a later delta folds
-         onto whatever is already there. *)
-      List.iter
-        (fun e ->
-          let stamp = Key.Dense.find pos.slots e.key in
-          if stamp >= base then begin
-            let i = stamp - base in
-            ordered.(i) <-
-              (match e.op with
-              | Add d -> { key = e.key; op = fold_delta ordered.(i).op d }
-              | _ -> e)
-          end
-          else begin
-            let i = !next in
-            incr next;
-            Key.Dense.replace pos.slots e.key (base + i);
-            ordered.(i) <- e
-          end)
-        (List.rev rev_writes);
+      for r = 0 to n - 1 do
+        let e = ordered.(r) in
+        let stamp = Key.Dense.find pos.slots e.key in
+        if stamp >= base then begin
+          let i = stamp - base in
+          ordered.(i) <-
+            (match e.op with
+            | Add d -> { key = e.key; op = fold_delta ordered.(i).op d }
+            | _ -> e)
+        end
+        else begin
+          let i = !next in
+          incr next;
+          Key.Dense.replace pos.slots e.key (base + i);
+          ordered.(i) <- e
+        end
+      done;
+      let ordered = if !next = n then ordered else Array.sub ordered 0 !next in
       let sorted = Array.copy ordered in
       Array.sort (fun a b -> Key.compare a.key b.key) sorted;
       let bytes =
@@ -103,30 +117,24 @@ let seal rev_writes count =
       in
       { ordered; sorted; bytes }
 
+let is_empty t = match t.rev_writes with [] -> true | _ :: _ -> false
+
 let sealed t =
-  if t.memo != unsealed || t.count = 0 then t.memo
+  if t.memo != unsealed || is_empty t then t.memo
   else begin
-    let s = seal t.rev_writes t.count in
+    let s = seal t.rev_writes in
     t.memo <- s;
     s
   end
 
-let empty = { rev_writes = []; count = 0; keyset = Key.Set.empty; memo = unsealed }
+let empty = { rev_writes = []; memo = unsealed }
 
-let is_empty t = t.count = 0
-
-let add t key op =
-  let rev_writes = { key; op } :: t.rev_writes in
-  let count, keyset =
-    if Key.Set.mem key t.keyset then (t.count, t.keyset)
-    else (t.count + 1, Key.Set.add key t.keyset)
-  in
-  { rev_writes; count; keyset; memo = unsealed }
+let add t key op = { rev_writes = { key; op } :: t.rev_writes; memo = unsealed }
 
 let singleton key op = add empty key op
 let of_list l = List.fold_left (fun t (key, op) -> add t key op) empty l
 let entries t = Array.to_list (sealed t).ordered
-let cardinal t = t.count
+let cardinal t = Array.length (sealed t).ordered
 
 let keys t =
   Array.fold_right (fun e acc -> e.key :: acc) (sealed t).ordered []
@@ -136,29 +144,23 @@ let iter_keys t f = Array.iter (fun e -> f e.key) (sealed t).ordered
 let iter_entries t f =
   Array.iter (fun e -> f e.key e.op) (sealed t).ordered
 
-let mem t key = Key.Set.mem key t.keyset
+(* Newest first over the raw log, by key identity (keys are interned): the
+   newest final image of [key] ends the walk, and the deltas above it fold
+   onto it as the seal folds them — [fold_delta] of a sum equals the
+   nested folds, and a delta run with nothing below stays a delta. *)
+let rec find_raw key sum saw_delta = function
+  | [] -> if saw_delta then Some (Add sum) else None
+  | e :: rest when e.key != key -> find_raw key sum saw_delta rest
+  | { op = Add d; _ } :: rest -> find_raw key (sum + d) true rest
+  | { op; _ } :: _ -> Some (if saw_delta then fold_delta op sum else op)
 
-let find_op t key =
-  if not (Key.Set.mem key t.keyset) then None
-  else begin
-    let sorted = (sealed t).sorted in
-    let rec search lo hi =
-      if lo > hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let c = Key.compare key sorted.(mid).key in
-        if c = 0 then Some sorted.(mid).op
-        else if c < 0 then search lo (mid - 1)
-        else search (mid + 1) hi
-    in
-    search 0 (Array.length sorted - 1)
-  end
+let find_op t key = find_raw key 0 false t.rev_writes
 
 let all_deltas t =
   Array.for_all (fun e -> op_is_delta e.op) (sealed t).ordered
 
 let intersects a b =
-  if a.count = 0 || b.count = 0 then false
+  if is_empty a || is_empty b then false
   else begin
     let ka = (sealed a).sorted in
     let kb = (sealed b).sorted in
@@ -172,35 +174,17 @@ let intersects a b =
     walk 0 0
   end
 
-let inter_keys a b =
-  if a.count = 0 || b.count = 0 then []
-  else begin
-    let ka = (sealed a).sorted in
-    let kb = (sealed b).sorted in
-    let la = Array.length ka and lb = Array.length kb in
-    let rec walk i j acc =
-      if i >= la || j >= lb then List.rev acc
-      else
-        let c = Key.compare ka.(i).key kb.(j).key in
-        if c = 0 then walk (i + 1) (j + 1) (ka.(i).key :: acc)
-        else if c < 0 then walk (i + 1) j acc
-        else walk i (j + 1) acc
-    in
-    walk 0 0 []
-  end
-
 (* The same raw log as folding [add] over [later]'s final entries: they
    go on top of [earlier]'s writes, oldest first, and the seal resolves
    shared keys exactly as it would have for the fold. *)
 let union earlier later =
-  if earlier.count = 0 then later
-  else if later.count = 0 then earlier
+  if is_empty earlier then later
+  else if is_empty later then earlier
   else
     let rev_writes =
       Array.fold_left (fun acc e -> e :: acc) earlier.rev_writes (sealed later).ordered
     in
-    let keyset = Key.Set.union earlier.keyset later.keyset in
-    { rev_writes; count = Key.Set.cardinal keyset; keyset; memo = unsealed }
+    { rev_writes; memo = unsealed }
 
 let encoded_bytes t = (sealed t).bytes
 

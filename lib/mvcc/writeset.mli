@@ -41,6 +41,8 @@ val entries : t -> entry list
     sums, delete + delta re-creates the row from a zero base). *)
 
 val cardinal : t -> int
+(** Distinct keys; seals the writeset. *)
+
 val keys : t -> Key.t list
 
 val iter_keys : t -> (Key.t -> unit) -> unit
@@ -53,11 +55,12 @@ val iter_entries : t -> (Key.t -> op -> unit) -> unit
     delta-aware certification and apply paths can classify writes without
     an extra lookup. *)
 
-val mem : t -> Key.t -> bool
-
 val find_op : t -> Key.t -> op option
-(** The final op this writeset holds for [key], by binary search over the
-    sealed key-sorted entries. *)
+(** The final op this writeset holds for [key], as {!entries} would give
+    it. Walks the writes newest first by key identity (keys are interned),
+    folding deltas as {!entries} does, without sealing the writeset and
+    without allocating for the walk: a running transaction's
+    read-your-writes costs its own writes, not a seal per read. *)
 
 val all_deltas : t -> bool
 (** True when every entry is an [Add] — the writeset commutes with any
@@ -66,8 +69,6 @@ val all_deltas : t -> bool
 val intersects : t -> t -> bool
 (** True when the two writesets touch a common key — the certification
     test. *)
-
-val inter_keys : t -> t -> Key.t list
 
 val union : t -> t -> t
 (** [union earlier later]: combined effects, [later] winning on shared

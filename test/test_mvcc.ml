@@ -25,8 +25,8 @@ let value_opt : Value.t option Alcotest.testable =
 let test_writeset_basics () =
   let ws = Writeset.of_list [ (k "t" "a", upd 1); (k "t" "b", upd 2) ] in
   check_int "cardinal" 2 (Writeset.cardinal ws);
-  check_bool "mem" true (Writeset.mem ws (k "t" "a"));
-  check_bool "not mem" false (Writeset.mem ws (k "t" "c"));
+  check_bool "mem" true (Writeset.find_op ws (k "t" "a") <> None);
+  check_bool "not mem" false (Writeset.find_op ws (k "t" "c") <> None);
   check_bool "empty" true (Writeset.is_empty Writeset.empty);
   check_bool "non-empty" false (Writeset.is_empty ws)
 
@@ -49,10 +49,7 @@ let test_writeset_intersects () =
   check_bool "a/b intersect" true (Writeset.intersects a b);
   check_bool "b/a symmetric" true (Writeset.intersects b a);
   check_bool "a/c disjoint" false (Writeset.intersects a c);
-  check_bool "empty never intersects" false (Writeset.intersects a Writeset.empty);
-  Alcotest.(check (list string))
-    "inter_keys" [ "t/y" ]
-    (List.map Key.to_string (Writeset.inter_keys a b))
+  check_bool "empty never intersects" false (Writeset.intersects a Writeset.empty)
 
 let test_writeset_union_later_wins () =
   let a = Writeset.of_list [ (k "t" "x", upd 1); (k "t" "y", upd 2) ] in
@@ -167,17 +164,84 @@ let prop_intersects_symmetric =
     (QCheck.pair writeset_gen writeset_gen) (fun (a, b) ->
       Writeset.intersects a b = Writeset.intersects b a)
 
-let prop_intersects_iff_inter_keys =
-  QCheck.Test.make ~name:"intersects agrees with inter_keys" ~count:200
+let prop_intersects_iff_shared_key =
+  QCheck.Test.make ~name:"intersects agrees with intersecting the key lists" ~count:200
     (QCheck.pair writeset_gen writeset_gen) (fun (a, b) ->
-      Writeset.intersects a b = (Writeset.inter_keys a b <> []))
+      let shared =
+        List.exists (fun key -> List.exists (Key.equal key) (Writeset.keys b)) (Writeset.keys a)
+      in
+      Writeset.intersects a b = shared)
 
 let prop_union_keys =
   QCheck.Test.make ~name:"union covers both key sets" ~count:200
     (QCheck.pair writeset_gen writeset_gen) (fun (a, b) ->
       let u = Writeset.union a b in
-      List.for_all (Writeset.mem u) (Writeset.keys a)
-      && List.for_all (Writeset.mem u) (Writeset.keys b))
+      let mem key = Writeset.find_op u key <> None in
+      List.for_all mem (Writeset.keys a) && List.for_all mem (Writeset.keys b))
+
+(* The reference for one key's final op: a later final image replaces the
+   earlier op, a later delta folds onto it. *)
+let fold_ref earlier op =
+  match (earlier, op) with
+  | Some (Writeset.Insert (Value.Int n)), Writeset.Add d -> Writeset.Insert (vi (n + d))
+  | Some (Writeset.Insert (Value.Text _)), Writeset.Add d -> Writeset.Insert (vi d)
+  | Some (Writeset.Update (Value.Int n)), Writeset.Add d -> Writeset.Update (vi (n + d))
+  | Some (Writeset.Update (Value.Text _)), Writeset.Add d -> Writeset.Update (vi d)
+  | Some Writeset.Delete, Writeset.Add d -> Writeset.Update (vi d)
+  | Some (Writeset.Add d0), Writeset.Add d -> Writeset.Add (d0 + d)
+  | _, op -> op
+
+(* The final entries of a raw write list, in first-write order. *)
+let entries_ref writes =
+  List.fold_left
+    (fun acc (key, op) ->
+      if List.mem_assq key acc then
+        List.map (fun (k', o) -> if k' == key then (k', fold_ref (Some o) op) else (k', o)) acc
+      else acc @ [ (key, op) ])
+    [] writes
+
+(* A writeset that has never been sealed answers [find_op] from its raw
+   log and [is_empty] from the log's emptiness; both must agree with the
+   sealed form ([entries], [cardinal], and [find_op] after sealing) and
+   with a reference fold of the input. Few keys and many deltas, so delta
+   runs over images, deletes and other deltas are common. *)
+let prop_raw_writeset_matches_sealed =
+  let open QCheck in
+  let key_gen = Gen.map (fun i -> k "raw" (string_of_int i)) (Gen.int_bound 4) in
+  let op_gen =
+    Gen.frequency
+      [
+        (1, Gen.map (fun n -> Writeset.Insert (vi n)) Gen.small_int);
+        (1, Gen.map (fun n -> upd n) Gen.small_int);
+        (1, Gen.return (Writeset.Update (Value.text "x")));
+        (1, Gen.return Writeset.Delete);
+        (4, Gen.map (fun n -> Writeset.Add n) Gen.small_signed_int);
+      ]
+  in
+  let writes_gen = Gen.small_list (Gen.pair key_gen op_gen) in
+  let print writes =
+    String.concat "; "
+      (List.map
+         (fun (key, op) ->
+           Format.asprintf "%s:%a" (Key.to_string key) Writeset.pp (Writeset.singleton key op))
+         writes)
+  in
+  Test.make ~name:"raw writeset agrees with its sealed form" ~count:500 (make ~print writes_gen)
+    (fun writes ->
+      let universe = List.init 5 (fun i -> k "raw" (string_of_int i)) in
+      let expected = entries_ref writes in
+      let ws = Writeset.of_list writes in
+      (* Raw reads first: nothing has sealed [ws] yet. *)
+      let raw = List.map (Writeset.find_op ws) universe in
+      let raw_empty = Writeset.is_empty ws in
+      let sealed_entries =
+        List.map (fun (e : Writeset.entry) -> (e.key, e.op)) (Writeset.entries ws)
+      in
+      raw = List.map (fun key -> List.assq_opt key expected) universe
+      && raw_empty = (writes = [])
+      && List.equal (fun (a, o) (b, p) -> a == b && o = p) sealed_entries expected
+      && Writeset.cardinal ws = List.length expected
+      && raw = List.map (Writeset.find_op ws) universe)
 
 let key_strings_gen =
   QCheck.(
@@ -255,8 +319,7 @@ let prop_union_matches_add_fold =
         && List.for_all
              (fun i ->
                let key = k "t" (string_of_int i) in
-               Writeset.find_op u key = Writeset.find_op v key
-               && Writeset.mem u key = Writeset.mem v key)
+               Writeset.find_op u key = Writeset.find_op v key)
              (List.init 10 Fun.id)
       in
       same (Writeset.union a b) (union_by_add a b)
@@ -621,6 +684,26 @@ let test_store_blind_write_after_stops_at_snapshot () =
     true
     (window *. 10. < whole)
 
+(* A re-apply at a version the chain already holds — at its head, in the
+   middle, or at its bottom — changes nothing, down to the blocks. *)
+let test_store_install_at_idempotent () =
+  let s = Store.create () in
+  let key = k "t" "a" in
+  Store.preload s key (vi 0);
+  List.iter
+    (fun (v, op) -> Store.install_at s ~version:v (Writeset.singleton key op))
+    [ (2, upd 2); (4, Writeset.Add 4); (6, Writeset.Delete) ];
+  let before = Store.chain s key in
+  List.iter
+    (fun v ->
+      Store.install_at s ~version:v (Writeset.singleton key (upd 99));
+      check_bool (Printf.sprintf "re-apply at %d keeps the chain" v) true
+        (Store.chain s key == before))
+    [ 6; 4; 2; 0 ];
+  Alcotest.(check string)
+    "chain unchanged" "(6,Bdel)(4,D+4)(2,B2)(0,B0)"
+    (Format.asprintf "%a" (fun fmt () -> Store.pp_chain fmt s key) ())
+
 let test_store_delta_out_of_order_install () =
   (* Parallel apply slots deltas into the chains in worker-finish order; the
      symbolic representation makes the chain — and every snapshot read —
@@ -788,6 +871,29 @@ let test_locks_release_frees () =
   match Locks.acquire l 2 (k "t" "a") with
   | Locks.Granted -> ()
   | _ -> Alcotest.fail "freed lock should grant"
+
+(* Locks are released in [Key.compare] order whatever order they were
+   taken in, so the grants (returned newest first) come back descending. *)
+let test_locks_release_in_key_order () =
+  let l = Locks.create () in
+  let kc = k "t" "c" and ka = k "t" "a" and kb = k "t" "b" in
+  List.iter (fun key -> ignore (Locks.acquire l 1 key)) [ kc; ka; kb ];
+  List.iter
+    (fun (waiter, key) ->
+      match Locks.acquire l waiter key with
+      | Locks.Would_block 1 -> Locks.enqueue l waiter key
+      | _ -> Alcotest.fail "expected block on 1")
+    [ (2, kc); (3, ka); (4, kb) ];
+  Alcotest.(check (list string))
+    "held_by sorted" [ "t/a"; "t/b"; "t/c" ]
+    (List.map Key.to_string (Locks.held_by l 1));
+  let grants = Locks.release_all l 1 in
+  Alcotest.(check (list (pair string int)))
+    "granted in key order" [ ("t/a", 3); ("t/b", 4); ("t/c", 2) ]
+    (List.rev_map (fun (key, tx) -> (Key.to_string key, tx)) grants);
+  List.iter
+    (fun (key, tx) -> check_bool "new holder" true (Locks.holder l key = Some tx))
+    [ (ka, 3); (kb, 4); (kc, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Commit order *)
@@ -1982,8 +2088,9 @@ let suites =
       @ qsuite
           [
             prop_intersects_symmetric;
-            prop_intersects_iff_inter_keys;
+            prop_intersects_iff_shared_key;
             prop_union_keys;
+            prop_raw_writeset_matches_sealed;
             prop_union_matches_add_fold;
           ]
     );
@@ -2006,6 +2113,8 @@ let suites =
         Alcotest.test_case "delta reads fold onto images" `Quick test_store_delta_reads;
         Alcotest.test_case "blind_write_after stops at the snapshot" `Quick
           test_store_blind_write_after_stops_at_snapshot;
+        Alcotest.test_case "install_at re-apply keeps the chain" `Quick
+          test_store_install_at_idempotent;
         Alcotest.test_case "delta install is order-insensitive" `Quick
           test_store_delta_out_of_order_install;
         Alcotest.test_case "gc materializes a delta base" `Quick
@@ -2026,6 +2135,7 @@ let suites =
         Alcotest.test_case "no false deadlock" `Quick test_locks_no_false_deadlock;
         Alcotest.test_case "cancel wait" `Quick test_locks_cancel_wait;
         Alcotest.test_case "release frees" `Quick test_locks_release_frees;
+        Alcotest.test_case "release in key order" `Quick test_locks_release_in_key_order;
       ] );
     ( "mvcc.commit_order",
       [
