@@ -18,18 +18,20 @@ let fold_delta earlier d =
   | Add d0 -> Add (d0 + d)
 
 (* Writesets are built incrementally while a transaction runs, then read
-   many times on the certification and apply paths (every [intersects],
+   many times on the certification and apply paths (every [iter_keys],
    [keys] and [entries] of every certification sits on top of this module).
    The write side is a plain prepend log — [add] is O(1) even when it
    supersedes an earlier op on the same key, because duplicates are kept
    and resolved at seal time; it keeps no key set, so a write costs one
    cons and one record. The read side is a [sealed] form computed on first
-   use: a first-write-ordered array of final entries plus a key-sorted
-   array of the same entries, so intersection is a linear merge walk and
-   key iteration is allocation-free, plus the encoded size that every
-   message and log record carrying the writeset charges. The one read the
-   running transaction makes of its own buffer, {!find_op}, walks the log
-   instead, so a buffer that is still growing is never sealed.
+   use: a first-write-ordered array of final entries, so key iteration is
+   allocation-free, plus the encoded size that every message and log record
+   carrying the writeset charges. Nothing on those paths needs the keys in
+   order, so the seal builds no sorted copy; [intersects] stamps one side's
+   keys in the per-domain position table the seal dedupes with and probes
+   the other side's. The one read the running transaction makes of its own
+   buffer, {!find_op}, walks the log instead, so a buffer that is still
+   growing is never sealed.
 
    The sealed form is memoised in a mutable field rather than a lazy value,
    so [add] allocates no closure. The memo is safe because a writeset is
@@ -38,7 +40,6 @@ let fold_delta earlier d =
    engine is single-threaded, so no two readers race to fill it. *)
 type sealed = {
   ordered : entry array; (* first-write order, final op per key *)
-  sorted : entry array; (* same entries, ascending by Key.compare *)
   bytes : int; (* encoded size *)
 }
 
@@ -50,7 +51,7 @@ type t = {
 (* Sentinel of an unfilled memo, told apart by physical equality. It is
    also the sealed form of the empty writeset. *)
 let header_bytes = 8 (* version + count *)
-let unsealed = { ordered = [||]; sorted = [||]; bytes = header_bytes }
+let unsealed = { ordered = [||]; bytes = header_bytes }
 
 let op_bytes = function
   | Insert v | Update v -> 1 + Value.encoded_bytes v
@@ -58,14 +59,19 @@ let op_bytes = function
   | Add _ -> 1 + 8
 
 (* Each key's position in the [ordered] array being sealed, by key id: one
-   table per domain, shared by every seal. A seal claims the stamps
-   [base, base + n) for its [n] writes and stores [base + position], so
-   every entry an earlier seal left behind reads as unset without any
-   clearing. *)
+   table per domain, shared by every seal and [intersects]. A user claims
+   the stamps [base, base + n) for its [n] keys and stores [base +
+   position], so every entry an earlier user left behind reads as unset
+   without any clearing. *)
 type positions = { slots : int Key.Dense.t; mutable next_base : int }
 
 let positions =
   Domain.DLS.new_key (fun () -> { slots = Key.Dense.create ~absent:(-1); next_base = 0 })
+
+let claim_stamps pos n =
+  let base = pos.next_base in
+  pos.next_base <- base + n;
+  base
 
 (* [l] into [a] from index [i] down, so a newest-first log lands oldest
    first. *)
@@ -87,8 +93,7 @@ let seal rev_writes =
       let ordered = Array.make n e0 in
       fill_reversed ordered (n - 1) rev_writes;
       let pos = Domain.DLS.get positions in
-      let base = pos.next_base in
-      pos.next_base <- base + n;
+      let base = claim_stamps pos n in
       let next = ref 0 in
       for r = 0 to n - 1 do
         let e = ordered.(r) in
@@ -108,14 +113,12 @@ let seal rev_writes =
         end
       done;
       let ordered = if !next = n then ordered else Array.sub ordered 0 !next in
-      let sorted = Array.copy ordered in
-      Array.sort (fun a b -> Key.compare a.key b.key) sorted;
       let bytes =
         Array.fold_left
           (fun acc e -> acc + Key.encoded_bytes e.key + op_bytes e.op)
           header_bytes ordered
       in
-      { ordered; sorted; bytes }
+      { ordered; bytes }
 
 let is_empty t = match t.rev_writes with [] -> true | _ :: _ -> false
 
@@ -159,19 +162,22 @@ let find_op t key = find_raw key 0 false t.rev_writes
 let all_deltas t =
   Array.for_all (fun e -> op_is_delta e.op) (sealed t).ordered
 
+let rec stamped_from slots base kb j =
+  j < Array.length kb
+  && (Key.Dense.find slots kb.(j).key >= base || stamped_from slots base kb (j + 1))
+
+(* Stamp [a]'s keys, then probe [b]'s: O(|a| + |b|), allocation-free.
+   Both sides are sealed first, since a seal claims stamps of its own. *)
 let intersects a b =
   if is_empty a || is_empty b then false
   else begin
-    let ka = (sealed a).sorted in
-    let kb = (sealed b).sorted in
-    let la = Array.length ka and lb = Array.length kb in
-    let rec walk i j =
-      if i >= la || j >= lb then false
-      else
-        let c = Key.compare ka.(i).key kb.(j).key in
-        if c = 0 then true else if c < 0 then walk (i + 1) j else walk i (j + 1)
-    in
-    walk 0 0
+    let ka = (sealed a).ordered and kb = (sealed b).ordered in
+    let pos = Domain.DLS.get positions in
+    let base = claim_stamps pos (Array.length ka) in
+    for i = 0 to Array.length ka - 1 do
+      Key.Dense.replace pos.slots ka.(i).key (base + i)
+    done;
+    stamped_from pos.slots base kb 0
   end
 
 (* The same raw log as folding [add] over [later]'s final entries: they

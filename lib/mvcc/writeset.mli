@@ -68,7 +68,7 @@ val all_deltas : t -> bool
 
 val intersects : t -> t -> bool
 (** True when the two writesets touch a common key — the certification
-    test. *)
+    test. Seals both, then runs in O(|a| + |b|) without allocating. *)
 
 val union : t -> t -> t
 (** [union earlier later]: combined effects, [later] winning on shared

@@ -7,16 +7,27 @@ exception Stalled of string
 type fiber = {
   mutable cancelled : bool;
   mutable finished : bool;
+  mutable parked : bool; (* counted in [blocked_fibers] *)
+  mutable nap : int; (* span of the sleep being handled, in microseconds *)
   mutable join_waiters : (unit -> unit) list;
 }
 
-(* The event queue is a binary min-heap on [(time, seq)], held as unboxed
-   ints in parallel arrays so that ordering two events is two inline int
-   compares; [runs.(i)] is the callback of the event at slot [i]. [seq]
-   numbers events in scheduling order and is unique, so [(time, seq)] is a
-   total order (same-instant events run FIFO) and any correct heap pops the
-   same sequence. Slots at [size] and beyond hold [nop] so a run event's
-   closure is not retained. *)
+(* Events scheduled for a later instant wait in a binary min-heap on
+   [(time, seq)], held as unboxed ints in parallel arrays so that ordering
+   two events is two inline int compares; [runs.(i)] is the callback of the
+   event at slot [i]. [seq] numbers heap events in scheduling order and is
+   unique, so [(time, seq)] is a total order (same-instant events run FIFO)
+   and any correct heap pops the same sequence. Slots at [size] and beyond
+   hold [nop] so a run event's closure is not retained.
+
+   About half of all events are scheduled at the current instant (wake-ups,
+   yields, zero-delay sends). They skip the heap and queue in [ring], a
+   FIFO of [ring_len] callbacks from [ring_head] (capacity a power of two).
+   The order is still [(time, seq)]: a heap event at instant [c] was
+   scheduled while the clock was before [c], so before every ring event of
+   [c]; the loop runs the heap's events at the current instant, then the
+   ring, and only then advances the clock, and the ring is empty whenever
+   the clock moves. *)
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
@@ -26,11 +37,19 @@ type t = {
   mutable seqs : int array;
   mutable runs : (unit -> unit) array;
   mutable size : int;
+  mutable ring : (unit -> unit) array;
+  mutable ring_head : int;
+  mutable ring_len : int;
 }
 
-(* The effect performed by all blocking operations: [register] receives the
-   current fiber and a one-shot resume function. *)
-type _ Effect.t += Suspend : (fiber -> ('a -> unit) -> unit) -> 'a Effect.t
+(* [Park register] is {!suspend}, [Park_fiber register] is {!suspend2}:
+   [register] receives a one-shot resume function (and the fiber).
+   [Sleep span] parks the fiber for [span] ({!yield} is [Sleep 0]); its
+   wake-up is an event, so a sleeping fiber never counts as blocked. *)
+type _ Effect.t +=
+  | Park : (('a -> unit) -> unit) -> 'a Effect.t
+  | Park_fiber : (fiber -> ('a -> unit) -> unit) -> 'a Effect.t
+  | Sleep : int -> unit Effect.t
 
 let nop () = ()
 let initial_capacity = 64
@@ -45,11 +64,14 @@ let create () =
     seqs = Array.make initial_capacity 0;
     runs = Array.make initial_capacity nop;
     size = 0;
+    ring = Array.make initial_capacity nop;
+    ring_head = 0;
+    ring_len = 0;
   }
 
 let now t = t.clock
 let events_processed t = t.processed
-let pending_events t = t.size
+let pending_events t = t.size + t.ring_len
 
 let grow t =
   let cap = 2 * Array.length t.times in
@@ -119,24 +141,90 @@ let drop_head t =
     runs.(!i) <- run
   end
 
-let schedule t ~at run =
-  if Time.( < ) at t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: at=%s is before now=%s" (Time.to_string at)
-         (Time.to_string t.clock));
-  t.seq <- t.seq + 1;
-  push t (Time.to_us at) t.seq run
+let ring_add t run =
+  let cap = Array.length t.ring in
+  if t.ring_len = cap then begin
+    (* Unroll into a ring twice the size, oldest first from slot 0. *)
+    let ring = Array.make (2 * cap) nop in
+    let first = cap - t.ring_head in
+    Array.blit t.ring t.ring_head ring 0 first;
+    Array.blit t.ring 0 ring first t.ring_head;
+    t.ring <- ring;
+    t.ring_head <- 0
+  end;
+  let ring = t.ring in
+  ring.((t.ring_head + t.ring_len) land (Array.length ring - 1)) <- run;
+  t.ring_len <- t.ring_len + 1
 
-let schedule_after t span run = schedule t ~at:(Time.add t.clock span) run
+let ring_take t =
+  let ring = t.ring and head = t.ring_head in
+  let run = ring.(head) in
+  ring.(head) <- nop;
+  t.ring_head <- (head + 1) land (Array.length ring - 1);
+  t.ring_len <- t.ring_len - 1;
+  run
+
+(* [at] in microseconds, not before the clock. *)
+let schedule_us t at run =
+  let clock = (t.clock :> int) in
+  if at = clock then ring_add t run
+  else if at < clock then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule: at=%s is before now=%s"
+         (Time.to_string (Time.of_us at)) (Time.to_string t.clock))
+  else begin
+    t.seq <- t.seq + 1;
+    push t at t.seq run
+  end
+
+let schedule t ~(at : Time.t) run = schedule_us t (at :> int) run
+let schedule_after t (span : Time.t) run =
+  schedule_us t ((t.clock :> int) + (span :> int)) run
 
 let finish_fiber t fiber =
   fiber.finished <- true;
   let waiters = List.rev fiber.join_waiters in
   fiber.join_waiters <- [];
-  List.iter (fun w -> schedule t ~at:t.clock w) waiters
+  List.iter (ring_add t) waiters
+
+(* A parked fiber counts as blocked until it is resumed or cancelled,
+   whichever comes first; a fiber that parks after its cancellation never
+   counts. *)
+let park t fiber =
+  if not fiber.cancelled then begin
+    fiber.parked <- true;
+    t.blocked_fibers <- t.blocked_fibers + 1
+  end
+
+let unpark t fiber =
+  if fiber.parked then begin
+    fiber.parked <- false;
+    t.blocked_fibers <- t.blocked_fibers - 1
+  end
+
+(* The one-shot resume of a fiber parked on [k]. *)
+let resumer t fiber k =
+  let resumed = ref false in
+  park t fiber;
+  fun v ->
+    if not !resumed then begin
+      resumed := true;
+      unpark t fiber;
+      if fiber.cancelled then discontinue k Cancelled else continue k v
+    end
 
 let spawn t ?name:_ body =
-  let fiber = { cancelled = false; finished = false; join_waiters = [] } in
+  let fiber =
+    { cancelled = false; finished = false; parked = false; nap = 0; join_waiters = [] }
+  in
+  (* Allocated once per fiber rather than once per sleep: the span travels
+     in [fiber.nap]. *)
+  let wake_after_nap =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        schedule_us t ((t.clock :> int) + fiber.nap) (fun () ->
+            if fiber.cancelled then discontinue k Cancelled else continue k ()))
+  in
   let handler : (unit, unit) handler =
     {
       retc = (fun () -> finish_fiber t fiber);
@@ -148,47 +236,64 @@ let spawn t ?name:_ body =
               finish_fiber t fiber;
               raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | Suspend register ->
+          | Sleep span ->
+              fiber.nap <- span;
+              wake_after_nap
+          | Park register ->
+              Some (fun (k : (a, unit) continuation) -> register (resumer t fiber k))
+          | Park_fiber register ->
               Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  t.blocked_fibers <- t.blocked_fibers + 1;
-                  let resume (v : a) =
-                    if not !resumed then begin
-                      resumed := true;
-                      t.blocked_fibers <- t.blocked_fibers - 1;
-                      if fiber.cancelled then discontinue k Cancelled else continue k v
-                    end
-                  in
-                  register fiber resume)
+                (fun (k : (a, unit) continuation) -> register fiber (resumer t fiber k))
           | _ -> None);
     }
   in
   let start () = if not fiber.cancelled then match_with body () handler in
-  schedule t ~at:t.clock start;
+  ring_add t start;
   fiber
 
-let cancel _t fiber = if not fiber.finished then fiber.cancelled <- true
+let cancel t fiber =
+  if not fiber.finished then begin
+    fiber.cancelled <- true;
+    unpark t fiber
+  end
+
 let fiber_alive fiber = not (fiber.finished || fiber.cancelled)
-let suspend2 (_ : t) register = perform (Suspend register)
-let suspend t register = suspend2 t (fun _fiber resume -> register resume)
+let suspend (_ : t) register = perform (Park register)
+let suspend2 (_ : t) register = perform (Park_fiber register)
+let sleep _t (span : Time.t) =
+  let span = (span :> int) in
+  if span <> 0 then perform (Sleep span)
 
-let sleep t span =
-  if Time.is_zero span then ()
-  else suspend t (fun resume -> schedule_after t span (fun () -> resume ()))
-
-let yield t = suspend t (fun resume -> schedule t ~at:t.clock (fun () -> resume ()))
+let yield _t = perform (Sleep 0)
 
 let join t fiber =
   if not fiber.finished then
-    suspend t (fun resume -> fiber.join_waiters <- (fun () -> resume ()) :: fiber.join_waiters)
+    suspend t (fun resume -> fiber.join_waiters <- resume :: fiber.join_waiters)
 
 let run ?until ?(stop_when_idle = true) t =
   let limit = match until with None -> max_int | Some limit -> Time.to_us limit in
   let rec loop () =
-    if t.size = 0 then begin
+    let now = (t.clock :> int) in
+    if t.size > 0 && t.times.(0) = now && now <= limit then begin
+      (* A heap event at the current instant precedes the whole ring. *)
+      let run = t.runs.(0) in
+      drop_head t;
+      t.processed <- t.processed + 1;
+      run ();
+      loop ()
+    end
+    else if t.ring_len > 0 then begin
+      (* With the limit behind the clock, the ring waits for a later run. *)
+      if now <= limit then begin
+        let run = ring_take t in
+        t.processed <- t.processed + 1;
+        run ();
+        loop ()
+      end
+    end
+    else if t.size = 0 then begin
       if (not stop_when_idle) && t.blocked_fibers > 0 then
         raise
           (Stalled
@@ -199,7 +304,7 @@ let run ?until ?(stop_when_idle = true) t =
       let time = t.times.(0) in
       if time > limit then
         (* Leave future events queued; advance the clock to the limit. *)
-        t.clock <- Time.max t.clock (Time.of_us limit)
+        t.clock <- Time.of_us (max now limit)
       else begin
         let run = t.runs.(0) in
         drop_head t;

@@ -1,14 +1,17 @@
 (** Deterministic discrete-event simulation engine.
 
-    The engine maintains a virtual clock and a priority queue of events.
-    Concurrent activities are written as {e fibers}: ordinary OCaml functions
-    that may block on simulated operations (sleeping, waiting for a message,
+    The engine maintains a virtual clock and a queue of events. Concurrent
+    activities are written as {e fibers}: ordinary OCaml functions that may
+    block on simulated operations (sleeping, waiting for a message,
     acquiring a resource). Blocking is implemented with OCaml 5 effects, so
     fiber code reads like straight-line systems code.
 
-    Determinism: events scheduled for the same instant run in FIFO order of
-    scheduling (a monotonically increasing sequence number breaks ties), and
-    all randomness comes from explicit {!Rng.t} values. Two runs with the same
+    Ordering contract: events run in increasing [(time, scheduling order)].
+    Events scheduled for the same instant run in FIFO order of scheduling,
+    whether they were scheduled before the clock reached that instant or
+    at it (events at the current instant wait in a FIFO ring beside the
+    heap of later ones, and that split is invisible to callers). All
+    randomness comes from explicit {!Rng.t} values. Two runs with the same
     seeds produce identical traces. *)
 
 type t
@@ -23,7 +26,11 @@ exception Cancelled
 
 exception Stalled of string
 (** Raised by {!run} when [stop_when_idle] is false and the event queue
-    drains while fibers are still blocked (a lost-wakeup bug in the model). *)
+    drains while fibers are still blocked (a lost-wakeup bug in the model).
+    A fiber counts as blocked while it is parked by {!suspend}, {!suspend2}
+    or {!join}, and stops counting when it is resumed or cancelled,
+    whichever comes first; a sleeping fiber has its wake-up queued, so it
+    never counts. *)
 
 val create : unit -> t
 
@@ -47,8 +54,9 @@ val spawn : t -> ?name:string -> (unit -> unit) -> fiber
 
 val cancel : t -> fiber -> unit
 (** Request cancellation. A running fiber is unaffected until it next
-    blocks; a blocked fiber is discarded at its next (attempted) resume.
-    Cancelling a finished fiber is a no-op. *)
+    blocks; a blocked fiber is discarded at its next (attempted) resume,
+    and stops counting as blocked at once (structures that skip cancelled
+    waiters never resume it). Cancelling a finished fiber is a no-op. *)
 
 (** [fiber_alive f] is false once the fiber has finished or has been asked
     to cancel. *)
@@ -57,7 +65,12 @@ val fiber_alive : fiber -> bool
 (** {1 Blocking operations (must be called from inside a fiber)} *)
 
 val sleep : t -> Time.t -> unit
+(** [sleep t span] resumes the fiber [span] later, or discards it then if
+    it was cancelled meanwhile. A zero span returns at once, without
+    yielding. *)
+
 val yield : t -> unit
+(** Resume after every event already queued for the current instant. *)
 
 val suspend : t -> (('a -> unit) -> unit) -> 'a
 (** [suspend t register] parks the current fiber and calls
@@ -84,3 +97,4 @@ val run : ?until:Time.t -> ?stop_when_idle:bool -> t -> unit
     of [run]. *)
 
 val pending_events : t -> int
+(** Events queued and not yet run, at the current instant and later. *)

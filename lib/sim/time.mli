@@ -1,11 +1,13 @@
 (** Simulated time.
 
-    A single abstract type represents both instants (time since the start of
-    the simulation) and durations. The unit is the microsecond, carried in a
+    A single type represents both instants (time since the start of the
+    simulation) and durations. The unit is the microsecond, carried in a
     native [int]; on 64-bit platforms this covers ~292k years of simulated
-    time, far beyond any experiment. *)
+    time, far beyond any experiment. The type is private: only this module
+    makes a [t], but [(t :> int)] reads the microseconds for free, which
+    the event loop uses since the build does not inline across modules. *)
 
-type t
+type t = private int
 
 val zero : t
 val is_zero : t -> bool

@@ -15,7 +15,7 @@ let rec signal t =
   | None -> ()
   | Some (fiber, resume) ->
       if Engine.fiber_alive fiber then
-        Engine.schedule_after t.engine Time.zero (fun () -> resume ())
+        Engine.schedule_after t.engine Time.zero resume
       else signal t
 
 let broadcast t =

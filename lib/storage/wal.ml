@@ -124,7 +124,7 @@ let rec start_flush t =
 let wait_durable t target =
   if target > t.durable then begin
     Engine.suspend t.engine (fun resume ->
-        t.waiters <- (target, fun () -> resume ()) :: t.waiters;
+        t.waiters <- (target, resume) :: t.waiters;
         start_flush t)
   end
 

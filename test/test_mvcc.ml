@@ -327,6 +327,92 @@ let prop_union_matches_add_fold =
            (Writeset.union (Writeset.union a b) c)
            (union_by_add (union_by_add a b) c))
 
+(* [intersects] stamps one side's keys in the per-domain position table
+   and probes the other side's: once both writesets are sealed and the
+   table's pages exist, it allocates nothing. *)
+let test_writeset_intersects_alloc () =
+  let ws prefix n =
+    Writeset.of_list (List.init n (fun i -> (k "ia" (prefix ^ string_of_int i), upd i)))
+  in
+  let a = ws "a" 8 and b = ws "b" 8 and c = Writeset.singleton (k "ia" "a7") (upd 0) in
+  check_bool "disjoint" false (Writeset.intersects a b);
+  check_bool "shared key" true (Writeset.intersects c a);
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls / 2 do
+    ignore (Sys.opaque_identity (Writeset.intersects a b));
+    ignore (Sys.opaque_identity (Writeset.intersects c a))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* A few words box the two counter reads. *)
+  check_bool (Printf.sprintf "%.0f words over %d calls" words calls) true (words < 16.)
+
+let op_bytes_ref = function
+  | Writeset.Insert v | Writeset.Update v -> 1 + Value.encoded_bytes v
+  | Writeset.Delete -> 1
+  | Writeset.Add _ -> 9
+
+(* [intersects] and the seal share the position table's stamps. Calls of
+   [intersects] between seals of other writesets (fresh ones, and ones
+   that [intersects] itself seals) must leave every sealed form equal to a
+   reference fold of its writes, and every answer equal to intersecting
+   the key lists. *)
+let prop_intersects_keeps_sealed_forms =
+  let open QCheck in
+  let key_gen = Gen.map (fun i -> k "is" (string_of_int i)) (Gen.int_bound 6) in
+  let op_gen =
+    Gen.oneof
+      [
+        Gen.map (fun n -> Writeset.Insert (vi n)) Gen.small_int;
+        Gen.map (fun n -> upd n) Gen.small_int;
+        Gen.return (Writeset.Update (Value.text "text"));
+        Gen.return Writeset.Delete;
+        Gen.map (fun n -> Writeset.Add n) Gen.small_signed_int;
+      ]
+  in
+  let writes_gen = Gen.small_list (Gen.pair key_gen op_gen) in
+  let gen =
+    Gen.pair
+      (Gen.list_size (Gen.int_range 2 6) writes_gen)
+      (Gen.list_size (Gen.int_range 1 30) (Gen.pair Gen.nat Gen.nat))
+  in
+  let print (sets, steps) =
+    Printf.sprintf "%d writesets [%s], steps %s" (List.length sets)
+      (String.concat "; "
+         (List.map
+            (fun writes ->
+              Format.asprintf "%a" Writeset.pp (Writeset.of_list writes))
+            sets))
+      (Print.(list (pair int int)) steps)
+  in
+  Test.make ~name:"intersects between seals keeps every sealed form" ~count:300
+    (make ~print gen) (fun (sets, steps) ->
+      let writes = Array.of_list sets in
+      let n = Array.length writes in
+      let ws = Array.map Writeset.of_list writes in
+      let matches_ref t writes =
+        let expected = entries_ref writes in
+        List.equal
+          (fun (key, op) (key', op') -> key == key' && op = op')
+          (List.map (fun (e : Writeset.entry) -> (e.key, e.op)) (Writeset.entries t))
+          expected
+        && Writeset.cardinal t = List.length expected
+        && Writeset.encoded_bytes t
+           = List.fold_left
+               (fun acc (key, op) -> acc + Key.encoded_bytes key + op_bytes_ref op)
+               8 expected
+      in
+      let shared i j =
+        List.exists (fun (key, _) -> List.mem_assq key writes.(j)) writes.(i)
+      in
+      List.for_all
+        (fun (i, j) ->
+          let i = i mod n and j = j mod n in
+          if i = j then matches_ref (Writeset.of_list writes.(i)) writes.(i)
+          else Writeset.intersects ws.(i) ws.(j) = shared i j)
+        steps
+      && Array.for_all2 matches_ref ws writes)
+
 (* ------------------------------------------------------------------ *)
 (* Store *)
 
@@ -2079,6 +2165,8 @@ let suites =
         Alcotest.test_case "basics" `Quick test_writeset_basics;
         Alcotest.test_case "supersede keeps position" `Quick test_writeset_supersede;
         Alcotest.test_case "intersection" `Quick test_writeset_intersects;
+        Alcotest.test_case "intersects allocates nothing" `Quick
+          test_writeset_intersects_alloc;
         Alcotest.test_case "union later wins" `Quick test_writeset_union_later_wins;
         Alcotest.test_case "encoded bytes" `Quick test_writeset_encoded_bytes;
         Alcotest.test_case "delta folding" `Quick test_writeset_delta_fold;
@@ -2092,6 +2180,7 @@ let suites =
             prop_union_keys;
             prop_raw_writeset_matches_sealed;
             prop_union_matches_add_fold;
+            prop_intersects_keeps_sealed_forms;
           ]
     );
     ( "mvcc.key",

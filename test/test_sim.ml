@@ -641,6 +641,282 @@ let prop_engine_runs_stable_sort_by_time =
       && Engine.events_processed e = !next_id
       && List.rev !ran = List.map fst expected)
 
+(* A fiber cancelled while parked on a structure that skips dead waiters
+   ([Mailbox], [Waitq], [Resource]) is never resumed: it must stop counting
+   as blocked when it is cancelled, or an idle engine reports a stall. *)
+let test_engine_cancelled_parked_not_stalled () =
+  let e = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create e () in
+  let q = Waitq.create e () in
+  let r = Resource.create e ~capacity:1 () in
+  let on_mailbox = Engine.spawn e (fun () -> ignore (Mailbox.recv mb)) in
+  let on_waitq = Engine.spawn e (fun () -> Waitq.wait q) in
+  let holder = Engine.spawn e (fun () -> Resource.acquire r) in
+  let on_resource = Engine.spawn e (fun () -> Resource.acquire r) in
+  Engine.run e;
+  check_bool "holder finished holding the server" false (Engine.fiber_alive holder);
+  (match Engine.run ~stop_when_idle:false e with
+  | exception Engine.Stalled msg ->
+      Alcotest.(check string) "three parked fibers"
+        "event queue empty with 3 fiber(s) still blocked" msg
+  | () -> Alcotest.fail "expected Stalled before the cancellations");
+  List.iter (Engine.cancel e) [ on_mailbox; on_waitq; on_resource ];
+  Engine.run ~stop_when_idle:false e;
+  Mailbox.send mb 1;
+  Waitq.signal q;
+  Resource.release r;
+  Engine.run ~stop_when_idle:false e;
+  check_int "the message waits for a live receiver" 1 (Mailbox.length mb);
+  check_int "no waiter left" 0 (Resource.queue_length r + Waitq.waiters q)
+
+(* A cancelled fiber that is resumed anyway ([Ivar] wakes every reader)
+   stops counting once, not twice: a later blocked fiber still counts. *)
+let test_engine_cancelled_parked_counts_once () =
+  let e = Engine.create () in
+  let iv : int Ivar.t = Ivar.create e () in
+  let reader = Engine.spawn e (fun () -> ignore (Ivar.read iv)) in
+  Engine.run e;
+  Engine.cancel e reader;
+  Engine.cancel e reader;
+  Ivar.fill iv 1;
+  Engine.run ~stop_when_idle:false e;
+  check_bool "reader discarded" false (Engine.fiber_alive reader);
+  let mb : int Mailbox.t = Mailbox.create e () in
+  let _ = Engine.spawn e (fun () -> ignore (Mailbox.recv mb)) in
+  match Engine.run ~stop_when_idle:false e with
+  | exception Engine.Stalled msg ->
+      Alcotest.(check string) "one blocked fiber"
+        "event queue empty with 1 fiber(s) still blocked" msg
+  | () -> Alcotest.fail "expected Stalled"
+
+(* A holder cancelled during [Resource.use]'s service time releases the
+   server when its sleep ends, and the next waiter is granted then; a
+   cancelled waiter is skipped. Nothing is left counted as blocked. *)
+let test_resource_cancel_during_use () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 () in
+  let log = ref [] in
+  let note name = log := (name, Time.to_us (Engine.now e)) :: !log in
+  let holder =
+    Engine.spawn e (fun () ->
+        Resource.use r (us 100);
+        note "holder")
+  in
+  let skipped =
+    Engine.spawn e (fun () ->
+        Resource.use r (us 10);
+        note "skipped")
+  in
+  let _next =
+    Engine.spawn e (fun () ->
+        Resource.use r (us 50);
+        note "next")
+  in
+  Engine.schedule e ~at:(us 10) (fun () ->
+      Engine.cancel e holder;
+      Engine.cancel e skipped);
+  Engine.run ~stop_when_idle:false e;
+  Alcotest.(check (list (pair string int))) "next granted at the holder's release"
+    [ ("next", 150) ] (List.rev !log);
+  check_time "busy for both services" (us 150) (Resource.busy_time r);
+  check_int "no waiter left" 0 (Resource.queue_length r)
+
+(* Words allocated per sleep/wake cycle of a fiber, per yield, and per
+   [Resource.use] (acquire on the fast path, sleep, release). Each measures
+   10 words; when sleep went through [suspend] and [Resource.use] through
+   [Fun.protect], a sleep cost 36 and a [Resource.use] 49. *)
+let test_engine_sleep_alloc () =
+  let n = 10_000 in
+  let per_cycle make_body =
+    let e = Engine.create () in
+    let body = make_body e in
+    let _ = Engine.spawn e (fun () -> for _ = 1 to n do body () done) in
+    (* The first run grows the queue and starts the fiber. *)
+    Engine.run ~until:(us 1) e;
+    let before = Gc.minor_words () in
+    Engine.run e;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let sleep = per_cycle (fun e () -> Engine.sleep e (us 1)) in
+  let yield = per_cycle (fun e () -> Engine.yield e) in
+  let use =
+    per_cycle (fun e ->
+        let r = Resource.create e ~capacity:1 () in
+        fun () -> Resource.use r (us 1))
+  in
+  let bound = 12. in
+  List.iter
+    (fun (name, words) ->
+      check_bool (Printf.sprintf "%s: %.1f words per cycle <= %.0f" name words bound) true
+        (words <= bound))
+    [ ("sleep", sleep); ("yield", yield); ("Resource.use", use) ]
+
+(* Random programs against a reference event order. A program schedules
+   callbacks at the current instant and at later ones, from callbacks,
+   from fibers (which sleep, yield, read ivars and receive from mailboxes,
+   and fill and send to wake others) and from outside between [run ~until]
+   calls, whose limits are sometimes behind the clock. Every event the
+   engine will run gets a reference label at the moment it is scheduled,
+   in scheduling order; a correct engine runs, at each step, the pending
+   event with the least [(time, label)]. After each run the test also
+   checks [pending_events], [events_processed] and the clock. *)
+exception Order_violation of string
+
+type ref_waiter = { mutable wake : int (* label of the wake-up event *) }
+
+let prop_engine_matches_reference_order =
+  QCheck.Test.make ~name:"events run in the reference (time, scheduling) order" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let e = Engine.create () in
+      let fail fmt = Printf.ksprintf (fun m -> raise (Order_violation m)) fmt in
+      (* label -> time of every scheduled, not yet run event *)
+      let pending : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let next_label = ref 0 and ran = ref 0 and last_time = ref 0 in
+      let budget = ref (50 + Rng.int rng 250) in
+      let expect at =
+        let label = !next_label in
+        incr next_label;
+        Hashtbl.replace pending label at;
+        label
+      in
+      let run_event label =
+        let now = Time.to_us (Engine.now e) in
+        let least =
+          Hashtbl.fold
+            (fun l t best ->
+              match best with
+              | Some (bt, bl) when (bt, bl) < (t, l) -> best
+              | _ -> Some (t, l))
+            pending None
+        in
+        (match least with
+        | Some (t, l) when l = label && t = now -> ()
+        | Some (t, l) -> fail "ran label %d at %d; expected label %d at %d" label now l t
+        | None -> fail "ran label %d with nothing pending" label);
+        Hashtbl.remove pending label;
+        incr ran;
+        last_time := now
+      in
+      let ivars = Array.init 3 (fun _ -> (ref (Ivar.create e ()), ref [])) in
+      let mailboxes =
+        Array.init 2 (fun _ -> (Mailbox.create e (), Queue.create (), ref 0))
+      in
+      let delay () = if Rng.chance rng 0.5 then 0 else 1 + Rng.int rng 4 in
+      let rec act () =
+        if !budget > 0 then begin
+          decr budget;
+          match Rng.int rng 5 with
+          | 0 | 1 ->
+              let at = Time.to_us (Engine.now e) + delay () in
+              let label = expect at in
+              Engine.schedule e ~at:(us at) (fun () ->
+                  run_event label;
+                  for _ = 1 to Rng.int rng 3 do
+                    act ()
+                  done)
+          | 2 ->
+              let label = expect (Time.to_us (Engine.now e)) in
+              ignore
+                (Engine.spawn e (fun () ->
+                     run_event label;
+                     fiber (1 + Rng.int rng 4)))
+          | 3 ->
+              let iv, readers = ivars.(Rng.int rng (Array.length ivars)) in
+              List.iter
+                (fun w -> w.wake <- expect (Time.to_us (Engine.now e)))
+                (List.rev !readers);
+              readers := [];
+              Ivar.fill !iv ();
+              iv := Ivar.create e ()
+          | _ ->
+              let mb, receivers, buffered = mailboxes.(Rng.int rng 2) in
+              (match Queue.take_opt receivers with
+              | Some w -> w.wake <- expect (Time.to_us (Engine.now e))
+              | None -> incr buffered);
+              Mailbox.send mb ()
+        end
+      and fiber steps =
+        for _ = 1 to steps do
+          match Rng.int rng 5 with
+          | 0 ->
+              let d = delay () in
+              if d = 0 then Engine.sleep e Time.zero
+              else begin
+                let label = expect (Time.to_us (Engine.now e) + d) in
+                Engine.sleep e (us d);
+                run_event label
+              end
+          | 1 ->
+              let label = expect (Time.to_us (Engine.now e)) in
+              Engine.yield e;
+              run_event label
+          | 2 ->
+              let iv, readers = ivars.(Rng.int rng (Array.length ivars)) in
+              let iv = !iv in
+              if Ivar.is_filled iv then Ivar.read iv
+              else begin
+                let w = { wake = -1 } in
+                readers := w :: !readers;
+                Ivar.read iv;
+                run_event w.wake
+              end
+          | 3 ->
+              let mb, receivers, buffered = mailboxes.(Rng.int rng 2) in
+              if !buffered > 0 then begin
+                decr buffered;
+                Mailbox.recv mb
+              end
+              else begin
+                let w = { wake = -1 } in
+                Queue.add w receivers;
+                Mailbox.recv mb;
+                run_event w.wake
+              end
+          | _ -> act ()
+        done
+      in
+      let check_run ?until () =
+        let clock0 = Time.to_us (Engine.now e) and ran0 = !ran in
+        Engine.run ?until:(Option.map us until) e;
+        let n_pending = Hashtbl.length pending in
+        let clock = Time.to_us (Engine.now e) in
+        (match until with
+        | Some limit when limit < clock0 ->
+            if !ran <> ran0 then
+              fail "limit %d behind the clock %d ran events" limit clock0
+        | Some limit ->
+            Hashtbl.iter
+              (fun l t ->
+                if t <= limit then fail "label %d at %d left behind limit %d" l t limit)
+              pending
+        | None ->
+            if n_pending > 0 then fail "%d events left after an unlimited run" n_pending);
+        let expected_clock =
+          match until with
+          | Some limit when n_pending > 0 -> max clock0 limit
+          | _ -> max clock0 !last_time
+        in
+        if clock <> expected_clock then fail "clock %d, expected %d" clock expected_clock;
+        if Engine.pending_events e <> n_pending then
+          fail "pending_events %d, expected %d" (Engine.pending_events e) n_pending;
+        if Engine.events_processed e <> !ran then
+          fail "events_processed %d, expected %d" (Engine.events_processed e) !ran
+      in
+      match
+        for _ = 1 to 1 + Rng.int rng 8 do
+          for _ = 1 to Rng.int rng 4 do
+            act ()
+          done;
+          let clock = Time.to_us (Engine.now e) in
+          check_run ~until:(max 0 (clock - 3 + Rng.int rng 12)) ()
+        done;
+        check_run ()
+      with
+      | () -> true
+      | exception Order_violation msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
 let suites =
   [
     ( "sim.time",
@@ -669,6 +945,7 @@ let suites =
         Alcotest.test_case "fifo among ties" `Quick test_engine_fifo_ties;
         Alcotest.test_case "run until" `Quick test_engine_until;
         QCheck_alcotest.to_alcotest prop_engine_runs_stable_sort_by_time;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference_order;
         Alcotest.test_case "no scheduling in the past" `Quick
           test_engine_schedule_past_rejected;
         Alcotest.test_case "fiber sleep" `Quick test_fiber_sleep;
@@ -682,6 +959,11 @@ let suites =
         Alcotest.test_case "yield interleaves fairly" `Quick test_engine_yield_interleaves;
         Alcotest.test_case "suspend/manual resume" `Quick test_suspend_manual_resume;
         Alcotest.test_case "double resume ignored" `Quick test_suspend_double_resume_ignored;
+        Alcotest.test_case "cancelled parked fibers are not stalled" `Quick
+          test_engine_cancelled_parked_not_stalled;
+        Alcotest.test_case "a cancelled parked fiber counts once" `Quick
+          test_engine_cancelled_parked_counts_once;
+        Alcotest.test_case "sleep/wake allocation" `Quick test_engine_sleep_alloc;
       ] );
     ( "sim.mailbox",
       [
@@ -711,6 +993,7 @@ let suites =
           test_resource_with_held_releases_on_exn;
         Alcotest.test_case "utilization accounting" `Quick
           test_resource_utilization_accounting;
+        Alcotest.test_case "cancelled during use" `Quick test_resource_cancel_during_use;
       ] );
     ( "sim.stats",
       [
