@@ -20,7 +20,9 @@ type t = {
   base : Store.t;
   base_keys : unit Key.Tbl.t;
   initial : Key.t -> Value.t option;  (* a row's image as first loaded *)
-  truncated_by_origin : (string, int) Hashtbl.t;
+  (* Truncated entries per origin, indexed by [origins]. *)
+  origins : Sim.Names.t;
+  truncated_by_origin : int Sim.Dense.t;
   mutable bytes : int;  (* cumulative, survives truncation *)
   mutable live_bytes : int;  (* bytes held by live slots only *)
   mutable pruned : int;  (* cumulative entries dropped by truncation *)
@@ -49,7 +51,8 @@ let create ?(initial = fun _ -> None) () =
     base = Store.create ();
     base_keys = Key.Tbl.create 64;
     initial;
-    truncated_by_origin = Hashtbl.create 8;
+    origins = Sim.Names.create ();
+    truncated_by_origin = Sim.Dense.create 0;
     bytes = 0;
     live_bytes = 0;
     pruned = 0;
@@ -115,8 +118,8 @@ let truncate t ~upto =
       let e = t.slots.(i).entry in
       t.live_bytes <- t.live_bytes - Types.entry_bytes e;
       t.pruned <- t.pruned + 1;
-      Hashtbl.replace t.truncated_by_origin e.origin
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.truncated_by_origin e.origin));
+      let o = Sim.Names.index t.origins e.origin in
+      Sim.Dense.set t.truncated_by_origin o (Sim.Dense.get t.truncated_by_origin o + 1);
       Writeset.iter_entries e.ws (fun key op ->
           if not (Key.Tbl.mem t.base_keys key) then begin
             Key.Tbl.replace t.base_keys key ();
@@ -156,7 +159,7 @@ let base_rows t =
 let base_records t = Store.version_records t.base
 
 let truncated_for_origin t origin =
-  Option.value ~default:0 (Hashtbl.find_opt t.truncated_by_origin origin)
+  Sim.Dense.get t.truncated_by_origin (Sim.Names.find t.origins origin)
 
 let conflict_in_window t ws ~lo ~hi =
   (* The writer index holds nothing at or below the floor, so a window

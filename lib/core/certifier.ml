@@ -50,12 +50,47 @@ type stats = {
   xaborts : int;
 }
 
-module Outcomes = Hashtbl.Make (struct
-  type t = Types.gtx_id
+(* Transaction id -> version: a table of sequence numbers per origin, the
+   origins being the few proxy and session addresses (a [Names] table).
+   Neither a lookup nor a delivered entry hashes a string or builds a
+   [gtx_id]. *)
+module Outcomes = struct
+  type t = { mutable origins : Names.t; seqs : int Int_table.t Dense.t }
 
-  let equal = Types.gtx_equal
-  let hash (g : t) = Hashtbl.hash g
-end)
+  let create () = { origins = Names.create (); seqs = Dense.create (Int_table.create 1) }
+
+  let reset t =
+    t.origins <- Names.create ();
+    Dense.reset t.seqs
+
+  let find_opt t (g : Types.gtx_id) =
+    let i = Names.find t.origins g.gtx_origin in
+    if i < 0 then None else Int_table.find_opt (Dense.get t.seqs i) g.gtx_seq
+
+  let mem t (g : Types.gtx_id) =
+    let i = Names.find t.origins g.gtx_origin in
+    i >= 0 && Int_table.mem (Dense.get t.seqs i) g.gtx_seq
+
+  let record t ~origin ~seq version =
+    let i = Names.index t.origins origin in
+    if not (Dense.mem t.seqs i) then Dense.set t.seqs i (Int_table.create 256);
+    Int_table.replace (Dense.get t.seqs i) seq version
+
+  let replace t (g : Types.gtx_id) version =
+    record t ~origin:g.gtx_origin ~seq:g.gtx_seq version
+end
+
+(* The value of free [pending_replies] cells. *)
+let no_request =
+  {
+    Types.req_id = 0;
+    trace_id = 0;
+    replica = "";
+    replica_version = 0;
+    oldest_snapshot = 0;
+    gtx = Types.single_gtx ~origin:"" ~req_id:0;
+    fragments = [];
+  }
 
 (* The outcome-table value of an aborted transaction (versions are
    1-based). Only cross-partition aborts are recorded: a single-partition
@@ -107,13 +142,13 @@ type t = {
      but not yet delivered, key-indexed (see Overlay). *)
   overlay : Overlay.t;
   cert_work : task Mailbox.t;
-  pending_replies : (int, Types.cert_request) Hashtbl.t; (* version -> request *)
+  pending_replies : Types.cert_request Version_window.t; (* version -> request *)
   (* Transaction id -> version committed here, or [aborted]: the retry-
      idempotency witness for every kind of request. Deliberately never
      pruned by log truncation and rebuilt by Paxos redelivery after a
      crash, so it remains the durability witness for commits whose log
      slots were truncated behind the GC watermark. *)
-  outcomes : int Outcomes.t;
+  outcomes : Outcomes.t;
   (* Cross-partition machinery. [xstates] holds in-flight transactions
      (pruned at decision). [pins] holds keys locked by delivered
      yes-voted Prepared records (deterministic, delivery-driven,
@@ -147,7 +182,7 @@ type t = {
   events : Obs.Events.t;
   (* Open [cert.durability] spans for accepted-but-undelivered entries,
      version -> span; mirrors [pending_replies]'s lifetime. *)
-  dur_spans : (int, Obs.Trace.span) Hashtbl.t;
+  dur_spans : Obs.Trace.span Version_window.t;
   (* counters *)
   c_requests : Stats.Counter.t;
   c_commits : Stats.Counter.t;
@@ -252,12 +287,14 @@ let advance_watermark t =
       t.snapshot_reports max_int
   in
   if !fresh then begin
-    let low acc (req : Types.cert_request) = min acc req.replica_version in
-    let candidate = Hashtbl.fold (fun _ req acc -> low acc req) t.pending_replies candidate in
-    let candidate = List.fold_left (fun acc (req, _, _) -> low acc req) candidate t.delivered in
+    let low (req : Types.cert_request) acc = min acc req.replica_version in
+    let candidate = Version_window.fold low t.pending_replies candidate in
+    let candidate =
+      List.fold_left (fun acc (req, _, _) -> low req acc) candidate t.delivered
+    in
     let candidate =
       Hashtbl.fold
-        (fun _ xs acc -> match xs.xs_reply with Some req -> low acc req | None -> acc)
+        (fun _ xs acc -> match xs.xs_reply with Some req -> low req acc | None -> acc)
         t.xstates candidate
     in
     if candidate > base then t.gc_floor <- candidate else t.gc_floor <- base
@@ -648,8 +685,8 @@ let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
                          replica_version = req.replica_version;
                        });
                   Overlay.add t.overlay entry;
-                  Hashtbl.replace t.pending_replies version req;
-                  Hashtbl.replace t.dur_spans version
+                  Version_window.replace t.pending_replies version req;
+                  Version_window.replace t.dur_spans version
                     (Obs.Trace.span t.trace ~id:req.trace_id
                        ~stage:"cert.durability" ~actor:t.node_id ());
                   accepted := entry :: !accepted
@@ -695,8 +732,8 @@ let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
           List.iter
             (fun (e : Types.entry) ->
               Overlay.remove t.overlay e.version;
-              Hashtbl.remove t.pending_replies e.version;
-              Hashtbl.remove t.dur_spans e.version)
+              Version_window.remove t.pending_replies e.version;
+              Version_window.remove t.dur_spans e.version)
             batch);
     Obs.Trace.finish t.trace sp_batch
   end
@@ -805,7 +842,10 @@ let on_deliver_entry t (entry : Types.entry) =
     else entry
   in
   append t entry;
-  Outcomes.replace t.outcomes (Types.entry_id entry) entry.version;
+  (match entry.xa with
+  | Some x -> Outcomes.replace t.outcomes x.gtx entry.version
+  | None ->
+      Outcomes.record t.outcomes ~origin:entry.origin ~seq:entry.req_id entry.version);
   (* Replicated truncation: every certifier prunes from the stamp the
      leader folded at proposal time, in slot order — so the live window
      (and the base state behind it) is identical everywhere, including
@@ -818,23 +858,23 @@ let on_deliver_entry t (entry : Types.entry) =
          { actor = t.node_id; part = t.partition; floor = Cert_log.floor t.clog });
   (* Speculative state is keyed by the PROPOSED version. *)
   Overlay.remove t.overlay proposed;
-  (match Hashtbl.find_opt t.dur_spans proposed with
-  | Some sp ->
-      Hashtbl.remove t.dur_spans proposed;
-      Obs.Trace.finish t.trace sp
-  | None -> ());
-  match Hashtbl.find_opt t.pending_replies proposed with
-  | Some req when is_leader t ->
-      Hashtbl.remove t.pending_replies proposed;
-      Stats.Counter.incr t.c_commits;
-      t.delivered <- (req, Types.Commit, entry.version) :: t.delivered;
-      if not t.flush_scheduled then begin
-        t.flush_scheduled <- true;
-        (* Zero delay: runs after the delivering fiber finishes this
-           instant, so a whole committed batch flushes as one. *)
-        Engine.schedule_after t.engine Time.zero (fun () -> flush_replies t)
-      end
-  | Some _ | None -> ()
+  if Version_window.mem t.dur_spans proposed then begin
+    let sp = Version_window.find t.dur_spans proposed in
+    Version_window.remove t.dur_spans proposed;
+    Obs.Trace.finish t.trace sp
+  end;
+  if Version_window.mem t.pending_replies proposed && is_leader t then begin
+    let req = Version_window.find t.pending_replies proposed in
+    Version_window.remove t.pending_replies proposed;
+    Stats.Counter.incr t.c_commits;
+    t.delivered <- (req, Types.Commit, entry.version) :: t.delivered;
+    if not t.flush_scheduled then begin
+      t.flush_scheduled <- true;
+      (* Zero delay: runs after the delivering fiber finishes this
+         instant, so a whole committed batch flushes as one. *)
+      Engine.schedule_after t.engine Time.zero (fun () -> flush_replies t)
+    end
+  end
 
 (* Prepared delivery: THE vote point. The vote is a pure function of the
    delivered log, the truncation floor and the pin table — state that is
@@ -956,8 +996,8 @@ let spawn_role_watch t =
                 outstanding-request window must not outlive them. *)
              Obs.Events.emit t.events (Obs.Events.Actor_reset { actor = t.node_id });
              Overlay.clear t.overlay;
-             Hashtbl.reset t.pending_replies;
-             Hashtbl.reset t.dur_spans;
+             Version_window.reset t.pending_replies;
+             Version_window.reset t.dur_spans;
              Mvcc.Key.Tbl.reset t.pins_spec;
              Hashtbl.iter
                (fun _ xs ->
@@ -1082,8 +1122,8 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         initial;
         overlay = Overlay.create ();
         cert_work = Mailbox.create engine ~name:(node_id ^ ".certwork") ();
-        pending_replies = Hashtbl.create 64;
-        outcomes = Outcomes.create 1024;
+        pending_replies = Version_window.create no_request;
+        outcomes = Outcomes.create ();
         xstates = Hashtbl.create 64;
         pins = Mvcc.Key.Tbl.create 64;
         pins_spec = Mvcc.Key.Tbl.create 64;
@@ -1098,7 +1138,8 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         gc_floor = 0;
         trace;
         events;
-        dur_spans = Hashtbl.create 64;
+        dur_spans =
+          Version_window.create (Obs.Trace.span (Obs.Trace.disabled ()) ~stage:"" ~actor:"" ());
         c_requests = counter "requests";
         c_commits = counter "commits";
         c_aborts_ww = counter "aborts_ww";
@@ -1228,8 +1269,8 @@ let crash ?wal_fault t =
     Mailbox.clear t.round_gate;
     if t.round_waiting then Mailbox.send t.round_gate ();
     t.delivered <- [];
-    Hashtbl.reset t.pending_replies;
-    Hashtbl.reset t.dur_spans;
+    Version_window.reset t.pending_replies;
+    Version_window.reset t.dur_spans;
     Outcomes.reset t.outcomes;
     Hashtbl.reset t.xstates;
     Mvcc.Key.Tbl.reset t.pins;

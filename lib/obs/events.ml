@@ -70,11 +70,16 @@ let enabled t = t.on
 
 let subscribe t h = t.handlers <- t.handlers @ [ h ]
 
+let rec dispatch now ev = function
+  | [] -> ()
+  | h :: rest ->
+      h now ev;
+      dispatch now ev rest
+
 let emit t ev =
   if t.on then begin
     t.emitted <- t.emitted + 1;
-    let now = t.now () in
-    List.iter (fun h -> h now ev) t.handlers
+    dispatch (t.now ()) ev t.handlers
   end
 
 let emitted t = t.emitted

@@ -7,6 +7,21 @@ let pp_violation ppf v =
     (float_of_int (Time.to_us v.at) /. 1e6)
     v.monitor v.detail
 
+(* Request and transaction keys: the number above 16 bits of interned
+   name index, so that an {!Int_table} lookup neither builds a tuple nor
+   hashes a string. *)
+let name_bits = 16
+let name_mask = (1 lsl name_bits) - 1
+let max_number = 1 lsl (Sys.int_size - name_bits - 2)
+
+let pack ix n =
+  if ix > name_mask || n >= max_number || n < -max_number then
+    invalid_arg "Obs.Monitor: name index or request number out of range";
+  (n lsl name_bits) lor ix
+
+let packed_ix key = key land name_mask
+let packed_number key = key asr name_bits
+
 (* Per-certifier view for the durability and gc-floor monitors. Rebuilt
    from scratch when the node crashes: recovery redelivers the Paxos log
    from the first slot, so the log view restarts at version 0 and the
@@ -14,16 +29,16 @@ let pp_violation ppf v =
    the "acked commits survive recovery" obligation. *)
 type cert_state = {
   mutable log_version : int; (* last contiguously appended version *)
-  appended : (string * int, int) Hashtbl.t; (* (origin, req_id) -> version *)
+  appended : int Int_table.t; (* (origin, req_id) -> version *)
   mutable floor : int;
-  outstanding : (string * int, int) Hashtbl.t;
-      (* admitted, unanswered requests -> replica_version (live snapshot) *)
+  outstanding : int Int_table.t;
+      (* admitted, unanswered (origin, req_id) -> replica_version (live snapshot) *)
 }
 
 (* Per-(replica, partition) proxy view for the serial-order monitor. *)
 type store_state = {
   mutable base : int; (* every version <= base is installed *)
-  installed : (int, unit) Hashtbl.t; (* versions > base installed so far *)
+  installed : unit Version_window.t; (* versions > base installed so far *)
   mutable visible : int; (* last announced snapshot version *)
 }
 
@@ -32,22 +47,27 @@ type xrecord = {
   votes : (int, bool) Hashtbl.t; (* participant part -> its fixed vote *)
 }
 
+(* No commit acked at a version: [acked_at] cells hold packed keys. *)
+let unacked = min_int
+
 type t = {
   events : Events.t;
   progress_bound : Time.t;
   mutable violations : violation list; (* newest first *)
   mutable n_violations : int;
   mutable n_events : int;
-  (* 1. commit-durability *)
-  acked : (int * string * int, int) Hashtbl.t; (* (part,origin,req) -> v *)
-  acked_at : (int * int, string * int) Hashtbl.t; (* (part,v) -> key *)
-  certs : (string, cert_state) Hashtbl.t; (* also feeds monitor 4 *)
+  actors : Names.t; (* actor and origin strings, interned *)
+  origins : Names.t;
+  (* 1. commit-durability, per partition *)
+  acked : int Int_table.t Dense.t; (* (origin, req) -> v *)
+  acked_at : int Dense.t Dense.t; (* v -> (origin, req), or [unacked] *)
+  certs : cert_state option Dense.t; (* per actor; also feeds monitor 4 *)
   (* 2. serial order / GSI *)
-  stores : (string, store_state) Hashtbl.t;
+  stores : store_state option Dense.t; (* per actor *)
   (* 3. cross-partition atomicity *)
   xas : (string, xrecord) Hashtbl.t;
-  (* 5. progress *)
-  pending : (string * int, Time.t) Hashtbl.t;
+  (* 5. progress: per actor, tx -> submission time *)
+  pending : Time.t Int_table.t Dense.t;
   mutable healthy : bool;
   mutable last_heal : Time.t;
   mutable last_progress_check : Time.t;
@@ -61,27 +81,47 @@ let violationf t ~at ~monitor fmt =
     fmt
 
 let cert_state t actor =
-  match Hashtbl.find_opt t.certs actor with
+  let i = Names.index t.actors actor in
+  match Dense.get t.certs i with
   | Some s -> s
   | None ->
       let s =
         {
           log_version = 0;
-          appended = Hashtbl.create 64;
+          appended = Int_table.create 64;
           floor = 0;
-          outstanding = Hashtbl.create 16;
+          outstanding = Int_table.create 16;
         }
       in
-      Hashtbl.replace t.certs actor s;
+      Dense.set t.certs i (Some s);
       s
 
 let store_state t actor =
-  match Hashtbl.find_opt t.stores actor with
+  let i = Names.index t.actors actor in
+  match Dense.get t.stores i with
   | Some s -> s
   | None ->
-      let s = { base = 0; installed = Hashtbl.create 64; visible = 0 } in
-      Hashtbl.replace t.stores actor s;
+      let s = { base = 0; installed = Version_window.create (); visible = 0 } in
+      Dense.set t.stores i (Some s);
       s
+
+(* The table at index [i] of [tables], created on first use. *)
+let table tables i ~size =
+  if Dense.mem tables i then Dense.get tables i
+  else begin
+    let tbl = Int_table.create size in
+    Dense.set tables i tbl;
+    tbl
+  end
+
+let acked_table t part = table t.acked part ~size:1024
+let acked_at t part version = Dense.get (Dense.get t.acked_at part) version
+
+let set_acked_at t part version key =
+  if not (Dense.mem t.acked_at part) then Dense.set t.acked_at part (Dense.create unacked);
+  Dense.set (Dense.get t.acked_at part) version key
+
+let pending_table t actor_ix = table t.pending actor_ix ~size:16
 
 let xrecord t gtx =
   match Hashtbl.find_opt t.xas gtx with
@@ -94,67 +134,72 @@ let xrecord t gtx =
 (* --- 1. commit-durability --------------------------------------------- *)
 
 let on_durable_ack t at ~part ~origin ~req_id ~version =
-  let key = (part, origin, req_id) in
-  (match Hashtbl.find_opt t.acked key with
+  let key = pack (Names.index t.origins origin) req_id in
+  let acked = acked_table t part in
+  (match Int_table.find_opt acked key with
   | Some v when v <> version ->
       violationf t ~at ~monitor:"durability"
         "commit (%s,%d) p%d acked at v=%d was previously acked at v=%d"
         origin req_id part version v
   | _ -> ());
-  (match Hashtbl.find_opt t.acked_at (part, version) with
-  | Some (o, r) when not (String.equal o origin && r = req_id) ->
-      violationf t ~at ~monitor:"durability"
-        "p%d v=%d acked for (%s,%d) but already acked for (%s,%d)" part
-        version origin req_id o r
-  | _ -> ());
-  Hashtbl.replace t.acked key version;
-  Hashtbl.replace t.acked_at (part, version) (origin, req_id)
+  (let held = acked_at t part version in
+   if held <> unacked && held <> key then
+     violationf t ~at ~monitor:"durability"
+       "p%d v=%d acked for (%s,%d) but already acked for (%s,%d)" part
+       version origin req_id
+       (Names.name t.origins (packed_ix held))
+       (packed_number held));
+  Int_table.replace acked key version;
+  set_acked_at t part version key
 
 let on_verdict t at ~part ~origin ~req_id ~committed ~actor =
   let cs = cert_state t actor in
-  Hashtbl.remove cs.outstanding (origin, req_id);
-  if (not committed) && Hashtbl.mem t.acked (part, origin, req_id) then
+  let key = pack (Names.index t.origins origin) req_id in
+  Int_table.remove cs.outstanding key;
+  if (not committed) && Int_table.mem (acked_table t part) key then
     violationf t ~at ~monitor:"durability"
       "commit (%s,%d) p%d was durably acked but %s later replied abort" origin
       req_id part actor
 
 let on_log_append t at ~actor ~part ~version ~origin ~req_id =
   let cs = cert_state t actor in
+  let key = pack (Names.index t.origins origin) req_id in
   if version <> cs.log_version + 1 then
     violationf t ~at ~monitor:"serial-order"
       "%s appended v=%d after v=%d (certified order broken)" actor version
       cs.log_version;
   cs.log_version <- max cs.log_version version;
-  (match Hashtbl.find_opt cs.appended (origin, req_id) with
+  (match Int_table.find_opt cs.appended key with
   | Some v when v <> version ->
       violationf t ~at ~monitor:"serial-order"
         "%s appended (%s,%d) twice: v=%d and v=%d" actor origin req_id v
         version
   | _ -> ());
-  Hashtbl.replace cs.appended (origin, req_id) version;
+  Int_table.replace cs.appended key version;
   (* The durability obligations: an acked commit keeps its version across
      any recovery's re-append, and nothing else takes that version. *)
-  (match Hashtbl.find_opt t.acked (part, origin, req_id) with
+  (match Int_table.find_opt (acked_table t part) key with
   | Some v when v <> version ->
       violationf t ~at ~monitor:"durability"
         "acked commit (%s,%d) p%d re-appeared at v=%d (acked at v=%d)" origin
         req_id part version v
   | _ -> ());
-  match Hashtbl.find_opt t.acked_at (part, version) with
-  | Some (o, r) when not (String.equal o origin && r = req_id) ->
-      violationf t ~at ~monitor:"durability"
-        "p%d v=%d belongs to acked commit (%s,%d) but %s appended (%s,%d)"
-        part version o r actor origin req_id
-  | _ -> ()
+  let held = acked_at t part version in
+  if held <> unacked && held <> key then
+    violationf t ~at ~monitor:"durability"
+      "p%d v=%d belongs to acked commit (%s,%d) but %s appended (%s,%d)"
+      part version
+      (Names.name t.origins (packed_ix held))
+      (packed_number held) actor origin req_id
 
 (* --- 2. serial order / GSI -------------------------------------------- *)
 
 let on_ws_install t at ~actor ~version =
   let ss = store_state t actor in
-  if version <= ss.base || Hashtbl.mem ss.installed version then
+  if version <= ss.base || Version_window.mem ss.installed version then
     violationf t ~at ~monitor:"serial-order"
       "%s installed writeset v=%d twice" actor version
-  else Hashtbl.replace ss.installed version ()
+  else Version_window.replace ss.installed version ()
 
 let on_snapshot_advance t at ~actor ~version =
   let ss = store_state t actor in
@@ -165,7 +210,7 @@ let on_snapshot_advance t at ~actor ~version =
   else begin
     (* The snapshot may only expose the contiguous installed prefix. *)
     for v = max ss.visible ss.base + 1 to version do
-      if v > ss.base && not (Hashtbl.mem ss.installed v) then
+      if v > ss.base && not (Version_window.mem ss.installed v) then
         violationf t ~at ~monitor:"serial-order"
           "%s snapshot advanced to v=%d over uninstalled v=%d" actor version v
     done;
@@ -173,7 +218,7 @@ let on_snapshot_advance t at ~actor ~version =
     (* Compact: everything below the visible horizon is settled. *)
     if version > ss.base then begin
       for v = ss.base + 1 to version do
-        Hashtbl.remove ss.installed v
+        Version_window.remove ss.installed v
       done;
       ss.base <- version
     end
@@ -181,7 +226,7 @@ let on_snapshot_advance t at ~actor ~version =
 
 let on_snapshot_load t ~actor ~version =
   let ss = store_state t actor in
-  Hashtbl.reset ss.installed;
+  Version_window.reset ss.installed;
   ss.base <- version;
   ss.visible <- version
 
@@ -228,40 +273,58 @@ let on_gc_floor t at ~actor ~part ~floor =
   if floor < cs.floor then
     violationf t ~at ~monitor:"gc-floor"
       "%s p%d floor went backwards: %d after %d" actor part floor cs.floor;
-  Hashtbl.iter
-    (fun (origin, req_id) rv ->
-      if rv < floor then
-        violationf t ~at ~monitor:"gc-floor"
-          "%s p%d advanced floor to %d over live snapshot rv=%d of pending \
-           (%s,%d)"
-          actor part floor rv origin req_id)
-    cs.outstanding;
+  (* Report in (origin, req_id) order. *)
+  let live =
+    Int_table.fold
+      (fun key rv acc -> if rv < floor then (key, rv) :: acc else acc)
+      cs.outstanding []
+  in
+  let origin key = Names.name t.origins (packed_ix key) in
+  List.iter
+    (fun (key, rv) ->
+      violationf t ~at ~monitor:"gc-floor"
+        "%s p%d advanced floor to %d over live snapshot rv=%d of pending \
+         (%s,%d)"
+        actor part floor rv (origin key) (packed_number key))
+    (List.sort
+       (fun (a, _) (b, _) ->
+         match String.compare (origin a) (origin b) with
+         | 0 -> Int.compare (packed_number a) (packed_number b)
+         | c -> c)
+       live);
   cs.floor <- max cs.floor floor
 
 (* --- 5. progress -------------------------------------------------------- *)
 
 let check_progress t ~now =
+  (* Report in (actor, tx) order. *)
   let overdue = ref [] in
-  Hashtbl.iter
-    (fun key submitted ->
-      (* The clock starts at submission, or at the last heal if the run was
-         faulted since: "eventually commits or aborts once faults heal". *)
-      let since =
-        if Time.(submitted < t.last_heal) then t.last_heal else submitted
-      in
-      if Time.(Time.add since t.progress_bound < now) then
-        overdue := key :: !overdue)
-    t.pending;
+  for actor_ix = 0 to Dense.bound t.pending - 1 do
+    if Dense.mem t.pending actor_ix then
+      Int_table.iter
+        (fun tx submitted ->
+          (* The clock starts at submission, or at the last heal if the run
+             was faulted since: "eventually commits or aborts once faults
+             heal". *)
+          let since =
+            if Time.(submitted < t.last_heal) then t.last_heal else submitted
+          in
+          if Time.(Time.add since t.progress_bound < now) then
+            overdue := (Names.name t.actors actor_ix, actor_ix, tx, submitted) :: !overdue)
+        (Dense.get t.pending actor_ix)
+  done;
   List.iter
-    (fun ((actor, tx) as key) ->
-      let submitted = Hashtbl.find t.pending key in
-      Hashtbl.remove t.pending key;
+    (fun (actor, actor_ix, tx, submitted) ->
+      Int_table.remove (Dense.get t.pending actor_ix) tx;
       violationf t ~at:now ~monitor:"progress"
         "%s #%d submitted at %.3fs still unresolved %.1fs after faults healed"
         actor tx
         (float_of_int (Time.to_us submitted) /. 1e6)
         (float_of_int (Time.to_us t.progress_bound) /. 1e6))
-    !overdue
+    (List.sort
+       (fun (a, _, x, _) (b, _, y, _) ->
+         match String.compare a b with 0 -> Int.compare x y | c -> c)
+       !overdue)
 
 let maybe_check_progress t ~now =
   if t.healthy && Time.(Time.add t.last_progress_check (Time.sec 1) < now)
@@ -273,29 +336,25 @@ let maybe_check_progress t ~now =
 (* --- node lifecycle ----------------------------------------------------- *)
 
 let drop_actor_pending t actor =
-  let stale =
-    Hashtbl.fold
-      (fun ((a, _) as key) _ acc ->
-        if String.equal a actor then key :: acc else acc)
-      t.pending []
-  in
-  List.iter (Hashtbl.remove t.pending) stale
+  let i = Names.index t.actors actor in
+  if Dense.mem t.pending i then Int_table.reset (Dense.get t.pending i)
 
 let on_node_crash t actor =
   (* A crashed certifier rebuilds its log by redelivery (checked against
      the acked table as it does); a crashed replica's stores are re-seeded
      by the Snapshot_load its recovery emits. Either way the old per-actor
      view is void, as is any client work the crash cancelled. *)
-  Hashtbl.remove t.certs actor;
-  Hashtbl.remove t.stores actor;
+  let i = Names.index t.actors actor in
+  if Dense.mem t.certs i then Dense.set t.certs i None;
+  if Dense.mem t.stores i then Dense.set t.stores i None;
   drop_actor_pending t actor
 
 (* A certifier that lost leadership abandons its admitted requests
    without crashing (it stops answering them), so their snapshots no
    longer pin its floor once it truncates as a follower. *)
 let on_actor_reset t actor =
-  (match Hashtbl.find_opt t.certs actor with
-  | Some cs -> Hashtbl.reset cs.outstanding
+  (match Dense.get t.certs (Names.index t.actors actor) with
+  | Some cs -> Int_table.reset cs.outstanding
   | None -> ());
   drop_actor_pending t actor
 
@@ -304,7 +363,8 @@ let handle t at ev =
   (match ev with
   | Events.Request_admitted { actor; origin; req_id; replica_version; _ } ->
       let cs = cert_state t actor in
-      Hashtbl.replace cs.outstanding (origin, req_id) replica_version
+      let key = pack (Names.index t.origins origin) req_id in
+      Int_table.replace cs.outstanding key replica_version
   | Events.Verdict { actor; part; origin; req_id; committed; _ } ->
       on_verdict t at ~part ~origin ~req_id ~committed ~actor
   | Events.Durable_ack { part; origin; req_id; version; _ } ->
@@ -322,8 +382,9 @@ let handle t at ev =
   | Events.Snapshot_load { actor; version; _ } ->
       on_snapshot_load t ~actor ~version
   | Events.Tx_submitted { actor; tx } ->
-      Hashtbl.replace t.pending (actor, tx) at
-  | Events.Tx_resolved { actor; tx; _ } -> Hashtbl.remove t.pending (actor, tx)
+      Int_table.replace (pending_table t (Names.index t.actors actor)) tx at
+  | Events.Tx_resolved { actor; tx; _ } ->
+      Int_table.remove (pending_table t (Names.index t.actors actor)) tx
   | Events.Node_crash { actor } -> on_node_crash t actor
   | Events.Node_recover _ -> ()
   | Events.Actor_reset { actor } -> on_actor_reset t actor
@@ -340,12 +401,14 @@ let attach ?(progress_bound = Time.sec 20) ?metrics events =
       violations = [];
       n_violations = 0;
       n_events = 0;
-      acked = Hashtbl.create 1024;
-      acked_at = Hashtbl.create 1024;
-      certs = Hashtbl.create 8;
-      stores = Hashtbl.create 8;
+      actors = Names.create ();
+      origins = Names.create ();
+      acked = Dense.create (Int_table.create 1);
+      acked_at = Dense.create (Dense.create unacked);
+      certs = Dense.create None;
+      stores = Dense.create None;
       xas = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
+      pending = Dense.create (Int_table.create 1);
       healthy = true;
       last_heal = Time.zero;
       last_progress_check = Time.zero;

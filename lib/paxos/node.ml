@@ -40,22 +40,30 @@ let heartbeat_interval = Time.of_ms 20.
 let election_timeout_lo = Time.of_ms 80.
 let election_timeout_hi = Time.of_ms 160.
 
+(* The slots whose values were accepted above [above], in ascending slot
+   order. Slots are numbered contiguously from 1, so [accepted] and
+   [chosen] are {!Dense} arrays indexed by slot. *)
+let values_above accepted ~above =
+  let rec collect s acc =
+    if s <= above || s <= 0 then acc
+    else collect (s - 1) (if Dense.mem accepted s then Dense.get accepted s :: acc else acc)
+  in
+  collect (Dense.bound accepted - 1) []
+
 type 'v role =
   | Follower
   | Candidate of { ballot : Ballot.t; mutable promises : (string * 'v slot_value list) list }
-  | Leader of {
-      ballot : Ballot.t;
-      mutable next_slot : int;
-      (* slot -> set of acked peers; Hashtbl.length is O(1), so the
-         majority test never walks the set. *)
-      acks : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-    }
+  | Leader of { ballot : Ballot.t; mutable next_slot : int; acks : int Version_window.t }
+      (* [acks]: per uncommitted slot with an Accept_ok, the nodes that
+         acked it as a bitmask (bit [i] is index [i] of [members]); a slot
+         leaves it when it commits. *)
 
 type 'v t = {
   engine : Engine.t;
   rng : Rng.t;
   node_id : string;
   peers : string list;
+  members : Names.t;  (* this node, then [peers]: ack bit [i] is index [i] *)
   cluster_size : int;
   send : dst:string -> 'v message -> unit;
   on_deliver : int -> 'v -> unit;
@@ -63,8 +71,8 @@ type 'v t = {
   value_bytes_hint : int; (* only for wal accounting of unknown values *)
   mutable up : bool;
   mutable promised : Ballot.t;
-  accepted : (int, 'v slot_value) Hashtbl.t;
-  chosen : (int, 'v entry_value) Hashtbl.t;
+  accepted : 'v slot_value Dense.t;
+  chosen : 'v entry_value Dense.t;
   mutable commit : int;
   mutable applied : int;
   mutable role : 'v role;
@@ -79,12 +87,19 @@ type 'v t = {
   accept_batch_sizes : Stats.Summary.t;
 }
 
+(* The filler of absent [accepted] cells; real slots start at 1. *)
+let no_slot_value = { slot = 0; ballot = Ballot.initial; value = Noop }
+
 let majority t = (t.cluster_size / 2) + 1
 let id t = t.node_id
 let is_up t = t.up
 let commit_index t = t.commit
+
 let pending_ack_slots t =
-  match t.role with Leader l -> Hashtbl.length l.acks | Follower | Candidate _ -> 0
+  match t.role with
+  | Leader l -> Version_window.length l.acks
+  | Follower | Candidate _ -> 0
+
 let current_ballot t = t.promised
 let wal t = t.node_wal
 
@@ -119,46 +134,44 @@ let persist_promise t record =
   ignore (Storage.Wal.append_and_sync t.node_wal ~bytes record)
 
 let deliver_ready t =
-  let rec loop () =
-    match Hashtbl.find_opt t.chosen (t.applied + 1) with
-    | None -> ()
-    | Some value ->
-        t.applied <- t.applied + 1;
-        (match value with Value v -> t.on_deliver t.applied v | Noop -> ());
-        loop ()
-  in
-  loop ()
+  while Dense.mem t.chosen (t.applied + 1) do
+    t.applied <- t.applied + 1;
+    match Dense.get t.chosen t.applied with
+    | Value v -> t.on_deliver t.applied v
+    | Noop -> ()
+  done
 
 let learn t slot value =
-  if not (Hashtbl.mem t.chosen slot) then Hashtbl.replace t.chosen slot value
+  if not (Dense.mem t.chosen slot) then Dense.set t.chosen slot value
 
 (* ------------------------------------------------------------------ *)
 (* Leader side *)
 
 let newly_chosen_entries t ~from_slot =
   let rec collect s acc =
-    if s > t.commit then List.rev acc
-    else collect (s + 1) ((s, Hashtbl.find t.chosen s) :: acc)
+    if s < from_slot then acc else collect (s - 1) ((s, Dense.get t.chosen s) :: acc)
   in
-  collect from_slot []
+  collect t.commit []
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* The ack bit of node [from]; 0 for a node outside the group. *)
+let ack_bit t from =
+  let i = Names.find t.members from in
+  if i < 0 then 0 else 1 lsl i
 
 let advance_commit t =
   match t.role with
   | Leader l ->
       let start = t.commit + 1 in
-      let rec advance () =
-        match Hashtbl.find_opt l.acks (t.commit + 1) with
-        | Some acks when Hashtbl.length acks >= majority t -> (
-            match Hashtbl.find_opt t.accepted (t.commit + 1) with
-            | Some sv ->
-                t.commit <- t.commit + 1;
-                learn t t.commit sv.value;
-                Hashtbl.remove l.acks t.commit;
-                advance ()
-            | None -> ())
-        | Some _ | None -> ()
-      in
-      advance ();
+      while
+        popcount (Version_window.get l.acks (t.commit + 1)) >= majority t
+        && Dense.mem t.accepted (t.commit + 1)
+      do
+        t.commit <- t.commit + 1;
+        learn t t.commit (Dense.get t.accepted t.commit).value;
+        Version_window.remove l.acks t.commit
+      done;
       if t.commit >= start then begin
         deliver_ready t;
         let entries = newly_chosen_entries t ~from_slot:start in
@@ -167,24 +180,18 @@ let advance_commit t =
   | Follower | Candidate _ -> ()
 
 (* An ack for a slot already committed (a late or retransmitted
-   Accept_ok) is ignored: recording it would re-create a per-slot table
-   that [advance_commit], which only removes the slot it commits, never
-   drops again. *)
+   Accept_ok) is ignored: recording it would re-create an entry that
+   [advance_commit], which only removes the slot it commits, never drops
+   again. A duplicate Accept_ok from the same node sets the same bit, so
+   it never double-counts toward the majority. *)
 let leader_ack t ballot slot ~from =
   match t.role with
   | Leader l when Ballot.equal l.ballot ballot && slot > t.commit ->
-      let acks =
-        match Hashtbl.find_opt l.acks slot with
-        | Some acks -> acks
-        | None ->
-            let acks = Hashtbl.create 8 in
-            Hashtbl.replace l.acks slot acks;
-            acks
-      in
-      (* A duplicate Accept_ok from the same peer must not double-count
-         toward the majority. *)
-      if not (Hashtbl.mem acks from) then Hashtbl.replace acks from ();
-      advance_commit t
+      let bit = ack_bit t from in
+      if bit <> 0 then begin
+        Version_window.replace l.acks slot (Version_window.get l.acks slot lor bit);
+        advance_commit t
+      end
   | Leader _ | Follower | Candidate _ -> ()
 
 let accepted_records entries =
@@ -200,7 +207,7 @@ let send_accepts t ballot entries =
   broadcast t (Accept { ballot; from = t.node_id; entries });
   ignore
     (Engine.spawn t.engine (fun () ->
-         List.iter (fun sv -> Hashtbl.replace t.accepted sv.slot sv) entries;
+         List.iter (fun sv -> Dense.set t.accepted sv.slot sv) entries;
          ignore
            (Storage.Wal.append_batch t.node_wal ~bytes_of:(record_bytes t)
               (accepted_records entries));
@@ -235,25 +242,30 @@ let reset_batch_stats t =
 
 let become_leader t ballot promises =
   (* Merge the highest-ballot accepted value per slot above our commit
-     point, from our own table and every promise. *)
-  let best : (int, 'v slot_value) Hashtbl.t = Hashtbl.create 16 in
-  let consider sv =
-    if sv.slot > t.commit then
-      match Hashtbl.find_opt best sv.slot with
-      | Some cur when Ballot.(cur.ballot >= sv.ballot) -> ()
-      | Some _ | None -> Hashtbl.replace best sv.slot sv
+     point, from our own table and every promise, into a window of slots
+     [commit + 1 .. max_slot]. *)
+  let own = values_above t.accepted ~above:t.commit in
+  let top acc svs = List.fold_left (fun acc sv -> max acc sv.slot) acc svs in
+  let max_slot =
+    List.fold_left (fun acc (_, accepted) -> top acc accepted) (top t.commit own) promises
   in
-  Hashtbl.iter (fun _ sv -> consider sv) t.accepted;
+  let best = Array.make (max_slot - t.commit) no_slot_value in
+  let consider sv =
+    if sv.slot > t.commit then begin
+      let i = sv.slot - t.commit - 1 in
+      let cur = best.(i) in
+      if cur == no_slot_value || Ballot.(cur.ballot < sv.ballot) then best.(i) <- sv
+    end
+  in
+  List.iter consider own;
   List.iter (fun (_, accepted) -> List.iter consider accepted) promises;
-  let max_slot = Hashtbl.fold (fun slot _ acc -> max slot acc) best t.commit in
   let entries =
     List.init (max_slot - t.commit) (fun i ->
-        let slot = t.commit + 1 + i in
-        match Hashtbl.find_opt best slot with
-        | Some sv -> { sv with ballot }
-        | None -> { slot; ballot; value = Noop })
+        let sv = best.(i) in
+        if sv == no_slot_value then { slot = t.commit + 1 + i; ballot; value = Noop }
+        else { sv with ballot })
   in
-  t.role <- Leader { ballot; next_slot = max_slot + 1; acks = Hashtbl.create 16 };
+  t.role <- Leader { ballot; next_slot = max_slot + 1; acks = Version_window.create 0 };
   t.recovery_floor <- max_slot;
   t.leader_seen <- Some t.node_id;
   broadcast t (Heartbeat { ballot; from = t.node_id; commit_index = t.commit });
@@ -263,7 +275,8 @@ let start_election t =
   let ballot = Ballot.next t.promised ~node:t.node_id in
   t.promised <- ballot;
   t.election_deadline <- fresh_deadline t;
-  let own_accepted = Hashtbl.fold (fun _ sv acc -> sv :: acc) t.accepted [] in
+  (* Only slots above the commit index can matter to [become_leader]. *)
+  let own_accepted = values_above t.accepted ~above:t.commit in
   t.role <- Candidate { ballot; promises = [ (t.node_id, own_accepted) ] };
   ignore
     (Engine.spawn t.engine (fun () ->
@@ -309,11 +322,7 @@ let handle_prepare t ~ballot ~from ~commit_index =
       (Engine.spawn t.engine (fun () ->
            persist_promise t (Wal_record.Promised ballot);
            if t.up then begin
-             let accepted =
-               Hashtbl.fold
-                 (fun slot sv acc -> if slot > commit_index then sv :: acc else acc)
-                 t.accepted []
-             in
+             let accepted = values_above t.accepted ~above:commit_index in
              t.send ~dst:from
                (Promise { ballot; from = t.node_id; accepted; commit_index = t.commit })
            end))
@@ -339,7 +348,7 @@ let handle_accept t ~ballot ~from ~entries =
     t.election_deadline <- fresh_deadline t;
     ignore
       (Engine.spawn t.engine (fun () ->
-           List.iter (fun sv -> Hashtbl.replace t.accepted sv.slot sv) entries;
+           List.iter (fun sv -> Dense.set t.accepted sv.slot sv) entries;
            ignore
              (Storage.Wal.append_batch t.node_wal ~bytes_of:(record_bytes t)
                 (accepted_records entries));
@@ -360,17 +369,15 @@ let handle_commit t ~from ~entries ~commit_index =
   if commit_index > t.commit then t.commit <- commit_index;
   deliver_ready t;
   (* A gap means we missed earlier Commit messages: fetch them. *)
-  if t.applied < t.commit && not (Hashtbl.mem t.chosen (t.applied + 1)) then
+  if t.applied < t.commit && not (Dense.mem t.chosen (t.applied + 1)) then
     t.send ~dst:from (Ask_transfer { from = t.node_id; applied = t.applied })
 
 let handle_ask_transfer t ~from ~applied =
   let entries =
     let rec collect s acc =
       if s > t.commit then List.rev acc
-      else
-        match Hashtbl.find_opt t.chosen s with
-        | Some v -> collect (s + 1) ((s, v) :: acc)
-        | None -> List.rev acc
+      else if Dense.mem t.chosen s then collect (s + 1) ((s, Dense.get t.chosen s) :: acc)
+      else List.rev acc
     in
     collect (applied + 1) []
   in
@@ -421,10 +428,9 @@ let resend_pending t ~ballot ~next_slot =
     let hi = min (next_slot - 1) (t.commit + resend_window) in
     let rec collect slot acc =
       if slot <= t.commit then acc
-      else
-        match Hashtbl.find_opt t.accepted slot with
-        | Some sv -> collect (slot - 1) ({ sv with ballot } :: acc)
-        | None -> collect (slot - 1) acc
+      else if Dense.mem t.accepted slot then
+        collect (slot - 1) ({ (Dense.get t.accepted slot) with ballot } :: acc)
+      else collect (slot - 1) acc
     in
     collect hi []
   in
@@ -450,7 +456,7 @@ let spawn_timers t =
                     chosen values and then won an election never gets a
                     Commit to trigger the gap fetch in [handle_commit]:
                     ask the peers for the missing values instead. *)
-                 if t.applied < t.commit && not (Hashtbl.mem t.chosen (t.applied + 1))
+                 if t.applied < t.commit && not (Dense.mem t.chosen (t.applied + 1))
                  then broadcast t (Ask_transfer { from = t.node_id; applied = t.applied })
              | Follower | Candidate _ ->
                  if Time.(Engine.now t.engine >= t.election_deadline) then start_election t);
@@ -461,12 +467,15 @@ let spawn_timers t =
          loop ()))
 
 let create engine ~rng ~id:node_id ~peers ~disk ~send ~on_deliver () =
+  if List.length peers >= Sys.int_size - 1 then
+    invalid_arg "Paxos.Node.create: more peers than an ack bitmask holds";
   let t =
     {
       engine;
       rng;
       node_id;
       peers;
+      members = Names.of_list (node_id :: peers);
       cluster_size = 1 + List.length peers;
       send;
       on_deliver;
@@ -474,8 +483,8 @@ let create engine ~rng ~id:node_id ~peers ~disk ~send ~on_deliver () =
       value_bytes_hint = 256;
       up = true;
       promised = Ballot.initial;
-      accepted = Hashtbl.create 64;
-      chosen = Hashtbl.create 64;
+      accepted = Dense.create no_slot_value;
+      chosen = Dense.create Noop;
       commit = 0;
       applied = 0;
       role = Follower;
@@ -500,8 +509,8 @@ let crash ?wal_fault t =
   | Some Corrupt_tail ->
       ignore (Storage.Wal.crash t.node_wal);
       ignore (Storage.Wal.corrupt_tail t.node_wal));
-  Hashtbl.reset t.accepted;
-  Hashtbl.reset t.chosen;
+  Dense.reset t.accepted;
+  Dense.reset t.chosen;
   t.commit <- 0;
   t.applied <- 0;
   t.promised <- Ballot.initial;
@@ -519,10 +528,10 @@ let recover t =
     (fun record ->
       match record with
       | Wal_record.Promised b -> if Ballot.(b > t.promised) then t.promised <- b
-      | Wal_record.Accepted { slot; ballot; value } -> (
-          match Hashtbl.find_opt t.accepted slot with
-          | Some sv when Ballot.(sv.ballot >= ballot) -> ()
-          | Some _ | None -> Hashtbl.replace t.accepted slot { slot; ballot; value }))
+      | Wal_record.Accepted { slot; ballot; value } ->
+          let held = Dense.mem t.accepted slot in
+          if not (held && Ballot.((Dense.get t.accepted slot).ballot >= ballot)) then
+            Dense.set t.accepted slot { slot; ballot; value })
     records;
   t.up <- true;
   t.role <- Follower;

@@ -97,9 +97,8 @@ val propose_batch : 'v t -> 'v list -> bool
 
 val commit_index : 'v t -> int
 val pending_ack_slots : 'v t -> int
-(** Slots for which this node, as leader, holds an ack table: the
-    uncommitted slots with at least one Accept_ok. 0 when not leader. An
-    idle group's leader holds none. *)
+(** The uncommitted slots for which this node, as leader, holds at least
+    one Accept_ok. 0 when not leader. An idle group's leader holds none. *)
 
 val current_ballot : 'v t -> Ballot.t
 val wal : 'v t -> 'v Wal_record.t Storage.Wal.t

@@ -181,11 +181,16 @@ let schedule t ~(at : Time.t) run = schedule_us t (at :> int) run
 let schedule_after t (span : Time.t) run =
   schedule_us t ((t.clock :> int) + (span :> int)) run
 
+(* Idempotent: a cancelled waiter that a structure dropped (see
+   [drop_waiter]) may still be resumed into its [Cancelled] by something
+   else it registered with. *)
 let finish_fiber t fiber =
-  fiber.finished <- true;
-  let waiters = List.rev fiber.join_waiters in
-  fiber.join_waiters <- [];
-  List.iter (ring_add t) waiters
+  if not fiber.finished then begin
+    fiber.finished <- true;
+    let waiters = List.rev fiber.join_waiters in
+    fiber.join_waiters <- [];
+    List.iter (ring_add t) waiters
+  end
 
 (* A parked fiber counts as blocked until it is resumed or cancelled,
    whichever comes first; a fiber that parks after its cancellation never
@@ -249,7 +254,9 @@ let spawn t ?name:_ body =
           | _ -> None);
     }
   in
-  let start () = if not fiber.cancelled then match_with body () handler in
+  let start () =
+    if fiber.cancelled then finish_fiber t fiber else match_with body () handler
+  in
   ring_add t start;
   fiber
 
@@ -258,6 +265,8 @@ let cancel t fiber =
     fiber.cancelled <- true;
     unpark t fiber
   end
+
+let drop_waiter t fiber = if fiber.cancelled then finish_fiber t fiber
 
 let fiber_alive fiber = not (fiber.finished || fiber.cancelled)
 let suspend (_ : t) register = perform (Park register)

@@ -22,7 +22,12 @@ type fiber
 exception Cancelled
 (** Raised inside a fiber when it is resumed after {!cancel}. Fiber code
     normally does not observe it: the engine swallows it at the fiber's
-    top level, but [Fun.protect] finalisers do run. *)
+    top level. Its [Fun.protect] finalisers run only if the fiber is
+    resumed: a sleeping or yielding fiber always is, at its wake-up, and so
+    is one parked by {!suspend}, {!suspend2} or {!join} whose [resume] is
+    called later. A waiter that a structure drops because it was cancelled
+    ([Mailbox], [Waitq], [Resource]) is never resumed, so its finalisers
+    never run; it finishes when it is dropped (see {!drop_waiter}). *)
 
 exception Stalled of string
 (** Raised by {!run} when [stop_when_idle] is false and the event queue
@@ -56,7 +61,11 @@ val cancel : t -> fiber -> unit
 (** Request cancellation. A running fiber is unaffected until it next
     blocks; a blocked fiber is discarded at its next (attempted) resume,
     and stops counting as blocked at once (structures that skip cancelled
-    waiters never resume it). Cancelling a finished fiber is a no-op. *)
+    waiters never resume it). A cancelled fiber finishes, waking its
+    {!join}ers, when it is resumed into {!Cancelled} and its cleanup has
+    run, when a structure drops it ({!drop_waiter}), or, if it was
+    cancelled before it started, at its start event without running.
+    Cancelling a finished fiber is a no-op. *)
 
 (** [fiber_alive f] is false once the fiber has finished or has been asked
     to cancel. *)
@@ -82,6 +91,12 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
 val suspend2 : t -> (fiber -> ('a -> unit) -> unit) -> 'a
 (** Like {!suspend} but also hands the current fiber to [register], letting
     synchronisation structures skip waiters that have been cancelled. *)
+
+val drop_waiter : t -> fiber -> unit
+(** [drop_waiter t f] is called by a structure that skips the waiter [f]
+    because it is no longer {!fiber_alive} and will never resume it: a
+    cancelled [f] finishes there, waking its {!join}ers. [f] must have
+    registered its [resume] with that structure only. *)
 
 val join : t -> fiber -> unit
 (** Block until the fiber finishes (normally or by cancellation). *)

@@ -15,7 +15,11 @@ let rec pop_live_waiter t =
   match Queue.take_opt t.waiters with
   | None -> None
   | Some (fiber, resume) ->
-      if Engine.fiber_alive fiber then Some resume else pop_live_waiter t
+      if Engine.fiber_alive fiber then Some resume
+      else begin
+        Engine.drop_waiter t.engine fiber;
+        pop_live_waiter t
+      end
 
 let send t msg =
   match pop_live_waiter t with

@@ -48,7 +48,10 @@ let rec wake_next t =
         grant t;
         Engine.schedule_after t.engine Time.zero resume
       end
-      else wake_next t
+      else begin
+        Engine.drop_waiter t.engine fiber;
+        wake_next t
+      end
 
 let release t =
   if t.busy <= 0 then invalid_arg "Resource.release: not held";

@@ -16,7 +16,10 @@ let rec signal t =
   | Some (fiber, resume) ->
       if Engine.fiber_alive fiber then
         Engine.schedule_after t.engine Time.zero resume
-      else signal t
+      else begin
+        Engine.drop_waiter t.engine fiber;
+        signal t
+      end
 
 let broadcast t =
   let pending = Queue.length t.queue in

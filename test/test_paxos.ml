@@ -435,6 +435,223 @@ let prop_prefix_consistency =
         logs;
       !ok)
 
+(* Model test of one acceptor/learner's slot log. A follower [c0] (peers
+   [c1], [c2]) gets random Accept, Commit, Ask_transfer and Prepare
+   messages from [c1] and crash/recover cycles; a reference built on
+   [Hashtbl]s predicts every message it sends, every value it delivers and
+   its commit index. Slots reach past the log's initial capacity, arrive
+   out of order and with gaps. *)
+type model_op =
+  | M_accept of int * int  (* first slot, count *)
+  | M_commit of int list * int  (* learned slots, commit index *)
+  | M_ask of int  (* the asker's applied index *)
+  | M_prepare of int  (* the candidate's commit index *)
+  | M_crash
+
+let pp_model_op = function
+  | M_accept (s, n) -> Printf.sprintf "accept %d+%d" s n
+  | M_commit (slots, ci) ->
+      Printf.sprintf "commit [%s] ci=%d" (String.concat ";" (List.map string_of_int slots)) ci
+  | M_ask a -> Printf.sprintf "ask %d" a
+  | M_prepare ci -> Printf.sprintf "prepare ci=%d" ci
+  | M_crash -> "crash"
+
+let gen_model_op =
+  let open QCheck.Gen in
+  let slot = int_range 1 140 in
+  frequency
+    [
+      (5, map2 (fun s n -> M_accept (s, n)) slot (int_range 1 4));
+      (4, map2 (fun l ci -> M_commit (l, ci)) (list_size (int_range 0 5) slot) slot);
+      (2, map (fun a -> M_ask a) (int_range 0 140));
+      (1, map (fun ci -> M_prepare ci) (int_range 0 140));
+      (1, return M_crash);
+    ]
+
+(* The value a slot is chosen with (every third slot a no-op) and the value
+   an Accept of it carries under ballot round [r]. *)
+let chosen_value s : string Paxos.Node.entry_value =
+  if s mod 3 = 0 then Paxos.Node.Noop else Paxos.Node.Value (Printf.sprintf "c%d" s)
+
+let accepted_value s r : string Paxos.Node.entry_value =
+  if s mod 4 = 0 then Paxos.Node.Noop else Paxos.Node.Value (Printf.sprintf "a%d.%d" s r)
+
+let run_slot_log_model ops =
+  let engine = Engine.create () in
+  let rng = Rng.create 5 in
+  let disk = Storage.Disk.create_ram engine ~rng:(Rng.split rng) ~name:"c0.disk" () in
+  let sent = ref [] and delivered = ref [] in
+  let node =
+    Paxos.Node.create engine ~rng:(Rng.split rng) ~id:"c0" ~peers:[ "c1"; "c2" ] ~disk
+      ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
+      ~on_deliver:(fun slot v -> delivered := (slot, v) :: !delivered)
+      ()
+  in
+  (* The reference. [wal] holds the durable records, oldest first. *)
+  let acc : (int, string Paxos.Node.slot_value) Hashtbl.t = Hashtbl.create 16 in
+  let chosen : (int, string Paxos.Node.entry_value) Hashtbl.t = Hashtbl.create 16 in
+  let wal = ref [] and commit = ref 0 and applied = ref 0 and want_delivered = ref [] in
+  let round = ref 1 in
+  let ballot () = Paxos.Ballot.make ~round:!round ~node:"c1" in
+  let deliver () =
+    while Hashtbl.mem chosen (!applied + 1) do
+      incr applied;
+      match Hashtbl.find chosen !applied with
+      | Paxos.Node.Value v -> want_delivered := (!applied, v) :: !want_delivered
+      | Paxos.Node.Noop -> ()
+    done
+  in
+  let step op =
+    sent := [];
+    (* Keep c1 the leader c0 hears from, so c0 never starts an election. *)
+    Paxos.Node.handle node
+      (Paxos.Node.Heartbeat { ballot = ballot (); from = "c1"; commit_index = 0 });
+    let expected =
+      match op with
+      | M_accept (first, n) ->
+          let entries =
+            List.init n (fun i ->
+                let slot = first + i in
+                { Paxos.Node.slot; ballot = ballot (); value = accepted_value slot !round })
+          in
+          Paxos.Node.handle node (Paxos.Node.Accept { ballot = ballot (); from = "c1"; entries });
+          List.iter
+            (fun (sv : string Paxos.Node.slot_value) ->
+              Hashtbl.replace acc sv.slot sv;
+              wal := sv :: !wal)
+            entries;
+          [
+            ( "c1",
+              Paxos.Node.Accept_ok
+                {
+                  ballot = ballot ();
+                  from = "c0";
+                  slots = List.map (fun (sv : _ Paxos.Node.slot_value) -> sv.slot) entries;
+                } );
+          ]
+      | M_commit (slots, ci) ->
+          let entries = List.map (fun s -> (s, chosen_value s)) slots in
+          Paxos.Node.handle node
+            (Paxos.Node.Commit { from = "c1"; entries; commit_index = ci });
+          List.iter
+            (fun (s, v) -> if not (Hashtbl.mem chosen s) then Hashtbl.replace chosen s v)
+            entries;
+          if ci > !commit then commit := ci;
+          deliver ();
+          if !applied < !commit && not (Hashtbl.mem chosen (!applied + 1)) then
+            [ ("c1", Paxos.Node.Ask_transfer { from = "c0"; applied = !applied }) ]
+          else []
+      | M_ask a ->
+          Paxos.Node.handle node (Paxos.Node.Ask_transfer { from = "c1"; applied = a });
+          let rec collect s acc =
+            if s > !commit || not (Hashtbl.mem chosen s) then List.rev acc
+            else collect (s + 1) ((s, Hashtbl.find chosen s) :: acc)
+          in
+          let entries = collect (a + 1) [] in
+          if entries = [] then []
+          else [ ("c1", Paxos.Node.Commit { from = "c0"; entries; commit_index = !commit }) ]
+      | M_prepare ci ->
+          incr round;
+          Paxos.Node.handle node
+            (Paxos.Node.Prepare { ballot = ballot (); from = "c1"; commit_index = ci });
+          let accepted =
+            Hashtbl.fold (fun s sv l -> if s > ci then sv :: l else l) acc []
+            |> List.sort (fun (a : _ Paxos.Node.slot_value) b -> Int.compare a.slot b.slot)
+          in
+          [
+            ( "c1",
+              Paxos.Node.Promise
+                { ballot = ballot (); from = "c0"; accepted; commit_index = !commit } );
+          ]
+      | M_crash ->
+          Paxos.Node.crash node;
+          Paxos.Node.recover node;
+          (* Recovery replays the log, keeping the highest ballot per slot
+             (the first record among equals). *)
+          Hashtbl.reset acc;
+          List.iter
+            (fun (sv : string Paxos.Node.slot_value) ->
+              match Hashtbl.find_opt acc sv.slot with
+              | Some cur when Paxos.Ballot.(cur.ballot >= sv.ballot) -> ()
+              | Some _ | None -> Hashtbl.replace acc sv.slot sv)
+            (List.rev !wal);
+          Hashtbl.reset chosen;
+          commit := 0;
+          applied := 0;
+          [ "c1"; "c2" ]
+          |> List.map (fun dst -> (dst, Paxos.Node.Ask_transfer { from = "c0"; applied = 0 }))
+    in
+    Engine.run ~until:(Time.add (Engine.now engine) (Time.of_ms 1.)) engine;
+    let got = List.rev !sent in
+    if got <> expected then
+      QCheck.Test.fail_reportf "after %s: sent %d messages, not the %d expected" (pp_model_op op)
+        (List.length got) (List.length expected);
+    if Paxos.Node.commit_index node <> !commit then
+      QCheck.Test.fail_reportf "after %s: commit index %d, expected %d" (pp_model_op op)
+        (Paxos.Node.commit_index node) !commit;
+    if !delivered <> !want_delivered then
+      QCheck.Test.fail_reportf "after %s: delivered %d values, expected %d" (pp_model_op op)
+        (List.length !delivered) (List.length !want_delivered)
+  in
+  List.iter step ops;
+  true
+
+let prop_slot_log_model =
+  QCheck.Test.make ~name:"slot log agrees with a Hashtbl reference" ~count:200
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map pp_model_op ops))
+        Gen.(list_size (int_range 1 40) gen_model_op))
+    run_slot_log_model
+
+(* Words allocated per slot by a leader in steady state: a batch of
+   proposals, the self-accept, one follower's Accept_ok and the commit,
+   with messages dropped at [send]. *)
+let leader_words_per_slot () =
+  let engine = Engine.create () in
+  let rng = Rng.create 9 in
+  let disk = Storage.Disk.create_ram engine ~rng:(Rng.split rng) ~name:"c0.disk" () in
+  let node =
+    Paxos.Node.create engine ~rng:(Rng.split rng) ~id:"c0" ~peers:[ "c1"; "c2" ] ~disk
+      ~send:(fun ~dst:_ _ -> ())
+      ~on_deliver:(fun _ _ -> ())
+      ()
+  in
+  (* c0 times out, starts an election and wins it with c1's promise. *)
+  Engine.run ~until:(Time.of_ms 200.) engine;
+  let ballot = Paxos.Node.current_ballot node in
+  Paxos.Node.handle node
+    (Paxos.Node.Promise { ballot; from = "c1"; accepted = []; commit_index = 0 });
+  Alcotest.(check bool) "c0 leads" true (Paxos.Node.is_leader node);
+  let batch = 16 in
+  let values = List.init batch (fun i -> string_of_int i) in
+  let round () =
+    let first = Paxos.Node.commit_index node + 1 in
+    ignore (Paxos.Node.propose_batch node values);
+    Engine.run ~until:(Time.add (Engine.now engine) (Time.of_ms 1.)) engine;
+    Paxos.Node.handle node
+      (Paxos.Node.Accept_ok { ballot; from = "c1"; slots = List.init batch (fun i -> first + i) })
+  in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let rounds = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every slot committed" (300 * batch) (Paxos.Node.commit_index node);
+  words /. float_of_int (rounds * batch)
+
+(* The slot log is arrays indexed by slot and the leader's acks a bitmask
+   ring, so a slot allocates only its messages, records and list cells:
+   70.4 words here, 135.1 when [accepted], [chosen] and the per-slot ack
+   tables were hash tables. *)
+let test_leader_slot_alloc () =
+  let words = leader_words_per_slot () in
+  if words > 80. then Alcotest.failf "%.1f words per slot (bound 80)" words
+
 let suites =
   [
     ( "paxos.ballot",
@@ -471,10 +688,14 @@ let suites =
           test_abdicate_moves_leadership;
         Alcotest.test_case "new leader fetches its commit gap" `Quick
           test_leader_fetches_commit_gap;
+        Alcotest.test_case "steady-state slot allocation" `Quick test_leader_slot_alloc;
         Alcotest.test_case "torn Accepted never replayed" `Quick
           test_torn_accepted_never_replayed;
         Alcotest.test_case "corrupt tail cannot un-promise" `Quick
           test_corrupt_tail_cannot_unpromise;
       ]
-      @ [ QCheck_alcotest.to_alcotest prop_prefix_consistency ] );
+      @ [
+          QCheck_alcotest.to_alcotest prop_prefix_consistency;
+          QCheck_alcotest.to_alcotest prop_slot_log_model;
+        ] );
   ]

@@ -689,6 +689,90 @@ let test_engine_cancelled_parked_counts_once () =
         "event queue empty with 1 fiber(s) still blocked" msg
   | () -> Alcotest.fail "expected Stalled"
 
+(* A fiber cancelled before its start event never runs, but it finishes:
+   a fiber joining it resumes, and nothing is left blocked. *)
+let test_engine_join_cancelled_before_start () =
+  let e = Engine.create () in
+  let ran = ref false and joined = ref false in
+  let victim = Engine.spawn e (fun () -> ran := true) in
+  Engine.cancel e victim;
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.join e victim;
+        joined := true)
+  in
+  Engine.run ~stop_when_idle:false e;
+  check_bool "the cancelled fiber never ran" false !ran;
+  check_bool "its joiner resumed" true !joined
+
+(* A waiter that [Mailbox], [Waitq] or [Resource] skips because it was
+   cancelled is never resumed, so its [Fun.protect] finaliser does not run
+   (the documented exception); it still finishes, so its joiner resumes.
+   A cancelled sleeper is resumed at its wake-up, and its finaliser runs. *)
+let test_engine_join_cancelled_waiter () =
+  let e = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create e () in
+  let q = Waitq.create e () in
+  let r = Resource.create e ~capacity:1 () in
+  let _holder = Engine.spawn e (fun () -> Resource.acquire r) in
+  let finalised = ref [] in
+  let protected name body =
+    Engine.spawn e (fun () ->
+        Fun.protect ~finally:(fun () -> finalised := name :: !finalised) body)
+  in
+  let waiters =
+    [
+      protected "mailbox" (fun () -> ignore (Mailbox.recv mb));
+      protected "waitq" (fun () -> Waitq.wait q);
+      protected "resource" (fun () -> Resource.acquire r);
+      protected "sleep" (fun () -> Engine.sleep e (us 50));
+    ]
+  in
+  let joined = ref 0 in
+  List.iter
+    (fun w ->
+      ignore
+        (Engine.spawn e (fun () ->
+             Engine.join e w;
+             incr joined)))
+    waiters;
+  Engine.run ~until:(us 10) e;
+  List.iter (Engine.cancel e) waiters;
+  Mailbox.send mb 1;
+  Waitq.signal q;
+  Resource.release r;
+  Engine.run ~stop_when_idle:false e;
+  check_int "every joiner resumed" 4 !joined;
+  Alcotest.(check (list string)) "only the resumed sleeper ran its finaliser" [ "sleep" ]
+    !finalised;
+  check_int "the message waits for a live receiver" 1 (Mailbox.length mb)
+
+(* A fiber cancelled while parked on an [Ivar] inside [with_held] is
+   resumed into [Cancelled] when the ivar is filled: it releases the
+   resource there, and only then does its joiner resume. *)
+let test_engine_join_waits_for_cleanup () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 () in
+  let iv : unit Ivar.t = Ivar.create e () in
+  let holder = Engine.spawn e (fun () -> Resource.with_held r (fun () -> Ivar.read iv)) in
+  let joined = ref false and granted_at_once = ref false in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.join e holder;
+        joined := true;
+        let before = Engine.events_processed e in
+        Resource.acquire r;
+        granted_at_once := Engine.events_processed e = before)
+  in
+  Engine.run e;
+  Engine.cancel e holder;
+  Engine.run e;
+  check_bool "the joiner waits while the holder has cleanup left" false !joined;
+  Ivar.fill iv ();
+  Engine.run ~stop_when_idle:false e;
+  check_bool "the joiner resumes after the fill" true !joined;
+  check_bool "the resource was released before the joiner ran" true !granted_at_once
+
 (* A holder cancelled during [Resource.use]'s service time releases the
    server when its sleep ends, and the next waiter is granted then; a
    cancelled waiter is skipped. Nothing is left counted as blocked. *)
@@ -917,6 +1001,107 @@ let prop_engine_matches_reference_order =
       | () -> true
       | exception Order_violation msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
 
+(* The version-keyed window against a [Hashtbl] reference:
+   random replaces, removes and resets over versions that collide in the
+   ring (multiples of its initial 64 cells apart) and that stay behind
+   while later versions pass them, so both the spill table and the
+   doubling run. *)
+type window_op = W_replace of int * int | W_remove of int | W_reset
+
+let prop_version_window =
+  let version =
+    QCheck.Gen.(
+      frequency
+        [ (4, int_range 1 200); (2, map (fun k -> 1 + (64 * k)) (int_range 0 40)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (60, map2 (fun v x -> W_replace (v, x)) version small_nat);
+          (20, map (fun v -> W_remove v) version);
+          (1, return W_reset);
+        ])
+  in
+  let print = function
+    | W_replace (v, x) -> Printf.sprintf "replace %d %d" v x
+    | W_remove v -> Printf.sprintf "remove %d" v
+    | W_reset -> "reset"
+  in
+  QCheck.Test.make ~name:"version window agrees with a Hashtbl" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map print ops))
+        Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      let w = Version_window.create (-1) in
+      let reference = Hashtbl.create 16 in
+      List.iter
+        (function
+          | W_replace (v, x) ->
+              Version_window.replace w v x;
+              Hashtbl.replace reference v x
+          | W_remove v ->
+              Version_window.remove w v;
+              Hashtbl.remove reference v
+          | W_reset ->
+              Version_window.reset w;
+              Hashtbl.reset reference)
+        ops;
+      let agrees v =
+        match Hashtbl.find_opt reference v with
+        | Some x ->
+            Version_window.mem w v && Version_window.find w v = x && Version_window.get w v = x
+        | None -> (not (Version_window.mem w v)) && Version_window.get w v = -1
+      in
+      let values =
+        List.sort compare (Version_window.fold (fun x acc -> x :: acc) w [])
+      in
+      List.for_all agrees (List.init 2700 (fun i -> i + 1))
+      && Version_window.length w = Hashtbl.length reference
+      && values = List.sort compare (Hashtbl.fold (fun _ x acc -> x :: acc) reference []))
+
+(* The dense array against a [Hashtbl] reference: random sets (some far
+   past the initial 64 cells, so it doubles and jumps) and resets. *)
+let prop_dense =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (30, map2 (fun i x -> Some (i, x)) (int_range 0 200) small_nat);
+          (2, map2 (fun i x -> Some (i, x)) (int_range 200 2000) small_nat);
+          (1, return None);
+        ])
+  in
+  let print = function
+    | Some (i, x) -> Printf.sprintf "set %d %d" i x
+    | None -> "reset"
+  in
+  QCheck.Test.make ~name:"dense array agrees with a Hashtbl" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map print ops))
+        Gen.(list_size (int_range 1 200) op))
+    (fun ops ->
+      let d = Dense.create (-1) in
+      let reference = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Some (i, x) ->
+              Dense.set d i x;
+              Hashtbl.replace reference i x
+          | None ->
+              Dense.reset d;
+              Hashtbl.reset reference)
+        ops;
+      let agrees i =
+        match Hashtbl.find_opt reference i with
+        | Some x -> Dense.mem d i && Dense.get d i = x
+        | None -> (not (Dense.mem d i)) && Dense.get d i = -1
+      in
+      List.for_all agrees (List.init 2100 (fun i -> i - 1))
+      && Dense.bound d = Hashtbl.fold (fun i _ acc -> max acc (i + 1)) reference 0)
+
 let suites =
   [
     ( "sim.time",
@@ -964,6 +1149,11 @@ let suites =
         Alcotest.test_case "a cancelled parked fiber counts once" `Quick
           test_engine_cancelled_parked_counts_once;
         Alcotest.test_case "sleep/wake allocation" `Quick test_engine_sleep_alloc;
+        Alcotest.test_case "join a fiber cancelled before it started" `Quick
+          test_engine_join_cancelled_before_start;
+        Alcotest.test_case "join a cancelled waiter" `Quick test_engine_join_cancelled_waiter;
+        Alcotest.test_case "join waits for a cancelled fiber's cleanup" `Quick
+          test_engine_join_waits_for_cleanup;
       ] );
     ( "sim.mailbox",
       [
@@ -1001,5 +1191,10 @@ let suites =
         Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
         Alcotest.test_case "histogram empty/reset" `Quick test_histogram_empty_and_reset;
         Alcotest.test_case "rate" `Quick test_rate;
+      ] );
+    ( "sim.tables",
+      [
+        QCheck_alcotest.to_alcotest prop_version_window;
+        QCheck_alcotest.to_alcotest prop_dense;
       ] );
   ]
