@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the repository benchmark.
 
-    python3 bench/ab.py PARENT CHANGE --workload W [--seed S] [--pairs N]
+    python3 bench/ab.py PARENT CHANGE --workload W [--workload W2 ...]
+                        [--seed S [--seed S2 ...]] [--pairs N]
                         [--seconds N] [--out FILE]
 
 PARENT and CHANGE are two checkouts of the repository (each builds its own
-`_build`). Each pair runs `bash benchmark/run.sh --workload W --seed S
---seconds N --trace 0` once in each checkout, one run at a time; the side
-that runs first alternates from pair to pair, so a drift in host load falls
-on both sides alike. For every end-to-end metric of CHANGE's BENCHMARK.json
-it prints each side's median and quartiles, the change's median difference,
-how many pairs the change won (and tied), and whether the gap between the
-medians is larger than the parent's inter-quartile range ("better" or
-"worse"; "within" otherwise), then each side's failed operations out of
-those attempted. --out writes the per-run values as JSON.
+`_build`). For each workload and each seed in turn (every --seed for the
+first --workload, then the next; seed 20060418 when none is given), each
+pair runs `bash benchmark/run.sh --workload W --seed S --seconds N --trace
+0` once in each checkout, one run at a time; the side that runs first
+alternates from pair to pair, so a drift in host load falls on both sides
+alike. For every (workload, seed) and every end-to-end metric of CHANGE's
+BENCHMARK.json it prints each side's median and quartiles, the change's
+median difference, how many pairs the change won (and tied), and whether
+the gap between the medians is larger than the parent's inter-quartile
+range ("better" or "worse"; "within" otherwise), then each side's failed
+operations out of those attempted. --out writes a JSON list with the
+per-run values and the summary of each (workload, seed).
 
 Exits 1 if a run fails or reports an incorrect result.
 """
@@ -32,14 +36,14 @@ def end_to_end_metrics(checkout):
     return [(m["name"], m["better"]) for m in bench["end_to_end"]]
 
 
-def run_once(checkout, args):
+def run_once(checkout, workload, seed, args):
     cmd = [
         "bash",
         "benchmark/run.sh",
         "--workload",
-        args.workload,
+        workload,
         "--seed",
-        str(args.seed),
+        str(seed),
         "--seconds",
         str(args.seconds),
         "--trace",
@@ -122,52 +126,57 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=20060418)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, action="append")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--out")
     args = ap.parse_args()
 
     metrics = end_to_end_metrics(args.change)
-    runs = {"parent": [], "change": []}
     sides = {"parent": args.parent, "change": args.change}
-    for i in range(args.pairs):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for side in order:
-            runs[side].append(run_once(sides[side], args))
-        print(
-            "pair %d/%d: host_us_per_commit parent %.6g, change %.6g"
-            % (
-                i + 1,
-                args.pairs,
-                runs["parent"][-1].get("host_us_per_commit", float("nan")),
-                runs["change"][-1].get("host_us_per_commit", float("nan")),
-            ),
-            file=sys.stderr,
-        )
+    results = []
+    for workload in args.workload:
+        for seed in args.seed or [20060418]:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, seed, args))
+                print(
+                    "%s seed %d pair %d/%d: host_us_per_commit parent %.6g, change %.6g"
+                    % (
+                        workload,
+                        seed,
+                        i + 1,
+                        args.pairs,
+                        runs["parent"][-1].get("host_us_per_commit", float("nan")),
+                        runs["change"][-1].get("host_us_per_commit", float("nan")),
+                    ),
+                    file=sys.stderr,
+                )
 
-    rows = summarise(metrics, runs)
-    print("workload %s, seed %d, %d pairs of %d s" % (args.workload, args.seed, args.pairs, args.seconds))
-    print_table(rows, args.pairs)
-    for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        print("%s: %d of %d operations failed" % (side, failed, attempted))
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(
+            rows = summarise(metrics, runs)
+            print("workload %s, seed %d, %d pairs of %d s" % (workload, seed, args.pairs, args.seconds))
+            print_table(rows, args.pairs)
+            for side in ("parent", "change"):
+                failed = sum(r["failed"] for r in runs[side])
+                attempted = sum(r["attempted"] for r in runs[side])
+                print("%s: %d of %d operations failed" % (side, failed, attempted))
+            sys.stdout.flush()
+            results.append(
                 {
-                    "workload": args.workload,
-                    "seed": args.seed,
+                    "workload": workload,
+                    "seed": seed,
                     "pairs": args.pairs,
                     "seconds": args.seconds,
                     "runs": runs,
                     "summary": rows,
-                },
-                f,
-                indent=1,
+                }
             )
+            if args.out:
+                with open(args.out, "w") as f:
+                    json.dump(results, f, indent=1)
 
 
 if __name__ == "__main__":

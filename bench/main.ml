@@ -36,7 +36,7 @@ let write_json () =
   List.iteri
     (fun i (name, v) ->
       Printf.fprintf oc "  %S: %s%s\n" name
-        (if Float.is_nan v then "null" else Printf.sprintf "%.1f" v)
+        (if Float.is_finite v then Printf.sprintf "%.17g" v else "null")
         (if i = List.length metrics - 1 then "" else ","))
     metrics;
   output_string oc "}\n";

@@ -50,31 +50,27 @@ type stats = {
   xaborts : int;
 }
 
-(* Transaction id -> version: a table of sequence numbers per origin, the
-   origins being the few proxy and session addresses (a [Names] table).
-   Neither a lookup nor a delivered entry hashes a string or builds a
-   [gtx_id]. *)
+(* Transaction id -> version: an {!Origin_table} over the origins, the
+   few proxy and session addresses (a [Names] table). Neither a lookup
+   nor a delivered entry hashes a string or builds a [gtx_id]. *)
 module Outcomes = struct
-  type t = { mutable origins : Names.t; seqs : int Int_table.t Dense.t }
+  type t = { mutable origins : Names.t; seqs : Origin_table.t }
 
-  let create () = { origins = Names.create (); seqs = Dense.create (Int_table.create 1) }
+  let create () = { origins = Names.create (); seqs = Origin_table.create () }
 
   let reset t =
     t.origins <- Names.create ();
-    Dense.reset t.seqs
+    Origin_table.reset t.seqs
 
   let find_opt t (g : Types.gtx_id) =
-    let i = Names.find t.origins g.gtx_origin in
-    if i < 0 then None else Int_table.find_opt (Dense.get t.seqs i) g.gtx_seq
+    let v = Origin_table.get t.seqs ~origin:(Names.find t.origins g.gtx_origin) g.gtx_seq in
+    if v = Origin_table.none then None else Some v
 
   let mem t (g : Types.gtx_id) =
-    let i = Names.find t.origins g.gtx_origin in
-    i >= 0 && Int_table.mem (Dense.get t.seqs i) g.gtx_seq
+    Origin_table.mem t.seqs ~origin:(Names.find t.origins g.gtx_origin) g.gtx_seq
 
   let record t ~origin ~seq version =
-    let i = Names.index t.origins origin in
-    if not (Dense.mem t.seqs i) then Dense.set t.seqs i (Int_table.create 256);
-    Int_table.replace (Dense.get t.seqs i) seq version
+    Origin_table.replace t.seqs ~origin:(Names.index t.origins origin) seq version
 
   let replace t (g : Types.gtx_id) version =
     record t ~origin:g.gtx_origin ~seq:g.gtx_seq version

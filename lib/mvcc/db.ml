@@ -50,6 +50,7 @@ type tx_state = Active | Doomed of abort_reason | Committing | Committed | Abort
 type tx = {
   db : t;
   id : txid;
+  lk : Locks.holder;
   snapshot : int;
   remote : bool;
   born : Time.t;  (* begin time, for the max-snapshot-age escape hatch *)
@@ -139,14 +140,14 @@ let doom t txid =
              proceed; the owner fiber observes the doom at its next step. *)
           (match (tx.parked, tx.parked_key) with
           | Some resume, Some key ->
-              Locks.cancel_wait t.locks tx.id key;
+              Locks.cancel_wait t.locks tx.lk key;
               Engine.schedule_after t.engine Time.zero (fun () ->
                   resume (Error Preempted))
           | Some resume, None ->
               Engine.schedule_after t.engine Time.zero (fun () ->
                   resume (Error Preempted))
           | None, _ -> ());
-          let grants = Locks.release_all t.locks tx.id in
+          let grants = Locks.release_all t.locks tx.lk in
           wake_grants t grants
       | Doomed _ | Committing | Committed | Aborted -> ())
 
@@ -323,6 +324,7 @@ let begin_tx_internal t ~remote =
     {
       db = t;
       id = t.next_txid;
+      lk = Locks.register t.next_txid;
       snapshot = Store.current_version t.db_store;
       remote;
       born = Engine.now t.engine;
@@ -341,7 +343,7 @@ let tx_id tx = tx.id
 let snapshot_version tx = tx.snapshot
 
 let release_locks tx =
-  let grants = Locks.release_all tx.db.locks tx.id in
+  let grants = Locks.release_all tx.db.locks tx.lk in
   wake_grants tx.db grants
 
 (* Final transition out of Active/Doomed/Committing into Aborted. *)
@@ -351,7 +353,7 @@ let rollback tx =
   | Active | Doomed _ | Committing ->
       tx.state <- Aborted;
       (match tx.parked_key with
-      | Some key -> Locks.cancel_wait tx.db.locks tx.id key
+      | Some key -> Locks.cancel_wait tx.db.locks tx.lk key
       | None -> ());
       release_locks tx;
       Hashtbl.remove tx.db.active tx.id;
@@ -429,7 +431,7 @@ let rec write tx key op =
       in
       if committed_conflict then fail tx (Ww_conflict key)
       else
-        match Locks.acquire tx.db.locks tx.id key with
+        match Locks.acquire tx.db.locks tx.lk key with
         | Locks.Granted ->
             tx.buffer <- Writeset.add tx.buffer key op;
             Ok ()
@@ -438,7 +440,7 @@ let rec write tx key op =
             fail tx (Deadlock cycle)
         | Locks.Would_block holder ->
             let park_and_retry () =
-              Locks.enqueue tx.db.locks tx.id key;
+              Locks.enqueue tx.db.locks tx.lk key;
               tx.parked_key <- Some key;
               match park tx with
               | Ok () -> write tx key op

@@ -1,97 +1,105 @@
 type txid = int
 
-type lock = { mutable owner : txid; mutable queue : txid list (* oldest first *) }
+(* A transaction's lock state: the keys it was granted, newest first (a
+   grant is one cons; a key granted twice since the last release appears
+   twice), and the key it waits on. *)
+type holder = { txid : txid; mutable granted : Key.t list; mutable awaits : Key.t option }
+
+type lock = { mutable owner : holder; mutable queue : holder list (* oldest first *) }
+
+let nobody = { txid = -1; granted = []; awaits = None }
 
 (* The absent slot of the lock table: never handed out, never mutated. *)
-let free = { owner = -1; queue = [] }
+let free = { owner = nobody; queue = [] }
 
-type t = {
-  locks : lock Key.Dense.t;  (* [free] where no one holds the key *)
-  (* Keys each transaction was granted, newest first: a grant is one
-     cons, and a release sorts them by [Key.compare] (see [held_by]). *)
-  held : (txid, Key.t list) Hashtbl.t;
-  (* wait-for edge: waiter -> (key it waits on). The holder is looked up
-     through the lock so the edge stays correct as ownership changes. *)
-  waits : (txid, Key.t) Hashtbl.t;
-}
+type t = lock Key.Dense.t (* [free] where no one holds the key *)
 
-let create () = { locks = Key.Dense.create ~absent:free; held = Hashtbl.create 64; waits = Hashtbl.create 16 }
+let create () = Key.Dense.create ~absent:free
+let register txid = { txid; granted = []; awaits = None }
 
 let holder t key =
-  let l = Key.Dense.find t.locks key in
-  if l == free then None else Some l.owner
+  let l = Key.Dense.find t key in
+  if l == free then None else Some l.owner.txid
 
 type acquire_result = Granted | Would_block of txid | Deadlock of txid list
 
-let note_held t txid key =
-  let keys = Option.value ~default:[] (Hashtbl.find_opt t.held txid) in
-  Hashtbl.replace t.held txid (key :: keys)
+(* The distinct keys [h] holds, ascending by [Key.compare]. *)
+let held_by h = List.sort_uniq Key.compare h.granted
 
-(* The distinct keys [txid] holds, ascending by [Key.compare]: ids never
-   decide the order in which waiters are granted. *)
-let held_by t txid =
-  List.sort_uniq Key.compare (Option.value ~default:[] (Hashtbl.find_opt t.held txid))
-
-let waiting_for t txid =
-  match Hashtbl.find_opt t.waits txid with
+let waiting_for t h =
+  match h.awaits with
   | None -> None
-  | Some key -> holder t key
+  | Some key ->
+      let l = Key.Dense.find t key in
+      if l == free then None else Some l.owner
 
-(* Walk holder-of(wait-of(...)) chains from [start]; a return to [me] is a
-   cycle. Chains are short (bounded by active transactions). *)
+(* Walk owner-of(awaited-key-of(...)) chains from [start]; a return to
+   [me] is a cycle. Chains are short (bounded by active transactions). *)
 let find_cycle t ~me ~start =
-  let rec walk tx acc steps =
+  let rec walk h acc steps =
     if steps > 10_000 then None
-    else if tx = me then Some (List.rev acc)
+    else if h == me then Some (List.rev acc)
     else
-      match waiting_for t tx with
+      match waiting_for t h with
       | None -> None
-      | Some next -> walk next (next :: acc) (steps + 1)
+      | Some next -> walk next (next.txid :: acc) (steps + 1)
   in
-  walk start [ start ] 0
+  walk start [ start.txid ] 0
 
-let acquire t txid key =
-  let lock = Key.Dense.find t.locks key in
+let acquire t h key =
+  let lock = Key.Dense.find t key in
   if lock == free then begin
-    Key.Dense.replace t.locks key { owner = txid; queue = [] };
-    note_held t txid key;
+    Key.Dense.replace t key { owner = h; queue = [] };
+    h.granted <- key :: h.granted;
     Granted
   end
-  else if lock.owner = txid then Granted
+  else if lock.owner == h then Granted
   else
-    match find_cycle t ~me:txid ~start:lock.owner with
-    | Some cycle -> Deadlock (txid :: cycle)
-    | None -> Would_block lock.owner
+    match find_cycle t ~me:h ~start:lock.owner with
+    | Some cycle -> Deadlock (h.txid :: cycle)
+    | None -> Would_block lock.owner.txid
 
-let enqueue t txid key =
-  let lock = Key.Dense.find t.locks key in
+let enqueue t h key =
+  let lock = Key.Dense.find t key in
   if lock == free then invalid_arg "Locks.enqueue: lock not held by anyone";
-  lock.queue <- lock.queue @ [ txid ];
-  Hashtbl.replace t.waits txid key
+  lock.queue <- lock.queue @ [ h ];
+  h.awaits <- Some key
 
-let cancel_wait t txid key =
-  Hashtbl.remove t.waits txid;
-  let lock = Key.Dense.find t.locks key in
-  if lock != free then lock.queue <- List.filter (fun w -> w <> txid) lock.queue
+let cancel_wait t h key =
+  h.awaits <- None;
+  let lock = Key.Dense.find t key in
+  if lock != free then lock.queue <- List.filter (fun w -> w != h) lock.queue
 
-let release_all t txid =
-  let keys = held_by t txid in
-  Hashtbl.remove t.held txid;
-  List.fold_left
-    (fun grants key ->
-      let lock = Key.Dense.find t.locks key in
-      if lock == free || lock.owner <> txid then grants
-      else
+let descending (a, _) (b, _) = Key.compare b a
+
+(* Hand on each of [keys] that [h] still owns, collecting the grants.
+   Each lock is handed on independently of the others, so the keys are
+   visited as they are: a key met a second time is already free or
+   handed on. *)
+let rec hand_on t h grants = function
+  | [] -> grants
+  | key :: rest ->
+      let lock = Key.Dense.find t key in
+      if lock == free || lock.owner != h then hand_on t h grants rest
+      else begin
         match lock.queue with
         | [] ->
-            Key.Dense.remove t.locks key;
-            grants
-        | next :: rest ->
+            Key.Dense.remove t key;
+            hand_on t h grants rest
+        | next :: waiting ->
             lock.owner <- next;
-            lock.queue <- rest;
-            Hashtbl.remove t.waits next;
-            note_held t next key;
-            (key, next) :: grants)
-    [] keys
+            lock.queue <- waiting;
+            next.awaits <- None;
+            next.granted <- key :: next.granted;
+            hand_on t h ((key, next.txid) :: grants) rest
+      end
 
-let lock_count t = Key.Dense.length t.locks
+(* Only the grants are sorted: none or one in almost every release. *)
+let release_all t h =
+  let keys = h.granted in
+  h.granted <- [];
+  match hand_on t h [] keys with
+  | ([] | [ _ ]) as grants -> grants
+  | grants -> List.sort descending grants
+
+let lock_count t = Key.Dense.length t

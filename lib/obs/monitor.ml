@@ -7,9 +7,9 @@ let pp_violation ppf v =
     (float_of_int (Time.to_us v.at) /. 1e6)
     v.monitor v.detail
 
-(* Request and transaction keys: the number above 16 bits of interned
-   name index, so that an {!Int_table} lookup neither builds a tuple nor
-   hashes a string. *)
+(* Request and transaction keys of the tables that are not per origin:
+   the number above 16 bits of interned name index, so that an
+   {!Int_table} lookup neither builds a tuple nor hashes a string. *)
 let name_bits = 16
 let name_mask = (1 lsl name_bits) - 1
 let max_number = 1 lsl (Sys.int_size - name_bits - 2)
@@ -29,7 +29,7 @@ let packed_number key = key asr name_bits
    the "acked commits survive recovery" obligation. *)
 type cert_state = {
   mutable log_version : int; (* last contiguously appended version *)
-  appended : int Int_table.t; (* (origin, req_id) -> version *)
+  appended : Origin_table.t; (* (origin, req_id) -> version *)
   mutable floor : int;
   outstanding : int Int_table.t;
       (* admitted, unanswered (origin, req_id) -> replica_version (live snapshot) *)
@@ -59,7 +59,7 @@ type t = {
   actors : Names.t; (* actor and origin strings, interned *)
   origins : Names.t;
   (* 1. commit-durability, per partition *)
-  acked : int Int_table.t Dense.t; (* (origin, req) -> v *)
+  acked : Origin_table.t Dense.t; (* (origin, req) -> v *)
   acked_at : int Dense.t Dense.t; (* v -> (origin, req), or [unacked] *)
   certs : cert_state option Dense.t; (* per actor; also feeds monitor 4 *)
   (* 2. serial order / GSI *)
@@ -88,7 +88,7 @@ let cert_state t actor =
       let s =
         {
           log_version = 0;
-          appended = Int_table.create 64;
+          appended = Origin_table.create ();
           floor = 0;
           outstanding = Int_table.create 16;
         }
@@ -106,22 +106,22 @@ let store_state t actor =
       s
 
 (* The table at index [i] of [tables], created on first use. *)
-let table tables i ~size =
+let table tables i ~create =
   if Dense.mem tables i then Dense.get tables i
   else begin
-    let tbl = Int_table.create size in
+    let tbl = create () in
     Dense.set tables i tbl;
     tbl
   end
 
-let acked_table t part = table t.acked part ~size:1024
+let acked_table t part = table t.acked part ~create:Origin_table.create
 let acked_at t part version = Dense.get (Dense.get t.acked_at part) version
 
 let set_acked_at t part version key =
   if not (Dense.mem t.acked_at part) then Dense.set t.acked_at part (Dense.create unacked);
   Dense.set (Dense.get t.acked_at part) version key
 
-let pending_table t actor_ix = table t.pending actor_ix ~size:16
+let pending_table t actor_ix = table t.pending actor_ix ~create:(fun () -> Int_table.create 16)
 
 let xrecord t gtx =
   match Hashtbl.find_opt t.xas gtx with
@@ -134,14 +134,14 @@ let xrecord t gtx =
 (* --- 1. commit-durability --------------------------------------------- *)
 
 let on_durable_ack t at ~part ~origin ~req_id ~version =
-  let key = pack (Names.index t.origins origin) req_id in
+  let ix = Names.index t.origins origin in
+  let key = pack ix req_id in
   let acked = acked_table t part in
-  (match Int_table.find_opt acked key with
-  | Some v when v <> version ->
-      violationf t ~at ~monitor:"durability"
-        "commit (%s,%d) p%d acked at v=%d was previously acked at v=%d"
-        origin req_id part version v
-  | _ -> ());
+  (let v = Origin_table.get acked ~origin:ix req_id in
+   if v <> Origin_table.none && v <> version then
+     violationf t ~at ~monitor:"durability"
+       "commit (%s,%d) p%d acked at v=%d was previously acked at v=%d"
+       origin req_id part version v);
   (let held = acked_at t part version in
    if held <> unacked && held <> key then
      violationf t ~at ~monitor:"durability"
@@ -149,41 +149,40 @@ let on_durable_ack t at ~part ~origin ~req_id ~version =
        version origin req_id
        (Names.name t.origins (packed_ix held))
        (packed_number held));
-  Int_table.replace acked key version;
+  Origin_table.replace acked ~origin:ix req_id version;
   set_acked_at t part version key
 
 let on_verdict t at ~part ~origin ~req_id ~committed ~actor =
   let cs = cert_state t actor in
-  let key = pack (Names.index t.origins origin) req_id in
-  Int_table.remove cs.outstanding key;
-  if (not committed) && Int_table.mem (acked_table t part) key then
+  let ix = Names.index t.origins origin in
+  Int_table.remove cs.outstanding (pack ix req_id);
+  if (not committed) && Origin_table.mem (acked_table t part) ~origin:ix req_id then
     violationf t ~at ~monitor:"durability"
       "commit (%s,%d) p%d was durably acked but %s later replied abort" origin
       req_id part actor
 
 let on_log_append t at ~actor ~part ~version ~origin ~req_id =
   let cs = cert_state t actor in
-  let key = pack (Names.index t.origins origin) req_id in
+  let ix = Names.index t.origins origin in
+  let key = pack ix req_id in
   if version <> cs.log_version + 1 then
     violationf t ~at ~monitor:"serial-order"
       "%s appended v=%d after v=%d (certified order broken)" actor version
       cs.log_version;
   cs.log_version <- max cs.log_version version;
-  (match Int_table.find_opt cs.appended key with
-  | Some v when v <> version ->
-      violationf t ~at ~monitor:"serial-order"
-        "%s appended (%s,%d) twice: v=%d and v=%d" actor origin req_id v
-        version
-  | _ -> ());
-  Int_table.replace cs.appended key version;
+  (let v = Origin_table.get cs.appended ~origin:ix req_id in
+   if v <> Origin_table.none && v <> version then
+     violationf t ~at ~monitor:"serial-order"
+       "%s appended (%s,%d) twice: v=%d and v=%d" actor origin req_id v
+       version);
+  Origin_table.replace cs.appended ~origin:ix req_id version;
   (* The durability obligations: an acked commit keeps its version across
      any recovery's re-append, and nothing else takes that version. *)
-  (match Int_table.find_opt (acked_table t part) key with
-  | Some v when v <> version ->
-      violationf t ~at ~monitor:"durability"
-        "acked commit (%s,%d) p%d re-appeared at v=%d (acked at v=%d)" origin
-        req_id part version v
-  | _ -> ());
+  (let v = Origin_table.get (acked_table t part) ~origin:ix req_id in
+   if v <> Origin_table.none && v <> version then
+     violationf t ~at ~monitor:"durability"
+       "acked commit (%s,%d) p%d re-appeared at v=%d (acked at v=%d)" origin
+       req_id part version v);
   let held = acked_at t part version in
   if held <> unacked && held <> key then
     violationf t ~at ~monitor:"durability"
@@ -403,7 +402,7 @@ let attach ?(progress_bound = Time.sec 20) ?metrics events =
       n_events = 0;
       actors = Names.create ();
       origins = Names.create ();
-      acked = Dense.create (Int_table.create 1);
+      acked = Dense.create (Origin_table.create ());
       acked_at = Dense.create (Dense.create unacked);
       certs = Dense.create None;
       stores = Dense.create None;

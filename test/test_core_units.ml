@@ -396,6 +396,7 @@ let prop_locks_single_holder =
     (fun seed ->
       let rng = Rng.create seed in
       let l = Mvcc.Locks.create () in
+      let lk = Array.init 41 Mvcc.Locks.register in
       let holders : (string, int) Hashtbl.t = Hashtbl.create 8 in
       let keys = [| "a"; "b"; "c" |] in
       let active = ref [] in
@@ -403,7 +404,7 @@ let prop_locks_single_holder =
       for txid = 1 to 40 do
         let key_name = Rng.pick rng keys in
         let key = k key_name in
-        (match Mvcc.Locks.acquire l txid key with
+        (match Mvcc.Locks.acquire l lk.(txid) key with
         | Mvcc.Locks.Granted ->
             (match Hashtbl.find_opt holders key_name with
             | Some other when other <> txid -> ok := false
@@ -417,7 +418,7 @@ let prop_locks_single_holder =
         if Rng.chance rng 0.4 && !active <> [] then begin
           let victim = Rng.pick rng (Array.of_list !active) in
           active := List.filter (fun t -> t <> victim) !active;
-          let grants = Mvcc.Locks.release_all l victim in
+          let grants = Mvcc.Locks.release_all l lk.(victim) in
           Hashtbl.iter
             (fun key_name h -> if h = victim then Hashtbl.remove holders key_name)
             (Hashtbl.copy holders);

@@ -884,102 +884,293 @@ let test_store_copy_preserves_tombstones () =
 (* ------------------------------------------------------------------ *)
 (* Locks *)
 
+(* One holder per txid, made on first use, so a test speaks in txids. *)
+let holders () =
+  let made = Hashtbl.create 8 in
+  fun txid ->
+    match Hashtbl.find_opt made txid with
+    | Some h -> h
+    | None ->
+        let h = Locks.register txid in
+        Hashtbl.replace made txid h;
+        h
+
 let test_locks_grant_and_reentry () =
-  let l = Locks.create () in
-  (match Locks.acquire l 1 (k "t" "a") with
+  let l = Locks.create () and h = holders () in
+  (match Locks.acquire l (h 1) (k "t" "a") with
   | Locks.Granted -> ()
   | _ -> Alcotest.fail "fresh lock should be granted");
-  (match Locks.acquire l 1 (k "t" "a") with
+  (match Locks.acquire l (h 1) (k "t" "a") with
   | Locks.Granted -> ()
   | _ -> Alcotest.fail "re-entrant acquire");
   check_bool "holder" true (Locks.holder l (k "t" "a") = Some 1)
 
 let test_locks_block_and_handoff () =
-  let l = Locks.create () in
-  ignore (Locks.acquire l 1 (k "t" "a"));
-  (match Locks.acquire l 2 (k "t" "a") with
+  let l = Locks.create () and h = holders () in
+  ignore (Locks.acquire l (h 1) (k "t" "a"));
+  (match Locks.acquire l (h 2) (k "t" "a") with
   | Locks.Would_block h -> check_int "holder is 1" 1 h
   | _ -> Alcotest.fail "expected Would_block");
-  Locks.enqueue l 2 (k "t" "a");
-  (match Locks.acquire l 3 (k "t" "a") with
+  Locks.enqueue l (h 2) (k "t" "a");
+  (match Locks.acquire l (h 3) (k "t" "a") with
   | Locks.Would_block _ -> ()
   | _ -> Alcotest.fail "expected Would_block");
-  Locks.enqueue l 3 (k "t" "a");
-  let grants = Locks.release_all l 1 in
+  Locks.enqueue l (h 3) (k "t" "a");
+  let grants = Locks.release_all l (h 1) in
   (match grants with
   | [ (key, 2) ] -> check_bool "handed to first waiter" true (Key.equal key (k "t" "a"))
   | _ -> Alcotest.fail "expected handoff to tx 2");
   check_bool "new holder" true (Locks.holder l (k "t" "a") = Some 2)
 
 let test_locks_deadlock_detection () =
-  let l = Locks.create () in
-  ignore (Locks.acquire l 1 (k "t" "a"));
-  ignore (Locks.acquire l 2 (k "t" "b"));
-  (match Locks.acquire l 2 (k "t" "a") with
-  | Locks.Would_block 1 -> Locks.enqueue l 2 (k "t" "a")
+  let l = Locks.create () and h = holders () in
+  ignore (Locks.acquire l (h 1) (k "t" "a"));
+  ignore (Locks.acquire l (h 2) (k "t" "b"));
+  (match Locks.acquire l (h 2) (k "t" "a") with
+  | Locks.Would_block 1 -> Locks.enqueue l (h 2) (k "t" "a")
   | _ -> Alcotest.fail "expected block on 1");
   (* 1 -> b (held by 2), 2 -> a (held by 1): cycle *)
-  match Locks.acquire l 1 (k "t" "b") with
+  match Locks.acquire l (h 1) (k "t" "b") with
   | Locks.Deadlock cycle ->
       check_bool "cycle mentions both" true (List.mem 1 cycle && List.mem 2 cycle)
   | _ -> Alcotest.fail "expected deadlock"
 
 let test_locks_no_false_deadlock () =
-  let l = Locks.create () in
-  ignore (Locks.acquire l 1 (k "t" "a"));
-  ignore (Locks.acquire l 2 (k "t" "b"));
-  (match Locks.acquire l 2 (k "t" "a") with
-  | Locks.Would_block _ -> Locks.enqueue l 2 (k "t" "a")
+  let l = Locks.create () and h = holders () in
+  ignore (Locks.acquire l (h 1) (k "t" "a"));
+  ignore (Locks.acquire l (h 2) (k "t" "b"));
+  (match Locks.acquire l (h 2) (k "t" "a") with
+  | Locks.Would_block _ -> Locks.enqueue l (h 2) (k "t" "a")
   | _ -> Alcotest.fail "expected block");
   (* 3 waits on a chain, no cycle *)
-  match Locks.acquire l 3 (k "t" "b") with
+  match Locks.acquire l (h 3) (k "t" "b") with
   | Locks.Would_block 2 -> ()
   | _ -> Alcotest.fail "expected plain block"
 
 let test_locks_cancel_wait () =
-  let l = Locks.create () in
-  ignore (Locks.acquire l 1 (k "t" "a"));
-  (match Locks.acquire l 2 (k "t" "a") with
-  | Locks.Would_block _ -> Locks.enqueue l 2 (k "t" "a")
+  let l = Locks.create () and h = holders () in
+  ignore (Locks.acquire l (h 1) (k "t" "a"));
+  (match Locks.acquire l (h 2) (k "t" "a") with
+  | Locks.Would_block _ -> Locks.enqueue l (h 2) (k "t" "a")
   | _ -> Alcotest.fail "expected block");
-  Locks.cancel_wait l 2 (k "t" "a");
-  let grants = Locks.release_all l 1 in
+  Locks.cancel_wait l (h 2) (k "t" "a");
+  let grants = Locks.release_all l (h 1) in
   check_bool "no grant to cancelled waiter" true (grants = []);
   check_bool "lock free" true (Locks.holder l (k "t" "a") = None)
 
 let test_locks_release_frees () =
-  let l = Locks.create () in
-  ignore (Locks.acquire l 1 (k "t" "a"));
-  ignore (Locks.acquire l 1 (k "t" "b"));
-  Alcotest.(check int) "held count" 2 (List.length (Locks.held_by l 1));
-  ignore (Locks.release_all l 1);
+  let l = Locks.create () and h = holders () in
+  ignore (Locks.acquire l (h 1) (k "t" "a"));
+  ignore (Locks.acquire l (h 1) (k "t" "b"));
+  Alcotest.(check int) "held count" 2 (List.length (Locks.held_by (h 1)));
+  ignore (Locks.release_all l (h 1));
   check_int "no locks" 0 (Locks.lock_count l);
-  match Locks.acquire l 2 (k "t" "a") with
+  match Locks.acquire l (h 2) (k "t" "a") with
   | Locks.Granted -> ()
   | _ -> Alcotest.fail "freed lock should grant"
 
 (* Locks are released in [Key.compare] order whatever order they were
    taken in, so the grants (returned newest first) come back descending. *)
 let test_locks_release_in_key_order () =
-  let l = Locks.create () in
+  let l = Locks.create () and h = holders () in
   let kc = k "t" "c" and ka = k "t" "a" and kb = k "t" "b" in
-  List.iter (fun key -> ignore (Locks.acquire l 1 key)) [ kc; ka; kb ];
+  List.iter (fun key -> ignore (Locks.acquire l (h 1) key)) [ kc; ka; kb ];
   List.iter
     (fun (waiter, key) ->
-      match Locks.acquire l waiter key with
-      | Locks.Would_block 1 -> Locks.enqueue l waiter key
+      match Locks.acquire l (h waiter) key with
+      | Locks.Would_block 1 -> Locks.enqueue l (h waiter) key
       | _ -> Alcotest.fail "expected block on 1")
     [ (2, kc); (3, ka); (4, kb) ];
   Alcotest.(check (list string))
     "held_by sorted" [ "t/a"; "t/b"; "t/c" ]
-    (List.map Key.to_string (Locks.held_by l 1));
-  let grants = Locks.release_all l 1 in
+    (List.map Key.to_string (Locks.held_by (h 1)));
+  let grants = Locks.release_all l (h 1) in
   Alcotest.(check (list (pair string int)))
     "granted in key order" [ ("t/a", 3); ("t/b", 4); ("t/c", 2) ]
     (List.rev_map (fun (key, tx) -> (Key.to_string key, tx)) grants);
   List.iter
     (fun (key, tx) -> check_bool "new holder" true (Locks.holder l key = Some tx))
     [ (ka, 3); (kb, 4); (kc, 2) ]
+
+(* The lock table as it was before holders: per-table hash tables of
+   granted keys and wait-for edges by txid, and a release that sorts the
+   granted keys with [List.sort_uniq] and hands them on in that order.
+   It is the reference for the model test below. *)
+module Sorted_locks = struct
+  type lock = { mutable owner : int; mutable queue : int list }
+
+  let free = { owner = -1; queue = [] }
+
+  type t = {
+    locks : lock Key.Dense.t;
+    held : (int, Key.t list) Hashtbl.t;
+    waits : (int, Key.t) Hashtbl.t;
+  }
+
+  let create () =
+    { locks = Key.Dense.create ~absent:free; held = Hashtbl.create 64; waits = Hashtbl.create 16 }
+
+  let holder t key =
+    let l = Key.Dense.find t.locks key in
+    if l == free then None else Some l.owner
+
+  let note_held t txid key =
+    let keys = Option.value ~default:[] (Hashtbl.find_opt t.held txid) in
+    Hashtbl.replace t.held txid (key :: keys)
+
+  let held_by t txid =
+    List.sort_uniq Key.compare (Option.value ~default:[] (Hashtbl.find_opt t.held txid))
+
+  let waiting_for t txid =
+    match Hashtbl.find_opt t.waits txid with None -> None | Some key -> holder t key
+
+  let find_cycle t ~me ~start =
+    let rec walk tx acc steps =
+      if steps > 10_000 then None
+      else if tx = me then Some (List.rev acc)
+      else
+        match waiting_for t tx with
+        | None -> None
+        | Some next -> walk next (next :: acc) (steps + 1)
+    in
+    walk start [ start ] 0
+
+  let acquire t txid key =
+    let lock = Key.Dense.find t.locks key in
+    if lock == free then begin
+      Key.Dense.replace t.locks key { owner = txid; queue = [] };
+      note_held t txid key;
+      Locks.Granted
+    end
+    else if lock.owner = txid then Locks.Granted
+    else
+      match find_cycle t ~me:txid ~start:lock.owner with
+      | Some cycle -> Locks.Deadlock (txid :: cycle)
+      | None -> Locks.Would_block lock.owner
+
+  let enqueue t txid key =
+    let lock = Key.Dense.find t.locks key in
+    if lock == free then invalid_arg "Locks.enqueue: lock not held by anyone";
+    lock.queue <- lock.queue @ [ txid ];
+    Hashtbl.replace t.waits txid key
+
+  let cancel_wait t txid key =
+    Hashtbl.remove t.waits txid;
+    let lock = Key.Dense.find t.locks key in
+    if lock != free then lock.queue <- List.filter (fun w -> w <> txid) lock.queue
+
+  let release_all t txid =
+    let keys = held_by t txid in
+    Hashtbl.remove t.held txid;
+    List.fold_left
+      (fun grants key ->
+        let lock = Key.Dense.find t.locks key in
+        if lock == free || lock.owner <> txid then grants
+        else
+          match lock.queue with
+          | [] ->
+              Key.Dense.remove t.locks key;
+              grants
+          | next :: rest ->
+              lock.owner <- next;
+              lock.queue <- rest;
+              Hashtbl.remove t.waits next;
+              note_held t next key;
+              (key, next) :: grants)
+      [] keys
+
+  let lock_count t = Key.Dense.length t.locks
+end
+
+type lock_op =
+  | L_acquire of int * int
+  | L_enqueue of int * int
+  | L_cancel of int * int
+  | L_release of int
+
+(* Random programs of acquires, enqueues, cancels and releases over four
+   txids and five keys, run on {!Locks} and on {!Sorted_locks}. Every
+   result must agree: each [acquire] (each [Deadlock] cycle included),
+   each grant list in order, an [enqueue] on a free lock raising in both,
+   and after every step the holder of each key, the lock count and each
+   txid's [held_by]. Any program is allowed, including ones the database
+   never runs (a txid queueing on a lock it holds, or twice). *)
+let prop_locks_match_sorted_reference =
+  let keys = Array.init 5 (fun i -> k "lm" (String.make 1 (Char.chr (Char.code 'a' + i)))) in
+  let op =
+    QCheck.Gen.(
+      let tx = int_range 1 4 and key = int_range 0 4 in
+      frequency
+        [
+          (8, map2 (fun t k -> L_acquire (t, k)) tx key);
+          (6, map2 (fun t k -> L_enqueue (t, k)) tx key);
+          (2, map2 (fun t k -> L_cancel (t, k)) tx key);
+          (3, map (fun t -> L_release t) tx);
+        ])
+  in
+  let print = function
+    | L_acquire (t, k) -> Printf.sprintf "acquire %d %d" t k
+    | L_enqueue (t, k) -> Printf.sprintf "enqueue %d %d" t k
+    | L_cancel (t, k) -> Printf.sprintf "cancel %d %d" t k
+    | L_release t -> Printf.sprintf "release %d" t
+  in
+  let attempt f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+  QCheck.Test.make ~name:"locks agree with the sort-based reference" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map print ops))
+        Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let l = Locks.create () and r = Sorted_locks.create () in
+      let h = Array.init 5 Locks.register in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | L_acquire (t, i) ->
+                Locks.acquire l h.(t) keys.(i) = Sorted_locks.acquire r t keys.(i)
+            | L_enqueue (t, i) ->
+                attempt (fun () -> Locks.enqueue l h.(t) keys.(i))
+                = attempt (fun () -> Sorted_locks.enqueue r t keys.(i))
+            | L_cancel (t, i) ->
+                Locks.cancel_wait l h.(t) keys.(i);
+                Sorted_locks.cancel_wait r t keys.(i);
+                true
+            | L_release t -> Locks.release_all l h.(t) = Sorted_locks.release_all r t
+          in
+          same
+          && Array.for_all (fun key -> Locks.holder l key = Sorted_locks.holder r key) keys
+          && Locks.lock_count l = Sorted_locks.lock_count r
+          && List.for_all
+               (fun t -> Locks.held_by h.(t) = Sorted_locks.held_by r t)
+               [ 1; 2; 3; 4 ])
+        ops)
+
+(* Words allocated per steady-state transaction: register, acquire four
+   free keys, release them with no waiter. A grant is a lock record and
+   one list cell: 28 words a transaction here, 96 with the per-table
+   hash tables and the sorted release. *)
+let test_locks_cycle_alloc () =
+  let l = Locks.create () in
+  let keys = Array.init 4 (fun i -> k "la" (string_of_int i)) in
+  let cycle txid =
+    let h = Locks.register txid in
+    for i = 0 to Array.length keys - 1 do
+      ignore (Sys.opaque_identity (Locks.acquire l h keys.(i)))
+    done;
+    ignore (Sys.opaque_identity (Locks.release_all l h))
+  in
+  for txid = 1 to 1_000 do
+    cycle txid
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for txid = 1_001 to 1_000 + n do
+    cycle txid
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "all free" 0 (Locks.lock_count l);
+  if words > 32. then Alcotest.failf "%.1f words per transaction (bound 32)" words
 
 (* ------------------------------------------------------------------ *)
 (* Commit order *)
@@ -2225,6 +2416,9 @@ let suites =
         Alcotest.test_case "cancel wait" `Quick test_locks_cancel_wait;
         Alcotest.test_case "release frees" `Quick test_locks_release_frees;
         Alcotest.test_case "release in key order" `Quick test_locks_release_in_key_order;
+        QCheck_alcotest.to_alcotest prop_locks_match_sorted_reference;
+        Alcotest.test_case "steady-state acquire/release allocation" `Quick
+          test_locks_cycle_alloc;
       ] );
     ( "mvcc.commit_order",
       [

@@ -1102,6 +1102,97 @@ let prop_dense =
       List.for_all agrees (List.init 2100 (fun i -> i - 1))
       && Dense.bound d = Hashtbl.fold (fun i _ acc -> max acc (i + 1)) reference 0)
 
+(* The per-origin table against a [Hashtbl] reference on (origin, id)
+   pairs. Ids fall near a per-origin base, with some below the first id
+   seen (by a few, or far enough that they must spill), far jumps above,
+   and resets as at a crash. Origin 0 gets most ids, so its array comes
+   to cover some ids it spilled earlier. *)
+type origin_op = O_replace of int * int * int | O_reset
+
+let prop_origin_table =
+  let bases = [| 0; 100_000_000; -5_000; 1 lsl 40 |] in
+  let op =
+    QCheck.Gen.(
+      let origin = frequency [ (12, return 0); (1, int_range 1 3) ] in
+      let offset =
+        frequency
+          [
+            (40, int_range 0 1_000);
+            (6, int_range (-40) (-1));
+            (3, int_range 4_200 5_000);
+            (2, int_range (-100_000) (-5_000));
+            (1, int_range 1_000_000_000 1_000_000_100);
+          ]
+      in
+      frequency
+        [
+          (1_000, map3 (fun o d v -> O_replace (o, d, v)) origin offset (int_range (-3) 1000));
+          (1, return O_reset);
+        ])
+  in
+  let print = function
+    | O_replace (o, d, v) -> Printf.sprintf "replace o%d base+%d %d" o d v
+    | O_reset -> "reset"
+  in
+  QCheck.Test.make ~name:"per-origin table agrees with a Hashtbl" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map print ops))
+        Gen.(list_size (int_range 1 3_000) op))
+    (fun ops ->
+      let t = Origin_table.create () in
+      let reference = Hashtbl.create 16 in
+      let probes = Hashtbl.create 16 in
+      List.iter
+        (function
+          | O_replace (o, d, v) ->
+              let id = bases.(o) + d in
+              Origin_table.replace t ~origin:o id v;
+              Hashtbl.replace reference (o, id) v;
+              Hashtbl.replace probes (o, id) ();
+              Hashtbl.replace probes (o, id + 1) ();
+              Hashtbl.replace probes ((o + 1) mod 5, id) ()
+          | O_reset ->
+              Origin_table.reset t;
+              Hashtbl.reset reference)
+        ops;
+      Hashtbl.fold
+        (fun (o, id) () ok ->
+          ok
+          &&
+          match Hashtbl.find_opt reference (o, id) with
+          | Some v -> Origin_table.mem t ~origin:o id && Origin_table.get t ~origin:o id = v
+          | None ->
+              (not (Origin_table.mem t ~origin:o id))
+              && Origin_table.get t ~origin:o id = Origin_table.none)
+        probes true)
+
+(* Words allocated per [replace] of the next id of one of eight origins
+   that number up from their own bases, as a certifier records its
+   outcomes. Counted as minor plus major words less the promoted ones, so
+   the arrays' doublings count too: 2.6 words per record here, 6.2 with
+   an int hash table per origin. *)
+let test_origin_table_record_alloc () =
+  let t = Origin_table.create () in
+  let record n =
+    for i = 1 to n do
+      let origin = i land 7 in
+      Origin_table.replace t ~origin (((origin + 1) * 100_000_000) + (i lsr 3)) i
+    done
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  record 1_000;
+  let n = 200_000 in
+  let before = allocated () in
+  record n;
+  let words = (allocated () -. before) /. float_of_int n in
+  Alcotest.(check int) "last id recorded" n
+    (Origin_table.get t ~origin:0 (100_000_000 + (n lsr 3)));
+  if words > 4. then Alcotest.failf "%.1f words per record (bound 4)" words
+
 let suites =
   [
     ( "sim.time",
@@ -1196,5 +1287,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_version_window;
         QCheck_alcotest.to_alcotest prop_dense;
+        QCheck_alcotest.to_alcotest prop_origin_table;
+        Alcotest.test_case "per-origin record allocation" `Quick test_origin_table_record_alloc;
       ] );
   ]
