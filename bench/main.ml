@@ -492,21 +492,22 @@ let chaos () =
     (fun (name, plan) ->
       let config = { (Harness.Chaos_exp.default_config ()) with plan } in
       let r = Harness.Chaos_exp.run ~config () in
+      let fault = Option.get r.run.fault in
       Report.kv (name ^ " commits") (string_of_int r.commits);
       Report.kv (name ^ " cert retries") (string_of_int r.cert_retries);
       Report.kv (name ^ " cert failovers") (string_of_int r.cert_failovers);
       Report.kv (name ^ " re-fetches") (string_of_int r.refetches);
       Report.kv (name ^ " crashes/recoveries")
-        (Printf.sprintf "%d/%d" r.fault.Fault.crashes r.fault.Fault.recoveries);
-      Report.kv (name ^ " violations") (string_of_int (List.length r.violations));
+        (Printf.sprintf "%d/%d" fault.crashes fault.recoveries);
+      Report.kv (name ^ " violations") (string_of_int (List.length r.run.violations));
       let m key v = record_metric (Printf.sprintf "chaos/%s/%s" name key) (float_of_int v) in
       m "commits" r.commits;
       m "cert_retries" r.cert_retries;
       m "cert_failovers" r.cert_failovers;
       m "refetches" r.refetches;
-      m "crashes" r.fault.Fault.crashes;
-      m "recoveries" r.fault.Fault.recoveries;
-      m "violations" (List.length r.violations))
+      m "crashes" fault.crashes;
+      m "recoveries" fault.recoveries;
+      m "violations" (List.length r.run.violations))
     plans
 
 (* ------------------------------------------------------------------ *)
@@ -530,15 +531,15 @@ let storage_chaos () =
         { (Harness.Chaos_exp.default_config ()) with plan; disk_faults = true }
       in
       let r = Harness.Chaos_exp.run ~config () in
+      let fault = Option.get r.run.fault in
       Report.kv (name ^ " commits") (string_of_int r.commits);
       Report.kv (name ^ " durable acked") (string_of_int r.durable_acked);
       Report.kv (name ^ " torn discarded") (string_of_int r.torn_discarded);
       Report.kv (name ^ " corrupt discarded") (string_of_int r.corrupt_discarded);
-      Report.kv (name ^ " stalls injected")
-        (string_of_int r.fault.Fault.disk_stalls);
+      Report.kv (name ^ " stalls injected") (string_of_int fault.disk_stalls);
       Report.kv (name ^ " disk failovers") (string_of_int r.disk_failovers);
       Report.kv (name ^ " checks/violations")
-        (Printf.sprintf "%d/%d" r.checks (List.length r.violations));
+        (Printf.sprintf "%d/%d" r.run.checks (List.length r.run.violations));
       let m key v =
         record_metric (Printf.sprintf "storage_chaos/%s/%s" name key)
           (float_of_int v)
@@ -547,13 +548,13 @@ let storage_chaos () =
       m "durable_acked" r.durable_acked;
       m "torn_discarded" r.torn_discarded;
       m "corrupt_discarded" r.corrupt_discarded;
-      m "disk_stalls" r.fault.Fault.disk_stalls;
-      m "disk_degrades" r.fault.Fault.disk_degrades;
-      m "torn_crashes" r.fault.Fault.torn_crashes;
-      m "corrupt_tails" r.fault.Fault.corrupt_tails;
+      m "disk_stalls" fault.disk_stalls;
+      m "disk_degrades" fault.disk_degrades;
+      m "torn_crashes" fault.torn_crashes;
+      m "corrupt_tails" fault.corrupt_tails;
       m "disk_failovers" r.disk_failovers;
-      m "checks" r.checks;
-      m "violations" (List.length r.violations))
+      m "checks" r.run.checks;
+      m "violations" (List.length r.run.violations))
     plans
 
 (* ------------------------------------------------------------------ *)
@@ -707,12 +708,12 @@ let soak () =
   record_metric "soak/cert_pruned" (float_of_int r.Soak_exp.cert_pruned);
   record_metric "soak/snapshot_installs" (float_of_int r.Soak_exp.snapshot_installs);
   record_metric "soak/floor_heals" (float_of_int r.Soak_exp.floor_heals);
-  record_metric "soak/violations" (float_of_int (List.length r.Soak_exp.violations));
+  record_metric "soak/violations" (float_of_int (List.length r.run.violations));
   Report.paper_vs ~what:"long-run growth under GC watermark"
     ~paper:"bounded (plateau)"
     ~measured:
-      (if r.Soak_exp.violations = [] then "bounded (0 violations)"
-       else Printf.sprintf "%d violations" (List.length r.Soak_exp.violations))
+      (if r.run.violations = [] then "bounded (0 violations)"
+       else Printf.sprintf "%d violations" (List.length r.run.violations))
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned certification: goodput scaling with certifier groups on
@@ -839,7 +840,7 @@ let partition () =
       Report.kv
         (Printf.sprintf "seed %d commits/cross/violations" seed)
         (Printf.sprintf "%d/%d/%d" r.Chaos_exp.commits r.Chaos_exp.cross_commits
-           (List.length r.Chaos_exp.violations));
+           (List.length r.run.violations));
       let m key v =
         record_metric (Printf.sprintf "partition/chaos_seed%d/%s" seed key)
           (float_of_int v)
@@ -847,7 +848,7 @@ let partition () =
       m "commits" r.Chaos_exp.commits;
       m "cross_commits" r.Chaos_exp.cross_commits;
       m "cross_aborts" r.Chaos_exp.cross_aborts;
-      m "violations" (List.length r.Chaos_exp.violations))
+      m "violations" (List.length r.run.violations))
     [ 1966; 2006 ]
 
 (* ------------------------------------------------------------------ *)

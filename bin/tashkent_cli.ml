@@ -3,43 +3,49 @@
 
 open Cmdliner
 
-let system_conv =
-  let parse = function
-    | "base" -> Ok (Harness.Experiment.Replicated Tashkent.Types.Base)
-    | "mw" | "tashkent-mw" -> Ok (Harness.Experiment.Replicated Tashkent.Types.Tashkent_mw)
-    | "api" | "tashkent-api" ->
-        Ok (Harness.Experiment.Replicated Tashkent.Types.Tashkent_api)
-    | "api-nocert" ->
-        Ok (Harness.Experiment.Replicated_nocert Tashkent.Types.Tashkent_api)
-    | "standalone" -> Ok Harness.Experiment.Standalone
-    | s -> Error (`Msg (Printf.sprintf "unknown system %S" s))
+(* A converter from [parse]'s names, printing [name]'s and rejecting any
+   other word as an unknown [what]. *)
+let word_conv what parse name =
+  let parse s =
+    Option.to_result ~none:(`Msg (Printf.sprintf "unknown %s %S" what s)) (parse s)
   in
-  let print fmt s = Format.pp_print_string fmt (Harness.Experiment.system_name s) in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name v))
+
+let mode_of = function
+  | "base" -> Some Tashkent.Types.Base
+  | "mw" | "tashkent-mw" -> Some Tashkent.Types.Tashkent_mw
+  | "api" | "tashkent-api" -> Some Tashkent.Types.Tashkent_api
+  | _ -> None
+
+let system_conv =
+  word_conv "system"
+    (function
+      | "api-nocert" ->
+          Some (Harness.Experiment.Replicated_nocert Tashkent.Types.Tashkent_api)
+      | "standalone" -> Some Harness.Experiment.Standalone
+      | s -> Option.map (fun m -> Harness.Experiment.Replicated m) (mode_of s))
+    Harness.Experiment.system_name
 
 let workload_conv =
-  let parse = function
-    | "allupdates" -> Ok Harness.Experiment.All_updates
-    | "tpcb" | "tpc-b" -> Ok Harness.Experiment.Tpc_b
-    | "tpcw" | "tpc-w" -> Ok Harness.Experiment.Tpc_w
-    | "hotkey" -> Ok Harness.Experiment.Hotkey
-    | "partlocal" | "part-local" -> Ok Harness.Experiment.Part_local
-    | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
-  in
-  let print fmt w = Format.pp_print_string fmt (Harness.Experiment.workload_name w) in
-  Arg.conv (parse, print)
+  word_conv "workload"
+    (function
+      | "allupdates" -> Some Harness.Experiment.All_updates
+      | "tpcb" | "tpc-b" -> Some Harness.Experiment.Tpc_b
+      | "tpcw" | "tpc-w" -> Some Harness.Experiment.Tpc_w
+      | "hotkey" -> Some Harness.Experiment.Hotkey
+      | "partlocal" | "part-local" -> Some Harness.Experiment.Part_local
+      | _ -> None)
+    Harness.Experiment.workload_name
 
 let io_conv =
-  let parse = function
-    | "shared" -> Ok Tashkent.Replica.Shared_io
-    | "dedicated" -> Ok Tashkent.Replica.Dedicated_io
-    | s -> Error (`Msg (Printf.sprintf "unknown io layout %S" s))
-  in
-  let print fmt = function
-    | Tashkent.Replica.Shared_io -> Format.pp_print_string fmt "shared"
-    | Tashkent.Replica.Dedicated_io -> Format.pp_print_string fmt "dedicated"
-  in
-  Arg.conv (parse, print)
+  word_conv "io layout"
+    (function
+      | "shared" -> Some Tashkent.Replica.Shared_io
+      | "dedicated" -> Some Tashkent.Replica.Dedicated_io
+      | _ -> None)
+    (function
+      | Tashkent.Replica.Shared_io -> "shared"
+      | Tashkent.Replica.Dedicated_io -> "dedicated")
 
 let system_t =
   Arg.(
@@ -90,14 +96,25 @@ let cross_ratio_t =
            group. Only meaningful with --workload partlocal and \
            --partitions > 1.")
 
-let seconds_t =
-  Arg.(value & opt float 10. & info [ "seconds" ] ~docv:"S" ~doc:"Measurement window.")
+let seconds_t ~default ~doc =
+  Arg.(value & opt float default & info [ "seconds" ] ~docv:"S" ~doc)
+
+let disk_faults_t ~doc = Arg.(value & flag & info [ "disk-faults" ] ~doc)
 
 let abort_rate_t =
   Arg.(
     value & opt float 0. & info [ "abort-rate" ] ~docv:"R" ~doc:"Forced abort rate (0..1).")
 
 let seed_t = Arg.(value & opt int 20060418 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+
+(* -n, --certifiers, --partitions and --seed, applied to a preset's
+   default cluster. *)
+let cluster_t =
+  let apply n_replicas n_certifiers n_partitions seed
+      (c : Tashkent.Cluster.config) =
+    { c with n_replicas; n_certifiers; n_partitions; seed }
+  in
+  Term.(const apply $ replicas_t $ certifiers_t $ partitions_t $ seed_t)
 
 let apply_workers_t =
   Arg.(
@@ -125,15 +142,15 @@ let skew_t =
         ~doc:"Zipfian exponent of the hotkey workload's key popularity.")
 
 let gc_interval_t ~default =
-  Arg.(
-    value & opt float default
-    & info [ "gc-interval" ] ~docv:"S"
-        ~doc:
-          "Replica vacuum period in seconds: old row versions below the \
-           cluster GC watermark are pruned this often. 0 disables vacuuming \
-           (the unbounded-growth baseline).")
-
-let gc_interval_of_sec s = if s <= 0. then None else Some (Sim.Time.of_sec s)
+  Term.map
+    (fun s -> if s <= 0. then None else Some (Sim.Time.of_sec s))
+    Arg.(
+      value & opt float default
+      & info [ "gc-interval" ] ~docv:"S"
+          ~doc:
+            "Replica vacuum period in seconds: old row versions below the \
+             cluster GC watermark are pruned this often. 0 disables vacuuming \
+             (the unbounded-growth baseline).")
 
 let monitors_t =
   Arg.(
@@ -144,30 +161,21 @@ let monitors_t =
            cross-partition atomicity, GC floor, progress) to the run; any \
            monitor violation is printed and makes the command exit 1.")
 
-let no_monitors_t =
-  Arg.(
-    value & flag
-    & info [ "no-monitors" ]
-        ~doc:
-          "Detach the online protocol monitors (they are on by default for \
-           this command); for overhead comparison only.")
-
 let run_cmd =
-  let run system workload io n certifiers partitions cross_ratio seconds
-      abort_rate seed apply_workers deltas skew gc_interval monitors =
+  let run system workload io cluster cross_ratio seconds abort_rate
+      apply_workers deltas skew gc_interval monitors =
     let d = Harness.Experiment.default in
+    let c : Tashkent.Cluster.config = cluster d.cluster in
     let cfg =
       {
         d with
         system;
         cluster =
-          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
-            ~n_partitions:partitions
-            ~certifier:
-              { d.cluster.certifier with forced_abort_rate = abort_rate }
-            ~replica:{ d.cluster.replica with io }
-            ~apply_workers ~gc_interval:(gc_interval_of_sec gc_interval) ~seed
-            d.cluster.mode;
+          {
+            c with
+            certifier = { c.certifier with forced_abort_rate = abort_rate };
+            replica = { c.replica with io; apply_workers; gc_interval };
+          };
         cross_ratio;
         workload;
         deltas;
@@ -181,9 +189,9 @@ let run_cmd =
     let open Harness.Report in
     kv "system" (Harness.Experiment.system_name system);
     kv "workload" (Harness.Experiment.workload_name workload);
-    kv "replicas" (string_of_int n);
-    (if partitions > 1 then begin
-       kv "partitions" (string_of_int partitions);
+    kv "replicas" (string_of_int c.n_replicas);
+    (if c.n_partitions > 1 then begin
+       kv "partitions" (string_of_int c.n_partitions);
        kv "cross-partition commits" (string_of_int r.cross_commits);
        kv "cross-partition aborts" (string_of_int r.cross_aborts)
      end);
@@ -216,9 +224,9 @@ let run_cmd =
          "Run one measured experiment and print its metrics; with \
           --monitors, exits 1 on any online protocol-monitor violation.")
     Term.(
-      const run $ system_t $ workload_t $ io_t $ replicas_t $ certifiers_t
-      $ partitions_t $ cross_ratio_t $ seconds_t
-      $ abort_rate_t $ seed_t $ apply_workers_t $ deltas_t $ skew_t
+      const run $ system_t $ workload_t $ io_t $ cluster_t $ cross_ratio_t
+      $ seconds_t ~default:10. ~doc:"Measurement window."
+      $ abort_rate_t $ apply_workers_t $ deltas_t $ skew_t
       $ gc_interval_t ~default:30. $ monitors_t)
 
 let recovery_cmd =
@@ -259,11 +267,14 @@ let consistency_cmd =
   in
   Cmd.v
     (Cmd.info "consistency" ~doc:"Stress the cluster and verify the GSI safety invariant.")
-    Term.(const run $ replicas_t $ seconds_t $ seed_t)
+    Term.(
+      const run $ replicas_t
+      $ seconds_t ~default:10. ~doc:"Measurement window."
+      $ seed_t)
 
 let chaos_cmd =
-  let run n certifiers partitions seconds seed plan_seed disk_faults
-      fsync_stall_ms apply_workers deltas gc_interval no_monitors =
+  let run cluster seconds plan_seed disk_faults apply_workers deltas
+      gc_interval =
     let plan =
       match plan_seed with
       | None ->
@@ -272,24 +283,20 @@ let chaos_cmd =
       | Some s -> Harness.Chaos_exp.Random s
     in
     let d = Harness.Chaos_exp.default_config () in
+    let c : Tashkent.Cluster.config = cluster d.cluster in
     let config =
       {
         d with
-        cluster =
-          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
-            ~n_partitions:partitions ~replica:d.cluster.replica ~apply_workers
-            ~gc_interval:(gc_interval_of_sec gc_interval) ~seed d.cluster.mode;
+        cluster = { c with replica = { c.replica with apply_workers; gc_interval } };
         duration = Sim.Time.of_sec seconds;
         plan;
         disk_faults;
-        fsync_stall = Sim.Time.of_ms fsync_stall_ms;
         deltas;
-        monitors = not no_monitors;
       }
     in
     let r = Harness.Chaos_exp.run ~config () in
     Format.printf "%a@." Harness.Chaos_exp.pp_result r;
-    if r.violations <> [] || r.monitor_violations <> [] then exit 1
+    if r.run.violations <> [] || r.run.monitor_violations <> [] then exit 1
   in
   let plan_seed_t =
     Arg.(
@@ -300,28 +307,6 @@ let chaos_cmd =
             "Generate a random fault plan from this seed instead of the scripted \
              acceptance scenario.")
   in
-  let seconds_t =
-    Arg.(
-      value & opt float 20.
-      & info [ "seconds" ] ~docv:"S" ~doc:"Simulated run length (the plan spans it).")
-  in
-  let disk_faults_t =
-    Arg.(
-      value & flag
-      & info [ "disk-faults" ]
-          ~doc:
-            "Inject storage faults too: fsync stalls, degraded disks, and \
-             torn/corrupt WAL tails. With a random plan this extends it; without \
-             one it selects the scripted storage-fault scenario.")
-  in
-  let fsync_stall_t =
-    Arg.(
-      value & opt float 600.
-      & info [ "fsync-stall-ms" ] ~docv:"MS"
-          ~doc:
-            "Extra per-op disk latency injected by random-plan stalls; above the \
-             certifiers' fsync deadline this forces a degraded-disk failover.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -330,38 +315,37 @@ let chaos_cmd =
           after every heal, with the online protocol monitors attached; exits 1 \
           on any checkpoint or monitor violation.")
     Term.(
-      const run $ replicas_t $ certifiers_t $ partitions_t $ seconds_t $ seed_t
-      $ plan_seed_t $ disk_faults_t $ fsync_stall_t $ apply_workers_t $ deltas_t
-      $ gc_interval_t ~default:5. $ no_monitors_t)
+      const run $ cluster_t
+      $ seconds_t ~default:20. ~doc:"Simulated run length (the plan spans it)."
+      $ plan_seed_t
+      $ disk_faults_t
+          ~doc:
+            "Inject storage faults too: fsync stalls, degraded disks, and \
+             torn/corrupt WAL tails. With a random plan this extends it; without \
+             one it selects the scripted storage-fault scenario."
+      $ apply_workers_t $ deltas_t
+      $ gc_interval_t ~default:5.)
 
 let soak_cmd =
-  let run n certifiers partitions seconds window seed gc_interval no_chaos
-      chaos_period skew deltas no_monitors =
-    let d = Harness.Soak_exp.default_config () in
+  let run cluster seconds window gc_interval no_chaos chaos_period skew
+      deltas =
+    let c : Tashkent.Cluster.config =
+      cluster (Harness.Soak_exp.default_config ()).cluster
+    in
     let config =
       {
-        d with
-        cluster =
-          Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
-            ~n_partitions:partitions ~replica:d.cluster.replica
-            ~gc_interval:(gc_interval_of_sec gc_interval) ~seed d.cluster.mode;
+        Harness.Soak_exp.cluster = { c with replica = { c.replica with gc_interval } };
         duration = Sim.Time.of_sec seconds;
         window = Sim.Time.of_sec window;
         chaos = not no_chaos;
         chaos_period = Sim.Time.of_sec chaos_period;
         skew;
         deltas;
-        monitors = not no_monitors;
       }
     in
     let r = Harness.Soak_exp.run ~config () in
     Format.printf "%a@." Harness.Soak_exp.pp_result r;
-    if r.violations <> [] || r.monitor_violations <> [] then exit 1
-  in
-  let seconds_t =
-    Arg.(
-      value & opt float 600.
-      & info [ "seconds" ] ~docv:"S" ~doc:"Simulated run length.")
+    if r.run.violations <> [] || r.run.monitor_violations <> [] then exit 1
   in
   let window_t =
     Arg.(
@@ -397,24 +381,21 @@ let soak_cmd =
           they stay bounded and latency stays flat, with the online protocol \
           monitors attached; exits 1 on any violation.")
     Term.(
-      const run $ replicas_t $ certifiers_t $ partitions_t $ seconds_t
-      $ window_t $ seed_t
-      $ gc_interval_t ~default:5. $ no_chaos_t $ chaos_period_t $ skew_t
-      $ deltas_t $ no_monitors_t)
+      const run $ cluster_t
+      $ seconds_t ~default:600. ~doc:"Simulated run length."
+      $ window_t $ gc_interval_t ~default:5. $ no_chaos_t $ chaos_period_t
+      $ skew_t $ deltas_t)
 
 let explore_cmd =
-  let run n certifiers partitions seconds seed first_seed n_seeds batch
-      no_targeted no_shrink max_shrink_runs max_repros disk_faults =
+  let run cluster seconds first_seed n_seeds batch no_targeted no_shrink
+      max_shrink_runs max_repros disk_faults =
     let d = Harness.Chaos_exp.default_config () in
     let config =
       {
         Harness.Explore_exp.base =
           {
             d with
-            cluster =
-              Tashkent.Cluster.config ~n_replicas:n ~n_certifiers:certifiers
-                ~n_partitions:partitions ~replica:d.cluster.replica ~seed
-                d.cluster.mode;
+            cluster = cluster d.cluster;
             duration = Sim.Time.of_sec seconds;
             disk_faults;
           };
@@ -434,11 +415,6 @@ let explore_cmd =
     in
     Format.printf "%a@." Harness.Explore_exp.pp_result r;
     if r.repros <> [] then exit 1
-  in
-  let seconds_t =
-    Arg.(
-      value & opt float 20.
-      & info [ "seconds" ] ~docv:"S" ~doc:"Simulated length of each schedule.")
   in
   let first_seed_t =
     Arg.(
@@ -487,12 +463,6 @@ let explore_cmd =
       & info [ "max-repros" ] ~docv:"N"
           ~doc:"Stop shrinking after this many distinct repros.")
   in
-  let disk_faults_t =
-    Arg.(
-      value & flag
-      & info [ "disk-faults" ]
-          ~doc:"Extend the random schedules with storage faults.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
@@ -504,21 +474,13 @@ let explore_cmd =
           explicit plan suitable as a CI regression; exits 1 if any schedule \
           violates.")
     Term.(
-      const run $ replicas_t $ certifiers_t $ partitions_t $ seconds_t $ seed_t
+      const run $ cluster_t
+      $ seconds_t ~default:20. ~doc:"Simulated length of each schedule."
       $ first_seed_t $ n_seeds_t $ batch_t $ no_targeted_t $ no_shrink_t
-      $ max_shrink_runs_t $ max_repros_t $ disk_faults_t)
+      $ max_shrink_runs_t $ max_repros_t
+      $ disk_faults_t ~doc:"Extend the random schedules with storage faults.")
 
 let trace_cmd =
-  let mode_conv =
-    let parse = function
-      | "base" -> Ok Tashkent.Types.Base
-      | "mw" | "tashkent-mw" -> Ok Tashkent.Types.Tashkent_mw
-      | "api" | "tashkent-api" -> Ok Tashkent.Types.Tashkent_api
-      | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
-    in
-    let print fmt m = Format.pp_print_string fmt (Tashkent.Types.mode_name m) in
-    Arg.conv (parse, print)
-  in
   let run mode n certifiers seconds seed output check =
     let sc =
       Harness.Scenario.start
@@ -572,13 +534,10 @@ let trace_cmd =
   let mode_t =
     Arg.(
       value
-      & opt mode_conv Tashkent.Types.Tashkent_mw
+      & opt
+          (word_conv "mode" mode_of Tashkent.Types.mode_name)
+          Tashkent.Types.Tashkent_mw
       & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"base, mw or api.")
-  in
-  let seconds_t =
-    Arg.(
-      value & opt float 5.
-      & info [ "seconds" ] ~docv:"S" ~doc:"Simulated run length to trace.")
   in
   let output_t =
     Arg.(
@@ -601,8 +560,9 @@ let trace_cmd =
           trace_event JSON (load in chrome://tracing or Perfetto), and print \
           per-stage latency percentiles.")
     Term.(
-      const run $ mode_t $ replicas_t $ certifiers_t $ seconds_t $ seed_t $ output_t
-      $ check_t)
+      const run $ mode_t $ replicas_t $ certifiers_t
+      $ seconds_t ~default:5. ~doc:"Simulated run length to trace."
+      $ seed_t $ output_t $ check_t)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -566,7 +566,7 @@ let quiescent = is_quiescent
 (* Seeded random plans *)
 
 let random_plan ~seed ~duration ~n_certifiers ~n_replicas
-    ?(n_partitions = 1) ?(disk_faults = false) ?(fsync_stall = Time.of_ms 600.) () =
+    ?(n_partitions = 1) ?(disk_faults = false) () =
   let rng = Rng.create (0xFA17 lxor seed) in
   let frac lo hi =
     Rng.time_uniform rng ~lo:(Time.scale duration lo) ~hi:(Time.scale duration hi)
@@ -618,11 +618,12 @@ let random_plan ~seed ~duration ~n_certifiers ~n_replicas
      by 0.37, the torn victim by 0.58, the corrupt victim by 0.78 — all
      before the 0.85 Heal_all backstop. *)
   if disk_faults && n_certifiers > 0 then begin
-    (* Sustained fsync stall on the leader's log device: long enough per op
-       to trip the certifier's fsync-deadline watchdog and force an
-       abdication to a healthy-disk acceptor. *)
+    (* Sustained fsync stall on the leader's log device: 600 ms per op is
+       long enough to trip the certifier's fsync-deadline watchdog and
+       force an abdication to a healthy-disk acceptor. *)
     add (frac 0.24 0.3)
-      (Disk_stall { cert = None; extra = fsync_stall; duration = frac 0.06 0.1 });
+      (Disk_stall
+         { cert = None; extra = Time.of_ms 600.; duration = frac 0.06 0.1 });
     (* A uniformly slow (but not stuck) disk on a random certifier. *)
     add (frac 0.3 0.45)
       (Disk_degrade

@@ -166,7 +166,6 @@ val random_plan :
   n_replicas:int ->
   ?n_partitions:int ->
   ?disk_faults:bool ->
-  ?fsync_stall:Sim.Time.t ->
   unit ->
   plan
 (** A reproducible plan over [duration]: a certifier-leader crash with
@@ -177,10 +176,10 @@ val random_plan :
     backstop).
 
     With [disk_faults] (default false) the plan additionally stalls the
-    leader's log disk by [fsync_stall] per op (default 600 ms — above the
-    certifier's 250 ms fsync deadline, so the leader abdicates), degrades a random
-    certifier's disk, torn-crashes the leader, and corrupt-tail-crashes a
-    random certifier, each recovered before the backstop. Plans with
+    leader's log disk by 600 ms per op (above the certifier's 250 ms fsync
+    deadline, so the leader abdicates), degrades a random certifier's disk,
+    torn-crashes the leader, and corrupt-tail-crashes a random certifier,
+    each recovered before the backstop. Plans with
     [disk_faults = false] are bit-identical to pre-storage-fault plans for
     the same seed.
 

@@ -23,16 +23,14 @@ type config = {
   plan : plan_kind;
   collect_trace : bool;
   disk_faults : bool;
-  fsync_stall : Time.t;
   deltas : bool; (* TPC-B balance updates as commutative Add ops *)
-  monitors : bool;
-      (* online protocol monitors (Obs.Monitor) checking every event as it
-         is emitted; on by default — disabling is for overhead comparison
-         only *)
-  progress_bound : Time.t;
-      (* how long a submitted transaction may stay unresolved (counted
-         from the last fault heal) before the progress monitor flags it *)
 }
+
+(* How long a submitted transaction may stay unresolved (counted from the
+   last fault heal) before the progress monitor flags it. The online
+   protocol monitors (Obs.Monitor) are always attached and check every
+   event as it is emitted. *)
+let progress_bound = Time.sec 5
 
 let default_config () =
   {
@@ -45,13 +43,11 @@ let default_config () =
     plan = Scripted;
     collect_trace = false;
     disk_faults = false;
-    fsync_stall = Time.of_ms 600.;
     deltas = false;
-    monitors = true;
-    progress_bound = Time.sec 5;
   }
 
 type result = {
+  run : Scenario.outcome;
   commits : int;
   cert_aborts : int;
   local_aborts : int;
@@ -63,18 +59,10 @@ type result = {
   cert_retries : int;
   cert_failovers : int;
   refetches : int;
-  fault : Fault.stats;
-  checks : int;
-  violations : string list;
-  monitor_violations : string list;
-      (* online monitor findings, formatted with their sim timestamps;
-         empty when [config.monitors] was off *)
-  monitor_events : int; (* protocol events the monitors consumed *)
   bridge_heals : int;
       (* commit replies whose remotes failed to bridge the replica's
          applied prefix and forced a pre-install fetch, summed over
          proxies — the stale-re-answer schedules regression-pin this *)
-  ran_for : Time.t;
   trace : Obs.Trace.t;
   durable_acked : int;
   torn_discarded : int;
@@ -131,15 +119,17 @@ let scripted_partition_plan () =
 
 (* Offsets at which the plan has just healed or recovered something —
    each becomes an invariant checkpoint (after a grace period for retries
-   in flight and elections to finish). *)
-let checkpoints_of plan =
+   in flight and elections to finish). One at or past the end of the run
+   is left to the final check. *)
+let checkpoints_of ~duration plan =
   List.filter_map
     (fun (time, action) ->
       match action with
       | Fault.Heal _ | Fault.Heal_all | Fault.Recover_certifier _
       | Fault.Recover_group_crashed _
       | Fault.Recover_replica _ ->
-          Some (Time.add time (Time.sec 2))
+          let at = Time.add time (Time.sec 2) in
+          if Time.(at < duration) then Some at else None
       | Fault.Partition _ | Fault.Drop_burst _ | Fault.Latency_spike _
       | Fault.Crash_certifier _ | Fault.Crash_group_leader _
       | Fault.Crash_replica _
@@ -187,18 +177,18 @@ let wait_checkable (sc : Scenario.t) =
    watermark, the certified log entry at that version must be the same
    transaction. Torn/corrupt-tail truncation may only ever discard
    records that were never acked. *)
-let check_durability (sc : Scenario.t) violations stamp =
-  List.iter
+let durability_violations (sc : Scenario.t) =
+  List.concat_map
     (fun (part, _members) ->
       match Tashkent.Cluster.group_leader sc.cluster ~part with
-      | None -> ()
+      | None -> []
       | Some lead ->
           let log = Tashkent.Certifier.log lead in
           let top = Tashkent.Cert_log.version log in
           let floor = Tashkent.Cert_log.floor log in
-          List.iter
+          List.concat_map
             (fun proxy ->
-              List.iter
+              List.filter_map
                 (fun (gtx, version) ->
                   let problem =
                     match Tashkent.Certifier.outcome lead gtx with
@@ -215,30 +205,24 @@ let check_durability (sc : Scenario.t) violations stamp =
                     | Some None -> Some "recorded aborted by"
                     | Some (Some v) -> Some (Printf.sprintf "recorded at version %d by" v)
                   in
-                  match problem with
-                  | None -> ()
-                  | Some what ->
-                      violations :=
-                        stamp
-                          (Printf.sprintf
-                             "durability: commit %s acked to %s at version %d is %s \
-                              p%d's certifier after recovery"
-                             (Format.asprintf "%a" Tashkent.Types.pp_gtx gtx)
-                             (Tashkent.Proxy.addr proxy) version what part)
-                        :: !violations)
+                  Option.map
+                    (fun what ->
+                      Printf.sprintf
+                        "durability: commit %s acked to %s at version %d is %s \
+                         p%d's certifier after recovery"
+                        (Format.asprintf "%a" Tashkent.Types.pp_gtx gtx)
+                        (Tashkent.Proxy.addr proxy) version what part)
+                    problem)
                 (Tashkent.Proxy.journaled_commits proxy))
             (Scenario.proxies ~part sc))
     (Tashkent.Cluster.certifier_groups sc.cluster)
 
-let check (sc : Scenario.t) violations =
+let check (sc : Scenario.t) =
   wait_checkable sc;
   let stamp msg =
     Printf.sprintf "t=%s: %s" (Time.to_string (Engine.now sc.engine)) msg
   in
-  List.iter
-    (fun msg -> violations := stamp msg :: !violations)
-    (Scenario.invariant_violations sc);
-  check_durability sc violations stamp
+  List.map stamp (Scenario.invariant_violations sc @ durability_violations sc)
 
 let run ?(config = default_config ()) () =
   let n_partitions = config.cluster.n_partitions in
@@ -253,8 +237,8 @@ let run ?(config = default_config ()) () =
   in
   let sc =
     Scenario.start
-      (Scenario.config ~trace:config.collect_trace ~monitors:config.monitors
-         ~progress_bound:config.progress_bound config.cluster spec)
+      (Scenario.config ~trace:config.collect_trace ~monitors:true
+         ~progress_bound config.cluster spec)
   in
   let proxies = Scenario.proxies sc in
   List.iter Tashkent.Proxy.enable_commit_journal proxies;
@@ -267,35 +251,18 @@ let run ?(config = default_config ()) () =
         Fault.random_plan ~seed ~duration:config.duration
           ~n_certifiers:config.cluster.n_certifiers
           ~n_replicas:config.cluster.n_replicas ~n_partitions
-          ~disk_faults:config.disk_faults ~fsync_stall:config.fsync_stall ()
+          ~disk_faults:config.disk_faults ()
     | Explicit plan -> plan
   in
-  let started = Engine.now sc.engine in
-  let injector = Fault.inject sc.cluster plan in
-  Fault.register_metrics injector (Tashkent.Cluster.metrics sc.cluster);
-  let violations = ref [] in
-  let checks = ref 0 in
-  let checkpoints =
-    List.sort_uniq Time.compare (checkpoints_of plan)
-    |> List.filter (fun t -> Time.(t < config.duration))
-  in
-  let run_until offset =
-    let due = Time.add started offset and now = Engine.now sc.engine in
-    if Time.(due > now) then Scenario.run_for sc (Time.diff due now)
-  in
-  List.iter
-    (fun offset ->
-      run_until offset;
-      incr checks;
-      check sc violations)
-    checkpoints;
-  (* Run out the clock, then a final end-to-end checkpoint once the
+  (* A checkpoint after every heal, then a final end-to-end one once the
      injector is fully quiescent. *)
-  run_until config.duration;
-  Scenario.drain sc injector ~limit:30;
-  incr checks;
-  check sc violations;
-  let monitor_violations = Scenario.monitor_violations sc in
+  let run =
+    Scenario.run_plan sc ~plan ~duration:config.duration
+      ~stops:(checkpoints_of ~duration:config.duration plan)
+      ~at_stop:(fun _ -> check sc)
+      ~drain_limit:30
+      ~final:(fun () -> check sc)
+  in
   let over_proxies f = Scenario.sum f proxies in
   let sum f = over_proxies (fun p -> f (Tashkent.Proxy.client p)) in
   let proxy_sum f = over_proxies (fun p -> f (Tashkent.Proxy.stats p)) in
@@ -310,6 +277,7 @@ let run ?(config = default_config ()) () =
       (Tashkent.Cluster.certifiers sc.cluster)
   in
   {
+    run;
     commits = proxy_sum (fun (s : Tashkent.Proxy.stats) -> s.commits);
     cert_aborts = proxy_sum (fun (s : Tashkent.Proxy.stats) -> s.cert_aborts);
     local_aborts = proxy_sum (fun (s : Tashkent.Proxy.stats) -> s.local_aborts);
@@ -321,13 +289,7 @@ let run ?(config = default_config ()) () =
     cert_retries = sum Tashkent.Cert_client.retries;
     cert_failovers = sum Tashkent.Cert_client.failovers;
     refetches = sum Tashkent.Cert_client.refetches;
-    fault = Fault.stats injector;
-    checks = !checks;
-    violations = List.rev !violations;
-    monitor_violations;
-    monitor_events = Obs.Monitor.events_seen sc.monitor;
     bridge_heals = over_proxies (fun p -> Tashkent.Proxy.catch_ups p Bridge);
-    ran_for = Time.diff (Engine.now sc.engine) started;
     trace = sc.trace;
     durable_acked =
       over_proxies (fun p -> List.length (Tashkent.Proxy.journaled_commits p));
@@ -339,29 +301,32 @@ let run ?(config = default_config ()) () =
       cert_sum (fun (s : Tashkent.Certifier.stats) -> s.disk_failovers);
   }
 
+let pp_faults fmt = function
+  | None -> Format.fprintf fmt "faults: none"
+  | Some (f : Fault.stats) ->
+      Format.fprintf fmt
+        "faults: %d crashes, %d recoveries, %d cuts, %d heals, %d bursts, %d \
+         spikes@,disk faults: %d stalls, %d degrades, %d torn, %d corrupt"
+        f.crashes f.recoveries f.partitions_cut f.heals f.drop_bursts
+        f.latency_spikes f.disk_stalls f.disk_degrades f.torn_crashes
+        f.corrupt_tails
+
 let pp_result fmt r =
+  let pp_list fmt vs = List.iter (fun v -> Format.fprintf fmt "@,  %s" v) vs in
   Format.fprintf fmt
     "@[<v>commits              %d@,cert aborts          %d@,local aborts         %d@,\
      cross commits        %d@,cross aborts         %d@,\
      cert requests        %d@,cert retries         %d@,cert failovers       %d@,\
-     re-fetches           %d@,faults: %d crashes, %d recoveries, %d cuts, %d heals, \
-     %d bursts, %d spikes@,disk faults: %d stalls, %d degrades, %d torn, \
-     %d corrupt@,durable acked        %d@,torn discarded       %d@,\
+     re-fetches           %d@,%a@,durable acked        %d@,torn discarded       %d@,\
      corrupt discarded    %d@,disk failovers       %d@,\
      invariant checks     %d@,violations           %d%a@,\
      monitor events       %d@,monitor violations   %d%a@,\
      bridge heals         %d@]"
     r.commits r.cert_aborts r.local_aborts r.cross_commits r.cross_aborts
-    r.cert_requests r.cert_retries
-    r.cert_failovers r.refetches r.fault.Fault.crashes r.fault.Fault.recoveries
-    r.fault.Fault.partitions_cut r.fault.Fault.heals r.fault.Fault.drop_bursts
-    r.fault.Fault.latency_spikes r.fault.Fault.disk_stalls
-    r.fault.Fault.disk_degrades r.fault.Fault.torn_crashes
-    r.fault.Fault.corrupt_tails r.durable_acked r.torn_discarded
-    r.corrupt_discarded r.disk_failovers r.checks
-    (List.length r.violations)
-    (fun fmt vs -> List.iter (fun v -> Format.fprintf fmt "@,  %s" v) vs)
-    r.violations r.monitor_events
-    (List.length r.monitor_violations)
-    (fun fmt vs -> List.iter (fun v -> Format.fprintf fmt "@,  %s" v) vs)
-    r.monitor_violations r.bridge_heals
+    r.cert_requests r.cert_retries r.cert_failovers r.refetches pp_faults
+    r.run.fault r.durable_acked r.torn_discarded r.corrupt_discarded
+    r.disk_failovers r.run.checks
+    (List.length r.run.violations)
+    pp_list r.run.violations r.run.monitor_events
+    (List.length r.run.monitor_violations)
+    pp_list r.run.monitor_violations r.bridge_heals

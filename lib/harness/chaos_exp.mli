@@ -57,32 +57,26 @@ type config = {
   disk_faults : bool;
       (** pass [~disk_faults:true] to {!Fault.random_plan} (no effect on
           scripted plans) *)
-  fsync_stall : Sim.Time.t;
-      (** per-op stall used by random disk-fault plans; the default 600 ms
-          is above the certifiers' fsync deadline, forcing a
-          degraded-disk failover *)
   deltas : bool;
       (** run TPC-B with commutative {!Mvcc.Writeset.Add} balance updates
           (default off) — chaos with deltas exercises the certification
           fast path and delta WAL replay through crashes and failovers *)
-  monitors : bool;
-      (** attach the five online protocol monitors ({!Obs.Monitor}) to the
-          cluster's event stream (default on). Monitors are pure
-          observers, so the run is bit-identical either way; disabling is
-          for overhead measurement only. *)
-  progress_bound : Sim.Time.t;
-      (** progress-monitor deadline: how long a submitted transaction may
-          stay unresolved, counted from submission or the last fault heal
-          (default 5 s) *)
 }
 
 val default_config : unit -> config
 (** Tashkent-MW, 3 replicas, 3 certifiers, seed 1966, replica GC every
     5 s (short enough that log truncation {e and} store pruning both fire
     within the run, so the invariants are asserted with GC active), 20
-    simulated seconds, the scripted plan. *)
+    simulated seconds, the scripted plan. Every run attaches the five
+    online protocol monitors ({!Obs.Monitor}) with a 5 s progress bound:
+    a submitted transaction may stay unresolved that long, counted from
+    submission or the last fault heal. *)
 
 type result = {
+  run : Scenario.outcome;
+      (** the {!Scenario.run_plan} loop's findings: [checks] counts the
+          invariant checkpoints (one per distinct heal or recovery offset
+          inside the run, plus the final one) *)
   commits : int;
   cert_aborts : int;
   local_aborts : int;
@@ -97,20 +91,12 @@ type result = {
   cert_retries : int;  (** certify attempts beyond the first *)
   cert_failovers : int;  (** timeouts that rotated the target certifier *)
   refetches : int;
-  fault : Fault.stats;
-  checks : int;  (** invariant checkpoints performed *)
-  violations : string list;  (** empty on a passing run *)
-  monitor_violations : string list;
-      (** online monitor findings (formatted with their sim timestamps);
-          empty on a passing run or when [config.monitors] was off *)
-  monitor_events : int;  (** protocol events the monitors consumed *)
   bridge_heals : int;
       (** commit replies whose composed remotes failed to bridge the
           replica's applied prefix, forcing a fetch before the install
           ({!Tashkent.Proxy.catch_ups} [Bridge], summed over proxies). The
           stale-re-answer regression schedules assert this stayed > 0 —
           i.e. the pathological interleaving still occurs and is healed. *)
-  ran_for : Sim.Time.t;
   trace : Obs.Trace.t;
       (** the run's tracer; disabled (no events) unless
           [config.collect_trace] was set *)

@@ -147,15 +147,53 @@ let weighted_mean f weight = function
         List.fold_left (fun a s -> a +. (f s *. float_of_int (weight s))) 0. ss
         /. float_of_int w
 
-let measure cfg (sc : Scenario.t) =
-  let engine = sc.engine and cluster = sc.cluster and collector = sc.collector in
-  (* Warm up, then measure. *)
-  Scenario.run_for sc cfg.warmup;
-  Workload.Driver.Collector.enable collector;
-  Tashkent.Cluster.reset_stats cluster;
+(* Warm up, start the clients' collector, call [at_start] (to reset any
+   stat window), measure. The result holds the clients' figures and leaves
+   every server-side figure at its single-server value. *)
+let measure_clients cfg engine collector ~at_start =
+  let module C = Workload.Driver.Collector in
+  Engine.run ~until:(Time.add (Engine.now engine) cfg.warmup) engine;
+  C.enable collector;
+  at_start ();
   let measure_start = Engine.now engine in
-  Scenario.run_for sc cfg.measure;
+  Engine.run ~until:(Time.add measure_start cfg.measure) engine;
   let window = Time.diff (Engine.now engine) measure_start in
+  let commits = C.committed collector and aborts = C.aborted collector in
+  {
+    throughput = C.throughput_all collector ~window;
+    goodput = C.goodput collector ~window;
+    resp_ms = C.mean_response_ms collector;
+    p99_ms = C.p99_response_ms collector;
+    ro_resp_ms = C.mean_ro_response_ms collector;
+    commits;
+    aborts;
+    abort_rate_measured =
+      (if commits + aborts = 0 then 0.
+       else float_of_int aborts /. float_of_int (commits + aborts));
+    cross_commits = 0;
+    cross_aborts = 0;
+    cert_ws_per_fsync = 0.;
+    cert_accept_broadcasts = 0;
+    cert_mean_accept_batch = 0.;
+    db_ws_per_fsync = 0.;
+    artificial_conflict_pct = 0.;
+    cert_cpu_util = 0.;
+    cert_disk_util = 0.;
+    replica_cpu_util = 0.;
+    replica_disk_util = 0.;
+    apply_parallelism = 1.0;
+    apply_stalls = 0;
+    stage_latency = [];
+    monitor_violations = [];
+    monitor_events = 0;
+  }
+
+let measure cfg (sc : Scenario.t) =
+  let cluster = sc.cluster in
+  let clients =
+    measure_clients cfg sc.engine sc.collector ~at_start:(fun () ->
+        Tashkent.Cluster.reset_stats cluster)
+  in
   (* Every group's leader: with partitioned certification the load and the
      certified stream split across groups, and that split is the
      measurement. *)
@@ -172,23 +210,12 @@ let measure cfg (sc : Scenario.t) =
       (fun r -> f (Tashkent.Session.stats (Tashkent.Replica.session r)))
       replicas
   in
-  let commits = Workload.Driver.Collector.committed collector in
-  let aborts = Workload.Driver.Collector.aborted collector in
   let remote_shipped = proxy_sum (fun s -> s.remote_ws_applied) in
   let artificial =
     Scenario.sum (fun (s : Tashkent.Certifier.stats) -> s.artificial_conflicts) leaders
   in
   {
-    throughput = Workload.Driver.Collector.throughput_all collector ~window;
-    goodput = Workload.Driver.Collector.goodput collector ~window;
-    resp_ms = Workload.Driver.Collector.mean_response_ms collector;
-    p99_ms = Workload.Driver.Collector.p99_response_ms collector;
-    ro_resp_ms = Workload.Driver.Collector.mean_ro_response_ms collector;
-    commits;
-    aborts;
-    abort_rate_measured =
-      (if commits + aborts = 0 then 0.
-       else float_of_int aborts /. float_of_int (commits + aborts));
+    clients with
     cross_commits =
       session_sum (fun (s : Tashkent.Session.stats) -> s.cross_commits);
     cross_aborts =
@@ -251,40 +278,11 @@ let run_standalone cfg =
   Mvcc.Db.load db (spec.Workload.Spec.initial_rows ~n_replicas:1);
   let collector = Workload.Driver.Collector.create () in
   Workload.Driver.spawn_standalone_clients engine ~db ~cpu ~spec ~rng:(Rng.split rng) ~collector;
-  Engine.run ~until:(Time.add (Engine.now engine) cfg.warmup) engine;
-  Workload.Driver.Collector.enable collector;
-  let measure_start = Engine.now engine in
-  Engine.run ~until:(Time.add measure_start cfg.measure) engine;
-  let window = Time.diff (Engine.now engine) measure_start in
-  let commits = Workload.Driver.Collector.committed collector in
-  let aborts = Workload.Driver.Collector.aborted collector in
   {
-    throughput = Workload.Driver.Collector.throughput_all collector ~window;
-    goodput = Workload.Driver.Collector.goodput collector ~window;
-    resp_ms = Workload.Driver.Collector.mean_response_ms collector;
-    p99_ms = Workload.Driver.Collector.p99_response_ms collector;
-    ro_resp_ms = Workload.Driver.Collector.mean_ro_response_ms collector;
-    commits;
-    aborts;
-    abort_rate_measured =
-      (if commits + aborts = 0 then 0.
-       else float_of_int aborts /. float_of_int (commits + aborts));
-    cross_commits = 0;
-    cross_aborts = 0;
-    cert_ws_per_fsync = 0.;
-    cert_accept_broadcasts = 0;
-    cert_mean_accept_batch = 0.;
+    (measure_clients cfg engine collector ~at_start:ignore) with
     db_ws_per_fsync = Storage.Wal.mean_group_size (Mvcc.Db.wal db);
-    artificial_conflict_pct = 0.;
-    cert_cpu_util = 0.;
-    cert_disk_util = 0.;
     replica_cpu_util = Resource.utilization cpu;
     replica_disk_util = Storage.Disk.utilization hdd;
-    apply_parallelism = 1.0;
-    apply_stalls = 0;
-    stage_latency = [];
-    monitor_violations = [];
-    monitor_events = 0;
   }
 
 let run cfg =

@@ -168,63 +168,59 @@ let plan_of cfg { plan_seed; kind } =
   | Random_schedule ->
       Fault.random_plan ~seed:plan_seed ~duration:b.duration
         ~n_certifiers:c.n_certifiers ~n_replicas:c.n_replicas
-        ~n_partitions:c.n_partitions ~disk_faults:b.disk_faults
-        ~fsync_stall:b.fsync_stall ()
+        ~n_partitions:c.n_partitions ~disk_faults:b.disk_faults ()
   | Targeted_schedule ->
       targeted_plan ~seed:plan_seed ~duration:b.duration
         ~n_certifiers:c.n_certifiers ~n_replicas:c.n_replicas
         ~n_partitions:c.n_partitions ()
 
-(* A schedule that crashes the harness outright (an assertion or
-   unexpected exception deep in the model) is itself a finding — explore
-   must record it and keep sweeping, not die. *)
-type outcome = Finished of Chaos_exp.result | Crashed of string
-
-let run_plan cfg plan =
+(* What a schedule found: the violation class it reproduces ([None] on a
+   clean run) and its findings. The class is the first monitor's name, or
+   "checkpoint" for the post-heal invariant assertions; monitor findings
+   print as "[1.234s] serial-order: detail". A schedule that crashes the
+   harness outright (an assertion or unexpected exception deep in the
+   model) is itself a finding, of class "exception" — explore must record
+   it and keep sweeping, not die. *)
+let run_schedule cfg plan =
   match
     Chaos_exp.run ~config:{ cfg.base with plan = Chaos_exp.Explicit plan } ()
   with
-  | r -> Finished r
-  | exception exn -> Crashed (Printexc.to_string exn)
+  | exception exn ->
+      (Some "exception", [ "uncaught exception: " ^ Printexc.to_string exn ])
+  | { run; _ } ->
+      let signature =
+        match (run.monitor_violations, run.violations) with
+        | v :: _, _ -> (
+            match String.index_opt v ']' with
+            | Some i -> (
+                let rest = String.sub v (i + 1) (String.length v - i - 1) in
+                let rest = String.trim rest in
+                match String.index_opt rest ':' with
+                | Some j -> Some (String.sub rest 0 j)
+                | None -> Some rest)
+            | None -> Some "monitor")
+        | [], _ :: _ -> Some "checkpoint"
+        | [], [] -> None
+      in
+      (signature, run.violations @ run.monitor_violations)
 
-(* The violation class a run reproduces: the first monitor's name, or
-   "checkpoint" for the post-heal invariant assertions. Monitor findings
-   print as "[1.234s] serial-order: detail". *)
-let signature_of_result (r : Chaos_exp.result) =
-  match (r.monitor_violations, r.violations) with
-  | v :: _, _ -> (
-      match String.index_opt v ']' with
-      | Some i -> (
-          let rest = String.sub v (i + 1) (String.length v - i - 1) in
-          let rest = String.trim rest in
-          match String.index_opt rest ':' with
-          | Some j -> Some (String.sub rest 0 j)
-          | None -> Some rest)
-      | None -> Some "monitor")
-  | [], _ :: _ -> Some "checkpoint"
-  | [], [] -> None
-
-let signature_of = function
-  | Finished r -> signature_of_result r
-  | Crashed _ -> Some "exception"
-
-let violations_of = function
-  | Finished (r : Chaos_exp.result) -> r.violations @ r.monitor_violations
-  | Crashed msg -> [ "uncaught exception: " ^ msg ]
+(* The first [n] elements of a list and the rest. *)
+let take n xs =
+  let rec go n acc = function
+    | x :: tl when n > 0 -> go (n - 1) (x :: acc) tl
+    | tl -> (List.rev acc, tl)
+  in
+  go n [] xs
 
 (* Run a batch of independent schedules, one domain each. Results are
    collected in input order, so batching never changes the outcome. *)
 let par_map ~batch f xs =
   let batch = max 1 batch in
-  let rec take n acc = function
-    | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-    | tl -> (List.rev acc, tl)
-  in
   let rec go acc xs =
     match xs with
     | [] -> List.concat (List.rev acc)
     | _ ->
-        let chunk, rest = take batch [] xs in
+        let chunk, rest = take batch xs in
         let rs =
           match chunk with
           | [ x ] -> [ f x ]
@@ -266,7 +262,7 @@ let shrink ~on_progress cfg ~signature plan ~budget =
                cost is added once here, in the parent. *)
             par_map ~batch:cfg.batch
               (fun (ix, cand) ->
-                if signature_of (run_plan cfg cand) = Some signature then
+                if fst (run_schedule cfg cand) = Some signature then
                   Some (ix, cand)
                 else None)
               cands
@@ -294,34 +290,24 @@ let run ?(on_progress = fun _ -> ()) cfg =
             else []))
       (List.init (max 0 cfg.n_seeds) Fun.id)
   in
-  let total_runs = ref 0 in
   let outcomes =
     par_map ~batch:cfg.batch
       (fun sc ->
         let plan = plan_of cfg sc in
-        let r = run_plan cfg plan in
-        (sc, plan, r))
+        (sc, plan, run_schedule cfg plan))
       scenarios
   in
-  total_runs := List.length outcomes;
+  let total_runs = ref (List.length outcomes) in
   let violating =
     List.filter_map
-      (fun (sc, plan, r) ->
-        match signature_of r with
-        | Some signature -> Some (sc, plan, signature, violations_of r)
-        | None -> None)
+      (fun (sc, plan, (signature, violations)) ->
+        Option.map (fun signature -> (sc, plan, signature, violations)) signature)
       outcomes
   in
   on_progress
     (Printf.sprintf "sweep: %d schedules, %d violating"
        (List.length outcomes) (List.length violating));
-  let to_shrink, overflow =
-    let rec split n acc = function
-      | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
-      | tl -> (List.rev acc, tl)
-    in
-    split cfg.max_repros [] violating
-  in
+  let to_shrink, overflow = take cfg.max_repros violating in
   if overflow <> [] then
     on_progress
       (Printf.sprintf
@@ -338,9 +324,8 @@ let run ?(on_progress = fun _ -> ()) cfg =
         total_runs := !total_runs + used;
         (* Re-run the minimal plan once for its findings (also a guard: a
            shrink bug would surface here as a signature mismatch). *)
-        let r = run_plan cfg minimal in
         incr total_runs;
-        (minimal, used, violations_of r)
+        (minimal, used, snd (run_schedule cfg minimal))
       end
       else (plan, 0, violations)
     in

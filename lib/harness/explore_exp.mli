@@ -39,7 +39,7 @@ type repro = {
 type config = {
   base : Chaos_exp.config;
       (** template for every explored run (mode, cluster shape, duration,
-          workload seed, monitors...); its [plan] field is ignored — the
+          workload seed...); its [plan] field is ignored — the
           sweep substitutes its own *)
   first_seed : int;  (** first plan seed of the sweep *)
   n_seeds : int;  (** plan seeds swept; each yields one random and

@@ -1,8 +1,6 @@
 open Sim
 
 type result = {
-  baseline_tput : float;
-  during_dump_tput : float;
   dump_degradation : float;
   dump_duration : Time.t;
   mw_restore_duration : Time.t;
@@ -10,7 +8,6 @@ type result = {
   mw_replay_duration : Time.t;
   replay_rate : float;
   db_recovery_duration : Time.t;
-  db_replayed : int;
   cert_bytes_per_ws : float;
   cert_log_bytes_per_hour : float;
   cert_recovery_duration : Time.t;
@@ -43,6 +40,19 @@ let replica_window_tput (sc : Scenario.t) i span =
   Scenario.run_for sc span;
   let after = (Tashkent.Proxy.stats proxy).commits in
   float_of_int (after - before) /. Time.to_sec span
+
+(* Crash replica [i], keep it down for [down], then recover it in a fiber
+   and wait for its report in [step]s. *)
+let crash_and_recover (sc : Scenario.t) i ~down ~step =
+  let r = Tashkent.Cluster.replica sc.cluster i in
+  Tashkent.Replica.crash r;
+  Scenario.run_for sc down;
+  let report = ref None in
+  ignore (Engine.spawn sc.engine (fun () -> report := Some (Tashkent.Replica.recover r)));
+  Scenario.wait_for sc ~step ~limit:60 (fun () -> !report <> None);
+  match !report with
+  | Some report -> report
+  | None -> failwith "recovery_exp: replica recovery did not finish"
 
 let run ?(n_replicas = 15) ?(seed = 1966) () =
   (* ---- Tashkent-MW cluster: dump, crash, restore, replay; certifier. ---- *)
@@ -86,16 +96,7 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
   in
   let cert_log_bytes_per_hour = float_of_int bytes_in_window /. Time.to_sec growth_window *. 3600. in
   (* crash replica 0, leave it down, recover from the dump *)
-  Tashkent.Replica.crash r0;
-  Scenario.run_for sc (Time.sec 60);
-  let report = ref None in
-  ignore (Engine.spawn engine (fun () -> report := Some (Tashkent.Replica.recover r0)));
-  Scenario.wait_for sc ~step:(Time.sec 20) ~limit:60 (fun () -> !report <> None);
-  let mw_report =
-    match !report with
-    | Some r -> r
-    | None -> failwith "recovery_exp: MW replica recovery did not finish"
-  in
+  let mw_report = crash_and_recover sc 0 ~down:(Time.sec 60) ~step:(Time.sec 20) in
   (* certifier crash + recovery via state transfer *)
   let victim =
     List.find
@@ -116,20 +117,8 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
       ~dump_interval:(Time.sec 1_000_000)
   in
   Scenario.run_for bsc (Time.sec 8);
-  let b0 = Tashkent.Cluster.replica bsc.cluster 0 in
-  Tashkent.Replica.crash b0;
-  Scenario.run_for bsc (Time.sec 30);
-  let breport = ref None in
-  ignore (Engine.spawn bsc.engine (fun () -> breport := Some (Tashkent.Replica.recover b0)));
-  Scenario.wait_for bsc ~step:(Time.sec 5) ~limit:60 (fun () -> !breport <> None);
-  let base_report =
-    match !breport with
-    | Some r -> r
-    | None -> failwith "recovery_exp: Base replica recovery did not finish"
-  in
+  let base_report = crash_and_recover bsc 0 ~down:(Time.sec 30) ~step:(Time.sec 5) in
   {
-    baseline_tput;
-    during_dump_tput;
     dump_degradation =
       (if baseline_tput <= 0. then 0. else 1. -. (during_dump_tput /. baseline_tput));
     dump_duration;
@@ -140,7 +129,6 @@ let run ?(n_replicas = 15) ?(seed = 1966) () =
       (let secs = Time.to_sec mw_report.replay_took in
        if secs <= 0. then 0. else float_of_int mw_report.writesets_replayed /. secs);
     db_recovery_duration = base_report.restore_took;
-    db_replayed = base_report.writesets_replayed;
     cert_bytes_per_ws;
     cert_log_bytes_per_hour;
     cert_recovery_duration;

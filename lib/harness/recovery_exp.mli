@@ -3,16 +3,15 @@
     and certifier log growth / recovery. *)
 
 type result = {
-  baseline_tput : float;  (** replica-0 goodput before the dump starts *)
-  during_dump_tput : float;
-  dump_degradation : float;  (** fractional throughput drop during the dump *)
+  dump_degradation : float;
+      (** fractional drop of replica 0's goodput during the dump against
+          the window before it *)
   dump_duration : Sim.Time.t;
   mw_restore_duration : Sim.Time.t;  (** restore a crashed MW replica from its dump *)
   mw_replayed : int;
   mw_replay_duration : Sim.Time.t;
   replay_rate : float;  (** writesets per second during catch-up *)
   db_recovery_duration : Sim.Time.t;  (** Base internal redo (§7.2) *)
-  db_replayed : int;
   cert_bytes_per_ws : float;
   cert_log_bytes_per_hour : float;  (** at the measured update rate *)
   cert_recovery_duration : Sim.Time.t;  (** state transfer after 60 s down *)

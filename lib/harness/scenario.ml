@@ -91,11 +91,42 @@ let wait_for t ~step ~limit ready =
   in
   go limit
 
-let drain t injector ~limit =
-  wait_for t ~step:(Time.sec 1) ~limit (fun () -> Fault.quiescent injector)
-
 let monitor_violations t =
   Obs.Monitor.finalize t.monitor ~now:(Engine.now t.engine);
   List.map
     (Format.asprintf "%a" Obs.Monitor.pp_violation)
     (Obs.Monitor.violations t.monitor)
+
+type outcome = {
+  fault : Fault.stats option;
+  checks : int;
+  violations : string list;
+  monitor_violations : string list;
+  monitor_events : int;
+}
+
+let run_plan t ~plan ~duration ~stops ~at_stop ~drain_limit ~final =
+  let injector = if plan = [] then None else Some (Fault.inject t.cluster plan) in
+  Option.iter
+    (fun i -> Fault.register_metrics i (Tashkent.Cluster.metrics t.cluster))
+    injector;
+  let started = Engine.now t.engine in
+  let run_until offset =
+    let due = Time.add started offset and now = Engine.now t.engine in
+    if Time.(due > now) then run_for t (Time.diff due now)
+  in
+  let stops = List.sort_uniq Time.compare stops in
+  let found = List.concat_map (fun s -> run_until s; at_stop s) stops in
+  run_until duration;
+  Option.iter
+    (fun i ->
+      wait_for t ~step:(Time.sec 1) ~limit:drain_limit (fun () -> Fault.quiescent i))
+    injector;
+  let violations = found @ final () in
+  {
+    fault = Option.map Fault.stats injector;
+    checks = List.length stops + 1;
+    violations;
+    monitor_violations = monitor_violations t;
+    monitor_events = Obs.Monitor.events_seen t.monitor;
+  }

@@ -67,9 +67,35 @@ val wait_for : t -> step:Sim.Time.t -> limit:int -> (unit -> bool) -> unit
 (** Run in [step] increments, at most [limit] of them, until [ready ()]
     holds. *)
 
-val drain : t -> Fault.t -> limit:int -> unit
-(** [wait_for] in 1 s steps until the injector is quiescent. *)
-
 val monitor_violations : t -> string list
 (** Finalize the monitor at the current time and format its findings with
     their sim timestamps. *)
+
+(** What a {!run_plan} found. *)
+type outcome = {
+  fault : Fault.stats option;  (** [None] when the plan was empty *)
+  checks : int;  (** stops acted at, plus the final check *)
+  violations : string list;
+      (** what the stop actions and then the final check returned; empty
+          on a passing run *)
+  monitor_violations : string list;  (** as {!monitor_violations} *)
+  monitor_events : int;  (** protocol events the monitors consumed *)
+}
+
+val run_plan :
+  t ->
+  plan:Fault.plan ->
+  duration:Sim.Time.t ->
+  stops:Sim.Time.t list ->
+  at_stop:(Sim.Time.t -> string list) ->
+  drain_limit:int ->
+  final:(unit -> string list) ->
+  outcome
+(** The fault-run loop of the chaos and soak harnesses: inject [plan]
+    (nothing when it is empty), advance to each distinct offset of
+    [stops] in ascending order and call [at_stop] there, run out to
+    [duration], [wait_for] the injector to go quiescent in 1 s steps (at
+    most [drain_limit]), call [final], then finalize the monitor. Offsets
+    count from the injection; each stop must lie between 0 and [duration]
+    inclusive (a preset that leaves the end of the run to [final] drops
+    its own stops there). The loop adds no simulated event of its own. *)

@@ -19,18 +19,20 @@ type config = {
          groups *)
   duration : Time.t;
   window : Time.t;
-  warmup_windows : int;
   chaos : bool;
   chaos_period : Time.t;
-  hot_keys : int;
   skew : float;
   deltas : bool;
-  clients_per_replica : int;
-  monitors : bool;
-      (* online protocol monitors checking every event through the whole
-         soak — hours of simulated time, every decision point *)
-  progress_bound : Time.t;
 }
+
+(* Leading windows excluded from the boundedness and latency assertions. *)
+let warmup_windows = 1
+
+(* Progress-monitor deadline, counted from submission or the last fault
+   heal. The online protocol monitors are always attached: they check
+   every event through the whole soak — hours of simulated time, every
+   decision point. *)
+let progress_bound = Time.sec 10
 
 let default_config () =
   {
@@ -40,15 +42,10 @@ let default_config () =
         Tashkent.Types.Tashkent_mw;
     duration = Time.sec 600;
     window = Time.sec 30;
-    warmup_windows = 1;
     chaos = true;
     chaos_period = Time.sec 120;
-    hot_keys = Workload.Hotkey.hot_keys_default;
     skew = 0.99;
     deltas = true;
-    clients_per_replica = 10;
-    monitors = true;
-    progress_bound = Time.sec 10;
   }
 
 type window_sample = {
@@ -72,6 +69,7 @@ type split = {
 }
 
 type result = {
+  run : Scenario.outcome;
   windows : window_sample list;  (* oldest first, warmup included *)
   split : split;
   commits : int;
@@ -80,11 +78,6 @@ type result = {
   snapshot_installs : int;
   floor_heals : int;
   stale_expired : int;
-  fault : Fault.stats option;  (* [None] when chaos was off *)
-  violations : string list;
-  monitor_violations : string list;
-  monitor_events : int;
-  ran_for : Time.t;
 }
 
 (* Periodic chaos: alternate a certifier-leader crash (5 s outage) with a
@@ -144,14 +137,9 @@ let split_of measured =
 
 let run ?(config = default_config ()) () =
   let c = config.cluster in
-  let spec =
-    Workload.Hotkey.profile ~clients_per_replica:config.clients_per_replica
-      ~hot_keys:config.hot_keys ~skew:config.skew ~deltas:config.deltas ()
-  in
+  let spec = Workload.Hotkey.profile ~skew:config.skew ~deltas:config.deltas () in
   let sc =
-    Scenario.start
-      (Scenario.config ~monitors:config.monitors
-         ~progress_bound:config.progress_bound c spec)
+    Scenario.start (Scenario.config ~monitors:true ~progress_bound c spec)
   in
   let collector = sc.collector in
   Workload.Driver.Collector.enable collector;
@@ -164,8 +152,6 @@ let run ?(config = default_config ()) () =
   let replica_outages =
     List.exists (function _, Fault.Crash_replica _ -> true | _ -> false) plan
   in
-  let injector = if plan = [] then None else Some (Fault.inject sc.cluster plan) in
-  let started = Engine.now sc.engine in
   let commits = ref 0 in
   (* Leader gauges carry across an election gap, per certifier group: a
      window sampled while a group has no leader reuses that group's
@@ -203,13 +189,12 @@ let run ?(config = default_config ()) () =
     max 1 (int_of_float (Time.to_sec config.duration /. Time.to_sec config.window))
   in
   let windows = ref [] in
-  for _ = 1 to n_windows do
-    Scenario.run_for sc config.window;
+  let sample at =
     let cert_entries, cert_bytes, gc_floor = sample_leader () in
     commits := !commits + Workload.Driver.Collector.committed collector;
     windows :=
       {
-        at = Time.diff (Engine.now sc.engine) started;
+        at;
         goodput = Workload.Driver.Collector.goodput collector ~window:config.window;
         p95_ms = Workload.Driver.Collector.p95_response_ms collector;
         p99_ms = Workload.Driver.Collector.p99_response_ms collector;
@@ -219,12 +204,19 @@ let run ?(config = default_config ()) () =
         gc_floor;
       }
       :: !windows;
-    Workload.Driver.Collector.reset collector
-  done;
-  (* Drain outstanding faults, then the end-to-end invariant checkpoint. *)
-  Option.iter (fun inj -> Scenario.drain sc inj ~limit:60) injector;
-  let monitor_violations = Scenario.monitor_violations sc in
-  let violations = ref (List.rev (Scenario.invariant_violations sc)) in
+    Workload.Driver.Collector.reset collector;
+    []
+  in
+  (* A sample at every window's end, then the end-to-end invariant
+     checkpoint once outstanding faults have drained. *)
+  let run =
+    Scenario.run_plan sc ~plan
+      ~duration:(Time.mul config.window n_windows)
+      ~stops:(List.init n_windows (fun k -> Time.mul config.window (k + 1)))
+      ~at_stop:sample ~drain_limit:60
+      ~final:(fun () -> Scenario.invariant_violations sc)
+  in
+  let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let dbs = Scenario.dbs sc and proxies = Scenario.proxies sc in
   let store_pruned = Scenario.sum (fun db -> Mvcc.Store.pruned (Mvcc.Db.store db)) dbs in
@@ -237,16 +229,14 @@ let run ?(config = default_config ()) () =
   let floor_heals = Scenario.sum (fun p -> Tashkent.Proxy.catch_ups p Floor) proxies in
   let stale_expired = Scenario.sum Mvcc.Db.stale_snapshots_expired dbs in
   let all = List.rev !windows in
-  let measured =
-    List.filteri (fun i _ -> i >= config.warmup_windows) all
-  in
+  let measured = List.filteri (fun i _ -> i >= warmup_windows) all in
   (if c.replica.gc_interval <> None then begin
      if store_pruned = 0 then
        violate "store GC never pruned a version (store_pruned = 0)";
      if cert_pruned = 0 then
        violate "certified log was never truncated (cert_pruned = 0)"
    end);
-  if config.chaos && replica_outages && snapshot_installs = 0 then
+  if replica_outages && snapshot_installs = 0 then
     violate
       "no snapshot transfer happened despite replica outages longer than \
        the watermark TTL";
@@ -267,6 +257,7 @@ let run ?(config = default_config ()) () =
         split.early_p99_ms split.late_p99_ms
   end;
   {
+    run = { run with violations = run.violations @ List.rev !violations };
     windows = all;
     split;
     commits = !commits;
@@ -275,11 +266,6 @@ let run ?(config = default_config ()) () =
     snapshot_installs;
     floor_heals;
     stale_expired;
-    fault = Option.map Fault.stats injector;
-    violations = List.rev !violations;
-    monitor_violations;
-    monitor_events = Obs.Monitor.events_seen sc.monitor;
-    ran_for = Time.diff (Engine.now sc.engine) started;
   }
 
 let pp_result fmt r =
@@ -299,15 +285,15 @@ let pp_result fmt r =
   Format.fprintf fmt "snapshot installs  %d@," r.snapshot_installs;
   Format.fprintf fmt "floor heals        %d@," r.floor_heals;
   Format.fprintf fmt "stale expired      %d@," r.stale_expired;
-  (match r.fault with
+  (match r.run.fault with
   | None -> ()
   | Some f ->
       Format.fprintf fmt "faults             %d crashes, %d recoveries@,"
         f.Fault.crashes f.Fault.recoveries);
-  Format.fprintf fmt "violations         %d" (List.length r.violations);
-  List.iter (fun v -> Format.fprintf fmt "@,  %s" v) r.violations;
-  Format.fprintf fmt "@,monitor events     %d" r.monitor_events;
+  Format.fprintf fmt "violations         %d" (List.length r.run.violations);
+  List.iter (fun v -> Format.fprintf fmt "@,  %s" v) r.run.violations;
+  Format.fprintf fmt "@,monitor events     %d" r.run.monitor_events;
   Format.fprintf fmt "@,monitor violations %d"
-    (List.length r.monitor_violations);
-  List.iter (fun v -> Format.fprintf fmt "@,  %s" v) r.monitor_violations;
+    (List.length r.run.monitor_violations);
+  List.iter (fun v -> Format.fprintf fmt "@,  %s" v) r.run.monitor_violations;
   Format.fprintf fmt "@]"

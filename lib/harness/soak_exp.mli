@@ -24,29 +24,23 @@ type config = {
           {!Tashkent.Cluster.check_cross_atomicity}. *)
   duration : Sim.Time.t;  (** total simulated run (default 600 s) *)
   window : Sim.Time.t;  (** sampling window (default 30 s) *)
-  warmup_windows : int;
-      (** leading windows excluded from the boundedness and latency
-          assertions (default 1) *)
   chaos : bool;  (** inject the periodic fault plan (default on) *)
   chaos_period : Sim.Time.t;
       (** one fault every this often (default 120 s), alternating a 5 s
           leader crash with a 30 s replica outage — longer than the
           watermark TTL, so recovery needs a snapshot transfer *)
-  hot_keys : int;
   skew : float;  (** Zipf exponent of the hot-key workload *)
   deltas : bool;  (** ship hot-row increments as commutative deltas *)
-  clients_per_replica : int;
-  monitors : bool;
-      (** attach the five online protocol monitors ({!Obs.Monitor}) for
-          the whole soak (default on); pure observers, bit-identical runs *)
-  progress_bound : Sim.Time.t;
-      (** progress-monitor deadline (default 10 s), counted from
-          submission or the last fault heal *)
 }
 
 val default_config : unit -> config
 (** Tashkent-MW, 3 replicas, 3 certifiers, 600 simulated seconds in 30 s
-    windows, GC every 5 s, chaos every 120 s, Zipfian deltas. *)
+    windows, GC every 5 s, chaos every 120 s, Zipfian deltas over
+    {!Workload.Hotkey.profile}'s hot set and default clients per replica.
+    Every run attaches the five online protocol monitors ({!Obs.Monitor})
+    with a 10 s progress bound, counted from submission or the last fault
+    heal; the first window is warmup, excluded from the boundedness and
+    latency assertions. *)
 
 type window_sample = {
   at : Sim.Time.t;  (** offset of the window's end from run start *)
@@ -74,6 +68,11 @@ type split = {
 }
 
 type result = {
+  run : Scenario.outcome;
+      (** the {!Scenario.run_plan} loop's findings: [fault] is [None] when
+          the plan was empty (chaos off, or a run too short for it);
+          [violations] holds the final invariant check's, then the growth
+          assertions' *)
   windows : window_sample list;  (** oldest first, warmup included *)
   split : split;
   commits : int;
@@ -85,13 +84,6 @@ type result = {
       (** below-floor livelocks broken by an eager refresh from the commit
           path ({!Tashkent.Proxy.catch_ups} [Floor]), summed over replicas *)
   stale_expired : int;  (** transactions doomed by [max_snapshot_age] *)
-  fault : Fault.stats option;  (** [None] when chaos was off *)
-  violations : string list;  (** empty on a passing run *)
-  monitor_violations : string list;
-      (** online monitor findings; empty on a passing run or with
-          [monitors] off *)
-  monitor_events : int;  (** protocol events the monitors consumed *)
-  ran_for : Sim.Time.t;
 }
 
 val run : ?config:config -> unit -> result

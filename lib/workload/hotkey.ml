@@ -15,7 +15,8 @@ let private_key ~replica_ix ~client row =
   Mvcc.Key.make ~table:"hk" ~row:(Printf.sprintf "%d.%d.%d" replica_ix client row)
 
 let private_rows_per_client = 16
-let hot_keys_default = 64
+(* Size of the shared hot set. *)
+let hot_keys = 64
 
 (* Zipf sampler over ranks 0..n-1 with exponent theta: precompute the
    cumulative distribution once, then invert a uniform draw by binary
@@ -43,9 +44,7 @@ let zipf_sample (cdf : float array) u =
   in
   search 0 (n - 1)
 
-let profile ?(clients_per_replica = 10) ?(hot_keys = hot_keys_default)
-    ?(skew = 0.99) ?(deltas = true) () =
-  if hot_keys < 1 then invalid_arg "Hotkey.profile: hot_keys must be >= 1";
+let profile ?(clients_per_replica = 10) ?(skew = 0.99) ?(deltas = true) () =
   if skew < 0. then invalid_arg "Hotkey.profile: skew must be >= 0";
   let cdf = zipf_cdf ~n:hot_keys ~theta:skew in
   (* Hot rows by rank; private row [row] of a client at

@@ -338,17 +338,18 @@ let test_fsync_stall_forces_abdication () =
 (* Chaos smoke *)
 
 let chaos_ok name (r : Harness.Chaos_exp.result) =
-  List.iter (fun v -> Printf.printf "%s violation: %s\n" name v) r.violations;
+  List.iter (fun v -> Printf.printf "%s violation: %s\n" name v) r.run.violations;
   List.iter
     (fun v -> Printf.printf "%s monitor violation: %s\n" name v)
-    r.monitor_violations;
-  check_int (name ^ ": no invariant violations") 0 (List.length r.violations);
+    r.run.monitor_violations;
+  check_int (name ^ ": no invariant violations") 0 (List.length r.run.violations);
   check_int (name ^ ": no monitor violations") 0
-    (List.length r.monitor_violations);
-  check_bool (name ^ ": monitors consumed events") true (r.monitor_events > 0);
+    (List.length r.run.monitor_violations);
+  check_bool (name ^ ": monitors consumed events") true (r.run.monitor_events > 0);
   check_bool (name ^ ": made progress") true (r.commits > 1000);
-  check_bool (name ^ ": checkpoints ran") true (r.checks >= 3);
-  check_bool (name ^ ": faults actually fired") true (r.fault.Fault.crashes >= 1)
+  check_bool (name ^ ": checkpoints ran") true (r.run.checks >= 3);
+  check_bool (name ^ ": faults actually fired") true
+    ((Option.get r.run.fault).crashes >= 1)
 
 let test_chaos_scripted () = chaos_ok "scripted" (Harness.Chaos_exp.run ())
 
@@ -376,9 +377,10 @@ let test_chaos_scripted_disk () =
   check_bool "disk failover triggered" true (r.disk_failovers >= 1);
   check_bool "torn record discarded" true (r.torn_discarded >= 1);
   check_bool "corrupt record discarded" true (r.corrupt_discarded >= 1);
-  check_int "torn crash fired" 1 r.fault.Fault.torn_crashes;
-  check_int "corrupt-tail crash fired" 1 r.fault.Fault.corrupt_tails;
-  check_int "stall fired" 1 r.fault.Fault.disk_stalls
+  let fault = Option.get r.run.fault in
+  check_int "torn crash fired" 1 fault.torn_crashes;
+  check_int "corrupt-tail crash fired" 1 fault.corrupt_tails;
+  check_int "stall fired" 1 fault.disk_stalls
 
 let test_chaos_random_disk () =
   let config =
@@ -391,11 +393,12 @@ let test_chaos_random_disk () =
   let r = Harness.Chaos_exp.run ~config () in
   chaos_ok "random-disk-7" r;
   check_bool "torn record discarded" true (r.torn_discarded >= 1);
+  let fault = Option.get r.run.fault in
   check_bool "disk faults fired" true
-    (r.fault.Fault.disk_stalls >= 1
-    && r.fault.Fault.disk_degrades >= 1
-    && r.fault.Fault.torn_crashes >= 1
-    && r.fault.Fault.corrupt_tails >= 1)
+    (fault.disk_stalls >= 1
+    && fault.disk_degrades >= 1
+    && fault.torn_crashes >= 1
+    && fault.corrupt_tails >= 1)
 
 let test_chaos_parallel_apply_disk () =
   (* Disk faults with four applier workers per replica: crashes land in the
@@ -413,8 +416,9 @@ let test_chaos_parallel_apply_disk () =
   in
   let r = Harness.Chaos_exp.run ~config () in
   chaos_ok "parallel-apply-disk-7" r;
+  let fault = Option.get r.run.fault in
   check_bool "disk faults fired" true
-    (r.fault.Fault.disk_stalls >= 1 && r.fault.Fault.torn_crashes >= 1)
+    (fault.disk_stalls >= 1 && fault.torn_crashes >= 1)
 
 let test_chaos_random_disk_renumber () =
   (* Regression for the version re-stamping of inherited entries: this seed
@@ -552,10 +556,11 @@ let test_orphaned_crash_recover_noop () =
     }
   in
   let r = Harness.Chaos_exp.run ~config () in
-  check_int "no invariant violations" 0 (List.length r.violations);
-  check_int "no monitor violations" 0 (List.length r.monitor_violations);
-  check_int "one crash counted" 1 r.fault.Fault.crashes;
-  check_int "one recovery counted" 1 r.fault.Fault.recoveries
+  check_int "no invariant violations" 0 (List.length r.run.violations);
+  check_int "no monitor violations" 0 (List.length r.run.monitor_violations);
+  let fault = Option.get r.run.fault in
+  check_int "one crash counted" 1 fault.crashes;
+  check_int "one recovery counted" 1 fault.recoveries
 
 let suites =
   [

@@ -223,6 +223,89 @@ let test_session_clients_respawn () =
   Alcotest.(check (list string)) "monitors clean" []
     (Harness.Scenario.monitor_violations sc)
 
+(* The shared fault-run loop, on a small monitor-free cluster. [log]
+   collects what the stop actions and the final check saw, as offsets
+   from the injection in milliseconds. *)
+let run_plan_logged ?(plan = []) ~duration stops =
+  let sc =
+    Harness.Scenario.start
+      (Harness.Scenario.config
+         (Tashkent.Cluster.config ~seed:5 Tashkent.Types.Tashkent_mw)
+         (Workload.Allupdates.profile ()))
+  in
+  let started = Sim.Engine.now sc.engine in
+  let log = ref [] in
+  let note what =
+    let at = Sim.Time.diff (Sim.Engine.now sc.engine) started in
+    log := Printf.sprintf "%s@%.0f" what (Sim.Time.to_ms at) :: !log;
+    [ what ]
+  in
+  let outcome =
+    Harness.Scenario.run_plan sc ~plan ~duration ~stops
+      ~at_stop:(fun offset ->
+        note (Printf.sprintf "stop%.0f" (Sim.Time.to_ms offset)))
+      ~drain_limit:30
+      ~final:(fun () -> note "final")
+  in
+  (outcome, List.rev !log)
+
+(* A stop at the very end runs before the final check (the soak's last
+   window ends there). *)
+let test_run_plan_stop_order () =
+  let sec = Sim.Time.sec in
+  let outcome, log =
+    run_plan_logged ~duration:(sec 4) [ sec 3; sec 1; sec 4; sec 2; sec 1 ]
+  in
+  Alcotest.(check (list string))
+    "each distinct stop once, in offset order, at its offset"
+    [
+      "stop1000@1000";
+      "stop2000@2000";
+      "stop3000@3000";
+      "stop4000@4000";
+      "final@4000";
+    ]
+    log;
+  Alcotest.(check (list string))
+    "violations in the order found"
+    [ "stop1000"; "stop2000"; "stop3000"; "stop4000"; "final" ]
+    outcome.violations;
+  Alcotest.(check int) "stops plus the final check" 5 outcome.checks;
+  check_bool "no plan, no injector" true (outcome.fault = None)
+
+let test_run_plan_final_after_drain () =
+  let sec = Sim.Time.sec in
+  let plan =
+    [ (sec 1, Fault.Crash_replica 1); (sec 6, Fault.Recover_replica 1) ]
+  in
+  let outcome, log = run_plan_logged ~plan ~duration:(sec 2) [ sec 1 ] in
+  (match log with
+  | [ stop; final ] ->
+      Alcotest.(check string) "stop inside the run" "stop1000@1000" stop;
+      let at = Scanf.sscanf final "final@%f" Fun.id in
+      check_bool
+        (Printf.sprintf "final check (%s) after the 6 s recovery" final)
+        true (at >= 6000.)
+  | _ -> Alcotest.failf "unexpected log [%s]" (String.concat "; " log));
+  match outcome.fault with
+  | Some f ->
+      Alcotest.(check int) "crash injected" 1 f.crashes;
+      Alcotest.(check int) "drained through the recovery" 1 f.recoveries
+  | None -> Alcotest.fail "a non-empty plan must be injected"
+
+(* The scripted plan heals or recovers at 5 s, 10 s and 14.5 s, so its
+   checkpoints fall at 7 s, 12 s and 16.5 s. In a 12 s run only the one
+   at 7 s is inside the run: the one at the very end is left to the final
+   check and the one after it is never reached. *)
+let test_scripted_chaos_checks () =
+  let config =
+    { (Harness.Chaos_exp.default_config ()) with duration = Sim.Time.sec 12 }
+  in
+  let r = Harness.Chaos_exp.run ~config () in
+  Alcotest.(check (list string)) "no violations" [] r.run.violations;
+  Alcotest.(check int) "in-window checkpoints plus the final one" 2
+    r.run.checks
+
 let test_net_dump_duration () =
   let ms = Sim.Time.of_ms in
   (* measurement started before the dump began: the idle lead-in between
@@ -271,7 +354,7 @@ let test_soak_smoke () =
     }
   in
   let r = Harness.Soak_exp.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.violations;
+  Alcotest.(check (list string)) "no violations" [] r.run.violations;
   check_bool "traffic flowed" true (r.commits > 1_000);
   check_bool "store GC pruned" true (r.store_pruned > 0);
   check_bool "cert log truncated" true (r.cert_pruned > 0);
@@ -306,7 +389,7 @@ let test_soak_no_gc_baseline_grows () =
      prune a row version. *)
   check_bool "no store version pruned without GC" true (r.store_pruned = 0);
   check_bool "the boundedness assertions catch the growth" true
-    (r.violations <> []);
+    (r.run.violations <> []);
   match r.windows with
   | first :: rest ->
       let last = List.nth rest (List.length rest - 1) in
@@ -417,11 +500,11 @@ let test_seed11_stale_reanswer_regression () =
     }
   in
   let r = Harness.Chaos_exp.run ~config () in
-  List.iter (Printf.printf "seed11 violation: %s\n") r.violations;
-  List.iter (Printf.printf "seed11 monitor violation: %s\n") r.monitor_violations;
-  Alcotest.(check int) "no invariant violations" 0 (List.length r.violations);
+  List.iter (Printf.printf "seed11 violation: %s\n") r.run.violations;
+  List.iter (Printf.printf "seed11 monitor violation: %s\n") r.run.monitor_violations;
+  Alcotest.(check int) "no invariant violations" 0 (List.length r.run.violations);
   Alcotest.(check int) "no monitor violations" 0
-    (List.length r.monitor_violations);
+    (List.length r.run.monitor_violations);
   check_bool "bridge heal fired" true (r.bridge_heals >= 1);
   check_bool "made progress" true (r.commits > 1000)
 
@@ -450,6 +533,12 @@ let suites =
           test_partitioned_artificial_conflicts;
         Alcotest.test_case "session clients respawn after a replica crash"
           `Quick test_session_clients_respawn;
+        Alcotest.test_case "run_plan: stops in offset order" `Quick
+          test_run_plan_stop_order;
+        Alcotest.test_case "run_plan: final check after the drain" `Quick
+          test_run_plan_final_after_drain;
+        Alcotest.test_case "scripted chaos: checks = checkpoints before the end + 1"
+          `Quick test_scripted_chaos_checks;
       ] );
     ( "harness.recovery",
       [

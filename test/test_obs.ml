@@ -286,7 +286,7 @@ let test_chaos_trace_ids_survive_faults () =
     { (Harness.Chaos_exp.default_config ()) with Harness.Chaos_exp.collect_trace = true }
   in
   let r = Harness.Chaos_exp.run ~config:cfg () in
-  check_bool "no invariant violations" true (r.Harness.Chaos_exp.violations = []);
+  check_bool "no invariant violations" true (r.Harness.Chaos_exp.run.violations = []);
   check_bool "retries actually happened" true (r.Harness.Chaos_exp.cert_retries > 0);
   let evs = Obs.Trace.events r.Harness.Chaos_exp.trace in
   check_bool "spans recorded" true (evs <> []);
