@@ -50,27 +50,33 @@ type stats = {
   xaborts : int;
 }
 
-(* Transaction id -> version: an {!Origin_table} over the origins, the
-   few proxy and session addresses (a [Names] table). Neither a lookup
-   nor a delivered entry hashes a string or builds a [gtx_id]. *)
+(* Transaction id -> version: a window of sequence numbers per origin,
+   indexed by the origin's index in a [Names] table of the few proxy and
+   session addresses. Neither a lookup nor a delivered entry hashes a
+   string or builds a [gtx_id]. *)
 module Outcomes = struct
-  type t = { mutable origins : Names.t; seqs : Origin_table.t }
+  type t = { mutable origins : Names.t; seqs : int Version_window.t Dense.t }
 
-  let create () = { origins = Names.create (); seqs = Origin_table.create () }
+  let create () = { origins = Names.create (); seqs = Dense.create (Version_window.create 0) }
 
   let reset t =
     t.origins <- Names.create ();
-    Origin_table.reset t.seqs
+    Dense.reset t.seqs
+
+  let seqs t (g : Types.gtx_id) = Dense.get t.seqs (Names.find t.origins g.gtx_origin)
 
   let find_opt t (g : Types.gtx_id) =
-    let v = Origin_table.get t.seqs ~origin:(Names.find t.origins g.gtx_origin) g.gtx_seq in
-    if v = Origin_table.none then None else Some v
+    let seqs = seqs t g in
+    if Version_window.mem seqs g.gtx_seq then Some (Version_window.get seqs g.gtx_seq) else None
 
-  let mem t (g : Types.gtx_id) =
-    Origin_table.mem t.seqs ~origin:(Names.find t.origins g.gtx_origin) g.gtx_seq
+  let mem t (g : Types.gtx_id) = Version_window.mem (seqs t g) g.gtx_seq
 
   let record t ~origin ~seq version =
-    Origin_table.replace t.seqs ~origin:(Names.index t.origins origin) seq version
+    let seqs =
+      Dense.find_or_add t.seqs (Names.index t.origins origin) (fun () ->
+          Version_window.create 0)
+    in
+    Version_window.replace seqs seq version
 
   let replace t (g : Types.gtx_id) version =
     record t ~origin:g.gtx_origin ~seq:g.gtx_seq version
@@ -87,6 +93,14 @@ let no_request =
     gtx = Types.single_gtx ~origin:"" ~req_id:0;
     fragments = [];
   }
+
+(* A proposed entry awaiting delivery: the request to answer, and its
+   [cert.durability] span until delivery closes it. *)
+type pending = { req : Types.cert_request; mutable durability : Obs.Trace.span }
+
+(* The span of a closed [pending], and the value of free cells. *)
+let closed = Obs.Trace.span (Obs.Trace.disabled ()) ~stage:"" ~actor:"" ()
+let no_pending = { req = no_request; durability = closed }
 
 (* The outcome-table value of an aborted transaction (versions are
    1-based). Only cross-partition aborts are recorded: a single-partition
@@ -138,7 +152,7 @@ type t = {
      but not yet delivered, key-indexed (see Overlay). *)
   overlay : Overlay.t;
   cert_work : task Mailbox.t;
-  pending_replies : Types.cert_request Version_window.t; (* version -> request *)
+  pending_replies : pending Version_window.t; (* version -> request *)
   (* Transaction id -> version committed here, or [aborted]: the retry-
      idempotency witness for every kind of request. Deliberately never
      pruned by log truncation and rebuilt by Paxos redelivery after a
@@ -176,9 +190,6 @@ type t = {
   mutable gc_floor : int;
   trace : Obs.Trace.t;
   events : Obs.Events.t;
-  (* Open [cert.durability] spans for accepted-but-undelivered entries,
-     version -> span; mirrors [pending_replies]'s lifetime. *)
-  dur_spans : Obs.Trace.span Version_window.t;
   (* counters *)
   c_requests : Stats.Counter.t;
   c_commits : Stats.Counter.t;
@@ -284,7 +295,9 @@ let advance_watermark t =
   in
   if !fresh then begin
     let low (req : Types.cert_request) acc = min acc req.replica_version in
-    let candidate = Version_window.fold low t.pending_replies candidate in
+    let candidate =
+      Version_window.fold (fun _ p acc -> low p.req acc) t.pending_replies candidate
+    in
     let candidate =
       List.fold_left (fun acc (req, _, _) -> low req acc) candidate t.delivered
     in
@@ -681,10 +694,13 @@ let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
                          replica_version = req.replica_version;
                        });
                   Overlay.add t.overlay entry;
-                  Version_window.replace t.pending_replies version req;
-                  Version_window.replace t.dur_spans version
-                    (Obs.Trace.span t.trace ~id:req.trace_id
-                       ~stage:"cert.durability" ~actor:t.node_id ());
+                  Version_window.replace t.pending_replies version
+                    {
+                      req;
+                      durability =
+                        Obs.Trace.span t.trace ~id:req.trace_id ~stage:"cert.durability"
+                          ~actor:t.node_id ();
+                    };
                   accepted := entry :: !accepted
                 end
                 else begin
@@ -728,8 +744,7 @@ let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
           List.iter
             (fun (e : Types.entry) ->
               Overlay.remove t.overlay e.version;
-              Version_window.remove t.pending_replies e.version;
-              Version_window.remove t.dur_spans e.version)
+              Version_window.remove t.pending_replies e.version)
             batch);
     Obs.Trace.finish t.trace sp_batch
   end
@@ -854,16 +869,15 @@ let on_deliver_entry t (entry : Types.entry) =
          { actor = t.node_id; part = t.partition; floor = Cert_log.floor t.clog });
   (* Speculative state is keyed by the PROPOSED version. *)
   Overlay.remove t.overlay proposed;
-  if Version_window.mem t.dur_spans proposed then begin
-    let sp = Version_window.find t.dur_spans proposed in
-    Version_window.remove t.dur_spans proposed;
-    Obs.Trace.finish t.trace sp
+  let p = Version_window.get t.pending_replies proposed in
+  if p.durability != closed then begin
+    Obs.Trace.finish t.trace p.durability;
+    p.durability <- closed
   end;
   if Version_window.mem t.pending_replies proposed && is_leader t then begin
-    let req = Version_window.find t.pending_replies proposed in
     Version_window.remove t.pending_replies proposed;
     Stats.Counter.incr t.c_commits;
-    t.delivered <- (req, Types.Commit, entry.version) :: t.delivered;
+    t.delivered <- (p.req, Types.Commit, entry.version) :: t.delivered;
     if not t.flush_scheduled then begin
       t.flush_scheduled <- true;
       (* Zero delay: runs after the delivering fiber finishes this
@@ -993,7 +1007,6 @@ let spawn_role_watch t =
              Obs.Events.emit t.events (Obs.Events.Actor_reset { actor = t.node_id });
              Overlay.clear t.overlay;
              Version_window.reset t.pending_replies;
-             Version_window.reset t.dur_spans;
              Mvcc.Key.Tbl.reset t.pins_spec;
              Hashtbl.iter
                (fun _ xs ->
@@ -1118,7 +1131,7 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         initial;
         overlay = Overlay.create ();
         cert_work = Mailbox.create engine ~name:(node_id ^ ".certwork") ();
-        pending_replies = Version_window.create no_request;
+        pending_replies = Version_window.create no_pending;
         outcomes = Outcomes.create ();
         xstates = Hashtbl.create 64;
         pins = Mvcc.Key.Tbl.create 64;
@@ -1134,8 +1147,6 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         gc_floor = 0;
         trace;
         events;
-        dur_spans =
-          Version_window.create (Obs.Trace.span (Obs.Trace.disabled ()) ~stage:"" ~actor:"" ());
         c_requests = counter "requests";
         c_commits = counter "commits";
         c_aborts_ww = counter "aborts_ww";
@@ -1266,7 +1277,6 @@ let crash ?wal_fault t =
     if t.round_waiting then Mailbox.send t.round_gate ();
     t.delivered <- [];
     Version_window.reset t.pending_replies;
-    Version_window.reset t.dur_spans;
     Outcomes.reset t.outcomes;
     Hashtbl.reset t.xstates;
     Mvcc.Key.Tbl.reset t.pins;

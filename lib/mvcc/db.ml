@@ -83,6 +83,10 @@ and t = {
   unpublished : (int, int) Hashtbl.t;
   mutable published_order : int;
   active : (txid, tx) Hashtbl.t;
+  (* The snapshot of each transaction of [active] that is not doomed, by
+     txid; none below [oldest_txid]. See [oldest_active_snapshot]. *)
+  pinning : int Version_window.t;
+  mutable oldest_txid : int;
   mutable initial_rows : (Key.t * Value.t) list;
   mutable next_txid : int;
   (* Cluster GC watermark gossiped back by the certifier (monotone).
@@ -136,6 +140,7 @@ let doom t txid =
       match tx.state with
       | Active ->
           tx.state <- Doomed Preempted;
+          Version_window.remove t.pinning txid;
           (* Stop waiting and free locks immediately so the preemptor can
              proceed; the owner fiber observes the doom at its next step. *)
           (match (tx.parked, tx.parked_key) with
@@ -156,12 +161,26 @@ let doom t txid =
    transactions are condemned — their results are discarded on rollback —
    so they deliberately do not pin the watermark: that is what lets the
    max-snapshot-age escape hatch (and preemption) free history held by a
-   stalled or leaked transaction. *)
+   stalled or leaked transaction.
+
+   A snapshot is the store's version at [begin_tx], which only rises
+   until a crash empties [active] (recovery and dump restore follow a
+   crash), so snapshots rise with the txid, and the oldest is that of the
+   lowest txid in [pinning]. A transaction leaves [pinning] when it
+   finishes or is doomed, and never returns, so the cursor [oldest_txid]
+   only moves up. *)
 let oldest_active_snapshot t =
-  Hashtbl.fold
-    (fun _ tx acc -> match tx.state with Doomed _ -> acc | _ -> min acc tx.snapshot)
-    t.active
-    (Store.current_version t.db_store)
+  while t.oldest_txid <= t.next_txid && not (Version_window.mem t.pinning t.oldest_txid) do
+    t.oldest_txid <- t.oldest_txid + 1
+  done;
+  let current = Store.current_version t.db_store in
+  if t.oldest_txid > t.next_txid then current
+  else min current (Version_window.get t.pinning t.oldest_txid)
+
+(* [tx] is finished: it leaves [active]. *)
+let retire tx =
+  Hashtbl.remove tx.db.active tx.id;
+  Version_window.remove tx.db.pinning tx.id
 
 let set_cluster_gc_floor t floor =
   match t.cluster_floor with
@@ -247,6 +266,8 @@ let create engine ~rng ~log_disk ?data_disk ?(config = default_config)
       unpublished = Hashtbl.create 64;
       published_order = 0;
       active = Hashtbl.create 32;
+      pinning = Version_window.create 0;
+      oldest_txid = 1;
       initial_rows = [];
       next_txid = 0;
       cluster_floor = None;
@@ -336,6 +357,7 @@ let begin_tx_internal t ~remote =
     }
   in
   Hashtbl.replace t.active tx.id tx;
+  Version_window.replace t.pinning tx.id tx.snapshot;
   tx
 
 let begin_tx t = begin_tx_internal t ~remote:false
@@ -356,7 +378,7 @@ let rollback tx =
       | Some key -> Locks.cancel_wait tx.db.locks tx.lk key
       | None -> ());
       release_locks tx;
-      Hashtbl.remove tx.db.active tx.id;
+      retire tx;
       Stats.Counter.incr tx.db.abort_count
 
 let abort tx = rollback tx
@@ -368,7 +390,7 @@ let commit_readonly tx =
   | Committed | Aborted -> ()
   | Active | Doomed _ | Committing ->
       tx.state <- Committed;
-      Hashtbl.remove tx.db.active tx.id
+      retire tx
 
 let is_doomed tx = match tx.state with Doomed r -> Some r | _ -> None
 
@@ -541,7 +563,7 @@ let publish t ~order ~version =
 let mark_committed tx =
   tx.state <- Committed;
   release_locks tx;
-  Hashtbl.remove tx.db.active tx.id;
+  retire tx;
   Stats.Counter.incr tx.db.commit_count
 
 (* The one certified-commit finish. The redo records hit the log at once
@@ -652,7 +674,8 @@ let crash t =
   Commit_order.reset t.order;
   t.order <- Commit_order.create t.engine ();
   reset_for_new_store t;
-  Hashtbl.reset t.active
+  Hashtbl.reset t.active;
+  Version_window.reset t.pinning
 
 exception Redo_gap
 

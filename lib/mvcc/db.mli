@@ -190,17 +190,18 @@ val crash : t -> unit
     transactions, allocated orders) is lost. *)
 
 val recover : t -> int
-(** Standard recovery (paper §7.2): rebuild the store by redoing the
-    durable WAL, in version order, stopping at the first record whose
-    chain predecessor is missing — concurrent commits log records out of
-    version order, so a lost middle record truncates everything above it
-    and recovery always yields a consistent prefix. Returns the recovered
-    version. With [Asynchronous] durability this recovers an {e empty}
+(** Standard recovery (paper §7.2), after a {!crash}: rebuild the store
+    by redoing the durable WAL, in version order, stopping at the first
+    record whose chain predecessor is missing — concurrent commits log
+    records out of version order, so a lost middle record truncates
+    everything above it and recovery always yields a consistent prefix.
+    Returns the recovered version. With [Asynchronous] durability this recovers an {e empty}
     database — that is why Tashkent-MW needs dumps (§7.1). *)
 
 val restore_from_dump : t -> version:int -> Store.t -> unit
-(** Tashkent-MW recovery: replace the store with a dump copy taken at
-    [version]; the middleware then replays newer remote writesets. *)
+(** Tashkent-MW recovery, after a {!crash}: replace the store with a dump
+    copy taken at [version]; the middleware then replays newer remote
+    writesets. *)
 
 val dump : t -> int * Store.t
 (** [(version, copy)] of the latest announced snapshot ("DUMP DATA"). The

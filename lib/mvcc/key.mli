@@ -35,12 +35,11 @@ val to_string : t -> string
 
 module Tbl : Hashtbl.S with type key = t
 
-(** A mutable map from keys to values, indexed by key id: a lookup is two
-    array reads, with no hashing and no bucket walk. Pages of 256 slots
-    are allocated as ids are first written, so a table costs one word per
-    slot of each page it touches. A slot holding a value physically equal
-    to the table's [absent] value is unset. Iteration runs in id order,
-    which is arbitrary: use it only for order-insensitive work. *)
+(** A mutable map from keys to values: a {!Sim.Dense} array indexed by
+    key id, so a lookup is two array reads, with no hashing and no bucket
+    walk. A key whose value is physically equal to the table's [absent]
+    value is unset. Iteration runs in id order, which is arbitrary: use it
+    only for order-insensitive work. *)
 module Dense : sig
   type key = t
   type 'a t

@@ -19,9 +19,11 @@ type 'a t = {
   engine : Engine.t;
   rng : Rng.t;
   config : config;
-  endpoints : (string, 'a Mailbox.t) Hashtbl.t;
-  last_delivery : (string * string, Time.t ref) Hashtbl.t;
-      (* FIFO floor per directed link, updated in place *)
+  (* Endpoint addresses, interned: the mailboxes and the FIFO floors are
+     indexed by an address's index, so a send hashes no string. *)
+  names : Names.t;
+  endpoints : 'a Mailbox.t option Dense.t;
+  last_delivery : Time.t Dense.t Dense.t; (* FIFO floor per directed link: src -> dst *)
   partitions : (string * string, unit) Hashtbl.t;
   link_extra : (string * string, Time.t) Hashtbl.t;
   mutable drop_rate : float;
@@ -36,8 +38,9 @@ let create engine ~rng ?(config = default_lan) () =
     engine;
     rng;
     config;
-    endpoints = Hashtbl.create 32;
-    last_delivery = Hashtbl.create 64;
+    names = Names.create ();
+    endpoints = Dense.create None;
+    last_delivery = Dense.create (Dense.create Time.zero);
     partitions = Hashtbl.create 8;
     link_extra = Hashtbl.create 8;
     drop_rate = 0.;
@@ -49,31 +52,30 @@ let create engine ~rng ?(config = default_lan) () =
 
 let engine t = t.engine
 
+(* The index of [addr], which no endpoint may hold yet. *)
+let claim t fn addr =
+  let i = Names.index t.names addr in
+  if Dense.mem t.endpoints i then
+    invalid_arg (Printf.sprintf "Network.%s: address %S already taken" fn addr);
+  i
+
 let register t addr =
-  if Hashtbl.mem t.endpoints addr then
-    invalid_arg (Printf.sprintf "Network.register: address %S already taken" addr);
+  let i = claim t "register" addr in
   let mb = Mailbox.create t.engine ~name:addr () in
-  Hashtbl.replace t.endpoints addr mb;
+  Dense.set t.endpoints i (Some mb);
   mb
 
-let reattach t addr mb =
-  if Hashtbl.mem t.endpoints addr then
-    invalid_arg (Printf.sprintf "Network.reattach: address %S already taken" addr);
-  Hashtbl.replace t.endpoints addr mb
+let reattach t addr mb = Dense.set t.endpoints (claim t "reattach" addr) (Some mb)
 
 let unregister t addr =
-  Hashtbl.remove t.endpoints addr;
+  let i = Names.index t.names addr in
+  Dense.remove t.endpoints i;
   (* Drop the FIFO floors of every link touching this address: a restarted
      node must not inherit the pre-crash delivery horizon, which would
      delay its first post-recovery messages by however far ahead the old
      incarnation's traffic had pushed the link. *)
-  let stale =
-    Hashtbl.fold
-      (fun ((src, dst) as key) _ acc ->
-        if String.equal src addr || String.equal dst addr then key :: acc else acc)
-      t.last_delivery []
-  in
-  List.iter (Hashtbl.remove t.last_delivery) stale
+  Dense.remove t.last_delivery i;
+  Dense.iteri (fun _ floors -> Dense.remove floors i) t.last_delivery
 
 let link_key a b = if String.compare a b <= 0 then (a, b) else (b, a)
 let partition t a b = Hashtbl.replace t.partitions (link_key a b) ()
@@ -118,19 +120,16 @@ let send t ~src ~dst ?(size = 256) msg =
     let arrival =
       Time.add (Engine.now t.engine) (Time.add latency (transfer_time t size))
     in
-    (* FIFO per directed link: never deliver before an earlier message.
-       The link's floor is found once and moved in place. *)
-    let arrival =
-      match Hashtbl.find_opt t.last_delivery (src, dst) with
-      | Some floor ->
-          if Time.( < ) !floor arrival then floor := arrival;
-          !floor
-      | None ->
-          Hashtbl.add t.last_delivery (src, dst) (ref arrival);
-          arrival
+    (* FIFO per directed link: never deliver before an earlier message. *)
+    let d = Names.index t.names dst in
+    let floors =
+      Dense.find_or_add t.last_delivery (Names.index t.names src) (fun () ->
+          Dense.create Time.zero)
     in
+    let arrival = if Time.(arrival < Dense.get floors d) then Dense.get floors d else arrival in
+    Dense.set floors d arrival;
     Engine.schedule t.engine ~at:arrival (fun () ->
-        match Hashtbl.find_opt t.endpoints dst with
+        match Dense.get t.endpoints d with
         | Some mb ->
             Stats.Counter.incr t.delivered;
             Mailbox.send mb msg

@@ -7,20 +7,12 @@ let pp_violation ppf v =
     (float_of_int (Time.to_us v.at) /. 1e6)
     v.monitor v.detail
 
-(* Request and transaction keys of the tables that are not per origin:
-   the number above 16 bits of interned name index, so that an
-   {!Int_table} lookup neither builds a tuple nor hashes a string. *)
-let name_bits = 16
-let name_mask = (1 lsl name_bits) - 1
-let max_number = 1 lsl (Sys.int_size - name_bits - 2)
-
-let pack ix n =
-  if ix > name_mask || n >= max_number || n < -max_number then
-    invalid_arg "Obs.Monitor: name index or request number out of range";
-  (n lsl name_bits) lor ix
-
-let packed_ix key = key land name_mask
-let packed_number key = key asr name_bits
+(* A per-origin table: one window of request ids per interned origin
+   index, so that a lookup neither builds a tuple nor hashes a string.
+   [none] is the value of an id it does not hold. *)
+let none = min_int
+let ids () = Version_window.create none
+let per_origin () = Dense.create (ids ())
 
 (* Per-certifier view for the durability and gc-floor monitors. Rebuilt
    from scratch when the node crashes: recovery redelivers the Paxos log
@@ -29,10 +21,10 @@ let packed_number key = key asr name_bits
    the "acked commits survive recovery" obligation. *)
 type cert_state = {
   mutable log_version : int; (* last contiguously appended version *)
-  appended : Origin_table.t; (* (origin, req_id) -> version *)
+  appended : int Version_window.t Dense.t; (* origin -> req_id -> version *)
   mutable floor : int;
-  outstanding : int Int_table.t;
-      (* admitted, unanswered (origin, req_id) -> replica_version (live snapshot) *)
+  outstanding : int Version_window.t Dense.t;
+      (* admitted, unanswered: origin -> req_id -> replica_version (live snapshot) *)
 }
 
 (* Per-(replica, partition) proxy view for the serial-order monitor. *)
@@ -47,8 +39,13 @@ type xrecord = {
   votes : (int, bool) Hashtbl.t; (* participant part -> its fixed vote *)
 }
 
-(* No commit acked at a version: [acked_at] cells hold packed keys. *)
-let unacked = min_int
+(* Per-partition durable acks: the version of each acked commit, and the
+   commit acked at each version. *)
+type acks = {
+  versions : int Version_window.t Dense.t; (* origin -> req_id -> version *)
+  origin_at : int Dense.t; (* version -> origin index *)
+  req_at : int Dense.t; (* version -> req_id *)
+}
 
 type t = {
   events : Events.t;
@@ -59,15 +56,14 @@ type t = {
   actors : Names.t; (* actor and origin strings, interned *)
   origins : Names.t;
   (* 1. commit-durability, per partition *)
-  acked : Origin_table.t Dense.t; (* (origin, req) -> v *)
-  acked_at : int Dense.t Dense.t; (* v -> (origin, req), or [unacked] *)
-  certs : cert_state option Dense.t; (* per actor; also feeds monitor 4 *)
+  acked : acks Dense.t; (* per partition *)
+  certs : cert_state Dense.t; (* per actor; also feeds monitor 4 *)
   (* 2. serial order / GSI *)
-  stores : store_state option Dense.t; (* per actor *)
+  stores : store_state Dense.t; (* per actor *)
   (* 3. cross-partition atomicity *)
   xas : (string, xrecord) Hashtbl.t;
   (* 5. progress: per actor, tx -> submission time *)
-  pending : Time.t Int_table.t Dense.t;
+  pending : Time.t Version_window.t Dense.t;
   mutable healthy : bool;
   mutable last_heal : Time.t;
   mutable last_progress_check : Time.t;
@@ -80,48 +76,19 @@ let violationf t ~at ~monitor fmt =
       t.violations <- { at; monitor; detail } :: t.violations)
     fmt
 
-let cert_state t actor =
-  let i = Names.index t.actors actor in
-  match Dense.get t.certs i with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          log_version = 0;
-          appended = Origin_table.create ();
-          floor = 0;
-          outstanding = Int_table.create 16;
-        }
-      in
-      Dense.set t.certs i (Some s);
-      s
+let new_cert () =
+  { log_version = 0; appended = per_origin (); floor = 0; outstanding = per_origin () }
 
-let store_state t actor =
-  let i = Names.index t.actors actor in
-  match Dense.get t.stores i with
-  | Some s -> s
-  | None ->
-      let s = { base = 0; installed = Version_window.create (); visible = 0 } in
-      Dense.set t.stores i (Some s);
-      s
+let new_store () = { base = 0; installed = Version_window.create (); visible = 0 }
+let new_acks () = { versions = per_origin (); origin_at = Dense.create 0; req_at = Dense.create 0 }
+let cert_state t actor = Dense.find_or_add t.certs (Names.index t.actors actor) new_cert
+let store_state t actor = Dense.find_or_add t.stores (Names.index t.actors actor) new_store
+let acks t part = Dense.find_or_add t.acked part new_acks
 
-(* The table at index [i] of [tables], created on first use. *)
-let table tables i ~create =
-  if Dense.mem tables i then Dense.get tables i
-  else begin
-    let tbl = create () in
-    Dense.set tables i tbl;
-    tbl
-  end
-
-let acked_table t part = table t.acked part ~create:Origin_table.create
-let acked_at t part version = Dense.get (Dense.get t.acked_at part) version
-
-let set_acked_at t part version key =
-  if not (Dense.mem t.acked_at part) then Dense.set t.acked_at part (Dense.create unacked);
-  Dense.set (Dense.get t.acked_at part) version key
-
-let pending_table t actor_ix = table t.pending actor_ix ~create:(fun () -> Int_table.create 16)
+(* Whether a commit other than (ix, req_id) was acked at [version]. *)
+let acked_other acks version ~ix ~req_id =
+  Dense.mem acks.origin_at version
+  && (Dense.get acks.origin_at version <> ix || Dense.get acks.req_at version <> req_id)
 
 let xrecord t gtx =
   match Hashtbl.find_opt t.xas gtx with
@@ -135,28 +102,28 @@ let xrecord t gtx =
 
 let on_durable_ack t at ~part ~origin ~req_id ~version =
   let ix = Names.index t.origins origin in
-  let key = pack ix req_id in
-  let acked = acked_table t part in
-  (let v = Origin_table.get acked ~origin:ix req_id in
-   if v <> Origin_table.none && v <> version then
+  let acks = acks t part in
+  let versions = Dense.find_or_add acks.versions ix ids in
+  (let v = Version_window.get versions req_id in
+   if v <> none && v <> version then
      violationf t ~at ~monitor:"durability"
        "commit (%s,%d) p%d acked at v=%d was previously acked at v=%d"
        origin req_id part version v);
-  (let held = acked_at t part version in
-   if held <> unacked && held <> key then
-     violationf t ~at ~monitor:"durability"
-       "p%d v=%d acked for (%s,%d) but already acked for (%s,%d)" part
-       version origin req_id
-       (Names.name t.origins (packed_ix held))
-       (packed_number held));
-  Origin_table.replace acked ~origin:ix req_id version;
-  set_acked_at t part version key
+  if acked_other acks version ~ix ~req_id then
+    violationf t ~at ~monitor:"durability"
+      "p%d v=%d acked for (%s,%d) but already acked for (%s,%d)" part
+      version origin req_id
+      (Names.name t.origins (Dense.get acks.origin_at version))
+      (Dense.get acks.req_at version);
+  Version_window.replace versions req_id version;
+  Dense.set acks.origin_at version ix;
+  Dense.set acks.req_at version req_id
 
 let on_verdict t at ~part ~origin ~req_id ~committed ~actor =
   let cs = cert_state t actor in
   let ix = Names.index t.origins origin in
-  Int_table.remove cs.outstanding (pack ix req_id);
-  if (not committed) && Origin_table.mem (acked_table t part) ~origin:ix req_id then
+  Version_window.remove (Dense.get cs.outstanding ix) req_id;
+  if (not committed) && Version_window.mem (Dense.get (acks t part).versions ix) req_id then
     violationf t ~at ~monitor:"durability"
       "commit (%s,%d) p%d was durably acked but %s later replied abort" origin
       req_id part actor
@@ -164,32 +131,32 @@ let on_verdict t at ~part ~origin ~req_id ~committed ~actor =
 let on_log_append t at ~actor ~part ~version ~origin ~req_id =
   let cs = cert_state t actor in
   let ix = Names.index t.origins origin in
-  let key = pack ix req_id in
   if version <> cs.log_version + 1 then
     violationf t ~at ~monitor:"serial-order"
       "%s appended v=%d after v=%d (certified order broken)" actor version
       cs.log_version;
   cs.log_version <- max cs.log_version version;
-  (let v = Origin_table.get cs.appended ~origin:ix req_id in
-   if v <> Origin_table.none && v <> version then
+  let appended = Dense.find_or_add cs.appended ix ids in
+  (let v = Version_window.get appended req_id in
+   if v <> none && v <> version then
      violationf t ~at ~monitor:"serial-order"
        "%s appended (%s,%d) twice: v=%d and v=%d" actor origin req_id v
        version);
-  Origin_table.replace cs.appended ~origin:ix req_id version;
+  Version_window.replace appended req_id version;
   (* The durability obligations: an acked commit keeps its version across
      any recovery's re-append, and nothing else takes that version. *)
-  (let v = Origin_table.get (acked_table t part) ~origin:ix req_id in
-   if v <> Origin_table.none && v <> version then
+  let acks = acks t part in
+  (let v = Version_window.get (Dense.get acks.versions ix) req_id in
+   if v <> none && v <> version then
      violationf t ~at ~monitor:"durability"
        "acked commit (%s,%d) p%d re-appeared at v=%d (acked at v=%d)" origin
        req_id part version v);
-  let held = acked_at t part version in
-  if held <> unacked && held <> key then
+  if acked_other acks version ~ix ~req_id then
     violationf t ~at ~monitor:"durability"
       "p%d v=%d belongs to acked commit (%s,%d) but %s appended (%s,%d)"
       part version
-      (Names.name t.origins (packed_ix held))
-      (packed_number held) actor origin req_id
+      (Names.name t.origins (Dense.get acks.origin_at version))
+      (Dense.get acks.req_at version) actor origin req_id
 
 (* --- 2. serial order / GSI -------------------------------------------- *)
 
@@ -273,24 +240,24 @@ let on_gc_floor t at ~actor ~part ~floor =
     violationf t ~at ~monitor:"gc-floor"
       "%s p%d floor went backwards: %d after %d" actor part floor cs.floor;
   (* Report in (origin, req_id) order. *)
-  let live =
-    Int_table.fold
-      (fun key rv acc -> if rv < floor then (key, rv) :: acc else acc)
-      cs.outstanding []
-  in
-  let origin key = Names.name t.origins (packed_ix key) in
+  let live = ref [] in
+  Dense.iteri
+    (fun ix reqs ->
+      Version_window.fold
+        (fun req_id rv () ->
+          if rv < floor then live := (Names.name t.origins ix, req_id, rv) :: !live)
+        reqs ())
+    cs.outstanding;
   List.iter
-    (fun (key, rv) ->
+    (fun (origin, req_id, rv) ->
       violationf t ~at ~monitor:"gc-floor"
         "%s p%d advanced floor to %d over live snapshot rv=%d of pending \
          (%s,%d)"
-        actor part floor rv (origin key) (packed_number key))
+        actor part floor rv origin req_id)
     (List.sort
-       (fun (a, _) (b, _) ->
-         match String.compare (origin a) (origin b) with
-         | 0 -> Int.compare (packed_number a) (packed_number b)
-         | c -> c)
-       live);
+       (fun (a, x, _) (b, y, _) ->
+         match String.compare a b with 0 -> Int.compare x y | c -> c)
+       !live);
   cs.floor <- max cs.floor floor
 
 (* --- 5. progress -------------------------------------------------------- *)
@@ -298,10 +265,10 @@ let on_gc_floor t at ~actor ~part ~floor =
 let check_progress t ~now =
   (* Report in (actor, tx) order. *)
   let overdue = ref [] in
-  for actor_ix = 0 to Dense.bound t.pending - 1 do
-    if Dense.mem t.pending actor_ix then
-      Int_table.iter
-        (fun tx submitted ->
+  Dense.iteri
+    (fun actor_ix txs ->
+      Version_window.fold
+        (fun tx submitted () ->
           (* The clock starts at submission, or at the last heal if the run
              was faulted since: "eventually commits or aborts once faults
              heal". *)
@@ -310,11 +277,11 @@ let check_progress t ~now =
           in
           if Time.(Time.add since t.progress_bound < now) then
             overdue := (Names.name t.actors actor_ix, actor_ix, tx, submitted) :: !overdue)
-        (Dense.get t.pending actor_ix)
-  done;
+        txs ())
+    t.pending;
   List.iter
     (fun (actor, actor_ix, tx, submitted) ->
-      Int_table.remove (Dense.get t.pending actor_ix) tx;
+      Version_window.remove (Dense.get t.pending actor_ix) tx;
       violationf t ~at:now ~monitor:"progress"
         "%s #%d submitted at %.3fs still unresolved %.1fs after faults healed"
         actor tx
@@ -334,9 +301,7 @@ let maybe_check_progress t ~now =
 
 (* --- node lifecycle ----------------------------------------------------- *)
 
-let drop_actor_pending t actor =
-  let i = Names.index t.actors actor in
-  if Dense.mem t.pending i then Int_table.reset (Dense.get t.pending i)
+let drop_actor_pending t actor = Dense.remove t.pending (Names.index t.actors actor)
 
 let on_node_crash t actor =
   (* A crashed certifier rebuilds its log by redelivery (checked against
@@ -344,17 +309,16 @@ let on_node_crash t actor =
      by the Snapshot_load its recovery emits. Either way the old per-actor
      view is void, as is any client work the crash cancelled. *)
   let i = Names.index t.actors actor in
-  if Dense.mem t.certs i then Dense.set t.certs i None;
-  if Dense.mem t.stores i then Dense.set t.stores i None;
+  Dense.remove t.certs i;
+  Dense.remove t.stores i;
   drop_actor_pending t actor
 
 (* A certifier that lost leadership abandons its admitted requests
    without crashing (it stops answering them), so their snapshots no
    longer pin its floor once it truncates as a follower. *)
 let on_actor_reset t actor =
-  (match Dense.get t.certs (Names.index t.actors actor) with
-  | Some cs -> Int_table.reset cs.outstanding
-  | None -> ());
+  let i = Names.index t.actors actor in
+  if Dense.mem t.certs i then Dense.reset (Dense.get t.certs i).outstanding;
   drop_actor_pending t actor
 
 let handle t at ev =
@@ -362,8 +326,8 @@ let handle t at ev =
   (match ev with
   | Events.Request_admitted { actor; origin; req_id; replica_version; _ } ->
       let cs = cert_state t actor in
-      let key = pack (Names.index t.origins origin) req_id in
-      Int_table.replace cs.outstanding key replica_version
+      let reqs = Dense.find_or_add cs.outstanding (Names.index t.origins origin) ids in
+      Version_window.replace reqs req_id replica_version
   | Events.Verdict { actor; part; origin; req_id; committed; _ } ->
       on_verdict t at ~part ~origin ~req_id ~committed ~actor
   | Events.Durable_ack { part; origin; req_id; version; _ } ->
@@ -381,9 +345,13 @@ let handle t at ev =
   | Events.Snapshot_load { actor; version; _ } ->
       on_snapshot_load t ~actor ~version
   | Events.Tx_submitted { actor; tx } ->
-      Int_table.replace (pending_table t (Names.index t.actors actor)) tx at
+      let txs =
+        Dense.find_or_add t.pending (Names.index t.actors actor) (fun () ->
+            Version_window.create Time.zero)
+      in
+      Version_window.replace txs tx at
   | Events.Tx_resolved { actor; tx; _ } ->
-      Int_table.remove (pending_table t (Names.index t.actors actor)) tx
+      Version_window.remove (Dense.get t.pending (Names.index t.actors actor)) tx
   | Events.Node_crash { actor } -> on_node_crash t actor
   | Events.Node_recover _ -> ()
   | Events.Actor_reset { actor } -> on_actor_reset t actor
@@ -402,12 +370,11 @@ let attach ?(progress_bound = Time.sec 20) ?metrics events =
       n_events = 0;
       actors = Names.create ();
       origins = Names.create ();
-      acked = Dense.create (Origin_table.create ());
-      acked_at = Dense.create (Dense.create unacked);
-      certs = Dense.create None;
-      stores = Dense.create None;
+      acked = Dense.create (new_acks ());
+      certs = Dense.create (new_cert ());
+      stores = Dense.create (new_store ());
       xas = Hashtbl.create 64;
-      pending = Dense.create (Int_table.create 1);
+      pending = Dense.create (Version_window.create Time.zero);
       healthy = true;
       last_heal = Time.zero;
       last_progress_check = Time.zero;

@@ -1,93 +1,135 @@
-(* A ring of cells indexed by [version land (capacity - 1)], each holding
-   its version (0 when free) and value. [live] counts the cells in use;
-   [spill] holds the versions displaced from their cell. *)
-
+(* A ring of [Array.length cells] cells, a power of two, covering the
+   numbers [base, base + capacity): a number's cell is its low bits, and a
+   byte of [present] per cell marks it held. [count] counts the held
+   cells, and [spill] holds the entries outside them (a number is in one
+   place). *)
 type 'a t = {
-  mutable keys : int array;
-  mutable vals : 'a array;
-  mutable live : int;
-  spill : (int, 'a) Hashtbl.t;
   fill : 'a;
+  mutable cells : 'a array;
+  mutable present : Bytes.t;
+  mutable base : int;
+  mutable count : int;
+  spill : (int, 'a) Hashtbl.t;
 }
 
 let initial = 64
 
-let create fill =
-  {
-    keys = Array.make initial 0;
-    vals = Array.make initial fill;
-    live = 0;
-    spill = Hashtbl.create 1;
-    fill;
-  }
-
-let cell t version = version land (Array.length t.keys - 1)
-let spilled t version = Hashtbl.length t.spill > 0 && Hashtbl.mem t.spill version
-let mem t version = t.keys.(cell t version) = version || spilled t version
-
-let find t version =
-  let i = cell t version in
-  if t.keys.(i) = version then t.vals.(i) else Hashtbl.find t.spill version
-
-let get t version =
-  let i = cell t version in
-  if t.keys.(i) = version then t.vals.(i)
-  else if spilled t version then Hashtbl.find t.spill version
-  else t.fill
-
-let length t = t.live + Hashtbl.length t.spill
-
-let grow t =
-  let keys = t.keys and vals = t.vals in
-  let cap = 2 * Array.length keys in
-  t.keys <- Array.make cap 0;
-  t.vals <- Array.make cap t.fill;
-  Array.iteri
-    (fun i version ->
-      if version <> 0 then begin
-        let j = cell t version in
-        t.keys.(j) <- version;
-        t.vals.(j) <- vals.(i)
-      end)
-    keys
-
-let rec replace t version v =
-  if version <= 0 then invalid_arg "Version_window.replace: number must be positive";
-  let i = cell t version in
-  let held = t.keys.(i) in
-  if held = version then t.vals.(i) <- v
-  else if spilled t version then Hashtbl.replace t.spill version v
-  else if held = 0 then begin
-    t.keys.(i) <- version;
-    t.vals.(i) <- v;
-    t.live <- t.live + 1
-  end
-  else if 2 * (t.live + 1) > Array.length t.keys then begin
-    grow t;
-    replace t version v
-  end
-  else begin
-    Hashtbl.replace t.spill held t.vals.(i);
-    t.keys.(i) <- version;
-    t.vals.(i) <- v
-  end
-
-let remove t version =
-  let i = cell t version in
-  if t.keys.(i) = version then begin
-    t.keys.(i) <- 0;
-    t.vals.(i) <- t.fill;
-    t.live <- t.live - 1
-  end
-  else if Hashtbl.length t.spill > 0 then Hashtbl.remove t.spill version
-
 let reset t =
-  t.keys <- Array.make initial 0;
-  t.vals <- Array.make initial t.fill;
-  t.live <- 0;
+  t.cells <- Array.make initial t.fill;
+  t.present <- Bytes.make initial '\000';
+  t.base <- 0;
+  t.count <- 0;
   Hashtbl.reset t.spill
 
+let create fill =
+  let t = { fill; cells = [||]; present = Bytes.empty; base = 0; count = 0; spill = Hashtbl.create 1 } in
+  reset t;
+  t
+
+let[@inline] held present c = Bytes.unsafe_get present c <> '\000'
+let[@inline] mark t c b = Bytes.unsafe_set t.present c (if b then '\001' else '\000')
+
+(* The cell holding [n], or -1. *)
+let[@inline] cell t n =
+  let cap = Array.length t.cells in
+  let c = n land (cap - 1) in
+  if n >= t.base && n - t.base < cap && held t.present c then c else -1
+
+let[@inline] spilled t n = Hashtbl.length t.spill > 0 && Hashtbl.mem t.spill n
+let mem t n = cell t n >= 0 || spilled t n
+
+let get t n =
+  let c = cell t n in
+  if c >= 0 then Array.unsafe_get t.cells c
+  else if Hashtbl.length t.spill = 0 then t.fill
+  else try Hashtbl.find t.spill n with Not_found -> t.fill
+
+let length t = t.count + Hashtbl.length t.spill
+
+(* The ring may span at most this many cells before a far number spills. *)
+let room t = max 4096 (16 * (t.count + 1))
+
+(* Move the held cells to a ring of at least [span] cells, and at least
+   twice as many, from the same base, or with [~keep_top] to one ending
+   where the ring ends. *)
+let regrow ?(keep_top = false) t ~span =
+  let cells = t.cells and present = t.present and base = t.base in
+  let mask = Array.length cells - 1 in
+  let size = ref (2 * (mask + 1)) in
+  while !size < span do
+    size := 2 * !size
+  done;
+  let mask' = !size - 1 in
+  t.cells <- Array.make !size t.fill;
+  t.present <- Bytes.make !size '\000';
+  if keep_top then t.base <- base + mask + 1 - !size;
+  for m = base to base + mask do
+    Array.unsafe_set t.cells (m land mask') (Array.unsafe_get cells (m land mask));
+    Bytes.unsafe_set t.present (m land mask') (Bytes.unsafe_get present (m land mask))
+  done
+
+let rec replace t n v =
+  let cap = Array.length t.cells in
+  let c = cell t n in
+  if c >= 0 then Array.unsafe_set t.cells c v
+  else if spilled t n then Hashtbl.replace t.spill n v
+  else if n >= t.base && n - t.base < cap then begin
+    let c = n land (cap - 1) in
+    t.cells.(c) <- v;
+    mark t c true;
+    t.count <- t.count + 1
+  end
+  else if t.count = 0 then begin
+    t.base <- n;
+    replace t n v
+  end
+  else if n > t.base then begin
+    (* Move the base up over free cells, then double or evict. *)
+    while t.base + cap <= n && not (held t.present (t.base land (cap - 1))) do
+      t.base <- t.base + 1
+    done;
+    let span = n + 1 - t.base in
+    if span > cap && span <= room t then regrow t ~span
+    else if span > cap then begin
+      let top = n - cap + 1 in
+      for m = t.base to min (top - 1) (t.base + cap - 1) do
+        let c = m land (cap - 1) in
+        if held t.present c then begin
+          Hashtbl.replace t.spill m t.cells.(c);
+          t.cells.(c) <- t.fill;
+          mark t c false;
+          t.count <- t.count - 1
+        end
+      done;
+      t.base <- top
+    end;
+    replace t n v
+  end
+  else begin
+    (* Below the base: double keeping the top, so a run of numbers
+       arriving downwards also re-sizes a logarithmic number of times. *)
+    let span = t.base + cap - n in
+    if span <= room t then begin
+      regrow ~keep_top:true t ~span;
+      replace t n v
+    end
+    else Hashtbl.replace t.spill n v
+  end
+
+let remove t n =
+  let c = cell t n in
+  if c >= 0 then begin
+    t.cells.(c) <- t.fill;
+    mark t c false;
+    t.count <- t.count - 1
+  end
+  else if Hashtbl.length t.spill > 0 then Hashtbl.remove t.spill n
+
 let fold f t acc =
-  let acc = ref (Hashtbl.fold (fun _ v acc -> f v acc) t.spill acc) in
-  Array.iteri (fun i version -> if version <> 0 then acc := f t.vals.(i) !acc) t.keys;
+  let acc = ref (Hashtbl.fold f t.spill acc) in
+  let mask = Array.length t.cells - 1 in
+  if t.count > 0 then
+    for c = 0 to mask do
+      if held t.present c then acc := f (t.base + ((c - t.base) land mask)) t.cells.(c) !acc
+    done;
   !acc

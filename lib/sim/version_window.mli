@@ -1,15 +1,22 @@
-(** A table keyed by a version or slot number, for the numbers in flight
-    just above a moving frontier: a certifier leader's proposed and not
-    yet delivered log versions, a Paxos leader's uncommitted slots, a
-    store's installed versions above its visible snapshot.
+(** A table keyed by an int that serves two kinds of key: the numbers in
+    flight just above a moving frontier (a certifier leader's proposed and
+    not yet delivered log versions, a Paxos leader's uncommitted slots, a
+    store's installed versions above its visible snapshot, a database's
+    active snapshots by transaction id), and the ids an origin numbers up
+    from its own base and that are never pruned (the version a certifier
+    decided for each of an origin's transactions). A per-origin table is
+    a {!Dense} array of windows indexed by the origin's {!Names} index.
 
-    Those numbers form a short run, so the table is a ring of cells
-    indexed by a number's low bits, which doubles once half its cells are
-    live: a lookup is an array read, with no hashing, and nothing rehashes
-    as the numbers advance. An entry stays until it is removed or the
-    table is reset, however far the numbers move on: when a new number
-    needs an occupied cell, the older entry moves to a small spill table.
-    Numbers are positive. *)
+    Either kind forms a run of nearby numbers, so the table is a ring of
+    cells covering the numbers from a base, indexed by a number's low
+    bits: a lookup is an array read, with no hashing, and nothing rehashes
+    as the numbers advance. When a number lies past the ring, the base
+    first moves up over free cells; if held cells are in the way, the ring
+    doubles, as long as it stays within a fixed multiple of the entries it
+    holds, so a never-pruned run costs one to two words and a presence
+    byte per id. A number farther out than that goes to a small spill
+    table: one below the ring itself, one above it the held entries it
+    would pass. *)
 
 type 'a t
 
@@ -18,10 +25,7 @@ val create : 'a -> 'a t
     cells, returned by {!get} for a number the table does not hold. *)
 
 val mem : 'a t -> int -> bool
-
-val find : 'a t -> int -> 'a
-(** The value of a number the table holds. Raises [Not_found] for one it
-    does not hold. *)
+(** Whether the table holds a number; one replaced with [fill] it does. *)
 
 val get : 'a t -> int -> 'a
 (** The value of a number, or [fill] if the table does not hold it. *)
@@ -35,5 +39,5 @@ val length : 'a t -> int
 val reset : 'a t -> unit
 (** Empty the table and shrink it back to its initial capacity. *)
 
-val fold : ('a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-(** Over the values held, in no particular order. *)
+val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** Over the entries held, in no particular order. *)

@@ -2072,6 +2072,113 @@ let test_db_stale_snapshot_expiry () =
   | None -> Alcotest.fail "leaked tx never began");
   check_int "watermark freed" 5 (Db.oldest_active_snapshot db)
 
+(* The watermark against the fold over the active set that it replaced:
+   the minimum of the current version and every non-doomed open
+   transaction's snapshot. Random runs of begins, commits with a write
+   (each to its own row, so nothing blocks), read-only commits, aborts,
+   dooms, vacuum passes that expire over-age snapshots, waits that age
+   them, crashes, and bursts of 80 transactions that begin and commit
+   behind the open ones, so that the window of snapshots by txid must
+   grow past an open transaction rather than slide. *)
+type snapshot_op =
+  | S_begin
+  | S_commit of int
+  | S_readonly of int
+  | S_abort of int
+  | S_doom of int
+  | S_wait
+  | S_vacuum
+  | S_crash
+  | S_burst
+
+let prop_oldest_active_snapshot =
+  let op =
+    QCheck.Gen.(
+      let pick f = map f (int_bound 1_000) in
+      frequency
+        [
+          (30, return S_begin);
+          (20, pick (fun i -> S_commit i));
+          (10, pick (fun i -> S_readonly i));
+          (10, pick (fun i -> S_abort i));
+          (4, pick (fun i -> S_doom i));
+          (5, return S_wait);
+          (5, return S_vacuum);
+          (1, return S_crash);
+          (1, return S_burst);
+        ])
+  in
+  let print = function
+    | S_begin -> "begin"
+    | S_commit i -> Printf.sprintf "commit #%d" i
+    | S_readonly i -> Printf.sprintf "readonly #%d" i
+    | S_abort i -> Printf.sprintf "abort #%d" i
+    | S_doom i -> Printf.sprintf "doom #%d" i
+    | S_wait -> "wait 20ms"
+    | S_vacuum -> "vacuum"
+    | S_crash -> "crash"
+    | S_burst -> "burst"
+  in
+  QCheck.Test.make ~name:"oldest active snapshot agrees with the active-set fold" ~count:200
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat ", " (List.map print ops))
+        Gen.(list_size (int_range 1 400) op))
+    (fun ops ->
+      let config = { Db.default_config with max_snapshot_age = Some (Time.of_ms 50.) } in
+      let e, db, _ = make_db ~config () in
+      Db.load db [ (k "t" "a", vi 0) ];
+      let ok = ref true in
+      in_fiber e (fun () ->
+          (* The transactions begun since the last crash and not finished. *)
+          let open_txs = ref [] in
+          let commit tx =
+            let row = string_of_int (Db.tx_id tx) in
+            match Db.write tx (k "q" row) (Writeset.Insert (vi 1)) with
+            | Ok () -> ignore (Db.commit_standalone tx)
+            | Error _ -> ()
+          in
+          let take i f =
+            match !open_txs with
+            | [] -> ()
+            | txs ->
+                let tx = List.nth txs (i mod List.length txs) in
+                open_txs := List.filter (fun t -> t != tx) txs;
+                f tx
+          in
+          let fold () =
+            List.fold_left
+              (fun acc tx ->
+                if Db.is_doomed tx = None then min acc (Db.snapshot_version tx) else acc)
+              (Db.current_version db) !open_txs
+          in
+          List.iter
+            (fun op ->
+              (match op with
+              | S_begin -> open_txs := !open_txs @ [ Db.begin_tx db ]
+              | S_commit i -> take i commit
+              | S_readonly i -> take i Db.commit_readonly
+              | S_abort i -> take i Db.abort
+              | S_doom i -> (
+                  match !open_txs with
+                  | [] -> ()
+                  | txs -> Db.doom db (Db.tx_id (List.nth txs (i mod List.length txs))))
+              | S_wait -> Engine.sleep e (Time.of_ms 20.)
+              | S_vacuum -> ignore (Db.vacuum db)
+              | S_crash ->
+                  Db.crash db;
+                  open_txs := []
+              | S_burst ->
+                  for _ = 1 to 80 do
+                    commit (Db.begin_tx db)
+                  done);
+              ok :=
+                !ok
+                && Db.oldest_active_snapshot db = fold ()
+                && List.length (Db.active_txids db) = List.length !open_txs)
+            ops);
+      !ok)
+
 let test_db_vacuum_capped_by_cluster_floor () =
   (* The vacuum must not prune past the cluster floor even when no local
      snapshot needs the history — another replica might. And the floor is
@@ -2432,6 +2539,7 @@ let suites =
     ( "mvcc.db",
       [
         Alcotest.test_case "read your writes" `Quick test_db_read_your_writes;
+        QCheck_alcotest.to_alcotest prop_oldest_active_snapshot;
         Alcotest.test_case "snapshot isolation" `Quick test_db_snapshot_isolation;
         Alcotest.test_case "first-updater-wins (committed)" `Quick
           test_db_first_updater_wins_committed;
