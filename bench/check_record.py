@@ -40,6 +40,9 @@ REGENERATED = [
     "partition/local_goodput_p1",
     "partition/local_goodput_p4",
     "partition/cross30_goodput",
+    "partition/cross00_goodput",
+    "partition/cross01_goodput",
+    "partition/cross01_accepts_per_commit",
 ]
 
 # (claim, check) pairs over a regenerated record.
@@ -63,6 +66,13 @@ CLAIMS = [
      lambda m: m["partition/local_scaling_p4_over_p1"] >= 3.0),
     ("partition/cross10_goodput > 0",
      lambda m: m["partition/cross10_goodput"] > 0),
+    # Cross-partition records ride the certify round's one Paxos proposal,
+    # so a 1% cross mix costs almost nothing against the 0% row. The bound
+    # is the measured ratio (0.9966 at the bench's seed) minus its spread
+    # over quick runs at seeds 1-7 and 20060418 (0.9957-0.9982), rounded
+    # down. With a Paxos proposal per cross record it was 0.93.
+    ("partition/cross01_goodput >= 0.994 * partition/cross00_goodput",
+     lambda m: m["partition/cross01_goodput"] >= 0.994 * m["partition/cross00_goodput"]),
     ("partition/chaos_seed1966/violations == 0",
      lambda m: m["partition/chaos_seed1966/violations"] == 0),
     ("partition/chaos_seed2006/violations == 0",

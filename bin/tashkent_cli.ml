@@ -193,7 +193,8 @@ let run_cmd =
     (if c.n_partitions > 1 then begin
        kv "partitions" (string_of_int c.n_partitions);
        kv "cross-partition commits" (string_of_int r.cross_commits);
-       kv "cross-partition aborts" (string_of_int r.cross_aborts)
+       kv "cross-partition aborts" (string_of_int r.cross_aborts);
+       kv "certifier Accept broadcasts (leaders)" (string_of_int r.cert_accept_broadcasts)
      end);
     kv "throughput (committed+aborted req/s)" (f1 r.throughput);
     kv "goodput (committed req/s)" (f1 r.goodput);

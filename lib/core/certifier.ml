@@ -109,7 +109,8 @@ let aborted = 0
 
 (* Per cross-partition transaction state. Everything here is volatile and
    rebuilt by Paxos redelivery after a crash; the only durable facts are
-   the Prepared / Decision records in the ring (votes being a
+   the records in the ring: the Prepared record, then the decision — an
+   xa-stamped Committed entry or an abort Decision (votes being a
    deterministic function of the delivered prefix is what makes the vote
    itself durable). *)
 type xstate = {
@@ -121,15 +122,16 @@ type xstate = {
   mutable xs_vote : bool option;  (* our vote, computed at delivery *)
   mutable xs_votes : (int * bool) list;  (* sibling votes received via gossip *)
   mutable xs_reply : Types.cert_request option;  (* freshest request awaiting a reply *)
-  mutable xs_decided : bool;  (* a Decision record proposed or delivered *)
+  mutable xs_decided : bool;  (* our decision queued, proposed or delivered *)
   mutable xs_prepared_at : Time.t;  (* for the re-solicitation sweep *)
-  mutable xs_decided_at : Time.t;  (* when the Decision was last proposed *)
 }
 
 (* Work queued for the certify fiber: a request from a proxy (a reply is
-   owed), or a prepare solicited internally for a cross-partition
-   transaction learned about through vote gossip (no reply owed). *)
-type task = Req of Types.cert_request | Prep of xstate
+   owed), a prepare solicited internally for a cross-partition
+   transaction learned about through vote gossip (no reply owed), or a
+   cross-partition decision (commit or abort) reached since the last
+   round. *)
+type task = Req of Types.cert_request | Prep of xstate | Decide of xstate * bool
 
 type t = {
   engine : Engine.t;
@@ -167,9 +169,6 @@ type t = {
   xstates : (string, xstate) Hashtbl.t;
   pins : string Mvcc.Key.Tbl.t;
   pins_spec : string Mvcc.Key.Tbl.t;
-  (* True once any Prepared/Decision record has been delivered: only then
-     may delivered entries be re-stamped upward (see [on_deliver]). *)
-  mutable x_seen : bool;
   (* Deliveries accumulated within one instant, flushed as one reply batch
      sharing a single log scan. *)
   mutable delivered : (Types.cert_request * Types.decision * int) list; (* newest first *)
@@ -436,7 +435,6 @@ let xstate t (gtx : Types.gtx_id) =
           xs_reply = None;
           xs_decided = false;
           xs_prepared_at = Engine.now t.engine;
-          xs_decided_at = Time.zero;
         }
       in
       Hashtbl.add t.xstates k xs;
@@ -469,10 +467,17 @@ let pin t tbl xs =
       Mvcc.Writeset.iter_keys frag.Types.xf_ws (fun key -> Mvcc.Key.Tbl.replace tbl key gk)
   | None -> ()
 
-let unpin tbl gk =
-  let dead = ref [] in
-  Mvcc.Key.Tbl.iter (fun key g -> if String.equal g gk then dead := key :: !dead) tbl;
-  List.iter (Mvcc.Key.Tbl.remove tbl) !dead
+(* Release the keys of our fragment of [xs] that [tbl] still holds for
+   it; a later transaction's speculative pin on a key stays. *)
+let unpin t tbl xs =
+  match own_fragment t xs with
+  | Some frag ->
+      let gk = xkey xs.xs_gtx in
+      Mvcc.Writeset.iter_keys frag.Types.xf_ws (fun key ->
+          match Mvcc.Key.Tbl.find_opt tbl key with
+          | Some g when String.equal g gk -> Mvcc.Key.Tbl.remove tbl key
+          | Some _ | None -> ())
+  | None -> ()
 
 let send_xvote t ~gtx ~vote ~echo ~fragments ~to_parts =
   List.iter
@@ -501,11 +506,12 @@ let broadcast_vote t xs ~echo ~to_parts =
       send_xvote t ~gtx:xs.xs_gtx ~vote ~echo ~fragments:xs.xs_fragments ~to_parts
   | None -> ()
 
-(* Propose the group's Decision record once the outcome is determined:
-   all-yes commits, any-no aborts (no need to wait for stragglers once a
-   no is in). Votes are sticky and deterministic, so every involved
-   group's leader eventually proposes the SAME decision independently —
-   there is no coordinator whose death can block it. *)
+(* Queue the group's decision for the next certify round once the
+   outcome is determined: all-yes commits, any-no aborts (no need to wait
+   for stragglers once a no is in). Votes are sticky and deterministic,
+   so every involved group's leader eventually decides the SAME outcome
+   independently — there is no coordinator whose death can block it.
+   Called from delivery, vote gossip and the sweep; it never proposes. *)
 let maybe_decide t xs =
   if is_leader t && xs.xs_prepared && not xs.xs_decided then
     match xs.xs_vote with
@@ -517,47 +523,66 @@ let maybe_decide t xs =
         let votes = List.map vote_of xs.xs_parts in
         let any_no = List.exists (function Some false -> true | _ -> false) votes in
         let all_yes = List.for_all (function Some true -> true | _ -> false) votes in
-        if any_no || all_yes then
-          if
-            Paxos.Node.propose_batch t.paxos_node
-              [ Types.Decision { d_gtx = xs.xs_gtx; d_commit = all_yes } ]
-          then begin
-            xs.xs_decided <- true;
-            xs.xs_decided_at <- Engine.now t.engine
-          end
+        if any_no || all_yes then begin
+          xs.xs_decided <- true;
+          Mailbox.send t.cert_work (Decide (xs, all_yes))
+        end
 
-(* Leader-side: put our group's Prepared record in the ring. The keys of
-   our fragment go into [pins_spec] immediately so a single-partition
-   request certified between propose and delivery cannot slip into the
-   conflict window undetected. *)
-let propose_prepare t xs =
-  if (not xs.xs_proposed) && not xs.xs_prepared then
-    if
-      Paxos.Node.propose_batch t.paxos_node
-        [
-          Types.Prepared
-            { p_gtx = xs.xs_gtx; p_part = t.partition; p_fragments = xs.xs_fragments };
-        ]
-    then begin
-      xs.xs_proposed <- true;
-      pin t t.pins_spec xs
-    end
+(* Leader-side: add our group's Prepared record to the round's batch. The
+   keys of our fragment go into [pins_spec] immediately so a
+   single-partition request certified between propose and delivery
+   cannot slip into the conflict window undetected. *)
+let prepare t xs records =
+  if (not xs.xs_proposed) && not xs.xs_prepared then begin
+    records :=
+      Types.Prepared { p_gtx = xs.xs_gtx; p_part = t.partition; p_fragments = xs.xs_fragments }
+      :: !records;
+    xs.xs_proposed <- true;
+    pin t t.pins_spec xs
+  end
 
 (* A cross-partition request reaching the leader: answer immediately from
    the outcome witness if already decided, otherwise (re)prepare, adopt
    the reply route, and push the vote exchange along. *)
-let handle_xreq t (req : Types.cert_request) =
+let handle_xreq t (req : Types.cert_request) records =
   if not (answer_decided t req) then begin
     let xs = xstate t req.gtx in
     if xs.xs_reply = None && not xs.xs_proposed then Stats.Counter.incr t.c_requests;
     xs.xs_reply <- Some req;
     set_fragments xs req.fragments;
-    propose_prepare t xs;
+    prepare t xs records;
     if xs.xs_prepared then begin
       broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
       maybe_decide t xs
     end
   end
+
+(* Add a queued decision to the round's batch, unless a delivered one got
+   there first. A commit is our fragment as a Committed entry stamped with
+   the atomicity witness, versioned through the overlay like any
+   certified entry; an abort is a Decision record. Under tashAPInoCERT a
+   single-partition commit is appended as it is certified, outside Paxos,
+   so there the overlay stays empty and the commit takes the version it
+   is delivered at. *)
+let decide t xs ~commit ~floor_stamp records =
+  if not (Outcomes.mem t.outcomes xs.xs_gtx) then
+    if commit then begin
+      (* Our yes vote needs our fragment. *)
+      let frag = Option.get (own_fragment t xs) in
+      let entry =
+        {
+          Types.version = next_version t;
+          origin = frag.Types.xf_origin;
+          req_id = xs.xs_gtx.Types.gtx_seq;
+          ws = frag.Types.xf_ws;
+          gc_floor = floor_stamp;
+          xa = Some { Types.gtx = xs.xs_gtx; parts = xs.xs_parts };
+        }
+      in
+      if t.cfg.durable then Overlay.add t.overlay entry;
+      records := Types.Committed entry :: !records
+    end
+    else records := Types.Decision { d_gtx = xs.xs_gtx } :: !records
 
 (* Vote gossip from a sibling partition's certifier. Votes are stashed on
    every member (not just the leader) so a failed-over leader inherits
@@ -598,190 +623,186 @@ let handle_xvote t (v : Types.xvote) =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Single-partition (one-fragment) certification rounds *)
+(* Certification rounds *)
 
-(* One scheduling round of the certify fiber: the batch is certified in
-   arrival order against the log plus the overlay (which accumulates the
-   batch's own accepted entries, so intra-batch ww-conflicts abort the
-   later request), then the whole accepted set goes to Paxos as ONE
-   multi-entry proposal: one Accept broadcast, one WAL batch per acceptor. *)
-let process_cert_batch t (reqs : (Types.cert_request * Types.xfragment) list) =
-  if not (is_leader t) then List.iter (fun (req, _) -> redirect t req) reqs
+(* Certify one single-partition request against the log plus the overlay
+   (which accumulates the round's own accepted entries, so intra-round
+   ww-conflicts abort the later request); an accepted entry joins the
+   round's batch. *)
+let certify t (req : Types.cert_request) (frag : Types.xfragment) ~floor_stamp records =
+  if answer_decided t req then
+    (* Retried request whose transaction already committed. *)
+    ()
+  else if Overlay.holds_request t.overlay ~origin:req.replica ~req_id:req.req_id
+  then
+    (* Retried request whose first attempt is proposed but not
+       yet delivered (the client timed out faster than this
+       round's fsync + quorum). Certifying it again would abort
+       it against its own in-flight twin; dropping it is safe —
+       the reply goes out at delivery. *)
+    ()
+  else if
+    frag.xf_start_version < Cert_log.floor t.clog || req.replica_version < floor_stamp
+  then begin
+    (* Snapshot too old: the conflict window reaches below the
+       truncation floor, where the writer index no longer exists,
+       so absence of a conflict can't be proven. GSI must refuse;
+       the replica refreshes (snapshot transfer if needed) and
+       the client retries on a current snapshot. The same holds for
+       a reply window reaching below the floor this round stamps: a
+       new leader folds only the reports of the replicas that have
+       reached it, and must not admit a request its floor has passed. *)
+    Stats.Counter.incr t.c_requests;
+    Stats.Counter.incr t.c_too_old;
+    reject t req Types.Ww_conflict
+  end
   else begin
-    Stats.Counter.incr t.c_cert_batches;
-    Stats.Summary.observe t.cert_batch_sizes (float_of_int (List.length reqs));
-    let sp_batch = Obs.Trace.span t.trace ~stage:"cert.batch" ~actor:t.node_id () in
-    (* One watermark fold per round; every entry accepted this round is
-       stamped with it, so truncation replicates through Paxos. *)
-    let floor_stamp = advance_watermark t in
-    let accepted = ref [] in
-    List.iter
-      (fun ((req : Types.cert_request), (frag : Types.xfragment)) ->
-        if answer_decided t req then
-          (* Retried request whose transaction already committed. *)
-          ()
-        else if Overlay.holds_request t.overlay ~origin:req.replica ~req_id:req.req_id
-        then
-          (* Retried request whose first attempt is proposed but not
-             yet delivered (the client timed out faster than this
-             round's fsync + quorum). Certifying it again would abort
-             it against its own in-flight twin; dropping it is safe —
-             the reply goes out at delivery. *)
-          ()
-        else if frag.xf_start_version < Cert_log.floor t.clog then begin
-          (* Snapshot too old: the conflict window reaches below the
-             truncation floor, where the writer index no longer exists,
-             so absence of a conflict can't be proven. GSI must refuse;
-             the replica refreshes (snapshot transfer if needed) and
-             the client retries on a current snapshot. *)
-          Stats.Counter.incr t.c_requests;
-          Stats.Counter.incr t.c_too_old;
-          reject t req Types.Ww_conflict
-        end
-        else begin
-          Stats.Counter.incr t.c_requests;
-          let skips_before =
-            Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
-          in
-          let conflict =
-            match
-              Cert_log.certify t.clog frag.xf_ws ~start_version:frag.xf_start_version
-            with
-            | Some v -> Some v
-            | None ->
-                Overlay.conflict t.overlay frag.xf_ws
-                  ~start_version:frag.xf_start_version
-          in
-          (* A key pinned by an in-flight prepared cross-partition
-             fragment conflicts with everything: the fragment may
-             commit at any later version, so a certification window
-             closing now cannot be proven conflict-free. First-
-             prepared-wins; the single-partition request retries. *)
-          let conflict =
-            match conflict with
-            | Some _ -> conflict
-            | None -> if pinned t frag.xf_ws then Some (next_version t) else None
-          in
-          match conflict with
-          | Some _ -> reject t req Types.Ww_conflict
-          | None ->
-              if
-                Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
-                > skips_before
-              then Stats.Counter.incr t.c_delta_fastpath;
-              if t.cfg.forced_abort_rate > 0. && Rng.chance t.rng t.cfg.forced_abort_rate
-              then reject t req Types.Forced
-              else begin
-                let version = next_version t in
-                let entry =
-                  {
-                    Types.version;
-                    origin = req.replica;
-                    req_id = req.req_id;
-                    ws = frag.xf_ws;
-                    gc_floor = floor_stamp;
-                    xa = None;
-                  }
-                in
-                if t.cfg.durable then begin
-                  Obs.Events.emit t.events
-                    (Obs.Events.Request_admitted
-                       {
-                         actor = t.node_id;
-                         part = t.partition;
-                         origin = req.replica;
-                         req_id = req.req_id;
-                         replica_version = req.replica_version;
-                       });
-                  Overlay.add t.overlay entry;
-                  Version_window.replace t.pending_replies version
-                    {
-                      req;
-                      durability =
-                        Obs.Trace.span t.trace ~id:req.trace_id ~stage:"cert.durability"
-                          ~actor:t.node_id ();
-                    };
-                  accepted := entry :: !accepted
-                end
-                else begin
-                  (* tashAPInoCERT: no disk write, apply and answer. *)
-                  append t entry;
-                  Outcomes.replace t.outcomes req.gtx version;
-                  Stats.Counter.incr t.c_commits;
-                  send_replies t [ (req, Types.Commit, version) ];
-                  Cert_log.truncate t.clog ~upto:entry.gc_floor
-                end
-              end
-        end)
-      reqs;
-    (match List.rev !accepted with
-    | [] -> ()
-    | batch ->
+    Stats.Counter.incr t.c_requests;
+    let skips_before =
+      Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
+    in
+    let conflict =
+      match
+        Cert_log.certify t.clog frag.xf_ws ~start_version:frag.xf_start_version
+      with
+      | Some v -> Some v
+      | None ->
+          Overlay.conflict t.overlay frag.xf_ws
+            ~start_version:frag.xf_start_version
+    in
+    (* A key pinned by an in-flight prepared cross-partition
+       fragment conflicts with everything: the fragment may
+       commit at any later version, so a certification window
+       closing now cannot be proven conflict-free. First-
+       prepared-wins; the single-partition request retries. *)
+    let conflict =
+      match conflict with
+      | Some _ -> conflict
+      | None -> if pinned t frag.xf_ws then Some (next_version t) else None
+    in
+    match conflict with
+    | Some _ -> reject t req Types.Ww_conflict
+    | None ->
         if
-          Paxos.Node.propose_batch t.paxos_node
-            (List.map (fun e -> Types.Committed e) batch)
-        then begin
-          (* Group-commit pacing: hold the next round until this batch
-             is locally durable. Arrivals meanwhile queue in cert_work,
-             so the fsync cycle that groups the log records also sets
-             the batch boundary — under load the next batch is the
-             whole pile, not one request. *)
-          let wal = Paxos.Node.wal t.paxos_node in
-          ignore
-            (Engine.spawn t.engine (fun () ->
-                 let sp =
-                   Obs.Trace.span t.trace ~stage:"wal.fsync" ~actor:t.node_id ()
-                 in
-                 Storage.Wal.sync wal;
-                 Obs.Trace.finish t.trace sp;
-                 Mailbox.send t.round_gate ()));
-          t.round_waiting <- true;
-          Mailbox.recv t.round_gate;
-          t.round_waiting <- false
+          Cert_log.delta_overlaps t.clog + Overlay.delta_overlaps t.overlay
+          > skips_before
+        then Stats.Counter.incr t.c_delta_fastpath;
+        if t.cfg.forced_abort_rate > 0. && Rng.chance t.rng t.cfg.forced_abort_rate
+        then reject t req Types.Forced
+        else begin
+          let version = next_version t in
+          let entry =
+            {
+              Types.version;
+              origin = req.replica;
+              req_id = req.req_id;
+              ws = frag.xf_ws;
+              gc_floor = floor_stamp;
+              xa = None;
+            }
+          in
+          if t.cfg.durable then begin
+            Obs.Events.emit t.events
+              (Obs.Events.Request_admitted
+                 {
+                   actor = t.node_id;
+                   part = t.partition;
+                   origin = req.replica;
+                   req_id = req.req_id;
+                   replica_version = req.replica_version;
+                 });
+            Overlay.add t.overlay entry;
+            Version_window.replace t.pending_replies version
+              {
+                req;
+                durability =
+                  Obs.Trace.span t.trace ~id:req.trace_id ~stage:"cert.durability"
+                    ~actor:t.node_id ();
+              };
+            records := Types.Committed entry :: !records
+          end
+          else begin
+            (* tashAPInoCERT: no disk write, apply and answer. *)
+            append t entry;
+            Outcomes.replace t.outcomes req.gtx version;
+            Stats.Counter.incr t.c_commits;
+            send_replies t [ (req, Types.Commit, version) ];
+            Cert_log.truncate t.clog ~upto:entry.gc_floor
+          end
         end
-        else
-          (* Lost leadership in the meantime; drop, the proxies retry. *)
-          List.iter
-            (fun (e : Types.entry) ->
-              Overlay.remove t.overlay e.version;
-              Version_window.remove t.pending_replies e.version)
-            batch);
-    Obs.Trace.finish t.trace sp_batch
   end
 
+(* One scheduling round of the certify fiber, the group's only proposer:
+   the tasks are served in arrival order — single-partition requests
+   certified, cross-partition prepares and decisions added — and the
+   round's records go to Paxos as ONE multi-entry proposal: one Accept
+   broadcast, one WAL batch per acceptor. *)
+let process_round t tasks ~work =
+  Stats.Counter.incr t.c_cert_batches;
+  Stats.Summary.observe t.cert_batch_sizes (float_of_int work);
+  let sp_batch = Obs.Trace.span t.trace ~stage:"cert.batch" ~actor:t.node_id () in
+  (* One watermark fold per round; every entry accepted this round is
+     stamped with it, so truncation replicates through Paxos. *)
+  let floor_stamp = advance_watermark t in
+  let records = ref [] in
+  List.iter
+    (function
+      | Req ({ fragments = [ frag ]; _ } as req) -> certify t req frag ~floor_stamp records
+      | Req req -> handle_xreq t req records
+      | Prep xs -> if not (Outcomes.mem t.outcomes xs.xs_gtx) then prepare t xs records
+      | Decide (xs, commit) -> decide t xs ~commit ~floor_stamp records)
+    tasks;
+  (match List.rev !records with
+  | [] -> ()
+  | batch ->
+      (* [process_tasks] saw this node lead and nothing in the round
+         yields, so the proposal is always taken. *)
+      let proposed = Paxos.Node.propose_batch t.paxos_node batch in
+      assert proposed;
+      (* Group-commit pacing: hold the next round until this batch is
+         locally durable. Arrivals meanwhile queue in cert_work, so the
+         fsync cycle that groups the log records also sets the batch
+         boundary — under load the next batch is the whole pile, not one
+         request. *)
+      let wal = Paxos.Node.wal t.paxos_node in
+      ignore
+        (Engine.spawn t.engine (fun () ->
+             let sp = Obs.Trace.span t.trace ~stage:"wal.fsync" ~actor:t.node_id () in
+             Storage.Wal.sync wal;
+             Obs.Trace.finish t.trace sp;
+             Mailbox.send t.round_gate ()));
+      t.round_waiting <- true;
+      Mailbox.recv t.round_gate;
+      t.round_waiting <- false);
+  Obs.Trace.finish t.trace sp_batch
+
 let process_tasks t (tasks : task list) =
-  Resource.use t.cpu (Time.mul t.cfg.certify_cpu (List.length tasks));
+  (* Requests and prepares cost certification CPU; a decision, the
+     outcome of votes already counted, costs none. *)
+  let work =
+    List.fold_left (fun n -> function Req _ | Prep _ -> n + 1 | Decide _ -> n) 0 tasks
+  in
+  Resource.use t.cpu (Time.mul t.cfg.certify_cpu work);
   (* A freshly elected leader re-proposes entries inherited from the
      previous term; until those are delivered its log can be missing
      majority-accepted entries, so certifying now could commit a retried
      request twice or abort it against its own twin. Hold the batch until
      the inherited prefix has applied (or leadership/liveness is lost).
-     The same gate covers cross-partition prepares: an inherited Prepared
-     record must deliver (and recreate its xstate) before a retried
-     request could propose a duplicate. *)
+     The same gate covers cross-partition prepares and decisions: an
+     inherited Prepared record or decision must deliver (and recreate its
+     xstate or outcome) before this round could propose a duplicate. *)
   while t.up && is_leader t && not (Paxos.Node.leader_ready t.paxos_node) do
     Engine.sleep t.engine (Time.of_ms 1.)
   done;
-  if t.up then begin
-    (* One-fragment requests form this round's certification batch; the
-       rest follow in arrival order. *)
-    let singles =
-      List.filter_map
+  if t.up then
+    if is_leader t then process_round t tasks ~work
+    else
+      List.iter
         (function
-          | Req ({ fragments = [ frag ]; _ } as req) -> Some (req, frag) | Req _ | Prep _ -> None)
+          | Req req -> redirect t req
+          | Prep _ -> ()
+          | Decide (xs, _) -> xs.xs_decided <- false)
         tasks
-    in
-    if singles <> [] then process_cert_batch t singles;
-    List.iter
-      (function
-        | Req { fragments = [ _ ]; _ } -> ()
-        | Req req ->
-            if t.up then if not (is_leader t) then redirect t req else handle_xreq t req
-        | Prep xs ->
-            if t.up && is_leader t && not (Outcomes.mem t.outcomes xs.xs_gtx) then
-              propose_prepare t xs)
-      tasks
-  end
 
 let handle_fetch t (freq : Types.fetch_request) =
   ignore
@@ -832,59 +853,92 @@ let flush_replies t =
   t.flush_scheduled <- false;
   if t.up && batch <> [] then send_replies t batch
 
+(* A cross-partition transaction's decision delivered: the fragment's
+   Committed entry at [version], or an abort ([version = aborted]). The
+   pins are released, the outcome recorded in the never-pruned outcome
+   table, the waiting proxy answered, and the in-flight state dropped. *)
+let on_decided t (gtx : Types.gtx_id) ~version =
+  let xs = xstate t gtx in
+  let commit = version <> aborted in
+  unpin t t.pins xs;
+  unpin t t.pins_spec xs;
+  Obs.Events.emit t.events
+    (Obs.Events.Decision
+       { actor = t.node_id; part = t.partition; gtx = xkey gtx; committed = commit });
+  Outcomes.replace t.outcomes gtx version;
+  Stats.Counter.incr (if commit then t.c_xcommits else t.c_xaborts);
+  (if is_leader t then
+     match xs.xs_reply with
+     | Some req ->
+         xs.xs_reply <- None;
+         if commit then begin
+           Stats.Counter.incr t.c_commits;
+           send_replies t [ (req, Types.Commit, version) ]
+         end
+         else reject t req Types.Ww_conflict
+     | None -> ());
+  Hashtbl.remove t.xstates (xkey gtx)
+
 let on_deliver_entry t (entry : Types.entry) =
-  (* A leader taking over from a crash may find gap slots whose entries
-     died un-acked with the old leader and no-op them; an inherited entry
-     in a later slot still carries the version the dead leader stamped,
-     now too high. Re-stamp it to the next contiguous version: every
-     certifier applies in slot order so the renumbering is identical
-     everywhere, and it can only shrink the window the entry was certified
-     against, never grow it. The opposite direction — a proposed version
-     now too LOW — can only happen when a cross-partition Decision
-     delivered between propose and delivery consumed versions out of
-     band; it is allowed only once such a record has been seen, so in a
-     partition-free run a version regression still trips
-     [Cert_log.append]'s invariant as before. *)
   let proposed = entry.Types.version in
-  let expected = Cert_log.version t.clog + 1 in
-  let entry =
-    if proposed > expected || (proposed < expected && t.x_seen) then
-      { entry with Types.version = expected }
-    else entry
-  in
-  append t entry;
-  (match entry.xa with
-  | Some x -> Outcomes.replace t.outcomes x.gtx entry.version
-  | None ->
-      Outcomes.record t.outcomes ~origin:entry.origin ~seq:entry.req_id entry.version);
-  (* Replicated truncation: every certifier prunes from the stamp the
-     leader folded at proposal time, in slot order — so the live window
-     (and the base state behind it) is identical everywhere, including
-     during crash-recovery redelivery. *)
-  let floor_before = Cert_log.floor t.clog in
-  Cert_log.truncate t.clog ~upto:entry.gc_floor;
-  if Cert_log.floor t.clog > floor_before then
-    Obs.Events.emit t.events
-      (Obs.Events.Gc_floor
-         { actor = t.node_id; part = t.partition; floor = Cert_log.floor t.clog });
-  (* Speculative state is keyed by the PROPOSED version. *)
-  Overlay.remove t.overlay proposed;
-  let p = Version_window.get t.pending_replies proposed in
-  if p.durability != closed then begin
-    Obs.Trace.finish t.trace p.durability;
-    p.durability <- closed
-  end;
-  if Version_window.mem t.pending_replies proposed && is_leader t then begin
-    Version_window.remove t.pending_replies proposed;
-    Stats.Counter.incr t.c_commits;
-    t.delivered <- (p.req, Types.Commit, entry.version) :: t.delivered;
-    if not t.flush_scheduled then begin
-      t.flush_scheduled <- true;
-      (* Zero delay: runs after the delivering fiber finishes this
-         instant, so a whole committed batch flushes as one. *)
-      Engine.schedule_after t.engine Time.zero (fun () -> flush_replies t)
-    end
-  end
+  match entry.xa with
+  | Some x when Outcomes.mem t.outcomes x.gtx ->
+      (* A duplicate decision — re-proposed across a leader change, or a
+         second copy chosen in a later slot — appends nothing: the
+         transaction is decided here already. *)
+      Overlay.remove t.overlay proposed
+  | _ ->
+      (* A leader taking over from a crash may find gap slots whose
+         entries died un-acked with the old leader and no-op them; an
+         inherited entry in a later slot still carries the version the
+         dead leader stamped, now too high. Re-stamp it to the next
+         contiguous version: every certifier applies in slot order so the
+         renumbering is identical everywhere, and it can only shrink the
+         window the entry was certified against, never grow it. Every
+         append, cross-partition commits included, is versioned at
+         proposal, so a version too LOW never reaches delivery: it trips
+         [Cert_log.append]'s invariant. The exception is tashAPInoCERT,
+         whose single-partition commits are appended outside Paxos: there
+         a delivered cross-partition commit takes the next version. *)
+      let expected = Cert_log.version t.clog + 1 in
+      let entry =
+        if proposed > expected || not t.cfg.durable then
+          { entry with Types.version = expected }
+        else entry
+      in
+      append t entry;
+      (* Replicated truncation: every certifier prunes from the stamp the
+         leader folded at proposal time, in slot order — so the live window
+         (and the base state behind it) is identical everywhere, including
+         during crash-recovery redelivery. *)
+      let floor_before = Cert_log.floor t.clog in
+      Cert_log.truncate t.clog ~upto:entry.gc_floor;
+      if Cert_log.floor t.clog > floor_before then
+        Obs.Events.emit t.events
+          (Obs.Events.Gc_floor
+             { actor = t.node_id; part = t.partition; floor = Cert_log.floor t.clog });
+      (* Speculative state is keyed by the PROPOSED version. *)
+      Overlay.remove t.overlay proposed;
+      match entry.xa with
+      | Some x -> on_decided t x.gtx ~version:entry.version
+      | None ->
+          Outcomes.record t.outcomes ~origin:entry.origin ~seq:entry.req_id entry.version;
+          let p = Version_window.get t.pending_replies proposed in
+          if p.durability != closed then begin
+            Obs.Trace.finish t.trace p.durability;
+            p.durability <- closed
+          end;
+          if Version_window.mem t.pending_replies proposed && is_leader t then begin
+            Version_window.remove t.pending_replies proposed;
+            Stats.Counter.incr t.c_commits;
+            t.delivered <- (p.req, Types.Commit, entry.version) :: t.delivered;
+            if not t.flush_scheduled then begin
+              t.flush_scheduled <- true;
+              (* Zero delay: runs after the delivering fiber finishes this
+                 instant, so a whole committed batch flushes as one. *)
+              Engine.schedule_after t.engine Time.zero (fun () -> flush_replies t)
+            end
+          end
 
 (* Prepared delivery: THE vote point. The vote is a pure function of the
    delivered log, the truncation floor and the pin table — state that is
@@ -915,76 +969,19 @@ let on_prepared t (gtx : Types.gtx_id) (fragments : Types.xfragment list) =
       (Obs.Events.Prepared
          { actor = t.node_id; part = t.partition; gtx = xkey gtx; vote });
     if vote then pin t t.pins xs;
-    unpin t.pins_spec (xkey gtx);
+    unpin t t.pins_spec xs;
     if is_leader t then begin
       broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
       maybe_decide t xs
     end
   end
 
-(* Decision delivery: commit appends the local fragment at the next log
-   version (stamped with the atomicity witness), abort just releases the
-   pins. Either way the outcome is recorded in the never-pruned outcome
-   table and the in-flight state is dropped. *)
-let on_decision t (gtx : Types.gtx_id) ~commit =
-  if not (Outcomes.mem t.outcomes gtx) then begin
-    let gk = xkey gtx in
-    let xs = xstate t gtx in
-    unpin t.pins gk;
-    unpin t.pins_spec gk;
-    xs.xs_decided <- true;
-    Obs.Events.emit t.events
-      (Obs.Events.Decision
-         { actor = t.node_id; part = t.partition; gtx = gk; committed = commit });
-    let version =
-      if commit then begin
-        let frag =
-          match own_fragment t xs with
-          | Some frag -> frag
-          | None ->
-              invalid_arg
-                (Printf.sprintf "%s: Decision(commit) for %s without fragments" t.node_id gk)
-        in
-        let version = Cert_log.version t.clog + 1 in
-        let entry =
-          {
-            Types.version;
-            origin = frag.Types.xf_origin;
-            req_id = gtx.Types.gtx_seq;
-            ws = frag.Types.xf_ws;
-            gc_floor = Cert_log.floor t.clog;
-            xa = Some { Types.gtx; parts = xs.xs_parts };
-          }
-        in
-        append t entry;
-        version
-      end
-      else aborted
-    in
-    Outcomes.replace t.outcomes gtx version;
-    Stats.Counter.incr (if commit then t.c_xcommits else t.c_xaborts);
-    (if is_leader t then
-       match xs.xs_reply with
-       | Some req ->
-           xs.xs_reply <- None;
-           if commit then begin
-             Stats.Counter.incr t.c_commits;
-             send_replies t [ (req, Types.Commit, version) ]
-           end
-           else reject t req Types.Ww_conflict
-       | None -> ());
-    Hashtbl.remove t.xstates gk
-  end
-
 let on_deliver t _slot (record : Types.record) =
   match record with
   | Types.Committed entry -> on_deliver_entry t entry
-  | Types.Prepared p ->
-      t.x_seen <- true;
-      on_prepared t p.p_gtx p.p_fragments
+  | Types.Prepared p -> on_prepared t p.p_gtx p.p_fragments
   | Types.Decision d ->
-      t.x_seen <- true;
-      on_decision t d.d_gtx ~commit:d.d_commit
+      if not (Outcomes.mem t.outcomes d.d_gtx) then on_decided t d.d_gtx ~version:aborted
 
 (* ------------------------------------------------------------------ *)
 (* Wiring *)
@@ -993,9 +990,10 @@ let spawn_role_watch t =
   (* Clear speculative state when leadership is lost; outstanding requests
      will time out at the proxies and be retried at the new leader. For
      cross-partition state, only the leader-volatile parts go: proposed-
-     but-undelivered prepares may be re-proposed if leadership returns,
-     and the reply route re-arms from the proxy's retry. Delivered
-     prepares, votes and pins are replicated state and stay. *)
+     but-undelivered prepares and decisions are re-armed, to be proposed
+     again if leadership returns, and the reply route re-arms from the
+     proxy's retry. Delivered prepares, votes and pins are replicated
+     state and stay. *)
   ignore
     (Engine.spawn t.engine (fun () ->
          let rec loop () =
@@ -1024,10 +1022,14 @@ let spawn_role_watch t =
 
 (* Re-solicitation sweep: while leading, periodically re-gossip our vote
    for prepared-but-undecided transactions (carrying the full fragments,
-   so a group that lost its request can still join), and prepare any
+   so a group that lost its request can still join) and queue the
+   decision once the votes determine it, and queue a prepare for any
    transaction we only know from gossip. This is the liveness half of the
    coordinator-less commit: any surviving leader can finish any
-   transaction whose Prepared record made it into at least one ring. *)
+   transaction whose Prepared record made it into at least one ring. A
+   decision already queued or proposed is left alone: within a term Paxos
+   re-sends a lost Accept, and a lost leadership re-arms it (the role
+   watch). *)
 let spawn_xsweep t =
   ignore
     (Engine.spawn t.engine (fun () ->
@@ -1037,28 +1039,15 @@ let spawn_xsweep t =
               let now = Engine.now t.engine in
               Hashtbl.iter
                 (fun _ xs ->
-                  if not (Outcomes.mem t.outcomes xs.xs_gtx) then begin
-                    (* A proposed Decision can die without a leadership
-                       change (its Accept lost to the network, its slot
-                       no-oped by a leadership blip between rolewatch
-                       polls). Delivery is idempotent, so after a grace
-                       period re-arm and propose it again. *)
-                    if
-                      xs.xs_decided
-                      && Time.(Time.diff now xs.xs_decided_at > Time.of_ms 300.)
-                    then xs.xs_decided <- false;
-                    if not xs.xs_decided then
-                      if xs.xs_prepared then begin
-                        if Time.(Time.diff now xs.xs_prepared_at > Time.of_ms 50.)
-                        then begin
-                          broadcast_vote t xs ~echo:false
-                            ~to_parts:(sibling_parts t xs);
-                          maybe_decide t xs
-                        end
+                  if not (xs.xs_decided || Outcomes.mem t.outcomes xs.xs_gtx) then
+                    if xs.xs_prepared then begin
+                      if Time.(Time.diff now xs.xs_prepared_at > Time.of_ms 50.) then begin
+                        broadcast_vote t xs ~echo:false ~to_parts:(sibling_parts t xs);
+                        maybe_decide t xs
                       end
-                      else if (not xs.xs_proposed) && xs.xs_fragments <> [] then
-                        Mailbox.send t.cert_work (Prep xs)
-                  end)
+                    end
+                    else if (not xs.xs_proposed) && xs.xs_fragments <> [] then
+                      Mailbox.send t.cert_work (Prep xs))
                 t.xstates);
            loop ()
          in
@@ -1136,7 +1125,6 @@ let create (env : Env.t) ~id:node_id ~peers ?(partition = 0) ?(directory = [])
         xstates = Hashtbl.create 64;
         pins = Mvcc.Key.Tbl.create 64;
         pins_spec = Mvcc.Key.Tbl.create 64;
-        x_seen = false;
         delivered = [];
         flush_scheduled = false;
         round_gate = Mailbox.create engine ~name:(node_id ^ ".roundgate") ();
@@ -1281,7 +1269,6 @@ let crash ?wal_fault t =
     Hashtbl.reset t.xstates;
     Mvcc.Key.Tbl.reset t.pins;
     Mvcc.Key.Tbl.reset t.pins_spec;
-    t.x_seen <- false;
     Hashtbl.reset t.snapshot_reports;
     t.gc_floor <- 0;
     t.base_log_bytes <- 0;

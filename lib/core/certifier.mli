@@ -30,12 +30,17 @@
       sibling groups' members; a yes-vote pins the fragment's keys
       (first-prepared-wins) until the decision;
     + {e decide}: once a leader holds all votes (all-yes) or any no-vote,
-      it replicates a [Decision] record in its own ring; commit appends
-      the local fragment — stamped with the {!Types.xatom} witness — at
-      the group's next version. Every involved leader decides
+      it replicates the decision in its own ring: a commit is the local
+      fragment as a [Committed] entry stamped with the {!Types.xatom}
+      witness, an abort a [Decision] record. Every involved leader decides
       independently and identically, so no coordinator death can block
       the transaction; a periodic sweep re-gossips votes (with
       fragments) for anything left hanging.
+
+    The leader's certify fiber is the group's only proposer: each of its
+    rounds sends one Paxos proposal, under one WAL sync, holding the
+    round's certified entries, its [Prepared] records and every decision
+    reached since the previous round.
 
     Every decided transaction — either kind — is recorded in one
     never-pruned outcome table keyed by its {!Types.gtx_id}; a retried
@@ -44,7 +49,9 @@
 
     Durability can be disabled ([durable = false]) to reproduce the paper's
     [tashAPInoCERT] configuration: certification happens as usual but
-    nothing is written to disk and replies return immediately.
+    nothing is written to disk and replies return immediately. The
+    cross-partition records still go through the group's ring, and a
+    delivered cross-partition commit takes the log's next version.
 
     Forced aborts at a configurable rate reproduce §9.5: the request pays
     the full certification cost, then aborts. *)

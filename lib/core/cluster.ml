@@ -452,9 +452,9 @@ let check_log_invariants t =
    never-pruned outcome tables, so log truncation cannot hide a violation;
    a sibling group with no up member is skipped (nothing to ask).
 
-   Each group delivers its own Decision record independently, so a scan
-   can catch a transaction milliseconds after one group's log committed
-   it and before the sibling group's Decision delivered. A non-empty
+   Each group delivers its own decision independently, so a scan can
+   catch a transaction milliseconds after one group's log committed it
+   and before the sibling group's decision delivered. A non-empty
    first scan therefore runs the simulation for [settle] and keeps only
    the problems that are still there — in-flight exchanges resolve, a
    genuinely lost outcome (or a commit/abort split) does not. *)

@@ -154,8 +154,9 @@ val check_cross_atomicity : ?settle:Sim.Time.t -> t -> (unit, string) result
     {!Types.xatom} witness, every sibling group (that still has an up
     member to ask) must report the transaction committed in its own
     never-pruned outcome table — none may report it aborted or unknown.
-    Because each group delivers its own Decision record independently, a
-    scan under live traffic can catch an exchange mid-flight; a non-empty
+    Because each group delivers its own decision independently (its
+    fragment's witness-stamped entry, or an abort record), a scan under
+    live traffic can catch an exchange mid-flight; a non-empty
     scan runs the simulation for [settle] (default 1 s) and reports only
     the problems that survive it. Trivially [Ok] (and side-effect-free)
     when [n_partitions = 1]. *)

@@ -21,7 +21,7 @@ let add t (entry : Types.entry) =
 let holds_request t ~origin ~req_id =
   Hashtbl.fold
     (fun _ (entry : Types.entry) acc ->
-      acc || (entry.req_id = req_id && String.equal entry.origin origin))
+      acc || (entry.req_id = req_id && String.equal entry.origin origin && entry.xa = None))
     t.entries false
 
 let conflict t ws ~start_version =

@@ -16,12 +16,13 @@ val add : t -> Types.entry -> unit
     assigns them densely). *)
 
 val holds_request : t -> origin:string -> req_id:int -> bool
-(** Whether an in-flight entry for this (origin, request) exists — a
-    retried request whose first attempt is proposed but not yet delivered
-    must be dropped, not re-certified: certifying it again would abort it
-    against its own twin (and the reply it waits for arrives at
-    delivery). Linear in the overlay, which holds at most a few in-flight
-    batches. *)
+(** Whether an in-flight single-partition entry for this (origin,
+    request) exists — a retried request whose first attempt is proposed
+    but not yet delivered must be dropped, not re-certified: certifying it
+    again would abort it against its own twin (and the reply it waits for
+    arrives at delivery). A cross-partition commit in flight never
+    matches: its [req_id] is a session's sequence number. Linear in the
+    overlay, which holds at most a few in-flight batches. *)
 
 val conflict : t -> Mvcc.Writeset.t -> start_version:int -> int option
 (** Largest overlay version above [start_version] writing a key in the

@@ -134,16 +134,17 @@ type xvote = {
 }
 
 (* The certifier group's replicated state machine input. [Committed] is
-   the classic certified-writeset entry; [Prepared]/[Decision] are the
-   cross-partition commit records. A [Prepared] record carries no vote:
-   the vote is computed at delivery, identically by every ring member,
-   against the delivered log + pin state — which is exactly what makes it
-   durable (it can always be re-derived after a failover or a crash
-   replay). *)
+   a certified-writeset entry, and a cross-partition commit decision too
+   (its [xa] names the transaction). [Prepared] opens a cross-partition
+   transaction; [Decision] records its abort. A [Prepared] record carries
+   no vote: the vote is computed at delivery, identically by every ring
+   member, against the delivered log + pin state — which is exactly what
+   makes it durable (it can always be re-derived after a failover or a
+   crash replay). *)
 type record =
   | Committed of entry
   | Prepared of { p_gtx : gtx_id; p_part : int; p_fragments : xfragment list }
-  | Decision of { d_gtx : gtx_id; d_commit : bool }
+  | Decision of { d_gtx : gtx_id }
 
 let record_bytes = function
   | Committed e -> 4 + entry_bytes e

@@ -159,17 +159,21 @@ type xvote = {
   xv_fragments : xfragment list;
 }
 
-(** Input to a certifier group's replicated state machine. [Committed]
-    is the classic certified-writeset entry; [Prepared] and [Decision]
-    are the cross-partition commit records. A [Prepared] record carries
-    no vote: the vote is computed at delivery, identically by every ring
-    member, against the delivered log and pin state — which is exactly
-    what makes it durable (it is re-derived unchanged by a failed-over
-    leader or a crash replay). *)
+(** Input to a certifier group's replicated state machine; a leader
+    proposes a certify round's records as one batch. [Committed] is a
+    certified-writeset entry. It is also how a group commits its fragment
+    of a cross-partition transaction: the entry's [xa] names the
+    transaction, and its version is assigned at proposal like any
+    other's (at delivery under a non-durable certifier). [Prepared] opens a cross-partition transaction in the group,
+    and [Decision] records the transaction's abort. A [Prepared] record
+    carries no vote: the vote is computed at delivery, identically by
+    every ring member, against the delivered log and pin state — which is
+    exactly what makes it durable (it is re-derived unchanged by a
+    failed-over leader or a crash replay). *)
 type record =
   | Committed of entry
   | Prepared of { p_gtx : gtx_id; p_part : int; p_fragments : xfragment list }
-  | Decision of { d_gtx : gtx_id; d_commit : bool }
+  | Decision of { d_gtx : gtx_id }  (** the transaction aborts *)
 
 (** Everything that travels on the wire. *)
 type message =

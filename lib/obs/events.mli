@@ -71,7 +71,9 @@ type event =
       vote : bool;
     }  (** [actor] received partition [from_part]'s vote for [gtx]. *)
   | Decision of { actor : string; part : int; gtx : string; committed : bool }
-      (** A Decision record was delivered: [actor]'s group applies it. *)
+      (** A cross-partition decision was delivered — the fragment's
+          witness-stamped log entry (commit) or an abort record:
+          [actor]'s group applies it. *)
   | Ws_install of { actor : string; part : int; version : int }
       (** A replica installed the writeset of [version] into its store. *)
   | Snapshot_advance of { actor : string; part : int; version : int }

@@ -1,8 +1,9 @@
 (* A ring of [Array.length cells] cells, a power of two, covering the
    numbers [base, base + capacity): a number's cell is its low bits, and a
    byte of [present] per cell marks it held. [count] counts the held
-   cells, and [spill] holds the entries outside them (a number is in one
-   place). *)
+   cells, and [spill] holds the [spills] entries outside them (a number is
+   in one place). A miss consults [spill] only when [spills > 0], which is
+   almost never. *)
 type 'a t = {
   fill : 'a;
   mutable cells : 'a array;
@@ -10,6 +11,7 @@ type 'a t = {
   mutable base : int;
   mutable count : int;
   spill : (int, 'a) Hashtbl.t;
+  mutable spills : int;
 }
 
 let initial = 64
@@ -19,10 +21,14 @@ let reset t =
   t.present <- Bytes.make initial '\000';
   t.base <- 0;
   t.count <- 0;
-  Hashtbl.reset t.spill
+  Hashtbl.reset t.spill;
+  t.spills <- 0
 
 let create fill =
-  let t = { fill; cells = [||]; present = Bytes.empty; base = 0; count = 0; spill = Hashtbl.create 1 } in
+  let t =
+    { fill; cells = [||]; present = Bytes.empty; base = 0; count = 0;
+      spill = Hashtbl.create 1; spills = 0 }
+  in
   reset t;
   t
 
@@ -35,16 +41,21 @@ let[@inline] cell t n =
   let c = n land (cap - 1) in
   if n >= t.base && n - t.base < cap && held t.present c then c else -1
 
-let[@inline] spilled t n = Hashtbl.length t.spill > 0 && Hashtbl.mem t.spill n
+let[@inline] spilled t n = t.spills > 0 && Hashtbl.mem t.spill n
 let mem t n = cell t n >= 0 || spilled t n
 
 let get t n =
   let c = cell t n in
   if c >= 0 then Array.unsafe_get t.cells c
-  else if Hashtbl.length t.spill = 0 then t.fill
+  else if t.spills = 0 then t.fill
   else try Hashtbl.find t.spill n with Not_found -> t.fill
 
-let length t = t.count + Hashtbl.length t.spill
+let length t = t.count + t.spills
+
+(* Spill [n], which is in neither place. *)
+let spill_add t n v =
+  Hashtbl.replace t.spill n v;
+  t.spills <- t.spills + 1
 
 (* The ring may span at most this many cells before a far number spills. *)
 let room t = max 4096 (16 * (t.count + 1))
@@ -95,7 +106,7 @@ let rec replace t n v =
       for m = t.base to min (top - 1) (t.base + cap - 1) do
         let c = m land (cap - 1) in
         if held t.present c then begin
-          Hashtbl.replace t.spill m t.cells.(c);
+          spill_add t m t.cells.(c);
           t.cells.(c) <- t.fill;
           mark t c false;
           t.count <- t.count - 1
@@ -113,7 +124,7 @@ let rec replace t n v =
       regrow ~keep_top:true t ~span;
       replace t n v
     end
-    else Hashtbl.replace t.spill n v
+    else spill_add t n v
   end
 
 let remove t n =
@@ -123,7 +134,10 @@ let remove t n =
     mark t c false;
     t.count <- t.count - 1
   end
-  else if Hashtbl.length t.spill > 0 then Hashtbl.remove t.spill n
+  else if spilled t n then begin
+    Hashtbl.remove t.spill n;
+    t.spills <- t.spills - 1
+  end
 
 let fold f t acc =
   let acc = ref (Hashtbl.fold f t.spill acc) in

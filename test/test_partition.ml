@@ -497,6 +497,223 @@ let test_outcome_table_ids_and_rebuild () =
   check_all_invariants c
 
 (* ------------------------------------------------------------------ *)
+(* One proposal per certify round *)
+
+(* A quiet cluster commits one cross-partition transaction among
+   single-partition ones: its Prepared records and commit decisions ride
+   the certify rounds' batches, so every leader sends exactly one Accept
+   per round. *)
+let test_cross_records_ride_the_round () =
+  let c = make_cluster () in
+  Cluster.reset_stats c;
+  let ka = keys_in ~parts:2 0 3 and kb = keys_in ~parts:2 1 3 in
+  let singles = List.init 4 (fun _ -> ref None) and cross = ref None in
+  submit_session_tx c 0 ~writes:[ (List.nth ka 0, 1) ] (List.nth singles 0);
+  submit_session_tx c 1 ~writes:[ (List.nth kb 0, 1) ] (List.nth singles 1);
+  submit_session_tx c 0 ~writes:[ (List.nth ka 1, 2); (List.nth kb 1, 2) ] cross;
+  run_for c (Time.of_ms 5.);
+  submit_session_tx c 1 ~writes:[ (List.nth ka 2, 3) ] (List.nth singles 2);
+  submit_session_tx c 0 ~writes:[ (List.nth kb 2, 3) ] (List.nth singles 3);
+  run_for c (Time.sec 3);
+  List.iteri (fun i o -> expect_commit (Printf.sprintf "single %d" i) !o) singles;
+  expect_commit "cross" !cross;
+  List.iter
+    (fun (part, _) ->
+      match Cluster.group_leader c ~part with
+      | None -> Alcotest.fail "no leader"
+      | Some lead ->
+          let s = Certifier.stats lead in
+          check_int (Printf.sprintf "p%d committed its fragment" part) 1 s.xcommits;
+          check_bool (Printf.sprintf "p%d ran rounds" part) true (s.cert_batches > 0);
+          check_int
+            (Printf.sprintf "p%d Accept broadcasts = certify rounds" part)
+            s.cert_batches s.accept_broadcasts)
+    (Cluster.certifier_groups c);
+  check_all_invariants c
+
+(* The last Paxos slot group [part] has committed, read from its leader's
+   heartbeats. *)
+let watch_commit_index c ~part =
+  let members = List.map Certifier.id (Cluster.group c ~part) in
+  let top = ref 0 in
+  Net.Network.set_tap (Cluster.network c)
+    (Some
+       (fun ~src ~dst:_ msg ->
+         (match msg with
+         | Types.Paxos (Paxos.Node.Heartbeat { commit_index; _ }) when List.mem src members ->
+             top := max !top commit_index
+         | _ -> ());
+         Net.Network.Pass));
+  top
+
+(* Make [record] the value chosen in the slot after [slot] at every member
+   of group [part]: a forged Commit from its leader. *)
+let inject_chosen c ~part ~slot record =
+  let lead =
+    match Cluster.group_leader c ~part with
+    | Some l -> Certifier.id l
+    | None -> Alcotest.fail "no leader"
+  in
+  let s = slot + 1 in
+  List.iter
+    (fun cert ->
+      Net.Network.send (Cluster.network c) ~src:lead ~dst:(Certifier.id cert)
+        (Types.Paxos
+           (Paxos.Node.Commit
+              { from = lead; entries = [ (s, Paxos.Node.Value record) ]; commit_index = s })))
+    (Cluster.group c ~part)
+
+let xa_entries cert =
+  let log = Certifier.log cert in
+  List.filter
+    (fun (e : Types.entry) -> Option.is_some e.xa)
+    (Cert_log.entries_between log ~lo:0 ~hi:(Cert_log.version log))
+
+(* A commit decision proposed and then re-proposed — its leader crashes
+   right after sending the Accept, and the next leader inherits it — and
+   then a second copy chosen in a later slot: group 0 holds the fragment at
+   exactly one version, and its log stays contiguous and atomic. *)
+let test_duplicated_commit_decision_appends_once () =
+  let c = make_cluster () in
+  let engine = Cluster.engine c in
+  let members = List.map Certifier.id (Cluster.group c ~part:0) in
+  let crashed = ref None in
+  Net.Network.set_tap (Cluster.network c)
+    (Some
+       (fun ~src ~dst:_ msg ->
+         (match msg with
+         | Types.Paxos (Paxos.Node.Accept { entries; _ })
+           when !crashed = None && List.mem src members
+                && List.exists
+                     (fun (sv : Types.record Paxos.Node.slot_value) ->
+                       match sv.value with
+                       | Paxos.Node.Value (Types.Committed { xa = Some _; _ } | Types.Decision _)
+                         ->
+                           true
+                       | _ -> false)
+                     entries ->
+             let lead = List.find (fun cert -> Certifier.id cert = src) (Cluster.group c ~part:0) in
+             crashed := Some lead;
+             Engine.schedule_after engine Time.zero (fun () -> Certifier.crash lead)
+         | _ -> ());
+         Net.Network.Pass));
+  let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
+  let o = ref None in
+  submit_session_tx c 0 ~writes:[ (ka, 7); (kb, 8) ] o;
+  run_for c (Time.sec 1);
+  (match !crashed with
+  | Some lead -> Certifier.recover lead
+  | None -> Alcotest.fail "the commit decision was never proposed");
+  run_for c (Time.sec 3);
+  expect_commit "cross tx" !o;
+  let once what =
+    List.iter
+      (fun cert ->
+        check_int
+          (Printf.sprintf "%s: %s holds the fragment once" what (Certifier.id cert))
+          1 (List.length (xa_entries cert)))
+      (Cluster.group c ~part:0)
+  in
+  once "after the leader change";
+  check_all_invariants c;
+  let top = watch_commit_index c ~part:0 in
+  run_for c (Time.of_ms 100.);
+  let lead = Option.get (Cluster.group_leader c ~part:0) in
+  let version = Certifier.system_version lead in
+  inject_chosen c ~part:0 ~slot:!top (Types.Committed (List.hd (xa_entries lead)));
+  run_for c (Time.of_ms 500.);
+  once "after a second copy was chosen";
+  check_int "no version consumed" version (Certifier.system_version lead);
+  check_all_invariants c
+
+(* Every append is versioned at proposal, so a partitioned group's log is
+   never handed a version below its next one: if it is, the append
+   raises, as in a single-partition run. *)
+let test_backwards_version_raises () =
+  let c = make_cluster () in
+  let ka = key_in ~parts:2 0 and kb = key_in ~parts:2 1 in
+  let o = ref None in
+  submit_session_tx c 0 ~writes:[ (ka, 7); (kb, 8) ] o;
+  run_for c (Time.sec 2);
+  expect_commit "cross tx" !o;
+  let top = watch_commit_index c ~part:0 in
+  run_for c (Time.of_ms 100.);
+  let lead = Option.get (Cluster.group_leader c ~part:0) in
+  let stale = Cert_log.get (Certifier.log lead) 1 in
+  inject_chosen c ~part:0 ~slot:!top (Types.Committed { stale with xa = None; req_id = 999 });
+  match run_for c (Time.of_ms 100.) with
+  | () -> Alcotest.fail "a version going backwards was appended"
+  | exception Invalid_argument msg ->
+      check_bool ("append refused: " ^ msg) true
+        (String.starts_with ~prefix:"Cert_log.append" msg)
+
+(* A leader folds the snapshot reports of the replicas that have reached
+   it — a new leader, those that retried there first — so its GC floor
+   can pass the reply window of a request still on its way. Such a
+   request is refused like a too-old snapshot, not admitted under a floor
+   that has passed it. *)
+let test_request_below_floor_refused () =
+  let c = make_cluster ~n_partitions:1 () in
+  let a = fake_proxy c ~addr:"a#p0" ~part:0 and b = fake_proxy c ~addr:"b#p0" ~part:0 in
+  let keys = keys_in ~parts:1 0 6 in
+  let frag ~origin ~start key =
+    {
+      Types.xf_part = 0;
+      xf_origin = origin;
+      xf_start_version = start;
+      xf_ws = Mvcc.Writeset.singleton key (upd 1);
+    }
+  in
+  List.iteri
+    (fun i key -> if i < 5 then ignore (certify_in c a [ frag ~origin:"a#p0" ~start:0 key ]))
+    keys;
+  let decide client ~rv fragment =
+    let reply = ref None in
+    ignore
+      (Engine.spawn (Cluster.engine c) (fun () ->
+           reply :=
+             Some
+               (Cert_client.certify client ~replica_version:rv ~oldest_snapshot:rv [ fragment ])));
+    run_for c (Time.sec 1);
+    match !reply with
+    | Some r -> r.Types.decision
+    | None -> Alcotest.fail "certify never returned"
+  in
+  (* [a] reads nothing older than version 5. Its request conflicts, so
+     the round proposes nothing, but the floor folded from its report
+     stands. *)
+  check_bool "conflicting request aborted" true
+    (decide a ~rv:5 (frag ~origin:"a#p0" ~start:0 (List.hd keys)) <> Types.Commit);
+  check_bool "request below the floor refused" true
+    (decide b ~rv:3 (frag ~origin:"b#p0" ~start:3 (List.nth keys 5)) <> Types.Commit);
+  check_all_invariants c
+
+(* tashAPInoCERT appends a single-partition commit as it certifies it,
+   outside Paxos, while a cross-partition commit still goes through its
+   group's ring: both kinds land on one contiguous log, and the run stays
+   atomic and monitor-clean. *)
+let test_nocert_cross_traffic () =
+  let d = Harness.Experiment.default in
+  let cfg =
+    {
+      d with
+      Harness.Experiment.system = Harness.Experiment.Replicated_nocert Types.Tashkent_api;
+      cluster = { d.cluster with n_replicas = 4; n_partitions = 2 };
+      workload = Harness.Experiment.Part_local;
+      cross_ratio = 0.1;
+      warmup = Time.sec 1;
+      measure = Time.sec 2;
+      monitors = true;
+    }
+  in
+  let sc = Harness.Scenario.start (Harness.Experiment.scenario cfg) in
+  let r = Harness.Experiment.measure cfg sc in
+  check_bool "cross-partition commits" true (r.cross_commits > 0);
+  check_bool "single-partition commits" true (r.goodput > 0.);
+  Alcotest.(check (list string)) "no monitor violation" [] r.monitor_violations;
+  check_all_invariants sc.cluster
+
+(* ------------------------------------------------------------------ *)
 (* Crash-tolerance of the cross-partition protocol *)
 
 let test_cross_atomicity_under_group_crash () =
@@ -603,6 +820,16 @@ let suites =
         Alcotest.test_case "cross retry counted once" `Quick test_cross_retry_counted_once;
         Alcotest.test_case "outcome table ids and rebuild" `Quick
           test_outcome_table_ids_and_rebuild;
+        Alcotest.test_case "cross records ride the round" `Quick
+          test_cross_records_ride_the_round;
+        Alcotest.test_case "a duplicated commit decision appends once" `Quick
+          test_duplicated_commit_decision_appends_once;
+        Alcotest.test_case "partitioned log refuses a version going backwards" `Quick
+          test_backwards_version_raises;
+        Alcotest.test_case "request below the leader's floor refused" `Quick
+          test_request_below_floor_refused;
+        Alcotest.test_case "nocert certifier with cross traffic" `Quick
+          test_nocert_cross_traffic;
         Alcotest.test_case "atomicity under group crash" `Quick
           test_cross_atomicity_under_group_crash;
         Alcotest.test_case "Host_modulo partial replication" `Quick
